@@ -313,7 +313,8 @@ def _class_start(model: NetworkModel, jc: JobClass) -> str | None:
     return None
 
 
-def _reachable(model: NetworkModel, jc: JobClass, start: str) -> set[str]:
+def _reachable(model: NetworkModel, jc: JobClass, start: str, positive: bool = False) -> set[str]:
+    """Stations reachable from start; positive follows only edges with p > 0."""
     seen: set[str] = set()
     frontier = [start]
     rows = model.routing.rows.get(jc.name, {})
@@ -322,8 +323,8 @@ def _reachable(model: NetworkModel, jc: JobClass, start: str) -> set[str]:
         if here in seen:
             continue
         seen.add(here)
-        for to, _p in rows.get(here, ()):
-            if to not in seen:
+        for to, p in rows.get(here, ()):
+            if to not in seen and (p > 0 or not positive):
                 frontier.append(to)
     return seen
 
@@ -435,6 +436,15 @@ def validate_model(model: NetworkModel) -> list[str]:
             )
             if cycle_mean == 0.0:
                 diags.append(f"class {jc.name}: total service demand around the cycle is zero")
+        else:
+            # a job that can never leave circulates forever; at zero delay
+            # the clock would never advance
+            sinks = {s.name for s in model.stations if s.kind == SINK}
+            live = _reachable(model, jc, start, positive=True)
+            for s in model.stations:
+                if s.name in live and not sinks & _reachable(model, jc, s.name, positive=True):
+                    diags.append(f"class {jc.name}: station {s.name} has no path to a sink "
+                                 "(open-class jobs reaching it never leave)")
 
     refs = [jc.reference for jc in model.classes if jc.kind == "closed" and jc.reference]
     for ref in sorted(set(r for r in refs if refs.count(r) > 1)):

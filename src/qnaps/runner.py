@@ -12,11 +12,16 @@ The sweep index is deliberately not mixed in: every sweep point sees the
 same seed list, so paired comparisons across sweep values run under
 common random numbers. The manifest records the derived list.
 
-Workers in the parallel path receive only the patched config sections
-(plain data), rebuild the model locally and return their replication's
-samples; results are folded in replication order, and the estimate layer
-is insensitive to merge order anyway, so the worker count never changes
-any number.
+The whole experiment is one flat grid of (sweep point x replication)
+payloads, point-major, sent through a single map: builtin map at one
+worker, one process pool's map otherwise, so no sweep point waits for
+the slowest replication of the one before it. Payloads carry only the
+patched config sections (plain data); workers rebuild the model locally
+and return their replication's samples. Results come back in grid
+order and are folded in (point, replication) order, each point reduced
+and announced as its last replication arrives, so the worker count never
+changes any number. The first failing replication stops the run: the
+pool's map cancels every replication not yet handed to a worker.
 """
 
 from __future__ import annotations
@@ -49,31 +54,6 @@ def _run_one(payload):
     model_section, antipattern_section, seed, horizon, warmup = payload
     net = build_model_from_config(model_section, antipattern_section)
     return run_replication(net, seed=seed, horizon=horizon, warmup=warmup)
-
-
-def _estimates_for_point(cfg: ExperimentConfig, sweep_index: int, value, jobs: int, pool):
-    if cfg.sweep_parameter is not None:
-        model_section, antipattern_section = apply_sweep_value(cfg, value)
-    else:
-        model_section, antipattern_section = cfg.model, cfg.antipattern
-    payloads = [
-        (
-            model_section,
-            antipattern_section,
-            replication_seed(cfg.seed, sweep_index, r),
-            cfg.horizon,
-            cfg.warmup,
-        )
-        for r in range(cfg.replications)
-    ]
-    acc = MetricAccumulator()
-    if pool is None:
-        results = map(_run_one, payloads)
-    else:
-        results = pool.map(_run_one, payloads)
-    for r, result in enumerate(results):
-        acc.add(r, result)
-    return acc.estimates()
 
 
 def _sweep_value_text(value) -> str:
@@ -126,22 +106,43 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
     say = echo if echo is not None else (lambda _: None)
 
     points = list(cfg.sweep_values) if cfg.sweep_parameter is not None else [None]
+    reps = cfg.replications
+    grid = []
+    for i, value in enumerate(points):
+        if cfg.sweep_parameter is not None:
+            model_section, antipattern_section = apply_sweep_value(cfg, value)
+        else:
+            model_section, antipattern_section = cfg.model, cfg.antipattern
+        grid += [
+            (model_section, antipattern_section, replication_seed(cfg.seed, i, r),
+             cfg.horizon, cfg.warmup)
+            for r in range(reps)
+        ]
+
     pool = None
     per_point = []
     try:
         if jobs > 1:
-            pool = ProcessPoolExecutor(max_workers=min(jobs, cfg.replications))
-        for i, value in enumerate(points):
-            est = _estimates_for_point(cfg, i, value, jobs, pool)
-            per_point.append((value, est))
-            if cfg.sweep_parameter is not None:
-                say(f"{cfg.experiment}: {cfg.sweep_parameter} = {_sweep_value_text(value)} done "
-                    f"({cfg.replications} replications)")
-            else:
-                say(f"{cfg.experiment}: {cfg.replications} replications done")
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(grid)))
+            results = pool.map(_run_one, grid)
+        else:
+            results = map(_run_one, grid)
+        for k, result in enumerate(results):
+            i, r = divmod(k, reps)
+            if r == 0:
+                acc = MetricAccumulator()
+            acc.add(r, result)
+            if r == reps - 1:
+                value = points[i]
+                per_point.append((value, acc.estimates()))
+                if cfg.sweep_parameter is not None:
+                    say(f"{cfg.experiment}: {cfg.sweep_parameter} = {_sweep_value_text(value)} done "
+                        f"({reps} replications)")
+                else:
+                    say(f"{cfg.experiment}: {reps} replications done")
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
     # render everything in memory
     artifacts: dict[str, str] = {}

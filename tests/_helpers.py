@@ -17,6 +17,7 @@ from qnaps.model import (
     FCFS,
     SINK,
     SOURCE,
+    Deterministic,
     Exponential,
     JobClass,
     NetworkModel,
@@ -41,6 +42,24 @@ def mm1_model(lam: float = 0.8, mu: float = 1.0, capacity: int | None = None) ->
             Station("Sink", kind=SINK),
         ],
         classes=[JobClass("Jobs", "open", arrival=Exponential(lam))],
+        routing=routing,
+    )
+
+
+def open_trap_model() -> NetworkModel:
+    """Open class routed Source -> D -> D at a zero-time delay: a sink
+    exists but no job can reach it."""
+    routing = RoutingTable()
+    routing.add("Jobs", "Source", "D")
+    routing.add("Jobs", "D", "D")
+    return NetworkModel(
+        name="open-trap",
+        stations=[
+            Station("Source", kind=SOURCE),
+            Station("D", kind=DELAY, service={"Jobs": Deterministic(0.0)}),
+            Station("Sink", kind=SINK),
+        ],
+        classes=[JobClass("Jobs", "open", arrival=Exponential(1.0))],
         routing=routing,
     )
 

@@ -34,7 +34,7 @@ from qnaps.model import (
     Station,
 )
 
-from _helpers import mm1_model
+from _helpers import mm1_model, open_trap_model
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +210,12 @@ def test_invalid_model_and_window_guards():
     assert any("arrival" in d for d in err.value.diagnostics)
     with pytest.raises(ValueError):
         run_replication(mm1_model(), seed=1, horizon=10.0, warmup=10.0)
+
+
+def test_open_class_without_a_path_to_a_sink_is_rejected():
+    with pytest.raises(InvalidModelError) as err:
+        run_replication(open_trap_model(), seed=1, horizon=1000.0)
+    assert "class Jobs: station D has no path to a sink" in str(err.value)
 
 
 def test_deadlock_when_nothing_can_ever_happen():

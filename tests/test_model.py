@@ -27,7 +27,7 @@ from qnaps.model import (
     validate_model,
 )
 
-from _helpers import closed_cycle_model, mm1_model
+from _helpers import closed_cycle_model, mm1_model, open_trap_model
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +174,29 @@ def test_validate_closed_class_cycle_rules():
     for st in m.stations:
         st.service["Jobs"] = Deterministic(0.0)
     _diag_contains(m, "total service demand around the cycle is zero")
+
+
+def test_validate_open_class_needs_a_path_to_a_sink():
+    assert validate_model(open_trap_model()) == [
+        "class Jobs: station Source has no path to a sink (open-class jobs reaching it never leave)",
+        "class Jobs: station D has no path to a sink (open-class jobs reaching it never leave)",
+    ]
+
+    # an exit with probability 0 is no exit
+    m = mm1_model()
+    m.routing.rows["Jobs"]["Queue"] = (("Queue", 1.0), ("Sink", 0.0))
+    _diag_contains(m, "station Queue has no path to a sink")
+
+    # a feedback loop with a positive exit is fine, and so is a trap that
+    # only a zero-probability edge leads to
+    m = mm1_model()
+    m.routing.rows["Jobs"]["Queue"] = (("Queue", 0.5), ("Sink", 0.5))
+    assert validate_model(m) == []
+    m = mm1_model()
+    m.stations.insert(2, Station("Trap", kind=DELAY, service={"Jobs": Deterministic(0.0)}))
+    m.routing.add("Jobs", "Queue", [("Trap", 0.0), ("Sink", 1.0)])
+    m.routing.add("Jobs", "Trap", "Trap")
+    assert validate_model(m) == []
 
 
 def test_validate_shared_reference_station():

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 import yaml
 
 from qnaps.cli import main
-from qnaps.config import load_config
+from qnaps.config import apply_sweep_value, build_model_from_config, load_config
+from qnaps.kernel import run_replication
 from qnaps.runner import replication_seed, run_experiment
 
 
@@ -81,6 +86,33 @@ def test_worker_count_never_changes_results(tmp_path):
     assert (tmp_path / "serial/tiny.csv").read_bytes() == (tmp_path / "parallel/tiny.csv").read_bytes()
 
 
+def test_flat_grid_matches_serial_bytes_and_reports_points_in_order(tmp_path):
+    # 3 points x 3 replications = 9 payloads: they do not divide evenly over
+    # 2 workers, so points finish out of step with the pool's rounds
+    cfg = load_config(_write_config(
+        tmp_path / "grid.yaml",
+        experiment="grid",
+        sweep={"parameter": "model.params.arrival_rate", "values": [0.02, 0.05, 0.08]},
+        run={"replications": 3, "seed": 77, "horizon_msec": 2000.0, "warmup_msec": 200.0},
+        outputs=["csv", "table", "svg"],
+        plot={
+            "x_label": "arrival rate",
+            "y_label": "utilization",
+            "series": [{"station": "Controller", "class": "all", "metric": "utilization"}],
+        },
+    ))
+    progress = {}
+    for jobs in (1, 2):
+        said = []
+        run_experiment(cfg, out_dir=tmp_path / f"j{jobs}", jobs=jobs, echo=said.append)
+        progress[jobs] = [ln for ln in said if ln.endswith("replications)")]
+    for name in ("grid.csv", "grid_table.txt", "grid.svg"):
+        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+    expected = [f"grid: model.params.arrival_rate = {v} done (3 replications)"
+                for v in ("0.02", "0.05", "0.08")]
+    assert progress[1] == progress[2] == expected
+
+
 def test_failed_write_leaves_no_partial_outputs(tmp_path):
     cfg = load_config(_write_config(tmp_path / "tiny.yaml"))
     out = tmp_path / "out"
@@ -134,6 +166,66 @@ def test_cli_deadlock_exits_3(tmp_path, capsys):
     assert main(["--config", str(dead), "--out", str(out)]) == 3
     assert "deadlock" in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())  # nothing partial
+
+
+def test_cli_parallel_sweep_deadlock_exits_3_without_running_the_grid(tmp_path, capsys):
+    # point 1 (f_poll = 0) deadlocks at t = 0; point 2 keeps the pollers
+    # busy to the horizon. Waiting for the whole grid would cost about
+    # reps / 2 of point 2's replications; cancelling the pending ones leaves
+    # at most the few already handed to a worker.
+    reps = 20
+    dead = _write_config(
+        tmp_path / "dead.yaml",
+        experiment="dead",
+        model=DEAD_MODEL,
+        antipattern={"kind": "are-we-there-yet", "controller": "Work", "target_class": "Loop"},
+        sweep={"parameter": "antipattern.f_poll", "values": [0.0, 0.04]},
+        run={"replications": reps, "seed": 3, "horizon_msec": 500000.0, "warmup_msec": 0.0},
+    )
+    cfg = load_config(dead)
+    live = build_model_from_config(*apply_sweep_value(cfg, 0.04))
+    t0 = time.perf_counter()
+    run_replication(live, seed=3, horizon=cfg.horizon)
+    one_rep = time.perf_counter() - t0
+
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert main(["--config", str(dead), "--out", str(out), "--jobs", "2"]) == 3
+    elapsed = time.perf_counter() - t0
+    assert "deadlock" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())  # nothing partial
+    assert elapsed < (reps / 4) * one_rep, (elapsed, one_rep)
+
+
+def test_cli_open_class_with_no_way_out_exits_2(tmp_path, capsys):
+    trap = {
+        "builder": "inline",
+        "stations": [
+            {"name": "Source", "kind": "source"},
+            {"name": "D", "kind": "delay", "service": {"Jobs": {"kind": "deterministic", "value_msec": 0.0}}},
+            {"name": "Sink", "kind": "sink"},
+        ],
+        "classes": [{"name": "Jobs", "kind": "open", "arrival": {"kind": "exponential", "rate_per_msec": 1.0}}],
+        "routing": [
+            {"class": "Jobs", "from": "Source", "to": "D"},
+            {"class": "Jobs", "from": "D", "to": "D"},
+        ],
+    }
+    path = _write_config(tmp_path / "trap.yaml", experiment="trap", model=trap)
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert "class Jobs: station D has no path to a sink" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second to import; the CI quantile comes
+    # from scipy.special instead
+    probe = "import sys, qnaps.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_jobs_env_precedence(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
-"""Replication statistics: intervals, merging, derived error metrics."""
+"""Replication statistics: intervals, order invariance, derived error metrics."""
 
 import math
+import random
 
 import pytest
+import scipy.stats
 
 from qnaps.stats import (
     CI_LEVEL,
@@ -13,8 +15,8 @@ from qnaps.stats import (
     ReplicationResult,
     estimate,
     littles_law_rows,
-    merge,
     response_time_error,
+    _t_quantile,
     utilization_error,
 )
 from qnaps.kernel import run_replication
@@ -72,22 +74,31 @@ def test_interval_needs_two_replications():
         acc.estimate("Q", "Jobs", "utilization")
 
 
-def test_merge_order_invariance_is_exact():
+def test_quantile_matches_scipy_stats_exactly():
+    # stdtrit is the inverse CDF that t.ppf evaluates, so the CSV bytes do
+    # not depend on which of the two entry points stats uses
+    for dof in range(1, 61):
+        assert _t_quantile(dof) == float(scipy.stats.t.ppf(0.995, dof)), dof
+
+
+def test_add_order_invariance_is_exact():
     values = [0.93, 0.11, 0.54, 0.72, 0.38, 0.65]
     results = _make_results(values)
 
     fwd = MetricAccumulator()
     for i, r in enumerate(results):
         fwd.add(i, r)
-
-    left, right = MetricAccumulator(), MetricAccumulator()
-    for i, r in reversed(list(enumerate(results))):
-        (left if i % 2 else right).add(i, r)
-    merged = merge(left, right)
-
     a = fwd.estimate("Q", "Jobs", "utilization")
-    b = merged.estimate("Q", "Jobs", "utilization")
-    assert (a.mean, a.half_width, a.n) == (b.mean, b.half_width, b.n)  # bit-identical
+
+    rng = random.Random(5)
+    for _ in range(10):
+        order = list(enumerate(results))
+        rng.shuffle(order)
+        shuffled = MetricAccumulator()
+        for i, r in order:
+            shuffled.add(i, r)
+        b = shuffled.estimate("Q", "Jobs", "utilization")
+        assert (a.mean, a.half_width, a.n) == (b.mean, b.half_width, b.n)  # bit-identical
 
 
 def test_duplicate_replication_index_rejected():
