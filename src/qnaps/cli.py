@@ -11,7 +11,8 @@ format the config can satisfy (svg only when a plot section exists;
 asking for --format svg explicitly without one is an error).
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad flag
-value, model that does not validate), 3 simulation deadlock.
+value, model that does not validate), 3 simulation deadlock, 4 internal
+invariant failure in the engine (population leak, flow imbalance).
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .kernel import DeadlockError, KernelError
+from .kernel import DeadlockError, InvalidModelError, KernelError
 from .runner import run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEADLOCK = 3
+EXIT_INTERNAL = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,15 +90,15 @@ def main(argv=None) -> int:
         for path in written:
             print(f"wrote {path}")
         return EXIT_OK
-    except ConfigError as exc:
+    except (ConfigError, InvalidModelError) as exc:
         print(f"qnaps: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DeadlockError as exc:
         print(f"qnaps: {exc}", file=sys.stderr)
         return EXIT_DEADLOCK
-    except KernelError as exc:  # invalid model caught late, scheduling bugs
+    except KernelError as exc:
         print(f"qnaps: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

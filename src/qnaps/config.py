@@ -197,35 +197,49 @@ _BUILDER_PARAMS = {
 _INLINE_KEYS = ("builder", "name", "stations", "classes", "routing")
 
 
-def _params_from_config(cls, section: dict, where: str):
-    """Instantiate a builder params dataclass from a config mapping.
+def _unbounded_integer(value, where: str) -> int | None:
+    if value is None or (isinstance(value, float) and math.isinf(value)):
+        return None
+    return _integer(value, where)
 
-    Field kinds are taken from the dataclass definition: fields annotated
-    with Distribution accept distribution mappings, everything else takes
-    a plain scalar.
-    """
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    _check_keys(section, fields, where)
-    kwargs = {}
-    for key, raw in section.items():
-        f = fields[key]
-        spot = f"{where}.{key}"
-        if "Distribution" in str(f.type):
-            if raw is None:
-                if "None" not in str(f.type):
-                    raise ConfigError(f"{spot}: may not be null")
-                kwargs[key] = None
-            else:
-                kwargs[key] = parse_distribution(raw, spot)
-        elif "bool" in str(f.type):
-            kwargs[key] = _boolean(raw, spot)
-        elif "int" in str(f.type):
-            kwargs[key] = _integer(raw, spot)
-        elif "float" in str(f.type):
-            kwargs[key] = _number(raw, spot)
-        else:
-            kwargs[key] = _string(raw, spot)
-    return cls(**kwargs)
+
+def _distribution(value, where: str) -> qm.Distribution:
+    if value is None:
+        raise ConfigError(f"{where}: may not be null")
+    return parse_distribution(value, where)
+
+
+def _optional_distribution(value, where: str) -> qm.Distribution | None:
+    return None if value is None else parse_distribution(value, where)
+
+
+def _optional_strings(value, where: str) -> tuple[str, ...] | None:
+    if value is None:
+        return None
+    return tuple(_string(d, f"{where}[{j}]") for j, d in enumerate(_sequence(value, where)))
+
+
+# Parser for each field annotation of the builder parameter sets and the
+# antipattern spec. ``int | None`` is an optional bound: null or an
+# infinite number means unbounded.
+_FIELD_PARSERS = {
+    "bool": _boolean,
+    "int": _integer,
+    "int | None": _unbounded_integer,
+    "float": _number,
+    "str": _string,
+    "Distribution": _distribution,
+    "Distribution | None": _optional_distribution,
+    "tuple[str, ...] | None": _optional_strings,
+}
+
+
+def _parse_fields(cls, section: dict, where: str) -> dict:
+    """Keyword arguments for dataclass cls from a config mapping, each
+    value parsed by the table entry for its field's annotation."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    _check_keys(section, types, where)
+    return {key: _FIELD_PARSERS[types[key]](raw, f"{where}.{key}") for key, raw in section.items()}
 
 
 def _parse_inline_model(section: dict) -> qm.NetworkModel:
@@ -245,9 +259,6 @@ def _parse_inline_model(section: dict) -> qm.NetworkModel:
             service[_string(cname, f"{where}.service key")] = parse_distribution(
                 dist, f"{where}.service[{cname}]"
             )
-        capacity = node.get("capacity")
-        if capacity is not None:
-            capacity = _integer(capacity, f"{where}.capacity")
         kind = _string(node.get("kind", qm.FCFS), f"{where}.kind")
         if kind == "fcfs":  # short spelling for the queueing kind
             kind = qm.FCFS
@@ -256,7 +267,7 @@ def _parse_inline_model(section: dict) -> qm.NetworkModel:
                 name=_string(node["name"], f"{where}.name"),
                 kind=kind,
                 servers=_integer(node.get("servers", 1), f"{where}.servers"),
-                capacity=capacity,
+                capacity=_unbounded_integer(node.get("capacity"), f"{where}.capacity"),
                 service=service,
             )
         )
@@ -309,35 +320,9 @@ def _parse_inline_model(section: dict) -> qm.NetworkModel:
 
 def parse_antipattern(section: dict) -> antipatterns.AntipatternSpec:
     section = _mapping(section, "antipattern")
-    fields = {f.name: f for f in dataclasses.fields(antipatterns.AntipatternSpec)}
-    _check_keys(section, fields, "antipattern")
-    if "kind" not in section:
+    kwargs = _parse_fields(antipatterns.AntipatternSpec, section, "antipattern")
+    if "kind" not in kwargs:
         raise ConfigError("antipattern: needs a kind")
-    kwargs = {}
-    for key, raw in section.items():
-        f = fields[key]
-        spot = f"antipattern.{key}"
-        ftype = str(f.type)
-        if key == "devices":
-            if raw is not None:
-                kwargs[key] = tuple(
-                    _string(d, f"{spot}[{j}]") for j, d in enumerate(_sequence(raw, spot))
-                )
-            continue
-        if key == "buffer_capacity":
-            if raw is None:
-                kwargs[key] = None
-            elif isinstance(raw, (int, float)) and not isinstance(raw, bool) and math.isinf(raw):
-                kwargs[key] = None
-            else:
-                kwargs[key] = _integer(raw, spot)
-            continue
-        if "str" in ftype:
-            kwargs[key] = _string(raw, spot)
-        elif "int" in ftype:
-            kwargs[key] = _integer(raw, spot)
-        else:
-            kwargs[key] = _number(raw, spot)
     spec = antipatterns.AntipatternSpec(**kwargs)
     if spec.kind not in antipatterns.KINDS:
         raise ConfigError(
@@ -361,7 +346,7 @@ def build_model_from_config(model_section: dict, antipattern_section: dict | Non
     elif builder in _BUILDER_PARAMS:
         _check_keys(section, ("builder", "params"), "model")
         cls = _BUILDER_PARAMS[builder]
-        params = _params_from_config(cls, _mapping(section.get("params", {}), "model.params"), "model.params")
+        params = cls(**_parse_fields(cls, _mapping(section.get("params", {}), "model.params"), "model.params"))
         try:
             net = qm.build_baseline(params) if builder == "baseline" else qm.build_sensor_net(params)
         except ValueError as exc:

@@ -133,12 +133,6 @@ class EgMetrics:
     response_time: float
     saturated: tuple = ()
 
-    def diagnostics(self) -> list[str]:
-        return [
-            f"resource {res} at {self.utilization[res]:.1f}% utilization (saturated)"
-            for res in self.saturated
-        ]
-
 
 def eg_metrics(scenario: EgScenario) -> EgMetrics:
     demand = reduce(scenario.root)

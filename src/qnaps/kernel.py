@@ -4,11 +4,16 @@ Random numbers come from one Philox4x64-10 counter-based generator per
 (station, class, purpose) triple, keyed by SHA-256 of the replication seed
 and the triple. Structural edits to a model therefore never disturb the
 draw sequences of untouched streams, which is what makes neutral model
-transforms reproduce baseline runs bit for bit. Each distribution consumes
-a fixed number of raw draws per sample (exponential 1, deterministic 0,
-erlang k, uniform 1; wrappers add their components). Samplers transform
-raw blocks in batches; the raw sequence consumed is the same as drawing
-one value at a time.
+transforms reproduce baseline runs bit for bit. Each distribution counts
+a fixed number of draws per sample (exponential 1, deterministic 0,
+erlang k, uniform 1; wrappers add their components). A batched sampler
+takes the raw words for 256 values from its stream at once, on its first
+call and whenever those values run out, so a sampler that has its stream
+to itself consumes the same raw sequence as drawing one value at a time. A
+mixture shares its stream among three consumers: its branch uniform takes
+one word per value, and its base and extra samplers each take their own
+256-value blocks when they run out. Its values are therefore fixed by
+that refill order, not by a one-value-at-a-time layout.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -19,7 +24,9 @@ the horizon closed out by a final sweep over the calendar, the queues and
 the parked sets. External arrival processes are pre-drawn per class from
 their own streams and merged with the calendar as the run progresses (ties
 go to the arrival, then to lower class index); calendar events with equal
-times fire in scheduling order.
+times fire in scheduling order. An arrival and a service completion leave
+through the same routing step: sink, cycle close, finite-capacity drop,
+then fcfs or delay entry.
 """
 from __future__ import annotations
 
@@ -27,7 +34,6 @@ import hashlib
 import heapq
 import math
 from collections import deque
-from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Philox
@@ -42,20 +48,11 @@ from .model import (
 )
 from .stats import MetricSample, ReplicationResult
 
-EXTERNAL_ARRIVAL = "external-arrival"
-SERVICE_COMPLETION = "service-completion"
-TIMER = "timer"
-EVENT_KINDS = (EXTERNAL_ARRIVAL, SERVICE_COMPLETION, TIMER)
-
 _INV53 = 1.0 / (1 << 53)
 _INF = math.inf
 
 
 class KernelError(RuntimeError):
-    pass
-
-
-class SchedulingInPastError(KernelError):
     pass
 
 
@@ -80,62 +77,6 @@ class DeadlockError(KernelError):
 
     def __reduce__(self):  # survive a trip through a worker process
         return (type(self), (self.class_names,))
-
-
-class EventRecord(NamedTuple):
-    """Calendar entry. Records sort by (time, seq); seq is assigned in
-    scheduling order, so equal-time events pop first-scheduled-first."""
-
-    time: float
-    seq: int
-    kind: str
-    job_id: int
-    station_id: str
-
-
-class EventCalendar:
-    """Priority queue of event records ordered by (time, seq).
-
-    run_replication keeps its own inlined calendar with identical ordering
-    semantics (plain tuples, same (time, seq) key) for speed; this class is
-    the compositional front door and the reference for the ordering rules.
-    """
-
-    __slots__ = ("heap", "clock", "_seq")
-
-    def __init__(self):
-        self.heap: list = []
-        self.clock = 0.0
-        self._seq = 0
-
-    def __len__(self):
-        return len(self.heap)
-
-    def schedule(self, time: float, kind: str, job_id: int = 0, station_id: str = "") -> EventRecord:
-        if time < self.clock:
-            raise SchedulingInPastError(
-                f"cannot schedule {kind!r} at {time} before clock {self.clock}"
-            )
-        if not (time < _INF):
-            raise SchedulingInPastError(f"event time must be finite, got {time}")
-        rec = EventRecord(time, self._seq, kind, job_id, station_id)
-        self._seq += 1
-        heapq.heappush(self.heap, rec)
-        return rec
-
-    def pop_next(self) -> EventRecord:
-        if not self.heap:
-            raise KernelError("event calendar is empty")
-        rec = heapq.heappop(self.heap)
-        if rec[0] < self.clock:
-            raise KernelError("event calendar order violated")
-        self.clock = rec[0]
-        if type(rec) is EventRecord:
-            return rec
-        return EventRecord._make(rec)
-
-    def peek_time(self):
-        return self.heap[0][0] if self.heap else None
 
 
 class RngStream:
@@ -174,53 +115,11 @@ class RngStream:
         self.draws += 1
         return (int(self.take_block(1)[0]) >> 11) * _INV53
 
-    # name for the basic operation in the module interface
-    draw = uniform01
-
-    def exponential_sampler(self, rate: float):
-        if rate == 0.0:
-            return lambda: _INF
-        scale = 1.0 / rate
-        stream = self
-        vals = iter(())
-
-        def draw():
-            stream.draws += 1
-            for v in vals:
-                return v
-            return _refill()
-
-        def _refill():
-            nonlocal vals
-            u = (stream.take_block(256) >> np.uint64(11)) * _INV53
-            block = (-np.log1p(-u) * scale).tolist()
-            vals = iter(block)
-            return next(vals)
-
-        return draw
-
-    def uniform_sampler(self, low: float, high: float):
-        span = high - low
-        stream = self
-        vals = iter(())
-
-        def draw():
-            stream.draws += 1
-            for v in vals:
-                return v
-            return _refill()
-
-        def _refill():
-            nonlocal vals
-            u = (stream.take_block(256) >> np.uint64(11)) * _INV53
-            vals = iter((low + span * u).tolist())
-            return next(vals)
-
-        return draw
-
-    def erlang_sampler(self, phases: int, rate: float):
-        scale = 1.0 / rate
-        k = phases
+    def batched_sampler(self, k: int, transform):
+        """Sampler that hands out transform(u) one value at a time. u holds
+        the uniforms of the next 256*k raw words, taken when the sampler is
+        first called and again each time its 256 values run out; transform
+        maps them to 256 values, each of which counts k draws."""
         stream = self
         vals = iter(())
 
@@ -232,10 +131,8 @@ class RngStream:
 
         def _refill():
             nonlocal vals
-            raw = stream.take_block(256 * k)
-            u = (raw >> np.uint64(11)) * _INV53
-            sums = -np.log1p(-u).reshape(256, k).sum(axis=1) * scale
-            vals = iter(sums.tolist())
+            u = (stream.take_block(256 * k) >> np.uint64(11)) * _INV53
+            vals = iter(transform(u).tolist())
             return next(vals)
 
         return draw
@@ -532,114 +429,79 @@ class _Engine:
                 if ta >= horizon:
                     break
                 t = ta
-                crt = classes[arr_c[ai]]
+                ci = arr_c[ai]
                 ai += 1
                 ta = arr_t[ai]
                 if pool:
                     job = pool.pop()
                 else:
                     job = _Job()
+                crt = classes[ci]
                 crt.created += 1
-                job.ci = crt.idx
+                job.ci = ci
                 job.entered = t
                 nxt = crt.entry_route
-                if type(nxt) is tuple:
-                    u = nxt[2]()
-                    cums = nxt[0]
-                    i = 0
-                    while cums[i] < u:
-                        i += 1
-                    ns = nxt[1][i]
-                else:
-                    ns = nxt
-                if ns.kc == 0:
-                    if ns.cap is not None and ns.busy + len(ns.queue) >= ns.cap:
-                        # finite waiting room: the arrival is lost
-                        crt.dropped += 1
-                        if t > warm:
-                            ns.cells[job.ci].drops += 1
-                        pool.append(job)
-                        continue
-                    job.arrived = t
-                    if ns.busy < ns.servers:
-                        ns.busy += 1
-                        job.sstart = t
-                        s = ns.samplers[job.ci]()
-                        push(heap, (t + s, seq, job, ns))
-                        seq += 1
-                    else:
-                        ns.queue.append(job)
-                else:
-                    # delay entry
-                    job.arrived = t
-                    d = ns.samplers[job.ci]()
-                    if d < _INF:
-                        push(heap, (t + d, seq, job, ns))
-                        seq += 1
-                    else:
-                        ns.cells[job.ci].parked.append(job)
-                continue
-
-            if t >= horizon:
-                break
-            pop(heap)
-            job = rec[2]
-            st = rec[3]
-            ci = job.ci
-
-            if st.kc == 0:
-                # service completes at an fcfs station
-                if t > warm:
-                    cell = st.cells[ci]
-                    a = job.arrived
-                    d = t - a
-                    cell.ssum += d
-                    cell.scnt += 1
-                    cell.departs += 1
-                    cell.area += d if a > warm else t - warm
-                    ss = job.sstart
-                    cell.barea += t - ss if ss > warm else t - warm
-                st.busy -= 1
-                q = st.queue
-                if q:
-                    nj = q.popleft()
-                    st.busy += 1
-                    nj.sstart = t
-                    s = st.samplers[nj.ci]()
-                    push(heap, (t + s, seq, nj, st))
-                    seq += 1
-                if st.flush_for is not None:
-                    watched = st.flush_for[ci]
-                    if watched:
-                        for wcrt in watched:
-                            pend = wcrt.pending
-                            if pend:
-                                if t > warm:
-                                    for pj in pend:
-                                        e = pj.entered
-                                        wcrt.rsum += t - e
-                                        wcrt.larea += t - e if e > warm else t - warm
-                                    wcrt.rcnt += len(pend)
-                                pool.extend(pend)
-                                pend.clear()
-                if st.ref_ci == ci:
-                    # leaving the reference station opens a cycle
-                    job.entered = t
             else:
-                # delay timer fires
-                if t > warm:
-                    cell = st.cells[ci]
-                    a = job.arrived
-                    d = t - a
-                    cell.ssum += d
-                    cell.scnt += 1
-                    cell.departs += 1
-                    cell.area += d if a > warm else t - warm
-                if st.ref_ci == ci:
-                    job.entered = t
+                if t >= horizon:
+                    break
+                pop(heap)
+                job = rec[2]
+                st = rec[3]
+                ci = job.ci
 
-            # route the departing job
-            nxt = st.routes[ci]
+                if st.kc == 0:
+                    # service completes at an fcfs station
+                    if t > warm:
+                        cell = st.cells[ci]
+                        a = job.arrived
+                        d = t - a
+                        cell.ssum += d
+                        cell.scnt += 1
+                        cell.departs += 1
+                        cell.area += d if a > warm else t - warm
+                        ss = job.sstart
+                        cell.barea += t - ss if ss > warm else t - warm
+                    st.busy -= 1
+                    q = st.queue
+                    if q:
+                        nj = q.popleft()
+                        st.busy += 1
+                        nj.sstart = t
+                        s = st.samplers[nj.ci]()
+                        push(heap, (t + s, seq, nj, st))
+                        seq += 1
+                    if st.flush_for is not None:
+                        watched = st.flush_for[ci]
+                        if watched:
+                            for wcrt in watched:
+                                pend = wcrt.pending
+                                if pend:
+                                    if t > warm:
+                                        for pj in pend:
+                                            e = pj.entered
+                                            wcrt.rsum += t - e
+                                            wcrt.larea += t - e if e > warm else t - warm
+                                        wcrt.rcnt += len(pend)
+                                    pool.extend(pend)
+                                    pend.clear()
+                    if st.ref_ci == ci:
+                        # leaving the reference station opens a cycle
+                        job.entered = t
+                else:
+                    # delay timer fires
+                    if t > warm:
+                        cell = st.cells[ci]
+                        a = job.arrived
+                        d = t - a
+                        cell.ssum += d
+                        cell.scnt += 1
+                        cell.departs += 1
+                        cell.area += d if a > warm else t - warm
+                    if st.ref_ci == ci:
+                        job.entered = t
+                nxt = st.routes[ci]
+
+            # route the arriving or departing job to its next station
             if type(nxt) is tuple:
                 u = nxt[2]()
                 cums = nxt[0]
@@ -700,7 +562,8 @@ class _Engine:
                     seq += 1
                 else:
                     ns.queue.append(job)
-            elif kc == 1:
+            else:
+                # delay entry (validation keeps jobs out of sources)
                 job.arrived = t
                 d = ns.samplers[ci]()
                 if d < _INF:
@@ -708,10 +571,6 @@ class _Engine:
                     seq += 1
                 else:
                     ns.cells[ci].parked.append(job)
-            else:
-                raise KernelError(
-                    f"class {classes[ci].name} routed into station kind {kc}"
-                )
 
         self.seq = seq
         return self._finalize()

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 # station kinds
 FCFS = "fcfs-queue"
 DELAY = "delay"
@@ -31,7 +33,6 @@ class Exponential:
     rate: float  # per msec
 
     kind = "exponential"
-    draws = 1
 
     @classmethod
     def from_mean(cls, mean: float) -> "Exponential":
@@ -40,11 +41,11 @@ class Exponential:
     def mean(self) -> float:
         return math.inf if self.rate == 0.0 else 1.0 / self.rate
 
-    def sample(self, stream) -> float:
-        return -math.log1p(-stream.uniform01()) / self.rate
-
     def sampler(self, stream):
-        return stream.exponential_sampler(self.rate)
+        if self.rate == 0.0:
+            return lambda: math.inf
+        scale = 1.0 / self.rate
+        return stream.batched_sampler(1, lambda u: -np.log1p(-u) * scale)
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,8 @@ class Deterministic:
     value: float
 
     kind = "deterministic"
-    draws = 0
 
     def mean(self) -> float:
-        return self.value
-
-    def sample(self, stream) -> float:
         return self.value
 
     def sampler(self, stream):
@@ -75,21 +72,15 @@ class Erlang:
 
     kind = "erlang"
 
-    @property
-    def draws(self) -> int:
-        return self.phases
-
     def mean(self) -> float:
         return self.phases / self.rate
 
-    def sample(self, stream) -> float:
-        total = 0.0
-        for _ in range(self.phases):
-            total -= math.log1p(-stream.uniform01())
-        return total / self.rate
-
     def sampler(self, stream):
-        return stream.erlang_sampler(self.phases, self.rate)
+        k = self.phases
+        scale = 1.0 / self.rate
+        return stream.batched_sampler(
+            k, lambda u: -np.log1p(-u).reshape(256, k).sum(axis=1) * scale
+        )
 
 
 @dataclass(frozen=True)
@@ -98,16 +89,14 @@ class Uniform:
     high: float
 
     kind = "uniform"
-    draws = 1
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
 
-    def sample(self, stream) -> float:
-        return self.low + (self.high - self.low) * stream.uniform01()
-
     def sampler(self, stream):
-        return stream.uniform_sampler(self.low, self.high)
+        low = self.low
+        span = self.high - low
+        return stream.batched_sampler(1, lambda u: low + span * u)
 
 
 @dataclass(frozen=True)
@@ -120,15 +109,8 @@ class Shifted:
 
     kind = "shifted"
 
-    @property
-    def draws(self) -> int:
-        return self.base.draws
-
     def mean(self) -> float:
         return self.offset + self.base.mean()
-
-    def sample(self, stream) -> float:
-        return self.offset + self.base.sample(stream)
 
     def sampler(self, stream):
         inner = self.base.sampler(stream)
@@ -150,18 +132,8 @@ class Mixture:
 
     kind = "mixture"
 
-    @property
-    def draws(self) -> int:
-        return 1 + self.base.draws + self.extra.draws
-
     def mean(self) -> float:
         return self.base.mean() + self.p_extra * self.extra.mean()
-
-    def sample(self, stream) -> float:
-        u = stream.uniform01()
-        a = self.base.sample(stream)
-        b = self.extra.sample(stream)
-        return a + b if u < self.p_extra else a
 
     def sampler(self, stream):
         u01 = stream.uniform01
@@ -395,6 +367,8 @@ def validate_model(model: NetworkModel) -> list[str]:
             for to, p in targets:
                 if to not in by_name:
                     diags.append(f"class {jc.name}: routing {frm} -> unknown station {to!r}")
+                elif by_name[to].kind == SOURCE:
+                    diags.append(f"class {jc.name}: routing {frm} -> {to} enters source station {to}")
                 if p < 0 or p > 1:
                     diags.append(f"class {jc.name}: routing {frm} -> {to} probability {p} outside [0, 1]")
                 total += p

@@ -54,12 +54,6 @@ class ReplicationResult:
     def table(self) -> dict:
         return {s.key: s.value for s in self.samples}
 
-    def value(self, station: str, job_class: str, metric: str) -> float:
-        for s in self.samples:
-            if s.station == station and s.job_class == job_class and s.metric == metric:
-                return s.value
-        raise KeyError((station, job_class, metric))
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:

@@ -117,9 +117,9 @@ def test_criterion_02_finite_buffer_drop_probability():
     window = HORIZON - WARMUP
     drops = served = 0.0
     for rep in range(10):
-        res = run_replication(model, seed=500 + rep, horizon=HORIZON, warmup=WARMUP)
-        drops += res.value("Controller", "Analysis", "dropped-count")
-        served += res.value("Controller", "Analysis", "throughput-per-msec") * window
+        res = run_replication(model, seed=500 + rep, horizon=HORIZON, warmup=WARMUP).table()
+        drops += res[("Controller", "Analysis", "dropped-count")]
+        served += res[("Controller", "Analysis", "throughput-per-msec")] * window
     p_sim = drops / (drops + served)
     assert abs(p_sim - mm1k_drop_probability(0.5, 1.0, 3)) <= 0.005
     assert time.perf_counter() - t0 < 60.0
@@ -134,7 +134,7 @@ def test_criterion_03_closed_network_matches_exact_mva():
     for n, x_exact, _ in exact_mva((1.0, 0.6), 10):
         model = closed_cycle_model((1.0, 0.6), population=n)
         res = run_replication(model, seed=1234 + n, horizon=HORIZON, warmup=WARMUP)
-        x_sim = res.value("system", "Jobs", "throughput-per-msec")
+        x_sim = res.table()[("system", "Jobs", "throughput-per-msec")]
         assert abs(x_sim - x_exact) <= 0.02 * x_exact, (
             f"population {n}: simulated {x_sim:.5f} vs exact {x_exact:.5f}")
     assert time.perf_counter() - t0 < 120.0

@@ -1,12 +1,15 @@
 """Config schema v1: parsing, distribution encoding, error reporting."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 import yaml
 
 import qnaps
+from qnaps.antipatterns import AntipatternSpec
 from qnaps.config import (
+    _FIELD_PARSERS,
     ConfigError,
     apply_sweep_value,
     build_model_from_config,
@@ -14,7 +17,7 @@ from qnaps.config import (
     parse_config,
     parse_distribution,
 )
-from qnaps.model import validate_model
+from qnaps.model import BaselineParams, SensorNetParams, validate_model
 
 CONFIG_DIR = Path(qnaps.__file__).parent / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.yaml"))
@@ -201,6 +204,25 @@ def test_antipattern_section_parsing():
         parse_config(bad)
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(_minimal(antipattern={"kind": "where-was-i", "overheat": 1.0}))
+
+
+def test_every_parameter_field_has_a_parser():
+    for cls in (BaselineParams, SensorNetParams, AntipatternSpec):
+        for f in dataclasses.fields(cls):
+            assert f.type in _FIELD_PARSERS, f"{cls.__name__}.{f.name}: no parser for {f.type!r}"
+
+
+def test_optional_bound_null_or_inf_means_unbounded():
+    def build(params_yaml):
+        return build_model_from_config(yaml.safe_load(f"{{builder: baseline, params: {params_yaml}}}"), None)
+
+    omitted = build("{}")
+    assert build("{controller_capacity: null}") == omitted
+    assert build("{controller_capacity: .inf}") == omitted
+    assert build("{controller_capacity: 4}").station("Controller").capacity == 4
+    for bad in ("2.5", "true"):
+        with pytest.raises(ConfigError, match="controller_capacity: expected an integer"):
+            build(f"{{controller_capacity: {bad}}}")
 
 
 def test_validation_section_rules():

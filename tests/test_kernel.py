@@ -1,24 +1,19 @@
-"""Simulation kernel: calendar ordering, seeded streams, window accounting.
+"""Simulation kernel: event ordering, seeded streams, window accounting.
 
 The deterministic-distribution cases pin exact event orderings (tie
 rules, window edges) with frozen numbers; the stochastic cases check
 reproducibility and stream isolation rather than values.
 """
 
+import numpy as np
 import pytest
 
 from qnaps.kernel import (
-    EVENT_KINDS,
-    EXTERNAL_ARRIVAL,
-    SERVICE_COMPLETION,
-    TIMER,
     DeadlockError,
-    EventCalendar,
     InvalidModelError,
-    KernelError,
     RngSpace,
     RngStream,
-    SchedulingInPastError,
+    _Engine,
     run_replication,
 )
 from qnaps.model import (
@@ -27,60 +22,18 @@ from qnaps.model import (
     SINK,
     SOURCE,
     Deterministic,
+    Erlang,
     Exponential,
     JobClass,
+    Mixture,
     NetworkModel,
     RoutingTable,
     Station,
+    Uniform,
 )
+from qnaps.stats import estimate
 
 from _helpers import mm1_model, open_trap_model
-
-
-# ---------------------------------------------------------------------------
-# event calendar
-
-
-def test_calendar_orders_by_time():
-    cal = EventCalendar()
-    cal.schedule(3.0, SERVICE_COMPLETION)
-    cal.schedule(1.0, EXTERNAL_ARRIVAL)
-    cal.schedule(2.0, TIMER)
-    times = [cal.pop_next().time for _ in range(3)]
-    assert times == [1.0, 2.0, 3.0]
-    assert cal.clock == 3.0
-    assert len(cal) == 0
-
-
-def test_calendar_breaks_ties_by_schedule_order():
-    cal = EventCalendar()
-    first = cal.schedule(5.0, SERVICE_COMPLETION, job_id=1)
-    second = cal.schedule(5.0, EXTERNAL_ARRIVAL, job_id=2)
-    assert first.seq < second.seq
-    assert cal.pop_next().job_id == 1
-    assert cal.pop_next().job_id == 2
-
-
-def test_calendar_rejects_past_and_nonfinite_times():
-    cal = EventCalendar()
-    cal.schedule(2.0, TIMER)
-    cal.pop_next()
-    with pytest.raises(SchedulingInPastError):
-        cal.schedule(1.0, TIMER)
-    with pytest.raises(SchedulingInPastError):
-        cal.schedule(float("inf"), TIMER)
-    with pytest.raises(SchedulingInPastError):
-        cal.schedule(float("nan"), TIMER)
-
-
-def test_calendar_empty_pop_and_peek():
-    cal = EventCalendar()
-    assert cal.peek_time() is None
-    with pytest.raises(KernelError):
-        cal.pop_next()
-    cal.schedule(7.0, TIMER)
-    assert cal.peek_time() == 7.0
-    assert set(EVENT_KINDS) == {EXTERNAL_ARRIVAL, SERVICE_COMPLETION, TIMER}
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +76,18 @@ def test_take_block_walks_one_sequence():
 
 def test_sampler_draw_accounting():
     s = RngStream(11, "st", "cl", "service")
-    exp = s.exponential_sampler(2.0)
+    exp = Exponential(2.0).sampler(s)
     before = s.draws
     vals = [exp() for _ in range(10)]
     assert s.draws - before == 10
     assert all(v >= 0 for v in vals)
 
-    erl = RngStream(11, "st", "cl", "erl").erlang_sampler(3, 1.0)
     stream = RngStream(11, "st", "cl", "erl")
-    erl = stream.erlang_sampler(3, 1.0)
+    erl = Erlang(3, 1.0).sampler(stream)
     erl()
     assert stream.draws == 3  # one value consumes one draw per phase
 
-    zero = RngStream(11, "st", "cl", "z").exponential_sampler(0.0)
+    zero = Exponential(0.0).sampler(RngStream(11, "st", "cl", "z"))
     assert zero() == float("inf")
 
 
@@ -146,6 +98,47 @@ def test_model_samplers_draw_documented_amounts():
     expo = Exponential(1.0).sampler(stream)
     expo()
     assert stream.draws == 1
+
+
+def _uniforms(stream, n):
+    return (stream.take_block(n) >> np.uint64(11)) * (1.0 / (1 << 53))
+
+
+@pytest.mark.parametrize(
+    "dist, k, formula",
+    [
+        (Exponential(0.7), 1, lambda u: -np.log1p(-u) * (1.0 / 0.7)),
+        (Uniform(2.0, 5.5), 1, lambda u: 2.0 + (5.5 - 2.0) * u),
+        (Erlang(3, 1.3), 3, lambda u: -np.log1p(-u).reshape(256, 3).sum(axis=1) * (1.0 / 1.3)),
+    ],
+    ids=["exponential", "uniform", "erlang"],
+)
+def test_batched_sampler_matches_the_formula_on_raw_words(dist, k, formula):
+    # values come from 256-value blocks of 256*k words; 300 values cross a refill
+    sampler = dist.sampler(RngStream(17, "st", "cl", "service"))
+    twin = RngStream(17, "st", "cl", "service")
+    want = [v for _ in range(2) for v in formula(_uniforms(twin, 256 * k)).tolist()]
+    assert [sampler() for _ in range(300)] == want[:300]
+
+
+def test_mixture_takes_words_in_refill_order():
+    # the branch uniform takes one word per value; base and extra each take
+    # a 256-word block on their first value and when it runs out
+    p, lo1, hi1, lo2, hi2 = 0.3, 0.0, 1.0, 2.0, 3.0
+    sampler = Mixture(p, Uniform(lo1, hi1), Uniform(lo2, hi2)).sampler(
+        RngStream(23, "st", "cl", "service")
+    )
+    twin = RngStream(23, "st", "cl", "service")
+    base, extra, want = [], [], []
+    for _ in range(600):
+        u = float(_uniforms(twin, 1)[0])
+        if not base:
+            base = (lo1 + (hi1 - lo1) * _uniforms(twin, 256)).tolist()
+        if not extra:
+            extra = (lo2 + (hi2 - lo2) * _uniforms(twin, 256)).tolist()
+        a, b = base.pop(0), extra.pop(0)
+        want.append(a + b if u < p else a)
+    assert [sampler() for _ in range(600)] == want
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +164,13 @@ def _deterministic_queue(capacity=None, service=1.0):
 def test_window_accounting_frozen_case():
     # arrivals at 2,4,6,8; completions at 3,5,7,9; window (3, 10]:
     # the completion at exactly t = warmup is excluded, leaving 3 jobs
-    r = run_replication(_deterministic_queue(), seed=1, horizon=10.0, warmup=3.0)
-    assert r.value("Queue", "Jobs", "throughput-per-msec") == pytest.approx(3 / 7, rel=1e-12)
-    assert r.value("Queue", "Jobs", "response-time-msec") == pytest.approx(1.0, rel=1e-12)
-    assert r.value("Queue", "Jobs", "utilization") == pytest.approx(3 / 7, rel=1e-12)
-    assert r.value("Queue", "Jobs", "queue-length") == pytest.approx(3 / 7, rel=1e-12)
-    assert r.value("system", "Jobs", "response-time-msec") == pytest.approx(1.0, rel=1e-12)
-    assert r.value("system", "Jobs", "queue-length") == pytest.approx(3 / 7, rel=1e-12)
+    r = run_replication(_deterministic_queue(), seed=1, horizon=10.0, warmup=3.0).table()
+    assert r[("Queue", "Jobs", "throughput-per-msec")] == pytest.approx(3 / 7, rel=1e-12)
+    assert r[("Queue", "Jobs", "response-time-msec")] == pytest.approx(1.0, rel=1e-12)
+    assert r[("Queue", "Jobs", "utilization")] == pytest.approx(3 / 7, rel=1e-12)
+    assert r[("Queue", "Jobs", "queue-length")] == pytest.approx(3 / 7, rel=1e-12)
+    assert r[("system", "Jobs", "response-time-msec")] == pytest.approx(1.0, rel=1e-12)
+    assert r[("system", "Jobs", "queue-length")] == pytest.approx(3 / 7, rel=1e-12)
 
 
 def test_arrival_beats_completion_on_time_tie():
@@ -186,10 +179,10 @@ def test_arrival_beats_completion_on_time_tie():
     # finishing job in service, and is dropped
     r = run_replication(
         _deterministic_queue(capacity=1, service=2.0), seed=1, horizon=10.0, warmup=0.0
-    )
-    assert r.value("Queue", "Jobs", "dropped-count") == 2
-    assert r.value("Queue", "Jobs", "throughput-per-msec") == pytest.approx(2 / 10, rel=1e-12)
-    assert r.value("Queue", "Jobs", "utilization") == pytest.approx(0.4, rel=1e-12)
+    ).table()
+    assert r[("Queue", "Jobs", "dropped-count")] == 2
+    assert r[("Queue", "Jobs", "throughput-per-msec")] == pytest.approx(2 / 10, rel=1e-12)
+    assert r[("Queue", "Jobs", "utilization")] == pytest.approx(0.4, rel=1e-12)
 
 
 def test_replication_is_pure_and_seed_sensitive():
@@ -216,6 +209,24 @@ def test_open_class_without_a_path_to_a_sink_is_rejected():
     with pytest.raises(InvalidModelError) as err:
         run_replication(open_trap_model(), seed=1, horizon=1000.0)
     assert "class Jobs: station D has no path to a sink" in str(err.value)
+
+
+def test_open_class_routed_from_source_straight_to_sink():
+    # the arrival takes the same routing step as a departure, sink included
+    routing = RoutingTable()
+    routing.add("Jobs", "Source", "Sink")
+    m = NetworkModel(
+        name="pass-through",
+        stations=[Station("Source", kind=SOURCE), Station("Sink", kind=SINK)],
+        classes=[JobClass("Jobs", "open", arrival=Exponential(0.5))],
+        routing=routing,
+    )
+    engine = _Engine(m, seed=3, horizon=2000.0, warmup=200.0)
+    engine.run()
+    jobs = engine.classes[0]
+    assert jobs.created == jobs.sunk > 900
+    reps = [run_replication(m, seed=s, horizon=2000.0, warmup=200.0) for s in range(5)]
+    assert estimate(reps)[("system", "Jobs", "throughput-per-msec")].covers(0.5)
 
 
 def test_deadlock_when_nothing_can_ever_happen():
@@ -256,10 +267,10 @@ def test_parked_class_is_dormant_not_deadlocked_beside_open_traffic():
         ],
         routing=routing,
     )
-    r = run_replication(m, seed=8, horizon=2000.0, warmup=100.0)
-    assert r.value("Queue", "Jobs", "throughput-per-msec") > 0.3
-    assert r.value("system", "Idle", "throughput-per-msec") == 0.0
-    assert r.value("system", "Idle", "response-time-msec") == 0.0
+    r = run_replication(m, seed=8, horizon=2000.0, warmup=100.0).table()
+    assert r[("Queue", "Jobs", "throughput-per-msec")] > 0.3
+    assert r[("system", "Idle", "throughput-per-msec")] == 0.0
+    assert r[("system", "Idle", "response-time-msec")] == 0.0
 
 
 def test_detection_gate_stretches_system_time_only():
@@ -289,17 +300,17 @@ def test_detection_gate_stretches_system_time_only():
             m.detection["Work"] = ("Poll", "Queue")
         return m
 
-    plain = run_replication(build(False), seed=21, horizon=50000.0, warmup=5000.0)
-    gated = run_replication(build(True), seed=21, horizon=50000.0, warmup=5000.0)
-    r_plain = plain.value("system", "Work", "response-time-msec")
-    r_gated = gated.value("system", "Work", "response-time-msec")
+    plain = run_replication(build(False), seed=21, horizon=50000.0, warmup=5000.0).table()
+    gated = run_replication(build(True), seed=21, horizon=50000.0, warmup=5000.0).table()
+    r_plain = plain[("system", "Work", "response-time-msec")]
+    r_gated = gated[("system", "Work", "response-time-msec")]
     assert r_gated > r_plain  # waiting for the verdict costs time
     # station-level behavior is untouched by the bookkeeping
-    assert gated.value("Queue", "Work", "response-time-msec") == pytest.approx(
-        plain.value("Queue", "Work", "response-time-msec"), rel=1e-12
+    assert gated[("Queue", "Work", "response-time-msec")] == pytest.approx(
+        plain[("Queue", "Work", "response-time-msec")], rel=1e-12
     )
     # Little's law on the gated class: N = X * R within simulation noise
-    n = gated.value("system", "Work", "queue-length")
-    x = gated.value("system", "Work", "throughput-per-msec")
-    rr = gated.value("system", "Work", "response-time-msec")
+    n = gated[("system", "Work", "queue-length")]
+    x = gated[("system", "Work", "throughput-per-msec")]
+    rr = gated[("system", "Work", "response-time-msec")]
     assert abs(n - x * rr) <= 0.02 * n

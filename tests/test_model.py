@@ -199,6 +199,16 @@ def test_validate_open_class_needs_a_path_to_a_sink():
     assert validate_model(m) == []
 
 
+def test_validate_rejects_routing_into_a_source():
+    # Src2 leads on to the queue, so the edge into it is the only fault
+    for frm, targets in (("Source", "Src2"), ("Queue", [("Src2", 0.5), ("Sink", 0.5)])):
+        m = mm1_model()
+        m.stations.insert(1, Station("Src2", kind=SOURCE))
+        m.routing.add("Jobs", frm, targets)
+        m.routing.add("Jobs", "Src2", "Queue")
+        assert validate_model(m) == [f"class Jobs: routing {frm} -> Src2 enters source station Src2"]
+
+
 def test_validate_shared_reference_station():
     m = closed_cycle_model(population=1)
     m.classes.append(JobClass("Second", "closed", population=1, reference="S1"))

@@ -13,7 +13,7 @@ import yaml
 
 from qnaps.cli import main
 from qnaps.config import apply_sweep_value, build_model_from_config, load_config
-from qnaps.kernel import run_replication
+from qnaps.kernel import KernelError, run_replication
 from qnaps.runner import replication_seed, run_experiment
 
 
@@ -216,6 +216,44 @@ def test_cli_open_class_with_no_way_out_exits_2(tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(out)]) == 2
     assert "class Jobs: station D has no path to a sink" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_routing_into_a_source_exits_2(tmp_path, capsys):
+    exp = {"kind": "exponential", "rate_per_msec": 1.0}
+    for frm, to in (("Source", "Src2"), ("Q", {"Src2": 0.5, "Sink": 0.5})):
+        model = {
+            "builder": "inline",
+            "stations": [
+                {"name": "Source", "kind": "source"},
+                {"name": "Src2", "kind": "source"},
+                {"name": "Q", "kind": "fcfs", "service": {"Jobs": exp}},
+                {"name": "Sink", "kind": "sink"},
+            ],
+            "classes": [{"name": "Jobs", "kind": "open", "arrival": {"kind": "exponential", "rate_per_msec": 0.5}}],
+            "routing": [
+                {"class": "Jobs", "from": "Source", "to": "Q"},
+                {"class": "Jobs", "from": "Q", "to": "Sink"},
+                {"class": "Jobs", "from": frm, "to": to},
+                {"class": "Jobs", "from": "Src2", "to": "Q"},
+            ],
+        }
+        path = _write_config(tmp_path / "src.yaml", experiment="src", model=model)
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert f"class Jobs: routing {frm} -> Src2 enters source station Src2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_internal_error_exits_4_without_outputs(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KernelError("flow imbalance for class Analysis: created 3, sunk 1, dropped 0, in network 1")
+
+    monkeypatch.setattr("qnaps.runner.run_replication", broken)
+    cfg = _write_config(tmp_path / "tiny.yaml")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 4
+    assert "flow imbalance for class Analysis" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
