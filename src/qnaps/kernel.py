@@ -6,14 +6,16 @@ and the triple. Structural edits to a model therefore never disturb the
 draw sequences of untouched streams, which is what makes neutral model
 transforms reproduce baseline runs bit for bit. Each distribution counts
 a fixed number of draws per sample (exponential 1, deterministic 0,
-erlang k, uniform 1; wrappers add their components). A batched sampler
-takes the raw words for 256 values from its stream at once, on its first
-call and whenever those values run out, so a sampler that has its stream
-to itself consumes the same raw sequence as drawing one value at a time. A
-mixture shares its stream among three consumers: its branch uniform takes
-one word per value, and its base and extra samplers each take their own
-256-value blocks when they run out. Its values are therefore fixed by
-that refill order, not by a one-value-at-a-time layout.
+erlang k, uniform 1; wrappers add their components). Every sampler but a
+mixture's is the __next__ of a C-level iterator. A batched sampler chains
+256-value blocks and takes the raw words for a block from its stream on
+its first call and whenever the previous block runs out, so a sampler
+that has its stream to itself consumes the same raw sequence as drawing
+one value at a time; routing streams, one consumer each, are batched too.
+The closed-class init phase and a mixture's branch uniform take one word
+per value. A mixture's base and extra samplers share its stream and each
+take their own 256-value blocks when they run out, so its values are
+fixed by that refill order, not by a one-value-at-a-time layout.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -21,12 +23,15 @@ are kept when they land inside it, and time averages are accumulated
 through the sojourn identity (integral of the job count equals the sum of
 per-job residence times clipped to the window), with jobs still alive at
 the horizon closed out by a final sweep over the calendar, the queues and
-the parked sets. External arrival processes are pre-drawn per class from
-their own streams and merged with the calendar as the run progresses (ties
-go to the arrival, then to lower class index); calendar events with equal
-times fire in scheduling order. An arrival and a service completion leave
-through the same routing step: sink, cycle close, finite-capacity drop,
-then fcfs or delay entry.
+the parked sets. The sweep adds up the calendar in heap-array order, so
+the samples depend on the heap's layout, not only on the order of its
+pops: a heapreplace in place of a pop and a push changes them. External
+arrival processes are pre-drawn per class from their own streams and
+merged with the calendar as the run progresses (ties go to the arrival,
+then to lower class index); calendar events with equal times fire in
+scheduling order. An arrival and a service completion leave through the
+same routing step: sink, cycle close, finite-capacity drop, then fcfs or
+delay entry.
 """
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ import hashlib
 import heapq
 import math
 from collections import deque
+from itertools import chain
 
 import numpy as np
 from numpy.random import Philox
@@ -83,21 +89,28 @@ class RngStream:
     """One Philox stream for one (station, class, purpose) triple.
 
     draws counts logical samples handed out (uniform01 counts 1, a
-    distribution sampler counts its documented amount per value).
+    distribution sampler counts its documented amount per value). Batched
+    samplers count nothing per call: draws is worked out when read, from
+    the words their blocks took less k per value not yet handed out.
     """
 
-    __slots__ = ("station_id", "class_id", "purpose", "draws", "_bg", "_raw", "_ri")
+    __slots__ = ("station_id", "class_id", "purpose", "_draws", "_open", "_bg", "_raw", "_ri")
 
     def __init__(self, seed: int, station_id: str, class_id: str, purpose: str):
         self.station_id = station_id
         self.class_id = class_id
         self.purpose = purpose
-        self.draws = 0
+        self._draws = 0
+        self._open = []  # [k, current block iterator] per batched sampler
         material = f"{seed}|{station_id}|{class_id}|{purpose}".encode()
         key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
         self._bg = Philox(key=key)
         self._raw = np.empty(0, dtype=np.uint64)
         self._ri = 0
+
+    @property
+    def draws(self) -> int:
+        return self._draws - sum(k * block.__length_hint__() for k, block in self._open)
 
     def take_block(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words of this stream's sequence."""
@@ -112,7 +125,7 @@ class RngStream:
         return r[i : i + n]
 
     def uniform01(self) -> float:
-        self.draws += 1
+        self._draws += 1
         return (int(self.take_block(1)[0]) >> 11) * _INV53
 
     def batched_sampler(self, k: int, transform):
@@ -120,22 +133,17 @@ class RngStream:
         the uniforms of the next 256*k raw words, taken when the sampler is
         first called and again each time its 256 values run out; transform
         maps them to 256 values, each of which counts k draws."""
-        stream = self
-        vals = iter(())
+        slot = [k, iter(())]
+        self._open.append(slot)
 
-        def draw():
-            stream.draws += k
-            for v in vals:
-                return v
-            return _refill()
+        def blocks():
+            while True:
+                u = (self.take_block(256 * k) >> np.uint64(11)) * _INV53
+                self._draws += 256 * k
+                slot[1] = block = iter(transform(u).tolist())
+                yield block
 
-        def _refill():
-            nonlocal vals
-            u = (stream.take_block(256 * k) >> np.uint64(11)) * _INV53
-            vals = iter(transform(u).tolist())
-            return next(vals)
-
-        return draw
+        return chain.from_iterable(blocks()).__next__
 
 
 class RngSpace:
@@ -166,14 +174,13 @@ _KC = {FCFS: _KC_FCFS, DELAY: _KC_DELAY, SOURCE: _KC_SOURCE, SINK: _KC_SINK}
 
 class _Cell:
     # per (station, class) accumulators over the measurement window
-    __slots__ = ("area", "barea", "ssum", "scnt", "departs", "drops", "parked")
+    __slots__ = ("area", "barea", "ssum", "scnt", "drops", "parked")
 
     def __init__(self):
         self.area = 0.0       # integral of the job count at the station
         self.barea = 0.0      # integral of busy servers
         self.ssum = 0.0       # sum of station sojourn times
-        self.scnt = 0
-        self.departs = 0
+        self.scnt = 0         # completions inside the window
         self.drops = 0
         self.parked = []      # jobs sitting at an infinite delay
 
@@ -245,7 +252,7 @@ def _prearrivals(jc, stream, horizon: float):
             raw = stream.take_block(target)
             u = (raw >> np.uint64(11)) * _INV53
             gaps = -np.log1p(-u) / rate
-            stream.draws += target
+            stream._draws += target
             times = total + np.cumsum(gaps)
             total = float(times[-1])
             chunks.append(times)
@@ -316,7 +323,8 @@ class _Engine:
                 cums.append(acc)
                 sts.append(by_name[to])
             cums[-1] = 1.0 + 1e-12  # guard against float dust on the last edge
-            u01 = space.stream(frm, cname, "routing").uniform01
+            # one consumer per routing stream, so batching keeps its values
+            u01 = space.stream(frm, cname, "routing").batched_sampler(1, lambda u: u)
             return (tuple(cums), tuple(sts), u01)
 
         for s, st in zip(model.stations, self.stations):
@@ -360,6 +368,9 @@ class _Engine:
                     if model.routing.successors(jc.name, s.name) is not None
                 )
                 tarr = _prearrivals(jc, space.stream(src_name, jc.name, "arrival"), self.horizon)
+                # the loop ends only after taking every arrival before the
+                # horizon, so the flow check also catches one that stops early
+                crt.created = len(tarr)
                 times.append(tarr)
                 cids.append(np.full(len(tarr), crt.idx, dtype=np.int64))
         if times:
@@ -436,11 +447,9 @@ class _Engine:
                     job = pool.pop()
                 else:
                     job = _Job()
-                crt = classes[ci]
-                crt.created += 1
                 job.ci = ci
                 job.entered = t
-                nxt = crt.entry_route
+                nxt = classes[ci].entry_route
             else:
                 if t >= horizon:
                     break
@@ -457,7 +466,6 @@ class _Engine:
                         d = t - a
                         cell.ssum += d
                         cell.scnt += 1
-                        cell.departs += 1
                         cell.area += d if a > warm else t - warm
                         ss = job.sstart
                         cell.barea += t - ss if ss > warm else t - warm
@@ -495,7 +503,6 @@ class _Engine:
                         d = t - a
                         cell.ssum += d
                         cell.scnt += 1
-                        cell.departs += 1
                         cell.area += d if a > warm else t - warm
                     if st.ref_ci == ci:
                         job.entered = t
@@ -639,7 +646,7 @@ class _Engine:
                     add(MetricSample(st.name, cname, "utilization",
                                      cell.barea / (st.servers * window)))
                 add(MetricSample(st.name, cname, "response-time-msec", resp))
-                add(MetricSample(st.name, cname, "throughput-per-msec", cell.departs / window))
+                add(MetricSample(st.name, cname, "throughput-per-msec", cell.scnt / window))
                 add(MetricSample(st.name, cname, "queue-length", cell.area / window))
                 if st.kc == _KC_FCFS:
                     add(MetricSample(st.name, cname, "dropped-count", float(cell.drops)))
@@ -648,13 +655,12 @@ class _Engine:
                 tot.barea += cell.barea
                 tot.ssum += cell.ssum
                 tot.scnt += cell.scnt
-                tot.departs += cell.departs
                 tot.drops += cell.drops
             resp = tot.ssum / tot.scnt if tot.scnt else 0.0
             if st.kc == _KC_FCFS:
                 add(MetricSample(st.name, "all", "utilization", tot.barea / (st.servers * window)))
             add(MetricSample(st.name, "all", "response-time-msec", resp))
-            add(MetricSample(st.name, "all", "throughput-per-msec", tot.departs / window))
+            add(MetricSample(st.name, "all", "throughput-per-msec", tot.scnt / window))
             add(MetricSample(st.name, "all", "queue-length", tot.area / window))
             if st.kc == _KC_FCFS:
                 add(MetricSample(st.name, "all", "dropped-count", float(tot.drops)))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class Exponential:
 
     def sampler(self, stream):
         if self.rate == 0.0:
-            return lambda: math.inf
+            return repeat(math.inf).__next__
         scale = 1.0 / self.rate
         return stream.batched_sampler(1, lambda u: -np.log1p(-u) * scale)
 
@@ -61,8 +62,7 @@ class Deterministic:
         return self.value
 
     def sampler(self, stream):
-        v = self.value
-        return lambda: v
+        return repeat(self.value).__next__
 
 
 @dataclass(frozen=True)
@@ -113,9 +113,9 @@ class Shifted:
         return self.offset + self.base.mean()
 
     def sampler(self, stream):
+        # float(): int.__add__ returns NotImplemented for a float value
         inner = self.base.sampler(stream)
-        off = self.offset
-        return lambda: off + inner()
+        return map(float(self.offset).__add__, iter(inner, None)).__next__
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ class Mixture:
     kind = "mixture"
 
     def mean(self) -> float:
-        return self.base.mean() + self.p_extra * self.extra.mean()
+        # p_extra 0 never adds extra, even an infinite one (0 * inf is nan)
+        return self.base.mean() + (self.p_extra * self.extra.mean() if self.p_extra else 0.0)
 
     def sampler(self, stream):
         u01 = stream.uniform01
@@ -241,6 +242,13 @@ class NetworkModel:
 
 
 def _check_distribution(dist, where: str, allow_inf: bool, arrival: bool) -> list[str]:
+    out = _check_parameters(dist, where, allow_inf, arrival)
+    if arrival and not out and not dist.mean() > 0.0:  # else arrivals never advance time
+        out.append(f"{where}: mean inter-arrival time must be > 0 (got {dist.mean()})")
+    return out
+
+
+def _check_parameters(dist, where: str, allow_inf: bool, arrival: bool) -> list[str]:
     out = []
     k = getattr(dist, "kind", None)
     if k == "exponential":
@@ -262,12 +270,12 @@ def _check_distribution(dist, where: str, allow_inf: bool, arrival: bool) -> lis
     elif k == "shifted":
         if dist.offset < 0:
             out.append(f"{where}: shift offset must be >= 0")
-        out += _check_distribution(dist.base, where, allow_inf, arrival)
+        out += _check_parameters(dist.base, where, allow_inf, arrival)
     elif k == "mixture":
         if not 0.0 <= dist.p_extra <= 1.0:
             out.append(f"{where}: mixture probability must be in [0, 1]")
-        out += _check_distribution(dist.base, where, allow_inf, arrival)
-        out += _check_distribution(dist.extra, where, allow_inf, arrival)
+        out += _check_parameters(dist.base, where, allow_inf, arrival)
+        out += _check_parameters(dist.extra, where, allow_inf, arrival)
     else:
         out.append(f"{where}: unknown distribution {dist!r}")
     return out

@@ -11,6 +11,7 @@ import pytest
 from qnaps.kernel import (
     DeadlockError,
     InvalidModelError,
+    KernelError,
     RngSpace,
     RngStream,
     _Engine,
@@ -28,6 +29,7 @@ from qnaps.model import (
     Mixture,
     NetworkModel,
     RoutingTable,
+    Shifted,
     Station,
     Uniform,
 )
@@ -98,6 +100,51 @@ def test_model_samplers_draw_documented_amounts():
     expo = Exponential(1.0).sampler(stream)
     expo()
     assert stream.draws == 1
+
+
+@pytest.mark.parametrize(
+    "dist, k",
+    [
+        (Exponential(2.0), 1),
+        (Erlang(3, 1.0), 3),
+        (Shifted(0.5, Exponential(2.0)), 1),
+        (Mixture(0.3, Exponential(2.0), Erlang(2, 1.0)), 4),
+    ],
+    ids=["exponential", "erlang", "shifted", "mixture"],
+)
+def test_draws_count_every_value_across_a_refill(dist, k):
+    # 300 values cross the first 256-value block; draws counts what was
+    # handed out, not what the open block holds
+    stream = RngStream(11, "st", "cl", "refill")
+    sampler = dist.sampler(stream)
+    counts = []
+    for _ in range(300):
+        sampler()
+        counts.append(stream.draws)
+    assert counts == [k * n for n in range(1, 301)]
+
+
+def test_routing_stream_draws_one_word_per_decision():
+    routing = RoutingTable()
+    routing.add("Jobs", "Source", [("A", 0.3), ("B", 0.7)])
+    routing.add("Jobs", "A", "Sink")
+    routing.add("Jobs", "B", "Sink")
+    m = NetworkModel(
+        name="split",
+        stations=[
+            Station("Source", kind=SOURCE),
+            Station("A", kind=DELAY, service={"Jobs": Exponential(1.0)}),
+            Station("B", kind=DELAY, service={"Jobs": Exponential(1.0)}),
+            Station("Sink", kind=SINK),
+        ],
+        classes=[JobClass("Jobs", "open", arrival=Exponential(0.5))],
+        routing=routing,
+    )
+    engine = _Engine(m, seed=12, horizon=2000.0, warmup=0.0)
+    engine.run()
+    decisions = engine.classes[0].created  # every arrival splits once at the source
+    assert decisions > 300
+    assert engine.space.stream("Source", "Jobs", "routing").draws == decisions
 
 
 def _uniforms(stream, n):
@@ -227,6 +274,17 @@ def test_open_class_routed_from_source_straight_to_sink():
     assert jobs.created == jobs.sunk > 900
     reps = [run_replication(m, seed=s, horizon=2000.0, warmup=200.0) for s in range(5)]
     assert estimate(reps)[("system", "Jobs", "throughput-per-msec")].covers(0.5)
+
+
+def test_flow_check_fires_from_the_engine():
+    engine = _Engine(mm1_model(capacity=3), seed=5, horizon=2000.0, warmup=200.0)
+    engine.run()
+    jobs = engine.classes[0]
+    assert jobs.created > 1000 and jobs.dropped > 0
+    engine._finalize()  # balanced as the loop left it
+    jobs.sunk -= 1
+    with pytest.raises(KernelError, match="flow imbalance for class Jobs"):
+        engine._finalize()
 
 
 def test_deadlock_when_nothing_can_ever_happen():

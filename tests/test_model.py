@@ -46,6 +46,7 @@ def test_distribution_means():
     assert Uniform(1.0, 3.0).mean() == 2.0
     assert Shifted(1.5, Exponential(1.0)).mean() == 2.5
     assert Mixture(0.2, Deterministic(1.0), Deterministic(10.0)).mean() == pytest.approx(3.0)
+    assert Mixture(0.0, Deterministic(1.0), Deterministic(math.inf)).mean() == 1.0
 
 
 @pytest.mark.parametrize(
@@ -197,6 +198,24 @@ def test_validate_open_class_needs_a_path_to_a_sink():
     m.routing.add("Jobs", "Queue", [("Trap", 0.0), ("Sink", 1.0)])
     m.routing.add("Jobs", "Trap", "Trap")
     assert validate_model(m) == []
+
+
+def test_validate_arrivals_need_a_positive_mean():
+    # zero gaps would keep the arrival list growing at t = 0 forever
+    for dist in (Deterministic(0.0), Uniform(0.0, 0.0), Shifted(0.0, Deterministic(0.0)),
+                 Mixture(0.0, Deterministic(0.0), Exponential(1.0))):
+        m = mm1_model()
+        m.classes[0] = JobClass("Jobs", "open", arrival=dist)
+        assert validate_model(m) == [
+            "class Jobs arrival: mean inter-arrival time must be > 0 (got 0.0)"
+        ]
+    # a zero part is fine when the whole has a positive mean, and rate 0
+    # (mean inf) still means the class never arrives
+    for dist in (Shifted(1.0, Deterministic(0.0)), Mixture(0.5, Deterministic(0.0), Exponential(1.0)),
+                 Mixture(0.0, Deterministic(1.0), Exponential(0.0)), Uniform(0.0, 2.0), Exponential(0.0)):
+        m = mm1_model()
+        m.classes[0] = JobClass("Jobs", "open", arrival=dist)
+        assert validate_model(m) == []
 
 
 def test_validate_rejects_routing_into_a_source():

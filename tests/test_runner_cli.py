@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -216,6 +217,40 @@ def test_cli_open_class_with_no_way_out_exits_2(tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(out)]) == 2
     assert "class Jobs: station D has no path to a sink" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_zero_mean_arrivals_exit_2(tmp_path):
+    # such a run would append arrivals at t = 0 forever, so the CLI runs in
+    # a child with a time limit and a 1 GiB address-space cap
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    for arrival in ({"kind": "deterministic", "value_msec": 0.0},
+                    {"kind": "uniform", "low_msec": 0.0, "high_msec": 0.0}):
+        model = {
+            "builder": "inline",
+            "stations": [
+                {"name": "Source", "kind": "source"},
+                {"name": "Q", "kind": "fcfs", "service": {"Jobs": {"kind": "exponential", "mean_msec": 1.0}}},
+                {"name": "Sink", "kind": "sink"},
+            ],
+            "classes": [{"name": "Jobs", "kind": "open", "arrival": arrival}],
+            "routing": [
+                {"class": "Jobs", "from": "Source", "to": "Q"},
+                {"class": "Jobs", "from": "Q", "to": "Sink"},
+            ],
+        }
+        path = _write_config(tmp_path / "zero.yaml", experiment="zero", model=model)
+        out = tmp_path / "o"
+        done = subprocess.run(
+            [sys.executable, "-m", "qnaps.cli", "--config", str(path), "--out", str(out), "--jobs", "1"],
+            capture_output=True, text=True, env=env, timeout=30, preexec_fn=cap_memory,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "class Jobs arrival: mean inter-arrival time must be > 0 (got 0.0)" in done.stderr
+        assert not out.exists()
 
 
 def test_cli_routing_into_a_source_exits_2(tmp_path, capsys):
