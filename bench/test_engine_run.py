@@ -1,10 +1,12 @@
 """Micro-benchmark of the event loop, outside tier-1.
 
-Times ``_Engine.run`` alone (engine setup excluded) on the model of each
+Times the event loop alone (engine setup excluded) on the model of each
 benchmark workload at a short horizon: a wwi sweep point (Shifted service,
 finite buffer, 2-actor routing), an awty sweep point (detection flush)
-and the default sensor net of table6_validation. Run from the checkout
-root with
+and the default sensor net of table6_validation. Each model runs on both
+loops, ``_Engine.run`` (compiled) and ``_Engine._run_python``, so one
+run gives the speed-up of the compiled loop on one machine. Run from the
+checkout root with
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -14,7 +16,7 @@ root with
 import pytest
 
 from qnaps.config import build_model_from_config
-from qnaps.kernel import _Engine
+from qnaps.kernel import _Engine, _loop
 
 HORIZON, WARMUP = 300000.0, 30000.0
 
@@ -34,13 +36,17 @@ MODELS = {
 }
 
 
+@pytest.mark.parametrize("loop", ["run", "_run_python"])
 @pytest.mark.parametrize("name", list(MODELS))
-def test_engine_run(benchmark, name):
+def test_engine_run(benchmark, name, loop):
+    if loop == "run" and _loop is None:
+        pytest.skip("compiled loop not available")
     model_section, antipattern_section, seed = MODELS[name]
     net = build_model_from_config(model_section, antipattern_section)
 
     def fresh_engine():
         return (_Engine(net, seed, HORIZON, WARMUP),), {}
 
-    result = benchmark.pedantic(_Engine.run, setup=fresh_engine, rounds=10, warmup_rounds=1)
+    result = benchmark.pedantic(getattr(_Engine, loop), setup=fresh_engine, rounds=10,
+                                warmup_rounds=1)
     assert result.samples

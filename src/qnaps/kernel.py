@@ -32,14 +32,36 @@ then to lower class index); calendar events with equal times fire in
 scheduling order. An arrival and a service completion leave through the
 same routing step: sink, cycle close, finite-capacity drop, then fcfs or
 delay entry.
+
+_Engine.run is one C extension, _loop.c, that continues the engine
+_Engine._build set up in Python; _Engine._run_python is the same loop in
+Python, kept as the executable specification the tests compare the
+compiled loop against bit for bit. The two share this contract: every
+float operation is done in the same order and grouping; the calendar is
+a binary heap with heapq's sift algorithm keyed on (t, seq), so its
+array layout, and with it the closing sweep, is the same; and random
+values come only from the samplers _build made. The extension is built
+when this module is imported, with gcc -O2 -ffp-contract=off (no fused
+multiply-add, no -ffast-math; x86-64 does its double arithmetic in SSE2
+registers), into src/qnaps/__pycache__ under a name keyed by the sha256
+of _loop.c and the flags, so an edited source never loads an old
+binary. If it cannot be built or loaded, one warning goes to stderr and
+run() uses the Python loop.
 """
 from __future__ import annotations
 
 import hashlib
 import heapq
 import math
+import os
+import subprocess
+import sys
+import sysconfig
 from collections import deque
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 from numpy.random import Philox
@@ -267,7 +289,7 @@ def _prearrivals(jc, stream, horizon: float):
     while t < horizon:
         out.append(t)
         t += sampler()
-    return np.asarray(out)
+    return np.asarray(out, dtype=np.float64)
 
 
 class _Engine:
@@ -377,13 +399,11 @@ class _Engine:
             tall = np.concatenate(times)
             call = np.concatenate(cids)
             order = np.lexsort((call, tall))
-            self.arr_t = tall[order].tolist()
-            self.arr_c = call[order].tolist()
+            self.arr_t = tall[order]
+            self.arr_c = call[order]
         else:
-            self.arr_t = []
-            self.arr_c = []
-        self.arr_t.append(_INF)
-        self.arr_c.append(-1)
+            self.arr_t = np.empty(0)
+            self.arr_c = np.empty(0, dtype=np.int64)
 
         # inject closed populations at their reference stations at t=0
         for jc, crt in zip(model.classes, self.classes):
@@ -410,20 +430,33 @@ class _Engine:
                     else:
                         ref.queue.append(job)
 
-    def run(self) -> ReplicationResult:
-        heap = self.heap
-        if not heap and self.arr_t[0] == _INF:
+    def _check_deadlock(self):
+        if not self.heap and not len(self.arr_t):
             dead = [c.name for c in self.classes if c.closed]
             if dead:
                 raise DeadlockError(dead)
 
+    def run(self) -> ReplicationResult:
+        """Simulate to the horizon on the compiled loop, or on the Python
+        loop when the extension could not be built or loaded."""
+        if _loop is None:
+            return self._run_python()
+        self._check_deadlock()
+        self.live = _loop.run(self)
+        return self._finalize()
+
+    def _run_python(self) -> ReplicationResult:
+        self._check_deadlock()
+        heap = self.heap
         pop = heapq.heappop
         push = heapq.heappush
         horizon = self.horizon
         warm = self.warmup
         classes = self.classes
-        arr_t = self.arr_t
-        arr_c = self.arr_c
+        arr_t = self.arr_t.tolist()
+        arr_t.append(_INF)
+        arr_c = self.arr_c.tolist()
+        arr_c.append(-1)
         ai = 0
         ta = arr_t[0]
         seq = self.seq
@@ -580,16 +613,16 @@ class _Engine:
                     ns.cells[ci].parked.append(job)
 
         self.seq = seq
+        self.live = self._sweep()
         return self._finalize()
 
-    def _finalize(self) -> ReplicationResult:
+    def _sweep(self) -> list[int]:
+        """Close out the jobs alive at the horizon: in service or thinking
+        (calendar, in heap-array order), waiting (queues), parked (infinite
+        delays) and awaiting detection. Returns the live jobs per class."""
         horizon = self.horizon
         warm = self.warmup
-        model = self.model
         classes = self.classes
-
-        # close out live jobs: in service or thinking (calendar), waiting
-        # (queues), parked (infinite delays) and awaiting detection
         in_net = [0] * len(classes)
 
         def close_out(job, st, in_service):
@@ -625,8 +658,14 @@ class _Engine:
                 for job in crt.pending:
                     e = job.entered
                     crt.larea += horizon - (e if e > warm else warm)
+        return in_net
 
-        self._check_conservation(in_net)
+    def _finalize(self) -> ReplicationResult:
+        horizon = self.horizon
+        warm = self.warmup
+        model = self.model
+        classes = self.classes
+        self._check_conservation(self.live)
 
         window = horizon - warm
         samples = []
@@ -697,3 +736,50 @@ def run_replication(model: NetworkModel, seed: int, horizon: float, warmup: floa
     if diags:
         raise InvalidModelError(diags)
     return _Engine(model, seed, horizon, warmup).run()
+
+
+_LOOP_SOURCE = Path(__file__).with_name("_loop.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-strict-aliasing", "-fPIC", "-shared")
+
+
+def _loop_path(source: bytes, cache_dir: Path) -> Path:
+    """Cache file of the extension built from source with _CFLAGS."""
+    tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    return cache_dir / f"_loop_{tag}{EXTENSION_SUFFIXES[0]}"
+
+
+def _build_loop(cc: str, cache_dir: Path):
+    """The compiled event loop: _loop.c built with compiler cc into
+    cache_dir unless its cache file is there, then loaded. A build
+    removes the binaries of other sources. On failure, one warning on
+    stderr and None."""
+    tmp = None
+    try:
+        path = _loop_path(_LOOP_SOURCE.read_bytes(), cache_dir)
+        if not path.exists():
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            include = "-I" + sysconfig.get_paths()["include"]
+            subprocess.run([cc, *_CFLAGS, include, str(_LOOP_SOURCE), "-o", str(tmp)],
+                           check=True, capture_output=True, text=True)
+            os.replace(tmp, path)
+            for old in cache_dir.glob(f"_loop_*{EXTENSION_SUFFIXES[0]}"):
+                if old != path:
+                    old.unlink(missing_ok=True)
+        loader = ExtensionFileLoader("qnaps._loop", str(path))
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        return module
+    except subprocess.CalledProcessError as exc:
+        reason = f"{cc} exited {exc.returncode}: {exc.stderr.strip()[-2000:]}"
+    except (OSError, ImportError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+    finally:
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
+    print(f"qnaps: compiled event loop unavailable ({reason}); using the Python loop",
+          file=sys.stderr)
+    return None
+
+
+_loop = _build_loop("gcc", Path(__file__).with_name("__pycache__"))

@@ -7,7 +7,8 @@ order of any float operation or the word order of any random stream; if
 it does, a value here moves. The cases cover a Shifted service with
 finite-capacity drops and 2-actor routing (wwi), a detection flush
 (awty), the default sensor net, and a Mixture service (ieok with
-p_exc > 0).
+p_exc > 0). Each case is pinned on both loops: _Engine.run, compiled,
+and _Engine._run_python, the Python loop it was ported from.
 """
 
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from qnaps.config import build_model_from_config
-from qnaps.kernel import run_replication
+from qnaps.kernel import _Engine
 
 PIN = Path(__file__).parent / "data" / "engine_pin.json"
 
@@ -45,10 +46,10 @@ CASES = {
 }
 
 
-def pinned_samples(case: str) -> list[list[str]]:
+def pinned_samples(case: str, loop: str = "run") -> list[list[str]]:
     model_section, antipattern_section, seed = CASES[case]
     net = build_model_from_config(model_section, antipattern_section)
-    result = run_replication(net, seed=seed, horizon=HORIZON, warmup=WARMUP)
+    result = getattr(_Engine(net, seed, HORIZON, WARMUP), loop)()
     return [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples]
 
 
@@ -56,3 +57,9 @@ def pinned_samples(case: str) -> list[list[str]]:
 def test_replication_samples_are_bit_identical_to_the_pin(case):
     frozen = json.loads(PIN.read_text(encoding="utf-8"))[case]
     assert pinned_samples(case) == frozen
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_python_loop_samples_are_bit_identical_to_the_pin(case):
+    frozen = json.loads(PIN.read_text(encoding="utf-8"))[case]
+    assert pinned_samples(case, "_run_python") == frozen

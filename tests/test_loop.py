@@ -1,0 +1,232 @@
+"""The compiled event loop against the Python loop it was ported from.
+
+_Engine._run_python is the executable specification of _Engine.run. The
+differential test runs both on the same engines and requires every
+sample to match bit for bit, every random stream to have handed out the
+same number of draws, and every class to have created, sunk and dropped
+the same jobs. The remaining tests cover the extension's build and
+fallback, and exceptions and signals crossing the C boundary.
+"""
+
+import json
+import math
+import shutil
+import signal
+import time
+from importlib.machinery import EXTENSION_SUFFIXES
+
+import pytest
+
+from qnaps import kernel
+from qnaps.config import build_model_from_config
+from qnaps.kernel import _Engine
+from qnaps.model import (
+    DELAY,
+    FCFS,
+    SINK,
+    SOURCE,
+    Deterministic,
+    Exponential,
+    JobClass,
+    NetworkModel,
+    RoutingTable,
+    Station,
+    validate_model,
+)
+
+from _helpers import closed_cycle_model, mm1_model
+from test_engine_pin import CASES, HORIZON, WARMUP, PIN, pinned_samples
+
+compiled = pytest.mark.skipif(kernel._loop is None, reason="compiled loop not available")
+
+
+def parking_model() -> NetworkModel:
+    """Closed classes with an infinite delay: Idle parks at t = 0, and a
+    Loop job parks for good whenever Work routes it to Park."""
+    routing = RoutingTable()
+    routing.add("Loop", "Think", "Work")
+    routing.add("Loop", "Work", [("Think", 0.99), ("Park", 0.01)])
+    routing.add("Loop", "Park", "Think")
+    routing.add("Idle", "Rest", "Work")
+    routing.add("Idle", "Work", "Rest")
+    return NetworkModel(
+        name="parking",
+        stations=[
+            Station("Think", kind=DELAY, service={"Loop": Exponential(0.2)}),
+            Station("Work", kind=FCFS, service={"Loop": Exponential(1.0), "Idle": Exponential(1.0)}),
+            Station("Park", kind=DELAY, service={"Loop": Deterministic(math.inf)}),
+            Station("Rest", kind=DELAY, service={"Idle": Deterministic(math.inf)}),
+        ],
+        classes=[
+            JobClass("Loop", "closed", population=4, reference="Think"),
+            JobClass("Idle", "closed", population=2, reference="Rest"),
+        ],
+        routing=routing,
+    )
+
+
+def tie_model() -> NetworkModel:
+    """Two open classes arriving together every 3 ms and waiting 1 ms at
+    a delay: their timers fire at equal times, so the calendar's
+    tie-break on scheduling order decides which one W serves first."""
+    routing = RoutingTable()
+    for cname in ("X", "Y"):
+        routing.add(cname, "Source", "D")
+        routing.add(cname, "D", "W")
+        routing.add(cname, "W", "Sink")
+    return NetworkModel(
+        name="ties",
+        stations=[
+            Station("Source", kind=SOURCE),
+            Station("D", kind=DELAY, service={"X": Deterministic(1.0), "Y": Deterministic(1.0)}),
+            Station("W", kind=FCFS, service={"X": Exponential(0.5), "Y": Exponential(1.0)}),
+            Station("Sink", kind=SINK),
+        ],
+        classes=[JobClass(c, "open", arrival=Deterministic(3.0)) for c in ("X", "Y")],
+        routing=routing,
+    )
+
+
+MODELS = {
+    **{case: build_model_from_config(m, a) for case, (m, a, _) in CASES.items()},
+    "mm1_capacity3": mm1_model(capacity=3),
+    "parking": parking_model(),
+    "closed_cycle": closed_cycle_model(population=3),
+    "ties": tie_model(),
+}
+
+
+def outcome(model, seed, loop):
+    engine = _Engine(model, seed, HORIZON / 2, WARMUP)
+    result = getattr(engine, loop)()
+    return (
+        [(s.station, s.job_class, s.metric, s.value.hex()) for s in result.samples],
+        {key: s.draws for key, s in engine.space._streams.items()},
+        [(c.name, c.created, c.sunk, c.dropped) for c in engine.classes],
+    )
+
+
+@compiled
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_compiled_loop_matches_the_python_loop(name):
+    model = MODELS[name]
+    assert validate_model(model) == []
+    for seed in range(1000, 1020):
+        assert outcome(model, seed, "run") == outcome(model, seed, "_run_python"), seed
+
+
+def test_parking_model_parks_jobs_during_the_run():
+    engine = _Engine(parking_model(), 7, HORIZON / 2, WARMUP)
+    engine._run_python()
+    parked = engine.stations[2].cells[0].parked
+    assert 0 < len(parked) <= 4
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_gcc_on_path_means_the_compiled_loop_is_loaded():
+    # tier-1 must not quietly test only the fallback
+    assert kernel._loop is not None
+
+
+def test_build_failure_warns_once_and_falls_back(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    missing = tmp_path / "no-such-cc"
+    assert kernel._build_loop(str(missing), cache) is None
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "compiled event loop unavailable" in err[0]
+    assert "FileNotFoundError" in err[0] and str(missing) in err[0]
+    assert list(cache.iterdir()) == []  # no half-written binary left behind
+
+    monkeypatch.setattr(kernel, "_loop", None)
+    frozen = json.loads(PIN.read_text(encoding="utf-8"))
+    for case in sorted(CASES):
+        assert pinned_samples(case) == frozen[case]
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_build_from_scratch_loads_and_replaces_older_binaries(tmp_path, capsys, monkeypatch):
+    stale = tmp_path / f"_loop_0123456789abcdef{EXTENSION_SUFFIXES[0]}"
+    stale.write_bytes(b"built from another source")
+    module = kernel._build_loop("gcc", tmp_path)
+    assert module is not None and capsys.readouterr().err == ""
+    built = kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), tmp_path)
+    assert sorted(tmp_path.iterdir()) == [built]
+    monkeypatch.setattr(kernel, "_loop", module)
+    assert outcome(MODELS["mm1_capacity3"], 5, "run") == outcome(MODELS["mm1_capacity3"], 5, "_run_python")
+
+
+def test_cache_name_follows_the_source_hash(tmp_path):
+    source = kernel._LOOP_SOURCE.read_bytes()
+    name = kernel._loop_path(source, tmp_path).name
+    assert kernel._loop_path(source, tmp_path).name == name
+    assert kernel._loop_path(source + b"\n", tmp_path).name != name
+    if kernel._loop is not None:
+        assert kernel._loop.__file__.endswith(name)
+
+
+def raising_after(k):
+    calls = []
+
+    def sampler():
+        calls.append(None)
+        if len(calls) > k:
+            raise ValueError(f"sampler broke after {k} values")
+        return 1.0
+
+    return sampler
+
+
+@pytest.mark.parametrize("loop", ["run", "_run_python"])
+@pytest.mark.parametrize("where", ["service", "routing"])
+def test_sampler_exception_comes_out_of_either_loop(loop, where):
+    if loop == "run" and kernel._loop is None:
+        pytest.skip("compiled loop not available")
+    engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
+    station = next(st for st in engine.stations if st.kc == 0 and any(
+        type(r) is tuple for r in st.routes))
+    ci = next(i for i, r in enumerate(station.routes) if type(r) is tuple)
+    if where == "service":
+        station.samplers[ci] = raising_after(50)
+    else:
+        cums, sts, _ = station.routes[ci]
+        station.routes[ci] = (cums, sts, raising_after(50))
+    with pytest.raises(ValueError, match="sampler broke after 50 values"):
+        getattr(engine, loop)()
+
+
+@compiled
+def test_compiled_loop_checks_for_signals():
+    # C-level samplers only, so no Python bytecode runs inside the loop
+    # and only the loop's own check can deliver the signal; uninterrupted
+    # this run takes about half a minute
+    routing = RoutingTable()
+    routing.add("Loop", "A", "B")
+    routing.add("Loop", "B", "A")
+    model = NetworkModel(
+        name="ping-pong",
+        stations=[
+            Station("A", kind=DELAY, service={"Loop": Deterministic(1.0)}),
+            Station("B", kind=DELAY, service={"Loop": Deterministic(1.0)}),
+        ],
+        classes=[JobClass("Loop", "closed", population=1, reference="A")],
+        routing=routing,
+    )
+    engine = _Engine(model, 1, 1e9, 0.0)
+
+    class Alarm(Exception):
+        pass
+
+    def ring(signum, frame):
+        raise Alarm
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        start = time.perf_counter()
+        with pytest.raises(Alarm):
+            engine.run()
+        assert time.perf_counter() - start < 10.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
