@@ -5,8 +5,21 @@ with parameters, or an inline topology), an optional antipattern
 transformation, an optional one-dimensional parameter sweep, run
 controls (replications, seed, horizon, warmup), the requested output
 formats, an optional plot description and an optional analytic
-validation block. Every section is checked against a closed key set so
-typos fail loudly instead of being ignored.
+validation block.
+
+The schema is a set of dataclasses, one per section: _Document (the top
+level), _Run, _Sweep, _InlineModel with model.Station, model.JobClass
+and _Route, PlotSpec with SeriesSpec, ValidationSpec with
+egraph.EgScenario, egraph.Loop and _Arm, the builder parameter sets and
+antipatterns.AntipatternSpec. Each field is one YAML key; a field with
+no default is required, and its annotation picks its parser in
+_FIELD_PARSERS. Every section is closed (unknown keys are errors), every
+list must be non-empty, and every error names the full key path, such
+as ``model.routing[2].from``. Where a YAML key differs from the field
+name, the field's metadata names it: ``class`` (job_class; class_name in
+scenarios), ``from`` (frm), ``arrival_rate_per_msec`` (arrival_rate),
+``graph`` (root), ``body`` (a loop's child), ``horizon_msec`` and
+``warmup_msec`` (horizon and warmup).
 
 Schema v1, top level::
 
@@ -38,22 +51,29 @@ builder has that field, even if the config omits it (the default would
 be swept over). Valid roots are ``model.params.<field>`` and
 ``antipattern.<field>``; anything else is rejected by name.
 
+A validation section is checked against the model before any
+replication runs: every scenario graph must reduce, the scenarios and
+the model's classes must pair off one to one, and each class's
+comparison resource must carry demand in its scenario.
+
 All numbers accept plain YAML scalars; numeric strings are coerced so
 ``1e6`` works regardless of the YAML float grammar corner cases.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
 from . import antipatterns, model as qm
-from .egraph import Basic, Branch, EgScenario, Loop, Sequence
+from .egraph import Basic, Branch, EgError, EgNode, EgScenario, Loop, Sequence, check_scenarios, reduce
+from .model import JobClass, Station
 
 SCHEMA_VERSION = "v1"
 OUTPUT_FORMATS = ("csv", "svg", "table")
@@ -68,16 +88,18 @@ class ConfigError(ValueError):
 
 
 def _number(value, where: str) -> float:
-    """Coerce to float, accepting numeric strings and inf spellings."""
+    """Coerce to float, accepting numeric strings and inf spellings; NaN
+    is rejected (the model checks do not catch it, and a run on it reads 0)."""
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, float, str)):
         try:
-            return float(value)
-        except ValueError:
+            number = float(value)
+        except (ValueError, OverflowError):  # OverflowError: an int past float range
             pass
+        else:
+            if not math.isnan(number):
+                return number
     raise ConfigError(f"{where}: expected a number, got {value!r}")
 
 
@@ -105,12 +127,6 @@ def _mapping(value, where: str) -> dict:
     return value
 
 
-def _sequence(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
-    return value
-
-
 def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = sorted(set(section) - set(allowed))
     if unknown:
@@ -120,13 +136,14 @@ def _check_keys(section: dict, allowed, where: str) -> None:
 # ---------------------------------------------------------------------------
 # distributions
 
+# kind -> (keys it needs, keys it takes exactly one of, what it takes)
 _DIST_KEYS = {
-    "exponential": ({"rate_per_msec", "mean_msec"}, "exactly one of rate_per_msec, mean_msec"),
-    "deterministic": ({"value_msec"}, "value_msec"),
-    "erlang": ({"phases", "rate_per_msec", "mean_msec"}, "phases plus one of rate_per_msec, mean_msec"),
-    "uniform": ({"low_msec", "high_msec"}, "low_msec and high_msec"),
-    "shifted": ({"offset_msec", "base"}, "offset_msec and base"),
-    "mixture": ({"p_extra", "base", "extra"}, "p_extra, base and extra"),
+    "exponential": (set(), {"rate_per_msec", "mean_msec"}, "exactly one of rate_per_msec, mean_msec"),
+    "deterministic": ({"value_msec"}, set(), "value_msec"),
+    "erlang": ({"phases"}, {"rate_per_msec", "mean_msec"}, "phases plus one of rate_per_msec, mean_msec"),
+    "uniform": ({"low_msec", "high_msec"}, set(), "low_msec and high_msec"),
+    "shifted": ({"offset_msec", "base"}, set(), "offset_msec and base"),
+    "mixture": ({"p_extra", "base", "extra"}, set(), "p_extra, base and extra"),
 }
 
 
@@ -138,53 +155,272 @@ def parse_distribution(node, where: str) -> qm.Distribution:
             f"{where}: unknown distribution kind {kind!r} "
             f"(expected one of {', '.join(sorted(_DIST_KEYS))})"
         )
-    allowed, needs = _DIST_KEYS[kind]
-    _check_keys(node, allowed | {"kind"}, where)
+    needs, one_of, takes = _DIST_KEYS[kind]
+    _check_keys(node, needs | one_of | {"kind"}, where)
+    if not needs <= set(node) or (one_of and len(one_of & set(node)) != 1):
+        raise ConfigError(f"{where}: {kind} takes {takes}")
+
+    def number(key):
+        return _number(node[key], f"{where}.{key}")
+
+    def dist(key):
+        return parse_distribution(node[key], f"{where}.{key}")
+
+    def mean():
+        value = number("mean_msec")
+        if value <= 0:
+            raise ConfigError(f"{where}.mean_msec: must be positive")
+        return value
 
     if kind == "exponential":
-        if ("rate_per_msec" in node) == ("mean_msec" in node):
-            raise ConfigError(f"{where}: exponential takes {needs}")
         if "rate_per_msec" in node:
-            return qm.Exponential(_number(node["rate_per_msec"], f"{where}.rate_per_msec"))
-        return qm.Exponential.from_mean(_number(node["mean_msec"], f"{where}.mean_msec"))
+            return qm.Exponential(number("rate_per_msec"))
+        return qm.Exponential.from_mean(mean())
     if kind == "deterministic":
-        if "value_msec" not in node:
-            raise ConfigError(f"{where}: deterministic takes {needs}")
-        return qm.Deterministic(_number(node["value_msec"], f"{where}.value_msec"))
+        return qm.Deterministic(number("value_msec"))
     if kind == "erlang":
-        if "phases" not in node or ("rate_per_msec" in node) == ("mean_msec" in node):
-            raise ConfigError(f"{where}: erlang takes {needs}")
         phases = _integer(node["phases"], f"{where}.phases")
-        if "rate_per_msec" in node:
-            rate = _number(node["rate_per_msec"], f"{where}.rate_per_msec")
-        else:
-            mean = _number(node["mean_msec"], f"{where}.mean_msec")
-            if mean <= 0:
-                raise ConfigError(f"{where}.mean_msec: must be positive")
-            rate = phases / mean
-        return qm.Erlang(phases, rate)
+        return qm.Erlang(phases, number("rate_per_msec") if "rate_per_msec" in node else phases / mean())
     if kind == "uniform":
-        if "low_msec" not in node or "high_msec" not in node:
-            raise ConfigError(f"{where}: uniform takes {needs}")
-        return qm.Uniform(
-            _number(node["low_msec"], f"{where}.low_msec"),
-            _number(node["high_msec"], f"{where}.high_msec"),
-        )
+        return qm.Uniform(number("low_msec"), number("high_msec"))
     if kind == "shifted":
-        if "offset_msec" not in node or "base" not in node:
-            raise ConfigError(f"{where}: shifted takes {needs}")
-        return qm.Shifted(
-            _number(node["offset_msec"], f"{where}.offset_msec"),
-            parse_distribution(node["base"], f"{where}.base"),
+        return qm.Shifted(number("offset_msec"), dist("base"))
+    return qm.Mixture(number("p_extra"), dist("base"), dist("extra"))
+
+
+# ---------------------------------------------------------------------------
+# section dataclasses (the ones not reused from model, egraph and
+# antipatterns)
+
+Targets = tuple  # a station name, or ((station, probability), ...)
+WorkerCount = int  # a worker count, at least 1
+
+
+@dataclass(frozen=True)
+class _Route:
+    """One routing row of an inline model."""
+
+    job_class: str = field(metadata={"key": "class"})
+    frm: str = field(metadata={"key": "from"})
+    to: Targets
+
+
+@dataclass(frozen=True)
+class _InlineModel:
+    builder: str
+    stations: tuple[Station, ...]
+    classes: tuple[JobClass, ...]
+    routing: tuple[_Route, ...]
+    name: str = "inline"
+
+
+@dataclass(frozen=True)
+class SeriesSpec:
+    station: str
+    job_class: str = field(metadata={"key": "class"})
+    metric: str
+    label: str | None = None  # None: the metric name
+
+    def __post_init__(self):
+        if self.label is None:
+            object.__setattr__(self, "label", self.metric)
+
+
+@dataclass(frozen=True)
+class PlotSpec:
+    series: tuple[SeriesSpec, ...]
+    title: str = ""
+    x_label: str = ""
+    y_label: str = ""
+    x_scale: str = "linear"  # linear | log
+    annotate_minimum: bool = False
+
+    def __post_init__(self):
+        if self.x_scale not in ("linear", "log"):
+            raise ConfigError(f"plot.x_scale: expected linear or log, got {self.x_scale!r}")
+
+
+@dataclass(frozen=True)
+class _Arm:
+    """One alternative of an execution graph branch."""
+
+    probability: float
+    node: EgNode
+
+
+@dataclass(frozen=True)
+class ValidationSpec:
+    scenarios: tuple[EgScenario, ...]
+    resource_map: dict[str, str]
+    decimals: int = 2
+
+    def __post_init__(self):
+        if self.decimals not in (1, 2):
+            raise ConfigError(f"validation.decimals: expected 1 or 2, got {self.decimals}")
+
+
+@dataclass(frozen=True)
+class _Run:
+    replications: int
+    seed: int
+    horizon: float = field(default=1e5, metadata={"key": "horizon_msec"})
+    warmup: float = field(default=0.0, metadata={"key": "warmup_msec"})
+    jobs: WorkerCount | None = None
+
+    def __post_init__(self):
+        _check_run_numbers(self.replications, self.seed, self.horizon, self.warmup)
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    parameter: str
+    values: tuple[object, ...]
+
+
+@dataclass(frozen=True)
+class _Document:
+    schema: str
+    experiment: str
+    model: dict  # kept raw: sweep points patch and rebuild it
+    run: _Run
+    antipattern: dict | None = None  # kept raw, as model
+    sweep: _Sweep | None = None
+    outputs: tuple[str, ...] = ("csv",)
+    plot: PlotSpec | None = None
+    validation: ValidationSpec | None = None
+
+
+# ---------------------------------------------------------------------------
+# field parsers
+
+
+def _unbounded_integer(value, where: str) -> int | None:
+    if value is None or (isinstance(value, float) and math.isinf(value)):
+        return None
+    return _integer(value, where)
+
+
+def _worker_count(value, where: str) -> int:
+    jobs = _integer(value, where)
+    if jobs < 1:
+        raise ConfigError(f"{where}: must be >= 1, got {jobs}")
+    return jobs
+
+
+def _optional(parse):
+    """parse, with null allowed (and kept as None)."""
+    return lambda value, where: None if value is None else parse(value, where)
+
+
+def _list_of(parse):
+    """A non-empty list, item i parsed at where[i]."""
+    def parse_list(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        if not value:
+            raise ConfigError(f"{where}: must be non-empty")
+        return tuple(parse(item, f"{where}[{i}]") for i, item in enumerate(value))
+    return parse_list
+
+
+def _dict_of(parse):
+    """A mapping from string keys to values parsed at where[key]."""
+    return lambda value, where: {
+        _string(key, f"{where} key"): parse(item, f"{where}[{key}]")
+        for key, item in _mapping(value, where).items()
+    }
+
+
+def _section(cls):
+    return lambda value, where: _parse_fields(cls, value, where)
+
+
+def _targets(value, where: str):
+    if isinstance(value, str):
+        return value
+    return tuple(_FIELD_PARSERS["dict[str, float]"](value, where).items())
+
+
+_EG_NODES = {
+    "basic": lambda body, where: Basic(_FIELD_PARSERS["dict[str, float]"](body, where)),
+    "seq": lambda body, where: Sequence(*_FIELD_PARSERS["tuple[EgNode, ...]"](body, where)),
+    "branch": lambda body, where: Branch(
+        *((arm.probability, arm.node) for arm in _FIELD_PARSERS["tuple[_Arm, ...]"](body, where))
+    ),
+    "loop": _section(Loop),
+}
+
+
+def _parse_eg_node(node, where: str):
+    node = _mapping(node, where)
+    if len(node) != 1 or next(iter(node)) not in _EG_NODES:
+        raise ConfigError(
+            f"{where}: execution graph node must be exactly one of {', '.join(_EG_NODES)}"
         )
-    # mixture
-    if not {"p_extra", "base", "extra"} <= set(node):
-        raise ConfigError(f"{where}: mixture takes {needs}")
-    return qm.Mixture(
-        _number(node["p_extra"], f"{where}.p_extra"),
-        parse_distribution(node["base"], f"{where}.base"),
-        parse_distribution(node["extra"], f"{where}.extra"),
-    )
+    ((tag, body),) = node.items()
+    try:
+        return _EG_NODES[tag](body, f"{where}.{tag}")
+    except EgError as exc:  # a negative basic demand
+        raise ConfigError(f"{where}.{tag}: {exc}") from exc
+
+
+# Parser for each field annotation of the section dataclasses, the builder
+# parameter sets and the antipattern spec. ``int | None`` is an optional
+# bound: null or an infinite number means unbounded.
+_FIELD_PARSERS = {
+    "bool": _boolean,
+    "int": _integer,
+    "int | None": _unbounded_integer,
+    "WorkerCount | None": _optional(_worker_count),
+    "float": _number,
+    "str": _string,
+    "str | None": _optional(_string),
+    "dict": _mapping,
+    "dict | None": _optional(_mapping),
+    "Distribution": parse_distribution,
+    "Distribution | None": _optional(parse_distribution),
+    "Targets": _targets,
+    "EgNode": _parse_eg_node,
+    "tuple[object, ...]": _list_of(lambda value, where: value),
+    "tuple[str, ...]": _list_of(_string),
+    "tuple[str, ...] | None": _optional(_list_of(_string)),
+    "tuple[EgNode, ...]": _list_of(_parse_eg_node),
+    "dict[str, float]": _dict_of(_number),
+    "dict[str, str]": _dict_of(_string),
+    "dict[str, Distribution]": _dict_of(parse_distribution),
+    "tuple[Station, ...]": _list_of(_section(Station)),
+    "tuple[JobClass, ...]": _list_of(_section(JobClass)),
+    "tuple[_Route, ...]": _list_of(_section(_Route)),
+    "tuple[SeriesSpec, ...]": _list_of(_section(SeriesSpec)),
+    "tuple[_Arm, ...]": _list_of(_section(_Arm)),
+    "tuple[EgScenario, ...]": _list_of(_section(EgScenario)),
+    "Loop": _section(Loop),
+    "_Run": _section(_Run),
+    "_Sweep | None": _optional(_section(_Sweep)),
+    "PlotSpec | None": _optional(_section(PlotSpec)),
+    "ValidationSpec | None": _optional(_section(ValidationSpec)),
+}
+
+
+def _parse_fields(cls, section, where: str):
+    """Dataclass cls from a config mapping: each field read from its YAML
+    key (metadata "key", else its name) by the table entry for its
+    annotation. where is the section's key path, "" at the top level.
+    What cls's own checks reject is a config error at where."""
+    section = _mapping(section, where or "config")
+    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    _check_keys(section, fields, where or "config")
+    kwargs = {}
+    for key, f in fields.items():
+        spot = f"{where}.{key}" if where else key
+        if key in section:
+            kwargs[f.name] = _FIELD_PARSERS[f.type](section[key], spot)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{spot}: required key is missing")
+    try:
+        return cls(**kwargs)
+    except EgError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -194,136 +430,24 @@ _BUILDER_PARAMS = {
     "baseline": qm.BaselineParams,
     "sensor-net": qm.SensorNetParams,
 }
-_INLINE_KEYS = ("builder", "name", "stations", "classes", "routing")
 
 
-def _unbounded_integer(value, where: str) -> int | None:
-    if value is None or (isinstance(value, float) and math.isinf(value)):
-        return None
-    return _integer(value, where)
-
-
-def _distribution(value, where: str) -> qm.Distribution:
-    if value is None:
-        raise ConfigError(f"{where}: may not be null")
-    return parse_distribution(value, where)
-
-
-def _optional_distribution(value, where: str) -> qm.Distribution | None:
-    return None if value is None else parse_distribution(value, where)
-
-
-def _optional_strings(value, where: str) -> tuple[str, ...] | None:
-    if value is None:
-        return None
-    return tuple(_string(d, f"{where}[{j}]") for j, d in enumerate(_sequence(value, where)))
-
-
-# Parser for each field annotation of the builder parameter sets and the
-# antipattern spec. ``int | None`` is an optional bound: null or an
-# infinite number means unbounded.
-_FIELD_PARSERS = {
-    "bool": _boolean,
-    "int": _integer,
-    "int | None": _unbounded_integer,
-    "float": _number,
-    "str": _string,
-    "Distribution": _distribution,
-    "Distribution | None": _optional_distribution,
-    "tuple[str, ...] | None": _optional_strings,
-}
-
-
-def _parse_fields(cls, section: dict, where: str) -> dict:
-    """Keyword arguments for dataclass cls from a config mapping, each
-    value parsed by the table entry for its field's annotation."""
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    _check_keys(section, types, where)
-    return {key: _FIELD_PARSERS[types[key]](raw, f"{where}.{key}") for key, raw in section.items()}
-
-
-def _parse_inline_model(section: dict) -> qm.NetworkModel:
-    for part in ("stations", "classes", "routing"):
-        if part not in section:
-            raise ConfigError(f"model: inline topology needs a {part!r} list")
-
-    stations = []
-    for i, node in enumerate(_sequence(section["stations"], "model.stations")):
-        where = f"model.stations[{i}]"
-        node = _mapping(node, where)
-        _check_keys(node, ("name", "kind", "servers", "capacity", "service"), where)
-        if "name" not in node:
-            raise ConfigError(f"{where}: station needs a name")
-        service = {}
-        for cname, dist in _mapping(node.get("service", {}), f"{where}.service").items():
-            service[_string(cname, f"{where}.service key")] = parse_distribution(
-                dist, f"{where}.service[{cname}]"
-            )
-        kind = _string(node.get("kind", qm.FCFS), f"{where}.kind")
-        if kind == "fcfs":  # short spelling for the queueing kind
-            kind = qm.FCFS
-        stations.append(
-            qm.Station(
-                name=_string(node["name"], f"{where}.name"),
-                kind=kind,
-                servers=_integer(node.get("servers", 1), f"{where}.servers"),
-                capacity=_unbounded_integer(node.get("capacity"), f"{where}.capacity"),
-                service=service,
-            )
-        )
-
-    classes = []
-    for i, node in enumerate(_sequence(section["classes"], "model.classes")):
-        where = f"model.classes[{i}]"
-        node = _mapping(node, where)
-        _check_keys(node, ("name", "kind", "arrival", "population", "reference"), where)
-        if "name" not in node:
-            raise ConfigError(f"{where}: class needs a name")
-        arrival = node.get("arrival")
-        classes.append(
-            qm.JobClass(
-                name=_string(node["name"], f"{where}.name"),
-                kind=_string(node.get("kind", "open"), f"{where}.kind"),
-                arrival=None if arrival is None else parse_distribution(arrival, f"{where}.arrival"),
-                population=_integer(node.get("population", 0), f"{where}.population"),
-                reference=node.get("reference"),
-            )
-        )
-
+def _build_inline(spec: _InlineModel) -> qm.NetworkModel:
     routing = qm.RoutingTable()
-    for i, node in enumerate(_sequence(section["routing"], "model.routing")):
-        where = f"model.routing[{i}]"
-        node = _mapping(node, where)
-        _check_keys(node, ("class", "from", "to"), where)
-        for part in ("class", "from", "to"):
-            if part not in node:
-                raise ConfigError(f"{where}: routing row needs {part!r}")
-        to = node["to"]
-        if isinstance(to, str):
-            targets = [(to, 1.0)]
-        else:
-            to = _mapping(to, f"{where}.to")
-            targets = [
-                (_string(name, f"{where}.to key"), _number(p, f"{where}.to[{name}]"))
-                for name, p in to.items()
-            ]
-        routing.add(_string(node["class"], f"{where}.class"), _string(node["from"], f"{where}.from"), targets)
-
+    for row in spec.routing:
+        routing.add(row.job_class, row.frm, row.to)
     return qm.NetworkModel(
-        name=_string(section.get("name", "inline"), "model.name"),
-        stations=stations,
-        classes=classes,
+        name=spec.name,
+        # fcfs is the short spelling of the queueing kind
+        stations=[dataclasses.replace(s, kind=qm.FCFS) if s.kind == "fcfs" else s for s in spec.stations],
+        classes=list(spec.classes),
         routing=routing,
         description="inline topology from experiment config",
     )
 
 
 def parse_antipattern(section: dict) -> antipatterns.AntipatternSpec:
-    section = _mapping(section, "antipattern")
-    kwargs = _parse_fields(antipatterns.AntipatternSpec, section, "antipattern")
-    if "kind" not in kwargs:
-        raise ConfigError("antipattern: needs a kind")
-    spec = antipatterns.AntipatternSpec(**kwargs)
+    spec = _parse_fields(antipatterns.AntipatternSpec, section, "antipattern")
     if spec.kind not in antipatterns.KINDS:
         raise ConfigError(
             f"antipattern.kind: unknown kind {spec.kind!r} "
@@ -341,12 +465,10 @@ def build_model_from_config(model_section: dict, antipattern_section: dict | Non
     section = _mapping(model_section, "model")
     builder = _string(section.get("builder", ""), "model.builder") if "builder" in section else ""
     if builder == "inline":
-        _check_keys(section, _INLINE_KEYS, "model")
-        net = _parse_inline_model(section)
+        net = _build_inline(_parse_fields(_InlineModel, section, "model"))
     elif builder in _BUILDER_PARAMS:
         _check_keys(section, ("builder", "params"), "model")
-        cls = _BUILDER_PARAMS[builder]
-        params = cls(**_parse_fields(cls, _mapping(section.get("params", {}), "model.params"), "model.params"))
+        params = _parse_fields(_BUILDER_PARAMS[builder], section.get("params", {}), "model.params")
         try:
             net = qm.build_baseline(params) if builder == "baseline" else qm.build_sensor_net(params)
         except ValueError as exc:
@@ -367,147 +489,7 @@ def build_model_from_config(model_section: dict, antipattern_section: dict | Non
 
 
 # ---------------------------------------------------------------------------
-# plot / validation / sweep sections
-
-
-@dataclass(frozen=True)
-class SeriesSpec:
-    station: str
-    job_class: str
-    metric: str
-    label: str
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    series: tuple[SeriesSpec, ...]
-    title: str = ""
-    x_label: str = ""
-    y_label: str = ""
-    x_scale: str = "linear"  # linear | log
-    annotate_minimum: bool = False
-
-
-@dataclass(frozen=True)
-class ValidationSpec:
-    scenarios: tuple[EgScenario, ...]
-    resource_map: dict[str, str]
-    decimals: int = 2
-
-
-def _parse_plot(section: dict) -> PlotSpec:
-    section = _mapping(section, "plot")
-    _check_keys(
-        section,
-        ("series", "title", "x_label", "y_label", "x_scale", "annotate_minimum"),
-        "plot",
-    )
-    raw_series = _sequence(section.get("series", []), "plot.series")
-    if not raw_series:
-        raise ConfigError("plot.series: needs at least one series")
-    series = []
-    for i, node in enumerate(raw_series):
-        where = f"plot.series[{i}]"
-        node = _mapping(node, where)
-        _check_keys(node, ("station", "class", "metric", "label"), where)
-        for part in ("station", "class", "metric"):
-            if part not in node:
-                raise ConfigError(f"{where}: needs {part!r}")
-        metric = _string(node["metric"], f"{where}.metric")
-        series.append(
-            SeriesSpec(
-                station=_string(node["station"], f"{where}.station"),
-                job_class=_string(node["class"], f"{where}.class"),
-                metric=metric,
-                label=_string(node.get("label", metric), f"{where}.label"),
-            )
-        )
-    x_scale = _string(section.get("x_scale", "linear"), "plot.x_scale")
-    if x_scale not in ("linear", "log"):
-        raise ConfigError(f"plot.x_scale: expected linear or log, got {x_scale!r}")
-    return PlotSpec(
-        series=tuple(series),
-        title=_string(section.get("title", ""), "plot.title"),
-        x_label=_string(section.get("x_label", ""), "plot.x_label"),
-        y_label=_string(section.get("y_label", ""), "plot.y_label"),
-        x_scale=x_scale,
-        annotate_minimum=_boolean(section.get("annotate_minimum", False), "plot.annotate_minimum"),
-    )
-
-
-_EG_NODE_KEYS = ("basic", "seq", "branch", "loop")
-
-
-def _parse_eg_node(node, where: str):
-    node = _mapping(node, where)
-    if len(node) != 1 or next(iter(node)) not in _EG_NODE_KEYS:
-        raise ConfigError(
-            f"{where}: execution graph node must be exactly one of "
-            f"{', '.join(_EG_NODE_KEYS)}"
-        )
-    tag, body = next(iter(node.items()))
-    if tag == "basic":
-        body = _mapping(body, f"{where}.basic")
-        demand = {
-            _string(res, f"{where}.basic key"): _number(d, f"{where}.basic[{res}]")
-            for res, d in body.items()
-        }
-        return Basic(demand)
-    if tag == "seq":
-        children = _sequence(body, f"{where}.seq")
-        if not children:
-            raise ConfigError(f"{where}.seq: needs at least one child")
-        return Sequence(*(_parse_eg_node(c, f"{where}.seq[{i}]") for i, c in enumerate(children)))
-    if tag == "branch":
-        arms = _sequence(body, f"{where}.branch")
-        parsed = []
-        for i, arm in enumerate(arms):
-            spot = f"{where}.branch[{i}]"
-            arm = _mapping(arm, spot)
-            _check_keys(arm, ("probability", "node"), spot)
-            if "probability" not in arm or "node" not in arm:
-                raise ConfigError(f"{spot}: needs probability and node")
-            parsed.append(
-                (_number(arm["probability"], f"{spot}.probability"), _parse_eg_node(arm["node"], f"{spot}.node"))
-            )
-        return Branch(*parsed)
-    # loop
-    body = _mapping(body, f"{where}.loop")
-    _check_keys(body, ("count", "body"), f"{where}.loop")
-    if "count" not in body or "body" not in body:
-        raise ConfigError(f"{where}.loop: needs count and body")
-    return Loop(_number(body["count"], f"{where}.loop.count"), _parse_eg_node(body["body"], f"{where}.loop.body"))
-
-
-def _parse_validation(section: dict) -> ValidationSpec:
-    section = _mapping(section, "validation")
-    _check_keys(section, ("scenarios", "resource_map", "decimals"), "validation")
-    raw = _sequence(section.get("scenarios", []), "validation.scenarios")
-    if not raw:
-        raise ConfigError("validation.scenarios: needs at least one scenario")
-    scenarios = []
-    for i, node in enumerate(raw):
-        where = f"validation.scenarios[{i}]"
-        node = _mapping(node, where)
-        _check_keys(node, ("class", "arrival_rate_per_msec", "graph"), where)
-        for part in ("class", "arrival_rate_per_msec", "graph"):
-            if part not in node:
-                raise ConfigError(f"{where}: needs {part!r}")
-        scenarios.append(
-            EgScenario(
-                class_name=_string(node["class"], f"{where}.class"),
-                root=_parse_eg_node(node["graph"], f"{where}.graph"),
-                arrival_rate=_number(node["arrival_rate_per_msec"], f"{where}.arrival_rate_per_msec"),
-            )
-        )
-    resource_map = {
-        _string(c, "validation.resource_map key"): _string(s, f"validation.resource_map[{c}]")
-        for c, s in _mapping(section.get("resource_map", {}), "validation.resource_map").items()
-    }
-    decimals = _integer(section.get("decimals", 2), "validation.decimals")
-    if decimals not in (1, 2):
-        raise ConfigError(f"validation.decimals: expected 1 or 2, got {decimals}")
-    return ValidationSpec(scenarios=tuple(scenarios), resource_map=resource_map, decimals=decimals)
+# sweep and validation checks
 
 
 def _validate_sweep_path(path: str, model_section: dict, antipattern_section: dict | None) -> None:
@@ -515,42 +497,35 @@ def _validate_sweep_path(path: str, model_section: dict, antipattern_section: di
     set or of the antipattern spec; the instance may omit the key (its
     default is then swept)."""
     parts = path.split(".")
-    if len(parts) == 3 and parts[0] == "model" and parts[1] == "params":
+    if len(parts) == 3 and parts[:2] == ["model", "params"]:
         builder = model_section.get("builder")
-        cls = _BUILDER_PARAMS.get(builder)
-        if cls is None:
+        if not isinstance(builder, str) or builder not in _BUILDER_PARAMS:
             raise ConfigError(
                 f"sweep.parameter: {path!r} needs a parameterized builder, "
                 f"but model.builder is {builder!r}"
             )
-        if parts[2] not in {f.name for f in dataclasses.fields(cls)}:
+        if parts[2] not in {f.name for f in dataclasses.fields(_BUILDER_PARAMS[builder])}:
             raise ConfigError(
                 f"sweep.parameter: {path!r} does not resolve "
                 f"({builder} has no parameter {parts[2]!r})"
             )
-        return
-    if len(parts) == 2 and parts[0] == "antipattern":
+    elif len(parts) == 2 and parts[0] == "antipattern":
         if antipattern_section is None:
-            raise ConfigError(
-                f"sweep.parameter: {path!r} does not resolve (no antipattern section)"
-            )
-        names = {f.name for f in dataclasses.fields(antipatterns.AntipatternSpec)}
-        if parts[1] == "kind" or parts[1] not in names:
+            raise ConfigError(f"sweep.parameter: {path!r} does not resolve (no antipattern section)")
+        if parts[1] == "kind" or parts[1] not in {f.name for f in dataclasses.fields(antipatterns.AntipatternSpec)}:
             raise ConfigError(
                 f"sweep.parameter: {path!r} does not resolve "
                 f"(no sweepable antipattern parameter {parts[1]!r})"
             )
-        return
-    raise ConfigError(
-        f"sweep.parameter: {path!r} does not resolve "
-        "(expected model.params.<name> or antipattern.<name>)"
-    )
+    else:
+        raise ConfigError(
+            f"sweep.parameter: {path!r} does not resolve "
+            "(expected model.params.<name> or antipattern.<name>)"
+        )
 
 
 def apply_sweep_value(cfg: "ExperimentConfig", value):
     """Patched (model_section, antipattern_section) pair for one sweep point."""
-    import copy
-
     model_section = copy.deepcopy(cfg.model)
     antipattern_section = copy.deepcopy(cfg.antipattern)
     parts = cfg.sweep_parameter.split(".")
@@ -559,6 +534,21 @@ def apply_sweep_value(cfg: "ExperimentConfig", value):
     else:
         antipattern_section[parts[1]] = value
     return model_section, antipattern_section
+
+
+def _check_validation(spec: ValidationSpec, net: qm.NetworkModel) -> None:
+    """The scenario graphs reduce, and the scenarios pair off with the
+    model's classes, so the validation table cannot fail after the
+    replications have run."""
+    for i, scenario in enumerate(spec.scenarios):
+        try:
+            reduce(scenario.root)
+        except EgError as exc:
+            raise ConfigError(f"validation.scenarios[{i}].graph: {exc}") from exc
+    try:
+        check_scenarios(spec.scenarios, [jc.name for jc in net.classes], spec.resource_map)
+    except EgError as exc:
+        raise ConfigError(f"validation: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -591,26 +581,11 @@ class ExperimentConfig:
 
     def with_overrides(self, *, seed=None, replications=None, horizon=None,
                        warmup=None, outputs=None) -> "ExperimentConfig":
-        cfg = dataclasses.replace(
-            self,
-            **{
-                k: v
-                for k, v in {
-                    "seed": seed,
-                    "replications": replications,
-                    "horizon": horizon,
-                    "warmup": warmup,
-                    "outputs": outputs,
-                }.items()
-                if v is not None
-            },
-        )
+        given = {"seed": seed, "replications": replications, "horizon": horizon,
+                 "warmup": warmup, "outputs": outputs}
+        cfg = dataclasses.replace(self, **{k: v for k, v in given.items() if v is not None})
         _check_run_numbers(cfg.replications, cfg.seed, cfg.horizon, cfg.warmup)
         return cfg
-
-
-_TOP_KEYS = ("schema", "experiment", "model", "antipattern", "sweep", "run", "outputs", "plot", "validation")
-_RUN_KEYS = ("replications", "seed", "horizon_msec", "warmup_msec", "jobs")
 
 
 def _check_run_numbers(replications: int, seed: int, horizon: float, warmup: float) -> None:
@@ -627,99 +602,58 @@ def _check_run_numbers(replications: int, seed: int, horizon: float, warmup: flo
 def parse_config(doc, *, digest: str = "") -> ExperimentConfig:
     """Parse an already-loaded YAML document (a mapping)."""
     doc = _mapping(doc, "config")
-    _check_keys(doc, _TOP_KEYS, "config")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ConfigError(
             f"schema: expected {SCHEMA_VERSION!r}, got {doc.get('schema')!r}"
         )
-    if "experiment" not in doc:
-        raise ConfigError("experiment: a name is required")
-    experiment = _string(doc["experiment"], "experiment")
+    top = _parse_fields(_Document, doc, "")
+    experiment = top.experiment
     if not experiment or any(c in experiment for c in "/\\ \t"):
         raise ConfigError(f"experiment: {experiment!r} must be a non-empty name without slashes or spaces")
-    if "model" not in doc:
-        raise ConfigError("model: section is required")
-
-    model_section = _mapping(doc["model"], "model")
-    antipattern_section = doc.get("antipattern")
-    if antipattern_section is not None:
-        antipattern_section = _mapping(antipattern_section, "antipattern")
-
-    run = _mapping(doc.get("run", {}), "run")
-    _check_keys(run, _RUN_KEYS, "run")
-    if "replications" not in run or "seed" not in run:
-        raise ConfigError("run: replications and seed are required")
-    replications = _integer(run["replications"], "run.replications")
-    seed = _integer(run["seed"], "run.seed")
-    horizon = _number(run.get("horizon_msec", 1e5), "run.horizon_msec")
-    warmup = _number(run.get("warmup_msec", 0.0), "run.warmup_msec")
-    _check_run_numbers(replications, seed, horizon, warmup)
-    jobs = run.get("jobs")
-    if jobs is not None:
-        jobs = _integer(jobs, "run.jobs")
-        if jobs < 1:
-            raise ConfigError(f"run.jobs: must be >= 1, got {jobs}")
-
-    outputs = tuple(doc.get("outputs", ["csv"]))
-    bad = [o for o in outputs if o not in OUTPUT_FORMATS]
-    if bad or not outputs:
+    outputs = top.outputs
+    if any(o not in OUTPUT_FORMATS for o in outputs):
         raise ConfigError(
             f"outputs: expected a non-empty subset of {', '.join(OUTPUT_FORMATS)}; got {list(outputs)!r}"
         )
-
-    sweep_parameter, sweep_values = None, ()
-    if doc.get("sweep") is not None:
-        sweep = _mapping(doc["sweep"], "sweep")
-        _check_keys(sweep, ("parameter", "values"), "sweep")
-        if "parameter" not in sweep or "values" not in sweep:
-            raise ConfigError("sweep: parameter and values are required")
-        sweep_parameter = _string(sweep["parameter"], "sweep.parameter")
-        sweep_values = tuple(_sequence(sweep["values"], "sweep.values"))
-        if not sweep_values:
-            raise ConfigError("sweep.values: must be non-empty")
-        _validate_sweep_path(sweep_parameter, model_section, antipattern_section)
-
-    plot = _parse_plot(doc["plot"]) if doc.get("plot") is not None else None
-    if "svg" in outputs and plot is None:
+    if "svg" in outputs and top.plot is None:
         raise ConfigError("outputs: svg requested but no plot section given")
 
-    validation = _parse_validation(doc["validation"]) if doc.get("validation") is not None else None
-    if validation is not None and sweep_parameter is not None:
-        raise ConfigError("validation: cannot be combined with a sweep")
+    sweep = top.sweep
+    if sweep is not None:
+        _validate_sweep_path(sweep.parameter, top.model, top.antipattern)
+        if top.validation is not None:
+            raise ConfigError("validation: cannot be combined with a sweep")
 
-    # Trial build now: a broken model should fail at parse time, not
-    # mid-experiment, and sweep values must each produce a buildable model.
-    probe_points = sweep_values if sweep_parameter else (None,)
     cfg = ExperimentConfig(
         experiment=experiment,
-        model=model_section,
-        antipattern=antipattern_section,
-        sweep_parameter=sweep_parameter,
-        sweep_values=sweep_values,
-        replications=replications,
-        seed=seed,
-        horizon=horizon,
-        warmup=warmup,
-        jobs=jobs,
+        model=top.model,
+        antipattern=top.antipattern,
+        sweep_parameter=sweep.parameter if sweep else None,
+        sweep_values=sweep.values if sweep else (),
+        replications=top.run.replications,
+        seed=top.run.seed,
+        horizon=top.run.horizon,
+        warmup=top.run.warmup,
+        jobs=top.run.jobs,
         outputs=outputs,
-        plot=plot,
-        validation=validation,
+        plot=top.plot,
+        validation=top.validation,
         config_sha256=digest,
     )
-    for value in probe_points:
-        if sweep_parameter:
-            ms, aps = apply_sweep_value(cfg, value)
-        else:
-            ms, aps = model_section, antipattern_section
+    # Trial build now: a broken model should fail at parse time, not
+    # mid-experiment, and sweep values must each produce a buildable model.
+    for value in cfg.sweep_values if sweep else (None,):
+        sections = apply_sweep_value(cfg, value) if sweep else (cfg.model, cfg.antipattern)
+        spot = f" (sweep {sweep.parameter} = {value!r})" if sweep else ""
         try:
-            net = build_model_from_config(ms, aps)
+            net = build_model_from_config(*sections)
         except ConfigError as exc:
-            spot = f" (sweep {sweep_parameter} = {value!r})" if sweep_parameter else ""
             raise ConfigError(f"{exc}{spot}") from exc
         diags = qm.validate_model(net)
         if diags:
-            spot = f" (sweep {sweep_parameter} = {value!r})" if sweep_parameter else ""
             raise ConfigError("model does not validate" + spot + ":\n  " + "\n  ".join(diags))
+    if cfg.validation is not None:
+        _check_validation(cfg.validation, net)
     return cfg
 
 

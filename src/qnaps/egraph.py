@@ -12,6 +12,8 @@ saturation diagnostic rather than clamped.
 
 build_validation_table() lines these analytic values up against simulated
 estimates class by class, producing the rows the text renderer prints.
+check_scenarios() holds its pairing rules, so the config parser can apply
+them to the model's classes before any replication runs.
 """
 from __future__ import annotations
 
@@ -65,7 +67,7 @@ class Loop:
     """count repetitions of child; fractional counts are expected counts."""
 
     count: float
-    child: object
+    child: EgNode = field(metadata={"key": "body"})  # "key": the config's YAML key
 
     def __post_init__(self):
         if self.count < 0:
@@ -115,9 +117,9 @@ def _accumulate(node, weight: float, out: DemandVector) -> None:
 class EgScenario:
     """One class's execution graph plus its arrival rate (per msec)."""
 
-    class_name: str
-    root: object
-    arrival_rate: float
+    class_name: str = field(metadata={"key": "class"})  # "key": the config's YAML key
+    root: EgNode = field(metadata={"key": "graph"})
+    arrival_rate: float = field(metadata={"key": "arrival_rate_per_msec"})
 
     def __post_init__(self):
         if self.arrival_rate < 0:
@@ -155,6 +157,27 @@ class ValidationRow:
     response_error: float          # percent
 
 
+def check_scenarios(scenarios, classes, resource_map) -> None:
+    """Raise EgError unless the scenarios and the job classes pair off one
+    to one and each scenario places demand on the resource its class is
+    compared on (resource_map: class -> resource)."""
+    eg_classes = [s.class_name for s in scenarios]
+    if len(set(eg_classes)) != len(eg_classes):
+        raise EgError("duplicate scenario class names")
+    missing_qn = [c for c in eg_classes if c not in classes]
+    missing_eg = sorted(set(classes) - set(eg_classes))
+    if missing_qn:
+        raise EgError(f"class present only on the analytic side: {', '.join(missing_qn)}")
+    if missing_eg:
+        raise EgError(f"class present only on the simulated side: {', '.join(missing_eg)}")
+    for scenario in scenarios:
+        cls = scenario.class_name
+        if cls not in resource_map:
+            raise EgError(f"no comparison resource named for class {cls!r}")
+        if resource_map[cls] not in reduce(scenario.root):
+            raise EgError(f"scenario for {cls!r} places no demand on resource {resource_map[cls]!r}")
+
+
 def build_validation_table(scenarios, qn_estimates, resource_map) -> list[ValidationRow]:
     """Join analytic scenarios with simulated estimates class by class.
 
@@ -165,27 +188,12 @@ def build_validation_table(scenarios, qn_estimates, resource_map) -> list[Valida
     """
     from .stats import response_time_error, utilization_error
 
-    qn_classes = {c for (s, c, m) in qn_estimates if s == "system"}
-    eg_classes = [s.class_name for s in scenarios]
-    if len(set(eg_classes)) != len(eg_classes):
-        raise EgError("duplicate scenario class names")
-    missing_qn = [c for c in eg_classes if c not in qn_classes]
-    missing_eg = sorted(qn_classes - set(eg_classes))
-    if missing_qn:
-        raise EgError(f"class present only on the analytic side: {', '.join(missing_qn)}")
-    if missing_eg:
-        raise EgError(f"class present only on the simulated side: {', '.join(missing_eg)}")
-
+    check_scenarios(scenarios, {c for (s, c, m) in qn_estimates if s == "system"}, resource_map)
     rows = []
     for scenario in scenarios:
         cls = scenario.class_name
         metrics = eg_metrics(scenario)
-        try:
-            resource = resource_map[cls]
-        except KeyError:
-            raise EgError(f"no comparison resource named for class {cls!r}") from None
-        if resource not in metrics.utilization:
-            raise EgError(f"scenario for {cls!r} places no demand on resource {resource!r}")
+        resource = resource_map[cls]
         try:
             qn_util = qn_estimates[(resource, cls, "utilization")]
             qn_resp = qn_estimates[("system", cls, "response-time-msec")]

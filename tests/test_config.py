@@ -1,6 +1,9 @@
 """Config schema v1: parsing, distribution encoding, error reporting."""
 
+import copy
 import dataclasses
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -11,16 +14,27 @@ from qnaps.antipatterns import AntipatternSpec
 from qnaps.config import (
     _FIELD_PARSERS,
     ConfigError,
+    PlotSpec,
+    SeriesSpec,
+    ValidationSpec,
+    _Arm,
+    _Document,
+    _InlineModel,
+    _Route,
+    _Run,
+    _Sweep,
     apply_sweep_value,
     build_model_from_config,
     load_config,
     parse_config,
     parse_distribution,
 )
-from qnaps.model import BaselineParams, SensorNetParams, validate_model
+from qnaps.egraph import EgScenario, Loop
+from qnaps.model import BaselineParams, JobClass, SensorNetParams, Station, validate_model
 
 CONFIG_DIR = Path(qnaps.__file__).parent / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.yaml"))
+PIN = Path(__file__).parent / "data" / "config_pin.json"
 
 
 def _minimal(**overrides):
@@ -50,6 +64,68 @@ def test_all_shipped_configs_parse_and_build():
         assert len(cfg.config_sha256) == 64
         net = build_model_from_config(cfg.model, cfg.antipattern)
         assert validate_model(net) == []
+
+
+def pinned_parse(path) -> dict:
+    """repr of the parsed config (plot and validation specs included) and
+    of the model built at each of its sweep points."""
+    cfg = load_config(path)
+    if cfg.sweep_parameter:
+        sections = [apply_sweep_value(cfg, v) for v in cfg.sweep_values]
+    else:
+        sections = [(cfg.model, cfg.antipattern)]
+    return {"config": repr(cfg), "models": [repr(build_model_from_config(*s)) for s in sections]}
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_configs_parse_to_the_pin(path):
+    # tests/data/config_pin.json was frozen from the hand-written section
+    # parsers; the typed parser must give every shipped config the same
+    # ExperimentConfig and the same model at every sweep point
+    frozen = json.loads(PIN.read_text(encoding="utf-8"))[path.stem]
+    assert pinned_parse(path) == frozen
+
+
+INLINE_PINNED = {
+    "open": {
+        "builder": "inline",
+        "name": "two-step",
+        "stations": [
+            {"name": "Source", "kind": "source"},
+            {"name": "Q1", "kind": "fcfs", "servers": 2,
+             "service": {"Jobs": {"kind": "exponential", "mean_msec": 1.0}}},
+            {"name": "Q2", "kind": "fcfs-queue", "capacity": 3,
+             "service": {"Jobs": {"kind": "erlang", "phases": 2, "mean_msec": 0.5}}},
+            {"name": "Sink", "kind": "sink"},
+        ],
+        "classes": [{"name": "Jobs", "arrival": {"kind": "exponential", "rate_per_msec": 0.4}}],
+        "routing": [
+            {"class": "Jobs", "from": "Source", "to": "Q1"},
+            {"class": "Jobs", "from": "Q1", "to": {"Q2": 0.5, "Sink": 0.5}},
+            {"class": "Jobs", "from": "Q2", "to": "Sink"},
+        ],
+    },
+    "closed": {
+        "builder": "inline",
+        "stations": [
+            {"name": "Think", "kind": "delay", "capacity": None,
+             "service": {"Loop": {"kind": "deterministic", "value_msec": 5.0}}},
+            {"name": "Work", "capacity": float("inf"),
+             "service": {"Loop": {"kind": "uniform", "low_msec": 1.0, "high_msec": 2.0}}},
+        ],
+        "classes": [{"name": "Loop", "kind": "closed", "population": 3, "reference": "Think"}],
+        "routing": [
+            {"class": "Loop", "from": "Think", "to": "Work"},
+            {"class": "Loop", "from": "Work", "to": {"Think": 1.0}},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(INLINE_PINNED))
+def test_inline_models_build_to_the_pin(case):
+    frozen = json.loads(PIN.read_text(encoding="utf-8"))["inline"][case]
+    assert repr(build_model_from_config(INLINE_PINNED[case], None)) == frozen
 
 
 def test_distribution_encodings():
@@ -206,8 +282,14 @@ def test_antipattern_section_parsing():
         parse_config(_minimal(antipattern={"kind": "where-was-i", "overheat": 1.0}))
 
 
+SECTIONS = (
+    _Document, _Run, _Sweep, _InlineModel, Station, JobClass, _Route,
+    PlotSpec, SeriesSpec, ValidationSpec, EgScenario, Loop, _Arm,
+)
+
+
 def test_every_parameter_field_has_a_parser():
-    for cls in (BaselineParams, SensorNetParams, AntipatternSpec):
+    for cls in (BaselineParams, SensorNetParams, AntipatternSpec, *SECTIONS):
         for f in dataclasses.fields(cls):
             assert f.type in _FIELD_PARSERS, f"{cls.__name__}.{f.name}: no parser for {f.type!r}"
 
@@ -277,3 +359,197 @@ def test_shipped_configs_stay_in_sync_with_schema():
             for key in ("horizon_msec", "warmup_msec"):
                 if key in doc.get(section, {}):
                     assert isinstance(doc[section][key], (int, float)), (path.name, key)
+
+
+def _edit(doc, change):
+    doc = copy.deepcopy(doc)
+    change(doc)
+    return doc
+
+
+def _inline(change):
+    return _minimal(model=_edit(INLINE_PINNED["open"], change))
+
+
+SCENARIO = {"class": "Analysis", "arrival_rate_per_msec": 0.05, "graph": {"basic": {"Controller": 10.0}}}
+
+
+def _validated(change, model=None):
+    validation = _edit({"resource_map": {"Analysis": "Controller"}, "scenarios": [SCENARIO]}, change)
+    doc = _minimal(validation=validation)
+    if model is not None:
+        doc["model"] = model
+    return doc
+
+
+MALFORMED = {
+    "outputs not a list": (_minimal(outputs=5), "outputs: expected a list, got int"),
+    "outputs a string": (_minimal(outputs="csv"), "outputs: expected a list, got str"),
+    "unhashable reference": (
+        _inline(lambda m: m["classes"][0].update(kind="closed", population=1, reference=["Q1"])),
+        "model.classes[0].reference: expected a string, got ['Q1']",
+    ),
+    "exponential mean 0": (
+        _minimal(model={"builder": "baseline",
+                        "params": {"controller_service": {"kind": "exponential", "mean_msec": 0}}}),
+        "model.params.controller_service.mean_msec: must be positive",
+    ),
+    "routing row without from": (
+        _inline(lambda m: m["routing"][2].pop("from")),
+        "model.routing[2].from: required key is missing",
+    ),
+    "station without name": (
+        _inline(lambda m: m["stations"][1].pop("name")),
+        "model.stations[1].name: required key is missing",
+    ),
+    "routing probability not a number": (
+        _inline(lambda m: m["routing"][1].update(to={"Q2": "half", "Sink": 0.5})),
+        "model.routing[1].to[Q2]: expected a number, got 'half'",
+    ),
+    "inline without routing": (
+        _inline(lambda m: m.pop("routing")),
+        "model.routing: required key is missing",
+    ),
+    "run without seed": (_minimal(run={"replications": 2}), "run.seed: required key is missing"),
+    "series without class": (
+        _minimal(outputs=["svg"], plot={"series": [{"station": "system", "metric": "utilization"}]}),
+        "plot.series[0].class: required key is missing",
+    ),
+    "empty series": (_minimal(plot={"series": []}), "plot.series: must be non-empty"),
+    "loop count not a number": (
+        _validated(lambda v: v["scenarios"][0].update(
+            graph={"loop": {"count": "many", "body": {"basic": {"Controller": 1.0}}}})),
+        "validation.scenarios[0].graph.loop.count: expected a number, got 'many'",
+    ),
+    "loop without body": (
+        _validated(lambda v: v["scenarios"][0].update(graph={"loop": {"count": 2}})),
+        "validation.scenarios[0].graph.loop.body: required key is missing",
+    ),
+    "nan service mean": (
+        _minimal(model={"builder": "baseline",
+                        "params": {"controller_service": {"kind": "exponential", "mean_msec": float("nan")}}}),
+        "model.params.controller_service.mean_msec: expected a number, got nan",
+    ),
+    "nan antipattern parameter": (
+        _minimal(antipattern={"kind": "where-was-i", "overhead": "nan"}),
+        "antipattern.overhead: expected a number, got 'nan'",
+    ),
+    "integer past float range": (
+        _minimal(model={"builder": "baseline", "params": {"arrival_rate": 10**400}}),
+        "model.params.arrival_rate: expected a number, got 1000",
+    ),
+    "unhashable builder with a params sweep": (
+        _minimal(model={"builder": ["baseline"]},
+                 sweep={"parameter": "model.params.arrival_rate", "values": [0.01]}),
+        "sweep.parameter: 'model.params.arrival_rate' needs a parameterized builder, "
+        "but model.builder is ['baseline']",
+    ),
+    "scenario without graph": (
+        _validated(lambda v: v["scenarios"][0].pop("graph")),
+        "validation.scenarios[0].graph: required key is missing",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_sections_are_config_errors_at_their_key_path(case):
+    doc, message = MALFORMED[case]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(doc)
+
+
+def _branch(p, q):
+    return {"branch": [{"probability": p, "node": {"basic": {"Controller": 1.0}}},
+                       {"probability": q, "node": {"basic": {"Environment": 1.0}}}]}
+
+
+UNSOUND_VALIDATION = {
+    "negative arrival rate": (
+        _validated(lambda v: v["scenarios"][0].update(arrival_rate_per_msec=-0.1)),
+        "validation.scenarios[0]: arrival rate must be >= 0 (got -0.1)",
+    ),
+    "negative loop count": (
+        _validated(lambda v: v["scenarios"][0].update(
+            graph={"loop": {"count": -1, "body": {"basic": {"Controller": 1.0}}}})),
+        "validation.scenarios[0].graph.loop: loop count must be >= 0 (got -1.0)",
+    ),
+    "negative demand": (
+        _validated(lambda v: v["scenarios"][0].update(
+            graph={"seq": [{"basic": {"Controller": 1.0}}, {"basic": {"Controller": -1.0}}]})),
+        "validation.scenarios[0].graph.seq[1].basic: negative demand -1.0 on resource 'Controller'",
+    ),
+    "branch sum below 1": (
+        _validated(lambda v: v["scenarios"][0].update(graph=_branch(0.5, 0.4))),
+        "validation.scenarios[0].graph: branch probabilities sum to 0.9, not 1",
+    ),
+    "branch probability above 1": (
+        _validated(lambda v: v["scenarios"][0].update(graph={"seq": [_branch(1.5, -0.5)]})),
+        "validation.scenarios[0].graph: branch probability 1.5 outside [0, 1]",
+    ),
+    "class not in the model": (
+        _validated(lambda v: v["scenarios"][0].update({"class": "Ghost"})),
+        "validation: class present only on the analytic side: Ghost",
+    ),
+    "model class without a scenario": (
+        _validated(lambda v: None, model={"builder": "sensor-net"}),
+        "validation: class present only on the simulated side: Actors, Polling, Status",
+    ),
+    "duplicate scenario": (
+        _validated(lambda v: v["scenarios"].append(SCENARIO)),
+        "validation: duplicate scenario class names",
+    ),
+    "class without a resource": (
+        _validated(lambda v: v.update(resource_map={"Other": "Controller"})),
+        "validation: no comparison resource named for class 'Analysis'",
+    ),
+    "resource without demand": (
+        _validated(lambda v: v.update(resource_map={"Analysis": "Environment"})),
+        "validation: scenario for 'Analysis' places no demand on resource 'Environment'",
+    ),
+    "no resource map": (
+        _validated(lambda v: v.pop("resource_map")),
+        "validation.resource_map: required key is missing",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSOUND_VALIDATION))
+def test_validation_section_is_checked_against_the_model_at_parse_time(case):
+    doc, message = UNSOUND_VALIDATION[case]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(doc)
+
+
+FUZZED = {
+    **{p.stem: yaml.safe_load(p.read_text()) for p in SHIPPED},
+    "inline_open": _minimal(model=INLINE_PINNED["open"]),
+    "inline_closed": _minimal(model=INLINE_PINNED["closed"]),
+    "validated": _validated(lambda v: v["scenarios"][0].update(graph={"seq": [
+        _branch(0.5, 0.5), {"loop": {"count": 2, "body": {"basic": {"Controller": 1.0}}}}]})),
+}
+
+
+def _key_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(FUZZED))
+def test_any_value_at_any_key_parses_or_is_a_config_error(name):
+    # a config a user edits either parses or stops with a ConfigError (CLI
+    # exit 2), never with another exception from deep inside the parser
+    for path in _key_paths(FUZZED[name]):
+        for value in (["x"], {"a": 1}, None, -1, 0, "x", 2.5, True, []):
+            doc = copy.deepcopy(FUZZED[name])
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            try:
+                parse_config(doc)
+            except ConfigError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{'.'.join(map(str, path))} = {value!r}: {exc!r}")

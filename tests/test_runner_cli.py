@@ -161,6 +161,27 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["--config", str(cfg), "--format", "svg"]) == 2  # no plot section
 
 
+def test_cli_malformed_outputs_exit_2(tmp_path, capsys):
+    for outputs, got in ((5, "int"), ("csv", "str")):
+        cfg = _write_config(tmp_path / "bad.yaml", outputs=outputs)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"outputs: expected a list, got {got}" in capsys.readouterr().err
+
+
+def test_cli_unsound_validation_exits_2_before_any_replication(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr("qnaps.runner.run_replication", never)
+    scenario = {"class": "Ghost", "arrival_rate_per_msec": 0.05, "graph": {"basic": {"Controller": 10.0}}}
+    cfg = _write_config(tmp_path / "ghost.yaml",
+                        validation={"resource_map": {"Ghost": "Controller"}, "scenarios": [scenario]})
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+    assert "validation: class present only on the analytic side: Ghost" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_deadlock_exits_3(tmp_path, capsys):
     dead = _write_config(tmp_path / "dead.yaml", experiment="dead", model=DEAD_MODEL)
     out = tmp_path / "o"
@@ -181,7 +202,7 @@ def test_cli_parallel_sweep_deadlock_exits_3_without_running_the_grid(tmp_path, 
         model=DEAD_MODEL,
         antipattern={"kind": "are-we-there-yet", "controller": "Work", "target_class": "Loop"},
         sweep={"parameter": "antipattern.f_poll", "values": [0.0, 0.04]},
-        run={"replications": reps, "seed": 3, "horizon_msec": 500000.0, "warmup_msec": 0.0},
+        run={"replications": reps, "seed": 3, "horizon_msec": 5000000.0, "warmup_msec": 0.0},
     )
     cfg = load_config(dead)
     live = build_model_from_config(*apply_sweep_value(cfg, 0.04))
