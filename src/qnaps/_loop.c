@@ -9,9 +9,10 @@
    statement for statement: every float operation keeps that loop's
    order and grouping, the calendar is a binary heap with heapq's sift
    algorithm keyed on (t, seq), so its array layout (which the closing
-   sweep walks) is the same, and every random value comes from calling
-   the engine's own sampler callables. The kernel module docstring has
-   the build flags this relies on. */
+   sweep walks) is the same, and every random value, arrival times too,
+   comes from the engine's own iterators through tp_iternext, drawn as
+   the loop goes. The kernel module docstring has the build flags this
+   relies on. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -71,8 +72,10 @@ typedef struct {
     PyObject *obj;
     int closed, watched, ref;
     Route entry;
+    PyObject *arrivals;  /* iterator of arrival times, NULL without arrivals */
+    double ta;           /* next arrival time, +inf without arrivals */
     List pending;
-    long long sunk, dropped, rcnt;
+    long long created, sunk, dropped, rcnt;
     double rsum, larea;
 } Class;
 
@@ -91,8 +94,6 @@ typedef struct {
     int njobs, capjobs, free;
     Event *heap;
     Py_ssize_t hlen, hcap;
-    Py_buffer arr_t, arr_c;
-    int have_t, have_c;
 } Engine;
 
 #define AT(E, s, c) ((Py_ssize_t)(s) * (E)->ncl + (c))
@@ -290,6 +291,18 @@ station_index(Engine *E, PyObject *obj, int *out)
     return -1;
 }
 
+/* *out = a new reference to obj, which must be an iterator */
+static int
+read_iterator(PyObject *obj, PyObject **out)
+{
+    if (!PyIter_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "sampler %R is not an iterator", obj);
+        return -1;
+    }
+    *out = Py_NewRef(obj);
+    return 0;
+}
+
 /* a _Job object copied into a new job slot */
 static int
 read_job(Engine *E, PyObject *obj)
@@ -340,10 +353,10 @@ read_route(Engine *E, PyObject *obj, Route *R)
         R->n = 1;
         return station_index(E, obj, &R->to);
     }
-    PyObject *cums, *tos;
-    if (!PyArg_ParseTuple(obj, "O!O!O", &PyTuple_Type, &cums, &PyTuple_Type, &tos, &R->draw))
+    PyObject *cums, *tos, *draw;
+    if (!PyArg_ParseTuple(obj, "O!O!O", &PyTuple_Type, &cums, &PyTuple_Type, &tos, &draw)
+        || read_iterator(draw, &R->draw) < 0)
         return -1;
-    Py_INCREF(R->draw);
     Py_ssize_t n = PyTuple_GET_SIZE(cums);
     if (n < 2 || PyTuple_GET_SIZE(tos) != n) {
         PyErr_SetString(PyExc_ValueError, "malformed routing row");
@@ -414,10 +427,8 @@ read_station(Engine *E, int s)
             if (bad)
                 goto done;
         }
-        if (f != Py_None) {
-            Py_INCREF(f);
-            E->samplers[k] = f;
-        }
+        if (f != Py_None && read_iterator(f, &E->samplers[k]) < 0)
+            goto done;
         if (read_route(E, PyList_GET_ITEM(routes, c), &E->routes[k]) < 0)
             goto done;
     }
@@ -475,16 +486,22 @@ static int
 read_class(Engine *E, int c)
 {
     Class *C = &E->cl[c];
-    PyObject *obj = C->obj, *pending = NULL, *ref = NULL, *entry = NULL;
+    PyObject *obj = C->obj, *pending = NULL, *ref = NULL, *entry = NULL, *arrivals = NULL;
     int rc = -1;
-    if (attr_int(obj, "closed", &C->closed) < 0 || attr_ll(obj, "sunk", &C->sunk) < 0
-        || attr_ll(obj, "dropped", &C->dropped) < 0 || attr_ll(obj, "rcnt", &C->rcnt) < 0
-        || attr_double(obj, "rsum", &C->rsum) < 0 || attr_double(obj, "larea", &C->larea) < 0)
+    if (attr_int(obj, "closed", &C->closed) < 0 || attr_ll(obj, "created", &C->created) < 0
+        || attr_ll(obj, "sunk", &C->sunk) < 0 || attr_ll(obj, "dropped", &C->dropped) < 0
+        || attr_ll(obj, "rcnt", &C->rcnt) < 0 || attr_double(obj, "rsum", &C->rsum) < 0
+        || attr_double(obj, "larea", &C->larea) < 0)
         goto done;
     if ((ref = PyObject_GetAttrString(obj, "ref")) == NULL || station_index(E, ref, &C->ref) < 0)
         goto done;
     if ((entry = PyObject_GetAttrString(obj, "entry_route")) == NULL
         || read_route(E, entry, &C->entry) < 0)
+        goto done;
+    C->ta = INFINITY;
+    if ((arrivals = PyObject_GetAttrString(obj, "arrivals")) == NULL
+        || (arrivals != Py_None
+            && (read_iterator(arrivals, &C->arrivals) < 0 || attr_double(obj, "ta", &C->ta) < 0)))
         goto done;
     if ((pending = PyObject_GetAttrString(obj, "pending")) == NULL)
         goto done;
@@ -496,6 +513,7 @@ done:
     Py_XDECREF(pending);
     Py_XDECREF(ref);
     Py_XDECREF(entry);
+    Py_XDECREF(arrivals);
     return rc;
 }
 
@@ -531,35 +549,6 @@ read_heap(Engine *E, PyObject *heap)
         E->hlen = i + 1;
     }
     return 0;
-}
-
-static int
-read_arrivals(Engine *E, PyObject *engine)
-{
-    PyObject *t = PyObject_GetAttrString(engine, "arr_t");
-    PyObject *c = PyObject_GetAttrString(engine, "arr_c");
-    int rc = -1;
-    if (t == NULL || c == NULL)
-        goto done;
-    if (PyObject_GetBuffer(t, &E->arr_t, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        goto done;
-    E->have_t = 1;
-    if (PyObject_GetBuffer(c, &E->arr_c, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        goto done;
-    E->have_c = 1;
-    if (E->arr_t.itemsize != sizeof(double) || strcmp(E->arr_t.format, "d") != 0
-        || E->arr_c.itemsize != sizeof(long long) || (strcmp(E->arr_c.format, "q") != 0
-                                                      && strcmp(E->arr_c.format, "l") != 0)
-        || E->arr_t.len / E->arr_t.itemsize != E->arr_c.len / E->arr_c.itemsize) {
-        PyErr_SetString(PyExc_TypeError,
-                        "arr_t and arr_c must be float64 and int64 arrays of one length");
-        goto done;
-    }
-    rc = 0;
-done:
-    Py_XDECREF(t);
-    Py_XDECREF(c);
-    return rc;
 }
 
 static int
@@ -605,9 +594,7 @@ read_engine(Engine *E, PyObject *engine, PyObject *stations, PyObject *classes)
         return -1;
     rc = read_heap(E, heap);
     Py_DECREF(heap);
-    if (rc < 0)
-        return -1;
-    return read_arrivals(E, engine);
+    return rc;
 }
 
 static void
@@ -639,12 +626,9 @@ free_engine(Engine *E)
     if (E->cl)
         for (int c = 0; c < E->ncl; c++) {
             Py_XDECREF(E->cl[c].obj);
+            Py_XDECREF(E->cl[c].arrivals);
             free_route(&E->cl[c].entry);
         }
-    if (E->have_t)
-        PyBuffer_Release(&E->arr_t);
-    if (E->have_c)
-        PyBuffer_Release(&E->arr_c);
     PyMem_Free(E->st);
     PyMem_Free(E->cl);
     PyMem_Free(E->cells);
@@ -658,12 +642,17 @@ free_engine(Engine *E)
 /* ------------------------------------------------------------------ */
 /* the event loop */
 
+/* the next value of a sampler iterator; one that runs out raises
+   StopIteration, as next() does in the Python loop */
 static inline int
-draw(PyObject *f, double *out)
+draw(PyObject *it, double *out)
 {
-    PyObject *v = PyObject_CallNoArgs(f);
-    if (v == NULL)
+    PyObject *v = Py_TYPE(it)->tp_iternext(it);
+    if (v == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetNone(PyExc_StopIteration);
         return -1;
+    }
     if (PyFloat_CheckExact(v)) {
         *out = PyFloat_AS_DOUBLE(v);
     } else {
@@ -688,15 +677,23 @@ no_station(Engine *E, int s, int ci)
     return -1;
 }
 
+/* the class with the earliest next arrival, the lowest index on a tie */
+static int
+first_arrival(const Engine *E)
+{
+    int ca = 0;
+    for (int c = 1; c < E->ncl; c++)
+        if (E->cl[c].ta < E->cl[ca].ta)
+            ca = c;
+    return ca;
+}
+
 static int
 run_loop(Engine *E)
 {
     const double horizon = E->horizon, warm = E->warm;
-    const double *arr_t = E->arr_t.buf;
-    const long long *arr_c = E->arr_c.buf;
-    const Py_ssize_t narr = E->arr_t.len / (Py_ssize_t)sizeof(double);
-    Py_ssize_t ai = 0;
-    double ta = narr ? arr_t[0] : INFINITY;
+    int ca = first_arrival(E);
+    double ta = E->ncl ? E->cl[ca].ta : INFINITY;
     unsigned int tick = 0;
 
     for (;;) {
@@ -715,13 +712,13 @@ run_loop(Engine *E)
             if (ta >= horizon)
                 break;
             t = ta;
-            long long c = arr_c[ai++];
-            ta = ai < narr ? arr_t[ai] : INFINITY;
-            if (c < 0 || c >= E->ncl) {
-                PyErr_SetString(PyExc_ValueError, "arrival class index out of range");
+            ci = ca;
+            Class *A = &E->cl[ci];
+            A->created += 1;
+            if (draw(A->arrivals, &A->ta) < 0)
                 return -1;
-            }
-            ci = (int)c;
+            ca = first_arrival(E);
+            ta = E->cl[ca].ta;
             if ((j = job_new(E)) < 0)
                 return -1;
             E->jobs[j].ci = ci;
@@ -982,7 +979,8 @@ write_back(Engine *E, PyObject *engine)
     }
     for (int c = 0; c < E->ncl; c++) {
         Class *C = &E->cl[c];
-        if (set_ll(C->obj, "sunk", C->sunk) < 0 || set_ll(C->obj, "dropped", C->dropped) < 0
+        if (set_ll(C->obj, "created", C->created) < 0 || set_ll(C->obj, "sunk", C->sunk) < 0
+            || set_ll(C->obj, "dropped", C->dropped) < 0
             || set_double(C->obj, "rsum", C->rsum) < 0 || set_ll(C->obj, "rcnt", C->rcnt) < 0
             || set_double(C->obj, "larea", C->larea) < 0)
             return -1;

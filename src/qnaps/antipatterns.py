@@ -50,7 +50,8 @@ class AntipatternSpec:
     Only the group matching kind is read. Times are msec, f_poll is per
     msec. poller_count, check_demand, device_demand, devices, controller
     and target_class are operational knobs with defaults calibrated to the
-    shipped sensor-net model.
+    shipped sensor-net model. The apply functions write their range checks
+    so that a NaN parameter fails them.
     """
 
     kind: str
@@ -138,11 +139,11 @@ def apply_are_we_there_yet(model: NetworkModel, spec: AntipatternSpec) -> tuple[
     detection gate is installed.
     """
     _checked(model, spec, AWTY)
-    if spec.f_poll < 0:
+    if not spec.f_poll >= 0:
         raise TransformError(f"f_poll must be >= 0 (got {spec.f_poll})")
-    if spec.poller_count < 1:
+    if not spec.poller_count >= 1:
         raise TransformError(f"poller_count must be >= 1 (got {spec.poller_count})")
-    if spec.polling_demand <= 0:
+    if not spec.polling_demand > 0:
         raise TransformError(f"polling_demand must be > 0 (got {spec.polling_demand})")
     _require_absent(model, stations=("PollThink",), classes=("Polling",))
     _station(model, spec.controller)
@@ -193,17 +194,17 @@ def apply_is_everything_ok(model: NetworkModel, spec: AntipatternSpec) -> tuple[
     An infinite check_period is the neutral setting: status jobs park.
     """
     _checked(model, spec, IEOK)
-    if spec.n_status < 1:
+    if not spec.n_status >= 1:
         raise TransformError(f"n_status must be >= 1 (got {spec.n_status})")
     if not 0.0 <= spec.p_exc <= 1.0:
         raise TransformError(f"p_exc must be in [0, 1] (got {spec.p_exc})")
-    if spec.check_period <= 0:
+    if not spec.check_period > 0:
         raise TransformError(f"check_period must be > 0 (got {spec.check_period})")
-    if spec.check_demand <= 0:
+    if not spec.check_demand > 0:
         raise TransformError(f"check_demand must be > 0 (got {spec.check_demand})")
-    if spec.device_demand <= 0:
+    if not spec.device_demand > 0:
         raise TransformError(f"device_demand must be > 0 (got {spec.device_demand})")
-    if spec.p_exc > 0 and spec.exception_demand <= 0:
+    if spec.p_exc > 0 and not spec.exception_demand > 0:
         raise TransformError("exception_demand must be > 0 when p_exc > 0")
     _require_absent(model, stations=("StatusThink",), classes=("Status",))
     _station(model, spec.controller)
@@ -271,13 +272,13 @@ def apply_where_was_i(model: NetworkModel, spec: AntipatternSpec) -> tuple[Netwo
     unbounded capacity is the neutral setting.
     """
     _checked(model, spec, WWI)
-    if spec.overhead < 0:
+    if not spec.overhead >= 0:
         raise TransformError(f"overhead must be >= 0 (got {spec.overhead})")
     cap = spec.buffer_capacity
     if cap is not None and math.isinf(cap):
         cap = None
     if cap is not None:
-        if cap != int(cap) or cap < 1:
+        if not cap >= 1 or cap != int(cap):
             raise TransformError(f"buffer_capacity must be a positive integer (got {spec.buffer_capacity})")
         cap = int(cap)
     controller = _station(model, spec.controller)

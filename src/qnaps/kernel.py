@@ -6,16 +6,17 @@ and the triple. Structural edits to a model therefore never disturb the
 draw sequences of untouched streams, which is what makes neutral model
 transforms reproduce baseline runs bit for bit. Each distribution counts
 a fixed number of draws per sample (exponential 1, deterministic 0,
-erlang k, uniform 1; wrappers add their components). Every sampler but a
-mixture's is the __next__ of a C-level iterator. A batched sampler chains
-256-value blocks and takes the raw words for a block from its stream on
-its first call and whenever the previous block runs out, so a sampler
-that has its stream to itself consumes the same raw sequence as drawing
-one value at a time; routing streams, one consumer each, are batched too.
-The closed-class init phase and a mixture's branch uniform take one word
-per value. A mixture's base and extra samplers share its stream and each
-take their own 256-value blocks when they run out, so its values are
-fixed by that refill order, not by a one-value-at-a-time layout.
+erlang k, uniform 1; wrappers add their components). Every sampler is an
+iterator, and all but a mixture's generator are C-level itertools objects.
+A batched sampler chains 256-value blocks and takes the raw words for a
+block from its stream on its first next() and whenever the previous block
+runs out, so a sampler that has its stream to itself consumes the same raw
+sequence as drawing one value at a time; routing streams, one consumer
+each, are batched too. The closed-class init phase and a mixture's branch
+uniform take one word per value. A mixture's base and extra samplers
+share its stream and each take their own 256-value blocks when they run
+out, so its values are fixed by that refill order, not by a
+one-value-at-a-time layout.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -25,13 +26,15 @@ per-job residence times clipped to the window), with jobs still alive at
 the horizon closed out by a final sweep over the calendar, the queues and
 the parked sets. The sweep adds up the calendar in heap-array order, so
 the samples depend on the heap's layout, not only on the order of its
-pops: a heapreplace in place of a pop and a push changes them. External
-arrival processes are pre-drawn per class from their own streams and
-merged with the calendar as the run progresses (ties go to the arrival,
-then to lower class index); calendar events with equal times fire in
-scheduling order. An arrival and a service completion leave through the
-same routing step: sink, cycle close, finite-capacity drop, then fcfs or
-delay entry.
+pops: a heapreplace in place of a pop and a push changes them. Each open
+class's external arrival times are one iterator, a running sum of the
+gaps drawn from its own stream; the loop holds only each class's next
+time and draws the one after when it takes an arrival, so arrivals need
+memory per class, not per job. The earliest next arrival goes first, ties
+going to the lower class index and arrivals winning ties against the
+calendar; calendar events with equal times fire in scheduling order. An
+arrival and a service completion leave through the same routing step:
+sink, cycle close, finite-capacity drop, then fcfs or delay entry.
 
 _Engine.run is one C extension, _loop.c, that continues the engine
 _Engine._build set up in Python; _Engine._run_python is the same loop in
@@ -40,13 +43,13 @@ compiled loop against bit for bit. The two share this contract: every
 float operation is done in the same order and grouping; the calendar is
 a binary heap with heapq's sift algorithm keyed on (t, seq), so its
 array layout, and with it the closing sweep, is the same; and random
-values come only from the samplers _build made. The extension is built
-when this module is imported, with gcc -O2 -ffp-contract=off (no fused
-multiply-add, no -ffast-math; x86-64 does its double arithmetic in SSE2
-registers), into src/qnaps/__pycache__ under a name keyed by the sha256
-of _loop.c and the flags, so an edited source never loads an old
-binary. If it cannot be built or loaded, one warning goes to stderr and
-run() uses the Python loop.
+values come only from the sampler and arrival iterators _build made. The
+extension is built when this module is imported, with gcc -O2
+-ffp-contract=off (no fused multiply-add, no -ffast-math; x86-64 does its
+double arithmetic in SSE2 registers), into src/qnaps/__pycache__ under a
+name keyed by the sha256 of _loop.c and the flags, so an edited source
+never loads an old binary. If it cannot be built or loaded, one warning
+goes to stderr and run() uses the Python loop.
 """
 from __future__ import annotations
 
@@ -60,7 +63,7 @@ import sysconfig
 from collections import deque
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -151,10 +154,10 @@ class RngStream:
         return (int(self.take_block(1)[0]) >> 11) * _INV53
 
     def batched_sampler(self, k: int, transform):
-        """Sampler that hands out transform(u) one value at a time. u holds
-        the uniforms of the next 256*k raw words, taken when the sampler is
-        first called and again each time its 256 values run out; transform
-        maps them to 256 values, each of which counts k draws."""
+        """Iterator that hands out transform(u) one value at a time. u holds
+        the uniforms of the next 256*k raw words, taken on the first next()
+        and again each time its 256 values run out; transform maps them to
+        256 values, each of which counts k draws."""
         slot = [k, iter(())]
         self._open.append(slot)
 
@@ -165,7 +168,7 @@ class RngStream:
                 slot[1] = block = iter(transform(u).tolist())
                 yield block
 
-        return chain.from_iterable(blocks()).__next__
+        return chain.from_iterable(blocks())
 
 
 class RngSpace:
@@ -239,8 +242,8 @@ class _StationRT:
 
 class _ClassRT:
     __slots__ = ("idx", "name", "closed", "population", "ref", "entry_route",
-                 "watcher", "pending", "created", "sunk", "dropped",
-                 "rsum", "rcnt", "larea")
+                 "arrivals", "ta", "watcher", "pending", "created", "sunk",
+                 "dropped", "rsum", "rcnt", "larea")
 
     def __init__(self, idx, name):
         self.idx = idx
@@ -249,6 +252,8 @@ class _ClassRT:
         self.population = 0
         self.ref = None
         self.entry_route = None
+        self.arrivals = None  # iterator of external arrival times, open classes
+        self.ta = _INF        # next external arrival time
         self.watcher = None  # (poller class name, station name) if watched
         self.pending = None  # completed jobs awaiting a detection poll
         self.created = 0
@@ -259,37 +264,17 @@ class _ClassRT:
         self.larea = 0.0     # integral of the in-system job count
 
 
-def _prearrivals(jc, stream, horizon: float):
-    """All external arrival times of a class in [0, horizon), pre-drawn
-    from the class arrival stream."""
-    dist = jc.arrival
-    if dist is None or dist.mean() == _INF:
-        return np.empty(0)
+def _arrival_times(dist, stream):
+    """Iterator of a class's external arrival times: the running sum of
+    the gaps drawn from its arrival stream."""
     if dist.kind == "exponential":
         rate = dist.rate
-        chunks = []
-        total = 0.0
-        target = int(horizon * rate * 1.05) + 64
-        while True:
-            raw = stream.take_block(target)
-            u = (raw >> np.uint64(11)) * _INV53
-            gaps = -np.log1p(-u) / rate
-            stream._draws += target
-            times = total + np.cumsum(gaps)
-            total = float(times[-1])
-            chunks.append(times)
-            if total >= horizon:
-                break
-            target = max(64, int((horizon - total) * rate * 1.2) + 64)
-        times = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        return times[times < horizon]
-    sampler = dist.sampler(stream)
-    out = []
-    t = sampler()
-    while t < horizon:
-        out.append(t)
-        t += sampler()
-    return np.asarray(out, dtype=np.float64)
+        # not Exponential.sampler, which multiplies by 1 / rate: that rounds
+        # differently, and the shipped outputs were made by this division
+        gaps = stream.batched_sampler(1, lambda u: -np.log1p(-u) / rate)
+    else:
+        gaps = dist.sampler(stream)
+    return accumulate(gaps)
 
 
 class _Engine:
@@ -367,6 +352,10 @@ class _Engine:
                 for src in sources:
                     if model.routing.successors(jc.name, src.name) is not None:
                         crt.entry_route = resolve(jc.name, src.name)
+                        if jc.arrival.mean() < _INF:
+                            stream = space.stream(src.name, jc.name, "arrival")
+                            crt.arrivals = _arrival_times(jc.arrival, stream)
+                            crt.ta = next(crt.arrivals)
                         break
             watcher = model.detection.get(jc.name)
             if watcher is not None:
@@ -380,31 +369,6 @@ class _Engine:
                     dst.flush_for[poller_ci] = []
                 dst.flush_for[poller_ci].append(crt)
 
-        # pre-drawn external arrivals, merged across classes
-        times = []
-        cids = []
-        for jc, crt in zip(model.classes, self.classes):
-            if not crt.closed and crt.entry_route is not None:
-                src_name = next(
-                    s.name for s in sources
-                    if model.routing.successors(jc.name, s.name) is not None
-                )
-                tarr = _prearrivals(jc, space.stream(src_name, jc.name, "arrival"), self.horizon)
-                # the loop ends only after taking every arrival before the
-                # horizon, so the flow check also catches one that stops early
-                crt.created = len(tarr)
-                times.append(tarr)
-                cids.append(np.full(len(tarr), crt.idx, dtype=np.int64))
-        if times:
-            tall = np.concatenate(times)
-            call = np.concatenate(cids)
-            order = np.lexsort((call, tall))
-            self.arr_t = tall[order]
-            self.arr_c = call[order]
-        else:
-            self.arr_t = np.empty(0)
-            self.arr_c = np.empty(0, dtype=np.int64)
-
         # inject closed populations at their reference stations at t=0
         for jc, crt in zip(model.classes, self.classes):
             if not crt.closed:
@@ -417,7 +381,7 @@ class _Engine:
                 job.ci = crt.idx
                 if ref.kc == _KC_DELAY:
                     u = init_u()  # random initial phase desynchronizes cycles
-                    think = sampler()
+                    think = next(sampler)
                     if think < _INF:
                         self._push(u * think, job, ref)
                     else:
@@ -426,12 +390,12 @@ class _Engine:
                     # t=0 arrival at an fcfs reference station
                     if ref.busy < ref.servers:
                         ref.busy += 1
-                        self._push(sampler(), job, ref)
+                        self._push(next(sampler), job, ref)
                     else:
                         ref.queue.append(job)
 
     def _check_deadlock(self):
-        if not self.heap and not len(self.arr_t):
+        if not self.heap and all(c.ta >= self.horizon for c in self.classes):
             dead = [c.name for c in self.classes if c.closed]
             if dead:
                 raise DeadlockError(dead)
@@ -453,12 +417,8 @@ class _Engine:
         horizon = self.horizon
         warm = self.warmup
         classes = self.classes
-        arr_t = self.arr_t.tolist()
-        arr_t.append(_INF)
-        arr_c = self.arr_c.tolist()
-        arr_c.append(-1)
-        ai = 0
-        ta = arr_t[0]
+        tas = [c.ta for c in classes]
+        ta = min(tas)
         seq = self.seq
         pool = []
 
@@ -473,16 +433,18 @@ class _Engine:
                 if ta >= horizon:
                     break
                 t = ta
-                ci = arr_c[ai]
-                ai += 1
-                ta = arr_t[ai]
+                ci = tas.index(ta)  # ties go to the lower class index
+                crt = classes[ci]
+                crt.created += 1
+                tas[ci] = next(crt.arrivals)
+                ta = min(tas)
                 if pool:
                     job = pool.pop()
                 else:
                     job = _Job()
                 job.ci = ci
                 job.entered = t
-                nxt = classes[ci].entry_route
+                nxt = crt.entry_route
             else:
                 if t >= horizon:
                     break
@@ -508,7 +470,7 @@ class _Engine:
                         nj = q.popleft()
                         st.busy += 1
                         nj.sstart = t
-                        s = st.samplers[nj.ci]()
+                        s = next(st.samplers[nj.ci])
                         push(heap, (t + s, seq, nj, st))
                         seq += 1
                     if st.flush_for is not None:
@@ -543,7 +505,7 @@ class _Engine:
 
             # route the arriving or departing job to its next station
             if type(nxt) is tuple:
-                u = nxt[2]()
+                u = next(nxt[2])
                 cums = nxt[0]
                 i = 0
                 while cums[i] < u:
@@ -597,7 +559,7 @@ class _Engine:
                 if ns.busy < ns.servers:
                     ns.busy += 1
                     job.sstart = t
-                    s = ns.samplers[ci]()
+                    s = next(ns.samplers[ci])
                     push(heap, (t + s, seq, job, ns))
                     seq += 1
                 else:
@@ -605,7 +567,7 @@ class _Engine:
             else:
                 # delay entry (validation keeps jobs out of sources)
                 job.arrived = t
-                d = ns.samplers[ci]()
+                d = next(ns.samplers[ci])
                 if d < _INF:
                     push(heap, (t + d, seq, job, ns))
                     seq += 1

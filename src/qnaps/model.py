@@ -44,7 +44,7 @@ class Exponential:
 
     def sampler(self, stream):
         if self.rate == 0.0:
-            return repeat(math.inf).__next__
+            return repeat(math.inf)
         scale = 1.0 / self.rate
         return stream.batched_sampler(1, lambda u: -np.log1p(-u) * scale)
 
@@ -62,7 +62,7 @@ class Deterministic:
         return self.value
 
     def sampler(self, stream):
-        return repeat(self.value).__next__
+        return repeat(self.value)
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,7 @@ class Shifted:
 
     def sampler(self, stream):
         # float(): int.__add__ returns NotImplemented for a float value
-        inner = self.base.sampler(stream)
-        return map(float(self.offset).__add__, iter(inner, None)).__next__
+        return map(float(self.offset).__add__, self.base.sampler(stream))
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,14 @@ class Mixture:
         extra = self.extra.sampler(stream)
         p = self.p_extra
 
-        def draw():
-            u = u01()
-            a = base()
-            b = extra()
-            return a + b if u < p else a
+        def draws():
+            while True:
+                u = u01()
+                a = next(base)
+                b = next(extra)
+                yield a + b if u < p else a
 
-        return draw
+        return draws()
 
 
 Distribution = Exponential | Deterministic | Erlang | Uniform | Shifted | Mixture
@@ -249,26 +249,27 @@ def _check_distribution(dist, where: str, allow_inf: bool, arrival: bool) -> lis
 
 
 def _check_parameters(dist, where: str, allow_inf: bool, arrival: bool) -> list[str]:
+    # every range check is written so that a NaN parameter fails it
     out = []
     k = getattr(dist, "kind", None)
     if k == "exponential":
-        if dist.rate < 0 or (dist.rate == 0 and not arrival):
+        if not (dist.rate > 0 or (dist.rate == 0 and arrival)):
             out.append(f"{where}: exponential rate must be > 0 (got {dist.rate})")
     elif k == "deterministic":
-        if dist.value < 0:
+        if not dist.value >= 0:
             out.append(f"{where}: deterministic value must be >= 0")
         if math.isinf(dist.value) and not allow_inf:
             out.append(f"{where}: infinite service time is only allowed at delay stations")
     elif k == "erlang":
-        if dist.phases < 1:
+        if not dist.phases >= 1:
             out.append(f"{where}: erlang phases must be >= 1")
-        if dist.rate <= 0:
+        if not dist.rate > 0:
             out.append(f"{where}: erlang rate must be > 0")
     elif k == "uniform":
-        if dist.low < 0 or dist.high < dist.low:
+        if not 0 <= dist.low <= dist.high:
             out.append(f"{where}: uniform bounds need 0 <= low <= high")
     elif k == "shifted":
-        if dist.offset < 0:
+        if not dist.offset >= 0:
             out.append(f"{where}: shift offset must be >= 0")
         out += _check_parameters(dist.base, where, allow_inf, arrival)
     elif k == "mixture":
@@ -377,10 +378,10 @@ def validate_model(model: NetworkModel) -> list[str]:
                     diags.append(f"class {jc.name}: routing {frm} -> unknown station {to!r}")
                 elif by_name[to].kind == SOURCE:
                     diags.append(f"class {jc.name}: routing {frm} -> {to} enters source station {to}")
-                if p < 0 or p > 1:
+                if not 0 <= p <= 1:
                     diags.append(f"class {jc.name}: routing {frm} -> {to} probability {p} outside [0, 1]")
                 total += p
-            if abs(total - 1.0) > PROB_TOL:
+            if not abs(total - 1.0) <= PROB_TOL:
                 diags.append(f"class {jc.name}: routing row {frm} sums to {total!r}, not 1")
 
         start = _class_start(model, jc)

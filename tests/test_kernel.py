@@ -5,6 +5,12 @@ rules, window edges) with frozen numbers; the stochastic cases check
 reproducibility and stream isolation rather than values.
 """
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,25 +86,25 @@ def test_sampler_draw_accounting():
     s = RngStream(11, "st", "cl", "service")
     exp = Exponential(2.0).sampler(s)
     before = s.draws
-    vals = [exp() for _ in range(10)]
+    vals = [next(exp) for _ in range(10)]
     assert s.draws - before == 10
     assert all(v >= 0 for v in vals)
 
     stream = RngStream(11, "st", "cl", "erl")
     erl = Erlang(3, 1.0).sampler(stream)
-    erl()
+    next(erl)
     assert stream.draws == 3  # one value consumes one draw per phase
 
     zero = Exponential(0.0).sampler(RngStream(11, "st", "cl", "z"))
-    assert zero() == float("inf")
+    assert next(zero) == float("inf")
 
 
 def test_model_samplers_draw_documented_amounts():
     stream = RngStream(5, "s", "c", "service")
     det = Deterministic(4.0).sampler(stream)
-    assert det() == 4.0 and stream.draws == 0
+    assert next(det) == 4.0 and stream.draws == 0
     expo = Exponential(1.0).sampler(stream)
-    expo()
+    next(expo)
     assert stream.draws == 1
 
 
@@ -119,7 +125,7 @@ def test_draws_count_every_value_across_a_refill(dist, k):
     sampler = dist.sampler(stream)
     counts = []
     for _ in range(300):
-        sampler()
+        next(sampler)
         counts.append(stream.draws)
     assert counts == [k * n for n in range(1, 301)]
 
@@ -165,7 +171,7 @@ def test_batched_sampler_matches_the_formula_on_raw_words(dist, k, formula):
     sampler = dist.sampler(RngStream(17, "st", "cl", "service"))
     twin = RngStream(17, "st", "cl", "service")
     want = [v for _ in range(2) for v in formula(_uniforms(twin, 256 * k)).tolist()]
-    assert [sampler() for _ in range(300)] == want[:300]
+    assert [next(sampler) for _ in range(300)] == want[:300]
 
 
 def test_mixture_takes_words_in_refill_order():
@@ -185,7 +191,7 @@ def test_mixture_takes_words_in_refill_order():
             extra = (lo2 + (hi2 - lo2) * _uniforms(twin, 256)).tolist()
         a, b = base.pop(0), extra.pop(0)
         want.append(a + b if u < p else a)
-    assert [sampler() for _ in range(600)] == want
+    assert [next(sampler) for _ in range(600)] == want
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +291,35 @@ def test_flow_check_fires_from_the_engine():
     jobs.sunk -= 1
     with pytest.raises(KernelError, match="flow imbalance for class Jobs"):
         engine._finalize()
+
+
+_HIGH_RATE_CHILD = """
+from _helpers import mm1_model
+from qnaps.kernel import _Engine
+model = mm1_model(lam=100, mu=1000)
+_Engine(model, 1, 1e6, 1e5)
+engine = _Engine(model, 1, 1e4, 1e3)
+engine.run()  # ends in _finalize's flow check
+jobs = engine.classes[0]
+print(jobs.created, jobs.sunk, jobs.dropped)
+"""
+
+
+def test_high_rate_arrivals_build_in_bounded_memory():
+    # 1e8 arrivals over the horizon: drawn as the loop takes them, not up
+    # front, so the engine builds under a 1 GiB address-space cap
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _HIGH_RATE_CHILD], capture_output=True,
+                          text=True, env=env, timeout=120, preexec_fn=cap_memory)
+    assert done.returncode == 0, done.stderr
+    created, sunk, dropped = map(int, done.stdout.split())
+    assert created == pytest.approx(1e6, rel=0.01)
+    assert dropped == 0 and 0 <= created - sunk < 100
 
 
 def test_deadlock_when_nothing_can_ever_happen():

@@ -4,8 +4,11 @@ _Engine._run_python is the executable specification of _Engine.run. The
 differential test runs both on the same engines and requires every
 sample to match bit for bit, every random stream to have handed out the
 same number of draws, and every class to have created, sunk and dropped
-the same jobs. The remaining tests cover the extension's build and
-fallback, and exceptions and signals crossing the C boundary.
+the same jobs. Two pins in tests/data/engine_pin.json, frozen from an
+engine that pre-drew every arrival and merged them with a lexsort, hold
+both loops' lazy arrival merge to it on tied and non-exponential
+arrivals. The remaining tests cover the extension's build and fallback,
+and samplers, exceptions and signals crossing the C boundary.
 """
 
 import json
@@ -14,6 +17,7 @@ import shutil
 import signal
 import time
 from importlib.machinery import EXTENSION_SUFFIXES
+from itertools import accumulate, repeat
 
 import pytest
 
@@ -26,11 +30,15 @@ from qnaps.model import (
     SINK,
     SOURCE,
     Deterministic,
+    Erlang,
     Exponential,
     JobClass,
+    Mixture,
     NetworkModel,
     RoutingTable,
+    Shifted,
     Station,
+    Uniform,
     validate_model,
 )
 
@@ -87,13 +95,43 @@ def tie_model() -> NetworkModel:
     )
 
 
+def arrival_mix_model() -> NetworkModel:
+    """Three open classes feeding one fcfs station of capacity 6, with
+    Erlang arrivals, arrivals that mix a Uniform and a Shifted exponential,
+    and a rate-0 exponential process that never fires."""
+    routing = RoutingTable()
+    for cname in ("E", "M", "Z"):
+        routing.add(cname, "Source", "W")
+        routing.add(cname, "W", "Sink")
+    return NetworkModel(
+        name="arrival-mix",
+        stations=[
+            Station("Source", kind=SOURCE),
+            Station("W", kind=FCFS, capacity=6,
+                    service={c: Exponential(0.6) for c in ("E", "M", "Z")}),
+            Station("Sink", kind=SINK),
+        ],
+        classes=[
+            JobClass("E", "open", arrival=Erlang(3, 0.9)),
+            JobClass("M", "open",
+                     arrival=Mixture(0.3, Uniform(1.0, 5.0), Shifted(0.5, Exponential(0.5)))),
+            JobClass("Z", "open", arrival=Exponential(0.0)),
+        ],
+        routing=routing,
+    )
+
+
 MODELS = {
     **{case: build_model_from_config(m, a) for case, (m, a, _) in CASES.items()},
     "mm1_capacity3": mm1_model(capacity=3),
     "parking": parking_model(),
     "closed_cycle": closed_cycle_model(population=3),
     "ties": tie_model(),
+    "arrival_mix": arrival_mix_model(),
 }
+
+# seeds of the arrival-merge pins in tests/data/engine_pin.json
+ARRIVAL_PINS = {"ties": 61001, "arrival_mix": 62002}
 
 
 def outcome(model, seed, loop):
@@ -104,6 +142,22 @@ def outcome(model, seed, loop):
         {key: s.draws for key, s in engine.space._streams.items()},
         [(c.name, c.created, c.sunk, c.dropped) for c in engine.classes],
     )
+
+
+def pinned_run(name: str, loop: str) -> dict:
+    engine = _Engine(MODELS[name], ARRIVAL_PINS[name], HORIZON, WARMUP)
+    result = getattr(engine, loop)()
+    return {
+        "flow": [[c.name, c.created, c.sunk, c.dropped] for c in engine.classes],
+        "samples": [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples],
+    }
+
+
+@pytest.mark.parametrize("loop", ["run", "_run_python"])
+@pytest.mark.parametrize("name", sorted(ARRIVAL_PINS))
+def test_arrival_merge_is_bit_identical_to_the_pin(name, loop):
+    frozen = json.loads(PIN.read_text(encoding="utf-8"))[name]
+    assert pinned_run(name, loop) == frozen
 
 
 @compiled
@@ -166,33 +220,52 @@ def test_cache_name_follows_the_source_hash(tmp_path):
 
 
 def raising_after(k):
-    calls = []
-
-    def sampler():
-        calls.append(None)
-        if len(calls) > k:
-            raise ValueError(f"sampler broke after {k} values")
-        return 1.0
-
-    return sampler
+    yield from repeat(1.0, k)
+    raise ValueError(f"sampler broke after {k} values")
 
 
-@pytest.mark.parametrize("loop", ["run", "_run_python"])
-@pytest.mark.parametrize("where", ["service", "routing"])
-def test_sampler_exception_comes_out_of_either_loop(loop, where):
-    if loop == "run" and kernel._loop is None:
-        pytest.skip("compiled loop not available")
-    engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
+def break_sampler(engine, where, sampler):
+    """Put sampler in place of the service, routing or arrival sampler
+    of the wwi class that is routed over two actors."""
     station = next(st for st in engine.stations if st.kc == 0 and any(
         type(r) is tuple for r in st.routes))
     ci = next(i for i, r in enumerate(station.routes) if type(r) is tuple)
     if where == "service":
-        station.samplers[ci] = raising_after(50)
-    else:
+        station.samplers[ci] = sampler
+    elif where == "routing":
         cums, sts, _ = station.routes[ci]
-        station.routes[ci] = (cums, sts, raising_after(50))
+        station.routes[ci] = (cums, sts, sampler)
+    else:
+        engine.classes[ci].arrivals = accumulate(sampler)
+
+
+@pytest.mark.parametrize("loop", ["run", "_run_python"])
+@pytest.mark.parametrize("where", ["service", "routing", "arrival"])
+def test_sampler_exception_comes_out_of_either_loop(loop, where):
+    if loop == "run" and kernel._loop is None:
+        pytest.skip("compiled loop not available")
+    engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
+    break_sampler(engine, where, raising_after(50))
     with pytest.raises(ValueError, match="sampler broke after 50 values"):
         getattr(engine, loop)()
+
+
+@pytest.mark.parametrize("loop", ["run", "_run_python"])
+def test_sampler_that_runs_out_stops_either_loop(loop):
+    # the compiled loop turns an iterator's silent end into StopIteration,
+    # as next() does in the Python loop
+    engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
+    break_sampler(engine, "service", repeat(1.0, 50))
+    with pytest.raises(StopIteration):
+        getattr(engine, loop)()
+
+
+@compiled
+def test_compiled_loop_rejects_a_sampler_that_is_not_an_iterator():
+    engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
+    break_sampler(engine, "service", lambda: 1.0)
+    with pytest.raises(TypeError, match="is not an iterator"):
+        engine.run()
 
 
 @compiled

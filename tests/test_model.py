@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qnaps.antipatterns import AWTY, IEOK, WWI, AntipatternSpec, TransformError, apply
 from qnaps.kernel import RngStream
 from qnaps.model import (
     DELAY,
@@ -63,7 +64,7 @@ def test_sample_average_approaches_mean(dist):
     stream = _stream(dist.kind)
     sampler = dist.sampler(stream)
     n = 40000
-    avg = math.fsum(sampler() for _ in range(n)) / n
+    avg = math.fsum(next(sampler) for _ in range(n)) / n
     assert avg == pytest.approx(dist.mean(), rel=0.03)
 
 
@@ -71,18 +72,87 @@ def test_zero_offset_shift_is_bit_identical():
     base = Exponential(0.7)
     a = base.sampler(_stream("a"))
     b = Shifted(0.0, base).sampler(_stream("a"))
-    assert [a() for _ in range(200)] == [b() for _ in range(200)]
+    assert [next(a) for _ in range(200)] == [next(b) for _ in range(200)]
 
 
 def test_erlang_is_sum_of_phases():
     # phases=1 erlang must match the exponential with the same rate
     e1 = Erlang(1, 0.8).sampler(_stream("e"))
     ex = Exponential(0.8).sampler(_stream("e"))
-    assert [e1() for _ in range(100)] == pytest.approx([ex() for _ in range(100)])
+    assert [next(e1) for _ in range(100)] == pytest.approx([next(ex) for _ in range(100)])
 
 
 # ---------------------------------------------------------------------------
 # validation diagnostics
+
+NAN = math.nan
+_SERVICE = "station Controller, class Analysis"
+
+
+def _baseline(**params):
+    return build_baseline(BaselineParams(**params))
+
+
+def _nan_route():
+    model = mm1_model()
+    model.routing.add("Jobs", "Queue", [("Sink", NAN)])
+    return model
+
+
+# parameter -> (model, or (base model, transform spec)), the failure it gets
+NAN_PARAMETERS = {
+    "Exponential.rate": (_baseline(controller_service=Exponential(NAN)),
+                         f"{_SERVICE}: exponential rate must be > 0 (got nan)"),
+    "arrival Exponential.rate": (_baseline(arrival_rate=NAN),
+                                 "class Analysis arrival: exponential rate must be > 0 (got nan)"),
+    "Deterministic.value": (_baseline(environment_delay=Deterministic(NAN)),
+                            "station Environment, class Analysis: deterministic value must be >= 0"),
+    "Erlang.rate": (_baseline(controller_service=Erlang(2, NAN)),
+                    f"{_SERVICE}: erlang rate must be > 0"),
+    "Uniform.low": (_baseline(controller_service=Uniform(NAN, 1.0)),
+                    f"{_SERVICE}: uniform bounds need 0 <= low <= high"),
+    "Uniform.high": (_baseline(controller_service=Uniform(0.5, NAN)),
+                     f"{_SERVICE}: uniform bounds need 0 <= low <= high"),
+    "Shifted.offset": (_baseline(controller_service=Shifted(NAN, Exponential(1.0))),
+                       f"{_SERVICE}: shift offset must be >= 0"),
+    "routing probability": (_nan_route(),
+                            "class Jobs: routing Queue -> Sink probability nan outside [0, 1]"),
+    "routing row sum": (_nan_route(), "class Jobs: routing row Queue sums to nan, not 1"),
+    "f_poll": ((SensorNetParams(include_polling=False), AntipatternSpec(AWTY, f_poll=NAN)),
+               "f_poll must be >= 0 (got nan)"),
+    "polling_demand": ((SensorNetParams(include_polling=False),
+                        AntipatternSpec(AWTY, f_poll=0.01, polling_demand=NAN)),
+                       "polling_demand must be > 0 (got nan)"),
+    "check_period": ((SensorNetParams(include_status=False),
+                      AntipatternSpec(IEOK, check_period=NAN)),
+                     "check_period must be > 0 (got nan)"),
+    "check_demand": ((SensorNetParams(include_status=False),
+                      AntipatternSpec(IEOK, check_period=100.0, check_demand=NAN)),
+                     "check_demand must be > 0 (got nan)"),
+    "device_demand": ((SensorNetParams(include_status=False),
+                       AntipatternSpec(IEOK, check_period=100.0, device_demand=NAN)),
+                      "device_demand must be > 0 (got nan)"),
+    "exception_demand": ((SensorNetParams(include_status=False),
+                          AntipatternSpec(IEOK, check_period=100.0, p_exc=0.5,
+                                          exception_demand=NAN)),
+                         "exception_demand must be > 0 when p_exc > 0"),
+    "overhead": ((SensorNetParams(), AntipatternSpec(WWI, overhead=NAN)),
+                 "overhead must be >= 0 (got nan)"),
+    "buffer_capacity": ((SensorNetParams(), AntipatternSpec(WWI, buffer_capacity=NAN)),
+                        "buffer_capacity must be a positive integer (got nan)"),
+}
+
+
+@pytest.mark.parametrize("parameter", sorted(NAN_PARAMETERS))
+def test_nan_parameters_are_rejected(parameter):
+    setup, message = NAN_PARAMETERS[parameter]
+    if isinstance(setup, NetworkModel):
+        assert message in validate_model(setup)
+    else:
+        params, spec = setup
+        with pytest.raises(TransformError) as err:
+            apply(build_sensor_net(params), spec)
+        assert str(err.value) == message
 
 
 def _diag_contains(model, text):
