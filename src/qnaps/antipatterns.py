@@ -1,13 +1,14 @@
 """Software performance antipattern transformations.
 
-Each transform is a pure function from a validated NetworkModel to a new
-model plus a report of exactly what was added or modified; original
-stations and classes are never removed or renamed. Every transform has a
-neutral parameter setting (polling frequency 0, infinite check period,
-zero overhead with unbounded buffer) under which the transformed model
-simulates bit-identically to its input with the same seed, because added
-classes stay parked and untouched service entries keep their own random
-streams.
+Each antipattern kind has its own frozen parameter set: AreWeThereYet,
+IsEverythingOk and WhereWasI, listed by kind in SPECS. apply(model,
+spec) is a pure function from a validated NetworkModel to a new model;
+original stations and classes are never removed or renamed. Each
+parameter set's defaults are its kind's neutral point (polling frequency
+0, infinite check period, zero overhead with unbounded buffer), under
+which the transformed model simulates bit-identically to its input with
+the same seed, because added classes stay parked and untouched service
+entries keep their own random streams.
 
 A model records which transforms were applied in antipattern_tags; a
 second application of the same transform is rejected rather than silently
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .model import (
-    ALL_CLASSES,
     DELAY,
     SINK,
     Deterministic,
@@ -33,35 +33,30 @@ from .model import (
     validate_model,
 )
 
-AWTY = "are-we-there-yet"
-IEOK = "is-everything-ok"
-WWI = "where-was-i"
-KINDS = (AWTY, IEOK, WWI)
-
 
 class TransformError(ValueError):
     """Bad antipattern parameters or an inapplicable target model."""
 
 
+# Times are msec and f_poll is per msec. poller_count, check_demand,
+# device_demand, devices, controller and target_class are operational
+# knobs with defaults calibrated to the shipped sensor-net model. The
+# range checks are written so that a NaN parameter fails them.
+
+
 @dataclass(frozen=True)
-class AntipatternSpec:
-    """Antipattern selection plus its parameter group.
-
-    Only the group matching kind is read. Times are msec, f_poll is per
-    msec. poller_count, check_demand, device_demand, devices, controller
-    and target_class are operational knobs with defaults calibrated to the
-    shipped sensor-net model. The apply functions write their range checks
-    so that a NaN parameter fails them.
-    """
-
-    kind: str
-
-    # are-we-there-yet
+class AreWeThereYet:
     f_poll: float = 0.0
     polling_demand: float = 4.0
     poller_count: int = 5
+    controller: str = "Controller"
+    target_class: str = "Analysis"
 
-    # is-everything-ok
+    kind = "are-we-there-yet"
+
+
+@dataclass(frozen=True)
+class IsEverythingOk:
     n_status: int = 1
     check_period: float = math.inf
     p_exc: float = 0.0
@@ -69,32 +64,22 @@ class AntipatternSpec:
     check_demand: float = 1.0
     device_demand: float = 0.1
     devices: tuple[str, ...] | None = None  # None: stations named Sensor*
-
-    # where-was-i
-    overhead: float = 0.0
-    buffer_capacity: int | None = None  # None or inf: unbounded
-
-    # shared targets
     controller: str = "Controller"
-    target_class: str = "Analysis"
+
+    kind = "is-everything-ok"
 
 
 @dataclass(frozen=True)
-class TransformReport:
-    added_stations: tuple[str, ...] = ()
-    added_classes: tuple[str, ...] = ()
-    # (station, job class, what changed)
-    modified_service_entries: tuple[tuple[str, str, str], ...] = ()
+class WhereWasI:
+    overhead: float = 0.0
+    buffer_capacity: int | None = None  # None or inf: unbounded
+    controller: str = "Controller"
+    target_class: str = "Analysis"
+
+    kind = "where-was-i"
 
 
-def _checked(model: NetworkModel, spec: AntipatternSpec, kind: str) -> None:
-    if spec.kind != kind:
-        raise TransformError(f"spec kind {spec.kind!r} does not match {kind!r}")
-    if kind in model.antipattern_tags:
-        raise TransformError(f"model already carries the {kind} transform")
-    diags = validate_model(model)
-    if diags:
-        raise TransformError("target model is invalid: " + "; ".join(diags))
+Spec = AreWeThereYet | IsEverythingOk | WhereWasI
 
 
 def _require_absent(model: NetworkModel, stations=(), classes=()) -> None:
@@ -115,8 +100,13 @@ def _station_index(model: NetworkModel, name: str) -> int:
     raise TransformError(f"model has no station named {name!r}")
 
 
-def _station(model: NetworkModel, name: str) -> Station:
-    return model.stations[_station_index(model, name)]
+def _set_service(model: NetworkModel, station: str, job_class: str, dist: Distribution, **changes) -> None:
+    """Give job_class the service dist at station, plus any other station
+    field changes."""
+    i = _station_index(model, station)
+    service = dict(model.stations[i].service)
+    service[job_class] = dist
+    model.stations[i] = replace(model.stations[i], service=service, **changes)
 
 
 def _insert_before_sink(model: NetworkModel, station: Station) -> None:
@@ -126,7 +116,7 @@ def _insert_before_sink(model: NetworkModel, station: Station) -> None:
     model.stations.insert(at, station)
 
 
-def apply_are_we_there_yet(model: NetworkModel, spec: AntipatternSpec) -> tuple[NetworkModel, TransformReport]:
+def _are_we_there_yet(net: NetworkModel, spec: AreWeThereYet) -> str:
     """Add a closed Polling class whose jobs repeatedly ask the controller
     whether watched work has finished.
 
@@ -138,51 +128,31 @@ def apply_are_we_there_yet(model: NetworkModel, spec: AntipatternSpec) -> tuple[
     f_poll. f_poll = 0 is the neutral setting: pollers park forever and no
     detection gate is installed.
     """
-    _checked(model, spec, AWTY)
     if not spec.f_poll >= 0:
         raise TransformError(f"f_poll must be >= 0 (got {spec.f_poll})")
     if not spec.poller_count >= 1:
         raise TransformError(f"poller_count must be >= 1 (got {spec.poller_count})")
     if not spec.polling_demand > 0:
         raise TransformError(f"polling_demand must be > 0 (got {spec.polling_demand})")
-    _require_absent(model, stations=("PollThink",), classes=("Polling",))
-    _station(model, spec.controller)
-
+    _require_absent(net, stations=("PollThink",), classes=("Polling",))
+    _set_service(net, spec.controller, "Polling", Exponential(1.0 / spec.polling_demand))
     active = spec.f_poll > 0
+    if active and spec.target_class not in {c.name for c in net.classes}:
+        raise TransformError(f"model has no class named {spec.target_class!r}")
+
     period = Deterministic(1.0 / spec.f_poll if active else math.inf)
-
-    out = model.clone()
-    ctrl_i = _station_index(out, spec.controller)
-    service = dict(out.stations[ctrl_i].service)
-    service["Polling"] = Exponential(1.0 / spec.polling_demand)
-    out.stations[ctrl_i] = replace(out.stations[ctrl_i], service=service)
-    _insert_before_sink(out, Station("PollThink", kind=DELAY, service={"Polling": period}))
-    out.classes.append(JobClass("Polling", "closed", population=spec.poller_count,
+    _insert_before_sink(net, Station("PollThink", kind=DELAY, service={"Polling": period}))
+    net.classes.append(JobClass("Polling", "closed", population=spec.poller_count,
                                 reference="PollThink"))
-    out.routing.add("Polling", "PollThink", spec.controller)
-    out.routing.add("Polling", spec.controller, "PollThink")
+    net.routing.add("Polling", "PollThink", spec.controller)
+    net.routing.add("Polling", spec.controller, "PollThink")
     if active:
-        if spec.target_class not in {c.name for c in model.classes}:
-            raise TransformError(f"model has no class named {spec.target_class!r}")
-        out.detection[spec.target_class] = ("Polling", spec.controller)
-    out.antipattern_tags = model.antipattern_tags + (AWTY,)
-    out.description = (model.description + "; " if model.description else "") + (
-        f"{AWTY}: f_poll={spec.f_poll}/msec, demand={spec.polling_demand} msec, "
-        f"{spec.poller_count} pollers"
-    )
-
-    report = TransformReport(
-        added_stations=("PollThink",),
-        added_classes=("Polling",),
-        modified_service_entries=(
-            (spec.controller, "Polling",
-             f"service entry added (exponential, mean {spec.polling_demand} msec)"),
-        ),
-    )
-    return out, report
+        net.detection[spec.target_class] = ("Polling", spec.controller)
+    return (f"f_poll={spec.f_poll}/msec, demand={spec.polling_demand} msec, "
+            f"{spec.poller_count} pollers")
 
 
-def apply_is_everything_ok(model: NetworkModel, spec: AntipatternSpec) -> tuple[NetworkModel, TransformReport]:
+def _is_everything_ok(net: NetworkModel, spec: IsEverythingOk) -> str:
     """Add a closed Status class that periodically checks every device.
 
     Status jobs cycle StatusThink (check_period) -> controller
@@ -193,7 +163,6 @@ def apply_is_everything_ok(model: NetworkModel, spec: AntipatternSpec) -> tuple[
     entry per station (total cycle demand matches the described behavior).
     An infinite check_period is the neutral setting: status jobs park.
     """
-    _checked(model, spec, IEOK)
     if not spec.n_status >= 1:
         raise TransformError(f"n_status must be >= 1 (got {spec.n_status})")
     if not 0.0 <= spec.p_exc <= 1.0:
@@ -206,62 +175,32 @@ def apply_is_everything_ok(model: NetworkModel, spec: AntipatternSpec) -> tuple[
         raise TransformError(f"device_demand must be > 0 (got {spec.device_demand})")
     if spec.p_exc > 0 and not spec.exception_demand > 0:
         raise TransformError("exception_demand must be > 0 when p_exc > 0")
-    _require_absent(model, stations=("StatusThink",), classes=("Status",))
-    _station(model, spec.controller)
-
-    if spec.devices is None:
-        devices = tuple(s.name for s in model.stations if s.name.startswith("Sensor"))
-    else:
-        devices = tuple(spec.devices)
-        for d in devices:
-            _station(model, d)
-    if not devices:
-        raise TransformError("no checked devices: pass devices or add Sensor* stations")
+    _require_absent(net, stations=("StatusThink",), classes=("Status",))
 
     check: Distribution = Exponential(1.0 / spec.check_demand)
     if spec.p_exc > 0:
         check = Mixture(spec.p_exc, check, Exponential(1.0 / spec.exception_demand))
-
-    out = model.clone()
-    modified = []
-    ctrl_i = _station_index(out, spec.controller)
-    service = dict(out.stations[ctrl_i].service)
-    service["Status"] = check
-    out.stations[ctrl_i] = replace(out.stations[ctrl_i], service=service)
-    note = f"service entry added (exponential check, mean {spec.check_demand} msec"
-    if spec.p_exc > 0:
-        note += f"; exception demand mean {spec.exception_demand} msec folded in with probability {spec.p_exc}"
-    modified.append((spec.controller, "Status", note + ")"))
+    _set_service(net, spec.controller, "Status", check)
+    devices = spec.devices
+    if devices is None:
+        devices = tuple(s.name for s in net.stations if s.name.startswith("Sensor"))
+    if not devices:
+        raise TransformError("no checked devices: pass devices or add Sensor* stations")
     for d in devices:
-        di = _station_index(out, d)
-        dsvc = dict(out.stations[di].service)
-        dsvc["Status"] = Exponential(1.0 / spec.device_demand)
-        out.stations[di] = replace(out.stations[di], service=dsvc)
-        modified.append((d, "Status",
-                         f"service entry added (exponential, mean {spec.device_demand} msec)"))
-    _insert_before_sink(out, Station("StatusThink", kind=DELAY,
+        _set_service(net, d, "Status", Exponential(1.0 / spec.device_demand))
+    _insert_before_sink(net, Station("StatusThink", kind=DELAY,
                                      service={"Status": Deterministic(spec.check_period)}))
-    out.classes.append(JobClass("Status", "closed", population=spec.n_status,
+    net.classes.append(JobClass("Status", "closed", population=spec.n_status,
                                 reference="StatusThink"))
-    out.routing.add("Status", "StatusThink", spec.controller)
+    net.routing.add("Status", "StatusThink", spec.controller)
     chain = list(devices) + ["StatusThink"]
-    out.routing.add("Status", spec.controller, chain[0])
+    net.routing.add("Status", spec.controller, chain[0])
     for here, nxt in zip(devices, chain[1:]):
-        out.routing.add("Status", here, nxt)
-    out.antipattern_tags = model.antipattern_tags + (IEOK,)
-    out.description = (model.description + "; " if model.description else "") + (
-        f"{IEOK}: n_status={spec.n_status}, period={spec.check_period} msec, p_exc={spec.p_exc}"
-    )
-
-    report = TransformReport(
-        added_stations=("StatusThink",),
-        added_classes=("Status",),
-        modified_service_entries=tuple(modified),
-    )
-    return out, report
+        net.routing.add("Status", here, nxt)
+    return f"n_status={spec.n_status}, period={spec.check_period} msec, p_exc={spec.p_exc}"
 
 
-def apply_where_was_i(model: NetworkModel, spec: AntipatternSpec) -> tuple[NetworkModel, TransformReport]:
+def _where_was_i(net: NetworkModel, spec: WhereWasI) -> str:
     """Charge the controller a save-restore prefix for the analysed
     workload and bound its waiting room.
 
@@ -271,7 +210,6 @@ def apply_where_was_i(model: NetworkModel, spec: AntipatternSpec) -> tuple[Netwo
     are dropped and show up in the dropped-data metrics. overhead = 0 with
     unbounded capacity is the neutral setting.
     """
-    _checked(model, spec, WWI)
     if not spec.overhead >= 0:
         raise TransformError(f"overhead must be >= 0 (got {spec.overhead})")
     cap = spec.buffer_capacity
@@ -281,7 +219,7 @@ def apply_where_was_i(model: NetworkModel, spec: AntipatternSpec) -> tuple[Netwo
         if not cap >= 1 or cap != int(cap):
             raise TransformError(f"buffer_capacity must be a positive integer (got {spec.buffer_capacity})")
         cap = int(cap)
-    controller = _station(model, spec.controller)
+    controller = net.stations[_station_index(net, spec.controller)]
     if spec.target_class not in controller.service:
         raise TransformError(
             f"station {spec.controller!r} has no service entry for class {spec.target_class!r}"
@@ -289,46 +227,33 @@ def apply_where_was_i(model: NetworkModel, spec: AntipatternSpec) -> tuple[Netwo
     if controller.capacity is not None and cap is not None:
         raise TransformError(f"station {spec.controller!r} already has a finite capacity")
 
-    out = model.clone()
-    modified = []
-    ctrl_i = _station_index(out, spec.controller)
-    service = dict(out.stations[ctrl_i].service)
     # a zero offset wraps to a distribution that samples bit-identically
-    service[spec.target_class] = Shifted(spec.overhead, service[spec.target_class])
-    out.stations[ctrl_i] = replace(
-        out.stations[ctrl_i],
-        service=service,
-        capacity=cap if cap is not None else out.stations[ctrl_i].capacity,
-    )
-    modified.append((spec.controller, spec.target_class,
-                     f"service prefixed with {spec.overhead} msec save-restore overhead"))
-    if cap is not None:
-        modified.append((spec.controller, ALL_CLASSES,
-                         f"waiting room capped at {cap} (waiting plus in service)"))
-    out.antipattern_tags = model.antipattern_tags + (WWI,)
-    out.description = (model.description + "; " if model.description else "") + (
-        f"{WWI}: overhead={spec.overhead} msec, capacity={'unbounded' if cap is None else cap}"
-    )
-
-    report = TransformReport(
-        added_stations=(),
-        added_classes=(),
-        modified_service_entries=tuple(modified),
-    )
-    return out, report
+    _set_service(net, spec.controller, spec.target_class,
+                 Shifted(spec.overhead, controller.service[spec.target_class]),
+                 capacity=controller.capacity if cap is None else cap)
+    return f"overhead={spec.overhead} msec, capacity={'unbounded' if cap is None else cap}"
 
 
 _APPLIERS = {
-    AWTY: apply_are_we_there_yet,
-    IEOK: apply_is_everything_ok,
-    WWI: apply_where_was_i,
+    AreWeThereYet: _are_we_there_yet,
+    IsEverythingOk: _is_everything_ok,
+    WhereWasI: _where_was_i,
 }
 
+# kind -> its parameter set
+SPECS = {cls.kind: cls for cls in _APPLIERS}
 
-def apply(model: NetworkModel, spec: AntipatternSpec) -> tuple[NetworkModel, TransformReport]:
-    """Dispatch on spec.kind."""
-    try:
-        fn = _APPLIERS[spec.kind]
-    except KeyError:
-        raise TransformError(f"unknown antipattern kind {spec.kind!r}") from None
-    return fn(model, spec)
+
+def apply(model: NetworkModel, spec: Spec) -> NetworkModel:
+    """model with the antipattern spec describes added, tagged with its
+    kind and noted in its description; model itself is left unchanged."""
+    if spec.kind in model.antipattern_tags:
+        raise TransformError(f"model already carries the {spec.kind} transform")
+    diags = validate_model(model)
+    if diags:
+        raise TransformError("target model is invalid: " + "; ".join(diags))
+    out = model.clone()
+    note = _APPLIERS[type(spec)](out, spec)
+    out.antipattern_tags = model.antipattern_tags + (spec.kind,)
+    out.description = (model.description + "; " if model.description else "") + f"{spec.kind}: {note}"
+    return out

@@ -11,15 +11,17 @@ The schema is a set of dataclasses, one per section: _Document (the top
 level), _Run, _Sweep, _InlineModel with model.Station, model.JobClass
 and _Route, PlotSpec with SeriesSpec, ValidationSpec with
 egraph.EgScenario, egraph.Loop and _Arm, the builder parameter sets and
-antipatterns.AntipatternSpec. Each field is one YAML key; a field with
-no default is required, and its annotation picks its parser in
-_FIELD_PARSERS. Every section is closed (unknown keys are errors), every
-list must be non-empty, and every error names the full key path, such
-as ``model.routing[2].from``. Where a YAML key differs from the field
-name, the field's metadata names it: ``class`` (job_class; class_name in
-scenarios), ``from`` (frm), ``arrival_rate_per_msec`` (arrival_rate),
-``graph`` (root), ``body`` (a loop's child), ``horizon_msec`` and
-``warmup_msec`` (horizon and warmup).
+the antipattern parameter sets, one per kind in antipatterns.SPECS (the
+``kind`` key picks the set; a key of another kind is unknown). Each
+field is one YAML key; a field with no default is required, and its
+annotation picks its parser in _FIELD_PARSERS. Every section is closed
+(unknown keys are errors), every list must be non-empty, and every error
+names the full key path, such as ``model.routing[2].from``. Where a
+YAML key differs from the field name, the field's metadata names it:
+``class`` (job_class; class_name in scenarios), ``from`` (frm),
+``arrival_rate_per_msec`` (arrival_rate), ``graph`` (root), ``body`` (a
+loop's child), ``horizon_msec`` and ``warmup_msec`` (horizon and
+warmup).
 
 Schema v1, top level::
 
@@ -49,7 +51,8 @@ Sweep parameter paths resolve against the schema, not the instance: a
 path like ``model.params.status_population`` is valid whenever the
 builder has that field, even if the config omits it (the default would
 be swept over). Valid roots are ``model.params.<field>`` and
-``antipattern.<field>``; anything else is rejected by name.
+``antipattern.<field>``, a field of the section's kind; anything else is
+rejected by name.
 
 A validation section is checked against the model before any
 replication runs: every scenario graph must reduce, the scenarios and
@@ -365,8 +368,8 @@ def _parse_eg_node(node, where: str):
 
 
 # Parser for each field annotation of the section dataclasses, the builder
-# parameter sets and the antipattern spec. ``int | None`` is an optional
-# bound: null or an infinite number means unbounded.
+# parameter sets and the antipattern parameter sets. ``int | None`` is an
+# optional bound: null or an infinite number means unbounded.
 _FIELD_PARSERS = {
     "bool": _boolean,
     "int": _integer,
@@ -446,14 +449,24 @@ def _build_inline(spec: _InlineModel) -> qm.NetworkModel:
     )
 
 
-def parse_antipattern(section: dict) -> antipatterns.AntipatternSpec:
-    spec = _parse_fields(antipatterns.AntipatternSpec, section, "antipattern")
-    if spec.kind not in antipatterns.KINDS:
+def _spec_class(section) -> type:
+    """The parameter set of the antipattern kind section names."""
+    section = _mapping(section, "antipattern")
+    if "kind" not in section:
+        raise ConfigError("antipattern.kind: required key is missing")
+    kind = _string(section["kind"], "antipattern.kind")
+    if kind not in antipatterns.SPECS:
         raise ConfigError(
-            f"antipattern.kind: unknown kind {spec.kind!r} "
-            f"(expected one of {', '.join(antipatterns.KINDS)})"
+            f"antipattern.kind: unknown kind {kind!r} "
+            f"(expected one of {', '.join(antipatterns.SPECS)})"
         )
-    return spec
+    return antipatterns.SPECS[kind]
+
+
+def parse_antipattern(section: dict) -> antipatterns.Spec:
+    spec_class = _spec_class(section)
+    params = {key: value for key, value in section.items() if key != "kind"}
+    return _parse_fields(spec_class, params, "antipattern")
 
 
 def build_model_from_config(model_section: dict, antipattern_section: dict | None) -> qm.NetworkModel:
@@ -482,7 +495,7 @@ def build_model_from_config(model_section: dict, antipattern_section: dict | Non
     if antipattern_section is not None:
         spec = parse_antipattern(antipattern_section)
         try:
-            net, _report = antipatterns.apply(net, spec)
+            net = antipatterns.apply(net, spec)
         except antipatterns.TransformError as exc:
             raise ConfigError(f"antipattern: {exc}") from exc
     return net
@@ -494,8 +507,8 @@ def build_model_from_config(model_section: dict, antipattern_section: dict | Non
 
 def _validate_sweep_path(path: str, model_section: dict, antipattern_section: dict | None) -> None:
     """A sweep path must name a known field of the builder's parameter
-    set or of the antipattern spec; the instance may omit the key (its
-    default is then swept)."""
+    set or of the antipattern kind's parameter set; the instance may omit
+    the key (its default is then swept)."""
     parts = path.split(".")
     if len(parts) == 3 and parts[:2] == ["model", "params"]:
         builder = model_section.get("builder")
@@ -512,10 +525,11 @@ def _validate_sweep_path(path: str, model_section: dict, antipattern_section: di
     elif len(parts) == 2 and parts[0] == "antipattern":
         if antipattern_section is None:
             raise ConfigError(f"sweep.parameter: {path!r} does not resolve (no antipattern section)")
-        if parts[1] == "kind" or parts[1] not in {f.name for f in dataclasses.fields(antipatterns.AntipatternSpec)}:
+        spec_class = _spec_class(antipattern_section)
+        if parts[1] not in {f.name for f in dataclasses.fields(spec_class)}:
             raise ConfigError(
                 f"sweep.parameter: {path!r} does not resolve "
-                f"(no sweepable antipattern parameter {parts[1]!r})"
+                f"({spec_class.kind} has no parameter {parts[1]!r})"
             )
     else:
         raise ConfigError(

@@ -266,8 +266,9 @@ class _ClassRT:
 
 def _arrival_times(dist, stream):
     """Iterator of a class's external arrival times: the running sum of
-    the gaps drawn from its arrival stream."""
-    if dist.kind == "exponential":
+    the gaps drawn from its arrival stream. The first infinite gap (a
+    rate-0 exponential, or an infinite part of a mixture) ends them."""
+    if dist.kind == "exponential" and dist.rate > 0:
         rate = dist.rate
         # not Exponential.sampler, which multiplies by 1 / rate: that rounds
         # differently, and the shipped outputs were made by this division
@@ -352,10 +353,9 @@ class _Engine:
                 for src in sources:
                     if model.routing.successors(jc.name, src.name) is not None:
                         crt.entry_route = resolve(jc.name, src.name)
-                        if jc.arrival.mean() < _INF:
-                            stream = space.stream(src.name, jc.name, "arrival")
-                            crt.arrivals = _arrival_times(jc.arrival, stream)
-                            crt.ta = next(crt.arrivals)
+                        stream = space.stream(src.name, jc.name, "arrival")
+                        crt.arrivals = _arrival_times(jc.arrival, stream)
+                        crt.ta = next(crt.arrivals)
                         break
             watcher = model.detection.get(jc.name)
             if watcher is not None:

@@ -9,6 +9,7 @@ tautology.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from qnaps.egraph import Basic, Branch, Loop, Sequence
 from qnaps.kernel import run_replication
@@ -20,6 +21,7 @@ from qnaps.model import (
     Deterministic,
     Exponential,
     JobClass,
+    Mixture,
     NetworkModel,
     RoutingTable,
     Station,
@@ -44,6 +46,16 @@ def mm1_model(lam: float = 0.8, mu: float = 1.0, capacity: int | None = None) ->
         classes=[JobClass("Jobs", "open", arrival=Exponential(lam))],
         routing=routing,
     )
+
+
+def stopping_arrivals_model() -> NetworkModel:
+    """mm1_model whose arrival gap is infinite with probability 0.01: the
+    arrival mean is infinite only through a part, so the class takes
+    about 100 arrivals and then none."""
+    model = mm1_model()
+    model.classes[0] = replace(model.classes[0],
+                               arrival=Mixture(0.01, Exponential(0.8), Exponential(0.0)))
+    return model
 
 
 def open_trap_model() -> NetworkModel:

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qnaps.antipatterns import AWTY, IEOK, WWI, AntipatternSpec, apply
+from qnaps.antipatterns import SPECS, WhereWasI, apply
 from qnaps.config import load_config
 from qnaps.egraph import reduce as eg_reduce
 from qnaps.kernel import run_replication
@@ -112,7 +112,7 @@ def test_criterion_02_finite_buffer_drop_probability():
         arrival_rate=0.5, controller_service=Exponential(1.0),
         environment_delay=None,
     ))
-    model, _ = apply(base, AntipatternSpec(WWI, overhead=0.0, buffer_capacity=3))
+    model = apply(base, WhereWasI(overhead=0.0, buffer_capacity=3))
     t0 = time.perf_counter()
     window = HORIZON - WARMUP
     drops = served = 0.0
@@ -185,20 +185,14 @@ def test_criterion_04_validation_table_numerics():
 
 
 def test_criterion_05_neutral_transforms_are_bit_identical():
-    cases = [
-        (build_sensor_net(SensorNetParams(include_polling=False)),
-         AntipatternSpec(AWTY, f_poll=0.0)),
-        (build_sensor_net(SensorNetParams(include_status=False)),
-         AntipatternSpec(IEOK, check_period=float("inf"))),
-        (build_sensor_net(SensorNetParams()),
-         AntipatternSpec(WWI, overhead=0.0, buffer_capacity=None)),
-    ]
-    for base, spec in cases:
-        transformed, _ = apply(base.clone(), spec)
-        before = run_replication(base, seed=7, horizon=30000.0, warmup=3000.0).table()
+    # every kind at its defaults, on a net none of the transforms collides with
+    base = build_sensor_net(SensorNetParams(include_polling=False, include_status=False))
+    before = run_replication(base, seed=7, horizon=30000.0, warmup=3000.0).table()
+    for spec_class in SPECS.values():
+        transformed = apply(base, spec_class())
         after = run_replication(transformed, seed=7, horizon=30000.0, warmup=3000.0).table()
         diffs = [k for k in before if before[k] != after.get(k)]
-        assert not diffs, f"{spec.kind}: changed {len(diffs)} metrics, e.g. {diffs[:3]}"
+        assert not diffs, f"{spec_class.kind}: changed {len(diffs)} metrics, e.g. {diffs[:3]}"
 
 
 # ---------------------------------------------------------------------------

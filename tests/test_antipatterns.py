@@ -9,12 +9,11 @@ neutral point measure the plumbing instead of the antipattern.
 import pytest
 
 from qnaps.antipatterns import (
-    AWTY,
-    IEOK,
-    KINDS,
-    WWI,
-    AntipatternSpec,
+    SPECS,
+    AreWeThereYet,
+    IsEverythingOk,
     TransformError,
+    WhereWasI,
     apply,
 )
 from qnaps.kernel import run_replication
@@ -40,28 +39,35 @@ def _assert_neutral(base_model, transformed_model):
 # neutrality (bit-identical at the neutral parameter point)
 
 
+@pytest.mark.parametrize("spec_class", SPECS.values(), ids=lambda cls: cls.kind)
+def test_defaults_are_the_neutral_point(spec_class):
+    # a sensor net with none of the transforms' stations or classes, so
+    # every kind applies to it
+    base = build_sensor_net(SensorNetParams(include_polling=False, include_status=False))
+    _assert_neutral(base, apply(base, spec_class()))
+
+
 def test_awty_neutral_at_zero_poll_rate():
     base = build_sensor_net(SensorNetParams(include_polling=False))
-    transformed, report = apply(base.clone(), AntipatternSpec(AWTY, f_poll=0.0))
-    assert "PollThink" in report.added_stations and "Polling" in report.added_classes
+    transformed = apply(base.clone(), AreWeThereYet(f_poll=0.0))
+    assert transformed.station_names() == base.station_names()[:-1] + ["PollThink", "Sink"]
+    assert [c.name for c in transformed.classes] == [c.name for c in base.classes] + ["Polling"]
     assert transformed.detection == {}  # no watch without actual polling
     _assert_neutral(base, transformed)
 
 
 def test_ieok_neutral_at_infinite_check_period():
     base = build_sensor_net(SensorNetParams(include_status=False))
-    transformed, _ = apply(
-        base.clone(), AntipatternSpec(IEOK, check_period=float("inf"))
-    )
+    transformed = apply(base.clone(), IsEverythingOk(check_period=float("inf")))
+    assert transformed.station("StatusThink").service["Status"].mean() == float("inf")
     _assert_neutral(base, transformed)
 
 
 def test_wwi_neutral_at_zero_overhead_unbounded_buffer():
     base = build_sensor_net(SensorNetParams())
-    transformed, report = apply(
-        base.clone(), AntipatternSpec(WWI, overhead=0.0, buffer_capacity=None)
-    )
-    assert report.added_stations == () and report.added_classes == ()
+    transformed = apply(base.clone(), WhereWasI(overhead=0.0, buffer_capacity=None))
+    assert transformed.station_names() == base.station_names()
+    assert transformed.classes == base.classes
     _assert_neutral(base, transformed)
 
 
@@ -71,9 +77,7 @@ def test_wwi_neutral_at_zero_overhead_unbounded_buffer():
 
 def test_awty_structure_and_detection_gate():
     base = build_sensor_net(SensorNetParams(include_polling=False))
-    transformed, _ = apply(
-        base.clone(), AntipatternSpec(AWTY, f_poll=0.02, poller_count=4, polling_demand=3.0)
-    )
+    transformed = apply(base.clone(), AreWeThereYet(f_poll=0.02, poller_count=4, polling_demand=3.0))
     assert transformed.detection == {"Analysis": ("Polling", "Controller")}
     polling = transformed.job_class("Polling")
     assert polling.kind == "closed" and polling.population == 4
@@ -81,14 +85,13 @@ def test_awty_structure_and_detection_gate():
     assert think.service["Polling"].mean() == pytest.approx(50.0)  # 1 / f_poll
     ctrl = transformed.station("Controller")
     assert ctrl.service["Polling"].mean() == pytest.approx(3.0)
-    assert AWTY in transformed.antipattern_tags
+    assert transformed.antipattern_tags == ("are-we-there-yet",)
 
 
 def test_ieok_structure_devices_and_exceptions():
     base = build_sensor_net(SensorNetParams(sensor_count=2, include_status=False))
-    transformed, report = apply(
-        base.clone(),
-        AntipatternSpec(IEOK, n_status=3, check_period=100.0, p_exc=0.25, exception_demand=2.0),
+    transformed = apply(
+        base.clone(), IsEverythingOk(n_status=3, check_period=100.0, p_exc=0.25, exception_demand=2.0)
     )
     status = transformed.job_class("Status")
     assert status.population == 3
@@ -100,28 +103,28 @@ def test_ieok_structure_devices_and_exceptions():
     ctrl_service = transformed.station("Controller").service["Status"]
     assert ctrl_service.kind == "mixture"
     assert ctrl_service.mean() == pytest.approx(1.0 + 0.25 * 2.0)
-    assert ("StatusThink",) == report.added_stations
+    assert set(transformed.station_names()) - set(base.station_names()) == {"StatusThink"}
+    # every checked device gets a Status service entry
+    for device in ("Sensor1", "Sensor2"):
+        assert transformed.station(device).service["Status"].mean() == pytest.approx(0.1)
 
 
 def test_ieok_explicit_device_list():
     base = build_sensor_net(SensorNetParams(include_status=False))
-    transformed, _ = apply(
-        base.clone(), AntipatternSpec(IEOK, check_period=50.0, devices=("Actor1",))
-    )
+    transformed = apply(base.clone(), IsEverythingOk(check_period=50.0, devices=("Actor1",)))
     assert "Status" in transformed.station("Actor1").service
     assert "Status" not in transformed.station("Sensor1").service
 
 
 def test_wwi_structure_shift_and_cap():
     base = build_sensor_net(SensorNetParams())
-    transformed, report = apply(
-        base.clone(), AntipatternSpec(WWI, overhead=1.5, buffer_capacity=6)
-    )
+    transformed = apply(base.clone(), WhereWasI(overhead=1.5, buffer_capacity=6))
     svc = transformed.station("Controller").service["Analysis"]
     assert svc.kind == "shifted" and svc.offset == 1.5
     assert svc.mean() == pytest.approx(1.5 + 2.0)
     assert transformed.station("Controller").capacity == 6
-    assert any("capped" in note for _, _, note in report.modified_service_entries)
+    assert base.station("Controller").capacity is None  # the input is left as it was
+    assert transformed.description.endswith("where-was-i: overhead=1.5 msec, capacity=6")
 
 
 # ---------------------------------------------------------------------------
@@ -130,43 +133,41 @@ def test_wwi_structure_shift_and_cap():
 
 def test_transforms_reject_double_application():
     base = build_sensor_net(SensorNetParams(include_polling=False))
-    once, _ = apply(base.clone(), AntipatternSpec(AWTY, f_poll=0.01))
+    once = apply(base.clone(), AreWeThereYet(f_poll=0.01))
     with pytest.raises(TransformError, match="already carries"):
-        apply(once, AntipatternSpec(AWTY, f_poll=0.01))
+        apply(once, AreWeThereYet(f_poll=0.01))
 
 
 def test_transforms_reject_name_collisions():
     base = build_sensor_net(SensorNetParams())  # already has PollThink/Polling
     with pytest.raises(TransformError, match="already exists"):
-        apply(base.clone(), AntipatternSpec(AWTY, f_poll=0.01))
+        apply(base.clone(), AreWeThereYet(f_poll=0.01))
 
 
 def test_transform_parameter_validation():
     base = build_sensor_net(SensorNetParams(include_polling=False))
     with pytest.raises(TransformError, match="f_poll"):
-        apply(base.clone(), AntipatternSpec(AWTY, f_poll=-0.1))
+        apply(base.clone(), AreWeThereYet(f_poll=-0.1))
     with pytest.raises(TransformError, match="exception_demand"):
         apply(
             build_sensor_net(SensorNetParams(include_status=False)),
-            AntipatternSpec(IEOK, p_exc=0.5, exception_demand=0.0),
+            IsEverythingOk(p_exc=0.5, exception_demand=0.0),
         )
     with pytest.raises(TransformError, match="overhead"):
-        apply(build_sensor_net(SensorNetParams()), AntipatternSpec(WWI, overhead=-1.0))
-    with pytest.raises(TransformError, match="unknown antipattern"):
-        apply(base.clone(), AntipatternSpec("not-a-kind"))
-    assert set(KINDS) == {AWTY, IEOK, WWI}
+        apply(build_sensor_net(SensorNetParams()), WhereWasI(overhead=-1.0))
+    assert set(SPECS) == {"are-we-there-yet", "is-everything-ok", "where-was-i"}
 
 
 def test_ieok_needs_devices():
     base = build_baseline(BaselineParams())
     with pytest.raises(TransformError, match="devices"):
-        apply(base, AntipatternSpec(IEOK, check_period=10.0))
+        apply(base, IsEverythingOk(check_period=10.0))
 
 
 def test_wwi_rejects_existing_finite_capacity():
     base = build_baseline(BaselineParams(controller_capacity=4))
     with pytest.raises(TransformError, match="finite capacity"):
-        apply(base, AntipatternSpec(WWI, buffer_capacity=8, target_class="Analysis"))
+        apply(base, WhereWasI(buffer_capacity=8, target_class="Analysis"))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +176,8 @@ def test_wwi_rejects_existing_finite_capacity():
 
 def test_awty_polling_rate_loads_controller():
     base = build_sensor_net(SensorNetParams(include_polling=False))
-    slow, _ = apply(base.clone(), AntipatternSpec(AWTY, f_poll=0.005))
-    fast, _ = apply(base.clone(), AntipatternSpec(AWTY, f_poll=0.05))
+    slow = apply(base, AreWeThereYet(f_poll=0.005))
+    fast = apply(base, AreWeThereYet(f_poll=0.05))
     u_slow = _table(slow)[("Controller", "all", "utilization")]
     u_fast = _table(fast)[("Controller", "all", "utilization")]
     assert u_fast > u_slow
@@ -184,19 +185,19 @@ def test_awty_polling_rate_loads_controller():
 
 def test_ieok_population_loads_controller():
     base = build_sensor_net(SensorNetParams(include_status=False))
-    one, _ = apply(base.clone(), AntipatternSpec(IEOK, n_status=1, check_period=200.0, check_demand=0.5))
-    ten, _ = apply(base.clone(), AntipatternSpec(IEOK, n_status=10, check_period=200.0, check_demand=0.5))
+    one = apply(base, IsEverythingOk(n_status=1, check_period=200.0, check_demand=0.5))
+    ten = apply(base, IsEverythingOk(n_status=10, check_period=200.0, check_demand=0.5))
     assert _table(ten)[("Controller", "all", "utilization")] > _table(one)[("Controller", "all", "utilization")]
 
 
 def test_wwi_overhead_slows_analysis_and_small_buffers_drop():
     base = build_sensor_net(SensorNetParams())
-    zero, _ = apply(base.clone(), AntipatternSpec(WWI, overhead=0.0))
-    heavy, _ = apply(base.clone(), AntipatternSpec(WWI, overhead=3.0))
+    zero = apply(base, WhereWasI(overhead=0.0))
+    heavy = apply(base, WhereWasI(overhead=3.0))
     r0 = _table(zero)[("system", "Analysis", "response-time-msec")]
     r3 = _table(heavy)[("system", "Analysis", "response-time-msec")]
     assert r3 > r0
 
-    tight, _ = apply(base.clone(), AntipatternSpec(WWI, overhead=3.0, buffer_capacity=2))
+    tight = apply(base, WhereWasI(overhead=3.0, buffer_capacity=2))
     drops = _table(tight)[("Controller", "all", "dropped-count")]
     assert drops > 0

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import qnaps
-from qnaps.antipatterns import AntipatternSpec
+from qnaps.antipatterns import SPECS
 from qnaps.config import (
     _FIELD_PARSERS,
     ConfigError,
@@ -278,6 +278,9 @@ def test_antipattern_section_parsing():
     bad = _minimal(antipattern={"kind": "nope"})
     with pytest.raises(ConfigError, match="unknown kind"):
         parse_config(bad)
+    # the kind picks the parameter set, so it is checked before any field
+    with pytest.raises(ConfigError, match="antipattern.kind: unknown kind 'nope'"):
+        parse_config(_minimal(antipattern={"kind": "nope", "overhead": "x"}))
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(_minimal(antipattern={"kind": "where-was-i", "overheat": 1.0}))
 
@@ -289,7 +292,7 @@ SECTIONS = (
 
 
 def test_every_parameter_field_has_a_parser():
-    for cls in (BaselineParams, SensorNetParams, AntipatternSpec, *SECTIONS):
+    for cls in (BaselineParams, SensorNetParams, *SPECS.values(), *SECTIONS):
         for f in dataclasses.fields(cls):
             assert f.type in _FIELD_PARSERS, f"{cls.__name__}.{f.name}: no parser for {f.type!r}"
 
@@ -433,6 +436,20 @@ MALFORMED = {
     "nan antipattern parameter": (
         _minimal(antipattern={"kind": "where-was-i", "overhead": "nan"}),
         "antipattern.overhead: expected a number, got 'nan'",
+    ),
+    "key of another antipattern kind": (
+        _minimal(antipattern={"kind": "where-was-i", "buffer_capacity": 8, "f_poll": 0.3}),
+        "antipattern: unknown key(s) 'f_poll'",
+    ),
+    "sweep over a parameter of another antipattern kind": (
+        _minimal(model={"builder": "sensor-net"},
+                 antipattern={"kind": "where-was-i", "buffer_capacity": 8},
+                 sweep={"parameter": "antipattern.p_exc", "values": [0.0, 0.5, 0.9]}),
+        "sweep.parameter: 'antipattern.p_exc' does not resolve (where-was-i has no parameter 'p_exc')",
+    ),
+    "antipattern without kind": (
+        _minimal(antipattern={"overhead": 1.0, "overheat": 1.0}),
+        "antipattern.kind: required key is missing",
     ),
     "integer past float range": (
         _minimal(model={"builder": "baseline", "params": {"arrival_rate": 10**400}}),

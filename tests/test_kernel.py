@@ -38,10 +38,11 @@ from qnaps.model import (
     Shifted,
     Station,
     Uniform,
+    validate_model,
 )
 from qnaps.stats import estimate
 
-from _helpers import mm1_model, open_trap_model
+from _helpers import mm1_model, open_trap_model, stopping_arrivals_model
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +292,17 @@ def test_flow_check_fires_from_the_engine():
     jobs.sunk -= 1
     with pytest.raises(KernelError, match="flow imbalance for class Jobs"):
         engine._finalize()
+
+
+def test_arrivals_run_until_their_first_infinite_gap():
+    model = stopping_arrivals_model()
+    assert validate_model(model) == []
+    engine = _Engine(model, seed=1, horizon=1e4, warmup=1e3)
+    engine.run()
+    jobs = engine.classes[0]
+    # about 100 arrivals, where 1e4 msec at rate 0.8 would give 8000
+    assert 0 < jobs.created == jobs.sunk < 1000
+    engine._finalize()  # the flow check holds
 
 
 _HIGH_RATE_CHILD = """

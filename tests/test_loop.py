@@ -42,7 +42,7 @@ from qnaps.model import (
     validate_model,
 )
 
-from _helpers import closed_cycle_model, mm1_model
+from _helpers import closed_cycle_model, mm1_model, stopping_arrivals_model
 from test_engine_pin import CASES, HORIZON, WARMUP, PIN, pinned_samples
 
 compiled = pytest.mark.skipif(kernel._loop is None, reason="compiled loop not available")
@@ -128,6 +128,7 @@ MODELS = {
     "closed_cycle": closed_cycle_model(population=3),
     "ties": tie_model(),
     "arrival_mix": arrival_mix_model(),
+    "stopping_arrivals": stopping_arrivals_model(),
 }
 
 # seeds of the arrival-merge pins in tests/data/engine_pin.json

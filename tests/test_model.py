@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qnaps.antipatterns import AWTY, IEOK, WWI, AntipatternSpec, TransformError, apply
+from qnaps.antipatterns import AreWeThereYet, IsEverythingOk, TransformError, WhereWasI, apply
 from qnaps.kernel import RngStream
 from qnaps.model import (
     DELAY,
@@ -118,27 +118,26 @@ NAN_PARAMETERS = {
     "routing probability": (_nan_route(),
                             "class Jobs: routing Queue -> Sink probability nan outside [0, 1]"),
     "routing row sum": (_nan_route(), "class Jobs: routing row Queue sums to nan, not 1"),
-    "f_poll": ((SensorNetParams(include_polling=False), AntipatternSpec(AWTY, f_poll=NAN)),
+    "f_poll": ((SensorNetParams(include_polling=False), AreWeThereYet(f_poll=NAN)),
                "f_poll must be >= 0 (got nan)"),
     "polling_demand": ((SensorNetParams(include_polling=False),
-                        AntipatternSpec(AWTY, f_poll=0.01, polling_demand=NAN)),
+                        AreWeThereYet(f_poll=0.01, polling_demand=NAN)),
                        "polling_demand must be > 0 (got nan)"),
     "check_period": ((SensorNetParams(include_status=False),
-                      AntipatternSpec(IEOK, check_period=NAN)),
+                      IsEverythingOk(check_period=NAN)),
                      "check_period must be > 0 (got nan)"),
     "check_demand": ((SensorNetParams(include_status=False),
-                      AntipatternSpec(IEOK, check_period=100.0, check_demand=NAN)),
+                      IsEverythingOk(check_period=100.0, check_demand=NAN)),
                      "check_demand must be > 0 (got nan)"),
     "device_demand": ((SensorNetParams(include_status=False),
-                       AntipatternSpec(IEOK, check_period=100.0, device_demand=NAN)),
+                       IsEverythingOk(check_period=100.0, device_demand=NAN)),
                       "device_demand must be > 0 (got nan)"),
     "exception_demand": ((SensorNetParams(include_status=False),
-                          AntipatternSpec(IEOK, check_period=100.0, p_exc=0.5,
-                                          exception_demand=NAN)),
+                          IsEverythingOk(check_period=100.0, p_exc=0.5, exception_demand=NAN)),
                          "exception_demand must be > 0 when p_exc > 0"),
-    "overhead": ((SensorNetParams(), AntipatternSpec(WWI, overhead=NAN)),
+    "overhead": ((SensorNetParams(), WhereWasI(overhead=NAN)),
                  "overhead must be >= 0 (got nan)"),
-    "buffer_capacity": ((SensorNetParams(), AntipatternSpec(WWI, buffer_capacity=NAN)),
+    "buffer_capacity": ((SensorNetParams(), WhereWasI(buffer_capacity=NAN)),
                         "buffer_capacity must be a positive integer (got nan)"),
 }
 
