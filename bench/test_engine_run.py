@@ -8,8 +8,12 @@ are timed together because the loop draws the external arrivals as it
 takes them, work that an engine which pre-drew them did in its build;
 only the sum compares across the two designs. Each model runs on both
 loops, ``_Engine.run`` (compiled) and ``_Engine._run_python``, so one
-run gives the speed-up of the compiled loop on one machine. Run from the
-checkout root with
+run gives the speed-up of the compiled loop on one machine. A second
+case times the samplers alone: fill() of one block sampler per
+distribution kind, and of the arrival-time and routing samplers the
+engine builds, reported as values per second in each benchmark's
+extra_info. It is the per-block numpy cost that the compiled loop pays
+on top of reading the values. Run from the checkout root with
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -19,7 +23,8 @@ checkout root with
 import pytest
 
 from qnaps.config import build_model_from_config
-from qnaps.kernel import _Engine, _loop
+from qnaps.kernel import RngStream, _arrival_times, _Engine, _loop
+from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 
 HORIZON, WARMUP = 300000.0, 30000.0
 
@@ -52,3 +57,26 @@ def test_engine_run(benchmark, name, loop):
 
     result = benchmark.pedantic(build_and_run, rounds=10, warmup_rounds=1)
     assert result.samples
+
+
+SAMPLERS = {
+    "exponential": Exponential(0.5).sampler,
+    "deterministic": Deterministic(2.0).sampler,
+    "erlang": Erlang(3, 1.5).sampler,
+    "uniform": Uniform(1.0, 3.0).sampler,
+    "shifted": Shifted(0.5, Exponential(0.5)).sampler,
+    "mixture": Mixture(0.25, Exponential(0.5), Exponential(0.1)).sampler,
+    "arrival-times": lambda stream: _arrival_times(Exponential(0.05), stream),
+    "routing": lambda stream: stream.batched_sampler(1, lambda u: u),
+}
+BLOCKS = 400
+
+
+@pytest.mark.parametrize("kind", list(SAMPLERS))
+def test_sampler_fill(benchmark, kind):
+    def fill_blocks():
+        sampler = SAMPLERS[kind](RngStream(1, "st", "cl", "service"))
+        return sum(len(sampler.fill()) for _ in range(BLOCKS))
+
+    values = benchmark.pedantic(fill_blocks, rounds=10, warmup_rounds=1)
+    benchmark.extra_info["values_per_s"] = values / benchmark.stats.stats.median

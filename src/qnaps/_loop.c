@@ -10,13 +10,16 @@
    order and grouping, the calendar is a binary heap with heapq's sift
    algorithm keyed on (t, seq), so its array layout (which the closing
    sweep walks) is the same, and every random value, arrival times too,
-   comes from the engine's own iterators through tp_iternext, drawn as
-   the loop goes. The kernel module docstring has the build flags this
-   relies on. */
+   comes from the engine's own block samplers, drawn as the loop goes:
+   the loop reads a sampler's float64 block in place, calls its fill()
+   only when the block runs out, and writes the block and its index back
+   when it returns, so next() in Python continues where the loop stopped.
+   The kernel module docstring has the build flags this relies on. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <string.h>
 
 enum { KC_FCFS = 0, KC_DELAY = 1, KC_SOURCE = 2, KC_SINK = 3 };
 
@@ -56,7 +59,7 @@ typedef struct {
     int to;          /* the successor when n == 1 */
     double *cums;    /* cumulative probabilities when n > 1 */
     int *tos;
-    PyObject *draw;  /* routing uniform sampler when n > 1 */
+    int draw;        /* block of the routing uniforms when n > 1 */
 } Route;
 
 typedef struct {
@@ -72,12 +75,22 @@ typedef struct {
     PyObject *obj;
     int closed, watched, ref;
     Route entry;
-    PyObject *arrivals;  /* iterator of arrival times, NULL without arrivals */
+    int arrivals;        /* block of arrival times, -1 without arrivals */
     double ta;           /* next arrival time, +inf without arrivals */
     List pending;
     long long created, sunk, dropped, rcnt;
     double rsum, larea;
 } Class;
+
+/* a _Block: its current values, read in place, and the next index */
+typedef struct {
+    PyObject *obj;
+    PyObject *fill;
+    PyObject *vals;   /* the current block, held through buf */
+    Py_buffer buf;
+    const double *v;
+    Py_ssize_t n, i;
+} Block;
 
 typedef struct {
     double horizon, warm;
@@ -86,8 +99,10 @@ typedef struct {
     Station *st;
     Class *cl;
     Cell *cells;         /* [station * ncl + class] */
-    PyObject **samplers; /* [station * ncl + class], NULL where absent */
+    int *samplers;       /* [station * ncl + class] block, -1 where absent */
     Route *routes;       /* [station * ncl + class] */
+    Block *blocks;       /* every sampler once, by identity */
+    int nblocks, capblocks;
     int *flush_cls;
     Py_ssize_t nflush;
     Job *jobs;
@@ -291,15 +306,73 @@ station_index(Engine *E, PyObject *obj, int *out)
     return -1;
 }
 
-/* *out = a new reference to obj, which must be an iterator */
+/* B's values become the float64 block vals */
 static int
-read_iterator(PyObject *obj, PyObject **out)
+set_vals(Block *B, PyObject *vals)
 {
-    if (!PyIter_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "sampler %R is not an iterator", obj);
+    Py_buffer buf;
+    if (PyObject_GetBuffer(vals, &buf, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    if (buf.ndim != 1 || buf.itemsize != sizeof(double) || buf.format == NULL
+        || strcmp(buf.format, "d") != 0) {
+        PyBuffer_Release(&buf);
+        PyErr_Format(PyExc_TypeError, "sampler block %R is not a 1-d float64 array", vals);
         return -1;
     }
-    *out = Py_NewRef(obj);
+    if (B->vals != NULL)
+        PyBuffer_Release(&B->buf);
+    Py_XSETREF(B->vals, Py_NewRef(vals));
+    B->buf = buf;
+    B->v = buf.buf;
+    B->n = buf.shape[0];
+    B->i = 0;
+    return 0;
+}
+
+/* *out = the index of the block sampler obj in E->blocks, added on first sight */
+static int
+read_block(Engine *E, PyObject *obj, int *out)
+{
+    for (int b = 0; b < E->nblocks; b++)
+        if (E->blocks[b].obj == obj) {
+            *out = b;
+            return 0;
+        }
+    if (E->nblocks == E->capblocks) {
+        int cap = E->capblocks ? 2 * E->capblocks : 16;
+        Block *grown = PyMem_Realloc(E->blocks, (size_t)cap * sizeof(Block));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        E->blocks = grown;
+        E->capblocks = cap;
+    }
+    Block *B = &E->blocks[E->nblocks];
+    memset(B, 0, sizeof *B);
+    B->obj = Py_NewRef(obj);
+    E->nblocks++;
+    PyObject *vals = NULL;
+    long long i;
+    if ((B->fill = PyObject_GetAttrString(obj, "fill")) == NULL
+        || (vals = PyObject_GetAttrString(obj, "vals")) == NULL) {
+        Py_XDECREF(vals);
+        if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "sampler %R is not a block sampler", obj);
+        }
+        return -1;
+    }
+    int bad = set_vals(B, vals);
+    Py_DECREF(vals);
+    if (bad || attr_ll(obj, "i", &i) < 0)
+        return -1;
+    if (i < 0 || i > B->n) {
+        PyErr_Format(PyExc_ValueError, "sampler index %lld outside its block of %zd", i, B->n);
+        return -1;
+    }
+    B->i = (Py_ssize_t)i;
+    *out = E->nblocks - 1;
     return 0;
 }
 
@@ -355,7 +428,7 @@ read_route(Engine *E, PyObject *obj, Route *R)
     }
     PyObject *cums, *tos, *draw;
     if (!PyArg_ParseTuple(obj, "O!O!O", &PyTuple_Type, &cums, &PyTuple_Type, &tos, &draw)
-        || read_iterator(draw, &R->draw) < 0)
+        || read_block(E, draw, &R->draw) < 0)
         return -1;
     Py_ssize_t n = PyTuple_GET_SIZE(cums);
     if (n < 2 || PyTuple_GET_SIZE(tos) != n) {
@@ -427,7 +500,7 @@ read_station(Engine *E, int s)
             if (bad)
                 goto done;
         }
-        if (f != Py_None && read_iterator(f, &E->samplers[k]) < 0)
+        if (f != Py_None && read_block(E, f, &E->samplers[k]) < 0)
             goto done;
         if (read_route(E, PyList_GET_ITEM(routes, c), &E->routes[k]) < 0)
             goto done;
@@ -499,9 +572,10 @@ read_class(Engine *E, int c)
         || read_route(E, entry, &C->entry) < 0)
         goto done;
     C->ta = INFINITY;
+    C->arrivals = -1;
     if ((arrivals = PyObject_GetAttrString(obj, "arrivals")) == NULL
         || (arrivals != Py_None
-            && (read_iterator(arrivals, &C->arrivals) < 0 || attr_double(obj, "ta", &C->ta) < 0)))
+            && (read_block(E, arrivals, &C->arrivals) < 0 || attr_double(obj, "ta", &C->ta) < 0)))
         goto done;
     if ((pending = PyObject_GetAttrString(obj, "pending")) == NULL)
         goto done;
@@ -569,12 +643,14 @@ read_engine(Engine *E, PyObject *engine, PyObject *stations, PyObject *classes)
     E->st = PyMem_Calloc((size_t)E->nst + 1, sizeof(Station));
     E->cl = PyMem_Calloc((size_t)E->ncl + 1, sizeof(Class));
     E->cells = PyMem_Calloc(cells + 1, sizeof(Cell));
-    E->samplers = PyMem_Calloc(cells + 1, sizeof(PyObject *));
+    E->samplers = PyMem_Calloc(cells + 1, sizeof(int));
     E->routes = PyMem_Calloc(cells + 1, sizeof(Route));
     if (!E->st || !E->cl || !E->cells || !E->samplers || !E->routes) {
         PyErr_NoMemory();
         return -1;
     }
+    for (size_t k = 0; k < cells; k++)
+        E->samplers[k] = -1;
     /* objects first: routes and calendar events refer to stations by identity */
     for (int s = 0; s < E->nst; s++) {
         E->st[s].obj = PyList_GET_ITEM(stations, s);
@@ -602,7 +678,6 @@ free_route(Route *R)
 {
     PyMem_Free(R->cums);
     PyMem_Free(R->tos);
-    Py_XDECREF(R->draw);
 }
 
 static void
@@ -612,9 +687,14 @@ free_engine(Engine *E)
     if (E->cells)
         for (Py_ssize_t k = 0; k < cells; k++)
             Py_XDECREF(E->cells[k].obj);
-    if (E->samplers)
-        for (Py_ssize_t k = 0; k < cells; k++)
-            Py_XDECREF(E->samplers[k]);
+    for (int b = 0; b < E->nblocks; b++) {
+        Block *B = &E->blocks[b];
+        if (B->vals != NULL)
+            PyBuffer_Release(&B->buf);
+        Py_XDECREF(B->vals);
+        Py_XDECREF(B->fill);
+        Py_DECREF(B->obj);
+    }
     if (E->routes)
         for (Py_ssize_t k = 0; k < cells; k++)
             free_route(&E->routes[k]);
@@ -626,7 +706,6 @@ free_engine(Engine *E)
     if (E->cl)
         for (int c = 0; c < E->ncl; c++) {
             Py_XDECREF(E->cl[c].obj);
-            Py_XDECREF(E->cl[c].arrivals);
             free_route(&E->cl[c].entry);
         }
     PyMem_Free(E->st);
@@ -634,6 +713,7 @@ free_engine(Engine *E)
     PyMem_Free(E->cells);
     PyMem_Free(E->samplers);
     PyMem_Free(E->routes);
+    PyMem_Free(E->blocks);
     PyMem_Free(E->flush_cls);
     PyMem_Free(E->jobs);
     PyMem_Free(E->heap);
@@ -642,27 +722,31 @@ free_engine(Engine *E)
 /* ------------------------------------------------------------------ */
 /* the event loop */
 
-/* the next value of a sampler iterator; one that runs out raises
-   StopIteration, as next() does in the Python loop */
-static inline int
-draw(PyObject *it, double *out)
+/* B's next block from its fill(); an empty one raises StopIteration, as
+   next() does in the Python loop */
+static int
+refill(Block *B)
 {
-    PyObject *v = Py_TYPE(it)->tp_iternext(it);
-    if (v == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_StopIteration);
+    PyObject *vals = PyObject_CallNoArgs(B->fill);
+    if (vals == NULL)
+        return -1;
+    int rc = set_vals(B, vals);
+    Py_DECREF(vals);
+    if (rc == 0 && B->n == 0) {
+        PyErr_SetNone(PyExc_StopIteration);
         return -1;
     }
-    if (PyFloat_CheckExact(v)) {
-        *out = PyFloat_AS_DOUBLE(v);
-    } else {
-        *out = PyFloat_AsDouble(v);
-        if (*out == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(v);
-            return -1;
-        }
-    }
-    Py_DECREF(v);
+    return rc;
+}
+
+/* the next value of block sampler b */
+static inline int
+draw(Engine *E, int b, double *out)
+{
+    Block *B = &E->blocks[b];
+    if (B->i == B->n && refill(B) < 0)
+        return -1;
+    *out = B->v[B->i++];
     return 0;
 }
 
@@ -715,7 +799,7 @@ run_loop(Engine *E)
             ci = ca;
             Class *A = &E->cl[ci];
             A->created += 1;
-            if (draw(A->arrivals, &A->ta) < 0)
+            if (draw(E, A->arrivals, &A->ta) < 0)
                 return -1;
             ca = first_arrival(E);
             ta = E->cl[ca].ta;
@@ -751,7 +835,7 @@ run_loop(Engine *E)
                     double sv;
                     S->busy += 1;
                     E->jobs[nj].sstart = t;
-                    if (draw(E->samplers[AT(E, s, E->jobs[nj].ci)], &sv) < 0
+                    if (draw(E, E->samplers[AT(E, s, E->jobs[nj].ci)], &sv) < 0
                         || heap_push(E, t + sv, nj, s) < 0)
                         return -1;
                 }
@@ -798,7 +882,7 @@ run_loop(Engine *E)
         } else if (nxt->n > 1) {
             double u;
             int i = 0;
-            if (draw(nxt->draw, &u) < 0)
+            if (draw(E, nxt->draw, &u) < 0)
                 return -1;
             while (nxt->cums[i] < u)
                 if (++i == nxt->n) {
@@ -845,7 +929,7 @@ run_loop(Engine *E)
 
         Py_ssize_t k = AT(E, ns, ci);
         Cell *cell = &E->cells[k];
-        if (cell->obj == NULL || E->samplers[k] == NULL)
+        if (cell->obj == NULL || E->samplers[k] < 0)
             return no_station(E, ns, ci);
         if (N->kc == KC_FCFS) {
             if (N->busy + N->queue.len >= N->cap) {
@@ -867,7 +951,7 @@ run_loop(Engine *E)
                 double sv;
                 N->busy += 1;
                 J->sstart = t;
-                if (draw(E->samplers[k], &sv) < 0 || heap_push(E, t + sv, j, ns) < 0)
+                if (draw(E, E->samplers[k], &sv) < 0 || heap_push(E, t + sv, j, ns) < 0)
                     return -1;
             } else {
                 list_append(E, &N->queue, j);
@@ -876,7 +960,7 @@ run_loop(Engine *E)
             /* delay entry (validation keeps jobs out of sources) */
             double d;
             J->arrived = t;
-            if (draw(E->samplers[k], &d) < 0)
+            if (draw(E, E->samplers[k], &d) < 0)
                 return -1;
             if (d < INFINITY) {
                 if (heap_push(E, t + d, j, ns) < 0)
@@ -991,6 +1075,27 @@ write_back(Engine *E, PyObject *engine)
     return set_ll(engine, "seq", E->seq);
 }
 
+/* every block's values and index written back to its _Block, keeping an
+   error already set; -1 if an error is set on return */
+static int
+write_blocks(Engine *E)
+{
+    PyObject *type, *value, *tb;
+    int rc = 0;
+    PyErr_Fetch(&type, &value, &tb);
+    for (int b = 0; b < E->nblocks && rc == 0; b++) {
+        Block *B = &E->blocks[b];
+        if (B->vals != NULL
+            && (PyObject_SetAttrString(B->obj, "vals", B->vals) < 0 || set_ll(B->obj, "i", B->i) < 0))
+            rc = -1;
+    }
+    if (type == NULL)
+        return rc;
+    PyErr_Clear();
+    PyErr_Restore(type, value, tb);
+    return -1;
+}
+
 static PyObject *
 loop_run(PyObject *module, PyObject *engine)
 {
@@ -1001,8 +1106,10 @@ loop_run(PyObject *module, PyObject *engine)
     memset(&E, 0, sizeof E);
     E.free = -1;
     if ((stations = PyObject_GetAttrString(engine, "stations")) == NULL
-        || (classes = PyObject_GetAttrString(engine, "classes")) == NULL
-        || read_engine(&E, engine, stations, classes) < 0 || run_loop(&E) < 0)
+        || (classes = PyObject_GetAttrString(engine, "classes")) == NULL)
+        goto done;
+    int failed = read_engine(&E, engine, stations, classes) < 0 || run_loop(&E) < 0;
+    if (write_blocks(&E) < 0 || failed)
         goto done;
     if ((in_net = PyMem_Calloc((size_t)E.ncl + 1, sizeof(long long))) == NULL) {
         PyErr_NoMemory();

@@ -131,7 +131,7 @@ def _mapping(value, where: str) -> dict:
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+    unknown = sorted(set(section) - set(allowed), key=repr)  # keys need not be strings
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 

@@ -6,17 +6,22 @@ and the triple. Structural edits to a model therefore never disturb the
 draw sequences of untouched streams, which is what makes neutral model
 transforms reproduce baseline runs bit for bit. Each distribution counts
 a fixed number of draws per sample (exponential 1, deterministic 0,
-erlang k, uniform 1; wrappers add their components). Every sampler is an
-iterator, and all but a mixture's generator are C-level itertools objects.
-A batched sampler chains 256-value blocks and takes the raw words for a
-block from its stream on its first next() and whenever the previous block
-runs out, so a sampler that has its stream to itself consumes the same raw
-sequence as drawing one value at a time; routing streams, one consumer
-each, are batched too. The closed-class init phase and a mixture's branch
-uniform take one word per value. A mixture's base and extra samplers
-share its stream and each take their own 256-value blocks when they run
-out, so its values are fixed by that refill order, not by a
-one-value-at-a-time layout.
+erlang k, uniform 1; wrappers add their components). A uniform is the
+top 53 bits of one raw word times 2**-53, which is what numpy's
+Generator.random computes from the same words. Every sampler, the
+routing uniforms and each open class's arrival times too, is one _Block:
+a float64 array of values, the index of the next one, and fill(), which
+returns the next array. A batched sampler's block is 256 values made in
+numpy from the uniforms of the next 256*k raw words, taken on its first
+value and whenever the previous block runs out, so a sampler that has
+its stream to itself consumes the same raw sequence as drawing one value
+at a time; routing streams, one consumer each, are batched too. The
+closed-class init phase takes one word per value. A mixture's value
+takes its branch word, then its base's value, then its extra's; base and
+extra share its stream, a part that is a block takes its next 256-value
+block when it runs out, and a part that is itself a mixture takes its
+words value by value. So a mixture's values are fixed by that refill
+order, not by a one-value-at-a-time layout.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -27,8 +32,8 @@ the horizon closed out by a final sweep over the calendar, the queues and
 the parked sets. The sweep adds up the calendar in heap-array order, so
 the samples depend on the heap's layout, not only on the order of its
 pops: a heapreplace in place of a pop and a push changes them. Each open
-class's external arrival times are one iterator, a running sum of the
-gaps drawn from its own stream; the loop holds only each class's next
+class's external arrival times are one block sampler, a running sum of
+the gaps drawn from its own stream; the loop holds only each class's next
 time and draws the one after when it takes an arrival, so arrivals need
 memory per class, not per job. The earliest next arrival goes first, ties
 going to the lower class index and arrivals winning ties against the
@@ -43,7 +48,9 @@ compiled loop against bit for bit. The two share this contract: every
 float operation is done in the same order and grouping; the calendar is
 a binary heap with heapq's sift algorithm keyed on (t, seq), so its
 array layout, and with it the closing sweep, is the same; and random
-values come only from the sampler and arrival iterators _build made. The
+values come only from the blocks _build made: the Python loop takes them
+with next(), the compiled loop reads them from the arrays in place and
+calls fill() when one runs out. The
 extension is built when this module is imported, with gcc -O2
 -ffp-contract=off (no fused multiply-add, no -ffast-math; x86-64 does its
 double arithmetic in SSE2 registers), into src/qnaps/__pycache__ under a
@@ -63,11 +70,11 @@ import sysconfig
 from collections import deque
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
-from itertools import accumulate, chain
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 from .model import (
     DELAY,
@@ -79,8 +86,9 @@ from .model import (
 )
 from .stats import MetricSample, ReplicationResult
 
-_INV53 = 1.0 / (1 << 53)
 _INF = math.inf
+_BLOCK = 256  # values per block; a mixture's values depend on it
+_NO_VALUES = np.empty(0)
 
 
 class KernelError(RuntimeError):
@@ -110,65 +118,168 @@ class DeadlockError(KernelError):
         return (type(self), (self.class_names,))
 
 
+class _Block:
+    """One sampler: vals, the float64 block of values it is handing out;
+    i, the index of the next one; and fill(), which returns the next
+    block. Each value counts k draws of the sampler's stream. next()
+    hands out one value and calls fill() when the block runs out; an empty
+    block ends the sampler with StopIteration. The compiled loop reads
+    vals in place and writes vals and i back when it returns, so next()
+    continues where it stopped."""
+
+    __slots__ = ("vals", "i", "k", "fill", "parts")
+
+    def __init__(self, k: int, fill):
+        self.vals = _NO_VALUES
+        self.i = 0
+        self.k = k
+        self.fill = fill
+        # what an enclosing mixture draws through instead of this block:
+        # (p, base, extra) of a mixture, (offset, base) of a shift of one
+        self.parts = None
+
+    def __next__(self) -> float:
+        vals = self.vals
+        i = self.i
+        if i == len(vals):
+            vals = self.vals = self.fill()
+            i = self.i = 0
+            if not len(vals):
+                raise StopIteration
+        self.i = i + 1
+        return vals.item(i)
+
+
 class RngStream:
     """One Philox stream for one (station, class, purpose) triple.
 
     draws counts logical samples handed out (uniform01 counts 1, a
-    distribution sampler counts its documented amount per value). Batched
-    samplers count nothing per call: draws is worked out when read, from
-    the words their blocks took less k per value not yet handed out.
+    distribution sampler counts its documented amount per value). Block
+    samplers count nothing per value: draws is worked out when read, from
+    the words taken less k per value their blocks have not handed out.
     """
 
-    __slots__ = ("station_id", "class_id", "purpose", "_draws", "_open", "_bg", "_raw", "_ri")
+    __slots__ = ("station_id", "class_id", "purpose", "_draws", "_open", "_bg", "_gen")
 
     def __init__(self, seed: int, station_id: str, class_id: str, purpose: str):
         self.station_id = station_id
         self.class_id = class_id
         self.purpose = purpose
         self._draws = 0
-        self._open = []  # [k, current block iterator] per batched sampler
+        self._open = []  # every block sampler made on this stream
         material = f"{seed}|{station_id}|{class_id}|{purpose}".encode()
         key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
         self._bg = Philox(key=key)
-        self._raw = np.empty(0, dtype=np.uint64)
-        self._ri = 0
+        self._gen = Generator(self._bg)
 
     @property
     def draws(self) -> int:
-        return self._draws - sum(k * block.__length_hint__() for k, block in self._open)
+        return self._draws - sum(b.k * (len(b.vals) - b.i) for b in self._open)
 
     def take_block(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words of this stream's sequence."""
-        r = self._raw
-        i = self._ri
-        if i + n > len(r):
-            fresh = self._bg.random_raw(max(2048, n))
-            r = np.concatenate((r[i:], fresh))
-            self._raw = r
-            i = 0
-        self._ri = i + n
-        return r[i : i + n]
+        return self._bg.random_raw(n)
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n raw words as uniforms on [0, 1), from their top 53
+        bits; each counts one draw."""
+        self._draws += n
+        return self._gen.random(n)
 
     def uniform01(self) -> float:
-        self._draws += 1
-        return (int(self.take_block(1)[0]) >> 11) * _INV53
+        return self.uniforms(1).item(0)
 
-    def batched_sampler(self, k: int, transform):
-        """Iterator that hands out transform(u) one value at a time. u holds
-        the uniforms of the next 256*k raw words, taken on the first next()
-        and again each time its 256 values run out; transform maps them to
-        256 values, each of which counts k draws."""
-        slot = [k, iter(())]
-        self._open.append(slot)
+    def block(self, k: int, fill) -> _Block:
+        """A block sampler over this stream whose values count k draws."""
+        b = _Block(k, fill)
+        self._open.append(b)
+        return b
 
-        def blocks():
-            while True:
-                u = (self.take_block(256 * k) >> np.uint64(11)) * _INV53
-                self._draws += 256 * k
-                slot[1] = block = iter(transform(u).tolist())
-                yield block
+    def batched_sampler(self, k: int, transform) -> _Block:
+        """Block sampler of transform(u): u holds the uniforms of the next
+        256*k raw words, taken on the first next() and again each time its
+        256 values run out; transform maps them to 256 values, each of
+        which counts k draws."""
+        return self.block(k, lambda: transform(self.uniforms(_BLOCK * k)))
 
-        return chain.from_iterable(blocks())
+    def constant(self, value: float) -> _Block:
+        """Block sampler that hands out value and takes no words. Its fill
+        is C code, so a loop over constants runs no Python bytecode."""
+        return self.block(0, repeat(np.full(_BLOCK, float(value))).__next__)
+
+    def shift(self, offset: float, base: _Block) -> _Block:
+        """Block sampler of offset plus base's values."""
+        offset = float(offset)
+        b = self.block(base.k, lambda: offset + base.fill())
+        if base.parts is not None:
+            b.parts = (offset, base)
+        return b
+
+    def mixture(self, p: float, base: _Block, extra: _Block) -> _Block:
+        """Block sampler of base plus, when a value's branch uniform is
+        below p, extra; base and extra must be samplers of this stream.
+        Each value takes its branch word, then base's value, then extra's.
+        A part that is a mixture, or a shift of one, takes its words value
+        by value in that order, not as a block; a part that is a block
+        takes its next block when it runs out."""
+        mix = self.block(1 + base.k + extra.k, None)
+        mix.parts = (p, base, extra)
+        width = _width(mix)
+        leaves = _leaves(mix)
+
+        def fill():
+            out = []
+            j = 0
+            while j < _BLOCK:
+                # the next n values open no new block; at n = 0, value j
+                # takes its words one at a time and opens the blocks it needs
+                n = min(_BLOCK - j, *(len(b.vals) - b.i for b in leaves))
+                words = self.uniforms(n * width).reshape(n, width) if n else None
+                out.append(_part_values(mix, max(n, 1), self, words))
+                j += max(n, 1)
+            return np.concatenate(out)
+
+        mix.fill = fill
+        return mix
+
+
+def _width(b: _Block) -> int:
+    """Words a mixture part takes per value, besides its blocks' words."""
+    if b.parts is None:
+        return 0
+    if len(b.parts) == 2:
+        return _width(b.parts[1])
+    return 1 + _width(b.parts[1]) + _width(b.parts[2])
+
+
+def _leaves(b: _Block) -> list[_Block]:
+    """The blocks a mixture part takes its values from."""
+    if b.parts is None:
+        return [b]
+    return [leaf for part in b.parts[1:] for leaf in _leaves(part)]
+
+
+def _part_values(b: _Block, n: int, stream: RngStream, words) -> np.ndarray:
+    """The next n values of mixture part b. words holds its words, one row
+    per value, when none of its blocks runs out within them; words None
+    means one value whose words are taken from stream, in order, and
+    whose blocks are refilled as they run out."""
+    parts = b.parts
+    if parts is None:
+        if b.i == len(b.vals):
+            b.vals, b.i = b.fill(), 0
+        b.i += n
+        return b.vals[b.i - n : b.i]
+    if len(parts) == 2:
+        return parts[0] + _part_values(parts[1], n, stream, words)
+    p, base, extra = parts
+    if words is None:
+        u, bw, ew = stream.uniforms(1), None, None
+    else:
+        w = 1 + _width(base)
+        u, bw, ew = words[:, 0], words[:, 1:w], words[:, w:]
+    a = _part_values(base, n, stream, bw)
+    return np.where(u < p, a + _part_values(extra, n, stream, ew), a)
 
 
 class RngSpace:
@@ -252,7 +363,7 @@ class _ClassRT:
         self.population = 0
         self.ref = None
         self.entry_route = None
-        self.arrivals = None  # iterator of external arrival times, open classes
+        self.arrivals = None  # block sampler of external arrival times, open classes
         self.ta = _INF        # next external arrival time
         self.watcher = None  # (poller class name, station name) if watched
         self.pending = None  # completed jobs awaiting a detection poll
@@ -264,10 +375,13 @@ class _ClassRT:
         self.larea = 0.0     # integral of the in-system job count
 
 
-def _arrival_times(dist, stream):
-    """Iterator of a class's external arrival times: the running sum of
-    the gaps drawn from its arrival stream. The first infinite gap (a
-    rate-0 exponential, or an infinite part of a mixture) ends them."""
+def _arrival_times(dist, stream) -> _Block:
+    """Block sampler of a class's external arrival times: the running sum
+    of the gaps drawn from its arrival stream, carried from block to
+    block. np.add.accumulate adds in order, so the times are exactly
+    those of a running float sum over the gaps. The first infinite gap (a rate-0
+    exponential, or an infinite part of a mixture) makes every later time
+    infinite."""
     if dist.kind == "exponential" and dist.rate > 0:
         rate = dist.rate
         # not Exponential.sampler, which multiplies by 1 / rate: that rounds
@@ -275,7 +389,15 @@ def _arrival_times(dist, stream):
         gaps = stream.batched_sampler(1, lambda u: -np.log1p(-u) / rate)
     else:
         gaps = dist.sampler(stream)
-    return accumulate(gaps)
+    carry = _NO_VALUES  # the last time handed out, once there is one
+
+    def fill():
+        nonlocal carry
+        times = np.add.accumulate(np.concatenate((carry, gaps.fill())))[len(carry):]
+        carry = times[-1:]
+        return times
+
+    return stream.block(gaps.k, fill)
 
 
 class _Engine:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -44,7 +43,7 @@ class Exponential:
 
     def sampler(self, stream):
         if self.rate == 0.0:
-            return repeat(math.inf)
+            return stream.constant(math.inf)
         scale = 1.0 / self.rate
         return stream.batched_sampler(1, lambda u: -np.log1p(-u) * scale)
 
@@ -62,7 +61,7 @@ class Deterministic:
         return self.value
 
     def sampler(self, stream):
-        return repeat(self.value)
+        return stream.constant(self.value)
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class Erlang:
         k = self.phases
         scale = 1.0 / self.rate
         return stream.batched_sampler(
-            k, lambda u: -np.log1p(-u).reshape(256, k).sum(axis=1) * scale
+            k, lambda u: -np.log1p(-u).reshape(-1, k).sum(axis=1) * scale
         )
 
 
@@ -113,8 +112,7 @@ class Shifted:
         return self.offset + self.base.mean()
 
     def sampler(self, stream):
-        # float(): int.__add__ returns NotImplemented for a float value
-        return map(float(self.offset).__add__, self.base.sampler(stream))
+        return stream.shift(self.offset, self.base.sampler(stream))
 
 
 @dataclass(frozen=True)
@@ -136,19 +134,7 @@ class Mixture:
         return self.base.mean() + (self.p_extra * self.extra.mean() if self.p_extra else 0.0)
 
     def sampler(self, stream):
-        u01 = stream.uniform01
-        base = self.base.sampler(stream)
-        extra = self.extra.sampler(stream)
-        p = self.p_extra
-
-        def draws():
-            while True:
-                u = u01()
-                a = next(base)
-                b = next(extra)
-                yield a + b if u < p else a
-
-        return draws()
+        return stream.mixture(self.p_extra, self.base.sampler(stream), self.extra.sampler(stream))
 
 
 Distribution = Exponential | Deterministic | Erlang | Uniform | Shifted | Mixture

@@ -447,6 +447,10 @@ MALFORMED = {
                  sweep={"parameter": "antipattern.p_exc", "values": [0.0, 0.5, 0.9]}),
         "sweep.parameter: 'antipattern.p_exc' does not resolve (where-was-i has no parameter 'p_exc')",
     ),
+    "unknown keys of mixed types": (
+        _minimal(run={"replications": 2, "seed": 1, "horizon_msec": 100.0, 1: 2, "x": 3}),
+        "run: unknown key(s) 'x', 1",
+    ),
     "antipattern without kind": (
         _minimal(antipattern={"overhead": 1.0, "overheat": 1.0}),
         "antipattern.kind: required key is missing",
@@ -570,3 +574,31 @@ def test_any_value_at_any_key_parses_or_is_a_config_error(name):
                 pass
             except Exception as exc:
                 pytest.fail(f"{'.'.join(map(str, path))} = {value!r}: {exc!r}")
+
+
+def _mappings(node, path=()):
+    if isinstance(node, dict):
+        yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _mappings(child, path + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(FUZZED))
+def test_any_key_in_any_section_parses_or_is_a_config_error(name):
+    # YAML keys need not be strings: a section holding an unknown int,
+    # float, bool or null key, alone or beside a string one, stops with a
+    # ConfigError that names the section, never with a TypeError
+    for path in _mappings(FUZZED[name]):
+        for keys in ({1: 2}, {None: 1}, {2.5: 1}, {True: 1}, {1: 2, "x": 3}, {"x": 3, None: 1, 0.5: 2}):
+            doc = copy.deepcopy(FUZZED[name])
+            node = doc
+            for key in path:
+                node = node[key]
+            node.update(keys)
+            try:
+                parse_config(doc)
+            except ConfigError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{'.'.join(map(str, path)) or '<top>'} + {keys!r}: {exc!r}")

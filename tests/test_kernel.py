@@ -195,6 +195,70 @@ def test_mixture_takes_words_in_refill_order():
     assert [next(sampler) for _ in range(600)] == want
 
 
+def _one_at_a_time(dist, twin):
+    """dist's values drawn lazily from twin in the documented word order:
+    a batched kind takes its next 256-value block when its last one runs
+    out; a mixture takes its branch word, then its base's value, then its
+    extra's, one value at a time."""
+    kind = dist.kind
+    if kind == "deterministic" or (kind == "exponential" and dist.rate == 0):
+        value = dist.mean()
+        while True:
+            yield value
+    elif kind == "shifted":
+        for v in _one_at_a_time(dist.base, twin):
+            yield dist.offset + v
+    elif kind == "mixture":
+        base, extra = _one_at_a_time(dist.base, twin), _one_at_a_time(dist.extra, twin)
+        while True:
+            u = float(_uniforms(twin, 1)[0])
+            a, b = next(base), next(extra)
+            yield a + b if u < dist.p_extra else a
+    else:
+        k = dist.phases if kind == "erlang" else 1
+        while True:
+            u = _uniforms(twin, 256 * k)
+            if kind == "uniform":
+                block = dist.low + (dist.high - dist.low) * u
+            else:
+                block = -np.log1p(-u).reshape(256, k).sum(axis=1) * (1.0 / dist.rate)
+            yield from block.tolist()
+
+
+def _draws_per_value(dist):
+    kind = dist.kind
+    if kind == "shifted":
+        return _draws_per_value(dist.base)
+    if kind == "mixture":
+        return 1 + _draws_per_value(dist.base) + _draws_per_value(dist.extra)
+    if kind == "erlang":
+        return dist.phases
+    if kind == "exponential":
+        return int(dist.rate > 0)
+    return int(kind == "uniform")
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)), Erlang(2, 1.0)),
+        Mixture(0.3, Uniform(0.0, 1.0),
+                Shifted(0.5, Mixture(0.2, Erlang(3, 1.0), Deterministic(float("inf"))))),
+        Shifted(1.5, Mixture(0.6, Mixture(0.1, Exponential(1.0), Exponential(0.0)),
+                             Mixture(0.9, Deterministic(2.0), Uniform(3.0, 4.0)))),
+    ],
+    ids=["mixture-base", "shifted-mixture-extra", "shifted-mixture-of-mixtures"],
+)
+def test_nested_mixture_takes_words_value_by_value(dist):
+    # a mixture inside a mixture takes its words as its parent draws each
+    # value, interleaved with the parent's branch words, not as a block
+    stream = RngStream(29, "st", "cl", "service")
+    sampler = dist.sampler(stream)
+    want = _one_at_a_time(dist, RngStream(29, "st", "cl", "service"))
+    assert [next(sampler) for _ in range(700)] == [next(want) for _ in range(700)]
+    assert stream.draws == 700 * _draws_per_value(dist)
+
+
 # ---------------------------------------------------------------------------
 # deterministic end-to-end accounting
 

@@ -4,11 +4,13 @@ _Engine._run_python is the executable specification of _Engine.run. The
 differential test runs both on the same engines and requires every
 sample to match bit for bit, every random stream to have handed out the
 same number of draws, and every class to have created, sunk and dropped
-the same jobs. Two pins in tests/data/engine_pin.json, frozen from an
-engine that pre-drew every arrival and merged them with a lexsort, hold
-both loops' lazy arrival merge to it on tied and non-exponential
-arrivals. The remaining tests cover the extension's build and fallback,
-and samplers, exceptions and signals crossing the C boundary.
+the same jobs; one of its models puts every distribution kind on both
+loops as service, arrival and probabilistic routing target. Two pins in
+tests/data/engine_pin.json, frozen from an engine that pre-drew every
+arrival and merged them with a lexsort, hold both loops' lazy arrival
+merge to it on tied and non-exponential arrivals. The remaining tests
+cover the extension's build and fallback, block samplers handed between
+Python and C, and exceptions and signals crossing the C boundary.
 """
 
 import json
@@ -16,9 +18,10 @@ import math
 import shutil
 import signal
 import time
+from dataclasses import replace
 from importlib.machinery import EXTENSION_SUFFIXES
-from itertools import accumulate, repeat
 
+import numpy as np
 import pytest
 
 from qnaps import kernel
@@ -121,6 +124,56 @@ def arrival_mix_model() -> NetworkModel:
     )
 
 
+def kinds(scale: float) -> dict:
+    """One distribution of each kind with a finite mean of about scale."""
+    s = scale
+    return {
+        "exponential": Exponential(1.0 / s),
+        "deterministic": Deterministic(s),
+        "erlang": Erlang(3, 3.0 / s),
+        "uniform": Uniform(0.5 * s, 1.5 * s),
+        "mixture": Mixture(0.25, Exponential(1.25 / s), Erlang(2, 2.0 / s)),
+        "shifted-exponential": Shifted(0.25 * s, Exponential(1.0 / (0.75 * s))),
+        "shifted-deterministic": Shifted(0.5 * s, Deterministic(0.5 * s)),
+        "shifted-erlang": Shifted(0.5 * s, Erlang(2, 4.0 / s)),
+        "shifted-uniform": Shifted(0.5 * s, Uniform(0.0, s)),
+        "shifted-mixture": Shifted(0.2 * s, Mixture(0.5, Uniform(0.0, s), Deterministic(0.6 * s))),
+    }
+
+
+def every_kind_model() -> NetworkModel:
+    """One open class per distribution kind, arriving with that kind and
+    split at the source over an fcfs station (capacity 2) and a delay
+    station that serve with it, and a park whose time is infinite. The
+    mixture class's arrivals and delay have an infinite extra, and one
+    more class arrives at rate 0."""
+    service, arrival = kinds(10.0), kinds(12.0)
+    arrival["mixture"] = Mixture(0.002, arrival["mixture"], Exponential(0.0))
+    routing = RoutingTable()
+    stations = [Station("Source", kind=SOURCE), Station("Sink", kind=SINK)]
+    classes = []
+    for kind in service:
+        fcfs, delay = f"F-{kind}", f"D-{kind}"
+        delay_service = service[kind]
+        if kind == "mixture":
+            delay_service = Mixture(0.05, delay_service, Deterministic(math.inf))
+        stations += [
+            Station(fcfs, kind=FCFS, capacity=2, service={kind: service[kind]}),
+            Station(delay, kind=DELAY, service={kind: delay_service}),
+            Station(f"P-{kind}", kind=DELAY, service={kind: Deterministic(math.inf)}),
+        ]
+        classes.append(JobClass(kind, "open", arrival=arrival[kind]))
+        routing.add(kind, "Source", [(fcfs, 0.5), (delay, 0.49), (f"P-{kind}", 0.01)])
+        for to in (fcfs, delay, f"P-{kind}"):
+            routing.add(kind, to, "Sink")
+    classes.append(JobClass("never", "open", arrival=Exponential(0.0)))
+    routing.add("never", "Source", "F-exponential")
+    routing.add("never", "F-exponential", "Sink")
+    stations[2] = replace(stations[2], service={**stations[2].service,
+                                                "never": Exponential(1.0)})
+    return NetworkModel(name="every-kind", stations=stations, classes=classes, routing=routing)
+
+
 MODELS = {
     **{case: build_model_from_config(m, a) for case, (m, a, _) in CASES.items()},
     "mm1_capacity3": mm1_model(capacity=3),
@@ -129,6 +182,7 @@ MODELS = {
     "ties": tie_model(),
     "arrival_mix": arrival_mix_model(),
     "stopping_arrivals": stopping_arrivals_model(),
+    "every_kind": every_kind_model(),
 }
 
 # seeds of the arrival-merge pins in tests/data/engine_pin.json
@@ -220,9 +274,39 @@ def test_cache_name_follows_the_source_hash(tmp_path):
         assert kernel._loop.__file__.endswith(name)
 
 
-def raising_after(k):
-    yield from repeat(1.0, k)
-    raise ValueError(f"sampler broke after {k} values")
+@compiled
+def test_blocks_hand_off_between_python_and_the_compiled_loop():
+    # _build's closed-class init and a direct next() take values of the
+    # Think block in Python before the run; the run continues that block
+    # where they stopped, and a next() after it continues where the run
+    # stopped: both loops hand out the same values and count the same draws
+    def handed_off(loop):
+        engine = _Engine(parking_model(), 7, HORIZON / 2, WARMUP)
+        think = engine.stations[0].samplers[0]
+        stream = engine.space.stream("Think", "Loop", "service")
+        assert (think.i, stream.draws) == (4, 4)  # one think time per Loop job
+        before = next(think)
+        result = getattr(engine, loop)()
+        draws = stream.draws
+        return ([s.value.hex() for s in result.samples], before, draws,
+                next(think), stream.draws - draws)
+
+    samples, before, draws, after, after_draws = handed_off("run")
+    assert (samples, before, draws, after, after_draws) == handed_off("_run_python")
+    assert draws > 256 and after_draws == 1  # the run crossed blocks
+
+
+def one_block_then(k, after):
+    """fill() of a sampler whose first block is k values 1.0, and whose
+    every later fill() returns after()."""
+    first = [np.full(k, 1.0)]
+    return lambda: first.pop() if first else after()
+
+
+def broken_after(k):
+    def fail():
+        raise ValueError(f"fill() broke after {k} values")
+    return fail
 
 
 def break_sampler(engine, where, sampler):
@@ -237,7 +321,7 @@ def break_sampler(engine, where, sampler):
         cums, sts, _ = station.routes[ci]
         station.routes[ci] = (cums, sts, sampler)
     else:
-        engine.classes[ci].arrivals = accumulate(sampler)
+        engine.classes[ci].arrivals = sampler
 
 
 @pytest.mark.parametrize("loop", ["run", "_run_python"])
@@ -246,34 +330,43 @@ def test_sampler_exception_comes_out_of_either_loop(loop, where):
     if loop == "run" and kernel._loop is None:
         pytest.skip("compiled loop not available")
     engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
-    break_sampler(engine, where, raising_after(50))
-    with pytest.raises(ValueError, match="sampler broke after 50 values"):
+    break_sampler(engine, where, kernel._Block(0, one_block_then(50, broken_after(50))))
+    with pytest.raises(ValueError, match=r"fill\(\) broke after 50 values"):
         getattr(engine, loop)()
 
 
 @pytest.mark.parametrize("loop", ["run", "_run_python"])
 def test_sampler_that_runs_out_stops_either_loop(loop):
-    # the compiled loop turns an iterator's silent end into StopIteration,
-    # as next() does in the Python loop
+    # an empty block from fill() raises StopIteration in both loops
     engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
-    break_sampler(engine, "service", repeat(1.0, 50))
+    sampler = kernel._Block(0, one_block_then(50, lambda: np.empty(0)))
+    break_sampler(engine, "service", sampler)
     with pytest.raises(StopIteration):
         getattr(engine, loop)()
+    assert (len(sampler.vals), sampler.i) == (0, 0)  # the empty block was kept
 
 
 @compiled
-def test_compiled_loop_rejects_a_sampler_that_is_not_an_iterator():
+def test_compiled_loop_rejects_a_sampler_that_is_not_a_block():
     engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
-    break_sampler(engine, "service", lambda: 1.0)
-    with pytest.raises(TypeError, match="is not an iterator"):
+    break_sampler(engine, "service", iter([1.0] * 50))
+    with pytest.raises(TypeError, match="is not a block sampler"):
+        engine.run()
+
+
+@compiled
+def test_compiled_loop_rejects_a_block_that_is_not_float64():
+    engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
+    break_sampler(engine, "service", kernel._Block(0, lambda: np.ones(256, dtype=np.int64)))
+    with pytest.raises(TypeError, match="is not a 1-d float64 array"):
         engine.run()
 
 
 @compiled
 def test_compiled_loop_checks_for_signals():
-    # C-level samplers only, so no Python bytecode runs inside the loop
-    # and only the loop's own check can deliver the signal; uninterrupted
-    # this run takes about half a minute
+    # constant blocks only, whose fill() is C code, so no Python bytecode
+    # runs inside the loop and only the loop's own check can deliver the
+    # signal; uninterrupted this run takes about half a minute
     routing = RoutingTable()
     routing.add("Loop", "A", "B")
     routing.add("Loop", "B", "A")
