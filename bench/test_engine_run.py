@@ -10,8 +10,8 @@ only the sum compares across the two designs. Each model runs on both
 loops, ``_Engine.run`` (compiled) and ``_Engine._run_python``, so one
 run gives the speed-up of the compiled loop on one machine. A second
 case times the samplers alone: fill() of one block sampler per
-distribution kind, and of the arrival-time and routing samplers the
-engine builds, reported as values per second in each benchmark's
+distribution kind, of a mixture whose base is a mixture, and of the
+arrival-time and routing samplers the engine builds, reported as values per second in each benchmark's
 extra_info. It is the per-block numpy cost that the compiled loop pays
 on top of reading the values. Run from the checkout root with
 
@@ -66,6 +66,8 @@ SAMPLERS = {
     "uniform": Uniform(1.0, 3.0).sampler,
     "shifted": Shifted(0.5, Exponential(0.5)).sampler,
     "mixture": Mixture(0.25, Exponential(0.5), Exponential(0.1)).sampler,
+    "nested-mixture": Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)),
+                              Erlang(2, 1.0)).sampler,
     "arrival-times": lambda stream: _arrival_times(Exponential(0.05), stream),
     "routing": lambda stream: stream.batched_sampler(1, lambda u: u),
 }

@@ -12,16 +12,13 @@ Generator.random computes from the same words. Every sampler, the
 routing uniforms and each open class's arrival times too, is one _Block:
 a float64 array of values, the index of the next one, and fill(), which
 returns the next array. A batched sampler's block is 256 values made in
-numpy from the uniforms of the next 256*k raw words, taken on its first
-value and whenever the previous block runs out, so a sampler that has
-its stream to itself consumes the same raw sequence as drawing one value
-at a time; routing streams, one consumer each, are batched too. The
-closed-class init phase takes one word per value. A mixture's value
-takes its branch word, then its base's value, then its extra's; base and
-extra share its stream, a part that is a block takes its next 256-value
-block when it runs out, and a part that is itself a mixture takes its
-words value by value. So a mixture's values are fixed by that refill
-order, not by a one-value-at-a-time layout.
+numpy from the uniforms of the next 256*k raw words, so a sampler that
+has its stream to itself consumes the same raw sequence as drawing one
+value at a time; routing streams, one consumer each, are batched too.
+The closed-class init phase takes one word per value. A mixture's branch
+uniforms, base and extra each draw from their own part stream, keyed
+purpose/branch, purpose/base and purpose/extra, so no sampler's values
+depend on the block size.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -87,7 +84,7 @@ from .model import (
 from .stats import MetricSample, ReplicationResult
 
 _INF = math.inf
-_BLOCK = 256  # values per block; a mixture's values depend on it
+_BLOCK = 256  # values per block
 _NO_VALUES = np.empty(0)
 
 
@@ -127,16 +124,13 @@ class _Block:
     vals in place and writes vals and i back when it returns, so next()
     continues where it stopped."""
 
-    __slots__ = ("vals", "i", "k", "fill", "parts")
+    __slots__ = ("vals", "i", "k", "fill")
 
     def __init__(self, k: int, fill):
         self.vals = _NO_VALUES
         self.i = 0
         self.k = k
         self.fill = fill
-        # what an enclosing mixture draws through instead of this block:
-        # (p, base, extra) of a mixture, (offset, base) of a shift of one
-        self.parts = None
 
     def __next__(self) -> float:
         vals = self.vals
@@ -156,17 +150,21 @@ class RngStream:
     draws counts logical samples handed out (uniform01 counts 1, a
     distribution sampler counts its documented amount per value). Block
     samplers count nothing per value: draws is worked out when read, from
-    the words taken less k per value their blocks have not handed out.
+    the words taken by this stream and its part streams less k per value
+    its blocks have not handed out.
     """
 
-    __slots__ = ("station_id", "class_id", "purpose", "_draws", "_open", "_bg", "_gen")
+    __slots__ = ("seed", "station_id", "class_id", "purpose", "_draws", "_open",
+                 "_parts", "_bg", "_gen")
 
     def __init__(self, seed: int, station_id: str, class_id: str, purpose: str):
+        self.seed = seed
         self.station_id = station_id
         self.class_id = class_id
         self.purpose = purpose
         self._draws = 0
         self._open = []  # every block sampler made on this stream
+        self._parts = {}  # tag -> part stream
         material = f"{seed}|{station_id}|{class_id}|{purpose}".encode()
         key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
         self._bg = Philox(key=key)
@@ -174,11 +172,18 @@ class RngStream:
 
     @property
     def draws(self) -> int:
-        return self._draws - sum(b.k * (len(b.vals) - b.i) for b in self._open)
+        return (self._draws + sum(p.draws for p in self._parts.values())
+                - sum(b.k * (len(b.vals) - b.i) for b in self._open))
 
-    def take_block(self, n: int) -> np.ndarray:
-        """Next n raw 64-bit words of this stream's sequence."""
-        return self._bg.random_raw(n)
+    def part(self, tag: str) -> RngStream:
+        """The stream of part tag of a sampler on this stream, keyed by
+        purpose/tag. No top-level purpose holds a /, so a part stream
+        meets no other stream. Its draws count toward this stream's."""
+        p = self._parts.get(tag)
+        if p is None:
+            p = self._parts[tag] = RngStream(self.seed, self.station_id, self.class_id,
+                                             f"{self.purpose}/{tag}")
+        return p
 
     def uniforms(self, n: int) -> np.ndarray:
         """The next n raw words as uniforms on [0, 1), from their top 53
@@ -210,76 +215,19 @@ class RngStream:
     def shift(self, offset: float, base: _Block) -> _Block:
         """Block sampler of offset plus base's values."""
         offset = float(offset)
-        b = self.block(base.k, lambda: offset + base.fill())
-        if base.parts is not None:
-            b.parts = (offset, base)
-        return b
+        return self.block(base.k, lambda: offset + base.fill())
 
     def mixture(self, p: float, base: _Block, extra: _Block) -> _Block:
         """Block sampler of base plus, when a value's branch uniform is
-        below p, extra; base and extra must be samplers of this stream.
-        Each value takes its branch word, then base's value, then extra's.
-        A part that is a mixture, or a shift of one, takes its words value
-        by value in that order, not as a block; a part that is a block
-        takes its next block when it runs out."""
-        mix = self.block(1 + base.k + extra.k, None)
-        mix.parts = (p, base, extra)
-        width = _width(mix)
-        leaves = _leaves(mix)
+        below p, extra. base and extra are samplers of this stream's parts
+        "base" and "extra"; the branch uniforms come from part "branch"."""
+        branch = self.part("branch")
 
         def fill():
-            out = []
-            j = 0
-            while j < _BLOCK:
-                # the next n values open no new block; at n = 0, value j
-                # takes its words one at a time and opens the blocks it needs
-                n = min(_BLOCK - j, *(len(b.vals) - b.i for b in leaves))
-                words = self.uniforms(n * width).reshape(n, width) if n else None
-                out.append(_part_values(mix, max(n, 1), self, words))
-                j += max(n, 1)
-            return np.concatenate(out)
+            a = base.fill()
+            return np.where(branch.uniforms(_BLOCK) < p, a + extra.fill(), a)
 
-        mix.fill = fill
-        return mix
-
-
-def _width(b: _Block) -> int:
-    """Words a mixture part takes per value, besides its blocks' words."""
-    if b.parts is None:
-        return 0
-    if len(b.parts) == 2:
-        return _width(b.parts[1])
-    return 1 + _width(b.parts[1]) + _width(b.parts[2])
-
-
-def _leaves(b: _Block) -> list[_Block]:
-    """The blocks a mixture part takes its values from."""
-    if b.parts is None:
-        return [b]
-    return [leaf for part in b.parts[1:] for leaf in _leaves(part)]
-
-
-def _part_values(b: _Block, n: int, stream: RngStream, words) -> np.ndarray:
-    """The next n values of mixture part b. words holds its words, one row
-    per value, when none of its blocks runs out within them; words None
-    means one value whose words are taken from stream, in order, and
-    whose blocks are refilled as they run out."""
-    parts = b.parts
-    if parts is None:
-        if b.i == len(b.vals):
-            b.vals, b.i = b.fill(), 0
-        b.i += n
-        return b.vals[b.i - n : b.i]
-    if len(parts) == 2:
-        return parts[0] + _part_values(parts[1], n, stream, words)
-    p, base, extra = parts
-    if words is None:
-        u, bw, ew = stream.uniforms(1), None, None
-    else:
-        w = 1 + _width(base)
-        u, bw, ew = words[:, 0], words[:, 1:w], words[:, w:]
-    a = _part_values(base, n, stream, bw)
-    return np.where(u < p, a + _part_values(extra, n, stream, ew), a)
+        return self.block(1 + base.k + extra.k, fill)
 
 
 class RngSpace:

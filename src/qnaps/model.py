@@ -119,8 +119,9 @@ class Shifted:
 class Mixture:
     """base demand plus, with probability p_extra, an additional demand.
 
-    Both components are drawn on every sample so the stream advances by a
-    fixed amount regardless of the branch taken.
+    Both components are drawn on every sample, each from its own part
+    stream, so every stream advances by a fixed amount regardless of the
+    branch taken.
     """
 
     p_extra: float
@@ -134,7 +135,8 @@ class Mixture:
         return self.base.mean() + (self.p_extra * self.extra.mean() if self.p_extra else 0.0)
 
     def sampler(self, stream):
-        return stream.mixture(self.p_extra, self.base.sampler(stream), self.extra.sampler(stream))
+        return stream.mixture(self.p_extra, self.base.sampler(stream.part("base")),
+                              self.extra.sampler(stream.part("extra")))
 
 
 Distribution = Exponential | Deterministic | Erlang | Uniform | Shifted | Mixture

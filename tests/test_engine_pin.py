@@ -7,8 +7,11 @@ order of any float operation or the word order of any random stream; if
 it does, a value here moves. The cases cover a Shifted service with
 finite-capacity drops and 2-actor routing (wwi), a detection flush
 (awty), the default sensor net, and a Mixture service (ieok with
-p_exc > 0). Each case is pinned on both loops: _Engine.run, compiled,
-and _Engine._run_python, the Python loop it was ported from.
+p_exc > 0). ieok_exc was re-frozen when each mixture part got its own
+stream, after its mixture's sample mean and variance were checked
+against their closed forms (test_kernel.py). Each case is pinned on
+both loops: _Engine.run, compiled, and _Engine._run_python, the Python
+loop it was ported from.
 """
 
 import json

@@ -14,12 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qnaps import kernel
+from qnaps.config import build_model_from_config
 from qnaps.kernel import (
     DeadlockError,
     InvalidModelError,
     KernelError,
     RngSpace,
     RngStream,
+    _arrival_times,
     _Engine,
     run_replication,
 )
@@ -43,10 +46,23 @@ from qnaps.model import (
 from qnaps.stats import estimate
 
 from _helpers import mm1_model, open_trap_model, stopping_arrivals_model
+from test_engine_pin import CASES
+from test_loop import ARRIVAL_PINS, arrival_mix_model, kinds
 
 
 # ---------------------------------------------------------------------------
 # random streams
+
+# mixtures whose base or extra is itself a mixture, or a shift of one
+NESTED = {
+    "mixture-base": Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)), Erlang(2, 1.0)),
+    "shifted-mixture-extra": Mixture(
+        0.3, Uniform(0.0, 1.0),
+        Shifted(0.5, Mixture(0.2, Erlang(3, 1.0), Deterministic(float("inf"))))),
+    "shifted-mixture-of-mixtures": Shifted(
+        1.5, Mixture(0.6, Mixture(0.1, Exponential(1.0), Exponential(0.0)),
+                     Mixture(0.9, Deterministic(2.0), Uniform(3.0, 4.0)))),
+}
 
 
 def test_stream_is_reproducible_and_purpose_separated():
@@ -73,14 +89,6 @@ def test_streams_are_isolated_under_interleaving():
         interleaved.append(a.uniform01())
         b.uniform01()  # traffic on B must not disturb A
     assert interleaved == solo
-
-
-def test_take_block_walks_one_sequence():
-    s1 = RngStream(9, "x", "y", "service")
-    s2 = RngStream(9, "x", "y", "service")
-    whole = s1.take_block(64)
-    parts = list(s2.take_block(10)) + list(s2.take_block(54))
-    assert list(whole) == parts
 
 
 def test_sampler_draw_accounting():
@@ -116,12 +124,14 @@ def test_model_samplers_draw_documented_amounts():
         (Erlang(3, 1.0), 3),
         (Shifted(0.5, Exponential(2.0)), 1),
         (Mixture(0.3, Exponential(2.0), Erlang(2, 1.0)), 4),
+        (NESTED["shifted-mixture-of-mixtures"], 5),
     ],
-    ids=["exponential", "erlang", "shifted", "mixture"],
+    ids=["exponential", "erlang", "shifted", "mixture", "shifted-mixture-of-mixtures"],
 )
 def test_draws_count_every_value_across_a_refill(dist, k):
     # 300 values cross the first 256-value block; draws counts what was
-    # handed out, not what the open block holds
+    # handed out, not what the open block holds, and counts the words of
+    # part streams, and of their part streams, toward their owner
     stream = RngStream(11, "st", "cl", "refill")
     sampler = dist.sampler(stream)
     counts = []
@@ -155,7 +165,7 @@ def test_routing_stream_draws_one_word_per_decision():
 
 
 def _uniforms(stream, n):
-    return (stream.take_block(n) >> np.uint64(11)) * (1.0 / (1 << 53))
+    return (stream._bg.random_raw(n) >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
 @pytest.mark.parametrize(
@@ -175,88 +185,71 @@ def test_batched_sampler_matches_the_formula_on_raw_words(dist, k, formula):
     assert [next(sampler) for _ in range(300)] == want[:300]
 
 
-def test_mixture_takes_words_in_refill_order():
-    # the branch uniform takes one word per value; base and extra each take
-    # a 256-word block on their first value and when it runs out
-    p, lo1, hi1, lo2, hi2 = 0.3, 0.0, 1.0, 2.0, 3.0
-    sampler = Mixture(p, Uniform(lo1, hi1), Uniform(lo2, hi2)).sampler(
-        RngStream(23, "st", "cl", "service")
-    )
-    twin = RngStream(23, "st", "cl", "service")
-    base, extra, want = [], [], []
-    for _ in range(600):
-        u = float(_uniforms(twin, 1)[0])
-        if not base:
-            base = (lo1 + (hi1 - lo1) * _uniforms(twin, 256)).tolist()
-        if not extra:
-            extra = (lo2 + (hi2 - lo2) * _uniforms(twin, 256)).tolist()
-        a, b = base.pop(0), extra.pop(0)
-        want.append(a + b if u < p else a)
-    assert [next(sampler) for _ in range(600)] == want
+@pytest.mark.parametrize(
+    "dist", [Mixture(0.3, Uniform(0.0, 1.0), Uniform(2.0, 3.0)), *NESTED.values()],
+    ids=["flat", *NESTED],
+)
+def test_mixture_parts_draw_from_their_own_streams(dist):
+    # value i is base value i, plus extra value i when branch uniform i is
+    # below p; each is rebuilt from a fresh stream keyed service/branch,
+    # service/base or service/extra
+    offset, mix = (dist.offset, dist.base) if dist.kind == "shifted" else (0.0, dist)
+    sampler = dist.sampler(RngStream(29, "st", "cl", "service"))
+    branch = _uniforms(RngStream(29, "st", "cl", "service/branch"), 700).tolist()
+    base = mix.base.sampler(RngStream(29, "st", "cl", "service/base"))
+    extra = mix.extra.sampler(RngStream(29, "st", "cl", "service/extra"))
+    want = []
+    for u in branch:
+        a, b = next(base), next(extra)
+        want.append(offset + (a + b if u < mix.p_extra else a))
+    assert [next(sampler) for _ in range(700)] == want
 
 
-def _one_at_a_time(dist, twin):
-    """dist's values drawn lazily from twin in the documented word order:
-    a batched kind takes its next 256-value block when its last one runs
-    out; a mixture takes its branch word, then its base's value, then its
-    extra's, one value at a time."""
-    kind = dist.kind
-    if kind == "deterministic" or (kind == "exponential" and dist.rate == 0):
-        value = dist.mean()
-        while True:
-            yield value
-    elif kind == "shifted":
-        for v in _one_at_a_time(dist.base, twin):
-            yield dist.offset + v
-    elif kind == "mixture":
-        base, extra = _one_at_a_time(dist.base, twin), _one_at_a_time(dist.extra, twin)
-        while True:
-            u = float(_uniforms(twin, 1)[0])
-            a, b = next(base), next(extra)
-            yield a + b if u < dist.p_extra else a
-    else:
-        k = dist.phases if kind == "erlang" else 1
-        while True:
-            u = _uniforms(twin, 256 * k)
-            if kind == "uniform":
-                block = dist.low + (dist.high - dist.low) * u
-            else:
-                block = -np.log1p(-u).reshape(256, k).sum(axis=1) * (1.0 / dist.rate)
-            yield from block.tolist()
+@pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values()],
+                         ids=[*kinds(10.0), *NESTED])
+def test_no_sampler_depends_on_the_block_size(dist, monkeypatch):
+    # 700 values, and 700 arrival times with dist as the gap, span several
+    # blocks of either size
+    def draw():
+        values = dist.sampler(RngStream(31, "st", "cl", "service"))
+        times = _arrival_times(dist, RngStream(31, "st", "cl", "arrival"))
+        return [(next(values).hex(), next(times).hex()) for _ in range(700)]
 
-
-def _draws_per_value(dist):
-    kind = dist.kind
-    if kind == "shifted":
-        return _draws_per_value(dist.base)
-    if kind == "mixture":
-        return 1 + _draws_per_value(dist.base) + _draws_per_value(dist.extra)
-    if kind == "erlang":
-        return dist.phases
-    if kind == "exponential":
-        return int(dist.rate > 0)
-    return int(kind == "uniform")
+    default = draw()
+    monkeypatch.setattr(kernel, "_BLOCK", 97)
+    assert draw() == default
 
 
 @pytest.mark.parametrize(
-    "dist",
+    "case, mean, var",
     [
-        Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)), Erlang(2, 1.0)),
-        Mixture(0.3, Uniform(0.0, 1.0),
-                Shifted(0.5, Mixture(0.2, Erlang(3, 1.0), Deterministic(float("inf"))))),
-        Shifted(1.5, Mixture(0.6, Mixture(0.1, Exponential(1.0), Exponential(0.0)),
-                             Mixture(0.9, Deterministic(2.0), Uniform(3.0, 4.0)))),
+        # 0.5 + 0.25 * 3, and 0.25 + 0.25 * (9 + 3**2) - (0.25 * 3)**2
+        ("ieok_exc", 1.25, 4.1875),
+        # 3 + 0.3 * 2.5, and 16 / 12 + 0.3 * (4 + 2.5**2) - (0.3 * 2.5)**2
+        ("arrival_mix", 3.75, 16 / 12 + 0.3 * 10.25 - 0.75**2),
     ],
-    ids=["mixture-base", "shifted-mixture-extra", "shifted-mixture-of-mixtures"],
+    ids=["ieok_exc", "arrival_mix"],
 )
-def test_nested_mixture_takes_words_value_by_value(dist):
-    # a mixture inside a mixture takes its words as its parent draws each
-    # value, interleaved with the parent's branch words, not as a block
-    stream = RngStream(29, "st", "cl", "service")
+def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
+    # the mixtures of the two engine pins that sample one, drawn 2**20 times
+    # from the stream the pinned run uses: sample mean and variance within
+    # 4 standard errors of the mean and variance of base + Bernoulli(p) * extra
+    if case == "ieok_exc":
+        model_section, antipattern_section, seed = CASES[case]
+        model = build_model_from_config(model_section, antipattern_section)
+        dist = model.station("Controller").service["Status"]
+        stream = RngStream(seed, "Controller", "Status", "service")
+        assert dist == Mixture(0.25, Exponential(2.0), Exponential(1 / 3))
+    else:
+        dist = arrival_mix_model().job_class("M").arrival
+        stream = RngStream(ARRIVAL_PINS[case], "Source", "M", "arrival")
+        assert dist == Mixture(0.3, Uniform(1.0, 5.0), Shifted(0.5, Exponential(0.5)))
     sampler = dist.sampler(stream)
-    want = _one_at_a_time(dist, RngStream(29, "st", "cl", "service"))
-    assert [next(sampler) for _ in range(700)] == [next(want) for _ in range(700)]
-    assert stream.draws == 700 * _draws_per_value(dist)
+    x = np.concatenate([sampler.fill() for _ in range(4096)])
+    d = x - x.mean()
+    m2, m4 = (d**2).mean(), (d**4).mean()
+    assert abs(x.mean() - mean) / np.sqrt(var / len(x)) < 4
+    assert abs(m2 - var) / np.sqrt((m4 - m2**2) / len(x)) < 4
 
 
 # ---------------------------------------------------------------------------

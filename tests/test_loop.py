@@ -6,9 +6,13 @@ sample to match bit for bit, every random stream to have handed out the
 same number of draws, and every class to have created, sunk and dropped
 the same jobs; one of its models puts every distribution kind on both
 loops as service, arrival and probabilistic routing target. Two pins in
-tests/data/engine_pin.json, frozen from an engine that pre-drew every
-arrival and merged them with a lexsort, hold both loops' lazy arrival
-merge to it on tied and non-exponential arrivals. The remaining tests
+tests/data/engine_pin.json hold both loops' lazy arrival merge on tied
+and non-exponential arrivals. The ties pin was frozen from an engine
+that pre-drew every arrival and merged them with a lexsort. The
+arrival_mix pin, whose class M arrives by a mixture, was re-frozen when
+each mixture part got its own stream, after that mixture's sample mean
+and variance were checked against their closed forms (test_kernel.py).
+The remaining tests
 cover the extension's build and fallback, block samplers handed between
 Python and C, and exceptions and signals crossing the C boundary.
 """
