@@ -185,6 +185,23 @@ def test_batched_sampler_matches_the_formula_on_raw_words(dist, k, formula):
     assert [next(sampler) for _ in range(300)] == want[:300]
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_erlang_value_is_its_phases_summed_in_order(k):
+    # value i is -(l[ik] + l[ik+1] + ... + l[ik+k-1]) / rate, summed left to
+    # right in Python, with l = log1p(-u) over the block's 256*k uniforms
+    sampler = Erlang(k, 1.3).sampler(RngStream(17, "st", "cl", "service"))
+    twin = RngStream(17, "st", "cl", "service")
+    want = []
+    for _ in range(2):
+        logs = np.log1p(-_uniforms(twin, 256 * k)).tolist()
+        for i in range(256):
+            total = logs[i * k]
+            for phase in logs[i * k + 1:(i + 1) * k]:
+                total += phase
+            want.append(-total * (1.0 / 1.3))
+    assert [next(sampler) for _ in range(300)] == want[:300]
+
+
 @pytest.mark.parametrize(
     "dist", [Mixture(0.3, Uniform(0.0, 1.0), Uniform(2.0, 3.0)), *NESTED.values()],
     ids=["flat", *NESTED],

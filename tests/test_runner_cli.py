@@ -312,14 +312,21 @@ def test_cli_internal_error_exits_4_without_outputs(tmp_path, capsys, monkeypatc
     assert not out.exists() or not list(out.iterdir())
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs most of a second to import; the CI quantile comes
-    # from scipy.special instead
-    probe = "import sys, qnaps.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # the CI quantile is computed in the standard library; a whole run, not
+    # only the import, must load no scipy module, so a lazy import fails too
+    cfg = _write_config(tmp_path / "tiny.yaml")
+    probe = (
+        "import sys, qnaps.cli\n"
+        f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r},"
+        " '--jobs', '1', '--format', 'all']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "o" / "tiny.csv").exists()
 
 
 def test_cli_jobs_env_precedence(tmp_path, monkeypatch):

@@ -4,7 +4,6 @@ import math
 import random
 
 import pytest
-import scipy.stats
 
 from qnaps.stats import (
     CI_LEVEL,
@@ -16,6 +15,7 @@ from qnaps.stats import (
     estimate,
     littles_law_rows,
     response_time_error,
+    _t_ppf,
     _t_quantile,
     utilization_error,
 )
@@ -39,9 +39,12 @@ def _make_results(values):
 
 
 def _t_995(dof):
-    """Exact Student-t 0.995 quantile for dof 2 and 4, from the closed forms in
-    Shaw, "Sampling Student's T distribution", J. Comp. Finance 2006."""
+    """Exact Student-t 0.995 quantile for dof 1, 2 and 4, from the closed forms
+    in Shaw, "Sampling Student's T distribution", J. Comp. Finance 2006."""
     p = 0.995
+    if dof == 1:
+        # 40-digit mpmath root of the CDF: 63.656741162871524447...
+        return 1 / math.tan(math.pi * (1 - p))
     if dof == 2:
         # 40-digit mpmath root of the CDF: 9.924843200918293114...
         return (2 * p - 1) / math.sqrt(2 * p * (1 - p))
@@ -74,11 +77,57 @@ def test_interval_needs_two_replications():
         acc.estimate("Q", "Jobs", "utilization")
 
 
-def test_quantile_matches_scipy_stats_exactly():
-    # stdtrit is the inverse CDF that t.ppf evaluates, so the CSV bytes do
-    # not depend on which of the two entry points stats uses
-    for dof in range(1, 61):
-        assert _t_quantile(dof) == float(scipy.stats.t.ppf(0.995, dof)), dof
+# The double nearest the Student-t quantile at p = 0.5 + 0.99 / 2, by dof.
+_CORRECTLY_ROUNDED_T_995 = {
+    1: 63.656741162871526, 2: 9.92484320091829, 3: 5.840909309733355,
+    4: 4.604094871349992, 5: 4.032142983555227, 6: 3.707428021324779,
+    7: 3.4994832973504932, 8: 3.355387331333395, 9: 3.249835541592126,
+    10: 3.169272672616951, 11: 3.1058065155392804, 12: 3.0545395893929017,
+    13: 3.012275838716578, 14: 2.9768427343708344, 15: 2.9467128834752385,
+    16: 2.9207816224250998, 17: 2.8982305196774183, 18: 2.8784404727386077,
+    19: 2.860934606464979, 20: 2.845339709786108, 21: 2.8313595580230495,
+    22: 2.818756060600143, 23: 2.8073356837699985, 24: 2.796939504774456,
+    25: 2.78743581367697, 26: 2.778714533329683, 27: 2.7706829571222116,
+    28: 2.7632624554614442, 29: 2.7563859036706053, 30: 2.749995653567225,
+    31: 2.744041919294269, 32: 2.7384814820121877, 33: 2.733276642350836,
+    34: 2.72839436707072, 35: 2.7238055892080912, 36: 2.7194846304500078,
+    37: 2.715408721549988, 38: 2.7115576019130825, 39: 2.7079131835176615,
+    40: 2.7044592674331622, 41: 2.701181303578522, 42: 2.698066186219984,
+    43: 2.695102079157675, 44: 2.6922782656930218, 45: 2.6895850193746424,
+    46: 2.6870134922422158, 47: 2.684555617866524, 48: 2.6822040269502154,
+    49: 2.679951973631552, 50: 2.677793270940844, 51: 2.6757222341106472,
+    52: 2.6737336306472193, 53: 2.6718226362410036, 54: 2.6699847957348912,
+    55: 2.668215988486194, 56: 2.666512397556063, 57: 2.6648704822419713,
+    58: 2.6632869535376584, 59: 2.6617587521629673, 60: 2.6602830288550368,
+    99: 2.626405457280827, 999: 2.5807596372676365, 9999: 2.5763210958565974,
+}
+
+
+def test_quantile_is_correctly_rounded():
+    """_t_quantile returns the frozen correctly rounded quantiles, made with
+
+        import mpmath
+        mpmath.mp.dps = 60
+        p = mpmath.mpf(0.5 + 0.99 / 2)
+        def q(nu):
+            cdf = lambda t: 1 - mpmath.betainc(
+                nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) / 2
+            return float(mpmath.findroot(lambda t: cdf(t) - p, (1, 70), solver="illinois"))
+
+    for dof 1-60, 99, 999 and 9999. mpmath rounds the 60-digit root to the
+    nearest double, and each root lies strictly between the half-ulp
+    midpoints around its double."""
+    for dof, q in _CORRECTLY_ROUNDED_T_995.items():
+        assert _t_quantile(dof) == q, dof
+    for dof in (1, 2, 4):
+        assert _t_quantile(dof) == pytest.approx(_t_995(dof), rel=1e-14), dof
+
+
+def test_quantile_retries_at_higher_precision_when_too_close_to_call():
+    # at 12 digits no half-ulp midpoint can be told from the root, so the
+    # search doubles its precision until it can
+    for dof in (2, 3, 4):
+        assert _t_ppf(dof, 0.995, prec=12) == _CORRECTLY_ROUNDED_T_995[dof]
 
 
 def test_add_order_invariance_is_exact():
