@@ -1,19 +1,21 @@
 /* Compiled event loop of qnaps.kernel._Engine.
 
-   run(engine) continues an engine that _Engine._build has set up: it
-   copies the calendar, the queues, the parked and pending lists and the
-   accumulators into C structs, runs the event loop to the horizon,
-   closes out the jobs still alive, writes the cell and class
-   accumulators back to the Python objects and returns the live-job
-   count per class. It is the same algorithm as _Engine._run_python,
-   statement for statement: every float operation keeps that loop's
-   order and grouping, the calendar is a binary heap with heapq's sift
-   algorithm keyed on (t, seq), so its array layout (which the closing
-   sweep walks) is the same, and every random value, arrival times too,
-   comes from the engine's own block samplers, drawn as the loop goes:
-   the loop reads a sampler's float64 block in place, calls its fill()
-   only when the block runs out, and writes the block and its index back
-   when it returns, so next() in Python continues where the loop stopped.
+   run(*table) runs one replication on the _Table that _Engine._build
+   makes, passed field by field. It copies the table's arrays and checks
+   each once, on entry, for its format, its length and the range of every
+   index in it, raising TypeError or ValueError naming the table; past
+   that the loop indexes unchecked. It places the closed populations,
+   runs to the horizon, closes out the jobs still alive and returns the
+   tally _Engine._finalize reads.
+
+   It is _Engine._tally_python statement for statement: every float
+   operation keeps that loop's order and grouping, the calendar is a
+   binary heap with heapq's sift algorithm keyed on (t, seq), so its
+   array layout, which the closing sweep walks, is the same, and every
+   random value comes from the engine's _Blocks as the loop goes. Their
+   vals, i and fill are the only attributes it reads or writes: it reads
+   vals in place, calls fill() when they run out and writes vals and i
+   back when it returns, so next() in Python continues where it stopped.
    The kernel module docstring has the build flags this relies on. */
 
 #define PY_SSIZE_T_CLEAN
@@ -25,6 +27,22 @@ enum { KC_FCFS = 0, KC_DELAY = 1, KC_SOURCE = 2, KC_SINK = 3 };
 
 /* signals are checked once per this many events */
 #define SIGNAL_EVERY 4096
+
+/* the arrays of a _Table, in its order between warmup and blocks */
+enum {
+    KIND, SERVERS, CAPACITY, REF_CLASS, SAMPLER, ROUTE_PTR, ROUTE_TO, ROUTE_CUM, ROUTE_BLOCK,
+    FLUSH_PTR, FLUSH_CLS, CLOSED, WATCHED, REFERENCE, ARRIVALS, FIRST_ARRIVAL,
+    PLACE_STATION, PLACE_CLASS, PLACE_TIME, NTABLES
+};
+
+static const char *const TABLE_NAMES[NTABLES] = {
+    "kind", "servers", "capacity", "ref_class", "sampler", "route_ptr", "route_to", "route_cum",
+    "route_block", "flush_ptr", "flush_cls", "closed", "watched", "reference", "arrivals",
+    "first_arrival", "place_station", "place_class", "place_time",
+};
+
+/* each array's buffer format: i int32, d float64 */
+static const char TABLE_FORMATS[NTABLES + 1] = "iddiiiidiiiiiiidiid";
 
 typedef struct {
     double t;
@@ -48,39 +66,23 @@ typedef struct {
 } List;
 
 typedef struct {
-    PyObject *obj;   /* the _Cell, NULL where the class is not served */
     double area, barea, ssum;
     long long scnt, drops;
     List parked;
 } Cell;
 
 typedef struct {
-    int n;           /* 0 no successor, 1 one successor, > 1 probabilistic */
-    int to;          /* the successor when n == 1 */
-    double *cums;    /* cumulative probabilities when n > 1 */
-    int *tos;
-    int draw;        /* block of the routing uniforms when n > 1 */
-} Route;
-
-typedef struct {
-    PyObject *obj;
-    int kc, ref_ci;
-    double servers, cap;  /* cap is +inf when unbounded */
-    long long busy;
-    List queue;
-    int *flush;      /* NULL, or nclasses + 1 offsets into Engine.flush_cls */
-} Station;
-
-typedef struct {
-    PyObject *obj;
-    int closed, watched, ref;
-    Route entry;
-    int arrivals;        /* block of arrival times, -1 without arrivals */
     double ta;           /* next arrival time, +inf without arrivals */
     List pending;
-    long long created, sunk, dropped, rcnt;
+    long long created, sunk, dropped, live, rcnt;
     double rsum, larea;
 } Class;
+
+/* a route row of the table: its successor count, the first successor,
+   the block of its uniforms and its offset into route_to and route_cum */
+typedef struct {
+    int n, to, block, first;
+} Route;
 
 /* a _Block: its current values, read in place, and the next index */
 typedef struct {
@@ -95,21 +97,36 @@ typedef struct {
 typedef struct {
     double horizon, warm;
     long long seq;
-    int nst, ncl;
-    Station *st;
-    Class *cl;
+    Py_ssize_t nst, ncl, nblocks;
+    Py_ssize_t len[NTABLES];
+    union {
+        void *tab[NTABLES];  /* copies of the table's arrays, in its order */
+        struct {
+            const int *kind;
+            const double *servers, *capacity;
+            const int *ref_class, *sampler, *route_ptr, *route_to;
+            const double *route_cum;
+            const int *route_block, *flush_ptr, *flush_cls, *closed, *watched, *reference,
+                *arrivals;
+            const double *first_arrival;
+            const int *place_station, *place_class;
+            const double *place_time;
+        };
+    };
+    long long *busy;     /* per station */
+    List *queue;         /* per station */
     Cell *cells;         /* [station * ncl + class] */
-    int *samplers;       /* [station * ncl + class] block, -1 where absent */
-    Route *routes;       /* [station * ncl + class] */
-    Block *blocks;       /* every sampler once, by identity */
-    int nblocks, capblocks;
-    int *flush_cls;
-    Py_ssize_t nflush;
+    Route *routes;       /* the cells' route rows, then each class's entry row */
+    Class *cl;
+    Block *blocks;
     Job *jobs;
     int njobs, capjobs, free;
     Event *heap;
     Py_ssize_t hlen, hcap;
 } Engine;
+
+_Static_assert(__builtin_offsetof(Engine, place_time) == __builtin_offsetof(Engine, tab)
+               + (NTABLES - 1) * sizeof(void *), "the named tables of Engine line up with tab");
 
 #define AT(E, s, c) ((Py_ssize_t)(s) * (E)->ncl + (c))
 
@@ -251,60 +268,7 @@ heap_pop(Engine *E)
 }
 
 /* ------------------------------------------------------------------ */
-/* reading the engine */
-
-static int
-attr_double(PyObject *obj, const char *name, double *out)
-{
-    PyObject *v = PyObject_GetAttrString(obj, name);
-    if (v == NULL)
-        return -1;
-    *out = PyFloat_AsDouble(v);
-    Py_DECREF(v);
-    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
-}
-
-static int
-attr_ll(PyObject *obj, const char *name, long long *out)
-{
-    PyObject *v = PyObject_GetAttrString(obj, name);
-    if (v == NULL)
-        return -1;
-    *out = PyLong_AsLongLong(v);
-    Py_DECREF(v);
-    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
-}
-
-static int
-attr_int(PyObject *obj, const char *name, int *out)
-{
-    long long v;
-    if (attr_ll(obj, name, &v) < 0)
-        return -1;
-    if (v < INT_MIN || v > INT_MAX) {
-        PyErr_Format(PyExc_OverflowError, "%s out of range", name);
-        return -1;
-    }
-    *out = (int)v;
-    return 0;
-}
-
-/* index of a station object in engine.stations; -1 for None */
-static int
-station_index(Engine *E, PyObject *obj, int *out)
-{
-    if (obj == Py_None) {
-        *out = -1;
-        return 0;
-    }
-    for (int s = 0; s < E->nst; s++)
-        if (E->st[s].obj == obj) {
-            *out = s;
-            return 0;
-        }
-    PyErr_SetString(PyExc_ValueError, "object is not one of the engine's stations");
-    return -1;
-}
+/* reading the table */
 
 /* B's values become the float64 block vals */
 static int
@@ -329,364 +293,214 @@ set_vals(Block *B, PyObject *vals)
     return 0;
 }
 
-/* *out = the index of the block sampler obj in E->blocks, added on first sight */
+/* array k of the table copied into E->tab[k]: a 1-d array of its format */
 static int
-read_block(Engine *E, PyObject *obj, int *out)
+read_table(Engine *E, int k, PyObject *obj)
 {
-    for (int b = 0; b < E->nblocks; b++)
-        if (E->blocks[b].obj == obj) {
-            *out = b;
-            return 0;
-        }
-    if (E->nblocks == E->capblocks) {
-        int cap = E->capblocks ? 2 * E->capblocks : 16;
-        Block *grown = PyMem_Realloc(E->blocks, (size_t)cap * sizeof(Block));
-        if (grown == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        E->blocks = grown;
-        E->capblocks = cap;
+    const char format[2] = {TABLE_FORMATS[k], '\0'};
+    size_t itemsize = format[0] == 'i' ? sizeof(int) : sizeof(double);
+    Py_buffer view;
+    if (PyObject_GetBuffer(obj, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        PyErr_Clear();
+        goto wrong;
     }
-    Block *B = &E->blocks[E->nblocks];
-    memset(B, 0, sizeof *B);
-    B->obj = Py_NewRef(obj);
-    E->nblocks++;
-    PyObject *vals = NULL;
-    long long i;
-    if ((B->fill = PyObject_GetAttrString(obj, "fill")) == NULL
-        || (vals = PyObject_GetAttrString(obj, "vals")) == NULL) {
-        Py_XDECREF(vals);
-        if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-            PyErr_Clear();
-            PyErr_Format(PyExc_TypeError, "sampler %R is not a block sampler", obj);
-        }
-        return -1;
+    if (view.ndim != 1 || (size_t)view.itemsize != itemsize || view.format == NULL
+        || strcmp(view.format, format) != 0) {
+        PyBuffer_Release(&view);
+        goto wrong;
     }
-    int bad = set_vals(B, vals);
-    Py_DECREF(vals);
-    if (bad || attr_ll(obj, "i", &i) < 0)
-        return -1;
-    if (i < 0 || i > B->n) {
-        PyErr_Format(PyExc_ValueError, "sampler index %lld outside its block of %zd", i, B->n);
-        return -1;
-    }
-    B->i = (Py_ssize_t)i;
-    *out = E->nblocks - 1;
-    return 0;
-}
-
-/* a _Job object copied into a new job slot */
-static int
-read_job(Engine *E, PyObject *obj)
-{
-    int j = job_new(E);
-    if (j < 0)
-        return -1;
-    Job J = E->jobs[j];
-    if (attr_int(obj, "ci", &J.ci) < 0 || attr_double(obj, "entered", &J.entered) < 0
-        || attr_double(obj, "arrived", &J.arrived) < 0 || attr_double(obj, "sstart", &J.sstart) < 0)
-        return -1;
-    if (J.ci < 0 || J.ci >= E->ncl) {
-        PyErr_SetString(PyExc_ValueError, "job class index out of range");
-        return -1;
-    }
-    E->jobs[j] = J;
-    return j;
-}
-
-/* every job of an iterable of _Job objects appended to a list */
-static int
-read_jobs(Engine *E, PyObject *iterable, List *L)
-{
-    PyObject *it = PyObject_GetIter(iterable);
-    if (it == NULL)
-        return -1;
-    PyObject *obj;
-    while ((obj = PyIter_Next(it)) != NULL) {
-        int j = read_job(E, obj);
-        Py_DECREF(obj);
-        if (j < 0) {
-            Py_DECREF(it);
-            return -1;
-        }
-        list_append(E, L, j);
-    }
-    Py_DECREF(it);
-    return PyErr_Occurred() ? -1 : 0;
-}
-
-/* None, a station, or (cums, stations, draw) */
-static int
-read_route(Engine *E, PyObject *obj, Route *R)
-{
-    if (obj == Py_None)
-        return 0;
-    if (!PyTuple_Check(obj)) {
-        R->n = 1;
-        return station_index(E, obj, &R->to);
-    }
-    PyObject *cums, *tos, *draw;
-    if (!PyArg_ParseTuple(obj, "O!O!O", &PyTuple_Type, &cums, &PyTuple_Type, &tos, &draw)
-        || read_block(E, draw, &R->draw) < 0)
-        return -1;
-    Py_ssize_t n = PyTuple_GET_SIZE(cums);
-    if (n < 2 || PyTuple_GET_SIZE(tos) != n) {
-        PyErr_SetString(PyExc_ValueError, "malformed routing row");
-        return -1;
-    }
-    R->cums = PyMem_Calloc((size_t)n, sizeof(double));
-    R->tos = PyMem_Calloc((size_t)n, sizeof(int));
-    if (R->cums == NULL || R->tos == NULL) {
+    E->len[k] = view.shape[0];
+    if ((E->tab[k] = PyMem_Malloc((size_t)view.len + 1)) != NULL)
+        memcpy(E->tab[k], view.buf, (size_t)view.len);
+    PyBuffer_Release(&view);
+    if (E->tab[k] == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    R->n = (int)n;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        R->cums[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(cums, i));
-        if (R->cums[i] == -1.0 && PyErr_Occurred())
-            return -1;
-        if (station_index(E, PyTuple_GET_ITEM(tos, i), &R->tos[i]) < 0)
-            return -1;
-    }
     return 0;
+wrong:
+    PyErr_Format(PyExc_TypeError, "table '%s' is not a 1-d %s array", TABLE_NAMES[k],
+                 format[0] == 'i' ? "int32" : "float64");
+    return -1;
 }
 
+/* every _Block of the list blocks, with its current values and index */
 static int
-read_station(Engine *E, int s)
+read_blocks(Engine *E, PyObject *blocks)
 {
-    Station *S = &E->st[s];
-    PyObject *obj = S->obj, *cells = NULL, *samplers = NULL, *routes = NULL, *flush = NULL,
-             *queue = NULL, *cap = NULL;
-    int rc = -1;
-
-    if (attr_int(obj, "kc", &S->kc) < 0 || attr_double(obj, "servers", &S->servers) < 0
-        || attr_ll(obj, "busy", &S->busy) < 0 || attr_int(obj, "ref_ci", &S->ref_ci) < 0)
-        goto done;
-    if ((cap = PyObject_GetAttrString(obj, "cap")) == NULL)
-        goto done;
-    S->cap = cap == Py_None ? INFINITY : PyFloat_AsDouble(cap);
-    if (S->cap == -1.0 && PyErr_Occurred())
-        goto done;
-    if ((cells = PyObject_GetAttrString(obj, "cells")) == NULL
-        || (samplers = PyObject_GetAttrString(obj, "samplers")) == NULL
-        || (routes = PyObject_GetAttrString(obj, "routes")) == NULL
-        || (flush = PyObject_GetAttrString(obj, "flush_for")) == NULL
-        || (queue = PyObject_GetAttrString(obj, "queue")) == NULL)
-        goto done;
-    if (!PyList_Check(cells) || !PyList_Check(samplers) || !PyList_Check(routes)
-        || PyList_GET_SIZE(cells) != E->ncl || PyList_GET_SIZE(samplers) != E->ncl
-        || PyList_GET_SIZE(routes) != E->ncl
-        || (flush != Py_None && (!PyList_Check(flush) || PyList_GET_SIZE(flush) != E->ncl))) {
-        PyErr_SetString(PyExc_ValueError, "station tables must be lists with one entry per class");
-        goto done;
-    }
-    for (int c = 0; c < E->ncl; c++) {
-        Py_ssize_t k = AT(E, s, c);
-        PyObject *cell = PyList_GET_ITEM(cells, c), *f = PyList_GET_ITEM(samplers, c);
-        if (cell != Py_None) {
-            Cell *C = &E->cells[k];
-            PyObject *parked;
-            Py_INCREF(cell);
-            C->obj = cell;
-            if (attr_double(cell, "area", &C->area) < 0 || attr_double(cell, "barea", &C->barea) < 0
-                || attr_double(cell, "ssum", &C->ssum) < 0 || attr_ll(cell, "scnt", &C->scnt) < 0
-                || attr_ll(cell, "drops", &C->drops) < 0)
-                goto done;
-            if ((parked = PyObject_GetAttrString(cell, "parked")) == NULL)
-                goto done;
-            int bad = read_jobs(E, parked, &C->parked);
-            Py_DECREF(parked);
-            if (bad)
-                goto done;
-        }
-        if (f != Py_None && read_block(E, f, &E->samplers[k]) < 0)
-            goto done;
-        if (read_route(E, PyList_GET_ITEM(routes, c), &E->routes[k]) < 0)
-            goto done;
-    }
-    if (flush != Py_None) {
-        if ((S->flush = PyMem_Calloc((size_t)E->ncl + 1, sizeof(int))) == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        for (int c = 0; c < E->ncl; c++) {
-            PyObject *watched = PyList_GET_ITEM(flush, c);
-            S->flush[c] = (int)E->nflush;
-            if (watched == Py_None)
-                continue;
-            Py_ssize_t n = PySequence_Size(watched);
-            if (n < 0)
-                goto done;
-            int *grown = PyMem_Realloc(E->flush_cls, (size_t)(E->nflush + n + 1) * sizeof(int));
-            if (grown == NULL) {
-                PyErr_NoMemory();
-                goto done;
-            }
-            E->flush_cls = grown;
-            for (Py_ssize_t i = 0; i < n; i++) {
-                PyObject *crt = PySequence_GetItem(watched, i);
-                int idx;
-                if (crt == NULL)
-                    goto done;
-                int bad = attr_int(crt, "idx", &idx);
-                Py_DECREF(crt);
-                if (bad)
-                    goto done;
-                if (idx < 0 || idx >= E->ncl) {
-                    PyErr_SetString(PyExc_ValueError, "watched class index out of range");
-                    goto done;
-                }
-                E->flush_cls[E->nflush++] = idx;
-            }
-        }
-        S->flush[E->ncl] = (int)E->nflush;
-    }
-    if (queue != Py_None && read_jobs(E, queue, &S->queue) < 0)
-        goto done;
-    rc = 0;
-done:
-    Py_XDECREF(cap);
-    Py_XDECREF(cells);
-    Py_XDECREF(samplers);
-    Py_XDECREF(routes);
-    Py_XDECREF(flush);
-    Py_XDECREF(queue);
-    return rc;
-}
-
-static int
-read_class(Engine *E, int c)
-{
-    Class *C = &E->cl[c];
-    PyObject *obj = C->obj, *pending = NULL, *ref = NULL, *entry = NULL, *arrivals = NULL;
-    int rc = -1;
-    if (attr_int(obj, "closed", &C->closed) < 0 || attr_ll(obj, "created", &C->created) < 0
-        || attr_ll(obj, "sunk", &C->sunk) < 0 || attr_ll(obj, "dropped", &C->dropped) < 0
-        || attr_ll(obj, "rcnt", &C->rcnt) < 0 || attr_double(obj, "rsum", &C->rsum) < 0
-        || attr_double(obj, "larea", &C->larea) < 0)
-        goto done;
-    if ((ref = PyObject_GetAttrString(obj, "ref")) == NULL || station_index(E, ref, &C->ref) < 0)
-        goto done;
-    if ((entry = PyObject_GetAttrString(obj, "entry_route")) == NULL
-        || read_route(E, entry, &C->entry) < 0)
-        goto done;
-    C->ta = INFINITY;
-    C->arrivals = -1;
-    if ((arrivals = PyObject_GetAttrString(obj, "arrivals")) == NULL
-        || (arrivals != Py_None
-            && (read_block(E, arrivals, &C->arrivals) < 0 || attr_double(obj, "ta", &C->ta) < 0)))
-        goto done;
-    if ((pending = PyObject_GetAttrString(obj, "pending")) == NULL)
-        goto done;
-    C->watched = pending != Py_None;
-    if (C->watched && read_jobs(E, pending, &C->pending) < 0)
-        goto done;
-    rc = 0;
-done:
-    Py_XDECREF(pending);
-    Py_XDECREF(ref);
-    Py_XDECREF(entry);
-    Py_XDECREF(arrivals);
-    return rc;
-}
-
-static int
-read_heap(Engine *E, PyObject *heap)
-{
-    if (!PyList_Check(heap)) {
-        PyErr_SetString(PyExc_TypeError, "engine.heap must be a list");
+    if (!PyList_Check(blocks)) {
+        PyErr_SetString(PyExc_TypeError, "table 'blocks' is not a list");
         return -1;
     }
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    E->hcap = n > 64 ? n : 64;
-    if ((E->heap = PyMem_Calloc((size_t)E->hcap, sizeof(Event))) == NULL) {
+    Py_ssize_t n = PyList_GET_SIZE(blocks);
+    if ((E->blocks = PyMem_Calloc((size_t)n + 1, sizeof(Block))) == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *t, *job, *st;
-        long long seq;
-        Event *ev = &E->heap[i];
-        if (!PyArg_ParseTuple(PyList_GET_ITEM(heap, i), "OLOO", &t, &seq, &job, &st))
-            return -1;
-        ev->t = PyFloat_AsDouble(t);
-        if (ev->t == -1.0 && PyErr_Occurred())
-            return -1;
-        ev->seq = seq;
-        if ((ev->job = read_job(E, job)) < 0 || station_index(E, st, &ev->st) < 0)
-            return -1;
-        if (ev->st < 0) {
-            PyErr_SetString(PyExc_ValueError, "calendar event without a station");
+    /* getting an attribute can run code that shrinks the list */
+    for (Py_ssize_t b = 0; b < n && b < PyList_GET_SIZE(blocks); b++) {
+        PyObject *obj = PyList_GET_ITEM(blocks, b), *vals, *i;
+        Block *B = &E->blocks[b];
+        B->obj = Py_NewRef(obj);
+        E->nblocks++;
+        if ((B->fill = PyObject_GetAttrString(obj, "fill")) == NULL
+            || (vals = PyObject_GetAttrString(obj, "vals")) == NULL) {
+            if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
+                PyErr_Clear();
+                PyErr_Format(PyExc_TypeError, "sampler %R is not a block sampler", obj);
+            }
             return -1;
         }
-        E->hlen = i + 1;
+        Py_ssize_t at = (i = PyObject_GetAttrString(obj, "i")) == NULL ? -1 : PyLong_AsSsize_t(i);
+        Py_XDECREF(i);
+        int bad = (at == -1 && PyErr_Occurred()) || set_vals(B, vals) < 0;
+        Py_DECREF(vals);
+        if (bad)
+            return -1;
+        if (at < 0 || at > B->n) {
+            PyErr_Format(PyExc_ValueError, "sampler index %zd outside its block of %zd", at, B->n);
+            return -1;
+        }
+        B->i = at;
     }
     return 0;
 }
 
+/* ValueError unless every entry of int32 array k lies in [lo, hi) */
 static int
-read_engine(Engine *E, PyObject *engine, PyObject *stations, PyObject *classes)
+in_range(const Engine *E, int k, int lo, Py_ssize_t hi)
 {
-    PyObject *heap;
-    int rc;
-    if (attr_double(engine, "horizon", &E->horizon) < 0 || attr_double(engine, "warmup", &E->warm) < 0
-        || attr_ll(engine, "seq", &E->seq) < 0)
+    const int *v = E->tab[k];
+    for (Py_ssize_t i = 0; i < E->len[k]; i++)
+        if (v[i] < lo || v[i] >= hi) {
+            PyErr_Format(PyExc_ValueError, "table '%s' holds %d at %zd, outside [%d, %zd)",
+                         TABLE_NAMES[k], v[i], i, lo, hi);
+            return -1;
+        }
+    return 0;
+}
+
+/* ValueError unless array k is offsets into array of: rising from 0 to its length */
+static int
+offsets(const Engine *E, int k, int of)
+{
+    const int *v = E->tab[k];
+    Py_ssize_t n = E->len[k], end = E->len[of];
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (v[i] < (i ? v[i - 1] : 0) || v[i] > end || (i == 0 && v[i] != 0)
+            || (i == n - 1 && v[i] != end)) {
+            PyErr_Format(PyExc_ValueError, "table '%s' is not offsets from 0 to %zd",
+                         TABLE_NAMES[k], end);
+            return -1;
+        }
+    return 0;
+}
+
+/* the table's lengths agree with its station, class and placement counts
+   and every index in it is in range */
+static int
+check_tables(Engine *E)
+{
+    Py_ssize_t nst = E->nst = E->len[KIND], ncl = E->ncl = E->len[CLOSED], cells = nst * ncl;
+    Py_ssize_t want[NTABLES] = {
+        [KIND] = nst, [SERVERS] = nst, [CAPACITY] = nst, [REF_CLASS] = nst, [SAMPLER] = cells,
+        [ROUTE_PTR] = cells + ncl + 1, [ROUTE_TO] = E->len[ROUTE_TO],
+        [ROUTE_CUM] = E->len[ROUTE_TO], [ROUTE_BLOCK] = cells + ncl, [FLUSH_PTR] = cells + 1,
+        [FLUSH_CLS] = E->len[FLUSH_CLS], [CLOSED] = ncl, [WATCHED] = ncl, [REFERENCE] = ncl,
+        [ARRIVALS] = ncl, [FIRST_ARRIVAL] = ncl, [PLACE_STATION] = E->len[PLACE_STATION],
+        [PLACE_CLASS] = E->len[PLACE_STATION], [PLACE_TIME] = E->len[PLACE_STATION],
+    };
+    for (int k = 0; k < NTABLES; k++)
+        if (E->len[k] != want[k]) {
+            PyErr_Format(PyExc_ValueError, "table '%s' has %zd entries, expected %zd",
+                         TABLE_NAMES[k], E->len[k], want[k]);
+            return -1;
+        }
+    return in_range(E, KIND, KC_FCFS, KC_SINK + 1) < 0 || in_range(E, REF_CLASS, -1, ncl) < 0
+        || in_range(E, SAMPLER, -1, E->nblocks) < 0 || offsets(E, ROUTE_PTR, ROUTE_TO) < 0
+        || in_range(E, ROUTE_TO, 0, nst) < 0 || in_range(E, ROUTE_BLOCK, -1, E->nblocks) < 0
+        || offsets(E, FLUSH_PTR, FLUSH_CLS) < 0 || in_range(E, FLUSH_CLS, 0, ncl) < 0
+        || in_range(E, CLOSED, 0, 2) < 0 || in_range(E, WATCHED, 0, 2) < 0
+        || in_range(E, REFERENCE, -1, nst) < 0 || in_range(E, ARRIVALS, -1, E->nblocks) < 0
+        || in_range(E, PLACE_STATION, 0, nst) < 0 || in_range(E, PLACE_CLASS, 0, ncl) < 0
+        ? -1 : 0;
+}
+
+/* the engine of a table passed as run()'s arguments, checked, with its
+   route rows, first arrivals and closed populations in place */
+static int
+read_engine(Engine *E, PyObject *const *args)
+{
+    E->horizon = PyFloat_AsDouble(args[0]);
+    E->warm = PyFloat_AsDouble(args[1]);
+    if (PyErr_Occurred())
         return -1;
-    if (!PyList_Check(stations) || !PyList_Check(classes)) {
-        PyErr_SetString(PyExc_TypeError, "engine.stations and engine.classes must be lists");
+    for (int k = 0; k < NTABLES; k++)
+        if (read_table(E, k, args[2 + k]) < 0)
+            return -1;
+    if (read_blocks(E, args[2 + NTABLES]) < 0 || check_tables(E) < 0)
         return -1;
-    }
-    E->nst = (int)PyList_GET_SIZE(stations);
-    E->ncl = (int)PyList_GET_SIZE(classes);
-    size_t cells = (size_t)E->nst * E->ncl;
-    E->st = PyMem_Calloc((size_t)E->nst + 1, sizeof(Station));
+    Py_ssize_t cells = (Py_ssize_t)E->nst * E->ncl;
+    E->busy = PyMem_Calloc((size_t)E->nst + 1, sizeof(long long));
+    E->queue = PyMem_Calloc((size_t)E->nst + 1, sizeof(List));
+    E->cells = PyMem_Calloc((size_t)cells + 1, sizeof(Cell));
     E->cl = PyMem_Calloc((size_t)E->ncl + 1, sizeof(Class));
-    E->cells = PyMem_Calloc(cells + 1, sizeof(Cell));
-    E->samplers = PyMem_Calloc(cells + 1, sizeof(int));
-    E->routes = PyMem_Calloc(cells + 1, sizeof(Route));
-    if (!E->st || !E->cl || !E->cells || !E->samplers || !E->routes) {
+    E->routes = PyMem_Calloc((size_t)(cells + E->ncl), sizeof(Route));
+    if (!E->busy || !E->queue || !E->cells || !E->cl || !E->routes) {
         PyErr_NoMemory();
         return -1;
     }
-    for (size_t k = 0; k < cells; k++)
-        E->samplers[k] = -1;
-    /* objects first: routes and calendar events refer to stations by identity */
-    for (int s = 0; s < E->nst; s++) {
-        E->st[s].obj = PyList_GET_ITEM(stations, s);
-        Py_INCREF(E->st[s].obj);
-    }
-    for (int c = 0; c < E->ncl; c++) {
-        E->cl[c].obj = PyList_GET_ITEM(classes, c);
-        Py_INCREF(E->cl[c].obj);
-    }
-    for (int s = 0; s < E->nst; s++)
-        if (read_station(E, s) < 0)
+    /* a route row takes its class to a sink or to a station that serves
+       it, and has a block of uniforms when it has more than one successor */
+    for (Py_ssize_t r = 0; r < cells + E->ncl; r++) {
+        int first = E->route_ptr[r], n = E->route_ptr[r + 1] - first;
+        Py_ssize_t c = r < cells ? r % E->ncl : r - cells;
+        if (n > 1 && E->route_block[r] < 0) {
+            PyErr_Format(PyExc_ValueError, "table 'route_block' has no block for route row %zd", r);
             return -1;
+        }
+        for (int i = first; i < first + n; i++)
+            if (E->kind[E->route_to[i]] != KC_SINK && E->sampler[AT(E, E->route_to[i], c)] < 0) {
+                PyErr_Format(PyExc_ValueError,
+                             "table 'route_to' sends class %zd to station %d, which does not serve it",
+                             c, E->route_to[i]);
+                return -1;
+            }
+        E->routes[r] = (Route){n, n ? E->route_to[first] : -1, E->route_block[r], first};
+    }
     for (int c = 0; c < E->ncl; c++)
-        if (read_class(E, c) < 0)
+        if ((E->cl[c].ta = E->first_arrival[c]) != INFINITY && E->arrivals[c] < 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "table 'first_arrival' times class %d, which has no arrivals block", c);
             return -1;
-    if ((heap = PyObject_GetAttrString(engine, "heap")) == NULL)
-        return -1;
-    rc = read_heap(E, heap);
-    Py_DECREF(heap);
-    return rc;
-}
-
-static void
-free_route(Route *R)
-{
-    PyMem_Free(R->cums);
-    PyMem_Free(R->tos);
+        }
+    /* the closed populations: on the calendar, or queued or parked */
+    for (Py_ssize_t p = 0; p < E->len[PLACE_STATION]; p++) {
+        int s = E->place_station[p], c = E->place_class[p], j;
+        double t = E->place_time[p];
+        if (E->sampler[AT(E, s, c)] < 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "table 'place_station' places class %d at station %d, which does not serve it",
+                         c, s);
+            return -1;
+        }
+        if ((j = job_new(E)) < 0)
+            return -1;
+        E->jobs[j].ci = c;
+        if (t < INFINITY) {
+            E->busy[s] += E->kind[s] == KC_FCFS;
+            if (heap_push(E, t, j, s) < 0)
+                return -1;
+        } else {
+            list_append(E, E->kind[s] == KC_FCFS ? &E->queue[s] : &E->cells[AT(E, s, c)].parked, j);
+        }
+    }
+    return 0;
 }
 
 static void
 free_engine(Engine *E)
 {
-    Py_ssize_t cells = (Py_ssize_t)E->nst * E->ncl;
-    if (E->cells)
-        for (Py_ssize_t k = 0; k < cells; k++)
-            Py_XDECREF(E->cells[k].obj);
     for (int b = 0; b < E->nblocks; b++) {
         Block *B = &E->blocks[b];
         if (B->vals != NULL)
@@ -695,26 +509,14 @@ free_engine(Engine *E)
         Py_XDECREF(B->fill);
         Py_DECREF(B->obj);
     }
-    if (E->routes)
-        for (Py_ssize_t k = 0; k < cells; k++)
-            free_route(&E->routes[k]);
-    if (E->st)
-        for (int s = 0; s < E->nst; s++) {
-            Py_XDECREF(E->st[s].obj);
-            PyMem_Free(E->st[s].flush);
-        }
-    if (E->cl)
-        for (int c = 0; c < E->ncl; c++) {
-            Py_XDECREF(E->cl[c].obj);
-            free_route(&E->cl[c].entry);
-        }
-    PyMem_Free(E->st);
-    PyMem_Free(E->cl);
+    for (int k = 0; k < NTABLES; k++)
+        PyMem_Free(E->tab[k]);
+    PyMem_Free(E->busy);
+    PyMem_Free(E->queue);
     PyMem_Free(E->cells);
-    PyMem_Free(E->samplers);
+    PyMem_Free(E->cl);
     PyMem_Free(E->routes);
     PyMem_Free(E->blocks);
-    PyMem_Free(E->flush_cls);
     PyMem_Free(E->jobs);
     PyMem_Free(E->heap);
 }
@@ -750,17 +552,6 @@ draw(Engine *E, int b, double *out)
     return 0;
 }
 
-static int
-no_station(Engine *E, int s, int ci)
-{
-    PyObject *name = PyObject_GetAttrString(E->st[s].obj, "name");
-    if (name != NULL) {
-        PyErr_Format(PyExc_RuntimeError, "station %S does not serve class index %d", name, ci);
-        Py_DECREF(name);
-    }
-    return -1;
-}
-
 /* the class with the earliest next arrival, the lowest index on a tie */
 static int
 first_arrival(const Engine *E)
@@ -776,6 +567,7 @@ static int
 run_loop(Engine *E)
 {
     const double horizon = E->horizon, warm = E->warm;
+    const Py_ssize_t cells = (Py_ssize_t)E->nst * E->ncl;
     int ca = first_arrival(E);
     double ta = E->ncl ? E->cl[ca].ta : INFINITY;
     unsigned int tick = 0;
@@ -783,7 +575,7 @@ run_loop(Engine *E)
     for (;;) {
         double t;
         int j, ci;
-        const Route *nxt;
+        Py_ssize_t r;
 
         if (++tick == SIGNAL_EVERY) {
             tick = 0;
@@ -799,7 +591,7 @@ run_loop(Engine *E)
             ci = ca;
             Class *A = &E->cl[ci];
             A->created += 1;
-            if (draw(E, A->arrivals, &A->ta) < 0)
+            if (draw(E, E->arrivals[ci], &A->ta) < 0)
                 return -1;
             ca = first_arrival(E);
             ta = E->cl[ca].ta;
@@ -807,20 +599,20 @@ run_loop(Engine *E)
                 return -1;
             E->jobs[j].ci = ci;
             E->jobs[j].entered = t;
-            nxt = &E->cl[ci].entry;
+            r = cells + ci;
         } else {
             if (t >= horizon)
                 break;
             Event ev = heap_pop(E);
             int s = ev.st;
-            Station *S = &E->st[s];
             Job *J = &E->jobs[ev.job];
             j = ev.job;
             ci = J->ci;
-            if (S->kc == KC_FCFS) {
+            r = AT(E, s, ci);
+            if (E->kind[s] == KC_FCFS) {
                 /* service completes at an fcfs station */
                 if (t > warm) {
-                    Cell *cell = &E->cells[AT(E, s, ci)];
+                    Cell *cell = &E->cells[r];
                     double a = J->arrived;
                     double d = t - a;
                     cell->ssum += d;
@@ -829,78 +621,73 @@ run_loop(Engine *E)
                     double ss = J->sstart;
                     cell->barea += ss > warm ? t - ss : t - warm;
                 }
-                S->busy -= 1;
-                if (S->queue.len) {
-                    int nj = list_popleft(E, &S->queue);
+                E->busy[s] -= 1;
+                if (E->queue[s].len) {
+                    int nj = list_popleft(E, &E->queue[s]);
                     double sv;
-                    S->busy += 1;
+                    E->busy[s] += 1;
                     E->jobs[nj].sstart = t;
-                    if (draw(E, E->samplers[AT(E, s, E->jobs[nj].ci)], &sv) < 0
+                    if (draw(E, E->sampler[AT(E, s, E->jobs[nj].ci)], &sv) < 0
                         || heap_push(E, t + sv, nj, s) < 0)
                         return -1;
                 }
-                if (S->flush != NULL) {
-                    for (int k = S->flush[ci]; k < S->flush[ci + 1]; k++) {
-                        Class *W = &E->cl[E->flush_cls[k]];
-                        if (W->pending.len) {
-                            if (t > warm) {
-                                for (int p = W->pending.head; p >= 0; p = E->jobs[p].next) {
-                                    double e = E->jobs[p].entered;
-                                    W->rsum += t - e;
-                                    W->larea += e > warm ? t - e : t - warm;
-                                }
-                                W->rcnt += W->pending.len;
+                for (int k = E->flush_ptr[r]; k < E->flush_ptr[r + 1]; k++) {
+                    Class *W = &E->cl[E->flush_cls[k]];
+                    if (W->pending.len) {
+                        if (t > warm) {
+                            for (int p = W->pending.head; p >= 0; p = E->jobs[p].next) {
+                                double e = E->jobs[p].entered;
+                                W->rsum += t - e;
+                                W->larea += e > warm ? t - e : t - warm;
                             }
-                            while (W->pending.len)
-                                job_free(E, list_popleft(E, &W->pending));
+                            W->rcnt += W->pending.len;
                         }
+                        while (W->pending.len)
+                            job_free(E, list_popleft(E, &W->pending));
                     }
                 }
-                if (S->ref_ci == ci)
+                if (E->ref_class[s] == ci)
                     /* leaving the reference station opens a cycle */
                     E->jobs[j].entered = t;
             } else {
                 /* delay timer fires */
                 if (t > warm) {
-                    Cell *cell = &E->cells[AT(E, s, ci)];
+                    Cell *cell = &E->cells[r];
                     double a = J->arrived;
                     double d = t - a;
                     cell->ssum += d;
                     cell->scnt += 1;
                     cell->area += a > warm ? d : t - warm;
                 }
-                if (S->ref_ci == ci)
+                if (E->ref_class[s] == ci)
                     J->entered = t;
             }
-            nxt = &E->routes[AT(E, s, ci)];
         }
 
-        /* route the arriving or departing job to its next station */
-        int ns;
-        if (nxt->n == 1) {
-            ns = nxt->to;
-        } else if (nxt->n > 1) {
-            double u;
+        /* route the arriving or departing job to its next station: the
+           first whose cumulative probability reaches the row's uniform;
+           a row of one successor draws none */
+        const Route *R = &E->routes[r];
+        int ns = R->to;
+        if (R->n != 1) {
+            double u = 0.0;
             int i = 0;
-            if (draw(E, nxt->draw, &u) < 0)
+            if (R->n > 1 && draw(E, R->block, &u) < 0)
                 return -1;
-            while (nxt->cums[i] < u)
-                if (++i == nxt->n) {
-                    PyErr_SetString(PyExc_IndexError, "routing uniform beyond the last edge");
-                    return -1;
-                }
-            ns = nxt->tos[i];
-        } else {
-            PyErr_Format(PyExc_RuntimeError, "class index %d has no route onward", ci);
-            return -1;
+            while (i < R->n && E->route_cum[R->first + i] < u)
+                i++;
+            if (i == R->n) {
+                PyErr_Format(PyExc_IndexError, "route row %zd has no successor for class %d", r, ci);
+                return -1;
+            }
+            ns = E->route_to[R->first + i];
         }
 
-        Station *N = &E->st[ns];
         Job *J = &E->jobs[j];
-        if (N->kc == KC_SINK) {
+        if (E->kind[ns] == KC_SINK) {
             Class *C = &E->cl[ci];
             C->sunk += 1;
-            if (!C->watched) {
+            if (!E->watched[ci]) {
                 if (t > warm) {
                     double e = J->entered;
                     C->rsum += t - e;
@@ -916,7 +703,7 @@ run_loop(Engine *E)
             continue;
         }
 
-        if (N->ref_ci == ci && J->entered >= 0.0) {
+        if (E->ref_class[ns] == ci && J->entered >= 0.0) {
             /* a cycle closes on return to the reference station */
             Class *C = &E->cl[ci];
             if (t > warm) {
@@ -929,38 +716,34 @@ run_loop(Engine *E)
 
         Py_ssize_t k = AT(E, ns, ci);
         Cell *cell = &E->cells[k];
-        if (cell->obj == NULL || E->samplers[k] < 0)
-            return no_station(E, ns, ci);
-        if (N->kc == KC_FCFS) {
-            if (N->busy + N->queue.len >= N->cap) {
+        if (E->kind[ns] == KC_FCFS) {
+            if (E->busy[ns] + E->queue[ns].len >= E->capacity[ns] && !E->closed[ci]) {
+                /* closed populations are never dropped */
                 Class *C = &E->cl[ci];
-                if (!C->closed) {
-                    /* closed populations are never dropped */
-                    C->dropped += 1;
-                    if (t > warm) {
-                        cell->drops += 1;
-                        double e = J->entered;
-                        C->larea += e > warm ? t - e : t - warm;
-                    }
-                    job_free(E, j);
-                    continue;
+                C->dropped += 1;
+                if (t > warm) {
+                    cell->drops += 1;
+                    double e = J->entered;
+                    C->larea += e > warm ? t - e : t - warm;
                 }
+                job_free(E, j);
+                continue;
             }
             J->arrived = t;
-            if (N->busy < N->servers) {
+            if (E->busy[ns] < E->servers[ns]) {
                 double sv;
-                N->busy += 1;
+                E->busy[ns] += 1;
                 J->sstart = t;
-                if (draw(E, E->samplers[k], &sv) < 0 || heap_push(E, t + sv, j, ns) < 0)
+                if (draw(E, E->sampler[k], &sv) < 0 || heap_push(E, t + sv, j, ns) < 0)
                     return -1;
             } else {
-                list_append(E, &N->queue, j);
+                list_append(E, &E->queue[ns], j);
             }
         } else {
             /* delay entry (validation keeps jobs out of sources) */
             double d;
             J->arrived = t;
-            if (draw(E, E->samplers[k], &d) < 0)
+            if (draw(E, E->sampler[k], &d) < 0)
                 return -1;
             if (d < INFINITY) {
                 if (heap_push(E, t + d, j, ns) < 0)
@@ -974,15 +757,16 @@ run_loop(Engine *E)
 }
 
 /* ------------------------------------------------------------------ */
-/* closing sweep and write-back */
+/* closing sweep and tally */
 
 static void
-close_out(Engine *E, long long *in_net, int j, int s, int in_service)
+close_out(Engine *E, int j, int s, int in_service)
 {
     const double horizon = E->horizon, warm = E->warm;
     const Job *J = &E->jobs[j];
     int ci = J->ci;
-    in_net[ci] += 1;
+    Class *C = &E->cl[ci];
+    C->live += 1;
     Cell *cell = &E->cells[AT(E, s, ci)];
     double a = J->arrived;
     cell->area += horizon - (a > warm ? a : warm);
@@ -990,9 +774,8 @@ close_out(Engine *E, long long *in_net, int j, int s, int in_service)
         double ss = J->sstart;
         cell->barea += horizon - (ss > warm ? ss : warm);
     }
-    Class *C = &E->cl[ci];
-    if (C->closed) {
-        if (s != C->ref && J->entered >= 0.0) {
+    if (E->closed[ci]) {
+        if (s != E->reference[ci] && J->entered >= 0.0) {
             double e = J->entered;
             C->larea += horizon - (e > warm ? e : warm);
         }
@@ -1003,20 +786,20 @@ close_out(Engine *E, long long *in_net, int j, int s, int in_service)
 }
 
 static void
-sweep(Engine *E, long long *in_net)
+sweep(Engine *E)
 {
     const double horizon = E->horizon, warm = E->warm;
     for (Py_ssize_t i = 0; i < E->hlen; i++) {
         const Event *ev = &E->heap[i];
-        close_out(E, in_net, ev->job, ev->st, E->st[ev->st].kc == KC_FCFS);
+        close_out(E, ev->job, ev->st, E->kind[ev->st] == KC_FCFS);
     }
     for (int s = 0; s < E->nst; s++) {
-        for (int j = E->st[s].queue.len ? E->st[s].queue.head : -1; j >= 0; j = E->jobs[j].next)
-            close_out(E, in_net, j, s, 0);
+        for (int j = E->queue[s].len ? E->queue[s].head : -1; j >= 0; j = E->jobs[j].next)
+            close_out(E, j, s, 0);
         for (int c = 0; c < E->ncl; c++) {
             const List *L = &E->cells[AT(E, s, c)].parked;
             for (int j = L->len ? L->head : -1; j >= 0; j = E->jobs[j].next)
-                close_out(E, in_net, j, s, 0);
+                close_out(E, j, s, 0);
         }
     }
     for (int c = 0; c < E->ncl; c++) {
@@ -1028,51 +811,31 @@ sweep(Engine *E, long long *in_net)
     }
 }
 
-static int
-set_double(PyObject *obj, const char *name, double v)
+/* (cells, classes): per cell (area, barea, ssum, scnt, drops), per class
+   (created, sunk, dropped, live, rsum, rcnt, larea) */
+static PyObject *
+tally(const Engine *E)
 {
-    PyObject *o = PyFloat_FromDouble(v);
-    if (o == NULL)
-        return -1;
-    int rc = PyObject_SetAttrString(obj, name, o);
-    Py_DECREF(o);
-    return rc;
-}
-
-static int
-set_ll(PyObject *obj, const char *name, long long v)
-{
-    PyObject *o = PyLong_FromLongLong(v);
-    if (o == NULL)
-        return -1;
-    int rc = PyObject_SetAttrString(obj, name, o);
-    Py_DECREF(o);
-    return rc;
-}
-
-static int
-write_back(Engine *E, PyObject *engine)
-{
-    for (Py_ssize_t k = 0; k < (Py_ssize_t)E->nst * E->ncl; k++) {
-        Cell *C = &E->cells[k];
-        if (C->obj != NULL
-            && (set_double(C->obj, "area", C->area) < 0 || set_double(C->obj, "barea", C->barea) < 0
-                || set_double(C->obj, "ssum", C->ssum) < 0 || set_ll(C->obj, "scnt", C->scnt) < 0
-                || set_ll(C->obj, "drops", C->drops) < 0))
-            return -1;
+    Py_ssize_t cells = E->nst * E->ncl;
+    PyObject *out = Py_BuildValue("(NN)", PyList_New(cells), PyList_New(E->ncl));
+    for (Py_ssize_t k = 0; out != NULL && k < cells; k++) {
+        const Cell *C = &E->cells[k];
+        PyObject *row = Py_BuildValue("(dddLL)", C->area, C->barea, C->ssum, C->scnt, C->drops);
+        if (row == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(PyTuple_GET_ITEM(out, 0), k, row);
     }
-    for (int c = 0; c < E->ncl; c++) {
-        Class *C = &E->cl[c];
-        if (set_ll(C->obj, "created", C->created) < 0 || set_ll(C->obj, "sunk", C->sunk) < 0
-            || set_ll(C->obj, "dropped", C->dropped) < 0
-            || set_double(C->obj, "rsum", C->rsum) < 0 || set_ll(C->obj, "rcnt", C->rcnt) < 0
-            || set_double(C->obj, "larea", C->larea) < 0)
-            return -1;
+    for (int c = 0; out != NULL && c < E->ncl; c++) {
+        const Class *C = &E->cl[c];
+        PyObject *row = Py_BuildValue("(LLLLdLd)", C->created, C->sunk, C->dropped, C->live,
+                                      C->rsum, C->rcnt, C->larea);
+        if (row == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(PyTuple_GET_ITEM(out, 1), c, row);
     }
-    for (int s = 0; s < E->nst; s++)
-        if (set_ll(E->st[s].obj, "busy", E->st[s].busy) < 0)
-            return -1;
-    return set_ll(engine, "seq", E->seq);
+    return out;
 }
 
 /* every block's values and index written back to its _Block, keeping an
@@ -1085,9 +848,13 @@ write_blocks(Engine *E)
     PyErr_Fetch(&type, &value, &tb);
     for (int b = 0; b < E->nblocks && rc == 0; b++) {
         Block *B = &E->blocks[b];
-        if (B->vals != NULL
-            && (PyObject_SetAttrString(B->obj, "vals", B->vals) < 0 || set_ll(B->obj, "i", B->i) < 0))
+        if (B->vals == NULL)
+            continue;
+        PyObject *i = PyLong_FromSsize_t(B->i);
+        if (i == NULL || PyObject_SetAttrString(B->obj, "vals", B->vals) < 0
+            || PyObject_SetAttrString(B->obj, "i", i) < 0)
             rc = -1;
+        Py_XDECREF(i);
     }
     if (type == NULL)
         return rc;
@@ -1097,49 +864,31 @@ write_blocks(Engine *E)
 }
 
 static PyObject *
-loop_run(PyObject *module, PyObject *engine)
+loop_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Engine E;
-    PyObject *stations = NULL, *classes = NULL, *live = NULL;
-    long long *in_net = NULL;
+    PyObject *result = NULL;
 
+    if (nargs != NTABLES + 3) {
+        PyErr_Format(PyExc_TypeError, "run() takes the %d fields of a _Table, got %zd",
+                     NTABLES + 3, nargs);
+        return NULL;
+    }
     memset(&E, 0, sizeof E);
     E.free = -1;
-    if ((stations = PyObject_GetAttrString(engine, "stations")) == NULL
-        || (classes = PyObject_GetAttrString(engine, "classes")) == NULL)
-        goto done;
-    int failed = read_engine(&E, engine, stations, classes) < 0 || run_loop(&E) < 0;
-    if (write_blocks(&E) < 0 || failed)
-        goto done;
-    if ((in_net = PyMem_Calloc((size_t)E.ncl + 1, sizeof(long long))) == NULL) {
-        PyErr_NoMemory();
-        goto done;
+    int failed = read_engine(&E, args) < 0 || run_loop(&E) < 0;
+    if (write_blocks(&E) == 0 && !failed) {
+        sweep(&E);
+        result = tally(&E);
     }
-    sweep(&E, in_net);
-    if (write_back(&E, engine) < 0)
-        goto done;
-    if ((live = PyList_New(E.ncl)) == NULL)
-        goto done;
-    for (int c = 0; c < E.ncl; c++) {
-        PyObject *n = PyLong_FromLongLong(in_net[c]);
-        if (n == NULL) {
-            Py_CLEAR(live);
-            goto done;
-        }
-        PyList_SET_ITEM(live, c, n);
-    }
-done:
-    PyMem_Free(in_net);
     free_engine(&E);
-    Py_XDECREF(stations);
-    Py_XDECREF(classes);
-    return live;
+    return result;
 }
 
 static PyMethodDef loop_methods[] = {
-    {"run", loop_run, METH_O,
-     "run(engine) -> live jobs per class. Runs a built _Engine to its horizon, "
-     "closes out the jobs still alive and writes the accumulators back."},
+    {"run", (PyCFunction)(void (*)(void))loop_run, METH_FASTCALL,
+     "run(*table) -> (cells, classes). Runs the engine of a _Table to its horizon, "
+     "closes out the jobs still alive and returns the tally."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -38,22 +38,31 @@ calendar; calendar events with equal times fire in scheduling order. An
 arrival and a service completion leave through the same routing step:
 sink, cycle close, finite-capacity drop, then fcfs or delay entry.
 
-_Engine.run is one C extension, _loop.c, that continues the engine
-_Engine._build set up in Python; _Engine._run_python is the same loop in
-Python, kept as the executable specification the tests compare the
-compiled loop against bit for bit. The two share this contract: every
-float operation is done in the same order and grouping; the calendar is
-a binary heap with heapq's sift algorithm keyed on (t, seq), so its
-array layout, and with it the closing sweep, is the same; and random
-values come only from the blocks _build made: the Python loop takes them
-with next(), the compiled loop reads them from the arrays in place and
-calls fill() when one runs out. The
-extension is built when this module is imported, with gcc -O2
--ffp-contract=off (no fused multiply-add, no -ffast-math; x86-64 does its
-double arithmetic in SSE2 registers), into src/qnaps/__pycache__ under a
-name keyed by the sha256 of _loop.c and the flags, so an edited source
-never loads an old binary. If it cannot be built or loaded, one warning
-goes to stderr and run() uses the Python loop.
+_Engine._build is the one place that decides the engine's layout: it
+draws what must be drawn before the run (each open class's first arrival
+time, the closed populations' t = 0 think and service times) and emits a
+flat, index-based _Table of int32 and float64 arrays (per station, per
+(station, class) cell, routes in CSR form, detection flush lists, per
+class, and the t = 0 placements in the order it made them) plus the list
+of _Blocks the indices point into. Both loops run on that table and
+return the same tally, per cell and per class, which _Engine._finalize
+turns into samples. _Engine.run is one C extension, _loop.c, which gets
+the table as typed buffers and checks each array once, on entry;
+_Engine._run_python is the same loop in Python, kept as the executable
+specification the tests compare the compiled loop against bit for bit.
+The two share this contract: they replay the placements in the same
+order, every float operation is done in the same order and grouping; the
+calendar is a binary heap with heapq's sift algorithm keyed on (t, seq),
+so its array layout, and with it the closing sweep, is the same; and
+random values come only from the blocks: the Python loop takes them with
+next(), the compiled loop reads them from the arrays in place and calls
+fill() when one runs out. The extension is built when this module is
+imported, with gcc -O2 -ffp-contract=off (no fused multiply-add, no
+-ffast-math; x86-64 does its double arithmetic in SSE2 registers), into
+src/qnaps/__pycache__ under a name keyed by the sha256 of _loop.c and
+the flags, so an edited source never loads an old binary. If it cannot
+be built or loaded, one warning goes to stderr and run() uses the Python
+loop.
 """
 from __future__ import annotations
 
@@ -69,6 +78,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -248,7 +258,7 @@ class RngSpace:
         return s
 
 
-# station kind codes for the hot path
+# station kind codes of _Table.kind
 _KC_FCFS = 0
 _KC_DELAY = 1
 _KC_SOURCE = 2
@@ -256,17 +266,36 @@ _KC_SINK = 3
 _KC = {FCFS: _KC_FCFS, DELAY: _KC_DELAY, SOURCE: _KC_SOURCE, SINK: _KC_SINK}
 
 
-class _Cell:
-    # per (station, class) accumulators over the measurement window
-    __slots__ = ("area", "barea", "ssum", "scnt", "drops", "parked")
+class _Table(NamedTuple):
+    """The engine's layout, decided by _Engine._build and read by both
+    loops. Stations and classes are numbered in model order; a cell is a
+    (station, class) pair, numbered s * nclasses + c. Index tables are
+    int32 arrays, times and probabilities float64 arrays; blocks index
+    into blocks and -1 means none. The compiled loop takes the fields in
+    this order."""
 
-    def __init__(self):
-        self.area = 0.0       # integral of the job count at the station
-        self.barea = 0.0      # integral of busy servers
-        self.ssum = 0.0       # sum of station sojourn times
-        self.scnt = 0         # completions inside the window
-        self.drops = 0
-        self.parked = []      # jobs sitting at an infinite delay
+    horizon: float
+    warmup: float
+    kind: np.ndarray           # per station: its _KC_* code
+    servers: np.ndarray        # per station
+    capacity: np.ndarray       # per station: inf when unbounded
+    ref_class: np.ndarray      # per station: the closed class it is reference of
+    sampler: np.ndarray        # per cell: block of its service times, -1 if not served
+    route_ptr: np.ndarray      # route row r, the cells' then one entry row per
+    route_to: np.ndarray       #   class, goes to route_to[route_ptr[r]:route_ptr[r+1]]
+    route_cum: np.ndarray      #   with these cumulative probabilities
+    route_block: np.ndarray    # per route row: block of its routing uniforms, -1 with one successor
+    flush_ptr: np.ndarray      # per cell (station, poller class): a completion there
+    flush_cls: np.ndarray      #   flushes flush_cls[flush_ptr[k]:flush_ptr[k+1]]
+    closed: np.ndarray         # per class: 1 if closed
+    watched: np.ndarray        # per class: 1 if a detection poll flushes it
+    reference: np.ndarray      # per class: its reference station if closed
+    arrivals: np.ndarray       # per class: block of its external arrival times
+    first_arrival: np.ndarray  # per class: its first arrival time, inf without arrivals
+    place_station: np.ndarray  # per t = 0 placement of a closed-class job, in the
+    place_class: np.ndarray    #   order the loops replay them: the station, the class
+    place_time: np.ndarray     #   and the calendar time, inf when it queues or parks
+    blocks: list               # every _Block, once
 
 
 class _Job:
@@ -274,53 +303,11 @@ class _Job:
     # (-1.0 until the first departure from the reference station)
     __slots__ = ("ci", "entered", "arrived", "sstart")
 
-    def __init__(self):
-        self.ci = 0
+    def __init__(self, ci):
+        self.ci = ci
         self.entered = -1.0
         self.arrived = 0.0
         self.sstart = 0.0
-
-
-class _StationRT:
-    __slots__ = ("name", "kc", "servers", "cap", "queue", "busy",
-                 "cells", "samplers", "routes", "flush_for", "ref_ci")
-
-    def __init__(self, name, kc, servers, cap, nclasses):
-        self.name = name
-        self.kc = kc
-        self.servers = servers
-        self.cap = cap
-        self.queue = deque() if kc == _KC_FCFS else None
-        self.busy = 0
-        self.cells = [None] * nclasses
-        self.samplers = [None] * nclasses
-        self.routes = [None] * nclasses
-        self.flush_for = None  # per poller class: watched classes to flush
-        self.ref_ci = -1
-
-
-class _ClassRT:
-    __slots__ = ("idx", "name", "closed", "population", "ref", "entry_route",
-                 "arrivals", "ta", "watcher", "pending", "created", "sunk",
-                 "dropped", "rsum", "rcnt", "larea")
-
-    def __init__(self, idx, name):
-        self.idx = idx
-        self.name = name
-        self.closed = False
-        self.population = 0
-        self.ref = None
-        self.entry_route = None
-        self.arrivals = None  # block sampler of external arrival times, open classes
-        self.ta = _INF        # next external arrival time
-        self.watcher = None  # (poller class name, station name) if watched
-        self.pending = None  # completed jobs awaiting a detection poll
-        self.created = 0
-        self.sunk = 0
-        self.dropped = 0
-        self.rsum = 0.0      # system response (open) or cycle time (closed)
-        self.rcnt = 0
-        self.larea = 0.0     # integral of the in-system job count
 
 
 def _arrival_times(dist, stream) -> _Block:
@@ -349,149 +336,204 @@ def _arrival_times(dist, stream) -> _Block:
 
 
 class _Engine:
+    """One replication. _build decides the layout both loops run on, the
+    _Table; a loop returns its tally, which _finalize turns into samples.
+    The tally is (cells, classes): per cell, (area, barea, ssum, scnt,
+    drops), the integrals of the job count and of busy servers, the sum
+    and count of station sojourns inside the window and the drops; per
+    class, (created, sunk, dropped, live, rsum, rcnt, larea), its flow
+    counts, the jobs alive at the horizon, the sum and count of system
+    response (open) or cycle (closed) times and the integral of the
+    in-system job count."""
+
     def __init__(self, model: NetworkModel, seed: int, horizon: float, warmup: float):
         self.model = model
         self.seed = seed
-        self.horizon = float(horizon)
-        self.warmup = float(warmup)
-        self.heap: list = []
-        self.seq = 0
         self.space = RngSpace(seed)
-        self._build()
+        self.table = self._build(float(horizon), float(warmup))
 
-    def _push(self, time, job, st):
-        heapq.heappush(self.heap, (time, self.seq, job, st))
-        self.seq += 1
-
-    def _build(self):
+    def _build(self, horizon: float, warmup: float) -> _Table:
         model = self.model
         space = self.space
-        self.classes = [_ClassRT(i, jc.name) for i, jc in enumerate(model.classes)]
-        cidx = {jc.name: i for i, jc in enumerate(model.classes)}
-        nclasses = len(model.classes)
+        stations, classes = model.stations, model.classes
+        sidx = {s.name: i for i, s in enumerate(stations)}
+        cidx = {jc.name: i for i, jc in enumerate(classes)}
+        ncl = len(classes)
+        blocks = []
 
-        self.stations = []
-        by_name = {}
-        for s in model.stations:
-            st = _StationRT(s.name, _KC[s.kind], s.servers,
-                            s.capacity if s.capacity is not None else None, nclasses)
-            self.stations.append(st)
-            by_name[s.name] = st
+        def index(block):
+            blocks.append(block)
+            return len(blocks) - 1
 
-        # service cells and samplers
-        for s, st in zip(model.stations, self.stations):
-            if st.kc in (_KC_FCFS, _KC_DELAY):
-                for cname, dist in s.service.items():
-                    ci = cidx[cname]
-                    st.cells[ci] = _Cell()
-                    st.samplers[ci] = dist.sampler(space.stream(s.name, cname, "service"))
+        kind = [_KC[s.kind] for s in stations]
+        sampler = [-1] * (len(stations) * ncl)
+        for s, st in enumerate(stations):
+            if kind[s] in (_KC_FCFS, _KC_DELAY):
+                for cname, dist in st.service.items():
+                    stream = space.stream(st.name, cname, "service")
+                    sampler[s * ncl + cidx[cname]] = index(dist.sampler(stream))
 
-        # routing, resolved to station objects with cumulative probabilities
-        def resolve(cname, frm):
-            targets = model.routing.successors(cname, frm)
-            if targets is None:
-                return None
-            if len(targets) == 1:
-                return by_name[targets[0][0]]
-            cums = []
-            acc = 0.0
-            sts = []
-            for to, p in targets:
-                acc += p
-                cums.append(acc)
-                sts.append(by_name[to])
-            cums[-1] = 1.0 + 1e-12  # guard against float dust on the last edge
-            # one consumer per routing stream, so batching keeps its values
-            u01 = space.stream(frm, cname, "routing").batched_sampler(1, lambda u: u)
-            return (tuple(cums), tuple(sts), u01)
-
-        for s, st in zip(model.stations, self.stations):
-            if st.kc in (_KC_FCFS, _KC_DELAY):
-                for jc in model.classes:
-                    if jc.name in s.service:
-                        st.routes[cidx[jc.name]] = resolve(jc.name, s.name)
-
-        # classes
-        sources = [s for s in model.stations if s.kind == SOURCE]
-        for jc, crt in zip(model.classes, self.classes):
+        ref_class = [-1] * len(stations)
+        reference, arrivals, first_arrival = [-1] * ncl, [-1] * ncl, [_INF] * ncl
+        watched = [0] * ncl
+        flush = [[] for _ in sampler]
+        entry = [None] * ncl  # the source an open class arrives at
+        sources = [s for s in stations if s.kind == SOURCE]
+        for c, jc in enumerate(classes):
             if jc.kind == "closed":
-                crt.closed = True
-                crt.population = jc.population
-                crt.ref = by_name[jc.reference]
-                crt.ref.ref_ci = crt.idx
+                reference[c] = sidx[jc.reference]
+                ref_class[reference[c]] = c
             else:
-                for src in sources:
-                    if model.routing.successors(jc.name, src.name) is not None:
-                        crt.entry_route = resolve(jc.name, src.name)
-                        stream = space.stream(src.name, jc.name, "arrival")
-                        crt.arrivals = _arrival_times(jc.arrival, stream)
-                        crt.ta = next(crt.arrivals)
-                        break
+                src = next((s for s in sources
+                            if model.routing.successors(jc.name, s.name) is not None), None)
+                if src is not None:
+                    entry[c] = src.name
+                    times = _arrival_times(jc.arrival, space.stream(src.name, jc.name, "arrival"))
+                    arrivals[c] = index(times)
+                    first_arrival[c] = next(times)
             watcher = model.detection.get(jc.name)
             if watcher is not None:
-                crt.watcher = watcher
-                crt.pending = []
-                poller_ci = cidx[watcher[0]]
-                dst = by_name[watcher[1]]
-                if dst.flush_for is None:
-                    dst.flush_for = [None] * nclasses
-                if dst.flush_for[poller_ci] is None:
-                    dst.flush_for[poller_ci] = []
-                dst.flush_for[poller_ci].append(crt)
+                watched[c] = 1
+                flush[sidx[watcher[1]] * ncl + cidx[watcher[0]]].append(c)
 
-        # inject closed populations at their reference stations at t=0
-        for jc, crt in zip(model.classes, self.classes):
-            if not crt.closed:
+        # route rows: a served cell's class leaving its station, then each
+        # open class leaving its source; every other row is empty
+        rows = [(jc.name, st.name) if sampler[s * ncl + c] >= 0 else None
+                for s, st in enumerate(stations) for c, jc in enumerate(classes)]
+        rows += [(jc.name, entry[c]) if entry[c] else None for c, jc in enumerate(classes)]
+        route_ptr, route_to, route_cum, route_block = [0], [], [], []
+        for row in rows:
+            targets = model.routing.successors(*row) if row else None
+            block = -1
+            if targets:
+                acc = 0.0
+                for to, p in targets:
+                    acc += p
+                    route_to.append(sidx[to])
+                    route_cum.append(acc)
+                route_cum[-1] = 1.0 + 1e-12  # guard against float dust on the last edge
+                if len(targets) > 1:
+                    # one consumer per routing stream, so batching keeps its values
+                    u01 = space.stream(row[1], row[0], "routing").batched_sampler(1, lambda u: u)
+                    block = index(u01)
+            route_block.append(block)
+            route_ptr.append(len(route_to))
+
+        # closed populations at their reference stations at t = 0
+        place = []
+        busy = [0] * len(stations)
+        for c, jc in enumerate(classes):
+            if jc.kind != "closed":
                 continue
-            ref = crt.ref
-            init_u = space.stream(ref.name, jc.name, "init").uniform01
-            sampler = ref.samplers[crt.idx]
-            for _ in range(crt.population):
-                job = _Job()
-                job.ci = crt.idx
-                if ref.kc == _KC_DELAY:
+            s = reference[c]
+            init_u = space.stream(jc.reference, jc.name, "init").uniform01
+            service = blocks[sampler[s * ncl + c]]
+            for _ in range(jc.population):
+                if kind[s] == _KC_DELAY:
                     u = init_u()  # random initial phase desynchronizes cycles
-                    think = next(sampler)
-                    if think < _INF:
-                        self._push(u * think, job, ref)
-                    else:
-                        ref.cells[crt.idx].parked.append(job)
+                    think = next(service)
+                    t = u * think if think < _INF else _INF
+                elif busy[s] < stations[s].servers:
+                    busy[s] += 1
+                    t = next(service)
                 else:
-                    # t=0 arrival at an fcfs reference station
-                    if ref.busy < ref.servers:
-                        ref.busy += 1
-                        self._push(next(sampler), job, ref)
-                    else:
-                        ref.queue.append(job)
+                    t = _INF
+                place.append((s, c, t))
+
+        def ints(values):
+            return np.array(values, dtype=np.int32)
+
+        flush_ptr = np.cumsum([0] + [len(f) for f in flush], dtype=np.int32)
+        place_station, place_class, place_time = zip(*place) if place else ((), (), ())
+        return _Table(
+            horizon, warmup,
+            ints(kind), np.array([s.servers for s in stations], dtype=np.float64),
+            np.array([_INF if s.capacity is None else s.capacity for s in stations],
+                     dtype=np.float64),
+            ints(ref_class), ints(sampler),
+            ints(route_ptr), ints(route_to), np.array(route_cum, dtype=np.float64),
+            ints(route_block), flush_ptr, ints([c for f in flush for c in f]),
+            ints([jc.kind == "closed" for jc in classes]), ints(watched), ints(reference),
+            ints(arrivals), np.array(first_arrival, dtype=np.float64),
+            ints(place_station), ints(place_class), np.array(place_time, dtype=np.float64),
+            blocks,
+        )
 
     def _check_deadlock(self):
-        if not self.heap and all(c.ta >= self.horizon for c in self.classes):
-            dead = [c.name for c in self.classes if c.closed]
+        t = self.table
+        if (min(t.place_time.tolist(), default=_INF) == _INF
+                and min(t.first_arrival.tolist(), default=_INF) >= t.horizon):
+            dead = [jc.name for jc in self.model.classes if jc.kind == "closed"]
             if dead:
                 raise DeadlockError(dead)
 
     def run(self) -> ReplicationResult:
+        return self._finalize(self._tally())
+
+    def _run_python(self) -> ReplicationResult:
+        return self._finalize(self._tally_python())
+
+    def _tally(self):
         """Simulate to the horizon on the compiled loop, or on the Python
         loop when the extension could not be built or loaded."""
         if _loop is None:
-            return self._run_python()
+            return self._tally_python()
         self._check_deadlock()
-        self.live = _loop.run(self)
-        return self._finalize()
+        return _loop.run(*self.table)
 
-    def _run_python(self) -> ReplicationResult:
+    def _tally_python(self):
+        """The event loop in Python, on the same table: the executable
+        specification of the compiled loop and its fallback."""
         self._check_deadlock()
-        heap = self.heap
+        T = self.table
+        horizon = T.horizon
+        warm = T.warmup
+        kind = T.kind.tolist()
+        servers = T.servers.tolist()
+        cap = T.capacity.tolist()
+        ref_class = T.ref_class.tolist()
+        closed = T.closed.tolist()
+        reference = T.reference.tolist()
+        watched = T.watched.tolist()
+        blocks = T.blocks
+        samplers = [blocks[b] if b >= 0 else None for b in T.sampler.tolist()]
+        ptr, to, cum = T.route_ptr.tolist(), T.route_to.tolist(), T.route_cum.tolist()
+        routes = [(to[a:b], cum[a:b], blocks[r] if b - a > 1 else None)
+                  for a, b, r in zip(ptr, ptr[1:], T.route_block.tolist())]
+        ptr, fcls = T.flush_ptr.tolist(), T.flush_cls.tolist()
+        flush = [fcls[a:b] for a, b in zip(ptr, ptr[1:])]
+        arrivals = [blocks[b] if b >= 0 else None for b in T.arrivals.tolist()]
+        tas = T.first_arrival.tolist()
+        nst, ncl = len(kind), len(closed)
+        ncells = nst * ncl
+
+        busy = [0] * nst
+        queues = [deque() for _ in range(nst)]
+        parked = [[] for _ in range(ncells)]
+        pending = [[] for _ in range(ncl)]
+        area, barea, ssum = [0.0] * ncells, [0.0] * ncells, [0.0] * ncells
+        scnt, drops = [0] * ncells, [0] * ncells
+        created, sunk, dropped, live = [0] * ncl, [0] * ncl, [0] * ncl, [0] * ncl
+        rsum, rcnt, larea = [0.0] * ncl, [0] * ncl, [0.0] * ncl
+        heap = []
         pop = heapq.heappop
         push = heapq.heappush
-        horizon = self.horizon
-        warm = self.warmup
-        classes = self.classes
-        tas = [c.ta for c in classes]
-        ta = min(tas)
-        seq = self.seq
+        seq = 0
         pool = []
 
+        for s, ci, t in zip(T.place_station.tolist(), T.place_class.tolist(),
+                            T.place_time.tolist()):
+            job = _Job(ci)
+            if t < _INF:
+                busy[s] += kind[s] == _KC_FCFS
+                push(heap, (t, seq, job, s))
+                seq += 1
+            elif kind[s] == _KC_FCFS:
+                queues[s].append(job)
+            else:
+                parked[s * ncl + ci].append(job)
+
+        ta = min(tas, default=_INF)
         while True:
             if heap:
                 rec = heap[0]
@@ -504,259 +546,239 @@ class _Engine:
                     break
                 t = ta
                 ci = tas.index(ta)  # ties go to the lower class index
-                crt = classes[ci]
-                crt.created += 1
-                tas[ci] = next(crt.arrivals)
+                created[ci] += 1
+                tas[ci] = next(arrivals[ci])
                 ta = min(tas)
-                if pool:
-                    job = pool.pop()
-                else:
-                    job = _Job()
+                job = pool.pop() if pool else _Job(ci)
                 job.ci = ci
                 job.entered = t
-                nxt = crt.entry_route
+                r = ncells + ci
             else:
                 if t >= horizon:
                     break
                 pop(heap)
                 job = rec[2]
-                st = rec[3]
+                s = rec[3]
                 ci = job.ci
+                k = s * ncl + ci
 
-                if st.kc == 0:
+                if kind[s] == 0:
                     # service completes at an fcfs station
                     if t > warm:
-                        cell = st.cells[ci]
                         a = job.arrived
                         d = t - a
-                        cell.ssum += d
-                        cell.scnt += 1
-                        cell.area += d if a > warm else t - warm
+                        ssum[k] += d
+                        scnt[k] += 1
+                        area[k] += d if a > warm else t - warm
                         ss = job.sstart
-                        cell.barea += t - ss if ss > warm else t - warm
-                    st.busy -= 1
-                    q = st.queue
+                        barea[k] += t - ss if ss > warm else t - warm
+                    busy[s] -= 1
+                    q = queues[s]
                     if q:
                         nj = q.popleft()
-                        st.busy += 1
+                        busy[s] += 1
                         nj.sstart = t
-                        s = next(st.samplers[nj.ci])
-                        push(heap, (t + s, seq, nj, st))
+                        sv = next(samplers[s * ncl + nj.ci])
+                        push(heap, (t + sv, seq, nj, s))
                         seq += 1
-                    if st.flush_for is not None:
-                        watched = st.flush_for[ci]
-                        if watched:
-                            for wcrt in watched:
-                                pend = wcrt.pending
-                                if pend:
-                                    if t > warm:
-                                        for pj in pend:
-                                            e = pj.entered
-                                            wcrt.rsum += t - e
-                                            wcrt.larea += t - e if e > warm else t - warm
-                                        wcrt.rcnt += len(pend)
-                                    pool.extend(pend)
-                                    pend.clear()
-                    if st.ref_ci == ci:
+                    for w in flush[k]:
+                        pend = pending[w]
+                        if pend:
+                            if t > warm:
+                                for pj in pend:
+                                    e = pj.entered
+                                    rsum[w] += t - e
+                                    larea[w] += t - e if e > warm else t - warm
+                                rcnt[w] += len(pend)
+                            pool.extend(pend)
+                            pend.clear()
+                    if ref_class[s] == ci:
                         # leaving the reference station opens a cycle
                         job.entered = t
                 else:
                     # delay timer fires
                     if t > warm:
-                        cell = st.cells[ci]
                         a = job.arrived
                         d = t - a
-                        cell.ssum += d
-                        cell.scnt += 1
-                        cell.area += d if a > warm else t - warm
-                    if st.ref_ci == ci:
+                        ssum[k] += d
+                        scnt[k] += 1
+                        area[k] += d if a > warm else t - warm
+                    if ref_class[s] == ci:
                         job.entered = t
-                nxt = st.routes[ci]
+                r = k
 
-            # route the arriving or departing job to its next station
-            if type(nxt) is tuple:
-                u = next(nxt[2])
-                cums = nxt[0]
+            # route the arriving or departing job to its next station: the
+            # first whose cumulative probability reaches the row's uniform;
+            # a row of one successor draws none
+            tos, cums, u01 = routes[r]
+            if u01 is None:
+                ns = tos[0]  # IndexError on a row without successors
+            else:
+                u = next(u01)
                 i = 0
                 while cums[i] < u:
                     i += 1
-                ns = nxt[1][i]
-            else:
-                ns = nxt
+                ns = tos[i]
 
-            kc = ns.kc
+            kc = kind[ns]
             if kc == 3:
                 # sink
-                crt = classes[ci]
-                crt.sunk += 1
-                if crt.pending is None:
+                sunk[ci] += 1
+                if not watched[ci]:
                     if t > warm:
                         e = job.entered
-                        crt.rsum += t - e
-                        crt.rcnt += 1
-                        crt.larea += t - e if e > warm else t - warm
+                        rsum[ci] += t - e
+                        rcnt[ci] += 1
+                        larea[ci] += t - e if e > warm else t - warm
                     pool.append(job)
                 else:
                     # watched job: physically done, logically in the system
                     # until the next detection poll completes
-                    crt.pending.append(job)
+                    pending[ci].append(job)
                 continue
 
-            if ns.ref_ci == ci and job.entered >= 0.0:
+            if ref_class[ns] == ci and job.entered >= 0.0:
                 # a cycle closes on return to the reference station
                 # (entered is always set before the first return; the guard
                 # is insurance against malformed hand-built topologies)
-                crt = classes[ci]
                 if t > warm:
                     e = job.entered
-                    crt.rsum += t - e
-                    crt.rcnt += 1
-                    crt.larea += t - e if e > warm else t - warm
+                    rsum[ci] += t - e
+                    rcnt[ci] += 1
+                    larea[ci] += t - e if e > warm else t - warm
 
+            k = ns * ncl + ci
             if kc == 0:
-                if ns.cap is not None and ns.busy + len(ns.queue) >= ns.cap:
-                    crt = classes[ci]
-                    if not crt.closed:
-                        # closed populations are never dropped
-                        crt.dropped += 1
-                        if t > warm:
-                            ns.cells[ci].drops += 1
-                            e = job.entered
-                            crt.larea += t - e if e > warm else t - warm
-                        pool.append(job)
-                        continue
+                if cap[ns] < _INF and busy[ns] + len(queues[ns]) >= cap[ns] and not closed[ci]:
+                    # closed populations are never dropped
+                    dropped[ci] += 1
+                    if t > warm:
+                        drops[k] += 1
+                        e = job.entered
+                        larea[ci] += t - e if e > warm else t - warm
+                    pool.append(job)
+                    continue
                 job.arrived = t
-                if ns.busy < ns.servers:
-                    ns.busy += 1
+                if busy[ns] < servers[ns]:
+                    busy[ns] += 1
                     job.sstart = t
-                    s = next(ns.samplers[ci])
+                    s = next(samplers[k])
                     push(heap, (t + s, seq, job, ns))
                     seq += 1
                 else:
-                    ns.queue.append(job)
+                    queues[ns].append(job)
             else:
                 # delay entry (validation keeps jobs out of sources)
                 job.arrived = t
-                d = next(ns.samplers[ci])
+                d = next(samplers[k])
                 if d < _INF:
                     push(heap, (t + d, seq, job, ns))
                     seq += 1
                 else:
-                    ns.cells[ci].parked.append(job)
+                    parked[k].append(job)
 
-        self.seq = seq
-        self.live = self._sweep()
-        return self._finalize()
-
-    def _sweep(self) -> list[int]:
-        """Close out the jobs alive at the horizon: in service or thinking
-        (calendar, in heap-array order), waiting (queues), parked (infinite
-        delays) and awaiting detection. Returns the live jobs per class."""
-        horizon = self.horizon
-        warm = self.warmup
-        classes = self.classes
-        in_net = [0] * len(classes)
-
-        def close_out(job, st, in_service):
+        # close out the jobs alive at the horizon: in service or thinking
+        # (calendar, in heap-array order), waiting (queues), parked
+        # (infinite delays) and awaiting detection
+        def close_out(job, s, in_service):
             ci = job.ci
-            in_net[ci] += 1
-            cell = st.cells[ci]
+            live[ci] += 1
+            k = s * ncl + ci
             a = job.arrived
-            cell.area += horizon - (a if a > warm else warm)
+            area[k] += horizon - (a if a > warm else warm)
             if in_service:
                 ss = job.sstart
-                cell.barea += horizon - (ss if ss > warm else warm)
-            crt = classes[ci]
-            if crt.closed:
-                if st is not crt.ref and job.entered >= 0.0:
+                barea[k] += horizon - (ss if ss > warm else warm)
+            if closed[ci]:
+                if s != reference[ci] and job.entered >= 0.0:
                     e = job.entered
-                    crt.larea += horizon - (e if e > warm else warm)
+                    larea[ci] += horizon - (e if e > warm else warm)
             else:
                 e = job.entered
-                crt.larea += horizon - (e if e > warm else warm)
+                larea[ci] += horizon - (e if e > warm else warm)
 
-        for rec in self.heap:
-            close_out(rec[2], rec[3], rec[3].kc == _KC_FCFS)
-        for st in self.stations:
-            if st.queue:
-                for job in st.queue:
-                    close_out(job, st, False)
-            for cell in st.cells:
-                if cell is not None:
-                    for job in cell.parked:
-                        close_out(job, st, False)
-        for crt in classes:
-            if crt.pending:
-                for job in crt.pending:
-                    e = job.entered
-                    crt.larea += horizon - (e if e > warm else warm)
-        return in_net
+        for rec in heap:
+            close_out(rec[2], rec[3], kind[rec[3]] == _KC_FCFS)
+        for s in range(nst):
+            for job in queues[s]:
+                close_out(job, s, False)
+            for k in range(s * ncl, (s + 1) * ncl):
+                for job in parked[k]:
+                    close_out(job, s, False)
+        for ci in range(ncl):
+            for job in pending[ci]:
+                e = job.entered
+                larea[ci] += horizon - (e if e > warm else warm)
 
-    def _finalize(self) -> ReplicationResult:
-        horizon = self.horizon
-        warm = self.warmup
+        return (list(zip(area, barea, ssum, scnt, drops)),
+                list(zip(created, sunk, dropped, live, rsum, rcnt, larea)))
+
+    def _finalize(self, tally) -> ReplicationResult:
+        cells, classes = tally
+        horizon = self.table.horizon
+        warm = self.table.warmup
         model = self.model
-        classes = self.classes
-        self._check_conservation(self.live)
+        ncl = len(model.classes)
+        self._check_conservation(classes)
 
         window = horizon - warm
         samples = []
         add = samples.append
-        for s, st in zip(model.stations, self.stations):
-            if st.kc not in (_KC_FCFS, _KC_DELAY):
+        for s, st in enumerate(model.stations):
+            if st.kind not in (FCFS, DELAY):
                 continue
-            tot = _Cell()
-            served = [
-                (jc.name, st.cells[i])
-                for i, jc in enumerate(model.classes)
-                if st.cells[i] is not None
-            ]
-            for cname, cell in served:
-                resp = cell.ssum / cell.scnt if cell.scnt else 0.0
-                if st.kc == _KC_FCFS:
+            fcfs = st.kind == FCFS
+            tot_area = tot_barea = tot_ssum = 0.0
+            tot_scnt = tot_drops = 0
+            for c, jc in enumerate(model.classes):
+                if jc.name not in st.service:
+                    continue
+                area, barea, ssum, scnt, drops = cells[s * ncl + c]
+                cname = jc.name
+                resp = ssum / scnt if scnt else 0.0
+                if fcfs:
                     add(MetricSample(st.name, cname, "utilization",
-                                     cell.barea / (st.servers * window)))
+                                     barea / (st.servers * window)))
                 add(MetricSample(st.name, cname, "response-time-msec", resp))
-                add(MetricSample(st.name, cname, "throughput-per-msec", cell.scnt / window))
-                add(MetricSample(st.name, cname, "queue-length", cell.area / window))
-                if st.kc == _KC_FCFS:
-                    add(MetricSample(st.name, cname, "dropped-count", float(cell.drops)))
-                    add(MetricSample(st.name, cname, "dropped-rate-per-msec", cell.drops / window))
-                tot.area += cell.area
-                tot.barea += cell.barea
-                tot.ssum += cell.ssum
-                tot.scnt += cell.scnt
-                tot.drops += cell.drops
-            resp = tot.ssum / tot.scnt if tot.scnt else 0.0
-            if st.kc == _KC_FCFS:
-                add(MetricSample(st.name, "all", "utilization", tot.barea / (st.servers * window)))
+                add(MetricSample(st.name, cname, "throughput-per-msec", scnt / window))
+                add(MetricSample(st.name, cname, "queue-length", area / window))
+                if fcfs:
+                    add(MetricSample(st.name, cname, "dropped-count", float(drops)))
+                    add(MetricSample(st.name, cname, "dropped-rate-per-msec", drops / window))
+                tot_area += area
+                tot_barea += barea
+                tot_ssum += ssum
+                tot_scnt += scnt
+                tot_drops += drops
+            resp = tot_ssum / tot_scnt if tot_scnt else 0.0
+            if fcfs:
+                add(MetricSample(st.name, "all", "utilization", tot_barea / (st.servers * window)))
             add(MetricSample(st.name, "all", "response-time-msec", resp))
-            add(MetricSample(st.name, "all", "throughput-per-msec", tot.scnt / window))
-            add(MetricSample(st.name, "all", "queue-length", tot.area / window))
-            if st.kc == _KC_FCFS:
-                add(MetricSample(st.name, "all", "dropped-count", float(tot.drops)))
-                add(MetricSample(st.name, "all", "dropped-rate-per-msec", tot.drops / window))
+            add(MetricSample(st.name, "all", "throughput-per-msec", tot_scnt / window))
+            add(MetricSample(st.name, "all", "queue-length", tot_area / window))
+            if fcfs:
+                add(MetricSample(st.name, "all", "dropped-count", float(tot_drops)))
+                add(MetricSample(st.name, "all", "dropped-rate-per-msec", tot_drops / window))
 
-        for jc, crt in zip(model.classes, classes):
-            resp = crt.rsum / crt.rcnt if crt.rcnt else 0.0
+        for jc, (_, _, _, _, rsum, rcnt, larea) in zip(model.classes, classes):
+            resp = rsum / rcnt if rcnt else 0.0
             add(MetricSample("system", jc.name, "response-time-msec", resp))
-            add(MetricSample("system", jc.name, "throughput-per-msec", crt.rcnt / window))
-            add(MetricSample("system", jc.name, "queue-length", crt.larea / window))
+            add(MetricSample("system", jc.name, "throughput-per-msec", rcnt / window))
+            add(MetricSample("system", jc.name, "queue-length", larea / window))
 
         return ReplicationResult(self.seed, horizon, warm, samples)
 
-    def _check_conservation(self, in_net):
-        for jc, crt in zip(self.model.classes, self.classes):
-            live = in_net[crt.idx]
-            if crt.closed:
-                if live != crt.population:
+    def _check_conservation(self, classes):
+        for jc, (created, sunk, dropped, live, *_) in zip(self.model.classes, classes):
+            if jc.kind == "closed":
+                if live != jc.population:
                     raise KernelError(
-                        f"closed population leak: class {jc.name} holds {live} of {crt.population}"
+                        f"closed population leak: class {jc.name} holds {live} of {jc.population}"
                     )
-            elif crt.created != crt.sunk + crt.dropped + live:
+            elif created != sunk + dropped + live:
                 raise KernelError(
-                    f"flow imbalance for class {jc.name}: created {crt.created}, "
-                    f"sunk {crt.sunk}, dropped {crt.dropped}, in network {live}"
+                    f"flow imbalance for class {jc.name}: created {created}, "
+                    f"sunk {sunk}, dropped {dropped}, in network {live}"
                 )
 
 

@@ -170,9 +170,6 @@ class MetricAccumulator:
         self._cells: dict[tuple, dict[int, float]] = {}
         self._reps: set[int] = set()
 
-    def __len__(self):
-        return len(self._reps)
-
     def key_space(self) -> frozenset:
         return frozenset(self._cells)
 
@@ -217,20 +214,3 @@ def response_time_error(eg_msec: float, qn_mean_msec: float) -> float:
         raise EstimateError("response_time_error undefined for a zero simulated mean")
     return 100.0 * abs(eg_msec - qn_mean_msec) / qn_mean_msec
 
-
-def littles_law_rows(estimates: dict[tuple, ConfidenceInterval]) -> list[dict]:
-    """Per-class system-level N, X and R means with the relative gap
-    |N - X*R| / N (zero-activity classes report a gap of 0)."""
-    classes = sorted(
-        cls for (st, cls, metric) in estimates
-        if st == "system" and metric == "queue-length"
-    )
-    rows = []
-    for cls in classes:
-        n_bar = estimates[("system", cls, "queue-length")].mean
-        x = estimates[("system", cls, "throughput-per-msec")].mean
-        r = estimates[("system", cls, "response-time-msec")].mean
-        gap = abs(n_bar - x * r)
-        rel = 0.0 if n_bar == 0 else gap / n_bar
-        rows.append({"job_class": cls, "n_bar": n_bar, "throughput": x, "response": r, "relative_gap": rel})
-    return rows

@@ -158,8 +158,7 @@ def test_routing_stream_draws_one_word_per_decision():
         routing=routing,
     )
     engine = _Engine(m, seed=12, horizon=2000.0, warmup=0.0)
-    engine.run()
-    decisions = engine.classes[0].created  # every arrival splits once at the source
+    decisions = engine._tally()[1][0][0]  # created: every arrival splits once at the source
     assert decisions > 300
     assert engine.space.stream("Source", "Jobs", "routing").draws == decisions
 
@@ -350,33 +349,31 @@ def test_open_class_routed_from_source_straight_to_sink():
         routing=routing,
     )
     engine = _Engine(m, seed=3, horizon=2000.0, warmup=200.0)
-    engine.run()
-    jobs = engine.classes[0]
-    assert jobs.created == jobs.sunk > 900
+    created, sunk, *_ = engine._tally()[1][0]
+    assert created == sunk > 900
     reps = [run_replication(m, seed=s, horizon=2000.0, warmup=200.0) for s in range(5)]
     assert estimate(reps)[("system", "Jobs", "throughput-per-msec")].covers(0.5)
 
 
 def test_flow_check_fires_from_the_engine():
     engine = _Engine(mm1_model(capacity=3), seed=5, horizon=2000.0, warmup=200.0)
-    engine.run()
-    jobs = engine.classes[0]
-    assert jobs.created > 1000 and jobs.dropped > 0
-    engine._finalize()  # balanced as the loop left it
-    jobs.sunk -= 1
+    cells, classes = engine._tally()
+    created, sunk, dropped, *rest = classes[0]
+    assert created > 1000 and dropped > 0
+    engine._finalize((cells, classes))  # balanced as the loop left it
     with pytest.raises(KernelError, match="flow imbalance for class Jobs"):
-        engine._finalize()
+        engine._finalize((cells, [(created, sunk - 1, dropped, *rest)]))
 
 
 def test_arrivals_run_until_their_first_infinite_gap():
     model = stopping_arrivals_model()
     assert validate_model(model) == []
     engine = _Engine(model, seed=1, horizon=1e4, warmup=1e3)
-    engine.run()
-    jobs = engine.classes[0]
+    tally = engine._tally()
+    created, sunk, *_ = tally[1][0]
     # about 100 arrivals, where 1e4 msec at rate 0.8 would give 8000
-    assert 0 < jobs.created == jobs.sunk < 1000
-    engine._finalize()  # the flow check holds
+    assert 0 < created == sunk < 1000
+    engine._finalize(tally)  # the flow check holds
 
 
 _HIGH_RATE_CHILD = """
@@ -385,9 +382,9 @@ from qnaps.kernel import _Engine
 model = mm1_model(lam=100, mu=1000)
 _Engine(model, 1, 1e6, 1e5)
 engine = _Engine(model, 1, 1e4, 1e3)
-engine.run()  # ends in _finalize's flow check
-jobs = engine.classes[0]
-print(jobs.created, jobs.sunk, jobs.dropped)
+tally = engine._tally()
+engine._finalize(tally)  # the flow check
+print(*tally[1][0][:3])
 """
 
 

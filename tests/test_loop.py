@@ -4,8 +4,9 @@ _Engine._run_python is the executable specification of _Engine.run. The
 differential test runs both on the same engines and requires every
 sample to match bit for bit, every random stream to have handed out the
 same number of draws, and every class to have created, sunk and dropped
-the same jobs; one of its models puts every distribution kind on both
-loops as service, arrival and probabilistic routing target. Two pins in
+the same jobs and to hold as many at the horizon; one of its models puts
+every distribution kind on both loops as service, arrival and
+probabilistic routing target. Two pins in
 tests/data/engine_pin.json hold both loops' lazy arrival merge on tied
 and non-exponential arrivals. The ties pin was frozen from an engine
 that pre-drew every arrival and merged them with a lexsort. The
@@ -14,7 +15,8 @@ each mixture part got its own stream, after that mixture's sample mean
 and variance were checked against their closed forms (test_kernel.py).
 The remaining tests
 cover the extension's build and fallback, block samplers handed between
-Python and C, and exceptions and signals crossing the C boundary.
+Python and C, the checks the compiled loop makes on its table, and
+exceptions and signals crossing the C boundary.
 """
 
 import json
@@ -193,23 +195,29 @@ MODELS = {
 ARRIVAL_PINS = {"ties": 61001, "arrival_mix": 62002}
 
 
+# the engine method that runs each loop and returns its tally
+TALLY = {"run": "_tally", "_run_python": "_tally_python"}
+
+
+def flows_and_samples(model, seed, horizon, loop):
+    """Each class's (name, created, sunk, dropped, live) and every sample
+    of one replication on loop, and the engine it ran."""
+    engine = _Engine(model, seed, horizon, WARMUP)
+    tally = getattr(engine, TALLY[loop])()
+    result = engine._finalize(tally)
+    flows = [[jc.name, *row[:4]] for jc, row in zip(model.classes, tally[1])]
+    samples = [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples]
+    return flows, samples, engine
+
+
 def outcome(model, seed, loop):
-    engine = _Engine(model, seed, HORIZON / 2, WARMUP)
-    result = getattr(engine, loop)()
-    return (
-        [(s.station, s.job_class, s.metric, s.value.hex()) for s in result.samples],
-        {key: s.draws for key, s in engine.space._streams.items()},
-        [(c.name, c.created, c.sunk, c.dropped) for c in engine.classes],
-    )
+    flows, samples, engine = flows_and_samples(model, seed, HORIZON / 2, loop)
+    return samples, {key: s.draws for key, s in engine.space._streams.items()}, flows
 
 
 def pinned_run(name: str, loop: str) -> dict:
-    engine = _Engine(MODELS[name], ARRIVAL_PINS[name], HORIZON, WARMUP)
-    result = getattr(engine, loop)()
-    return {
-        "flow": [[c.name, c.created, c.sunk, c.dropped] for c in engine.classes],
-        "samples": [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples],
-    }
+    flows, samples, _ = flows_and_samples(MODELS[name], ARRIVAL_PINS[name], HORIZON, loop)
+    return {"flow": [f[:4] for f in flows], "samples": samples}
 
 
 @pytest.mark.parametrize("loop", ["run", "_run_python"])
@@ -229,10 +237,13 @@ def test_compiled_loop_matches_the_python_loop(name):
 
 
 def test_parking_model_parks_jobs_during_the_run():
-    engine = _Engine(parking_model(), 7, HORIZON / 2, WARMUP)
-    engine._run_python()
-    parked = engine.stations[2].cells[0].parked
-    assert 0 < len(parked) <= 4
+    result = _Engine(parking_model(), 7, HORIZON / 2, WARMUP)._run_python()
+    park = {s.metric: s.value for s in result.samples
+            if (s.station, s.job_class) == ("Park", "Loop")}
+    # a Loop job that reaches Park stays there: none leaves, and between
+    # one and all four of them are there at the horizon
+    assert park["throughput-per-msec"] == 0.0
+    assert 0 < park["queue-length"] <= 4
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
@@ -286,7 +297,7 @@ def test_blocks_hand_off_between_python_and_the_compiled_loop():
     # stopped: both loops hand out the same values and count the same draws
     def handed_off(loop):
         engine = _Engine(parking_model(), 7, HORIZON / 2, WARMUP)
-        think = engine.stations[0].samplers[0]
+        think = engine.table.blocks[engine.table.sampler[0]]  # cell (Think, Loop)
         stream = engine.space.stream("Think", "Loop", "service")
         assert (think.i, stream.draws) == (4, 4)  # one think time per Loop job
         before = next(think)
@@ -316,16 +327,12 @@ def broken_after(k):
 def break_sampler(engine, where, sampler):
     """Put sampler in place of the service, routing or arrival sampler
     of the wwi class that is routed over two actors."""
-    station = next(st for st in engine.stations if st.kc == 0 and any(
-        type(r) is tuple for r in st.routes))
-    ci = next(i for i, r in enumerate(station.routes) if type(r) is tuple)
-    if where == "service":
-        station.samplers[ci] = sampler
-    elif where == "routing":
-        cums, sts, _ = station.routes[ci]
-        station.routes[ci] = (cums, sts, sampler)
-    else:
-        engine.classes[ci].arrivals = sampler
+    table = engine.table
+    ncl = len(table.closed)
+    k = next(k for k, b in enumerate(table.route_block) if b >= 0 and table.kind[k // ncl] == 0)
+    block = {"service": table.sampler[k], "routing": table.route_block[k],
+             "arrival": table.arrivals[k % ncl]}[where]
+    table.blocks[block] = sampler
 
 
 @pytest.mark.parametrize("loop", ["run", "_run_python"])
@@ -364,6 +371,74 @@ def test_compiled_loop_rejects_a_block_that_is_not_float64():
     break_sampler(engine, "service", kernel._Block(0, lambda: np.ones(256, dtype=np.int64)))
     with pytest.raises(TypeError, match="is not a 1-d float64 array"):
         engine.run()
+
+
+def changed(values, at, value):
+    values = values.copy()
+    values[at] = value
+    return values
+
+
+# per case: the model, how the field before any / is corrupted, and the
+# error the compiled loop raises for it (awty has 8 stations, 4 classes,
+# 11 blocks and 11 route successors; wwi routes over two actors)
+CORRUPT = {
+    "kind": ("awty", lambda t: changed(t.kind, 0, 7), ValueError,
+             r"table 'kind' holds 7 at 0, outside \[0, 4\)"),
+    "servers": ("awty", lambda t: t.servers.astype(np.int32), TypeError,
+                "table 'servers' is not a 1-d float64 array"),
+    "capacity": ("awty", lambda t: t.capacity[:-1], ValueError,
+                 "table 'capacity' has 7 entries, expected 8"),
+    "ref_class": ("awty", lambda t: changed(t.ref_class, 0, 4), ValueError,
+                  "table 'ref_class' holds 4 at 0"),
+    "sampler": ("awty", lambda t: changed(t.sampler, 4, 11), ValueError,
+                "table 'sampler' holds 11 at 4"),
+    "route_ptr": ("awty", lambda t: changed(t.route_ptr, 5, 12), ValueError,
+                  "table 'route_ptr' is not offsets from 0 to 11"),
+    "route_to": ("awty", lambda t: changed(t.route_to, 0, 8), ValueError,
+                 "table 'route_to' holds 8 at 0"),
+    "route_to/unserved": ("awty", lambda t: changed(t.route_to, 0, 0), ValueError,
+                          "table 'route_to' sends class 0 to station 0, which does not serve it"),
+    "route_cum": ("awty", lambda t: t.route_cum.astype(np.float32), TypeError,
+                  "table 'route_cum' is not a 1-d float64 array"),
+    "route_block": ("awty", lambda t: changed(t.route_block, 0, 11), ValueError,
+                    "table 'route_block' holds 11 at 0"),
+    "route_block/missing": ("wwi", lambda t: np.full_like(t.route_block, -1), ValueError,
+                            "table 'route_block' has no block for route row"),
+    "flush_ptr": ("awty", lambda t: t.flush_ptr[1:], ValueError,
+                  "table 'flush_ptr' has 32 entries, expected 33"),
+    "flush_cls": ("awty", lambda t: changed(t.flush_cls, 0, -1), ValueError,
+                  "table 'flush_cls' holds -1 at 0"),
+    "closed": ("awty", lambda t: changed(t.closed, 0, 2), ValueError,
+               "table 'closed' holds 2 at 0"),
+    "watched": ("awty", lambda t: t.watched.astype(np.int64), TypeError,
+                "table 'watched' is not a 1-d int32 array"),
+    "reference": ("awty", lambda t: changed(t.reference, 2, 8), ValueError,
+                  "table 'reference' holds 8 at 2"),
+    "arrivals": ("awty", lambda t: changed(t.arrivals, 0, 11), ValueError,
+                 "table 'arrivals' holds 11 at 0"),
+    "first_arrival": ("awty", lambda t: changed(t.first_arrival, 2, 1.0), ValueError,
+                      "table 'first_arrival' times class 2, which has no arrivals block"),
+    "place_station": ("awty", lambda t: changed(t.place_station, 0, 0), ValueError,
+                      "table 'place_station' places class 2 at station 0, which does not serve it"),
+    "place_class": ("awty", lambda t: changed(t.place_class, 0, 4), ValueError,
+                    "table 'place_class' holds 4 at 0"),
+    "place_time": ("awty", lambda t: t.place_time.tolist(), TypeError,
+                   "table 'place_time' is not a 1-d float64 array"),
+    "blocks": ("awty", lambda t: tuple(t.blocks), TypeError, "table 'blocks' is not a list"),
+}
+
+
+@compiled
+@pytest.mark.parametrize("case", sorted(CORRUPT))
+def test_compiled_loop_checks_its_table_on_entry(case):
+    name, corrupt, error, match = CORRUPT[case]
+    table = _Engine(MODELS[name], 73003, HORIZON, WARMUP).table
+    assert kernel._loop.run(*table)  # the table as built runs
+    table = _Engine(MODELS[name], 73003, HORIZON, WARMUP).table
+    bad = table._replace(**{case.split("/")[0]: corrupt(table)})
+    with pytest.raises(error, match=match):
+        kernel._loop.run(*bad)
 
 
 @compiled

@@ -13,7 +13,6 @@ from qnaps.stats import (
     MetricSample,
     ReplicationResult,
     estimate,
-    littles_law_rows,
     response_time_error,
     _t_ppf,
     _t_quantile,
@@ -174,24 +173,6 @@ def test_error_metrics():
     assert response_time_error(5.53, 5.35) == pytest.approx(100 * 0.18 / 5.35, rel=1e-12)
     with pytest.raises(EstimateError):
         response_time_error(1.0, 0.0)
-
-
-def test_littles_law_rows_flags_gap():
-    def ci(v):
-        return ConfidenceInterval(v, 0.0, 0.99, 5)
-
-    est = {
-        ("system", "A", "queue-length"): ci(4.0),
-        ("system", "A", "throughput-per-msec"): ci(0.8),
-        ("system", "A", "response-time-msec"): ci(5.0),
-        ("system", "B", "queue-length"): ci(2.0),
-        ("system", "B", "throughput-per-msec"): ci(1.0),
-        ("system", "B", "response-time-msec"): ci(1.8),
-    }
-    rows = {r["job_class"]: r for r in littles_law_rows(est)}
-    assert rows["A"]["relative_gap"] == pytest.approx(0.0, abs=1e-15)
-    assert rows["B"]["relative_gap"] == pytest.approx(0.1, rel=1e-12)
-    assert rows["A"]["n_bar"] == 4.0 and rows["A"]["throughput"] == 0.8
 
 
 def test_estimates_cover_every_sampled_key():
