@@ -11,9 +11,11 @@ loops, ``_Engine.run`` (compiled) and ``_Engine._run_python``, so one
 run gives the speed-up of the compiled loop on one machine. A second
 case times the samplers alone: fill() of one block sampler per
 distribution kind, of a mixture whose base is a mixture, and of the
-arrival-time and routing samplers the engine builds, reported as values per second in each benchmark's
-extra_info. It is the per-block numpy cost that the compiled loop pays
-on top of reading the values. Run from the checkout root with
+arrival-time and routing samplers the engine builds, over about 100k
+values a round whatever the block size, reported as values per second
+and nanoseconds per value in each benchmark's extra_info. It is the
+per-block numpy cost that the compiled loop pays on top of reading the
+values. Run from the checkout root with
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -23,7 +25,7 @@ on top of reading the values. Run from the checkout root with
 import pytest
 
 from qnaps.config import build_model_from_config
-from qnaps.kernel import RngStream, _arrival_times, _Engine, _loop
+from qnaps.kernel import _BLOCK, RngStream, _arrival_times, _Engine, _loop
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 
 HORIZON, WARMUP = 300000.0, 30000.0
@@ -71,7 +73,7 @@ SAMPLERS = {
     "arrival-times": lambda stream: _arrival_times(Exponential(0.05), stream),
     "routing": lambda stream: stream.batched_sampler(1, lambda u: u),
 }
-BLOCKS = 400
+BLOCKS = 102_400 // _BLOCK  # fills per round
 
 
 @pytest.mark.parametrize("kind", list(SAMPLERS))
@@ -82,3 +84,4 @@ def test_sampler_fill(benchmark, kind):
 
     values = benchmark.pedantic(fill_blocks, rounds=10, warmup_rounds=1)
     benchmark.extra_info["values_per_s"] = values / benchmark.stats.stats.median
+    benchmark.extra_info["ns_per_value"] = benchmark.stats.stats.median / values * 1e9

@@ -11,10 +11,13 @@ top 53 bits of one raw word times 2**-53, which is what numpy's
 Generator.random computes from the same words. Every sampler, the
 routing uniforms and each open class's arrival times too, is one _Block:
 a float64 array of values, the index of the next one, and fill(), which
-returns the next array. A batched sampler's block is 256 values made in
-numpy from the uniforms of the next 256*k raw words, so a sampler that
-has its stream to itself consumes the same raw sequence as drawing one
-value at a time; routing streams, one consumer each, are batched too.
+returns the next array. A batched sampler's block is _BLOCK (4,096)
+values made in numpy from the uniforms of the next 4,096*k raw words, so
+a sampler that has its stream to itself consumes the same raw sequence
+as drawing one value at a time; routing streams, one consumer each, are
+batched too. A stream holds its blocks weakly, so the blocks of a
+replication, whose fills hold their stream, are freed by refcount when
+the replication is dropped, without waiting for the cyclic collector.
 The closed-class init phase takes one word per value. A mixture's branch
 uniforms, base and extra each draw from their own part stream, keyed
 purpose/branch, purpose/base and purpose/extra, so no sampler's values
@@ -73,6 +76,7 @@ import os
 import subprocess
 import sys
 import sysconfig
+import weakref
 from collections import deque
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
@@ -94,7 +98,7 @@ from .model import (
 from .stats import MetricSample, ReplicationResult
 
 _INF = math.inf
-_BLOCK = 256  # values per block
+_BLOCK = 4096  # values per block, the same for every sampler
 _NO_VALUES = np.empty(0)
 
 
@@ -134,7 +138,7 @@ class _Block:
     vals in place and writes vals and i back when it returns, so next()
     continues where it stopped."""
 
-    __slots__ = ("vals", "i", "k", "fill")
+    __slots__ = ("vals", "i", "k", "fill", "__weakref__")
 
     def __init__(self, k: int, fill):
         self.vals = _NO_VALUES
@@ -161,7 +165,9 @@ class RngStream:
     distribution sampler counts its documented amount per value). Block
     samplers count nothing per value: draws is worked out when read, from
     the words taken by this stream and its part streams less k per value
-    its blocks have not handed out.
+    its live blocks have not handed out. The stream holds its blocks
+    weakly (each block's fill holds the stream), so a block that has been
+    freed counts every value it took.
     """
 
     __slots__ = ("seed", "station_id", "class_id", "purpose", "_draws", "_open",
@@ -173,7 +179,7 @@ class RngStream:
         self.class_id = class_id
         self.purpose = purpose
         self._draws = 0
-        self._open = []  # every block sampler made on this stream
+        self._open = weakref.WeakSet()  # every live block sampler made on this stream
         self._parts = {}  # tag -> part stream
         material = f"{seed}|{station_id}|{class_id}|{purpose}".encode()
         key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
@@ -207,14 +213,14 @@ class RngStream:
     def block(self, k: int, fill) -> _Block:
         """A block sampler over this stream whose values count k draws."""
         b = _Block(k, fill)
-        self._open.append(b)
+        self._open.add(b)
         return b
 
     def batched_sampler(self, k: int, transform) -> _Block:
         """Block sampler of transform(u): u holds the uniforms of the next
-        256*k raw words, taken on the first next() and again each time its
-        256 values run out; transform maps them to 256 values, each of
-        which counts k draws."""
+        _BLOCK*k raw words, taken on the first next() and again each time
+        its _BLOCK values run out; transform maps them to _BLOCK values,
+        each of which counts k draws."""
         return self.block(k, lambda: transform(self.uniforms(_BLOCK * k)))
 
     def constant(self, value: float) -> _Block:

@@ -17,7 +17,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .egraph import ValidationRow
 
@@ -49,6 +48,12 @@ VALIDATION_CSV_COLUMNS = (
     "qn_response_hw_msec",
     "response_time_error_pct",
 )
+
+
+def _escape(text: str) -> str:
+    """text with &, > and < as XML entities, replaced in that order (what
+    xml.sax.saxutils.escape does, without importing urllib)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class RenderError(ValueError):
@@ -321,17 +326,17 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
     if title:
         parts.append(
             f'<text x="{_W // 2}" y="{_MT - 18}" {font} font-size="14" fill="#111111" '
-            f'text-anchor="middle">{escape(title)}</text>'
+            f'text-anchor="middle">{_escape(title)}</text>'
         )
     if x_label:
         parts.append(
             f'<text x="{_ML + pw / 2:.2f}" y="{_H - 14}" {font} font-size="12" fill="#111111" '
-            f'text-anchor="middle">{escape(x_label)}</text>'
+            f'text-anchor="middle">{_escape(x_label)}</text>'
         )
     if y_label:
         parts.append(
             f'<text x="18" y="{_MT + ph / 2:.2f}" {font} font-size="12" fill="#111111" '
-            f'text-anchor="middle" transform="rotate(-90 18 {_MT + ph / 2:.2f})">{escape(y_label)}</text>'
+            f'text-anchor="middle" transform="rotate(-90 18 {_MT + ph / 2:.2f})">{_escape(y_label)}</text>'
         )
 
     for si, s in enumerate(series):
@@ -385,7 +390,7 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
             )
             parts.append(
                 f'<text x="{lx + 24}" y="{yy}" {font} font-size="11" fill="#111111" '
-                f'dominant-baseline="middle">{escape(s.label)}</text>'
+                f'dominant-baseline="middle">{_escape(s.label)}</text>'
             )
 
     parts.append("</svg>")

@@ -5,6 +5,7 @@ rules, window edges) with frozen numbers; the stochastic cases check
 reproducibility and stream isolation rather than values.
 """
 
+import gc
 import os
 import resource
 import subprocess
@@ -47,7 +48,7 @@ from qnaps.stats import estimate
 
 from _helpers import mm1_model, open_trap_model, stopping_arrivals_model
 from test_engine_pin import CASES
-from test_loop import ARRIVAL_PINS, arrival_mix_model, kinds
+from test_loop import ARRIVAL_PINS, MODELS, arrival_mix_model, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +130,17 @@ def test_model_samplers_draw_documented_amounts():
     ids=["exponential", "erlang", "shifted", "mixture", "shifted-mixture-of-mixtures"],
 )
 def test_draws_count_every_value_across_a_refill(dist, k):
-    # 300 values cross the first 256-value block; draws counts what was
+    # _BLOCK + 44 values cross the first block; draws counts what was
     # handed out, not what the open block holds, and counts the words of
     # part streams, and of their part streams, toward their owner
+    n = kernel._BLOCK + 44
     stream = RngStream(11, "st", "cl", "refill")
     sampler = dist.sampler(stream)
     counts = []
-    for _ in range(300):
+    for _ in range(n):
         next(sampler)
         counts.append(stream.draws)
-    assert counts == [k * n for n in range(1, 301)]
+    assert counts == [k * i for i in range(1, n + 1)]
 
 
 def test_routing_stream_draws_one_word_per_decision():
@@ -172,33 +174,36 @@ def _uniforms(stream, n):
     [
         (Exponential(0.7), 1, lambda u: -np.log1p(-u) * (1.0 / 0.7)),
         (Uniform(2.0, 5.5), 1, lambda u: 2.0 + (5.5 - 2.0) * u),
-        (Erlang(3, 1.3), 3, lambda u: -np.log1p(-u).reshape(256, 3).sum(axis=1) * (1.0 / 1.3)),
+        (Erlang(3, 1.3), 3, lambda u: -np.log1p(-u).reshape(-1, 3).sum(axis=1) * (1.0 / 1.3)),
     ],
     ids=["exponential", "uniform", "erlang"],
 )
 def test_batched_sampler_matches_the_formula_on_raw_words(dist, k, formula):
-    # values come from 256-value blocks of 256*k words; 300 values cross a refill
+    # values come from blocks of _BLOCK values made from _BLOCK*k words;
+    # _BLOCK + 44 values cross a refill
+    n, size = kernel._BLOCK + 44, kernel._BLOCK
     sampler = dist.sampler(RngStream(17, "st", "cl", "service"))
     twin = RngStream(17, "st", "cl", "service")
-    want = [v for _ in range(2) for v in formula(_uniforms(twin, 256 * k)).tolist()]
-    assert [next(sampler) for _ in range(300)] == want[:300]
+    want = [v for _ in range(2) for v in formula(_uniforms(twin, size * k)).tolist()]
+    assert [next(sampler) for _ in range(n)] == want[:n]
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_erlang_value_is_its_phases_summed_in_order(k):
     # value i is -(l[ik] + l[ik+1] + ... + l[ik+k-1]) / rate, summed left to
-    # right in Python, with l = log1p(-u) over the block's 256*k uniforms
+    # right in Python, with l = log1p(-u) over the block's _BLOCK*k uniforms
+    n, size = kernel._BLOCK + 44, kernel._BLOCK
     sampler = Erlang(k, 1.3).sampler(RngStream(17, "st", "cl", "service"))
     twin = RngStream(17, "st", "cl", "service")
     want = []
     for _ in range(2):
-        logs = np.log1p(-_uniforms(twin, 256 * k)).tolist()
-        for i in range(256):
+        logs = np.log1p(-_uniforms(twin, size * k)).tolist()
+        for i in range(size):
             total = logs[i * k]
             for phase in logs[i * k + 1:(i + 1) * k]:
                 total += phase
             want.append(-total * (1.0 / 1.3))
-    assert [next(sampler) for _ in range(300)] == want[:300]
+    assert [next(sampler) for _ in range(n)] == want[:n]
 
 
 @pytest.mark.parametrize(
@@ -208,32 +213,36 @@ def test_erlang_value_is_its_phases_summed_in_order(k):
 def test_mixture_parts_draw_from_their_own_streams(dist):
     # value i is base value i, plus extra value i when branch uniform i is
     # below p; each is rebuilt from a fresh stream keyed service/branch,
-    # service/base or service/extra
+    # service/base or service/extra; _BLOCK + 44 values cross a refill
+    n = kernel._BLOCK + 44
     offset, mix = (dist.offset, dist.base) if dist.kind == "shifted" else (0.0, dist)
     sampler = dist.sampler(RngStream(29, "st", "cl", "service"))
-    branch = _uniforms(RngStream(29, "st", "cl", "service/branch"), 700).tolist()
+    branch = _uniforms(RngStream(29, "st", "cl", "service/branch"), n).tolist()
     base = mix.base.sampler(RngStream(29, "st", "cl", "service/base"))
     extra = mix.extra.sampler(RngStream(29, "st", "cl", "service/extra"))
     want = []
     for u in branch:
         a, b = next(base), next(extra)
         want.append(offset + (a + b if u < mix.p_extra else a))
-    assert [next(sampler) for _ in range(700)] == want
+    assert [next(sampler) for _ in range(n)] == want
 
 
 @pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values()],
                          ids=[*kinds(10.0), *NESTED])
 def test_no_sampler_depends_on_the_block_size(dist, monkeypatch):
-    # 700 values, and 700 arrival times with dist as the gap, span several
-    # blocks of either size
+    # _BLOCK + 44 values, and as many arrival times with dist as the gap,
+    # span two blocks of the shipped size and many of 97 or 256 values
+    n = kernel._BLOCK + 44
+
     def draw():
         values = dist.sampler(RngStream(31, "st", "cl", "service"))
         times = _arrival_times(dist, RngStream(31, "st", "cl", "arrival"))
-        return [(next(values).hex(), next(times).hex()) for _ in range(700)]
+        return [(next(values).hex(), next(times).hex()) for _ in range(n)]
 
-    default = draw()
-    monkeypatch.setattr(kernel, "_BLOCK", 97)
-    assert draw() == default
+    shipped = draw()
+    for size in (97, 256):
+        monkeypatch.setattr(kernel, "_BLOCK", size)
+        assert draw() == shipped
 
 
 @pytest.mark.parametrize(
@@ -261,11 +270,29 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
         stream = RngStream(ARRIVAL_PINS[case], "Source", "M", "arrival")
         assert dist == Mixture(0.3, Uniform(1.0, 5.0), Shifted(0.5, Exponential(0.5)))
     sampler = dist.sampler(stream)
-    x = np.concatenate([sampler.fill() for _ in range(4096)])
+    x = np.concatenate([sampler.fill() for _ in range(2**20 // kernel._BLOCK)])
     d = x - x.mean()
     m2, m4 = (d**2).mean(), (d**4).mean()
     assert abs(x.mean() - mean) / np.sqrt(var / len(x)) < 4
     assert abs(m2 - var) / np.sqrt((m4 - m2**2) / len(x)) < 4
+
+
+def test_no_block_outlives_its_replication():
+    # a stream holds its blocks weakly, so a replication's streams, blocks
+    # and values are freed by refcount as soon as it is dropped, with the
+    # cyclic collector off
+    def live_blocks():
+        return {id(o) for o in gc.get_objects() if isinstance(o, kernel._Block)}
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_blocks()
+        run_replication(MODELS["wwi"], 73003, 40000.0, 4000.0)
+        _Engine(MODELS["wwi"], 73003, 40000.0, 4000.0)._run_python()
+        assert live_blocks() == before
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,13 @@ from test_engine_pin import CASES, HORIZON, WARMUP, PIN, pinned_samples
 compiled = pytest.mark.skipif(kernel._loop is None, reason="compiled loop not available")
 
 
-def parking_model() -> NetworkModel:
+def parking_model(park: float = 0.01) -> NetworkModel:
     """Closed classes with an infinite delay: Idle parks at t = 0, and a
-    Loop job parks for good whenever Work routes it to Park."""
+    Loop job parks for good whenever Work routes it to Park, which it
+    does with probability park."""
     routing = RoutingTable()
     routing.add("Loop", "Think", "Work")
-    routing.add("Loop", "Work", [("Think", 0.99), ("Park", 0.01)])
+    routing.add("Loop", "Work", [("Think", 1.0 - park), ("Park", park)])
     routing.add("Loop", "Park", "Think")
     routing.add("Idle", "Rest", "Work")
     routing.add("Idle", "Work", "Rest")
@@ -296,7 +297,8 @@ def test_blocks_hand_off_between_python_and_the_compiled_loop():
     # where they stopped, and a next() after it continues where the run
     # stopped: both loops hand out the same values and count the same draws
     def handed_off(loop):
-        engine = _Engine(parking_model(), 7, HORIZON / 2, WARMUP)
+        # few Loop jobs park, so the run takes more than a block of think times
+        engine = _Engine(parking_model(park=0.0001), 7, HORIZON / 2, WARMUP)
         think = engine.table.blocks[engine.table.sampler[0]]  # cell (Think, Loop)
         stream = engine.space.stream("Think", "Loop", "service")
         assert (think.i, stream.draws) == (4, 4)  # one think time per Loop job
@@ -308,7 +310,7 @@ def test_blocks_hand_off_between_python_and_the_compiled_loop():
 
     samples, before, draws, after, after_draws = handed_off("run")
     assert (samples, before, draws, after, after_draws) == handed_off("_run_python")
-    assert draws > 256 and after_draws == 1  # the run crossed blocks
+    assert draws > kernel._BLOCK and after_draws == 1  # the run crossed blocks
 
 
 def one_block_then(k, after):

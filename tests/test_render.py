@@ -1,6 +1,7 @@
 """Renderers: CSV schema, table formatting, deterministic SVG."""
 
 import re
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -9,6 +10,7 @@ from qnaps.render import (
     CSV_COLUMNS,
     PlotSeries,
     RenderError,
+    _escape,
     estimate_rows,
     render_csv,
     render_estimates_table,
@@ -124,6 +126,9 @@ def test_svg_legend_and_escaping():
     two = [_series("a & b"), _series("c<d")]
     svg = render_plot(two)
     assert "a &amp; b" in svg and "c&lt;d" in svg
+    # the local escape replaces as xml.sax.saxutils.escape does: & first
+    tricky = "x &lt; y > z & <w>"
+    assert _escape(tricky) == escape(tricky) == "x &amp;lt; y &gt; z &amp; &lt;w&gt;"
 
 
 def test_svg_input_validation():

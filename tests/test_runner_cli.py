@@ -313,14 +313,16 @@ def test_cli_internal_error_exits_4_without_outputs(tmp_path, capsys, monkeypatc
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # the CI quantile is computed in the standard library; a whole run, not
-    # only the import, must load no scipy module, so a lazy import fails too
+    # the CI quantile is computed in the standard library and SVG text is
+    # escaped without xml.sax; a whole run, not only the import, must load
+    # no scipy, xml.sax or urllib.request module, so a lazy import fails too
     cfg = _write_config(tmp_path / "tiny.yaml")
     probe = (
         "import sys, qnaps.cli\n"
         f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r},"
         " '--jobs', '1', '--format', 'all']) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules for heavy in ('scipy', 'xml.sax', 'urllib.request')"
+        " if m == heavy or m.startswith(heavy + '.')))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
