@@ -4,9 +4,11 @@
    makes, passed field by field. It copies the table's arrays and checks
    each once, on entry, for its format, its length and the range of every
    index in it, raising TypeError or ValueError naming the table; past
-   that the loop indexes unchecked. It places the closed populations,
-   runs to the horizon, closes out the jobs still alive and returns the
-   tally _Engine._finalize reads.
+   that the loop indexes unchecked. A source placement is its class's
+   first arrival time and source cell, whose sampler holds its arrival
+   times and whose route row is its entry; the other placements are the
+   closed populations. It runs to the horizon, closes out the jobs still
+   alive and returns the tally _Engine._finalize reads.
 
    It is _Engine._tally_python statement for statement: every float
    operation keeps that loop's order and grouping, the calendar is a
@@ -30,19 +32,17 @@ enum { KC_FCFS = 0, KC_DELAY = 1, KC_SOURCE = 2, KC_SINK = 3 };
 
 /* the arrays of a _Table, in its order between warmup and blocks */
 enum {
-    KIND, SERVERS, CAPACITY, REF_CLASS, SAMPLER, ROUTE_PTR, ROUTE_TO, ROUTE_CUM, ROUTE_BLOCK,
-    FLUSH_PTR, FLUSH_CLS, CLOSED, WATCHED, REFERENCE, ARRIVALS, FIRST_ARRIVAL,
-    PLACE_STATION, PLACE_CLASS, PLACE_TIME, NTABLES
+    KIND, SERVERS, CAPACITY, SAMPLER, ROUTE_PTR, ROUTE_TO, ROUTE_CUM, ROUTE_BLOCK,
+    FLUSH_PTR, FLUSH_CLS, REFERENCE, PLACE_STATION, PLACE_CLASS, PLACE_TIME, NTABLES
 };
 
 static const char *const TABLE_NAMES[NTABLES] = {
-    "kind", "servers", "capacity", "ref_class", "sampler", "route_ptr", "route_to", "route_cum",
-    "route_block", "flush_ptr", "flush_cls", "closed", "watched", "reference", "arrivals",
-    "first_arrival", "place_station", "place_class", "place_time",
+    "kind", "servers", "capacity", "sampler", "route_ptr", "route_to", "route_cum", "route_block",
+    "flush_ptr", "flush_cls", "reference", "place_station", "place_class", "place_time",
 };
 
 /* each array's buffer format: i int32, d float64 */
-static const char TABLE_FORMATS[NTABLES + 1] = "iddiiiidiiiiiiidiid";
+static const char TABLE_FORMATS[NTABLES + 1] = "iddiiidiiiiiid";
 
 typedef struct {
     double t;
@@ -73,6 +73,8 @@ typedef struct {
 
 typedef struct {
     double ta;           /* next arrival time, +inf without arrivals */
+    Py_ssize_t entry;    /* its source cell, whose sampler holds its arrival times */
+    int watched;         /* a detection poll flushes it: it is in flush_cls */
     List pending;
     long long created, sunk, dropped, live, rcnt;
     double rsum, larea;
@@ -104,19 +106,17 @@ typedef struct {
         struct {
             const int *kind;
             const double *servers, *capacity;
-            const int *ref_class, *sampler, *route_ptr, *route_to;
+            const int *sampler, *route_ptr, *route_to;
             const double *route_cum;
-            const int *route_block, *flush_ptr, *flush_cls, *closed, *watched, *reference,
-                *arrivals;
-            const double *first_arrival;
-            const int *place_station, *place_class;
+            const int *route_block, *flush_ptr, *flush_cls, *reference, *place_station,
+                *place_class;
             const double *place_time;
         };
     };
     long long *busy;     /* per station */
     List *queue;         /* per station */
     Cell *cells;         /* [station * ncl + class] */
-    Route *routes;       /* the cells' route rows, then each class's entry row */
+    Route *routes;       /* per cell: its route row */
     Class *cl;
     Block *blocks;
     Job *jobs;
@@ -401,13 +401,12 @@ offsets(const Engine *E, int k, int of)
 static int
 check_tables(Engine *E)
 {
-    Py_ssize_t nst = E->nst = E->len[KIND], ncl = E->ncl = E->len[CLOSED], cells = nst * ncl;
+    Py_ssize_t nst = E->nst = E->len[KIND], ncl = E->ncl = E->len[REFERENCE], cells = nst * ncl;
     Py_ssize_t want[NTABLES] = {
-        [KIND] = nst, [SERVERS] = nst, [CAPACITY] = nst, [REF_CLASS] = nst, [SAMPLER] = cells,
-        [ROUTE_PTR] = cells + ncl + 1, [ROUTE_TO] = E->len[ROUTE_TO],
-        [ROUTE_CUM] = E->len[ROUTE_TO], [ROUTE_BLOCK] = cells + ncl, [FLUSH_PTR] = cells + 1,
-        [FLUSH_CLS] = E->len[FLUSH_CLS], [CLOSED] = ncl, [WATCHED] = ncl, [REFERENCE] = ncl,
-        [ARRIVALS] = ncl, [FIRST_ARRIVAL] = ncl, [PLACE_STATION] = E->len[PLACE_STATION],
+        [KIND] = nst, [SERVERS] = nst, [CAPACITY] = nst, [SAMPLER] = cells,
+        [ROUTE_PTR] = cells + 1, [ROUTE_TO] = E->len[ROUTE_TO], [ROUTE_CUM] = E->len[ROUTE_TO],
+        [ROUTE_BLOCK] = cells, [FLUSH_PTR] = cells + 1, [FLUSH_CLS] = E->len[FLUSH_CLS],
+        [REFERENCE] = ncl, [PLACE_STATION] = E->len[PLACE_STATION],
         [PLACE_CLASS] = E->len[PLACE_STATION], [PLACE_TIME] = E->len[PLACE_STATION],
     };
     for (int k = 0; k < NTABLES; k++)
@@ -416,18 +415,16 @@ check_tables(Engine *E)
                          TABLE_NAMES[k], E->len[k], want[k]);
             return -1;
         }
-    return in_range(E, KIND, KC_FCFS, KC_SINK + 1) < 0 || in_range(E, REF_CLASS, -1, ncl) < 0
+    return in_range(E, KIND, KC_FCFS, KC_SINK + 1) < 0
         || in_range(E, SAMPLER, -1, E->nblocks) < 0 || offsets(E, ROUTE_PTR, ROUTE_TO) < 0
         || in_range(E, ROUTE_TO, 0, nst) < 0 || in_range(E, ROUTE_BLOCK, -1, E->nblocks) < 0
         || offsets(E, FLUSH_PTR, FLUSH_CLS) < 0 || in_range(E, FLUSH_CLS, 0, ncl) < 0
-        || in_range(E, CLOSED, 0, 2) < 0 || in_range(E, WATCHED, 0, 2) < 0
-        || in_range(E, REFERENCE, -1, nst) < 0 || in_range(E, ARRIVALS, -1, E->nblocks) < 0
-        || in_range(E, PLACE_STATION, 0, nst) < 0 || in_range(E, PLACE_CLASS, 0, ncl) < 0
-        ? -1 : 0;
+        || in_range(E, REFERENCE, -1, nst) < 0 || in_range(E, PLACE_STATION, 0, nst) < 0
+        || in_range(E, PLACE_CLASS, 0, ncl) < 0 ? -1 : 0;
 }
 
 /* the engine of a table passed as run()'s arguments, checked, with its
-   route rows, first arrivals and closed populations in place */
+   route rows, watched classes, first arrivals and closed populations in place */
 static int
 read_engine(Engine *E, PyObject *const *args)
 {
@@ -445,36 +442,40 @@ read_engine(Engine *E, PyObject *const *args)
     E->queue = PyMem_Calloc((size_t)E->nst + 1, sizeof(List));
     E->cells = PyMem_Calloc((size_t)cells + 1, sizeof(Cell));
     E->cl = PyMem_Calloc((size_t)E->ncl + 1, sizeof(Class));
-    E->routes = PyMem_Calloc((size_t)(cells + E->ncl), sizeof(Route));
+    E->routes = PyMem_Calloc((size_t)cells + 1, sizeof(Route));
     if (!E->busy || !E->queue || !E->cells || !E->cl || !E->routes) {
         PyErr_NoMemory();
         return -1;
     }
     /* a route row takes its class to a sink or to a station that serves
-       it, and has a block of uniforms when it has more than one successor */
-    for (Py_ssize_t r = 0; r < cells + E->ncl; r++) {
+       it, never into a source, and has a block of uniforms when it has
+       more than one successor */
+    for (Py_ssize_t r = 0; r < cells; r++) {
         int first = E->route_ptr[r], n = E->route_ptr[r + 1] - first;
-        Py_ssize_t c = r < cells ? r % E->ncl : r - cells;
+        Py_ssize_t c = r % E->ncl;
         if (n > 1 && E->route_block[r] < 0) {
             PyErr_Format(PyExc_ValueError, "table 'route_block' has no block for route row %zd", r);
             return -1;
         }
-        for (int i = first; i < first + n; i++)
-            if (E->kind[E->route_to[i]] != KC_SINK && E->sampler[AT(E, E->route_to[i], c)] < 0) {
+        for (int i = first; i < first + n; i++) {
+            int to = E->route_to[i];
+            const char *bad = E->kind[to] == KC_SOURCE ? "is a source"
+                : E->kind[to] != KC_SINK && E->sampler[AT(E, to, c)] < 0 ? "does not serve it"
+                : NULL;
+            if (bad != NULL) {
                 PyErr_Format(PyExc_ValueError,
-                             "table 'route_to' sends class %zd to station %d, which does not serve it",
-                             c, E->route_to[i]);
+                             "table 'route_to' sends class %zd to station %d, which %s", c, to, bad);
                 return -1;
             }
+        }
         E->routes[r] = (Route){n, n ? E->route_to[first] : -1, E->route_block[r], first};
     }
     for (int c = 0; c < E->ncl; c++)
-        if ((E->cl[c].ta = E->first_arrival[c]) != INFINITY && E->arrivals[c] < 0) {
-            PyErr_Format(PyExc_ValueError,
-                         "table 'first_arrival' times class %d, which has no arrivals block", c);
-            return -1;
-        }
-    /* the closed populations: on the calendar, or queued or parked */
+        E->cl[c].ta = INFINITY;
+    for (Py_ssize_t k = 0; k < E->len[FLUSH_CLS]; k++)
+        E->cl[E->flush_cls[k]].watched = 1;
+    /* each open class's first arrival at its source, then the closed
+       populations: on the calendar, or queued or parked */
     for (Py_ssize_t p = 0; p < E->len[PLACE_STATION]; p++) {
         int s = E->place_station[p], c = E->place_class[p], j;
         double t = E->place_time[p];
@@ -483,6 +484,11 @@ read_engine(Engine *E, PyObject *const *args)
                          "table 'place_station' places class %d at station %d, which does not serve it",
                          c, s);
             return -1;
+        }
+        if (E->kind[s] == KC_SOURCE) {
+            E->cl[c].ta = t;
+            E->cl[c].entry = AT(E, s, c);
+            continue;
         }
         if ((j = job_new(E)) < 0)
             return -1;
@@ -554,7 +560,7 @@ draw(Engine *E, int b, double *out)
 
 /* the class with the earliest next arrival, the lowest index on a tie */
 static int
-first_arrival(const Engine *E)
+earliest_arrival(const Engine *E)
 {
     int ca = 0;
     for (int c = 1; c < E->ncl; c++)
@@ -567,8 +573,7 @@ static int
 run_loop(Engine *E)
 {
     const double horizon = E->horizon, warm = E->warm;
-    const Py_ssize_t cells = (Py_ssize_t)E->nst * E->ncl;
-    int ca = first_arrival(E);
+    int ca = earliest_arrival(E);
     double ta = E->ncl ? E->cl[ca].ta : INFINITY;
     unsigned int tick = 0;
 
@@ -591,15 +596,15 @@ run_loop(Engine *E)
             ci = ca;
             Class *A = &E->cl[ci];
             A->created += 1;
-            if (draw(E, E->arrivals[ci], &A->ta) < 0)
+            r = A->entry;
+            if (draw(E, E->sampler[r], &A->ta) < 0)
                 return -1;
-            ca = first_arrival(E);
+            ca = earliest_arrival(E);
             ta = E->cl[ca].ta;
             if ((j = job_new(E)) < 0)
                 return -1;
             E->jobs[j].ci = ci;
             E->jobs[j].entered = t;
-            r = cells + ci;
         } else {
             if (t >= horizon)
                 break;
@@ -646,7 +651,7 @@ run_loop(Engine *E)
                             job_free(E, list_popleft(E, &W->pending));
                     }
                 }
-                if (E->ref_class[s] == ci)
+                if (E->reference[ci] == s)
                     /* leaving the reference station opens a cycle */
                     E->jobs[j].entered = t;
             } else {
@@ -659,7 +664,7 @@ run_loop(Engine *E)
                     cell->scnt += 1;
                     cell->area += a > warm ? d : t - warm;
                 }
-                if (E->ref_class[s] == ci)
+                if (E->reference[ci] == s)
                     J->entered = t;
             }
         }
@@ -687,7 +692,7 @@ run_loop(Engine *E)
         if (E->kind[ns] == KC_SINK) {
             Class *C = &E->cl[ci];
             C->sunk += 1;
-            if (!E->watched[ci]) {
+            if (!C->watched) {
                 if (t > warm) {
                     double e = J->entered;
                     C->rsum += t - e;
@@ -703,7 +708,7 @@ run_loop(Engine *E)
             continue;
         }
 
-        if (E->ref_class[ns] == ci && J->entered >= 0.0) {
+        if (E->reference[ci] == ns && J->entered >= 0.0) {
             /* a cycle closes on return to the reference station */
             Class *C = &E->cl[ci];
             if (t > warm) {
@@ -717,7 +722,7 @@ run_loop(Engine *E)
         Py_ssize_t k = AT(E, ns, ci);
         Cell *cell = &E->cells[k];
         if (E->kind[ns] == KC_FCFS) {
-            if (E->busy[ns] + E->queue[ns].len >= E->capacity[ns] && !E->closed[ci]) {
+            if (E->busy[ns] + E->queue[ns].len >= E->capacity[ns] && E->reference[ci] < 0) {
                 /* closed populations are never dropped */
                 Class *C = &E->cl[ci];
                 C->dropped += 1;
@@ -774,7 +779,7 @@ close_out(Engine *E, int j, int s, int in_service)
         double ss = J->sstart;
         cell->barea += horizon - (ss > warm ? ss : warm);
     }
-    if (E->closed[ci]) {
+    if (E->reference[ci] >= 0) {
         if (s != E->reference[ci] && J->entered >= 0.0) {
             double e = J->entered;
             C->larea += horizon - (e > warm ? e : warm);

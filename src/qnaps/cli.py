@@ -5,10 +5,9 @@
           [--format {csv,svg,table,all}]
 
 Flags override the config file. Worker count precedence: --jobs, then
-the QNAPS_JOBS environment variable (only consulted when the flag is
-absent), then the config's run.jobs, then 1. --format all selects every
-format the config can satisfy (svg only when a plot section exists;
-asking for --format svg explicitly without one is an error).
+the config's run.jobs, then 1. --format all selects every format the
+config can satisfy (svg only when a plot section exists; asking for
+--format svg explicitly without one is an error).
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad flag
 value, model that does not validate), 3 simulation deadlock, 4 internal
@@ -18,7 +17,6 @@ invariant failure in the engine (population leak, flow imbalance).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, load_config
@@ -50,12 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _pick_jobs(flag_value, cfg_jobs) -> int:
     if flag_value is not None:
         jobs = flag_value
-    elif os.environ.get("QNAPS_JOBS"):
-        raw = os.environ["QNAPS_JOBS"]
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigError(f"QNAPS_JOBS: expected an integer, got {raw!r}") from None
     elif cfg_jobs is not None:
         jobs = cfg_jobs
     else:

@@ -7,8 +7,8 @@ sequences add, branches take the expectation, loops multiply by the
 (possibly fractional, i.e. expected) iteration count. eg_metrics() turns a
 scenario (graph plus arrival rate) into the no-contention response time
 (total demand) and per-resource utilizations via the utilization law
-U = arrival rate x demand; utilizations above 100% are reported with a
-saturation diagnostic rather than clamped.
+U = arrival rate x demand; utilizations above 100% are reported, not
+clamped.
 
 build_validation_table() lines these analytic values up against simulated
 estimates class by class, producing the rows the text renderer prints.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .stats import ConfidenceInterval
+from .stats import ConfidenceInterval, response_time_error, utilization_error
 
 PROB_TOL = 1e-9
 
@@ -128,20 +128,18 @@ class EgScenario:
 
 @dataclass(frozen=True)
 class EgMetrics:
-    """No-contention solution: utilization percent per resource, total
-    response time, and the resources driven past 100%."""
+    """No-contention solution: utilization percent per resource and total
+    response time."""
 
     utilization: dict
     response_time: float
-    saturated: tuple = ()
 
 
 def eg_metrics(scenario: EgScenario) -> EgMetrics:
     demand = reduce(scenario.root)
     response = math.fsum(demand.values())
     util = {res: scenario.arrival_rate * d * 100.0 for res, d in demand.items()}
-    saturated = tuple(res for res, u in util.items() if u > 100.0)
-    return EgMetrics(utilization=util, response_time=response, saturated=saturated)
+    return EgMetrics(utilization=util, response_time=response)
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,6 @@ def build_validation_table(scenarios, qn_estimates, resource_map) -> list[Valida
     utilization each class is compared on (their demand can concentrate on
     different resources). A class present on only one side is an error.
     """
-    from .stats import response_time_error, utilization_error
-
     check_scenarios(scenarios, {c for (s, c, m) in qn_estimates if s == "system"}, resource_map)
     rows = []
     for scenario in scenarios:

@@ -31,23 +31,28 @@ per-job residence times clipped to the window), with jobs still alive at
 the horizon closed out by a final sweep over the calendar, the queues and
 the parked sets. The sweep adds up the calendar in heap-array order, so
 the samples depend on the heap's layout, not only on the order of its
-pops: a heapreplace in place of a pop and a push changes them. Each open
-class's external arrival times are one block sampler, a running sum of
-the gaps drawn from its own stream; the loop holds only each class's next
-time and draws the one after when it takes an arrival, so arrivals need
-memory per class, not per job. The earliest next arrival goes first, ties
-going to the lower class index and arrivals winning ties against the
-calendar; calendar events with equal times fire in scheduling order. An
-arrival and a service completion leave through the same routing step:
-sink, cycle close, finite-capacity drop, then fcfs or delay entry.
+pops: a heapreplace in place of a pop and a push changes them. A source
+is a station like any other: an open class's external arrival times are
+the sampler of its source cell, a running sum of the gaps drawn from its
+own stream, and that cell's route row is where the class enters. The
+loop holds only each class's next time and draws the one after when it
+takes an arrival, so arrivals need memory per class, not per job. The
+earliest next arrival goes first, ties going to the lower class index
+and arrivals winning ties against the calendar; calendar events with
+equal times fire in scheduling order. An arrival and a service
+completion leave through the same routing step: sink, cycle close,
+finite-capacity drop, then fcfs or delay entry. Arrivals never touch the
+calendar or its sequence numbers.
 
 _Engine._build is the one place that decides the engine's layout: it
 draws what must be drawn before the run (each open class's first arrival
 time, the closed populations' t = 0 think and service times) and emits a
 flat, index-based _Table of int32 and float64 arrays (per station, per
-(station, class) cell, routes in CSR form, detection flush lists, per
-class, and the t = 0 placements in the order it made them) plus the list
-of _Blocks the indices point into. Both loops run on that table and
+(station, class) cell with one route row each in CSR form, detection
+flush lists, per class its reference station, closed classes only, and
+the t = 0 placements: the first arrivals at the sources, then the closed
+populations) plus the list of _Blocks the indices point into. A class is
+watched when a flush list names it. Both loops run on that table and
 return the same tally, per cell and per class, which _Engine._finalize
 turns into samples. _Engine.run is one C extension, _loop.c, which gets
 the table as typed buffers and checks each array once, on entry;
@@ -93,6 +98,7 @@ from .model import (
     SINK,
     SOURCE,
     NetworkModel,
+    _class_start,
     validate_model,
 )
 from .stats import MetricSample, ReplicationResult
@@ -285,22 +291,19 @@ class _Table(NamedTuple):
     kind: np.ndarray           # per station: its _KC_* code
     servers: np.ndarray        # per station
     capacity: np.ndarray       # per station: inf when unbounded
-    ref_class: np.ndarray      # per station: the closed class it is reference of
-    sampler: np.ndarray        # per cell: block of its service times, -1 if not served
-    route_ptr: np.ndarray      # route row r, the cells' then one entry row per
-    route_to: np.ndarray       #   class, goes to route_to[route_ptr[r]:route_ptr[r+1]]
+    sampler: np.ndarray        # per cell: block of its service times, or at a source of
+                               #   its class's arrival times; -1 if neither
+    route_ptr: np.ndarray      # per cell: its class leaving its station (a source: entering
+    route_to: np.ndarray       #   the network) goes to route_to[route_ptr[k]:route_ptr[k+1]]
     route_cum: np.ndarray      #   with these cumulative probabilities
-    route_block: np.ndarray    # per route row: block of its routing uniforms, -1 with one successor
+    route_block: np.ndarray    # per cell: block of its routing uniforms, -1 with one successor
     flush_ptr: np.ndarray      # per cell (station, poller class): a completion there
-    flush_cls: np.ndarray      #   flushes flush_cls[flush_ptr[k]:flush_ptr[k+1]]
-    closed: np.ndarray         # per class: 1 if closed
-    watched: np.ndarray        # per class: 1 if a detection poll flushes it
-    reference: np.ndarray      # per class: its reference station if closed
-    arrivals: np.ndarray       # per class: block of its external arrival times
-    first_arrival: np.ndarray  # per class: its first arrival time, inf without arrivals
-    place_station: np.ndarray  # per t = 0 placement of a closed-class job, in the
-    place_class: np.ndarray    #   order the loops replay them: the station, the class
-    place_time: np.ndarray     #   and the calendar time, inf when it queues or parks
+    flush_cls: np.ndarray      #   flushes the classes flush_cls[flush_ptr[k]:flush_ptr[k+1]]
+    reference: np.ndarray      # per class: its reference station if closed, else -1
+    place_station: np.ndarray  # per t = 0 placement, in the order the loops replay them:
+    place_class: np.ndarray    #   the station, the class and the time; at a source, the
+    place_time: np.ndarray     #   class's first arrival, else a closed-class job's calendar
+                               #   time, inf when it queues or parks
     blocks: list               # every _Block, once
 
 
@@ -379,37 +382,30 @@ class _Engine:
                     stream = space.stream(st.name, cname, "service")
                     sampler[s * ncl + cidx[cname]] = index(dist.sampler(stream))
 
-        ref_class = [-1] * len(stations)
-        reference, arrivals, first_arrival = [-1] * ncl, [-1] * ncl, [_INF] * ncl
-        watched = [0] * ncl
+        # each open class's first arrival at its source, then the closed
+        # populations at their reference stations at t = 0
+        place = []
+        reference = [-1] * ncl
         flush = [[] for _ in sampler]
-        entry = [None] * ncl  # the source an open class arrives at
-        sources = [s for s in stations if s.kind == SOURCE]
         for c, jc in enumerate(classes):
+            start = _class_start(model, jc)
             if jc.kind == "closed":
-                reference[c] = sidx[jc.reference]
-                ref_class[reference[c]] = c
-            else:
-                src = next((s for s in sources
-                            if model.routing.successors(jc.name, s.name) is not None), None)
-                if src is not None:
-                    entry[c] = src.name
-                    times = _arrival_times(jc.arrival, space.stream(src.name, jc.name, "arrival"))
-                    arrivals[c] = index(times)
-                    first_arrival[c] = next(times)
+                reference[c] = sidx[start]
+            elif start is not None:
+                s = sidx[start]
+                times = _arrival_times(jc.arrival, space.stream(start, jc.name, "arrival"))
+                sampler[s * ncl + c] = index(times)
+                place.append((s, c, next(times)))
             watcher = model.detection.get(jc.name)
             if watcher is not None:
-                watched[c] = 1
                 flush[sidx[watcher[1]] * ncl + cidx[watcher[0]]].append(c)
 
-        # route rows: a served cell's class leaving its station, then each
-        # open class leaving its source; every other row is empty
-        rows = [(jc.name, st.name) if sampler[s * ncl + c] >= 0 else None
-                for s, st in enumerate(stations) for c, jc in enumerate(classes)]
-        rows += [(jc.name, entry[c]) if entry[c] else None for c, jc in enumerate(classes)]
+        # route rows: a served cell's class leaving its station, a source
+        # cell's entering the network; every other row is empty
         route_ptr, route_to, route_cum, route_block = [0], [], [], []
-        for row in rows:
-            targets = model.routing.successors(*row) if row else None
+        for k, b in enumerate(sampler):
+            row = classes[k % ncl].name, stations[k // ncl].name
+            targets = model.routing.successors(*row) if b >= 0 else None
             block = -1
             if targets:
                 acc = 0.0
@@ -425,8 +421,6 @@ class _Engine:
             route_block.append(block)
             route_ptr.append(len(route_to))
 
-        # closed populations at their reference stations at t = 0
-        place = []
         busy = [0] * len(stations)
         for c, jc in enumerate(classes):
             if jc.kind != "closed":
@@ -456,19 +450,18 @@ class _Engine:
             ints(kind), np.array([s.servers for s in stations], dtype=np.float64),
             np.array([_INF if s.capacity is None else s.capacity for s in stations],
                      dtype=np.float64),
-            ints(ref_class), ints(sampler),
+            ints(sampler),
             ints(route_ptr), ints(route_to), np.array(route_cum, dtype=np.float64),
-            ints(route_block), flush_ptr, ints([c for f in flush for c in f]),
-            ints([jc.kind == "closed" for jc in classes]), ints(watched), ints(reference),
-            ints(arrivals), np.array(first_arrival, dtype=np.float64),
+            ints(route_block), flush_ptr, ints([c for f in flush for c in f]), ints(reference),
             ints(place_station), ints(place_class), np.array(place_time, dtype=np.float64),
             blocks,
         )
 
     def _check_deadlock(self):
+        # no closed-class job on the calendar and no arrival before the horizon
         t = self.table
-        if (min(t.place_time.tolist(), default=_INF) == _INF
-                and min(t.first_arrival.tolist(), default=_INF) >= t.horizon):
+        if all(time >= t.horizon if t.kind[s] == _KC_SOURCE else time == _INF
+               for s, time in zip(t.place_station.tolist(), t.place_time.tolist())):
             dead = [jc.name for jc in self.model.classes if jc.kind == "closed"]
             if dead:
                 raise DeadlockError(dead)
@@ -497,10 +490,7 @@ class _Engine:
         kind = T.kind.tolist()
         servers = T.servers.tolist()
         cap = T.capacity.tolist()
-        ref_class = T.ref_class.tolist()
-        closed = T.closed.tolist()
         reference = T.reference.tolist()
-        watched = T.watched.tolist()
         blocks = T.blocks
         samplers = [blocks[b] if b >= 0 else None for b in T.sampler.tolist()]
         ptr, to, cum = T.route_ptr.tolist(), T.route_to.tolist(), T.route_cum.tolist()
@@ -508,10 +498,10 @@ class _Engine:
                   for a, b, r in zip(ptr, ptr[1:], T.route_block.tolist())]
         ptr, fcls = T.flush_ptr.tolist(), T.flush_cls.tolist()
         flush = [fcls[a:b] for a, b in zip(ptr, ptr[1:])]
-        arrivals = [blocks[b] if b >= 0 else None for b in T.arrivals.tolist()]
-        tas = T.first_arrival.tolist()
-        nst, ncl = len(kind), len(closed)
+        nst, ncl = len(kind), len(reference)
+        watched = [c in fcls for c in range(ncl)]
         ncells = nst * ncl
+        tas, entry = [_INF] * ncl, [0] * ncl  # per class: next arrival time, source cell
 
         busy = [0] * nst
         queues = [deque() for _ in range(nst)]
@@ -529,6 +519,10 @@ class _Engine:
 
         for s, ci, t in zip(T.place_station.tolist(), T.place_class.tolist(),
                             T.place_time.tolist()):
+            if kind[s] == _KC_SOURCE:
+                tas[ci] = t
+                entry[ci] = s * ncl + ci
+                continue
             job = _Job(ci)
             if t < _INF:
                 busy[s] += kind[s] == _KC_FCFS
@@ -553,12 +547,12 @@ class _Engine:
                 t = ta
                 ci = tas.index(ta)  # ties go to the lower class index
                 created[ci] += 1
-                tas[ci] = next(arrivals[ci])
+                r = entry[ci]
+                tas[ci] = next(samplers[r])
                 ta = min(tas)
                 job = pool.pop() if pool else _Job(ci)
                 job.ci = ci
                 job.entered = t
-                r = ncells + ci
             else:
                 if t >= horizon:
                     break
@@ -598,7 +592,7 @@ class _Engine:
                                 rcnt[w] += len(pend)
                             pool.extend(pend)
                             pend.clear()
-                    if ref_class[s] == ci:
+                    if reference[ci] == s:
                         # leaving the reference station opens a cycle
                         job.entered = t
                 else:
@@ -609,7 +603,7 @@ class _Engine:
                         ssum[k] += d
                         scnt[k] += 1
                         area[k] += d if a > warm else t - warm
-                    if ref_class[s] == ci:
+                    if reference[ci] == s:
                         job.entered = t
                 r = k
 
@@ -643,7 +637,7 @@ class _Engine:
                     pending[ci].append(job)
                 continue
 
-            if ref_class[ns] == ci and job.entered >= 0.0:
+            if reference[ci] == ns and job.entered >= 0.0:
                 # a cycle closes on return to the reference station
                 # (entered is always set before the first return; the guard
                 # is insurance against malformed hand-built topologies)
@@ -655,7 +649,7 @@ class _Engine:
 
             k = ns * ncl + ci
             if kc == 0:
-                if cap[ns] < _INF and busy[ns] + len(queues[ns]) >= cap[ns] and not closed[ci]:
+                if cap[ns] < _INF and busy[ns] + len(queues[ns]) >= cap[ns] and reference[ci] < 0:
                     # closed populations are never dropped
                     dropped[ci] += 1
                     if t > warm:
@@ -695,7 +689,7 @@ class _Engine:
             if in_service:
                 ss = job.sstart
                 barea[k] += horizon - (ss if ss > warm else warm)
-            if closed[ci]:
+            if reference[ci] >= 0:
                 if s != reference[ci] and job.entered >= 0.0:
                     e = job.entered
                     larea[ci] += horizon - (e if e > warm else warm)

@@ -62,9 +62,6 @@ class ConfidenceInterval:
     level: float
     n: int
 
-    def covers(self, value: float) -> bool:
-        return abs(self.mean - value) <= self.half_width
-
 
 _TQ_CACHE: dict[int, float] = {}
 

@@ -97,6 +97,11 @@ def run_reps(model: NetworkModel, seeds, horizon: float, warmup: float):
     return [run_replication(model, seed=s, horizon=horizon, warmup=warmup) for s in seeds]
 
 
+def covers(ci, value: float) -> bool:
+    """Whether the confidence interval ci contains value."""
+    return abs(ci.mean - value) <= ci.half_width
+
+
 # ---------------------------------------------------------------------------
 # analytic oracles
 

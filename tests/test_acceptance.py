@@ -38,6 +38,7 @@ from qnaps.egraph import ValidationRow
 
 from _helpers import (
     closed_cycle_model,
+    covers,
     eg_expectation_by_paths,
     exact_mva,
     mm1_model,
@@ -96,8 +97,8 @@ def test_criterion_01_mm1_means_and_ci_coverage():
         if trial == 0:
             assert abs(util.mean - 0.8) <= 0.01
             assert abs(resp.mean - 5.0) <= 0.03 * 5.0
-        util_hits += util.covers(0.8)
-        resp_hits += resp.covers(5.0)
+        util_hits += covers(util, 0.8)
+        resp_hits += covers(resp, 5.0)
     assert util_hits >= 17, f"99% CI covered utilization only {util_hits}/20 times"
     assert resp_hits >= 17, f"99% CI covered response time only {resp_hits}/20 times"
     assert time.perf_counter() - t0 < 120.0

@@ -55,11 +55,9 @@ def test_eg_metrics_and_saturation():
     m = eg_metrics(s)
     assert m.response_time == pytest.approx(5.53, rel=1e-12)
     assert m.utilization["Controller"] == pytest.approx(17.4, rel=1e-12)
-    assert m.saturated == ()
 
     hot = eg_metrics(EgScenario("Hot", Basic({"CPU": 3.0}), 0.5))
-    assert hot.utilization["CPU"] == pytest.approx(150.0)
-    assert hot.saturated == ("CPU",)  # reported, not clamped
+    assert hot.utilization["CPU"] == pytest.approx(150.0)  # reported, not clamped
 
     with pytest.raises(EgError):
         EgScenario("Neg", Basic({}), -0.1)

@@ -6,7 +6,8 @@ sample to match bit for bit, every random stream to have handed out the
 same number of draws, and every class to have created, sunk and dropped
 the same jobs and to hold as many at the horizon; one of its models puts
 every distribution kind on both loops as service, arrival and
-probabilistic routing target. Two pins in
+probabilistic routing target, and another gives two classes a source
+each, so arrivals are read from source cells at two stations. Two pins in
 tests/data/engine_pin.json hold both loops' lazy arrival merge on tied
 and non-exponential arrivals. The ties pin was frozen from an engine
 that pre-drew every arrival and merged them with a lexsort. The
@@ -131,6 +132,36 @@ def arrival_mix_model() -> NetworkModel:
     )
 
 
+def two_source_model() -> NetworkModel:
+    """Open classes A and B entering at sources of their own, SrcA and
+    SrcB, listed apart so that their source cells sit at different
+    stations: A goes to W, then to Sink or D; B splits at SrcB over W
+    and D. W is fcfs with capacity 5."""
+    routing = RoutingTable()
+    routing.add("A", "SrcA", "W")
+    routing.add("A", "W", [("Sink", 0.7), ("D", 0.3)])
+    routing.add("A", "D", "Sink")
+    routing.add("B", "SrcB", [("W", 0.5), ("D", 0.5)])
+    routing.add("B", "W", "Sink")
+    routing.add("B", "D", "Sink")
+    return NetworkModel(
+        name="two-sources",
+        stations=[
+            Station("W", kind=FCFS, capacity=5,
+                    service={"A": Exponential(2.0), "B": Erlang(2, 3.0)}),
+            Station("SrcA", kind=SOURCE),
+            Station("D", kind=DELAY, service={"A": Exponential(0.5), "B": Uniform(0.5, 2.0)}),
+            Station("SrcB", kind=SOURCE),
+            Station("Sink", kind=SINK),
+        ],
+        classes=[
+            JobClass("A", "open", arrival=Exponential(0.8)),
+            JobClass("B", "open", arrival=Exponential(0.6)),
+        ],
+        routing=routing,
+    )
+
+
 def kinds(scale: float) -> dict:
     """One distribution of each kind with a finite mean of about scale."""
     s = scale
@@ -190,6 +221,7 @@ MODELS = {
     "arrival_mix": arrival_mix_model(),
     "stopping_arrivals": stopping_arrivals_model(),
     "every_kind": every_kind_model(),
+    "two_sources": two_source_model(),
 }
 
 # seeds of the arrival-merge pins in tests/data/engine_pin.json
@@ -330,10 +362,11 @@ def break_sampler(engine, where, sampler):
     """Put sampler in place of the service, routing or arrival sampler
     of the wwi class that is routed over two actors."""
     table = engine.table
-    ncl = len(table.closed)
+    ncl = len(table.reference)
     k = next(k for k, b in enumerate(table.route_block) if b >= 0 and table.kind[k // ncl] == 0)
+    source = table.kind.tolist().index(kernel._KC_SOURCE)
     block = {"service": table.sampler[k], "routing": table.route_block[k],
-             "arrival": table.arrivals[k % ncl]}[where]
+             "arrival": table.sampler[source * ncl + k % ncl]}[where]
     table.blocks[block] = sampler
 
 
@@ -383,7 +416,9 @@ def changed(values, at, value):
 
 # per case: the model, how the field before any / is corrupted, and the
 # error the compiled loop raises for it (awty has 8 stations, 4 classes,
-# 11 blocks and 11 route successors; wwi routes over two actors)
+# 11 blocks and 11 route successors, the first of them the entry of class
+# 0 at station 0, its source; placement 2 is the first of closed class 2;
+# wwi routes over two actors)
 CORRUPT = {
     "kind": ("awty", lambda t: changed(t.kind, 0, 7), ValueError,
              r"table 'kind' holds 7 at 0, outside \[0, 4\)"),
@@ -391,16 +426,16 @@ CORRUPT = {
                 "table 'servers' is not a 1-d float64 array"),
     "capacity": ("awty", lambda t: t.capacity[:-1], ValueError,
                  "table 'capacity' has 7 entries, expected 8"),
-    "ref_class": ("awty", lambda t: changed(t.ref_class, 0, 4), ValueError,
-                  "table 'ref_class' holds 4 at 0"),
     "sampler": ("awty", lambda t: changed(t.sampler, 4, 11), ValueError,
                 "table 'sampler' holds 11 at 4"),
     "route_ptr": ("awty", lambda t: changed(t.route_ptr, 5, 12), ValueError,
                   "table 'route_ptr' is not offsets from 0 to 11"),
     "route_to": ("awty", lambda t: changed(t.route_to, 0, 8), ValueError,
                  "table 'route_to' holds 8 at 0"),
-    "route_to/unserved": ("awty", lambda t: changed(t.route_to, 0, 0), ValueError,
-                          "table 'route_to' sends class 0 to station 0, which does not serve it"),
+    "route_to/unserved": ("awty", lambda t: changed(t.route_to, 0, 2), ValueError,
+                          "table 'route_to' sends class 0 to station 2, which does not serve it"),
+    "route_to/source": ("awty", lambda t: changed(t.route_to, 0, 0), ValueError,
+                        "table 'route_to' sends class 0 to station 0, which is a source"),
     "route_cum": ("awty", lambda t: t.route_cum.astype(np.float32), TypeError,
                   "table 'route_cum' is not a 1-d float64 array"),
     "route_block": ("awty", lambda t: changed(t.route_block, 0, 11), ValueError,
@@ -411,17 +446,9 @@ CORRUPT = {
                   "table 'flush_ptr' has 32 entries, expected 33"),
     "flush_cls": ("awty", lambda t: changed(t.flush_cls, 0, -1), ValueError,
                   "table 'flush_cls' holds -1 at 0"),
-    "closed": ("awty", lambda t: changed(t.closed, 0, 2), ValueError,
-               "table 'closed' holds 2 at 0"),
-    "watched": ("awty", lambda t: t.watched.astype(np.int64), TypeError,
-                "table 'watched' is not a 1-d int32 array"),
     "reference": ("awty", lambda t: changed(t.reference, 2, 8), ValueError,
                   "table 'reference' holds 8 at 2"),
-    "arrivals": ("awty", lambda t: changed(t.arrivals, 0, 11), ValueError,
-                 "table 'arrivals' holds 11 at 0"),
-    "first_arrival": ("awty", lambda t: changed(t.first_arrival, 2, 1.0), ValueError,
-                      "table 'first_arrival' times class 2, which has no arrivals block"),
-    "place_station": ("awty", lambda t: changed(t.place_station, 0, 0), ValueError,
+    "place_station": ("awty", lambda t: changed(t.place_station, 2, 0), ValueError,
                       "table 'place_station' places class 2 at station 0, which does not serve it"),
     "place_class": ("awty", lambda t: changed(t.place_class, 0, 4), ValueError,
                     "table 'place_class' holds 4 at 0"),
@@ -429,6 +456,11 @@ CORRUPT = {
                    "table 'place_time' is not a 1-d float64 array"),
     "blocks": ("awty", lambda t: tuple(t.blocks), TypeError, "table 'blocks' is not a list"),
 }
+
+
+def test_corrupt_cases_cover_every_table_array():
+    arrays = {case.split("/")[0] for case in CORRUPT}
+    assert arrays == set(kernel._Table._fields) - {"horizon", "warmup"}
 
 
 @compiled

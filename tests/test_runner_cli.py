@@ -331,17 +331,8 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "o" / "tiny.csv").exists()
 
 
-def test_cli_jobs_env_precedence(tmp_path, monkeypatch):
+def test_cli_jobs_below_one_is_a_config_error(tmp_path):
     cfg = _write_config(tmp_path / "tiny.yaml")
-    monkeypatch.setenv("QNAPS_JOBS", "not-a-number")
-    # flag present: environment is not consulted at all
-    assert main(["--config", str(cfg), "--jobs", "1", "--out", str(tmp_path / "a")]) == 0
-    # flag absent: the bad environment value is a config error
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
-    monkeypatch.setenv("QNAPS_JOBS", "2")
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-    assert json.loads((tmp_path / "c/tiny_manifest.json").read_text())["jobs"] == 2
-    monkeypatch.delenv("QNAPS_JOBS")
     assert main(["--config", str(cfg), "--jobs", "0"]) == 2
 
 
