@@ -22,10 +22,12 @@ values. Run from the checkout root with
 ``testpaths = tests`` keeps the tier-1 suite from collecting it.
 """
 
+from functools import partial
+
 import pytest
 
 from qnaps.config import build_model_from_config
-from qnaps.kernel import _BLOCK, RngStream, _arrival_times, _Engine, _loop
+from qnaps.kernel import _BLOCK, RngStream, _arrival_times, _Engine, _loop, _sampler
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 
 HORIZON, WARMUP = 300000.0, 30000.0
@@ -62,16 +64,16 @@ def test_engine_run(benchmark, name, loop):
 
 
 SAMPLERS = {
-    "exponential": Exponential(0.5).sampler,
-    "deterministic": Deterministic(2.0).sampler,
-    "erlang": Erlang(3, 1.5).sampler,
-    "uniform": Uniform(1.0, 3.0).sampler,
-    "shifted": Shifted(0.5, Exponential(0.5)).sampler,
-    "mixture": Mixture(0.25, Exponential(0.5), Exponential(0.1)).sampler,
-    "nested-mixture": Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)),
-                              Erlang(2, 1.0)).sampler,
-    "arrival-times": lambda stream: _arrival_times(Exponential(0.05), stream),
-    "routing": lambda stream: stream.batched_sampler(1, lambda u: u),
+    "exponential": partial(_sampler, Exponential(0.5)),
+    "deterministic": partial(_sampler, Deterministic(2.0)),
+    "erlang": partial(_sampler, Erlang(3, 1.5)),
+    "uniform": partial(_sampler, Uniform(1.0, 3.0)),
+    "shifted": partial(_sampler, Shifted(0.5, Exponential(0.5))),
+    "mixture": partial(_sampler, Mixture(0.25, Exponential(0.5), Exponential(0.1))),
+    "nested-mixture": partial(_sampler, Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)),
+                                                Erlang(2, 1.0))),
+    "arrival-times": partial(_arrival_times, Exponential(0.05)),
+    "routing": lambda stream: stream.batched(1, lambda u: u),
 }
 BLOCKS = 102_400 // _BLOCK  # fills per round
 

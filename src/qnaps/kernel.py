@@ -3,25 +3,19 @@
 Random numbers come from one Philox4x64-10 counter-based generator per
 (station, class, purpose) triple, keyed by SHA-256 of the replication seed
 and the triple. Structural edits to a model therefore never disturb the
-draw sequences of untouched streams, which is what makes neutral model
-transforms reproduce baseline runs bit for bit. Each distribution counts
-a fixed number of draws per sample (exponential 1, deterministic 0,
-erlang k, uniform 1; wrappers add their components). A uniform is the
-top 53 bits of one raw word times 2**-53, which is what numpy's
-Generator.random computes from the same words. Every sampler, the
-routing uniforms and each open class's arrival times too, is one _Block:
-a float64 array of values, the index of the next one, and fill(), which
-returns the next array. A batched sampler's block is _BLOCK (4,096)
-values made in numpy from the uniforms of the next 4,096*k raw words, so
-a sampler that has its stream to itself consumes the same raw sequence
-as drawing one value at a time; routing streams, one consumer each, are
-batched too. A stream holds its blocks weakly, so the blocks of a
-replication, whose fills hold their stream, are freed by refcount when
-the replication is dropped, without waiting for the cyclic collector.
-The closed-class init phase takes one word per value. A mixture's branch
-uniforms, base and extra each draw from their own part stream, keyed
-purpose/branch, purpose/base and purpose/extra, so no sampler's values
-depend on the block size.
+word sequences of untouched streams, which is what makes neutral model
+transforms reproduce baseline runs bit for bit. A uniform is the top 53
+bits of one raw word times 2**-53, which is what numpy's Generator.random
+computes from the same words. Every sampler, the routing uniforms and
+each open class's arrival times too, is one _Block: a float64 array of
+values, the index of the next one, and fill(), which returns the next
+array. _sampler turns a distribution into its block; a batched block is
+_BLOCK (4,096) values made in numpy from the uniforms of the next
+4,096*k raw words, so a sampler that has its stream to itself consumes
+the same raw sequence as taking one value at a time; routing streams,
+one consumer each, are batched too. No stream holds a block, so the
+blocks of a replication are freed by refcount when it is dropped. The
+closed-class init phase takes one word per value.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -35,7 +29,7 @@ pops: a heapreplace in place of a pop and a push changes them. A source
 is a station like any other: an open class's external arrival times are
 the sampler of its source cell, a running sum of the gaps drawn from its
 own stream, and that cell's route row is where the class enters. The
-loop holds only each class's next time and draws the one after when it
+loop holds only each class's next time and samples the one after when it
 takes an arrival, so arrivals need memory per class, not per job. The
 earliest next arrival goes first, ties going to the lower class index
 and arrivals winning ties against the calendar; calendar events with
@@ -45,7 +39,7 @@ finite-capacity drop, then fcfs or delay entry. Arrivals never touch the
 calendar or its sequence numbers.
 
 _Engine._build is the one place that decides the engine's layout: it
-draws what must be drawn before the run (each open class's first arrival
+samples what is needed before the run (each open class's first arrival
 time, the closed populations' t = 0 think and service times) and emits a
 flat, index-based _Table of int32 and float64 arrays (per station, per
 (station, class) cell with one route row each in CSR form, detection
@@ -81,7 +75,6 @@ import os
 import subprocess
 import sys
 import sysconfig
-import weakref
 from collections import deque
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
@@ -138,18 +131,16 @@ class DeadlockError(KernelError):
 class _Block:
     """One sampler: vals, the float64 block of values it is handing out;
     i, the index of the next one; and fill(), which returns the next
-    block. Each value counts k draws of the sampler's stream. next()
-    hands out one value and calls fill() when the block runs out; an empty
-    block ends the sampler with StopIteration. The compiled loop reads
-    vals in place and writes vals and i back when it returns, so next()
-    continues where it stopped."""
+    block. next() hands out one value and calls fill() when the block
+    runs out; an empty block ends the sampler with StopIteration. The
+    compiled loop reads vals in place and writes vals and i back when it
+    returns, so next() continues where it stopped."""
 
-    __slots__ = ("vals", "i", "k", "fill", "__weakref__")
+    __slots__ = ("vals", "i", "fill")
 
-    def __init__(self, k: int, fill):
+    def __init__(self, fill):
         self.vals = _NO_VALUES
         self.i = 0
-        self.k = k
         self.fill = fill
 
     def __next__(self) -> float:
@@ -165,109 +156,37 @@ class _Block:
 
 
 class RngStream:
-    """One Philox stream for one (station, class, purpose) triple.
+    """One Philox stream for one (station, class, purpose) triple: a pure
+    function of its key, so two streams with one key hand out the same
+    words."""
 
-    draws counts logical samples handed out (uniform01 counts 1, a
-    distribution sampler counts its documented amount per value). Block
-    samplers count nothing per value: draws is worked out when read, from
-    the words taken by this stream and its part streams less k per value
-    its live blocks have not handed out. The stream holds its blocks
-    weakly (each block's fill holds the stream), so a block that has been
-    freed counts every value it took.
-    """
-
-    __slots__ = ("seed", "station_id", "class_id", "purpose", "_draws", "_open",
-                 "_parts", "_bg", "_gen")
+    __slots__ = ("seed", "station_id", "class_id", "purpose", "_gen")
 
     def __init__(self, seed: int, station_id: str, class_id: str, purpose: str):
         self.seed = seed
         self.station_id = station_id
         self.class_id = class_id
         self.purpose = purpose
-        self._draws = 0
-        self._open = weakref.WeakSet()  # every live block sampler made on this stream
-        self._parts = {}  # tag -> part stream
         material = f"{seed}|{station_id}|{class_id}|{purpose}".encode()
         key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
-        self._bg = Philox(key=key)
-        self._gen = Generator(self._bg)
-
-    @property
-    def draws(self) -> int:
-        return (self._draws + sum(p.draws for p in self._parts.values())
-                - sum(b.k * (len(b.vals) - b.i) for b in self._open))
+        self._gen = Generator(Philox(key=key))
 
     def part(self, tag: str) -> RngStream:
         """The stream of part tag of a sampler on this stream, keyed by
         purpose/tag. No top-level purpose holds a /, so a part stream
-        meets no other stream. Its draws count toward this stream's."""
-        p = self._parts.get(tag)
-        if p is None:
-            p = self._parts[tag] = RngStream(self.seed, self.station_id, self.class_id,
-                                             f"{self.purpose}/{tag}")
-        return p
+        meets no other stream."""
+        return RngStream(self.seed, self.station_id, self.class_id, f"{self.purpose}/{tag}")
 
     def uniforms(self, n: int) -> np.ndarray:
         """The next n raw words as uniforms on [0, 1), from their top 53
-        bits; each counts one draw."""
-        self._draws += n
+        bits."""
         return self._gen.random(n)
 
-    def uniform01(self) -> float:
-        return self.uniforms(1).item(0)
-
-    def block(self, k: int, fill) -> _Block:
-        """A block sampler over this stream whose values count k draws."""
-        b = _Block(k, fill)
-        self._open.add(b)
-        return b
-
-    def batched_sampler(self, k: int, transform) -> _Block:
+    def batched(self, k: int, transform) -> _Block:
         """Block sampler of transform(u): u holds the uniforms of the next
         _BLOCK*k raw words, taken on the first next() and again each time
-        its _BLOCK values run out; transform maps them to _BLOCK values,
-        each of which counts k draws."""
-        return self.block(k, lambda: transform(self.uniforms(_BLOCK * k)))
-
-    def constant(self, value: float) -> _Block:
-        """Block sampler that hands out value and takes no words. Its fill
-        is C code, so a loop over constants runs no Python bytecode."""
-        return self.block(0, repeat(np.full(_BLOCK, float(value))).__next__)
-
-    def shift(self, offset: float, base: _Block) -> _Block:
-        """Block sampler of offset plus base's values."""
-        offset = float(offset)
-        return self.block(base.k, lambda: offset + base.fill())
-
-    def mixture(self, p: float, base: _Block, extra: _Block) -> _Block:
-        """Block sampler of base plus, when a value's branch uniform is
-        below p, extra. base and extra are samplers of this stream's parts
-        "base" and "extra"; the branch uniforms come from part "branch"."""
-        branch = self.part("branch")
-
-        def fill():
-            a = base.fill()
-            return np.where(branch.uniforms(_BLOCK) < p, a + extra.fill(), a)
-
-        return self.block(1 + base.k + extra.k, fill)
-
-
-class RngSpace:
-    """Lazy registry of streams for one replication seed. Streams are keyed
-    by content, so the set of other streams in play never changes what any
-    one stream produces."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._streams: dict[tuple, RngStream] = {}
-
-    def stream(self, station_id: str, class_id: str, purpose: str) -> RngStream:
-        key = (station_id, class_id, purpose)
-        s = self._streams.get(key)
-        if s is None:
-            s = RngStream(self.seed, station_id, class_id, purpose)
-            self._streams[key] = s
-        return s
+        its _BLOCK values run out; transform maps them to _BLOCK values."""
+        return _Block(lambda: transform(self.uniforms(_BLOCK * k)))
 
 
 # station kind codes of _Table.kind
@@ -319,6 +238,55 @@ class _Job:
         self.sstart = 0.0
 
 
+def _sampler(dist, stream) -> _Block:
+    """Block sampler of dist's values on stream, one branch per kind. A
+    batched kind takes k raw words of stream per value: exponential 1,
+    erlang its phases, uniform 1. A deterministic value and a rate-0
+    exponential (inf) take none; their fill is C code, so a loop over
+    them runs no Python bytecode. A shift takes what its base takes. A
+    mixture takes nothing of stream itself: its branch uniforms, base and
+    extra come from the part streams branch, base and extra, one branch
+    word per value, so no value depends on the block size."""
+    kind = dist.kind
+    if kind == "deterministic" or (kind == "exponential" and dist.rate == 0.0):
+        return _Block(repeat(np.full(_BLOCK, float(dist.mean()))).__next__)
+    if kind == "exponential":
+        scale = 1.0 / dist.rate
+        return stream.batched(1, lambda u: -np.log1p(-u) * scale)
+    if kind == "erlang":
+        k = dist.phases
+        scale = 1.0 / dist.rate
+
+        def phases(u):
+            # phases summed left to right in k strided adds: half the cost
+            # of a reshape-sum, and the same bits for k <= 7 (beyond that
+            # numpy's reduction is pairwise)
+            logs = np.log1p(-u)
+            return -sum((logs[j::k] for j in range(1, k)), logs[0::k]) * scale
+
+        return stream.batched(k, phases)
+    if kind == "uniform":
+        low = dist.low
+        span = dist.high - low
+        return stream.batched(1, lambda u: low + span * u)
+    if kind == "shifted":
+        offset = float(dist.offset)
+        base = _sampler(dist.base, stream).fill
+        return _Block(lambda: offset + base())
+    if kind == "mixture":
+        p = dist.p_extra
+        base = _sampler(dist.base, stream.part("base")).fill
+        extra = _sampler(dist.extra, stream.part("extra")).fill
+        branch = stream.part("branch")
+
+        def mix():
+            a = base()
+            return np.where(branch.uniforms(_BLOCK) < p, a + extra(), a)
+
+        return _Block(mix)
+    raise ValueError(f"unknown distribution {dist!r}")
+
+
 def _arrival_times(dist, stream) -> _Block:
     """Block sampler of a class's external arrival times: the running sum
     of the gaps drawn from its arrival stream, carried from block to
@@ -328,20 +296,20 @@ def _arrival_times(dist, stream) -> _Block:
     infinite."""
     if dist.kind == "exponential" and dist.rate > 0:
         rate = dist.rate
-        # not Exponential.sampler, which multiplies by 1 / rate: that rounds
-        # differently, and the shipped outputs were made by this division
-        gaps = stream.batched_sampler(1, lambda u: -np.log1p(-u) / rate)
+        # not _sampler's exponential, which multiplies by 1 / rate: that
+        # rounds differently, and the shipped outputs were made by this division
+        gaps = stream.batched(1, lambda u: -np.log1p(-u) / rate).fill
     else:
-        gaps = dist.sampler(stream)
+        gaps = _sampler(dist, stream).fill
     carry = _NO_VALUES  # the last time handed out, once there is one
 
     def fill():
         nonlocal carry
-        times = np.add.accumulate(np.concatenate((carry, gaps.fill())))[len(carry):]
+        times = np.add.accumulate(np.concatenate((carry, gaps())))[len(carry):]
         carry = times[-1:]
         return times
 
-    return stream.block(gaps.k, fill)
+    return _Block(fill)
 
 
 class _Engine:
@@ -358,12 +326,11 @@ class _Engine:
     def __init__(self, model: NetworkModel, seed: int, horizon: float, warmup: float):
         self.model = model
         self.seed = seed
-        self.space = RngSpace(seed)
         self.table = self._build(float(horizon), float(warmup))
 
     def _build(self, horizon: float, warmup: float) -> _Table:
         model = self.model
-        space = self.space
+        seed = int(self.seed)
         stations, classes = model.stations, model.classes
         sidx = {s.name: i for i, s in enumerate(stations)}
         cidx = {jc.name: i for i, jc in enumerate(classes)}
@@ -379,8 +346,8 @@ class _Engine:
         for s, st in enumerate(stations):
             if kind[s] in (_KC_FCFS, _KC_DELAY):
                 for cname, dist in st.service.items():
-                    stream = space.stream(st.name, cname, "service")
-                    sampler[s * ncl + cidx[cname]] = index(dist.sampler(stream))
+                    stream = RngStream(seed, st.name, cname, "service")
+                    sampler[s * ncl + cidx[cname]] = index(_sampler(dist, stream))
 
         # each open class's first arrival at its source, then the closed
         # populations at their reference stations at t = 0
@@ -393,7 +360,7 @@ class _Engine:
                 reference[c] = sidx[start]
             elif start is not None:
                 s = sidx[start]
-                times = _arrival_times(jc.arrival, space.stream(start, jc.name, "arrival"))
+                times = _arrival_times(jc.arrival, RngStream(seed, start, jc.name, "arrival"))
                 sampler[s * ncl + c] = index(times)
                 place.append((s, c, next(times)))
             watcher = model.detection.get(jc.name)
@@ -416,7 +383,7 @@ class _Engine:
                 route_cum[-1] = 1.0 + 1e-12  # guard against float dust on the last edge
                 if len(targets) > 1:
                     # one consumer per routing stream, so batching keeps its values
-                    u01 = space.stream(row[1], row[0], "routing").batched_sampler(1, lambda u: u)
+                    u01 = RngStream(seed, row[1], row[0], "routing").batched(1, lambda u: u)
                     block = index(u01)
             route_block.append(block)
             route_ptr.append(len(route_to))
@@ -426,11 +393,11 @@ class _Engine:
             if jc.kind != "closed":
                 continue
             s = reference[c]
-            init_u = space.stream(jc.reference, jc.name, "init").uniform01
+            init = RngStream(seed, jc.reference, jc.name, "init")
             service = blocks[sampler[s * ncl + c]]
             for _ in range(jc.population):
                 if kind[s] == _KC_DELAY:
-                    u = init_u()  # random initial phase desynchronizes cycles
+                    u = init.uniforms(1).item(0)  # a random initial phase desynchronizes cycles
                     think = next(service)
                     t = u * think if think < _INF else _INF
                 elif busy[s] < stations[s].servers:
@@ -609,7 +576,7 @@ class _Engine:
 
             # route the arriving or departing job to its next station: the
             # first whose cumulative probability reaches the row's uniform;
-            # a row of one successor draws none
+            # a row of one successor takes no uniform
             tos, cums, u01 = routes[r]
             if u01 is None:
                 ns = tos[0]  # IndexError on a row without successors

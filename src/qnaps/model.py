@@ -7,9 +7,8 @@ milliseconds and all rates are per millisecond.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 # station kinds
 FCFS = "fcfs-queue"
@@ -41,12 +40,6 @@ class Exponential:
     def mean(self) -> float:
         return math.inf if self.rate == 0.0 else 1.0 / self.rate
 
-    def sampler(self, stream):
-        if self.rate == 0.0:
-            return stream.constant(math.inf)
-        scale = 1.0 / self.rate
-        return stream.batched_sampler(1, lambda u: -np.log1p(-u) * scale)
-
 
 @dataclass(frozen=True)
 class Deterministic:
@@ -60,9 +53,6 @@ class Deterministic:
     def mean(self) -> float:
         return self.value
 
-    def sampler(self, stream):
-        return stream.constant(self.value)
-
 
 @dataclass(frozen=True)
 class Erlang:
@@ -73,19 +63,6 @@ class Erlang:
 
     def mean(self) -> float:
         return self.phases / self.rate
-
-    def sampler(self, stream):
-        k = self.phases
-        scale = 1.0 / self.rate
-
-        def fill(u):
-            # phases summed left to right in k strided adds: half the cost
-            # of a reshape-sum, and the same bits for k <= 7 (beyond that
-            # numpy's reduction is pairwise)
-            logs = np.log1p(-u)
-            return -sum((logs[j::k] for j in range(1, k)), logs[0::k]) * scale
-
-        return stream.batched_sampler(k, fill)
 
 
 @dataclass(frozen=True)
@@ -98,16 +75,11 @@ class Uniform:
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
 
-    def sampler(self, stream):
-        low = self.low
-        span = self.high - low
-        return stream.batched_sampler(1, lambda u: low + span * u)
-
 
 @dataclass(frozen=True)
 class Shifted:
-    """base plus a constant offset. Same stream consumption as base, so an
-    offset of zero samples bit-identically to the unwrapped distribution."""
+    """base plus a constant offset. An offset of zero samples
+    bit-identically to the unwrapped distribution."""
 
     offset: float
     base: "Distribution"
@@ -117,18 +89,10 @@ class Shifted:
     def mean(self) -> float:
         return self.offset + self.base.mean()
 
-    def sampler(self, stream):
-        return stream.shift(self.offset, self.base.sampler(stream))
-
 
 @dataclass(frozen=True)
 class Mixture:
-    """base demand plus, with probability p_extra, an additional demand.
-
-    Both components are drawn on every sample, each from its own part
-    stream, so every stream advances by a fixed amount regardless of the
-    branch taken.
-    """
+    """base demand plus, with probability p_extra, an additional demand."""
 
     p_extra: float
     base: "Distribution"
@@ -139,10 +103,6 @@ class Mixture:
     def mean(self) -> float:
         # p_extra 0 never adds extra, even an infinite one (0 * inf is nan)
         return self.base.mean() + (self.p_extra * self.extra.mean() if self.p_extra else 0.0)
-
-    def sampler(self, stream):
-        return stream.mixture(self.p_extra, self.base.sampler(stream.part("base")),
-                              self.extra.sampler(stream.part("extra")))
 
 
 Distribution = Exponential | Deterministic | Erlang | Uniform | Shifted | Mixture
@@ -255,7 +215,9 @@ def _check_parameters(dist, where: str, allow_inf: bool, arrival: bool) -> list[
         if math.isinf(dist.value) and not allow_inf:
             out.append(f"{where}: infinite service time is only allowed at delay stations")
     elif k == "erlang":
-        if not dist.phases >= 1:
+        if not isinstance(dist.phases, Integral):
+            out.append(f"{where}: erlang phases must be an integer (got {dist.phases!r})")
+        elif not dist.phases >= 1:
             out.append(f"{where}: erlang phases must be >= 1")
         if not dist.rate > 0:
             out.append(f"{where}: erlang rate must be > 0")
@@ -327,11 +289,15 @@ def validate_model(model: NetworkModel) -> list[str]:
         if s.kind not in STATION_KINDS:
             diags.append(f"station {s.name}: unknown kind {s.kind!r}")
             continue
-        if s.servers < 1:
+        if not isinstance(s.servers, Integral):
+            diags.append(f"station {s.name}: servers must be an integer (got {s.servers!r})")
+        elif s.servers < 1:
             diags.append(f"station {s.name}: servers must be >= 1")
         if s.capacity is not None:
             if s.kind != FCFS:
                 diags.append(f"station {s.name}: capacity only applies to fcfs stations")
+            elif not isinstance(s.capacity, Integral):
+                diags.append(f"station {s.name}: capacity must be an integer (got {s.capacity!r})")
             elif s.capacity < 1:
                 diags.append(f"station {s.name}: capacity must be >= 1")
         for cname, dist in s.service.items():
@@ -351,7 +317,9 @@ def validate_model(model: NetworkModel) -> list[str]:
             else:
                 diags += _check_distribution(jc.arrival, f"class {jc.name} arrival", False, arrival=True)
         else:
-            if jc.population < 1:
+            if not isinstance(jc.population, Integral):
+                diags.append(f"class {jc.name}: population must be an integer (got {jc.population!r})")
+            elif jc.population < 1:
                 diags.append(f"class {jc.name}: closed class needs population >= 1")
             if jc.reference is None or jc.reference not in by_name:
                 diags.append(f"class {jc.name}: closed class needs an existing reference station")
@@ -394,15 +362,6 @@ def validate_model(model: NetworkModel) -> list[str]:
         if jc.kind == "closed":
             if any(by_name[st].kind == SINK for st in reach if st in by_name):
                 diags.append(f"class {jc.name}: closed class must not reach a sink (population would drain)")
-            # the cycle must be able to come back to the reference station
-            rows_c = model.routing.rows.get(jc.name, {})
-            back = any(
-                to == jc.reference
-                for frm, targets in rows_c.items()
-                for to, _p in targets
-            )
-            if not back:
-                diags.append(f"class {jc.name}: no route returns to reference station {jc.reference}")
             # a cycle with zero total demand would spin forever at t=0
             cycle_mean = sum(
                 by_name[st].service[jc.name].mean()
@@ -413,15 +372,18 @@ def validate_model(model: NetworkModel) -> list[str]:
             )
             if cycle_mean == 0.0:
                 diags.append(f"class {jc.name}: total service demand around the cycle is zero")
+            exits = {jc.reference}
+            fault = (f"no path back to reference station {jc.reference} "
+                     "(closed-class jobs reaching it never return)")
         else:
-            # a job that can never leave circulates forever; at zero delay
-            # the clock would never advance
-            sinks = {s.name for s in model.stations if s.kind == SINK}
-            live = _reachable(model, jc, start, positive=True)
-            for s in model.stations:
-                if s.name in live and not sinks & _reachable(model, jc, s.name, positive=True):
-                    diags.append(f"class {jc.name}: station {s.name} has no path to a sink "
-                                 "(open-class jobs reaching it never leave)")
+            exits = {s.name for s in model.stations if s.kind == SINK}
+            fault = "no path to a sink (open-class jobs reaching it never leave)"
+        # a job that can never leave (open) or never return (closed)
+        # circulates forever; at zero delay the clock would never advance
+        live = _reachable(model, jc, start, positive=True)
+        for s in model.stations:
+            if s.name in live and not exits & _reachable(model, jc, s.name, positive=True):
+                diags.append(f"class {jc.name}: station {s.name} has {fault}")
 
     refs = [jc.reference for jc in model.classes if jc.kind == "closed" and jc.reference]
     for ref in sorted(set(r for r in refs if refs.count(r) > 1)):

@@ -76,6 +76,28 @@ def open_trap_model() -> NetworkModel:
     )
 
 
+def closed_trap_model(delay: float) -> NetworkModel:
+    """Closed class C, population 2, reference Ref: Ref -> A 0.5 / B 0.5,
+    A -> Ref, and B <-> X at deterministic delays of delay. A job that
+    takes B never gets back to Ref."""
+    routing = RoutingTable()
+    routing.add("C", "Ref", [("A", 0.5), ("B", 0.5)])
+    routing.add("C", "A", "Ref")
+    routing.add("C", "B", "X")
+    routing.add("C", "X", "B")
+    return NetworkModel(
+        name="closed-trap",
+        stations=[
+            Station("Ref", kind=DELAY, service={"C": Exponential(1.0)}),
+            Station("A", kind=FCFS, service={"C": Exponential(2.0)}),
+            Station("B", kind=DELAY, service={"C": Deterministic(delay)}),
+            Station("X", kind=DELAY, service={"C": Deterministic(delay)}),
+        ],
+        classes=[JobClass("C", "closed", population=2, reference="Ref")],
+        routing=routing,
+    )
+
+
 def closed_cycle_model(demands=(1.0, 0.6), population: int = 1) -> NetworkModel:
     """N jobs circulating around fcfs stations S1 -> S2 -> ... -> S1."""
     names = [f"S{i + 1}" for i in range(len(demands))]

@@ -21,10 +21,10 @@ from qnaps.kernel import (
     DeadlockError,
     InvalidModelError,
     KernelError,
-    RngSpace,
     RngStream,
     _arrival_times,
     _Engine,
+    _sampler,
     run_replication,
 )
 from qnaps.model import (
@@ -66,56 +66,69 @@ NESTED = {
 }
 
 
+def _uniforms(stream, n):
+    return (stream._gen.bit_generator.random_raw(n) >> np.uint64(11)) * (1.0 / (1 << 53))
+
+
+def _words_taken(stream):
+    """How many raw words stream has handed out: where its next word sits
+    in a twin stream, searched over the twin's first 15 blocks of words."""
+    twin = RngStream(stream.seed, stream.station_id, stream.class_id, stream.purpose)
+    return _uniforms(twin, 15 * kernel._BLOCK).tolist().index(stream.uniforms(1).item(0))
+
+
+def _uniform01(stream):
+    return stream.uniforms(1).item(0)
+
+
 def test_stream_is_reproducible_and_purpose_separated():
     a1 = RngStream(42, "Queue", "Jobs", "service")
     a2 = RngStream(42, "Queue", "Jobs", "service")
     b = RngStream(42, "Queue", "Jobs", "routing")
-    seq1 = [a1.uniform01() for _ in range(50)]
-    seq2 = [a2.uniform01() for _ in range(50)]
-    other = [b.uniform01() for _ in range(50)]
+    seq1 = [_uniform01(a1) for _ in range(50)]
+    seq2 = [_uniform01(a2) for _ in range(50)]
+    other = [_uniform01(b) for _ in range(50)]
     assert seq1 == seq2
     assert seq1 != other
     assert all(0.0 <= u < 1.0 for u in seq1 + other)
-    assert a1.draws == 50
+    assert _words_taken(a1) == 50
 
 
 def test_streams_are_isolated_under_interleaving():
-    space = RngSpace(7)
-    a, b = space.stream("A", "c", "service"), space.stream("B", "c", "service")
-    assert space.stream("A", "c", "service") is a  # cached handle
+    a, b = RngStream(7, "A", "c", "service"), RngStream(7, "B", "c", "service")
     fresh = RngStream(7, "A", "c", "service")
-    solo = [fresh.uniform01() for _ in range(20)]
+    solo = [_uniform01(fresh) for _ in range(20)]
     interleaved = []
     for _ in range(20):
-        interleaved.append(a.uniform01())
-        b.uniform01()  # traffic on B must not disturb A
+        interleaved.append(_uniform01(a))
+        _uniform01(b)  # traffic on B must not disturb A
     assert interleaved == solo
 
 
 def test_sampler_draw_accounting():
+    # a batched sampler takes a whole block's words on its first value
     s = RngStream(11, "st", "cl", "service")
-    exp = Exponential(2.0).sampler(s)
-    before = s.draws
+    exp = _sampler(Exponential(2.0), s)
     vals = [next(exp) for _ in range(10)]
-    assert s.draws - before == 10
+    assert _words_taken(s) == kernel._BLOCK
     assert all(v >= 0 for v in vals)
 
     stream = RngStream(11, "st", "cl", "erl")
-    erl = Erlang(3, 1.0).sampler(stream)
+    erl = _sampler(Erlang(3, 1.0), stream)
     next(erl)
-    assert stream.draws == 3  # one value consumes one draw per phase
+    assert _words_taken(stream) == 3 * kernel._BLOCK  # one word per phase per value
 
-    zero = Exponential(0.0).sampler(RngStream(11, "st", "cl", "z"))
+    zero = _sampler(Exponential(0.0), RngStream(11, "st", "cl", "z"))
     assert next(zero) == float("inf")
 
 
 def test_model_samplers_draw_documented_amounts():
     stream = RngStream(5, "s", "c", "service")
-    det = Deterministic(4.0).sampler(stream)
-    assert next(det) == 4.0 and stream.draws == 0
-    expo = Exponential(1.0).sampler(stream)
+    det = _sampler(Deterministic(4.0), stream)
+    assert next(det) == 4.0
+    expo = _sampler(Exponential(1.0), stream)
     next(expo)
-    assert stream.draws == 1
+    assert _words_taken(stream) == kernel._BLOCK  # the deterministic took none
 
 
 @pytest.mark.parametrize(
@@ -129,18 +142,25 @@ def test_model_samplers_draw_documented_amounts():
     ],
     ids=["exponential", "erlang", "shifted", "mixture", "shifted-mixture-of-mixtures"],
 )
-def test_draws_count_every_value_across_a_refill(dist, k):
-    # _BLOCK + 44 values cross the first block; draws counts what was
-    # handed out, not what the open block holds, and counts the words of
-    # part streams, and of their part streams, toward their owner
+def test_draws_count_every_value_across_a_refill(dist, k, monkeypatch):
+    # _BLOCK + 44 values cross the first block, so every stream the
+    # sampler reads, its own and its part streams and theirs, has taken
+    # two blocks of words, k words a value in all
     n = kernel._BLOCK + 44
-    stream = RngStream(11, "st", "cl", "refill")
-    sampler = dist.sampler(stream)
-    counts = []
+    streams = [RngStream(11, "st", "cl", "refill")]
+    part = RngStream.part
+
+    def recorded_part(self, tag):
+        streams.append(part(self, tag))
+        return streams[-1]
+
+    monkeypatch.setattr(RngStream, "part", recorded_part)
+    sampler = _sampler(dist, streams[0])
     for _ in range(n):
         next(sampler)
-        counts.append(stream.draws)
-    assert counts == [k * i for i in range(1, n + 1)]
+    taken = [_words_taken(s) for s in streams]
+    assert all(w % (2 * kernel._BLOCK) == 0 for w in taken)
+    assert sum(taken) == 2 * kernel._BLOCK * k
 
 
 def test_routing_stream_draws_one_word_per_decision():
@@ -161,12 +181,11 @@ def test_routing_stream_draws_one_word_per_decision():
     )
     engine = _Engine(m, seed=12, horizon=2000.0, warmup=0.0)
     decisions = engine._tally()[1][0][0]  # created: every arrival splits once at the source
-    assert decisions > 300
-    assert engine.space.stream("Source", "Jobs", "routing").draws == decisions
-
-
-def _uniforms(stream, n):
-    return (stream._bg.random_raw(n) >> np.uint64(11)) * (1.0 / (1 << 53))
+    assert 300 < decisions < kernel._BLOCK
+    u01 = engine.table.blocks[engine.table.route_block[0]]  # cell (Source, Jobs)
+    twin = RngStream(12, "Source", "Jobs", "routing")
+    assert u01.i == decisions
+    assert u01.vals.tolist() == _uniforms(twin, kernel._BLOCK).tolist()
 
 
 @pytest.mark.parametrize(
@@ -182,7 +201,7 @@ def test_batched_sampler_matches_the_formula_on_raw_words(dist, k, formula):
     # values come from blocks of _BLOCK values made from _BLOCK*k words;
     # _BLOCK + 44 values cross a refill
     n, size = kernel._BLOCK + 44, kernel._BLOCK
-    sampler = dist.sampler(RngStream(17, "st", "cl", "service"))
+    sampler = _sampler(dist, RngStream(17, "st", "cl", "service"))
     twin = RngStream(17, "st", "cl", "service")
     want = [v for _ in range(2) for v in formula(_uniforms(twin, size * k)).tolist()]
     assert [next(sampler) for _ in range(n)] == want[:n]
@@ -193,7 +212,7 @@ def test_erlang_value_is_its_phases_summed_in_order(k):
     # value i is -(l[ik] + l[ik+1] + ... + l[ik+k-1]) / rate, summed left to
     # right in Python, with l = log1p(-u) over the block's _BLOCK*k uniforms
     n, size = kernel._BLOCK + 44, kernel._BLOCK
-    sampler = Erlang(k, 1.3).sampler(RngStream(17, "st", "cl", "service"))
+    sampler = _sampler(Erlang(k, 1.3), RngStream(17, "st", "cl", "service"))
     twin = RngStream(17, "st", "cl", "service")
     want = []
     for _ in range(2):
@@ -216,10 +235,10 @@ def test_mixture_parts_draw_from_their_own_streams(dist):
     # service/base or service/extra; _BLOCK + 44 values cross a refill
     n = kernel._BLOCK + 44
     offset, mix = (dist.offset, dist.base) if dist.kind == "shifted" else (0.0, dist)
-    sampler = dist.sampler(RngStream(29, "st", "cl", "service"))
+    sampler = _sampler(dist, RngStream(29, "st", "cl", "service"))
     branch = _uniforms(RngStream(29, "st", "cl", "service/branch"), n).tolist()
-    base = mix.base.sampler(RngStream(29, "st", "cl", "service/base"))
-    extra = mix.extra.sampler(RngStream(29, "st", "cl", "service/extra"))
+    base = _sampler(mix.base, RngStream(29, "st", "cl", "service/base"))
+    extra = _sampler(mix.extra, RngStream(29, "st", "cl", "service/extra"))
     want = []
     for u in branch:
         a, b = next(base), next(extra)
@@ -235,7 +254,7 @@ def test_no_sampler_depends_on_the_block_size(dist, monkeypatch):
     n = kernel._BLOCK + 44
 
     def draw():
-        values = dist.sampler(RngStream(31, "st", "cl", "service"))
+        values = _sampler(dist, RngStream(31, "st", "cl", "service"))
         times = _arrival_times(dist, RngStream(31, "st", "cl", "arrival"))
         return [(next(values).hex(), next(times).hex()) for _ in range(n)]
 
@@ -269,7 +288,7 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
         dist = arrival_mix_model().job_class("M").arrival
         stream = RngStream(ARRIVAL_PINS[case], "Source", "M", "arrival")
         assert dist == Mixture(0.3, Uniform(1.0, 5.0), Shifted(0.5, Exponential(0.5)))
-    sampler = dist.sampler(stream)
+    sampler = _sampler(dist, stream)
     x = np.concatenate([sampler.fill() for _ in range(2**20 // kernel._BLOCK)])
     d = x - x.mean()
     m2, m4 = (d**2).mean(), (d**4).mean()
@@ -278,8 +297,8 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
 
 
 def test_no_block_outlives_its_replication():
-    # a stream holds its blocks weakly, so a replication's streams, blocks
-    # and values are freed by refcount as soon as it is dropped, with the
+    # no stream holds a block, so a replication's streams, blocks and
+    # values are freed by refcount as soon as it is dropped, with the
     # cyclic collector off
     def live_blocks():
         return {id(o) for o in gc.get_objects() if isinstance(o, kernel._Block)}

@@ -2,10 +2,10 @@
 
 _Engine._run_python is the executable specification of _Engine.run. The
 differential test runs both on the same engines and requires every
-sample to match bit for bit, every random stream to have handed out the
-same number of draws, and every class to have created, sunk and dropped
-the same jobs and to hold as many at the horizon; one of its models puts
-every distribution kind on both loops as service, arrival and
+sample to match bit for bit, every block of the table to stop at the
+same index of the same values, and every class to have created, sunk
+and dropped the same jobs and to hold as many at the horizon; one of its
+models puts every distribution kind on both loops as service, arrival and
 probabilistic routing target, and another gives two classes a source
 each, so arrivals are read from source cells at two stations. Two pins in
 tests/data/engine_pin.json hold both loops' lazy arrival merge on tied
@@ -16,17 +16,22 @@ each mixture part got its own stream, after that mixture's sample mean
 and variance were checked against their closed forms (test_kernel.py).
 The remaining tests
 cover the extension's build and fallback, block samplers handed between
-Python and C, the checks the compiled loop makes on its table, and
-exceptions and signals crossing the C boundary.
+Python and C, the checks the compiled loop makes on its table,
+exceptions and signals crossing the C boundary, and the micro-benchmark
+in bench/, which must still import.
 """
 
 import json
 import math
+import os
 import shutil
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,7 +250,8 @@ def flows_and_samples(model, seed, horizon, loop):
 
 def outcome(model, seed, loop):
     flows, samples, engine = flows_and_samples(model, seed, HORIZON / 2, loop)
-    return samples, {key: s.draws for key, s in engine.space._streams.items()}, flows
+    blocks = [(b.i, b.vals.tobytes()) for b in engine.table.blocks]
+    return samples, blocks, flows
 
 
 def pinned_run(name: str, loop: str) -> dict:
@@ -322,27 +328,43 @@ def test_cache_name_follows_the_source_hash(tmp_path):
         assert kernel._loop.__file__.endswith(name)
 
 
+def test_micro_benchmark_still_collects():
+    # bench/ sits outside testpaths, so a kernel name it imports that is
+    # renamed or gone would break it unnoticed; collecting it imports it
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", "bench"],
+        cwd=root, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "bench/test_engine_run.py::test_sampler_fill[nested-mixture]" in done.stdout
+
+
 @compiled
 def test_blocks_hand_off_between_python_and_the_compiled_loop():
     # _build's closed-class init and a direct next() take values of the
     # Think block in Python before the run; the run continues that block
     # where they stopped, and a next() after it continues where the run
-    # stopped: both loops hand out the same values and count the same draws
+    # stopped: both loops hand out the same values and stop at the same one
     def handed_off(loop):
         # few Loop jobs park, so the run takes more than a block of think times
         engine = _Engine(parking_model(park=0.0001), 7, HORIZON / 2, WARMUP)
         think = engine.table.blocks[engine.table.sampler[0]]  # cell (Think, Loop)
-        stream = engine.space.stream("Think", "Loop", "service")
-        assert (think.i, stream.draws) == (4, 4)  # one think time per Loop job
+        assert think.i == 4  # one think time per Loop job
         before = next(think)
         result = getattr(engine, loop)()
-        draws = stream.draws
-        return ([s.value.hex() for s in result.samples], before, draws,
-                next(think), stream.draws - draws)
+        # where the run stopped, in the values of a twin of the Think stream
+        twin = kernel._sampler(Exponential(0.2), kernel.RngStream(7, "Think", "Loop", "service"))
+        blocks = [twin.fill() for _ in range(20)]
+        j = next(j for j, b in enumerate(blocks) if np.array_equal(b, think.vals))
+        taken = j * kernel._BLOCK + think.i
+        assert next(think) == np.concatenate(blocks).item(taken)
+        return [s.value.hex() for s in result.samples], before, taken
 
-    samples, before, draws, after, after_draws = handed_off("run")
-    assert (samples, before, draws, after, after_draws) == handed_off("_run_python")
-    assert draws > kernel._BLOCK and after_draws == 1  # the run crossed blocks
+    samples, before, taken = handed_off("run")
+    assert (samples, before, taken) == handed_off("_run_python")
+    assert taken > kernel._BLOCK  # the run crossed blocks
 
 
 def one_block_then(k, after):
@@ -376,7 +398,7 @@ def test_sampler_exception_comes_out_of_either_loop(loop, where):
     if loop == "run" and kernel._loop is None:
         pytest.skip("compiled loop not available")
     engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
-    break_sampler(engine, where, kernel._Block(0, one_block_then(50, broken_after(50))))
+    break_sampler(engine, where, kernel._Block(one_block_then(50, broken_after(50))))
     with pytest.raises(ValueError, match=r"fill\(\) broke after 50 values"):
         getattr(engine, loop)()
 
@@ -385,7 +407,7 @@ def test_sampler_exception_comes_out_of_either_loop(loop, where):
 def test_sampler_that_runs_out_stops_either_loop(loop):
     # an empty block from fill() raises StopIteration in both loops
     engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
-    sampler = kernel._Block(0, one_block_then(50, lambda: np.empty(0)))
+    sampler = kernel._Block(one_block_then(50, lambda: np.empty(0)))
     break_sampler(engine, "service", sampler)
     with pytest.raises(StopIteration):
         getattr(engine, loop)()
@@ -403,7 +425,7 @@ def test_compiled_loop_rejects_a_sampler_that_is_not_a_block():
 @compiled
 def test_compiled_loop_rejects_a_block_that_is_not_float64():
     engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
-    break_sampler(engine, "service", kernel._Block(0, lambda: np.ones(256, dtype=np.int64)))
+    break_sampler(engine, "service", kernel._Block(lambda: np.ones(256, dtype=np.int64)))
     with pytest.raises(TypeError, match="is not a 1-d float64 array"):
         engine.run()
 

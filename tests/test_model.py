@@ -1,11 +1,12 @@
 """Model layer: distributions, validation diagnostics, builders."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from qnaps.antipatterns import AreWeThereYet, IsEverythingOk, TransformError, WhereWasI, apply
-from qnaps.kernel import RngStream
+from qnaps.kernel import RngStream, _sampler
 from qnaps.model import (
     DELAY,
     FCFS,
@@ -28,7 +29,7 @@ from qnaps.model import (
     validate_model,
 )
 
-from _helpers import closed_cycle_model, mm1_model, open_trap_model
+from _helpers import closed_cycle_model, closed_trap_model, mm1_model, open_trap_model
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def test_distribution_means():
 )
 def test_sample_average_approaches_mean(dist):
     stream = _stream(dist.kind)
-    sampler = dist.sampler(stream)
+    sampler = _sampler(dist, stream)
     n = 40000
     avg = math.fsum(next(sampler) for _ in range(n)) / n
     assert avg == pytest.approx(dist.mean(), rel=0.03)
@@ -70,15 +71,15 @@ def test_sample_average_approaches_mean(dist):
 
 def test_zero_offset_shift_is_bit_identical():
     base = Exponential(0.7)
-    a = base.sampler(_stream("a"))
-    b = Shifted(0.0, base).sampler(_stream("a"))
+    a = _sampler(base, _stream("a"))
+    b = _sampler(Shifted(0.0, base), _stream("a"))
     assert [next(a) for _ in range(200)] == [next(b) for _ in range(200)]
 
 
 def test_erlang_is_sum_of_phases():
     # phases=1 erlang must match the exponential with the same rate
-    e1 = Erlang(1, 0.8).sampler(_stream("e"))
-    ex = Exponential(0.8).sampler(_stream("e"))
+    e1 = _sampler(Erlang(1, 0.8), _stream("e"))
+    ex = _sampler(Exponential(0.8), _stream("e"))
     assert [next(e1) for _ in range(100)] == pytest.approx([next(ex) for _ in range(100)])
 
 
@@ -238,7 +239,7 @@ def test_validate_closed_class_cycle_rules():
 
     m = closed_cycle_model(population=1)
     m.routing.rows["Jobs"]["S2"] = (("S2", 1.0),)
-    _diag_contains(m, "no route returns to reference station")
+    _diag_contains(m, "class Jobs: station S2 has no path back to reference station S1")
 
     m = closed_cycle_model(demands=(1.0, 1.0), population=1)
     for st in m.stations:
@@ -267,6 +268,50 @@ def test_validate_open_class_needs_a_path_to_a_sink():
     m.routing.add("Jobs", "Queue", [("Trap", 0.0), ("Sink", 1.0)])
     m.routing.add("Jobs", "Trap", "Trap")
     assert validate_model(m) == []
+
+
+@pytest.mark.parametrize("delay", [0.0, 1.0])
+def test_validate_closed_class_needs_a_path_back_to_its_reference(delay):
+    # at delay 0 the trapped jobs would spin at one instant forever; at
+    # delay 1.0 the run would end with both trapped and report C's system
+    # response time as 0.0
+    assert validate_model(closed_trap_model(delay)) == [
+        f"class C: station {st} has no path back to reference station Ref "
+        "(closed-class jobs reaching it never return)"
+        for st in ("B", "X")
+    ]
+
+    # an edge back with probability 0 is no way back; a positive one is
+    m = closed_trap_model(delay)
+    m.routing.add("C", "X", [("B", 1.0), ("Ref", 0.0)])
+    assert len(validate_model(m)) == 2
+    m.routing.add("C", "X", [("B", 0.5), ("Ref", 0.5)])
+    assert validate_model(m) == []
+
+
+def _queue_with(**fields):
+    model = mm1_model()
+    model.stations[1] = replace(model.stations[1], **fields)
+    return model
+
+
+# count -> a model where it is not an integer, the one diagnostic it gets
+NON_INTEGRAL = {
+    "servers": (_queue_with(servers=1.5), "station Queue: servers must be an integer (got 1.5)"),
+    "capacity": (_queue_with(capacity=2.5), "station Queue: capacity must be an integer (got 2.5)"),
+    "population": (closed_cycle_model(population=1.5),
+                   "class Jobs: population must be an integer (got 1.5)"),
+    "phases": (_queue_with(service={"Jobs": Erlang(2.5, 3.0)}),
+               "station Queue, class Jobs: erlang phases must be an integer (got 2.5)"),
+}
+
+
+@pytest.mark.parametrize("count", NON_INTEGRAL)
+def test_validate_rejects_non_integral_counts(count):
+    # the engine would run ceil(servers) servers yet divide by servers, or
+    # fail mid-run on a fractional population or phase count
+    model, diagnostic = NON_INTEGRAL[count]
+    assert validate_model(model) == [diagnostic]
 
 
 def test_validate_arrivals_need_a_positive_mean():

@@ -240,6 +240,40 @@ def test_cli_open_class_with_no_way_out_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_closed_class_with_no_way_back_exits_2(tmp_path):
+    # at delay 0 the trapped jobs would spin at one instant forever, so
+    # the CLI runs in a child with a time limit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    for delay in (0.0, 1.0):
+        fixed = {"C": {"kind": "deterministic", "value_msec": delay}}
+        model = {
+            "builder": "inline",
+            "stations": [
+                {"name": "Ref", "kind": "delay", "service": {"C": {"kind": "exponential", "mean_msec": 1.0}}},
+                {"name": "A", "kind": "fcfs", "service": {"C": {"kind": "exponential", "mean_msec": 0.5}}},
+                {"name": "B", "kind": "delay", "service": fixed},
+                {"name": "X", "kind": "delay", "service": fixed},
+            ],
+            "classes": [{"name": "C", "kind": "closed", "population": 2, "reference": "Ref"}],
+            "routing": [
+                {"class": "C", "from": "Ref", "to": {"A": 0.5, "B": 0.5}},
+                {"class": "C", "from": "A", "to": "Ref"},
+                {"class": "C", "from": "B", "to": "X"},
+                {"class": "C", "from": "X", "to": "B"},
+            ],
+        }
+        path = _write_config(tmp_path / "trap.yaml", experiment="trap", model=model)
+        out = tmp_path / "o"
+        done = subprocess.run(
+            [sys.executable, "-m", "qnaps.cli", "--config", str(path), "--out", str(out), "--jobs", "1"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "class C: station B has no path back to reference station Ref" in done.stderr
+        assert not out.exists()
+
+
 def test_cli_zero_mean_arrivals_exit_2(tmp_path):
     # such a run would append arrivals at t = 0 forever, so the CLI runs in
     # a child with a time limit and a 1 GiB address-space cap
