@@ -12,16 +12,33 @@ config can satisfy (svg only when a plot section exists; asking for
 Exit codes: 0 success, 2 configuration problem (bad file, bad flag
 value, model that does not validate), 3 simulation deadlock, 4 internal
 invariant failure in the engine (population leak, flow imbalance).
+
+Start-up: the cyclic collector is paused while the engine modules (and
+numpy and yaml with them) are imported, since every object they create
+lives for the whole process. The program entry, entry(), then freezes
+the heap, so neither the collector, nor the exit, nor a forked pool
+worker walks it again. Importing this module or calling main() leaves
+the collector on and nothing frozen.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
-from .config import ConfigError, load_config
-from .kernel import DeadlockError, InvalidModelError, KernelError
-from .runner import run_experiment
+gc.disable()
+try:
+    from .config import ConfigError, load_config
+    from .kernel import DeadlockError, InvalidModelError, KernelError
+    from .runner import run_experiment
+    if not gc.get_freeze_count():
+        # move what the imports made to the oldest generation unwalked;
+        # re-enabling would start a young collection over all of it
+        gc.freeze()
+        gc.unfreeze()
+finally:
+    gc.enable()
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,5 +110,12 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Program entry (``python -m qnaps.cli`` and the ``qnaps`` script):
+    freeze the imported heap, then run main() and exit with its code."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -62,7 +62,9 @@ fill() when one runs out. The extension is built when this module is
 imported, with gcc -O2 -ffp-contract=off (no fused multiply-add, no
 -ffast-math; x86-64 does its double arithmetic in SSE2 registers), into
 src/qnaps/__pycache__ under a name keyed by the sha256 of _loop.c and
-the flags, so an edited source never loads an old binary. If it cannot
+the flags, so an edited source never loads an old binary. gcc runs, and
+subprocess and sysconfig are imported, only when no cached binary
+exists; otherwise the import just loads the cached file. If it cannot
 be built or loaded, one warning goes to stderr and run() uses the Python
 loop.
 """
@@ -72,9 +74,7 @@ import hashlib
 import heapq
 import math
 import os
-import subprocess
 import sys
-import sysconfig
 from collections import deque
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
@@ -778,11 +778,16 @@ def _build_loop(cc: str, cache_dir: Path):
     try:
         path = _loop_path(_LOOP_SOURCE.read_bytes(), cache_dir)
         if not path.exists():
+            import subprocess  # the compiler tools load only on a cache miss
+            import sysconfig
+
             cache_dir.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
             include = "-I" + sysconfig.get_paths()["include"]
-            subprocess.run([cc, *_CFLAGS, include, str(_LOOP_SOURCE), "-o", str(tmp)],
-                           check=True, capture_output=True, text=True)
+            done = subprocess.run([cc, *_CFLAGS, include, str(_LOOP_SOURCE), "-o", str(tmp)],
+                                  capture_output=True, text=True)
+            if done.returncode:
+                return _unavailable(f"{cc} exited {done.returncode}: {done.stderr.strip()[-2000:]}")
             os.replace(tmp, path)
             for old in cache_dir.glob(f"_loop_*{EXTENSION_SUFFIXES[0]}"):
                 if old != path:
@@ -791,16 +796,16 @@ def _build_loop(cc: str, cache_dir: Path):
         module = module_from_spec(spec_from_loader(loader.name, loader))
         loader.exec_module(module)
         return module
-    except subprocess.CalledProcessError as exc:
-        reason = f"{cc} exited {exc.returncode}: {exc.stderr.strip()[-2000:]}"
     except (OSError, ImportError) as exc:
-        reason = f"{type(exc).__name__}: {exc}"
+        return _unavailable(f"{type(exc).__name__}: {exc}")
     finally:
         if tmp is not None:
             tmp.unlink(missing_ok=True)
+
+
+def _unavailable(reason: str) -> None:
     print(f"qnaps: compiled event loop unavailable ({reason}); using the Python loop",
           file=sys.stderr)
-    return None
 
 
 _loop = _build_loop("gcc", Path(__file__).with_name("__pycache__"))

@@ -224,9 +224,13 @@ def _check_parameters(dist, where: str, allow_inf: bool, arrival: bool) -> list[
     elif k == "uniform":
         if not 0 <= dist.low <= dist.high:
             out.append(f"{where}: uniform bounds need 0 <= low <= high")
+        elif math.isinf(dist.high):  # low + inf * 0 is nan
+            out.append(f"{where}: uniform bounds must be finite")
     elif k == "shifted":
         if not dist.offset >= 0:
             out.append(f"{where}: shift offset must be >= 0")
+        elif math.isinf(dist.offset) and not allow_inf:
+            out.append(f"{where}: infinite shift offset is only allowed at delay stations")
         out += _check_parameters(dist.base, where, allow_inf, arrival)
     elif k == "mixture":
         if not 0.0 <= dist.p_extra <= 1.0:

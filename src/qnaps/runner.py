@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, render
@@ -123,6 +122,8 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
     per_point = []
     try:
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # a serial run never loads the pool
+
             pool = ProcessPoolExecutor(max_workers=min(jobs, len(grid)))
             results = pool.map(_run_one, grid)
         else:

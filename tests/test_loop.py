@@ -307,6 +307,31 @@ def test_build_failure_warns_once_and_falls_back(tmp_path, capsys, monkeypatch):
         assert pinned_samples(case) == frozen[case]
 
 
+def test_compiler_that_exits_1_warns_once_and_leaves_no_file(tmp_path, capsys):
+    # the compiler starts, writes part of its output and fails
+    cc = tmp_path / "failing-cc"
+    cc.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\n'
+                  'echo partial > "$2"\necho "_loop.c:1: error: broken" >&2\nexit 1\n')
+    cc.chmod(0o755)
+    cache = tmp_path / "cache"
+    assert kernel._build_loop(str(cc), cache) is None
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "compiled event loop unavailable" in err[0]
+    assert f"{cc} exited 1" in err[0] and "error: broken" in err[0]
+    assert list(cache.iterdir()) == []
+
+
+def test_unloadable_cached_binary_warns_without_building(tmp_path, capsys):
+    # a cache hit never runs the compiler, so its failure is the load's
+    cached = kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), tmp_path)
+    cached.write_bytes(b"not a shared object")
+    assert kernel._build_loop(str(tmp_path / "no-such-cc"), tmp_path) is None
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "compiled event loop unavailable (ImportError: " in err[0]
+    assert sorted(tmp_path.iterdir()) == [cached]
+
+
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
 def test_build_from_scratch_loads_and_replaces_older_binaries(tmp_path, capsys, monkeypatch):
     stale = tmp_path / f"_loop_0123456789abcdef{EXTENSION_SUFFIXES[0]}"

@@ -197,6 +197,33 @@ def test_validate_infinite_service_needs_delay_station():
     _diag_contains(m, "infinite")
 
 
+# distribution with an infinite part -> (its diagnostic, also rejected at a delay station)
+INFINITE_PARTS = {
+    "Uniform(0.5, inf)": (Uniform(0.5, math.inf), "uniform bounds must be finite", True),
+    "Uniform(0, inf)": (Uniform(0.0, math.inf), "uniform bounds must be finite", True),
+    "Shifted(inf, Exponential(1))": (Shifted(math.inf, Exponential(1.0)),
+                                     "infinite shift offset is only allowed at delay stations", False),
+    "Mixture(.., Uniform(0, inf))": (Mixture(0.1, Exponential(1.0), Uniform(0.0, math.inf)),
+                                     "uniform bounds must be finite", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_PARTS))
+def test_validate_rejects_infinite_uniform_bounds_and_shift_offsets(name):
+    # a uniform with high = inf yields low + inf * 0 = nan at u = 0, so it
+    # is refused everywhere; an infinite offset follows the deterministic rule
+    dist, message, at_delays = INFINITE_PARTS[name]
+    fcfs = mm1_model()
+    fcfs.stations[1] = replace(fcfs.stations[1], service={"Jobs": dist})
+    assert validate_model(fcfs) == [f"station Queue, class Jobs: {message}"]
+    delay = mm1_model()
+    delay.stations[1] = replace(delay.stations[1], kind=DELAY, service={"Jobs": dist})
+    assert validate_model(delay) == ([f"station Queue, class Jobs: {message}"] if at_delays else [])
+    arrival = mm1_model()
+    arrival.classes[0] = replace(arrival.classes[0], arrival=dist)
+    assert validate_model(arrival) == [f"class Jobs arrival: {message}"]
+
+
 def test_validate_class_requirements():
     m = mm1_model()
     m.classes[0] = JobClass("Jobs", "open", arrival=None)

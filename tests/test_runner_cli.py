@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from qnaps import kernel
 from qnaps.cli import main
 from qnaps.config import apply_sweep_value, build_model_from_config, load_config
 from qnaps.kernel import KernelError, run_replication
@@ -334,6 +335,29 @@ def test_cli_routing_into_a_source_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_infinite_uniform_service_exits_2(tmp_path, capsys):
+    # it ran with exit 0 and wrote a response time of 0.0 for a queue that never empties
+    model = {
+        "builder": "inline",
+        "stations": [
+            {"name": "Source", "kind": "source"},
+            {"name": "Q", "kind": "fcfs",
+             "service": {"Jobs": {"kind": "uniform", "low_msec": 0.5, "high_msec": float("inf")}}},
+            {"name": "Sink", "kind": "sink"},
+        ],
+        "classes": [{"name": "Jobs", "kind": "open", "arrival": {"kind": "exponential", "rate_per_msec": 0.5}}],
+        "routing": [
+            {"class": "Jobs", "from": "Source", "to": "Q"},
+            {"class": "Jobs", "from": "Q", "to": "Sink"},
+        ],
+    }
+    path = _write_config(tmp_path / "inf.yaml", experiment="inf", model=model)
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert "station Q, class Jobs: uniform bounds must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_internal_error_exits_4_without_outputs(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise KernelError("flow imbalance for class Analysis: created 3, sunk 1, dropped 0, in network 1")
@@ -346,23 +370,63 @@ def test_cli_internal_error_exits_4_without_outputs(tmp_path, capsys, monkeypatc
     assert not out.exists() or not list(out.iterdir())
 
 
+def _child(probe: str) -> str:
+    """Last line the probe prints, run in a fresh interpreter on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # the CI quantile is computed in the standard library and SVG text is
     # escaped without xml.sax; a whole run, not only the import, must load
-    # no scipy, xml.sax or urllib.request module, so a lazy import fails too
+    # no scipy, xml.sax or urllib.request module, so a lazy import fails too.
+    # A serial run with the compiled loop already cached loads neither the
+    # pool nor the compiler tools.
+    heavy = ("scipy", "xml.sax", "urllib.request")
+    if kernel._loop is not None:  # the cached binary is there
+        heavy += ("concurrent.futures", "multiprocessing", "subprocess", "sysconfig")
     cfg = _write_config(tmp_path / "tiny.yaml")
     probe = (
         "import sys, qnaps.cli\n"
         f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r},"
         " '--jobs', '1', '--format', 'all']) == 0\n"
-        "print(sorted(m for m in sys.modules for heavy in ('scipy', 'xml.sax', 'urllib.request')"
+        f"print(sorted(m for m in sys.modules for heavy in {heavy!r}"
         " if m == heavy or m.startswith(heavy + '.')))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert _child(probe) == "[]"
     assert (tmp_path / "o" / "tiny.csv").exists()
+
+
+def test_import_and_main_leave_the_collector_on_and_unfrozen(tmp_path):
+    # the collector is paused only for the engine imports, and only the
+    # program entry freezes the heap: a caller of main() keeps its own
+    cfg = _write_config(tmp_path / "tiny.yaml")
+    probe = (
+        "import gc\n"
+        "frozen = gc.get_freeze_count()\n"
+        "import qnaps.cli\n"
+        "imported = (gc.isenabled(), gc.get_freeze_count() - frozen)\n"
+        f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(imported, (gc.isenabled(), gc.get_freeze_count() - frozen))"
+    )
+    assert _child(probe) == "(True, 0) (True, 0)"
+
+
+def test_program_entry_freezes_the_heap(tmp_path):
+    # run as `python -m qnaps.cli` runs it; the installed script calls the same entry
+    cfg = _write_config(tmp_path / "tiny.yaml")
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+        f"sys.argv = ['qnaps', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]\n"
+        "runpy.run_module('qnaps.cli', run_name='__main__')"
+    )
+    assert _child(probe) == "True True"
+    assert (tmp_path / "o" / "tiny.csv").exists()
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\nqnaps = "qnaps.cli:entry"\n' in pyproject
 
 
 def test_cli_jobs_below_one_is_a_config_error(tmp_path):
