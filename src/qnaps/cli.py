@@ -92,8 +92,6 @@ def main(argv=None) -> int:
             warmup=args.warmup,
             outputs=outputs,
         )
-        if "svg" in cfg.outputs and cfg.plot is None:
-            raise ConfigError("--format svg: config has no plot section")
         jobs = _pick_jobs(args.jobs, cfg.jobs)
         written = run_experiment(cfg, out_dir=args.out, jobs=jobs, echo=print)
         for path in written:

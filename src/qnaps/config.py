@@ -54,10 +54,13 @@ be swept over). Valid roots are ``model.params.<field>`` and
 ``antipattern.<field>``, a field of the section's kind; anything else is
 rejected by name.
 
-A validation section is checked against the model before any
-replication runs: every scenario graph must reduce, the scenarios and
-the model's classes must pair off one to one, and each class's
-comparison resource must carry demand in its scenario.
+Each sweep point's model is built and validated at parse time, and the
+sections that refer to it are checked against it before any replication
+runs: every plot series must name an estimate the model has (the metric
+names per station kind are model.METRICS), and for a validation section
+every scenario graph must reduce, the scenarios and the model's classes
+must pair off one to one, and each class's comparison resource must
+carry demand in its scenario and be an fcfs station serving the class.
 
 All numbers accept plain YAML scalars; numeric strings are coerced so
 ``1e6`` works regardless of the YAML float grammar corner cases.
@@ -178,7 +181,7 @@ def parse_distribution(node, where: str) -> qm.Distribution:
     if kind == "exponential":
         if "rate_per_msec" in node:
             return qm.Exponential(number("rate_per_msec"))
-        return qm.Exponential.from_mean(mean())
+        return qm.Exponential(1.0 / mean())
     if kind == "deterministic":
         return qm.Deterministic(number("value_msec"))
     if kind == "erlang":
@@ -269,9 +272,6 @@ class _Run:
     horizon: float = field(default=1e5, metadata={"key": "horizon_msec"})
     warmup: float = field(default=0.0, metadata={"key": "warmup_msec"})
     jobs: WorkerCount | None = None
-
-    def __post_init__(self):
-        _check_run_numbers(self.replications, self.seed, self.horizon, self.warmup)
 
 
 @dataclass(frozen=True)
@@ -472,8 +472,8 @@ def parse_antipattern(section: dict) -> antipatterns.Spec:
 def build_model_from_config(model_section: dict, antipattern_section: dict | None) -> qm.NetworkModel:
     """Construct (and transform) the network a config describes.
 
-    Pure function of the two sections, so sweep points and worker
-    processes can rebuild identical models from patched copies.
+    Pure function of the two sections, so each sweep point builds its
+    model from patched copies.
     """
     section = _mapping(model_section, "model")
     builder = _string(section.get("builder", ""), "model.builder") if "builder" in section else ""
@@ -550,10 +550,20 @@ def apply_sweep_value(cfg: "ExperimentConfig", value):
     return model_section, antipattern_section
 
 
+def _metric_keys(net: qm.NetworkModel) -> set[tuple[str, str, str]]:
+    """The (station, class, metric) keys a replication of net estimates."""
+    keys = {(qm.SYSTEM_STATION, jc.name, m) for jc in net.classes for m in qm.METRICS[qm.SYSTEM_STATION]}
+    for st in net.stations:
+        for cname in (*st.service, qm.ALL_CLASSES):
+            keys.update((st.name, cname, m) for m in qm.METRICS.get(st.kind, ()))
+    return keys
+
+
 def _check_validation(spec: ValidationSpec, net: qm.NetworkModel) -> None:
-    """The scenario graphs reduce, and the scenarios pair off with the
-    model's classes, so the validation table cannot fail after the
-    replications have run."""
+    """The scenario graphs reduce, the scenarios pair off with the
+    model's classes and each class's comparison resource has a
+    utilization estimate for it, so the validation table cannot fail
+    after the replications have run."""
     for i, scenario in enumerate(spec.scenarios):
         try:
             reduce(scenario.root)
@@ -563,6 +573,13 @@ def _check_validation(spec: ValidationSpec, net: qm.NetworkModel) -> None:
         check_scenarios(spec.scenarios, [jc.name for jc in net.classes], spec.resource_map)
     except EgError as exc:
         raise ConfigError(f"validation: {exc}") from exc
+    keys = _metric_keys(net)
+    for cname, resource in spec.resource_map.items():
+        if (resource, cname, "utilization") not in keys:
+            raise ConfigError(
+                f"validation.resource_map.{cname}: {resource!r} is not an fcfs station "
+                f"serving class {cname!r}, so it has no utilization to compare"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +590,10 @@ def _check_validation(spec: ValidationSpec, net: qm.NetworkModel) -> None:
 class ExperimentConfig:
     """Fully parsed experiment description.
 
-    model and antipattern are kept as raw (normalized) mappings so sweep
-    points and worker processes can patch and rebuild them; everything
-    else is parsed to typed values up front.
+    model and antipattern are kept as raw (normalized) mappings so each
+    sweep point can patch and rebuild them; everything else is parsed to
+    typed values up front. Construction (and so with_overrides) checks
+    the run numbers and that svg output has a plot to draw.
     """
 
     experiment: str
@@ -593,24 +611,45 @@ class ExperimentConfig:
     validation: ValidationSpec | None
     config_sha256: str
 
+    def __post_init__(self):
+        if self.replications < 2:
+            raise ConfigError(
+                f"run.replications: need at least 2 for interval estimates, got {self.replications}"
+            )
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"run.seed: must fit in 64 bits, got {self.seed}")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ConfigError(f"run.horizon_msec: must be positive and finite, got {self.horizon}")
+        if not (0 <= self.warmup < self.horizon):
+            raise ConfigError(f"run.warmup_msec: must satisfy 0 <= warmup < horizon, got {self.warmup}")
+        if "svg" in self.outputs:
+            if self.plot is None:
+                raise ConfigError("outputs: svg requested but no plot section given")
+            for v in self.sweep_values:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ConfigError(f"plot: sweep values must be numeric to plot, got {v!r}")
+
     def with_overrides(self, *, seed=None, replications=None, horizon=None,
                        warmup=None, outputs=None) -> "ExperimentConfig":
         given = {"seed": seed, "replications": replications, "horizon": horizon,
                  "warmup": warmup, "outputs": outputs}
-        cfg = dataclasses.replace(self, **{k: v for k, v in given.items() if v is not None})
-        _check_run_numbers(cfg.replications, cfg.seed, cfg.horizon, cfg.warmup)
-        return cfg
+        return dataclasses.replace(self, **{k: v for k, v in given.items() if v is not None})
 
-
-def _check_run_numbers(replications: int, seed: int, horizon: float, warmup: float) -> None:
-    if replications < 2:
-        raise ConfigError(f"run.replications: need at least 2 for interval estimates, got {replications}")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"run.seed: must fit in 64 bits, got {seed}")
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ConfigError(f"run.horizon_msec: must be positive and finite, got {horizon}")
-    if not (0 <= warmup < horizon):
-        raise ConfigError(f"run.warmup_msec: must satisfy 0 <= warmup < horizon, got {warmup}")
+    def points(self):
+        """(sweep value, built and validated model) for each sweep point in
+        order; a config without a sweep has one point, value None."""
+        sweep = self.sweep_parameter is not None
+        for value in self.sweep_values if sweep else (None,):
+            sections = apply_sweep_value(self, value) if sweep else (self.model, self.antipattern)
+            spot = f" (sweep {self.sweep_parameter} = {value!r})" if sweep else ""
+            try:
+                net = build_model_from_config(*sections)
+            except ConfigError as exc:
+                raise ConfigError(f"{exc}{spot}") from exc
+            diags = qm.validate_model(net)
+            if diags:
+                raise ConfigError("model does not validate" + spot + ":\n  " + "\n  ".join(diags))
+            yield value, net
 
 
 def parse_config(doc, *, digest: str = "") -> ExperimentConfig:
@@ -629,8 +668,6 @@ def parse_config(doc, *, digest: str = "") -> ExperimentConfig:
         raise ConfigError(
             f"outputs: expected a non-empty subset of {', '.join(OUTPUT_FORMATS)}; got {list(outputs)!r}"
         )
-    if "svg" in outputs and top.plot is None:
-        raise ConfigError("outputs: svg requested but no plot section given")
 
     sweep = top.sweep
     if sweep is not None:
@@ -654,18 +691,17 @@ def parse_config(doc, *, digest: str = "") -> ExperimentConfig:
         validation=top.validation,
         config_sha256=digest,
     )
-    # Trial build now: a broken model should fail at parse time, not
-    # mid-experiment, and sweep values must each produce a buildable model.
-    for value in cfg.sweep_values if sweep else (None,):
-        sections = apply_sweep_value(cfg, value) if sweep else (cfg.model, cfg.antipattern)
-        spot = f" (sweep {sweep.parameter} = {value!r})" if sweep else ""
-        try:
-            net = build_model_from_config(*sections)
-        except ConfigError as exc:
-            raise ConfigError(f"{exc}{spot}") from exc
-        diags = qm.validate_model(net)
-        if diags:
-            raise ConfigError("model does not validate" + spot + ":\n  " + "\n  ".join(diags))
+    # Trial build now: a broken model, plot or validation section should
+    # fail at parse time, not after the replications have run.
+    for value, net in cfg.points():
+        keys = _metric_keys(net)
+        for i, sel in enumerate(cfg.plot.series if cfg.plot is not None else ()):
+            if (sel.station, sel.job_class, sel.metric) not in keys:
+                raise ConfigError(
+                    f"plot.series[{i}]: no estimate for station={sel.station!r} "
+                    f"class={sel.job_class!r} metric={sel.metric!r}"
+                    + (f" (sweep {sweep.parameter} = {value!r})" if sweep else "")
+                )
     if cfg.validation is not None:
         _check_validation(cfg.validation, net)
     return cfg

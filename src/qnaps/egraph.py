@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .model import PROB_TOL
 from .stats import ConfidenceInterval, response_time_error, utilization_error
-
-PROB_TOL = 1e-9
 
 # reduced form: resource name -> msec of demand
 DemandVector = dict

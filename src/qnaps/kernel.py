@@ -79,6 +79,7 @@ from collections import deque
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from itertools import repeat
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
@@ -86,10 +87,13 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .model import (
+    ALL_CLASSES,
     DELAY,
     FCFS,
+    METRICS,
     SINK,
     SOURCE,
+    SYSTEM_STATION,
     NetworkModel,
     _class_start,
     validate_model,
@@ -690,48 +694,34 @@ class _Engine:
 
         window = horizon - warm
         samples = []
-        add = samples.append
+
+        def row(station, cname, metrics, servers, area, barea, ssum, scnt, drops):
+            value = {
+                "utilization": barea / (servers * window),
+                "response-time-msec": ssum / scnt if scnt else 0.0,
+                "throughput-per-msec": scnt / window,
+                "queue-length": area / window,
+                "dropped-count": float(drops),
+                "dropped-rate-per-msec": drops / window,
+            }
+            samples.extend(MetricSample(station, cname, m, value[m]) for m in metrics)
+
         for s, st in enumerate(model.stations):
-            if st.kind not in (FCFS, DELAY):
+            metrics = METRICS.get(st.kind)
+            if metrics is None:
                 continue
-            fcfs = st.kind == FCFS
-            tot_area = tot_barea = tot_ssum = 0.0
-            tot_scnt = tot_drops = 0
+            # a running total from 0.0 in class order, not sum(): its float
+            # summation is compensated from Python 3.12 on
+            total = (0.0, 0.0, 0.0, 0, 0)
             for c, jc in enumerate(model.classes):
-                if jc.name not in st.service:
-                    continue
-                area, barea, ssum, scnt, drops = cells[s * ncl + c]
-                cname = jc.name
-                resp = ssum / scnt if scnt else 0.0
-                if fcfs:
-                    add(MetricSample(st.name, cname, "utilization",
-                                     barea / (st.servers * window)))
-                add(MetricSample(st.name, cname, "response-time-msec", resp))
-                add(MetricSample(st.name, cname, "throughput-per-msec", scnt / window))
-                add(MetricSample(st.name, cname, "queue-length", area / window))
-                if fcfs:
-                    add(MetricSample(st.name, cname, "dropped-count", float(drops)))
-                    add(MetricSample(st.name, cname, "dropped-rate-per-msec", drops / window))
-                tot_area += area
-                tot_barea += barea
-                tot_ssum += ssum
-                tot_scnt += scnt
-                tot_drops += drops
-            resp = tot_ssum / tot_scnt if tot_scnt else 0.0
-            if fcfs:
-                add(MetricSample(st.name, "all", "utilization", tot_barea / (st.servers * window)))
-            add(MetricSample(st.name, "all", "response-time-msec", resp))
-            add(MetricSample(st.name, "all", "throughput-per-msec", tot_scnt / window))
-            add(MetricSample(st.name, "all", "queue-length", tot_area / window))
-            if fcfs:
-                add(MetricSample(st.name, "all", "dropped-count", float(tot_drops)))
-                add(MetricSample(st.name, "all", "dropped-rate-per-msec", tot_drops / window))
+                if jc.name in st.service:
+                    cell = cells[s * ncl + c]
+                    row(st.name, jc.name, metrics, st.servers, *cell)
+                    total = tuple(map(add, total, cell))
+            row(st.name, ALL_CLASSES, metrics, st.servers, *total)
 
         for jc, (_, _, _, _, rsum, rcnt, larea) in zip(model.classes, classes):
-            resp = rsum / rcnt if rcnt else 0.0
-            add(MetricSample("system", jc.name, "response-time-msec", resp))
-            add(MetricSample("system", jc.name, "throughput-per-msec", rcnt / window))
-            add(MetricSample("system", jc.name, "queue-length", larea / window))
+            row(SYSTEM_STATION, jc.name, METRICS[SYSTEM_STATION], 1, larea, 0.0, rsum, rcnt, 0)
 
         return ReplicationResult(self.seed, horizon, warm, samples)
 

@@ -21,6 +21,15 @@ STATION_KINDS = (FCFS, DELAY, SOURCE, SINK)
 SYSTEM_STATION = "system"
 ALL_CLASSES = "all"
 
+# the metrics of each station kind that has any, in sample order; the
+# system rows (one per class) take the SYSTEM_STATION entry
+_FLOW = ("response-time-msec", "throughput-per-msec", "queue-length")
+METRICS = {
+    FCFS: ("utilization",) + _FLOW + ("dropped-count", "dropped-rate-per-msec"),
+    DELAY: _FLOW,
+    SYSTEM_STATION: _FLOW,
+}
+
 PROB_TOL = 1e-9
 
 
@@ -32,10 +41,6 @@ class Exponential:
     rate: float  # per msec
 
     kind = "exponential"
-
-    @classmethod
-    def from_mean(cls, mean: float) -> "Exponential":
-        return cls(1.0 / mean)
 
     def mean(self) -> float:
         return math.inf if self.rate == 0.0 else 1.0 / self.rate
@@ -165,18 +170,6 @@ class NetworkModel:
     # watched class -> (poller class, station): a watched job counts as
     # finished only when the poller next completes service at the station.
     detection: dict[str, tuple[str, str]] = field(default_factory=dict)
-
-    def station(self, name: str) -> Station:
-        for s in self.stations:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
-    def job_class(self, name: str) -> JobClass:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def station_names(self) -> list[str]:
         return [s.name for s in self.stations]

@@ -12,15 +12,15 @@ The sweep index is deliberately not mixed in: every sweep point sees the
 same seed list, so paired comparisons across sweep values run under
 common random numbers. The manifest records the derived list.
 
-The whole experiment is one flat grid of (sweep point x replication)
-payloads, point-major, sent through a single map: builtin map at one
-worker, one process pool's map otherwise, so no sweep point waits for
-the slowest replication of the one before it. Payloads carry only the
-patched config sections (plain data); workers rebuild the model locally
-and return their replication's samples. Results come back in grid
-order and are folded in (point, replication) order, each point reduced
-and announced as its last replication arrives, so the worker count never
-changes any number. The first failing replication stops the run: the
+Each sweep point's model is built once, here, by the config's points().
+The whole experiment is then one flat grid of (point model x replication
+seed), point-major, over which kernel.run_replication is mapped: builtin
+map at one worker, one process pool's map otherwise, so no sweep point
+waits for the slowest replication of the one before it. A worker gets
+the pickled model and returns its replication's samples. Results come
+back in grid order and are folded in (point, replication) order, each
+point reduced and announced as its last replication arrives, so the
+worker count never changes any number. The first failing replication stops the run: the
 pool's map cancels every replication not yet handed to a worker.
 """
 
@@ -29,10 +29,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__, render
-from .config import ConfigError, ExperimentConfig, apply_sweep_value, build_model_from_config
+from .config import ExperimentConfig
 from .egraph import build_validation_table
 from .kernel import run_replication
 from .stats import MetricAccumulator
@@ -47,14 +48,6 @@ def replication_seed(base_seed: int, sweep_index: int, rep_index: int) -> int:
     return (base_seed ^ rep_index) & SEED_MASK
 
 
-def _run_one(payload):
-    """Worker: rebuild the model from plain config sections and run one
-    replication. Top level so it pickles."""
-    model_section, antipattern_section, seed, horizon, warmup = payload
-    net = build_model_from_config(model_section, antipattern_section)
-    return run_replication(net, seed=seed, horizon=horizon, warmup=warmup)
-
-
 def _sweep_value_text(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -64,30 +57,19 @@ def _sweep_value_text(value) -> str:
 
 
 def _plot_series(cfg: ExperimentConfig, per_point) -> list[render.PlotSeries]:
-    """per_point: list of (sweep_value, estimates)."""
-    if cfg.sweep_parameter is not None:
-        xs = []
-        for v, _ in per_point:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(
-                    f"plot: sweep values must be numeric to plot, got {v!r}"
-                )
-            xs.append(float(v))
-    else:
-        xs = [0.0]
+    """per_point: list of (sweep_value, estimates). The config checked at
+    parse time that sweep values are numbers and every series has an
+    estimate at every point."""
+    xs = tuple(float(v) for v, _ in per_point) if cfg.sweep_parameter is not None else (0.0,)
     series = []
     for sel in cfg.plot.series:
         key = (sel.station, sel.job_class, sel.metric)
-        ys, hws = [], []
-        for v, est in per_point:
-            if key not in est:
-                raise ConfigError(
-                    f"plot: no estimate for station={sel.station!r} "
-                    f"class={sel.job_class!r} metric={sel.metric!r}"
-                )
-            ys.append(est[key].mean)
-            hws.append(est[key].half_width)
-        series.append(render.PlotSeries(label=sel.label, x=tuple(xs), y=tuple(ys), hw=tuple(hws)))
+        series.append(render.PlotSeries(
+            label=sel.label,
+            x=xs,
+            y=tuple(est[key].mean for _, est in per_point),
+            hw=tuple(est[key].half_width for _, est in per_point),
+        ))
     return series
 
 
@@ -104,19 +86,11 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
     out_dir = Path(out_dir)
     say = echo if echo is not None else (lambda _: None)
 
-    points = list(cfg.sweep_values) if cfg.sweep_parameter is not None else [None]
+    points = list(cfg.points())
     reps = cfg.replications
-    grid = []
-    for i, value in enumerate(points):
-        if cfg.sweep_parameter is not None:
-            model_section, antipattern_section = apply_sweep_value(cfg, value)
-        else:
-            model_section, antipattern_section = cfg.model, cfg.antipattern
-        grid += [
-            (model_section, antipattern_section, replication_seed(cfg.seed, i, r),
-             cfg.horizon, cfg.warmup)
-            for r in range(reps)
-        ]
+    models = [net for _, net in points for _ in range(reps)]
+    seeds = [replication_seed(cfg.seed, i, r) for i in range(len(points)) for r in range(reps)]
+    grid = (models, seeds, repeat(cfg.horizon), repeat(cfg.warmup))
 
     pool = None
     per_point = []
@@ -124,17 +98,17 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor  # a serial run never loads the pool
 
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(grid)))
-            results = pool.map(_run_one, grid)
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(seeds)))
+            results = pool.map(run_replication, *grid)
         else:
-            results = map(_run_one, grid)
+            results = map(run_replication, *grid)
         for k, result in enumerate(results):
             i, r = divmod(k, reps)
             if r == 0:
                 acc = MetricAccumulator()
             acc.add(r, result)
             if r == reps - 1:
-                value = points[i]
+                value = points[i][0]
                 per_point.append((value, acc.estimates()))
                 if cfg.sweep_parameter is not None:
                     say(f"{cfg.experiment}: {cfg.sweep_parameter} = {_sweep_value_text(value)} done "
@@ -189,8 +163,6 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
         artifacts[f"{cfg.experiment}_validation.csv"] = render.render_validation_csv(validation_rows)
 
     if "svg" in cfg.outputs:
-        if cfg.plot is None:  # load_config enforces this; keep the guard for direct callers
-            raise ConfigError("svg output needs a plot section")
         artifacts[f"{cfg.experiment}.svg"] = render.render_plot(
             _plot_series(cfg, per_point),
             title=cfg.plot.title,

@@ -16,15 +16,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from statistics import NormalDist
 
-METRICS = (
-    "utilization",
-    "response-time-msec",
-    "throughput-per-msec",
-    "queue-length",
-    "dropped-count",
-    "dropped-rate-per-msec",
-)
-
 CI_LEVEL = 0.99
 
 
@@ -50,9 +41,6 @@ class ReplicationResult:
     horizon: float
     warmup: float
     samples: list[MetricSample] = field(default_factory=list)
-
-    def table(self) -> dict:
-        return {s.key: s.value for s in self.samples}
 
 
 @dataclass(frozen=True)
@@ -167,36 +155,19 @@ class MetricAccumulator:
         self._cells: dict[tuple, dict[int, float]] = {}
         self._reps: set[int] = set()
 
-    def key_space(self) -> frozenset:
-        return frozenset(self._cells)
-
     def add(self, rep_index: int, result: ReplicationResult) -> None:
         if rep_index in self._reps:
             raise EstimateError(f"replication index {rep_index} already present")
         if self._reps:
             incoming = frozenset(s.key for s in result.samples)
-            if incoming != self.key_space():
+            if incoming != frozenset(self._cells):
                 raise EstimateError("replication sample key space does not match accumulator")
         self._reps.add(rep_index)
         for s in result.samples:
             self._cells.setdefault(s.key, {})[rep_index] = s.value
 
-    def estimate(self, station: str, job_class: str, metric: str) -> ConfidenceInterval:
-        cell = self._cells.get((station, job_class, metric))
-        if cell is None:
-            raise KeyError((station, job_class, metric))
-        return _interval(cell)
-
     def estimates(self) -> dict[tuple, ConfidenceInterval]:
         return {key: _interval(cell) for key, cell in sorted(self._cells.items())}
-
-
-def estimate(results: list[ReplicationResult]) -> dict[tuple, ConfidenceInterval]:
-    """CIs over a batch of replications (needs at least 2)."""
-    acc = MetricAccumulator()
-    for i, r in enumerate(results):
-        acc.add(i, r)
-    return acc.estimates()
 
 
 def utilization_error(eg_percent: float, qn_percent: float) -> float:

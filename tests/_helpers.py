@@ -26,6 +26,7 @@ from qnaps.model import (
     RoutingTable,
     Station,
 )
+from qnaps.stats import MetricAccumulator
 
 # ---------------------------------------------------------------------------
 # models
@@ -117,6 +118,28 @@ def closed_cycle_model(demands=(1.0, 0.6), population: int = 1) -> NetworkModel:
 
 def run_reps(model: NetworkModel, seeds, horizon: float, warmup: float):
     return [run_replication(model, seed=s, horizon=horizon, warmup=warmup) for s in seeds]
+
+
+def estimate(results):
+    """99% intervals by (station, class, metric) over a list of
+    replications (at least 2), indexed by their list position."""
+    acc = MetricAccumulator()
+    for i, result in enumerate(results):
+        acc.add(i, result)
+    return acc.estimates()
+
+
+def table(result) -> dict:
+    """One replication's samples by (station, class, metric)."""
+    return {s.key: s.value for s in result.samples}
+
+
+def station(model: NetworkModel, name: str) -> Station:
+    return next(s for s in model.stations if s.name == name)
+
+
+def job_class(model: NetworkModel, name: str) -> JobClass:
+    return next(c for c in model.classes if c.name == name)
 
 
 def covers(ci, value: float) -> bool:

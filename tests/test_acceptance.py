@@ -30,7 +30,6 @@ from qnaps.render import render_validation_table
 from qnaps.runner import replication_seed, run_experiment
 from qnaps.stats import (
     ConfidenceInterval,
-    estimate,
     response_time_error,
     utilization_error,
 )
@@ -40,11 +39,13 @@ from _helpers import (
     closed_cycle_model,
     covers,
     eg_expectation_by_paths,
+    estimate,
     exact_mva,
     mm1_model,
     mm1k_drop_probability,
     random_eg,
     run_reps,
+    table,
 )
 
 HORIZON, WARMUP = 1.0e5, 1.0e4
@@ -118,7 +119,7 @@ def test_criterion_02_finite_buffer_drop_probability():
     window = HORIZON - WARMUP
     drops = served = 0.0
     for rep in range(10):
-        res = run_replication(model, seed=500 + rep, horizon=HORIZON, warmup=WARMUP).table()
+        res = table(run_replication(model, seed=500 + rep, horizon=HORIZON, warmup=WARMUP))
         drops += res[("Controller", "Analysis", "dropped-count")]
         served += res[("Controller", "Analysis", "throughput-per-msec")] * window
     p_sim = drops / (drops + served)
@@ -135,7 +136,7 @@ def test_criterion_03_closed_network_matches_exact_mva():
     for n, x_exact, _ in exact_mva((1.0, 0.6), 10):
         model = closed_cycle_model((1.0, 0.6), population=n)
         res = run_replication(model, seed=1234 + n, horizon=HORIZON, warmup=WARMUP)
-        x_sim = res.table()[("system", "Jobs", "throughput-per-msec")]
+        x_sim = table(res)[("system", "Jobs", "throughput-per-msec")]
         assert abs(x_sim - x_exact) <= 0.02 * x_exact, (
             f"population {n}: simulated {x_sim:.5f} vs exact {x_exact:.5f}")
     assert time.perf_counter() - t0 < 120.0
@@ -188,10 +189,10 @@ def test_criterion_04_validation_table_numerics():
 def test_criterion_05_neutral_transforms_are_bit_identical():
     # every kind at its defaults, on a net none of the transforms collides with
     base = build_sensor_net(SensorNetParams(include_polling=False, include_status=False))
-    before = run_replication(base, seed=7, horizon=30000.0, warmup=3000.0).table()
+    before = table(run_replication(base, seed=7, horizon=30000.0, warmup=3000.0))
     for spec_class in SPECS.values():
         transformed = apply(base, spec_class())
-        after = run_replication(transformed, seed=7, horizon=30000.0, warmup=3000.0).table()
+        after = table(run_replication(transformed, seed=7, horizon=30000.0, warmup=3000.0))
         diffs = [k for k in before if before[k] != after.get(k)]
         assert not diffs, f"{spec_class.kind}: changed {len(diffs)} metrics, e.g. {diffs[:3]}"
 

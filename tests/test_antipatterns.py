@@ -19,11 +19,13 @@ from qnaps.antipatterns import (
 from qnaps.kernel import run_replication
 from qnaps.model import BaselineParams, SensorNetParams, build_baseline, build_sensor_net
 
+from _helpers import job_class, station, table
+
 HORIZON, WARMUP, SEED = 30000.0, 3000.0, 7
 
 
 def _table(model, seed=SEED):
-    return run_replication(model, seed=seed, horizon=HORIZON, warmup=WARMUP).table()
+    return table(run_replication(model, seed=seed, horizon=HORIZON, warmup=WARMUP))
 
 
 def _assert_neutral(base_model, transformed_model):
@@ -59,7 +61,7 @@ def test_awty_neutral_at_zero_poll_rate():
 def test_ieok_neutral_at_infinite_check_period():
     base = build_sensor_net(SensorNetParams(include_status=False))
     transformed = apply(base.clone(), IsEverythingOk(check_period=float("inf")))
-    assert transformed.station("StatusThink").service["Status"].mean() == float("inf")
+    assert station(transformed, "StatusThink").service["Status"].mean() == float("inf")
     _assert_neutral(base, transformed)
 
 
@@ -79,11 +81,11 @@ def test_awty_structure_and_detection_gate():
     base = build_sensor_net(SensorNetParams(include_polling=False))
     transformed = apply(base.clone(), AreWeThereYet(f_poll=0.02, poller_count=4, polling_demand=3.0))
     assert transformed.detection == {"Analysis": ("Polling", "Controller")}
-    polling = transformed.job_class("Polling")
+    polling = job_class(transformed, "Polling")
     assert polling.kind == "closed" and polling.population == 4
-    think = transformed.station("PollThink")
+    think = station(transformed, "PollThink")
     assert think.service["Polling"].mean() == pytest.approx(50.0)  # 1 / f_poll
-    ctrl = transformed.station("Controller")
+    ctrl = station(transformed, "Controller")
     assert ctrl.service["Polling"].mean() == pytest.approx(3.0)
     assert transformed.antipattern_tags == ("are-we-there-yet",)
 
@@ -93,37 +95,37 @@ def test_ieok_structure_devices_and_exceptions():
     transformed = apply(
         base.clone(), IsEverythingOk(n_status=3, check_period=100.0, p_exc=0.25, exception_demand=2.0)
     )
-    status = transformed.job_class("Status")
+    status = job_class(transformed, "Status")
     assert status.population == 3
     # checks walk the device chain and return to the think station
     assert dict(transformed.routing.rows["Status"]["Controller"]) == {"Sensor1": 1.0}
     assert dict(transformed.routing.rows["Status"]["Sensor1"]) == {"Sensor2": 1.0}
     assert dict(transformed.routing.rows["Status"]["Sensor2"]) == {"StatusThink": 1.0}
     # exception demand folds into the controller visit as a mixture
-    ctrl_service = transformed.station("Controller").service["Status"]
+    ctrl_service = station(transformed, "Controller").service["Status"]
     assert ctrl_service.kind == "mixture"
     assert ctrl_service.mean() == pytest.approx(1.0 + 0.25 * 2.0)
     assert set(transformed.station_names()) - set(base.station_names()) == {"StatusThink"}
     # every checked device gets a Status service entry
     for device in ("Sensor1", "Sensor2"):
-        assert transformed.station(device).service["Status"].mean() == pytest.approx(0.1)
+        assert station(transformed, device).service["Status"].mean() == pytest.approx(0.1)
 
 
 def test_ieok_explicit_device_list():
     base = build_sensor_net(SensorNetParams(include_status=False))
     transformed = apply(base.clone(), IsEverythingOk(check_period=50.0, devices=("Actor1",)))
-    assert "Status" in transformed.station("Actor1").service
-    assert "Status" not in transformed.station("Sensor1").service
+    assert "Status" in station(transformed, "Actor1").service
+    assert "Status" not in station(transformed, "Sensor1").service
 
 
 def test_wwi_structure_shift_and_cap():
     base = build_sensor_net(SensorNetParams())
     transformed = apply(base.clone(), WhereWasI(overhead=1.5, buffer_capacity=6))
-    svc = transformed.station("Controller").service["Analysis"]
+    svc = station(transformed, "Controller").service["Analysis"]
     assert svc.kind == "shifted" and svc.offset == 1.5
     assert svc.mean() == pytest.approx(1.5 + 2.0)
-    assert transformed.station("Controller").capacity == 6
-    assert base.station("Controller").capacity is None  # the input is left as it was
+    assert station(transformed, "Controller").capacity == 6
+    assert station(base, "Controller").capacity is None  # the input is left as it was
     assert transformed.description.endswith("where-was-i: overhead=1.5 msec, capacity=6")
 
 

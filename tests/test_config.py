@@ -32,6 +32,8 @@ from qnaps.config import (
 from qnaps.egraph import EgScenario, Loop
 from qnaps.model import BaselineParams, JobClass, SensorNetParams, Station, validate_model
 
+from _helpers import station
+
 CONFIG_DIR = Path(qnaps.__file__).parent / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.yaml"))
 PIN = Path(__file__).parent / "data" / "config_pin.json"
@@ -223,6 +225,48 @@ def test_sweep_points_must_build():
         parse_config(doc)
 
 
+_PLOT = {"series": [{"station": "Controller", "class": "all", "metric": "utilization"}]}
+
+UNKNOWN_SERIES = {
+    "misspelled station": (
+        {}, {"station": "Controler", "class": "all", "metric": "utilization"}, ""),
+    "class the station does not serve": (
+        {}, {"station": "Controller", "class": "Ghost", "metric": "utilization"}, ""),
+    "utilization of a delay station": (
+        {}, {"station": "Environment", "class": "Analysis", "metric": "utilization"}, ""),
+    "drops of a system row": (
+        {}, {"station": "system", "class": "Analysis", "metric": "dropped-count"}, ""),
+    "station missing at one sweep point": (
+        {"model": {"builder": "sensor-net"},
+         "sweep": {"parameter": "model.params.sensor_count", "values": [2, 1]}},
+        {"station": "Sensor2", "class": "Status", "metric": "utilization"},
+        " (sweep model.params.sensor_count = 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_SERIES))
+def test_plot_series_must_name_an_estimate_at_every_sweep_point(case):
+    doc, series, spot = UNKNOWN_SERIES[case]
+    message = (f"plot.series[1]: no estimate for station={series['station']!r} "
+               f"class={series['class']!r} metric={series['metric']!r}{spot}")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(_minimal(plot={"series": _PLOT["series"] + [series]}, **doc))
+
+
+def test_svg_needs_a_plot_and_numeric_sweep_values_however_outputs_are_set():
+    with pytest.raises(ConfigError, match="no plot section"):
+        parse_config(_minimal()).with_overrides(outputs=("svg",))
+    for builder, parameter, values in (("baseline", "class_name", ["A", "B"]),
+                                       ("sensor-net", "include_polling", [True, False])):
+        doc = _minimal(model={"builder": builder}, plot=_PLOT,
+                       sweep={"parameter": f"model.params.{parameter}", "values": values})
+        cfg = parse_config(doc)  # csv alone plots nothing
+        with pytest.raises(ConfigError, match=f"sweep values must be numeric to plot, got {values[0]!r}"):
+            cfg.with_overrides(outputs=("csv", "svg"))
+        with pytest.raises(ConfigError, match="must be numeric"):
+            parse_config(dict(doc, outputs=["svg"]))
+
+
 def test_inline_model_round_trip():
     doc = _minimal(
         model={
@@ -248,7 +292,7 @@ def test_inline_model_round_trip():
     cfg = parse_config(doc)
     net = build_model_from_config(cfg.model, None)
     assert net.station_names() == ["Source", "Q1", "Q2", "Sink"]
-    assert net.station("Q2").capacity == 3
+    assert station(net, "Q2").capacity == 3
     assert dict(net.routing.rows["Jobs"]["Q1"]) == {"Q2": 0.5, "Sink": 0.5}
     assert validate_model(net) == []
 
@@ -304,7 +348,7 @@ def test_optional_bound_null_or_inf_means_unbounded():
     omitted = build("{}")
     assert build("{controller_capacity: null}") == omitted
     assert build("{controller_capacity: .inf}") == omitted
-    assert build("{controller_capacity: 4}").station("Controller").capacity == 4
+    assert station(build("{controller_capacity: 4}"), "Controller").capacity == 4
     for bad in ("2.5", "true"):
         with pytest.raises(ConfigError, match="controller_capacity: expected an integer"):
             build(f"{{controller_capacity: {bad}}}")

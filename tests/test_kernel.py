@@ -44,9 +44,17 @@ from qnaps.model import (
     Uniform,
     validate_model,
 )
-from qnaps.stats import estimate
 
-from _helpers import covers, mm1_model, open_trap_model, stopping_arrivals_model
+from _helpers import (
+    covers,
+    estimate,
+    job_class,
+    mm1_model,
+    open_trap_model,
+    station,
+    stopping_arrivals_model,
+    table,
+)
 from test_engine_pin import CASES
 from test_loop import ARRIVAL_PINS, MODELS, arrival_mix_model, kinds
 
@@ -281,11 +289,11 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
     if case == "ieok_exc":
         model_section, antipattern_section, seed = CASES[case]
         model = build_model_from_config(model_section, antipattern_section)
-        dist = model.station("Controller").service["Status"]
+        dist = station(model, "Controller").service["Status"]
         stream = RngStream(seed, "Controller", "Status", "service")
         assert dist == Mixture(0.25, Exponential(2.0), Exponential(1 / 3))
     else:
-        dist = arrival_mix_model().job_class("M").arrival
+        dist = job_class(arrival_mix_model(), "M").arrival
         stream = RngStream(ARRIVAL_PINS[case], "Source", "M", "arrival")
         assert dist == Mixture(0.3, Uniform(1.0, 5.0), Shifted(0.5, Exponential(0.5)))
     sampler = _sampler(dist, stream)
@@ -337,7 +345,7 @@ def _deterministic_queue(capacity=None, service=1.0):
 def test_window_accounting_frozen_case():
     # arrivals at 2,4,6,8; completions at 3,5,7,9; window (3, 10]:
     # the completion at exactly t = warmup is excluded, leaving 3 jobs
-    r = run_replication(_deterministic_queue(), seed=1, horizon=10.0, warmup=3.0).table()
+    r = table(run_replication(_deterministic_queue(), seed=1, horizon=10.0, warmup=3.0))
     assert r[("Queue", "Jobs", "throughput-per-msec")] == pytest.approx(3 / 7, rel=1e-12)
     assert r[("Queue", "Jobs", "response-time-msec")] == pytest.approx(1.0, rel=1e-12)
     assert r[("Queue", "Jobs", "utilization")] == pytest.approx(3 / 7, rel=1e-12)
@@ -350,9 +358,9 @@ def test_arrival_beats_completion_on_time_tie():
     # service 2.0 makes arrivals collide with completions at t=4 and t=8;
     # capacity 1: the arrival processes first on the tie, still sees the
     # finishing job in service, and is dropped
-    r = run_replication(
+    r = table(run_replication(
         _deterministic_queue(capacity=1, service=2.0), seed=1, horizon=10.0, warmup=0.0
-    ).table()
+    ))
     assert r[("Queue", "Jobs", "dropped-count")] == 2
     assert r[("Queue", "Jobs", "throughput-per-msec")] == pytest.approx(2 / 10, rel=1e-12)
     assert r[("Queue", "Jobs", "utilization")] == pytest.approx(0.4, rel=1e-12)
@@ -489,7 +497,7 @@ def test_parked_class_is_dormant_not_deadlocked_beside_open_traffic():
         ],
         routing=routing,
     )
-    r = run_replication(m, seed=8, horizon=2000.0, warmup=100.0).table()
+    r = table(run_replication(m, seed=8, horizon=2000.0, warmup=100.0))
     assert r[("Queue", "Jobs", "throughput-per-msec")] > 0.3
     assert r[("system", "Idle", "throughput-per-msec")] == 0.0
     assert r[("system", "Idle", "response-time-msec")] == 0.0
@@ -522,8 +530,8 @@ def test_detection_gate_stretches_system_time_only():
             m.detection["Work"] = ("Poll", "Queue")
         return m
 
-    plain = run_replication(build(False), seed=21, horizon=50000.0, warmup=5000.0).table()
-    gated = run_replication(build(True), seed=21, horizon=50000.0, warmup=5000.0).table()
+    plain = table(run_replication(build(False), seed=21, horizon=50000.0, warmup=5000.0))
+    gated = table(run_replication(build(True), seed=21, horizon=50000.0, warmup=5000.0))
     r_plain = plain[("system", "Work", "response-time-msec")]
     r_gated = gated[("system", "Work", "response-time-msec")]
     assert r_gated > r_plain  # waiting for the verdict costs time

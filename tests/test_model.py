@@ -29,7 +29,7 @@ from qnaps.model import (
     validate_model,
 )
 
-from _helpers import closed_cycle_model, closed_trap_model, mm1_model, open_trap_model
+from _helpers import closed_cycle_model, closed_trap_model, job_class, mm1_model, open_trap_model
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,6 @@ def _stream(tag="d"):
 
 def test_distribution_means():
     assert Exponential(0.25).mean() == 4.0
-    assert Exponential.from_mean(4.0).rate == 0.25
     assert Deterministic(7.5).mean() == 7.5
     assert Erlang(4, 2.0).mean() == 2.0
     assert Uniform(1.0, 3.0).mean() == 2.0
@@ -403,7 +402,7 @@ def test_sensor_net_default_shape():
                      "StatusThink", "PollThink", "Sink"):
         assert expected in names
     assert [c.name for c in m.classes] == ["Analysis", "Actors", "Status", "Polling"]
-    status = m.job_class("Status")
+    status = job_class(m, "Status")
     assert status.kind == "closed" and status.reference == "StatusThink"
 
 

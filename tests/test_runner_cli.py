@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import yaml
 
 from qnaps import kernel
 from qnaps.cli import main
-from qnaps.config import apply_sweep_value, build_model_from_config, load_config
+from qnaps.config import ConfigError, apply_sweep_value, build_model_from_config, load_config
 from qnaps.kernel import KernelError, run_replication
 from qnaps.runner import replication_seed, run_experiment
 
@@ -115,6 +116,23 @@ def test_flat_grid_matches_serial_bytes_and_reports_points_in_order(tmp_path):
     assert progress[1] == progress[2] == expected
 
 
+def test_run_experiment_builds_each_point_model_once(tmp_path, monkeypatch):
+    cfg = load_config(_write_config(
+        tmp_path / "sweep.yaml",
+        sweep={"parameter": "model.params.arrival_rate", "values": [0.02, 0.05]},
+        run={"replications": 3, "seed": 5, "horizon_msec": 500.0, "warmup_msec": 50.0},
+    ))
+    built = []
+
+    def counting(*sections):
+        built.append(sections)
+        return build_model_from_config(*sections)
+
+    monkeypatch.setattr("qnaps.config.build_model_from_config", counting)
+    run_experiment(cfg, out_dir=tmp_path / "o", jobs=1)
+    assert len(built) == 2  # one per sweep point, none per replication
+
+
 def test_failed_write_leaves_no_partial_outputs(tmp_path):
     cfg = load_config(_write_config(tmp_path / "tiny.yaml"))
     out = tmp_path / "out"
@@ -169,17 +187,53 @@ def test_cli_malformed_outputs_exit_2(tmp_path, capsys):
         assert f"outputs: expected a list, got {got}" in capsys.readouterr().err
 
 
-def test_cli_unsound_validation_exits_2_before_any_replication(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def no_replications(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a replication ran")
 
     monkeypatch.setattr("qnaps.runner.run_replication", never)
+
+
+def test_cli_unsound_validation_exits_2_before_any_replication(tmp_path, capsys, no_replications):
     scenario = {"class": "Ghost", "arrival_rate_per_msec": 0.05, "graph": {"basic": {"Controller": 10.0}}}
     cfg = _write_config(tmp_path / "ghost.yaml",
                         validation={"resource_map": {"Ghost": "Controller"}, "scenarios": [scenario]})
     out = tmp_path / "o"
     assert main(["--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
     assert "validation: class present only on the analytic side: Ghost" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_unknown_plot_series_exits_2_before_any_replication(tmp_path, capsys, no_replications):
+    cfg = _write_config(
+        tmp_path / "plot.yaml",
+        sweep={"parameter": "model.params.arrival_rate", "values": [0.02, 0.05]},
+        outputs=["csv", "svg"],
+        plot={"series": [{"station": "Controler", "class": "all", "metric": "utilization"}]},
+    )
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+    assert "plot.series[0]: no estimate for station='Controler'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_resource_map_without_utilization_exits_2_before_any_replication(
+        tmp_path, capsys, no_replications):
+    # Environment is a delay station: it carries Analysis's demand in the
+    # scenario but has no utilization estimate to compare it with
+    doc = yaml.safe_load((Path(kernel.__file__).with_name("configs") / "table6_validation.yaml").read_text())
+    doc["validation"]["resource_map"]["Analysis"] = "Environment"
+    doc["run"].update(horizon_msec=5e4, warmup_msec=5e3)
+    path = tmp_path / "table6.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    message = ("validation.resource_map.Analysis: 'Environment' is not an fcfs station "
+               "serving class 'Analysis'")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out), "--jobs", "1"]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

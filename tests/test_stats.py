@@ -12,7 +12,6 @@ from qnaps.stats import (
     MetricAccumulator,
     MetricSample,
     ReplicationResult,
-    estimate,
     response_time_error,
     _t_ppf,
     _t_quantile,
@@ -20,7 +19,7 @@ from qnaps.stats import (
 )
 from qnaps.kernel import run_replication
 
-from _helpers import covers, mm1_model
+from _helpers import covers, estimate, mm1_model, table
 
 
 def _result(rep_values, seed=0):
@@ -71,7 +70,7 @@ def test_interval_needs_two_replications():
     acc = MetricAccumulator()
     acc.add(0, _result(1.0))
     with pytest.raises(EstimateError):
-        acc.estimate("Q", "Jobs", "utilization")
+        acc.estimates()
 
 
 # The double nearest the Student-t quantile at p = 0.5 + 0.99 / 2, by dof.
@@ -134,7 +133,7 @@ def test_add_order_invariance_is_exact():
     fwd = MetricAccumulator()
     for i, r in enumerate(results):
         fwd.add(i, r)
-    a = fwd.estimate("Q", "Jobs", "utilization")
+    a = fwd.estimates()[("Q", "Jobs", "utilization")]
 
     rng = random.Random(5)
     for _ in range(10):
@@ -143,7 +142,7 @@ def test_add_order_invariance_is_exact():
         shuffled = MetricAccumulator()
         for i, r in order:
             shuffled.add(i, r)
-        b = shuffled.estimate("Q", "Jobs", "utilization")
+        b = shuffled.estimates()[("Q", "Jobs", "utilization")]
         assert (a.mean, a.half_width, a.n) == (b.mean, b.half_width, b.n)  # bit-identical
 
 
@@ -177,6 +176,6 @@ def test_estimates_cover_every_sampled_key():
     m = mm1_model()
     results = [run_replication(m, seed=s, horizon=2000.0, warmup=100.0) for s in range(3)]
     est = estimate(results)
-    assert set(est) == set(results[0].table())
+    assert set(est) == set(table(results[0]))
     for ci in est.values():
         assert ci.n == 3
