@@ -26,7 +26,7 @@ from functools import partial
 
 import pytest
 
-from qnaps.config import build_model_from_config
+from qnaps.config import build_model_from_config, parse_antipattern, parse_model
 from qnaps.kernel import _BLOCK, RngStream, _arrival_times, _Engine, _loop, _sampler
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 
@@ -54,7 +54,8 @@ def test_engine_run(benchmark, name, loop):
     if loop == "run" and _loop is None:
         pytest.skip("compiled loop not available")
     model_section, antipattern_section, seed = MODELS[name]
-    net = build_model_from_config(model_section, antipattern_section)
+    antipattern = None if antipattern_section is None else parse_antipattern(antipattern_section)
+    net = build_model_from_config(parse_model(model_section), antipattern)
 
     def build_and_run():
         return getattr(_Engine(net, seed, HORIZON, WARMUP), loop)()

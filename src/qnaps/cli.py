@@ -6,8 +6,9 @@
 
 Flags override the config file. Worker count precedence: --jobs, then
 the config's run.jobs, then 1. --format all selects every format the
-config can satisfy (svg only when a plot section exists; asking for
---format svg explicitly without one is an error).
+config can satisfy (svg only when the config is plottable: it has a plot
+section and every sweep value is a number; asking for --format svg
+explicitly when it is not is an error).
 
 Exit codes: 0 success, 2 configuration problem (bad file, bad flag
 value, model that does not validate), 3 simulation deadlock, 4 internal
@@ -80,7 +81,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.format is not None:
             if args.format == "all":
-                outputs = ("csv", "table") + (("svg",) if cfg.plot is not None else ())
+                outputs = ("csv", "table") + (("svg",) if cfg.plottable else ())
             else:
                 outputs = (args.format,)
         else:

@@ -12,16 +12,16 @@ level), _Run, _Sweep, _InlineModel with model.Station, model.JobClass
 and _Route, PlotSpec with SeriesSpec, ValidationSpec with
 egraph.EgScenario, egraph.Loop and _Arm, the builder parameter sets and
 the antipattern parameter sets, one per kind in antipatterns.SPECS (the
-``kind`` key picks the set; a key of another kind is unknown). Each
-field is one YAML key; a field with no default is required, and its
-annotation picks its parser in _FIELD_PARSERS. Every section is closed
-(unknown keys are errors), every list must be non-empty, and every error
-names the full key path, such as ``model.routing[2].from``. Where a
-YAML key differs from the field name, the field's metadata names it:
-``class`` (job_class; class_name in scenarios), ``from`` (frm),
-``arrival_rate_per_msec`` (arrival_rate), ``graph`` (root), ``body`` (a
-loop's child), ``horizon_msec`` and ``warmup_msec`` (horizon and
-warmup).
+``builder`` and ``kind`` keys pick the set; a key of another set is
+unknown). Each field is one YAML key; a field with no default is
+required, and its annotation picks its parser in _FIELD_PARSERS. Every
+section is closed (unknown keys are errors), every list must be
+non-empty, and every error names the full key path, such as
+``model.routing[2].from``. Where a YAML key differs from the field name,
+the field's metadata names it: ``class`` (job_class; class_name in
+scenarios), ``from`` (frm), ``arrival_rate_per_msec`` (arrival_rate),
+``graph`` (root), ``body`` (a loop's child), ``horizon_msec`` and
+``warmup_msec`` (horizon and warmup).
 
 Schema v1, top level::
 
@@ -47,20 +47,19 @@ Model section: either ``builder: baseline | sensor-net`` plus a
     {kind: shifted, offset_msec: o, base: {...}}
     {kind: mixture, p_extra: p, base: {...}, extra: {...}}
 
-Sweep parameter paths resolve against the schema, not the instance: a
-path like ``model.params.status_population`` is valid whenever the
-builder has that field, even if the config omits it (the default would
-be swept over). Valid roots are ``model.params.<field>`` and
-``antipattern.<field>``, a field of the section's kind; anything else is
-rejected by name.
+A sweep parameter names a field of a parsed set, ``model.params.<field>``
+(not of an inline model) or ``antipattern.<field>``, which the config may
+omit (its default is then swept over); anything else is rejected by
+name. A sweep point replaces that one field by the value as the field's
+parser reads it, so ``1e-2`` sweeps a float field as 0.01.
 
-Each sweep point's model is built and validated at parse time, and the
-sections that refer to it are checked against it before any replication
-runs: every plot series must name an estimate the model has (the metric
-names per station kind are model.METRICS), and for a validation section
-every scenario graph must reduce, the scenarios and the model's classes
-must pair off one to one, and each class's comparison resource must
-carry demand in its scenario and be an fcfs station serving the class.
+parse_config builds and validates each point's model once, and checks
+the sections that refer to it before any replication runs: every plot
+series must name an estimate the model has (the metric names per
+station kind are model.METRICS), and for a validation section every
+scenario graph must reduce, the scenarios and the model's classes must
+pair off one to one, and each class's comparison resource must carry
+demand in its scenario and be an fcfs station serving the class.
 
 All numbers accept plain YAML scalars; numeric strings are coerced so
 ``1e6`` works regardless of the YAML float grammar corner cases.
@@ -68,17 +67,18 @@ All numbers accept plain YAML scalars; numeric strings are coerced so
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
 from . import antipatterns, model as qm
 from .egraph import Basic, Branch, EgError, EgNode, EgScenario, Loop, Sequence, check_scenarios, reduce
+from .antipatterns import Spec
 from .model import JobClass, Station
 
 SCHEMA_VERSION = "v1"
@@ -139,6 +139,18 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
+def _tag(section, tag: str, table: dict, where: str) -> tuple[str, dict]:
+    """(name, rest): the entry of table that a tagged section's tag key
+    names (it picks the section's other keys), and the section without it."""
+    section = _mapping(section, where)
+    if tag not in section:
+        raise ConfigError(f"{where}.{tag}: required key is missing")
+    name = _string(section[tag], f"{where}.{tag}")
+    if name not in table:
+        raise ConfigError(f"{where}.{tag}: unknown {tag} {name!r} (expected one of {', '.join(table)})")
+    return name, {key: value for key, value in section.items() if key != tag}
+
+
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -154,15 +166,9 @@ _DIST_KEYS = {
 
 
 def parse_distribution(node, where: str) -> qm.Distribution:
-    node = _mapping(node, where)
-    kind = _string(node.get("kind", ""), f"{where}.kind") if "kind" in node else ""
-    if kind not in _DIST_KEYS:
-        raise ConfigError(
-            f"{where}: unknown distribution kind {kind!r} "
-            f"(expected one of {', '.join(sorted(_DIST_KEYS))})"
-        )
+    kind, node = _tag(node, "kind", _DIST_KEYS, where)
     needs, one_of, takes = _DIST_KEYS[kind]
-    _check_keys(node, needs | one_of | {"kind"}, where)
+    _check_keys(node, needs | one_of, where)
     if not needs <= set(node) or (one_of and len(one_of & set(node)) != 1):
         raise ConfigError(f"{where}: {kind} takes {takes}")
 
@@ -213,11 +219,13 @@ class _Route:
 
 @dataclass(frozen=True)
 class _InlineModel:
-    builder: str
     stations: tuple[Station, ...]
     classes: tuple[JobClass, ...]
     routing: tuple[_Route, ...]
     name: str = "inline"
+
+
+ModelParams = qm.BaselineParams | qm.SensorNetParams | _InlineModel
 
 
 @dataclass(frozen=True)
@@ -284,9 +292,9 @@ class _Sweep:
 class _Document:
     schema: str
     experiment: str
-    model: dict  # kept raw: sweep points patch and rebuild it
+    model: ModelParams
     run: _Run
-    antipattern: dict | None = None  # kept raw, as model
+    antipattern: Spec | None = None
     sweep: _Sweep | None = None
     outputs: tuple[str, ...] = ("csv",)
     plot: PlotSpec | None = None
@@ -367,6 +375,52 @@ def _parse_eg_node(node, where: str):
         raise ConfigError(f"{where}.{tag}: {exc}") from exc
 
 
+# ---------------------------------------------------------------------------
+# tagged sections: the model and the antipattern
+
+
+def _build_inline(spec: _InlineModel) -> qm.NetworkModel:
+    routing = qm.RoutingTable()
+    for row in spec.routing:
+        routing.add(row.job_class, row.frm, row.to)
+    return qm.NetworkModel(
+        name=spec.name,
+        # fcfs is the short spelling of the queueing kind
+        stations=[dataclasses.replace(s, kind=qm.FCFS) if s.kind == "fcfs" else s for s in spec.stations],
+        classes=list(spec.classes),
+        routing=routing,
+        description="inline topology from experiment config",
+    )
+
+
+# builder -> (its parameter set, the function that builds the network)
+_BUILDERS = {
+    "baseline": (qm.BaselineParams, qm.build_baseline),
+    "sensor-net": (qm.SensorNetParams, qm.build_sensor_net),
+    "inline": (_InlineModel, _build_inline),
+}
+
+
+def _builder(model: ModelParams) -> str:
+    return next(name for name, (params_class, _) in _BUILDERS.items() if type(model) is params_class)
+
+
+def parse_model(section, where: str = "model") -> ModelParams:
+    """The builder's parameter set a model section describes. An inline
+    model's keys sit beside its builder key, other builders' under params."""
+    builder, rest = _tag(section, "builder", _BUILDERS, where)
+    if builder != "inline":
+        _check_keys(rest, ("params",), where)
+        rest, where = rest.get("params", {}), f"{where}.params"
+    return _parse_fields(_BUILDERS[builder][0], rest, where)
+
+
+def parse_antipattern(section, where: str = "antipattern") -> Spec:
+    """The antipattern kind's parameter set an antipattern section describes."""
+    kind, rest = _tag(section, "kind", antipatterns.SPECS, where)
+    return _parse_fields(antipatterns.SPECS[kind], rest, where)
+
+
 # Parser for each field annotation of the section dataclasses, the builder
 # parameter sets and the antipattern parameter sets. ``int | None`` is an
 # optional bound: null or an infinite number means unbounded.
@@ -378,8 +432,8 @@ _FIELD_PARSERS = {
     "float": _number,
     "str": _string,
     "str | None": _optional(_string),
-    "dict": _mapping,
-    "dict | None": _optional(_mapping),
+    "ModelParams": parse_model,
+    "Spec | None": _optional(parse_antipattern),
     "Distribution": parse_distribution,
     "Distribution | None": _optional(parse_distribution),
     "Targets": _targets,
@@ -427,127 +481,59 @@ def _parse_fields(cls, section, where: str):
 
 
 # ---------------------------------------------------------------------------
-# model section
-
-_BUILDER_PARAMS = {
-    "baseline": qm.BaselineParams,
-    "sensor-net": qm.SensorNetParams,
-}
+# models and sweep points
 
 
-def _build_inline(spec: _InlineModel) -> qm.NetworkModel:
-    routing = qm.RoutingTable()
-    for row in spec.routing:
-        routing.add(row.job_class, row.frm, row.to)
-    return qm.NetworkModel(
-        name=spec.name,
-        # fcfs is the short spelling of the queueing kind
-        stations=[dataclasses.replace(s, kind=qm.FCFS) if s.kind == "fcfs" else s for s in spec.stations],
-        classes=list(spec.classes),
-        routing=routing,
-        description="inline topology from experiment config",
-    )
-
-
-def _spec_class(section) -> type:
-    """The parameter set of the antipattern kind section names."""
-    section = _mapping(section, "antipattern")
-    if "kind" not in section:
-        raise ConfigError("antipattern.kind: required key is missing")
-    kind = _string(section["kind"], "antipattern.kind")
-    if kind not in antipatterns.SPECS:
-        raise ConfigError(
-            f"antipattern.kind: unknown kind {kind!r} "
-            f"(expected one of {', '.join(antipatterns.SPECS)})"
-        )
-    return antipatterns.SPECS[kind]
-
-
-def parse_antipattern(section: dict) -> antipatterns.Spec:
-    spec_class = _spec_class(section)
-    params = {key: value for key, value in section.items() if key != "kind"}
-    return _parse_fields(spec_class, params, "antipattern")
-
-
-def build_model_from_config(model_section: dict, antipattern_section: dict | None) -> qm.NetworkModel:
-    """Construct (and transform) the network a config describes.
-
-    Pure function of the two sections, so each sweep point builds its
-    model from patched copies.
-    """
-    section = _mapping(model_section, "model")
-    builder = _string(section.get("builder", ""), "model.builder") if "builder" in section else ""
-    if builder == "inline":
-        net = _build_inline(_parse_fields(_InlineModel, section, "model"))
-    elif builder in _BUILDER_PARAMS:
-        _check_keys(section, ("builder", "params"), "model")
-        params = _parse_fields(_BUILDER_PARAMS[builder], section.get("params", {}), "model.params")
+def build_model_from_config(model: ModelParams, antipattern: Spec | None) -> qm.NetworkModel:
+    """The network the model parameter set describes, transformed by the
+    antipattern parameter set when one is given. What a builder's own
+    checks reject (sensor_count < 1) is a config error at model.params."""
+    try:
+        net = _BUILDERS[_builder(model)][1](model)
+    except ValueError as exc:
+        raise ConfigError(f"model.params: {exc}") from exc
+    if antipattern is not None:
         try:
-            net = qm.build_baseline(params) if builder == "baseline" else qm.build_sensor_net(params)
-        except ValueError as exc:
-            raise ConfigError(f"model.params: {exc}") from exc
-    else:
-        raise ConfigError(
-            f"model.builder: expected one of inline, {', '.join(sorted(_BUILDER_PARAMS))}; "
-            f"got {builder!r}"
-        )
-
-    if antipattern_section is not None:
-        spec = parse_antipattern(antipattern_section)
-        try:
-            net = antipatterns.apply(net, spec)
+            net = antipatterns.apply(net, antipattern)
         except antipatterns.TransformError as exc:
             raise ConfigError(f"antipattern: {exc}") from exc
     return net
 
 
-# ---------------------------------------------------------------------------
-# sweep and validation checks
-
-
-def _validate_sweep_path(path: str, model_section: dict, antipattern_section: dict | None) -> None:
-    """A sweep path must name a known field of the builder's parameter
-    set or of the antipattern kind's parameter set; the instance may omit
-    the key (its default is then swept)."""
-    parts = path.split(".")
-    if len(parts) == 3 and parts[:2] == ["model", "params"]:
-        builder = model_section.get("builder")
-        if not isinstance(builder, str) or builder not in _BUILDER_PARAMS:
-            raise ConfigError(
-                f"sweep.parameter: {path!r} needs a parameterized builder, "
-                f"but model.builder is {builder!r}"
-            )
-        if parts[2] not in {f.name for f in dataclasses.fields(_BUILDER_PARAMS[builder])}:
-            raise ConfigError(
-                f"sweep.parameter: {path!r} does not resolve "
-                f"({builder} has no parameter {parts[2]!r})"
-            )
-    elif len(parts) == 2 and parts[0] == "antipattern":
-        if antipattern_section is None:
-            raise ConfigError(f"sweep.parameter: {path!r} does not resolve (no antipattern section)")
-        spec_class = _spec_class(antipattern_section)
-        if parts[1] not in {f.name for f in dataclasses.fields(spec_class)}:
-            raise ConfigError(
-                f"sweep.parameter: {path!r} does not resolve "
-                f"({spec_class.kind} has no parameter {parts[1]!r})"
-            )
-    else:
+def _swept_field(parameter: str, model: ModelParams, antipattern: Spec | None) -> dataclasses.Field:
+    """The field of the builder's or the antipattern kind's parameter set
+    that a sweep parameter names."""
+    root, _, name = parameter.rpartition(".")
+    params = {"model.params": model, "antipattern": antipattern}.get(root)
+    if params is None or type(params) is _InlineModel:
         raise ConfigError(
-            f"sweep.parameter: {path!r} does not resolve "
-            "(expected model.params.<name> or antipattern.<name>)"
+            f"sweep.parameter: {parameter!r} does not resolve (expected model.params.<name> "
+            "of a baseline or sensor-net model, or antipattern.<name> of an antipattern section)"
         )
+    for f in dataclasses.fields(params):
+        if f.name == name:
+            return f
+    owner = params.kind if root == "antipattern" else _builder(params)
+    raise ConfigError(f"sweep.parameter: {parameter!r} does not resolve ({owner} has no parameter {name!r})")
 
 
-def apply_sweep_value(cfg: "ExperimentConfig", value):
-    """Patched (model_section, antipattern_section) pair for one sweep point."""
-    model_section = copy.deepcopy(cfg.model)
-    antipattern_section = copy.deepcopy(cfg.antipattern)
-    parts = cfg.sweep_parameter.split(".")
-    if parts[0] == "model":
-        model_section.setdefault("params", {})[parts[2]] = value
+def _sweep_point(parameter: str, model: ModelParams, antipattern: Spec | None, value):
+    """(model, antipattern, parsed) at one sweep value: parsed is the value
+    as the swept field's parser reads it, at the sweep path, and it
+    replaces that one field."""
+    f = _swept_field(parameter, model, antipattern)
+    parsed = _FIELD_PARSERS[f.type](value, parameter)
+    if parameter.startswith("model."):
+        model = dataclasses.replace(model, **{f.name: parsed})
     else:
-        antipattern_section[parts[1]] = value
-    return model_section, antipattern_section
+        antipattern = dataclasses.replace(antipattern, **{f.name: parsed})
+    return model, antipattern, parsed
+
+
+def apply_sweep_value(cfg: ExperimentConfig, value) -> tuple[ModelParams, Spec | None]:
+    """The (model, antipattern) parameter sets of the sweep point at value;
+    cfg's own are left unchanged."""
+    return _sweep_point(cfg.sweep_parameter, cfg.model, cfg.antipattern, value)[:2]
 
 
 def _metric_keys(net: qm.NetworkModel) -> set[tuple[str, str, str]]:
@@ -586,19 +572,30 @@ def _check_validation(spec: ValidationSpec, net: qm.NetworkModel) -> None:
 # experiment config
 
 
+class Point(NamedTuple):
+    """One sweep point (a config without a sweep has one, value None and
+    x 0.0). x is where svg draws it: the value as the swept field parsed
+    it, or None when that is not a number."""
+
+    value: object  # as written in the config
+    x: float | None
+    model: qm.NetworkModel  # built and validated
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully parsed experiment description.
 
-    model and antipattern are kept as raw (normalized) mappings so each
-    sweep point can patch and rebuild them; everything else is parsed to
-    typed values up front. Construction (and so with_overrides) checks
-    the run numbers and that svg output has a plot to draw.
+    model and antipattern are the parameter sets the config wrote, and
+    sweep_values the sweep values as written; points are the sweep points
+    in order, each with its built and validated model. Construction (and
+    so with_overrides, which keeps the points) checks the run numbers and
+    that svg output has a plot to draw.
     """
 
     experiment: str
-    model: dict
-    antipattern: dict | None
+    model: ModelParams
+    antipattern: Spec | None
     sweep_parameter: str | None
     sweep_values: tuple
     replications: int
@@ -610,6 +607,7 @@ class ExperimentConfig:
     plot: PlotSpec | None
     validation: ValidationSpec | None
     config_sha256: str
+    points: tuple[Point, ...] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.replications < 2:
@@ -622,12 +620,17 @@ class ExperimentConfig:
             raise ConfigError(f"run.horizon_msec: must be positive and finite, got {self.horizon}")
         if not (0 <= self.warmup < self.horizon):
             raise ConfigError(f"run.warmup_msec: must satisfy 0 <= warmup < horizon, got {self.warmup}")
-        if "svg" in self.outputs:
+        if "svg" in self.outputs and not self.plottable:
             if self.plot is None:
                 raise ConfigError("outputs: svg requested but no plot section given")
-            for v in self.sweep_values:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ConfigError(f"plot: sweep values must be numeric to plot, got {v!r}")
+            value = next(p.value for p in self.points if p.x is None)
+            raise ConfigError(f"plot: sweep values must be numeric to plot, got {value!r}")
+
+    @property
+    def plottable(self) -> bool:
+        """svg output can draw this config: it has a plot section and the
+        swept field parsed every sweep value to a number."""
+        return self.plot is not None and all(p.x is not None for p in self.points)
 
     def with_overrides(self, *, seed=None, replications=None, horizon=None,
                        warmup=None, outputs=None) -> "ExperimentConfig":
@@ -635,47 +638,54 @@ class ExperimentConfig:
                  "warmup": warmup, "outputs": outputs}
         return dataclasses.replace(self, **{k: v for k, v in given.items() if v is not None})
 
-    def points(self):
-        """(sweep value, built and validated model) for each sweep point in
-        order; a config without a sweep has one point, value None."""
-        sweep = self.sweep_parameter is not None
-        for value in self.sweep_values if sweep else (None,):
-            sections = apply_sweep_value(self, value) if sweep else (self.model, self.antipattern)
-            spot = f" (sweep {self.sweep_parameter} = {value!r})" if sweep else ""
-            try:
-                net = build_model_from_config(*sections)
-            except ConfigError as exc:
-                raise ConfigError(f"{exc}{spot}") from exc
-            diags = qm.validate_model(net)
-            if diags:
-                raise ConfigError("model does not validate" + spot + ":\n  " + "\n  ".join(diags))
-            yield value, net
-
 
 def parse_config(doc, *, digest: str = "") -> ExperimentConfig:
     """Parse an already-loaded YAML document (a mapping)."""
     doc = _mapping(doc, "config")
     if doc.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema: expected {SCHEMA_VERSION!r}, got {doc.get('schema')!r}"
-        )
+        raise ConfigError(f"schema: expected {SCHEMA_VERSION!r}, got {doc.get('schema')!r}")
     top = _parse_fields(_Document, doc, "")
     experiment = top.experiment
     if not experiment or any(c in experiment for c in "/\\ \t"):
         raise ConfigError(f"experiment: {experiment!r} must be a non-empty name without slashes or spaces")
-    outputs = top.outputs
-    if any(o not in OUTPUT_FORMATS for o in outputs):
+    if any(o not in OUTPUT_FORMATS for o in top.outputs):
         raise ConfigError(
-            f"outputs: expected a non-empty subset of {', '.join(OUTPUT_FORMATS)}; got {list(outputs)!r}"
+            f"outputs: expected a non-empty subset of {', '.join(OUTPUT_FORMATS)}; got {list(top.outputs)!r}"
         )
 
     sweep = top.sweep
     if sweep is not None:
-        _validate_sweep_path(sweep.parameter, top.model, top.antipattern)
+        _swept_field(sweep.parameter, top.model, top.antipattern)
         if top.validation is not None:
             raise ConfigError("validation: cannot be combined with a sweep")
 
-    cfg = ExperimentConfig(
+    # Build each point now: a broken model, plot or validation section
+    # fails at parse time, not after the replications have run.
+    points = []
+    for value in sweep.values if sweep else (None,):
+        spot = f" (sweep {sweep.parameter} = {value!r})" if sweep else ""
+        try:
+            model, antipattern, parsed = (_sweep_point(sweep.parameter, top.model, top.antipattern, value)
+                                          if sweep else (top.model, top.antipattern, 0.0))
+            net = build_model_from_config(model, antipattern)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc}{spot}") from exc
+        diags = qm.validate_model(net)
+        if diags:
+            raise ConfigError("model does not validate" + spot + ":\n  " + "\n  ".join(diags))
+        keys = _metric_keys(net)
+        for i, sel in enumerate(top.plot.series if top.plot is not None else ()):
+            if (sel.station, sel.job_class, sel.metric) not in keys:
+                raise ConfigError(
+                    f"plot.series[{i}]: no estimate for station={sel.station!r} "
+                    f"class={sel.job_class!r} metric={sel.metric!r}{spot}"
+                )
+        number = isinstance(parsed, (int, float)) and not isinstance(parsed, bool)
+        points.append(Point(value, float(parsed) if number else None, net))
+    if top.validation is not None:
+        _check_validation(top.validation, net)
+
+    return ExperimentConfig(
         experiment=experiment,
         model=top.model,
         antipattern=top.antipattern,
@@ -686,25 +696,12 @@ def parse_config(doc, *, digest: str = "") -> ExperimentConfig:
         horizon=top.run.horizon,
         warmup=top.run.warmup,
         jobs=top.run.jobs,
-        outputs=outputs,
+        outputs=top.outputs,
         plot=top.plot,
         validation=top.validation,
         config_sha256=digest,
+        points=tuple(points),
     )
-    # Trial build now: a broken model, plot or validation section should
-    # fail at parse time, not after the replications have run.
-    for value, net in cfg.points():
-        keys = _metric_keys(net)
-        for i, sel in enumerate(cfg.plot.series if cfg.plot is not None else ()):
-            if (sel.station, sel.job_class, sel.metric) not in keys:
-                raise ConfigError(
-                    f"plot.series[{i}]: no estimate for station={sel.station!r} "
-                    f"class={sel.job_class!r} metric={sel.metric!r}"
-                    + (f" (sweep {sweep.parameter} = {value!r})" if sweep else "")
-                )
-    if cfg.validation is not None:
-        _check_validation(cfg.validation, net)
-    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

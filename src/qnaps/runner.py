@@ -1,27 +1,29 @@
 """Experiment orchestration: sweeps, parallel replications, outputs.
 
-One experiment is: for each sweep value (or once, without a sweep),
-build the configured model, run n independent replications, and reduce
-them to 99% interval estimates. Results are rendered to the requested
-formats and written together with a manifest that pins everything needed
-to re-execute the run bit-identically; only the manifest's wall-clock
-field varies between identical runs.
+One experiment is: for each sweep point (once, without a sweep), run n
+independent replications of the point's model and reduce them to 99%
+interval estimates. Results are rendered to the requested formats and
+written together with a manifest that pins everything needed to
+re-execute the run bit-identically; only the manifest's wall-clock field
+varies between identical runs.
 
 Replication seeds are ``base_seed XOR replication_index`` (mod 2^64).
 The sweep index is deliberately not mixed in: every sweep point sees the
 same seed list, so paired comparisons across sweep values run under
 common random numbers. The manifest records the derived list.
 
-Each sweep point's model is built once, here, by the config's points().
-The whole experiment is then one flat grid of (point model x replication
-seed), point-major, over which kernel.run_replication is mapped: builtin
-map at one worker, one process pool's map otherwise, so no sweep point
-waits for the slowest replication of the one before it. A worker gets
-the pickled model and returns its replication's samples. Results come
-back in grid order and are folded in (point, replication) order, each
-point reduced and announced as its last replication arrives, so the
-worker count never changes any number. The first failing replication stops the run: the
-pool's map cancels every replication not yet handed to a worker.
+Each sweep point's model was built and validated once, when the config
+was parsed; the run takes it from the config's points. The whole
+experiment is one flat grid of (point model x replication seed),
+point-major, over which kernel.run_replication is mapped: builtin map at
+one worker, one process pool's map otherwise, so no sweep point waits
+for the slowest replication of the one before it. A worker gets the
+pickled model and returns its replication's samples. Results come back
+in grid order and are folded in (point, replication) order, each point
+reduced and announced as its last replication arrives, so the worker
+count never changes any number. The first failing replication stops the
+run: the pool's map cancels every replication not yet handed to a
+worker.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ def _sweep_value_text(value) -> str:
 
 
 def _plot_series(cfg: ExperimentConfig, per_point) -> list[render.PlotSeries]:
-    """per_point: list of (sweep_value, estimates). The config checked at
-    parse time that sweep values are numbers and every series has an
-    estimate at every point."""
-    xs = tuple(float(v) for v, _ in per_point) if cfg.sweep_parameter is not None else (0.0,)
+    """per_point: list of (sweep_value, estimates). Each point sits at its
+    x; the config checked at parse time that every x is a number and
+    every series has an estimate at every point."""
+    xs = tuple(p.x for p in cfg.points)
     series = []
     for sel in cfg.plot.series:
         key = (sel.station, sel.job_class, sel.metric)
@@ -86,10 +88,9 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
     out_dir = Path(out_dir)
     say = echo if echo is not None else (lambda _: None)
 
-    points = list(cfg.points())
     reps = cfg.replications
-    models = [net for _, net in points for _ in range(reps)]
-    seeds = [replication_seed(cfg.seed, i, r) for i in range(len(points)) for r in range(reps)]
+    models = [p.model for p in cfg.points for _ in range(reps)]
+    seeds = [replication_seed(cfg.seed, i, r) for i in range(len(cfg.points)) for r in range(reps)]
     grid = (models, seeds, repeat(cfg.horizon), repeat(cfg.warmup))
 
     pool = None
@@ -108,7 +109,7 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
                 acc = MetricAccumulator()
             acc.add(r, result)
             if r == reps - 1:
-                value = points[i][0]
+                value = cfg.points[i].value
                 per_point.append((value, acc.estimates()))
                 if cfg.sweep_parameter is not None:
                     say(f"{cfg.experiment}: {cfg.sweep_parameter} = {_sweep_value_text(value)} done "

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import qnaps
-from qnaps.antipatterns import SPECS
+from qnaps.antipatterns import SPECS, AreWeThereYet
 from qnaps.config import (
     _FIELD_PARSERS,
     ConfigError,
@@ -26,8 +26,10 @@ from qnaps.config import (
     apply_sweep_value,
     build_model_from_config,
     load_config,
+    parse_antipattern,
     parse_config,
     parse_distribution,
+    parse_model,
 )
 from qnaps.egraph import EgScenario, Loop
 from qnaps.model import BaselineParams, JobClass, SensorNetParams, Station, validate_model
@@ -83,7 +85,9 @@ def pinned_parse(path) -> dict:
 def test_shipped_configs_parse_to_the_pin(path):
     # tests/data/config_pin.json was frozen from the hand-written section
     # parsers; the typed parser must give every shipped config the same
-    # ExperimentConfig and the same model at every sweep point
+    # ExperimentConfig and the same model at every sweep point. The config
+    # strings were re-frozen once, when model and antipattern were first
+    # parsed to parameter sets; every other field and every model held.
     frozen = json.loads(PIN.read_text(encoding="utf-8"))[path.stem]
     assert pinned_parse(path) == frozen
 
@@ -127,7 +131,7 @@ INLINE_PINNED = {
 @pytest.mark.parametrize("case", sorted(INLINE_PINNED))
 def test_inline_models_build_to_the_pin(case):
     frozen = json.loads(PIN.read_text(encoding="utf-8"))["inline"][case]
-    assert repr(build_model_from_config(INLINE_PINNED[case], None)) == frozen
+    assert repr(build_model_from_config(parse_model(INLINE_PINNED[case]), None)) == frozen
 
 
 def test_distribution_encodings():
@@ -159,12 +163,13 @@ def test_distribution_encodings():
 @pytest.mark.parametrize(
     "node,message",
     [
-        ({"kind": "gauss", "mean_msec": 1.0}, "unknown distribution kind"),
+        ({"kind": "gauss", "mean_msec": 1.0}, "spot.kind: unknown kind 'gauss'"),
         ({"kind": "exponential"}, "exactly one of"),
         ({"kind": "exponential", "rate_per_msec": 1.0, "mean_msec": 1.0}, "exactly one of"),
         ({"kind": "exponential", "rate_per_msec": True}, "expected a number"),
         ({"kind": "erlang", "phases": 2.5, "rate_per_msec": 1.0}, "expected an integer"),
         ({"kind": "deterministic", "value_msec": 1.0, "extra_key": 2}, "unknown key"),
+        ({"mean_msec": 1.0}, "spot.kind: required key is missing"),
     ],
 )
 def test_distribution_rejections(node, message):
@@ -202,18 +207,32 @@ def test_sweep_path_validation():
         sweep={"parameter": "model.params.status_population", "values": [1, 5]},
     )
     cfg = parse_config(ok)
-    model_section, _ = apply_sweep_value(cfg, 5)
-    assert model_section["params"]["status_population"] == 5
-    assert cfg.model == {"builder": "sensor-net"}  # original untouched
+    assert apply_sweep_value(cfg, 5) == (SensorNetParams(status_population=5), None)
+    assert cfg.model == SensorNetParams()  # the config's own set is unchanged
+    # the swept field's parser reads the value, as it reads the config
+    awty = parse_config(_minimal(
+        model={"builder": "sensor-net", "params": {"include_polling": False}},
+        antipattern={"kind": "are-we-there-yet", "f_poll": 0.02},
+        sweep={"parameter": "antipattern.f_poll", "values": ["1e-2", 0.03]},
+    ))
+    assert apply_sweep_value(awty, "1e-2") == (awty.model, AreWeThereYet(f_poll=0.01))
+    assert awty.antipattern == AreWeThereYet(f_poll=0.02)
+    assert [p.x for p in awty.points] == [0.01, 0.03]
+    assert awty.sweep_values == ("1e-2", 0.03)  # as written
 
     with pytest.raises(ConfigError, match="model.params.nope"):
         parse_config(_minimal(sweep={"parameter": "model.params.nope", "values": [1]}))
-    with pytest.raises(ConfigError, match="no antipattern section"):
+    with pytest.raises(ConfigError, match="antipattern.<name> of an antipattern section"):
         parse_config(_minimal(sweep={"parameter": "antipattern.f_poll", "values": [0.1]}))
     with pytest.raises(ConfigError, match="run.seed"):
         parse_config(_minimal(sweep={"parameter": "run.seed", "values": [1]}))
     with pytest.raises(ConfigError, match="non-empty"):
         parse_config(_minimal(sweep={"parameter": "model.params.arrival_rate", "values": []}))
+    with pytest.raises(ConfigError, match=re.escape(
+            "sweep.parameter: 'model.params.name' does not resolve (expected model.params.<name> "
+            "of a baseline or sensor-net model")):
+        parse_config(_minimal(model=INLINE_PINNED["open"],
+                              sweep={"parameter": "model.params.name", "values": ["a"]}))
 
 
 def test_sweep_points_must_build():
@@ -343,7 +362,7 @@ def test_every_parameter_field_has_a_parser():
 
 def test_optional_bound_null_or_inf_means_unbounded():
     def build(params_yaml):
-        return build_model_from_config(yaml.safe_load(f"{{builder: baseline, params: {params_yaml}}}"), None)
+        return build_model_from_config(parse_model(yaml.safe_load(f"{{builder: baseline, params: {params_yaml}}}")), None)
 
     omitted = build("{}")
     assert build("{controller_capacity: null}") == omitted
@@ -506,8 +525,18 @@ MALFORMED = {
     "unhashable builder with a params sweep": (
         _minimal(model={"builder": ["baseline"]},
                  sweep={"parameter": "model.params.arrival_rate", "values": [0.01]}),
-        "sweep.parameter: 'model.params.arrival_rate' needs a parameterized builder, "
-        "but model.builder is ['baseline']",
+        "model.builder: expected a string, got ['baseline']",
+    ),
+    "builder sweep value of the wrong type": (
+        _minimal(sweep={"parameter": "model.params.controller_servers", "values": [1, "two"]}),
+        "model.params.controller_servers: expected an integer, got 'two' "
+        "(sweep model.params.controller_servers = 'two')",
+    ),
+    "antipattern sweep value of the wrong type": (
+        _minimal(model={"builder": "sensor-net"},
+                 antipattern={"kind": "where-was-i", "buffer_capacity": 8},
+                 sweep={"parameter": "antipattern.overhead", "values": [0.0, [1.0]]}),
+        "antipattern.overhead: expected a number, got [1.0] (sweep antipattern.overhead = [1.0])",
     ),
     "scenario without graph": (
         _validated(lambda v: v["scenarios"][0].pop("graph")),

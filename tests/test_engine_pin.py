@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from qnaps.config import build_model_from_config
+from qnaps.config import build_model_from_config, parse_antipattern, parse_model
 from qnaps.kernel import _Engine
 
 PIN = Path(__file__).parent / "data" / "engine_pin.json"
@@ -49,10 +49,15 @@ CASES = {
 }
 
 
+def case_model(case: str):
+    """The network of CASES[case], built from its YAML sections."""
+    model_section, antipattern_section, _ = CASES[case]
+    antipattern = None if antipattern_section is None else parse_antipattern(antipattern_section)
+    return build_model_from_config(parse_model(model_section), antipattern)
+
+
 def pinned_samples(case: str, loop: str = "run") -> list[list[str]]:
-    model_section, antipattern_section, seed = CASES[case]
-    net = build_model_from_config(model_section, antipattern_section)
-    result = getattr(_Engine(net, seed, HORIZON, WARMUP), loop)()
+    result = getattr(_Engine(case_model(case), CASES[case][2], HORIZON, WARMUP), loop)()
     return [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples]
 
 

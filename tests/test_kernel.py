@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from qnaps import kernel
-from qnaps.config import build_model_from_config
 from qnaps.kernel import (
     DeadlockError,
     InvalidModelError,
@@ -55,7 +54,7 @@ from _helpers import (
     stopping_arrivals_model,
     table,
 )
-from test_engine_pin import CASES
+from test_engine_pin import CASES, case_model
 from test_loop import ARRIVAL_PINS, MODELS, arrival_mix_model, kinds
 
 
@@ -287,8 +286,7 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
     # from the stream the pinned run uses: sample mean and variance within
     # 4 standard errors of the mean and variance of base + Bernoulli(p) * extra
     if case == "ieok_exc":
-        model_section, antipattern_section, seed = CASES[case]
-        model = build_model_from_config(model_section, antipattern_section)
+        model, seed = case_model(case), CASES[case][2]
         dist = station(model, "Controller").service["Status"]
         stream = RngStream(seed, "Controller", "Status", "service")
         assert dist == Mixture(0.25, Exponential(2.0), Exponential(1 / 3))

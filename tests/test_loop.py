@@ -37,7 +37,6 @@ import numpy as np
 import pytest
 
 from qnaps import kernel
-from qnaps.config import build_model_from_config
 from qnaps.kernel import _Engine
 from qnaps.model import (
     DELAY,
@@ -58,7 +57,7 @@ from qnaps.model import (
 )
 
 from _helpers import closed_cycle_model, mm1_model, stopping_arrivals_model
-from test_engine_pin import CASES, HORIZON, WARMUP, PIN, pinned_samples
+from test_engine_pin import CASES, HORIZON, WARMUP, PIN, case_model, pinned_samples
 
 compiled = pytest.mark.skipif(kernel._loop is None, reason="compiled loop not available")
 
@@ -218,7 +217,7 @@ def every_kind_model() -> NetworkModel:
 
 
 MODELS = {
-    **{case: build_model_from_config(m, a) for case, (m, a, _) in CASES.items()},
+    **{case: case_model(case) for case in CASES},
     "mm1_capacity3": mm1_model(capacity=3),
     "parking": parking_model(),
     "closed_cycle": closed_cycle_model(population=3),

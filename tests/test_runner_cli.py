@@ -117,11 +117,6 @@ def test_flat_grid_matches_serial_bytes_and_reports_points_in_order(tmp_path):
 
 
 def test_run_experiment_builds_each_point_model_once(tmp_path, monkeypatch):
-    cfg = load_config(_write_config(
-        tmp_path / "sweep.yaml",
-        sweep={"parameter": "model.params.arrival_rate", "values": [0.02, 0.05]},
-        run={"replications": 3, "seed": 5, "horizon_msec": 500.0, "warmup_msec": 50.0},
-    ))
     built = []
 
     def counting(*sections):
@@ -129,8 +124,14 @@ def test_run_experiment_builds_each_point_model_once(tmp_path, monkeypatch):
         return build_model_from_config(*sections)
 
     monkeypatch.setattr("qnaps.config.build_model_from_config", counting)
-    run_experiment(cfg, out_dir=tmp_path / "o", jobs=1)
-    assert len(built) == 2  # one per sweep point, none per replication
+    cfg = load_config(_write_config(
+        tmp_path / "sweep.yaml",
+        sweep={"parameter": "model.params.arrival_rate", "values": [0.02, 0.05]},
+        run={"replications": 3, "seed": 5, "horizon_msec": 500.0, "warmup_msec": 50.0},
+    ))
+    assert len(built) == 2  # one per sweep point, at parse
+    run_experiment(cfg.with_overrides(seed=6), out_dir=tmp_path / "o", jobs=1)
+    assert len(built) == 2  # the run reuses them, also after an override
 
 
 def test_failed_write_leaves_no_partial_outputs(tmp_path):
@@ -508,3 +509,41 @@ def test_cli_format_all_and_sweep_plot(tmp_path):
     assert "model.params.arrival_rate = 0.02" in table
     csv_lines = (out / "sweep.csv").read_text().splitlines()[1:]
     assert {ln.split(",")[2] for ln in csv_lines} == {"0.02", "0.05"}
+
+
+_PLOT = {"series": [{"station": "Controller", "class": "all", "metric": "utilization"}]}
+
+
+def test_cli_plots_numeric_string_sweep_values_where_they_parse_to(tmp_path):
+    # YAML reads 1e-2 (no dot) as a string; the float field parses it to
+    # 0.01, and the plot puts the point there. The CSV, the table and the
+    # manifest keep the values as written.
+    written = _write_config(
+        tmp_path / "strings.yaml", experiment="sweep", plot=_PLOT,
+        sweep={"parameter": "model.params.arrival_rate", "values": ["1e-2", "2e-2"]},
+    )
+    assert yaml.safe_load(written.read_text())["sweep"]["values"] == ["1e-2", "2e-2"]
+    numbers = _write_config(
+        tmp_path / "numbers.yaml", experiment="sweep", plot=_PLOT,
+        sweep={"parameter": "model.params.arrival_rate", "values": [0.01, 0.02]},
+    )
+    for path in (written, numbers):
+        assert main(["--config", str(path), "--out", str(tmp_path / path.stem), "--format", "all"]) == 0
+    out = tmp_path / "strings"
+    assert (out / "sweep.svg").read_bytes() == (tmp_path / "numbers" / "sweep.svg").read_bytes()
+    csv_lines = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert {ln.split(",")[2] for ln in csv_lines} == {"1e-2", "2e-2"}
+    assert "[model.params.arrival_rate = 1e-2]" in (out / "sweep_table.txt").read_text()
+    assert json.loads((out / "sweep_manifest.json").read_text())["sweep_values"] == ["1e-2", "2e-2"]
+
+
+def test_cli_format_all_leaves_svg_out_when_sweep_values_are_not_numbers(tmp_path, capsys):
+    path = _write_config(
+        tmp_path / "names.yaml", experiment="names", plot=_PLOT,
+        sweep={"parameter": "model.params.class_name", "values": ["A", "B"]},
+    )
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out), "--format", "all"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["names.csv", "names_manifest.json", "names_table.txt"]
+    assert main(["--config", str(path), "--out", str(tmp_path / "svg"), "--format", "svg"]) == 2
+    assert "plot: sweep values must be numeric to plot, got 'A'" in capsys.readouterr().err
