@@ -11,11 +11,12 @@ loops, ``_Engine.run`` (compiled) and ``_Engine._run_python``, so one
 run gives the speed-up of the compiled loop on one machine. A second
 case times the samplers alone: fill() of one block sampler per
 distribution kind, of a mixture whose base is a mixture, and of the
-arrival-time and routing samplers the engine builds, over about 100k
-values a round whatever the block size, reported as values per second
-and nanoseconds per value in each benchmark's extra_info. It is the
-per-block numpy cost that the compiled loop pays on top of reading the
-values. Run from the checkout root with
+arrival-time and routing samplers the engine builds, and of the raw
+uniforms of one stream (philox-words, the Philox words every sampler is
+made from), over about 100k values a round whatever the block size,
+reported as values per second and nanoseconds per value in each
+benchmark's extra_info. It is the per-block numpy cost that the compiled
+loop pays on top of reading the values. Run from the checkout root with
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -27,7 +28,7 @@ from functools import partial
 import pytest
 
 from qnaps.config import build_model_from_config, parse_antipattern, parse_model
-from qnaps.kernel import _BLOCK, RngStream, _arrival_times, _Engine, _loop, _sampler
+from qnaps.kernel import _BLOCK, RngStream, _Block, _arrival_times, _Engine, _loop, _sampler
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 
 HORIZON, WARMUP = 300000.0, 30000.0
@@ -75,6 +76,7 @@ SAMPLERS = {
                                                 Erlang(2, 1.0))),
     "arrival-times": partial(_arrival_times, Exponential(0.05)),
     "routing": lambda stream: stream.batched(1, lambda u: u),
+    "philox-words": lambda stream: _Block(partial(stream.uniforms, _BLOCK)),
 }
 BLOCKS = 102_400 // _BLOCK  # fills per round
 
@@ -86,5 +88,6 @@ def test_sampler_fill(benchmark, kind):
         return sum(len(sampler.fill()) for _ in range(BLOCKS))
 
     values = benchmark.pedantic(fill_blocks, rounds=10, warmup_rounds=1)
-    benchmark.extra_info["values_per_s"] = values / benchmark.stats.stats.median
-    benchmark.extra_info["ns_per_value"] = benchmark.stats.stats.median / values * 1e9
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["values_per_s"] = values / benchmark.stats.stats.median
+        benchmark.extra_info["ns_per_value"] = benchmark.stats.stats.median / values * 1e9

@@ -18,7 +18,12 @@
    vals, i and fill are the only attributes it reads or writes: it reads
    vals in place, calls fill() when they run out and writes vals and i
    back when it returns, so next() in Python continues where it stopped.
-   The kernel module docstring has the build flags this relies on. */
+   The kernel module docstring has the build flags this relies on.
+
+   uniforms(k0, k1, start, n) hands out the words of one RngStream: a
+   stateless Philox4x64-10, so any word is a function of the key and its
+   position, giving the same uniforms as numpy's Generator(Philox(key))
+   .random, which tests/test_kernel.py compares it against. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -890,15 +895,91 @@ loop_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* Philox4x64-10 uniforms */
+
+/* one Philox4x64 round on ctr under key (Salmon et al., SC 2011) */
+static inline void
+philox_round(uint64_t ctr[4], const uint64_t key[2])
+{
+    unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93ULL * ctr[0];
+    unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157ULL * ctr[2];
+    uint64_t hi0 = (uint64_t)(p0 >> 64), lo0 = (uint64_t)p0;
+    uint64_t hi1 = (uint64_t)(p1 >> 64), lo1 = (uint64_t)p1;
+    ctr[0] = hi1 ^ ctr[1] ^ key[0];
+    ctr[1] = lo1;
+    ctr[2] = hi0 ^ ctr[3] ^ key[1];
+    ctr[3] = lo0;
+}
+
+/* the four words of block b of the stream keyed (k0, k1), which sits at
+   counter b + 1, as numpy's Philox increments its counter before each block */
+static inline void
+philox_block(uint64_t k0, uint64_t k1, uint64_t b, uint64_t out[4])
+{
+    uint64_t key[2] = {k0, k1};
+    out[0] = b + 1;
+    out[1] = out[2] = out[3] = 0;
+    philox_round(out, key);
+    for (int r = 1; r < 10; r++) {
+        key[0] += 0x9E3779B97F4A7C15ULL;
+        key[1] += 0xBB67AE8584CAA73BULL;
+        philox_round(out, key);
+    }
+}
+
+/* uniforms(k0, k1, start, n): words start .. start + n - 1 of the
+   Philox4x64-10 stream keyed k0 | k1 << 64, each as (w >> 11) * 2**-53,
+   in a bytearray of n native float64s */
+static PyObject *
+loop_uniforms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "uniforms() takes 4 arguments, got %zd", nargs);
+        return NULL;
+    }
+    uint64_t k0 = PyLong_AsUnsignedLongLong(args[0]), k1 = PyLong_AsUnsignedLongLong(args[1]);
+    uint64_t start = PyLong_AsUnsignedLongLong(args[2]);
+    Py_ssize_t n = PyLong_AsSsize_t(args[3]);
+    if (PyErr_Occurred())
+        return NULL;
+    if (n < 0 || (size_t)n > PY_SSIZE_T_MAX / sizeof(double) || start > UINT64_MAX - (uint64_t)n) {
+        PyErr_Format(PyExc_ValueError, "uniforms(): no words %llu + [0, %zd)",
+                     (unsigned long long)start, n);
+        return NULL;
+    }
+    PyObject *out = PyByteArray_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(double));
+    if (out == NULL)
+        return NULL;
+    char *dst = PyByteArray_AS_STRING(out);
+    uint64_t words[4], b = start / 4;
+    int w = (int)(start % 4);
+    philox_block(k0, k1, b, words);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (w == 4) {
+            philox_block(k0, k1, ++b, words);
+            w = 0;
+        }
+        double u = (double)(words[w++] >> 11) * (1.0 / 9007199254740992.0);
+        memcpy(dst + i * sizeof(double), &u, sizeof u);
+    }
+    return out;
+}
+
 static PyMethodDef loop_methods[] = {
     {"run", (PyCFunction)(void (*)(void))loop_run, METH_FASTCALL,
      "run(*table) -> (cells, classes). Runs the engine of a _Table to its horizon, "
      "closes out the jobs still alive and returns the tally."},
+    {"uniforms", (PyCFunction)(void (*)(void))loop_uniforms, METH_FASTCALL,
+     "uniforms(k0, k1, start, n) -> bytearray. Words start .. start + n - 1 of the "
+     "Philox4x64-10 stream keyed k0 | k1 << 64 as uniforms (w >> 11) * 2**-53, "
+     "n native float64s."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef loop_module = {
-    PyModuleDef_HEAD_INIT, "_loop", "Compiled event loop of qnaps.kernel._Engine.", -1,
+    PyModuleDef_HEAD_INIT, "_loop",
+    "Compiled event loop of qnaps.kernel._Engine and the Philox words of its streams.", -1,
     loop_methods,
 };
 

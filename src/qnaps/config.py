@@ -68,7 +68,6 @@ All numbers accept plain YAML scalars; numeric strings are coerced so
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,7 +75,7 @@ from typing import NamedTuple
 
 import yaml
 
-from . import antipatterns, model as qm
+from . import antipatterns, model as qm, sha256
 from .egraph import Basic, Branch, EgError, EgNode, EgScenario, Loop, Sequence, check_scenarios, reduce
 from .antipatterns import Spec
 from .model import JobClass, Station
@@ -621,16 +620,28 @@ class ExperimentConfig:
         if not (0 <= self.warmup < self.horizon):
             raise ConfigError(f"run.warmup_msec: must satisfy 0 <= warmup < horizon, got {self.warmup}")
         if "svg" in self.outputs and not self.plottable:
-            if self.plot is None:
-                raise ConfigError("outputs: svg requested but no plot section given")
-            value = next(p.value for p in self.points if p.x is None)
-            raise ConfigError(f"plot: sweep values must be numeric to plot, got {value!r}")
+            raise ConfigError(self._unplottable())
 
     @property
     def plottable(self) -> bool:
         """svg output can draw this config: it has a plot section and the
-        swept field parsed every sweep value to a number."""
-        return self.plot is not None and all(p.x is not None for p in self.points)
+        swept field parsed every sweep value to a finite number, a
+        positive one on a log x scale."""
+        return self._unplottable() is None
+
+    def _unplottable(self) -> str | None:
+        """Why svg output cannot draw this config, or None when it can."""
+        if self.plot is None:
+            return "outputs: svg requested but no plot section given"
+        for p in self.points:
+            shown = p.value if self.sweep_parameter is not None else p.x
+            if p.x is None:
+                return f"plot: sweep values must be numeric to plot, got {shown!r}"
+            if not math.isfinite(p.x):
+                return f"plot: sweep values must be finite to plot, got {shown!r}"
+            if self.plot.x_scale == "log" and p.x <= 0:
+                return f"plot: x_scale log needs positive sweep values, got {shown!r}"
+        return None
 
     def with_overrides(self, *, seed=None, replications=None, horizon=None,
                        warmup=None, outputs=None) -> "ExperimentConfig":
@@ -715,4 +726,4 @@ def load_config(path) -> ExperimentConfig:
         doc = yaml.safe_load(data)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    return parse_config(doc, digest=hashlib.sha256(data).hexdigest())
+    return parse_config(doc, digest=sha256(data).hexdigest())

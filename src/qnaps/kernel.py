@@ -6,10 +6,15 @@ and the triple. Structural edits to a model therefore never disturb the
 word sequences of untouched streams, which is what makes neutral model
 transforms reproduce baseline runs bit for bit. A uniform is the top 53
 bits of one raw word times 2**-53, which is what numpy's Generator.random
-computes from the same words. Every sampler, the routing uniforms and
-each open class's arrival times too, is one _Block: a float64 array of
-values, the index of the next one, and fill(), which returns the next
-array. _sampler turns a distribution into its block; a batched block is
+computes from the same words. Philox is counter-based, each word a pure
+function of the key and its position, so a stream is its key and the
+position of its next word, and the compiled extension's uniforms()
+computes the words from those; numpy's Philox, which it matches bit for
+bit, is imported only when the extension is unavailable. Every sampler,
+the routing uniforms and each open class's arrival times too, is one
+_Block: a float64 array of values, the index of the next one, and
+fill(), which returns the next array. _sampler turns a distribution into
+its block; a batched block is
 _BLOCK (4,096) values made in numpy from the uniforms of the next
 4,096*k raw words, so a sampler that has its stream to itself consumes
 the same raw sequence as taking one value at a time; routing streams,
@@ -65,12 +70,11 @@ src/qnaps/__pycache__ under a name keyed by the sha256 of _loop.c and
 the flags, so an edited source never loads an old binary. gcc runs, and
 subprocess and sysconfig are imported, only when no cached binary
 exists; otherwise the import just loads the cached file. If it cannot
-be built or loaded, one warning goes to stderr and run() uses the Python
-loop.
+be built or loaded, one warning goes to stderr, run() uses the Python
+loop and the streams take their words from numpy's Philox.
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 import os
@@ -84,8 +88,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import Generator, Philox
 
+from . import sha256
 from .model import (
     ALL_CLASSES,
     DELAY,
@@ -162,18 +166,21 @@ class _Block:
 class RngStream:
     """One Philox stream for one (station, class, purpose) triple: a pure
     function of its key, so two streams with one key hand out the same
-    words."""
+    words. It holds the key's two 64-bit words and the position of its
+    next word; the compiled extension computes words from those alone, so
+    a stream costs no generator state and reads no OS entropy."""
 
-    __slots__ = ("seed", "station_id", "class_id", "purpose", "_gen")
+    __slots__ = ("seed", "station_id", "class_id", "purpose", "k0", "k1", "pos")
 
     def __init__(self, seed: int, station_id: str, class_id: str, purpose: str):
         self.seed = seed
         self.station_id = station_id
         self.class_id = class_id
         self.purpose = purpose
-        material = f"{seed}|{station_id}|{class_id}|{purpose}".encode()
-        key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
-        self._gen = Generator(Philox(key=key))
+        digest = sha256(f"{seed}|{station_id}|{class_id}|{purpose}".encode()).digest()
+        self.k0 = int.from_bytes(digest[:8], "little")
+        self.k1 = int.from_bytes(digest[8:16], "little")
+        self.pos = 0
 
     def part(self, tag: str) -> RngStream:
         """The stream of part tag of a sampler on this stream, keyed by
@@ -184,13 +191,28 @@ class RngStream:
     def uniforms(self, n: int) -> np.ndarray:
         """The next n raw words as uniforms on [0, 1), from their top 53
         bits."""
-        return self._gen.random(n)
+        start = self.pos
+        self.pos = start + n
+        if _loop is None:
+            return _philox_uniforms(self.k0, self.k1, start, n)
+        return np.frombuffer(_loop.uniforms(self.k0, self.k1, start, n))
 
     def batched(self, k: int, transform) -> _Block:
         """Block sampler of transform(u): u holds the uniforms of the next
         _BLOCK*k raw words, taken on the first next() and again each time
         its _BLOCK values run out; transform maps them to _BLOCK values."""
         return _Block(lambda: transform(self.uniforms(_BLOCK * k)))
+
+
+def _philox_uniforms(k0: int, k1: int, start: int, n: int) -> np.ndarray:
+    """Words start .. start + n - 1 of the stream keyed k0 | k1 << 64 as
+    uniforms, from numpy's Philox: the specification of the extension's
+    uniforms() and its fallback. numpy's Philox makes block b at counter
+    b + 1, so a generator at counter start // 4 begins at that word's block."""
+    from numpy.random import Generator, Philox  # only without the extension
+
+    skip = start % 4
+    return Generator(Philox(key=k0 | k1 << 64, counter=start // 4)).random(skip + n)[skip:]
 
 
 # station kind codes of _Table.kind
@@ -755,7 +777,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-strict-aliasing", "-fPIC", "-shared
 
 def _loop_path(source: bytes, cache_dir: Path) -> Path:
     """Cache file of the extension built from source with _CFLAGS."""
-    tag = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    tag = sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
     return cache_dir / f"_loop_{tag}{EXTENSION_SUFFIXES[0]}"
 
 

@@ -28,13 +28,12 @@ worker.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from itertools import repeat
 from pathlib import Path
 
-from . import __version__, render
+from . import __version__, render, sha256
 from .config import ExperimentConfig
 from .egraph import build_validation_table
 from .kernel import run_replication
@@ -198,7 +197,7 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
             ],
             "jobs": jobs,
             "outputs": {
-                name: hashlib.sha256(artifacts[name].encode("utf-8")).hexdigest()
+                name: sha256(artifacts[name].encode("utf-8")).hexdigest()
                 for name in sorted(artifacts)
             },
             "wall_clock_seconds": round(time.monotonic() - t0, 3),

@@ -286,6 +286,33 @@ def test_svg_needs_a_plot_and_numeric_sweep_values_however_outputs_are_set():
             parse_config(dict(doc, outputs=["svg"]))
 
 
+@pytest.mark.parametrize(
+    "antipattern, values, x_scale, message",
+    [
+        ({"kind": "is-everything-ok", "check_period": 200.0}, [200.0, float("inf")], "linear",
+         "plot: sweep values must be finite to plot, got inf"),
+        ({"kind": "is-everything-ok", "check_period": 200.0}, [200.0, "inf"], "log",
+         "plot: sweep values must be finite to plot, got 'inf'"),
+        ({"kind": "where-was-i", "overhead": 0.0}, [1.0, 0.0], "log",
+         "plot: x_scale log needs positive sweep values, got 0.0"),
+    ],
+    ids=["infinite", "infinite-string", "zero-on-log-scale"],
+)
+def test_svg_needs_sweep_values_the_plot_can_place(antipattern, values, x_scale, message):
+    field = next(k for k in antipattern if k != "kind")
+    # the transform adds its own status cycle
+    model = {"builder": "sensor-net", "params": {"include_status": antipattern["kind"] != "is-everything-ok"}}
+    doc = _minimal(model=model, antipattern=antipattern, plot={**_PLOT, "x_scale": x_scale},
+                   sweep={"parameter": f"antipattern.{field}", "values": values})
+    cfg = parse_config(doc)  # csv alone plots nothing
+    assert not cfg.plottable
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg.with_overrides(outputs=("csv", "svg"))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(dict(doc, outputs=["svg"]))
+    assert parse_config(dict(doc, sweep={**doc["sweep"], "values": [1.0, 2.0]})).plottable
+
+
 def test_inline_model_round_trip():
     doc = _minimal(
         model={

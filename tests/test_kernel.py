@@ -6,6 +6,7 @@ reproducibility and stream isolation rather than values.
 """
 
 import gc
+import hashlib
 import os
 import resource
 import subprocess
@@ -74,7 +75,14 @@ NESTED = {
 
 
 def _uniforms(stream, n):
-    return (stream._gen.bit_generator.random_raw(n) >> np.uint64(11)) * (1.0 / (1 << 53))
+    """The next n uniforms of stream, advancing it, from numpy's Philox
+    keyed as the stream's docstring says: the top 53 bits of each raw
+    word times 2**-53."""
+    material = f"{stream.seed}|{stream.station_id}|{stream.class_id}|{stream.purpose}".encode()
+    key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
+    words = np.random.Philox(key=key).random_raw(stream.pos + n)[stream.pos:]
+    stream.pos += n
+    return (words >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
 def _words_taken(stream):
@@ -86,6 +94,53 @@ def _words_taken(stream):
 
 def _uniform01(stream):
     return stream.uniforms(1).item(0)
+
+
+_KEYS = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1] + [
+    int.from_bytes(hashlib.sha256(str(i).encode()).digest()[:16], "little") for i in range(200)]
+
+
+def _numpy_words(key, n):
+    """The first n uniforms of Generator(Philox(key)).random, the words
+    RngStream documents."""
+    return np.random.Generator(np.random.Philox(key=key)).random(n)
+
+
+@pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
+def test_extension_words_equal_numpys_philox():
+    # start offsets 0-3 within the first block, starts on either side of
+    # later block boundaries, and lengths that end inside, on and past one
+    uniforms = kernel._loop.uniforms
+    for key in _KEYS:
+        want = _numpy_words(key, 8200)
+        k0, k1 = key & ((1 << 64) - 1), key >> 64
+        for start in (0, 1, 2, 3, 4091, 4092, 4094):
+            for n in (0, 1, 3, 4, 4096, 4097):
+                got = np.frombuffer(uniforms(k0, k1, start, n))
+                assert got.tolist() == want[start:start + n].tolist(), (key, start, n)
+
+
+def test_fallback_words_equal_numpys_philox():
+    for key in _KEYS[::20]:
+        want = _numpy_words(key, 8200)
+        k0, k1 = key & ((1 << 64) - 1), key >> 64
+        for start in (0, 1, 2, 3, 4094):
+            for n in (1, 4, 4097):
+                got = kernel._philox_uniforms(k0, k1, start, n)
+                assert got.tolist() == want[start:start + n].tolist(), (key, start, n)
+
+
+@pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
+def test_extension_and_fallback_agree_far_into_a_stream(monkeypatch):
+    # a stream read in uneven pieces, past 2**32 blocks of words
+    far = 5 << 34
+    extension = RngStream(3, "st", "cl", "service")
+    fallback = RngStream(3, "st", "cl", "service")
+    extension.pos = fallback.pos = far + 1
+    got = [extension.uniforms(n).tolist() for n in (1, 7, 4097)]
+    monkeypatch.setattr(kernel, "_loop", None)
+    assert [fallback.uniforms(n).tolist() for n in (1, 7, 4097)] == got
+    assert extension.pos == fallback.pos == far + 1 + 4105
 
 
 def test_stream_is_reproducible_and_purpose_separated():

@@ -1,6 +1,7 @@
 """Experiment runner and command line behavior."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import qnaps
 from qnaps import kernel
 from qnaps.cli import main
 from qnaps.config import ConfigError, apply_sweep_value, build_model_from_config, load_config
@@ -238,6 +240,31 @@ def test_cli_resource_map_without_utilization_exits_2_before_any_replication(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "shipped, parameter, values, x_scale, message",
+    [
+        ("ieok_sweep", "antipattern.check_period", [200.0, float("inf")], None,
+         "plot: sweep values must be finite to plot, got inf"),
+        ("wwi", "antipattern.overhead", [0.0, 1.0], "log",
+         "plot: x_scale log needs positive sweep values, got 0.0"),
+    ],
+    ids=["infinite", "zero-on-log-scale"],
+)
+def test_cli_sweep_value_the_plot_cannot_place_exits_2_before_any_replication(
+        tmp_path, capsys, no_replications, shipped, parameter, values, x_scale, message):
+    # the svg renderer failed on these after every replication had run
+    doc = yaml.safe_load((Path(kernel.__file__).with_name("configs") / f"{shipped}.yaml").read_text())
+    doc["sweep"] = {"parameter": parameter, "values": values}
+    if x_scale is not None:
+        doc["plot"]["x_scale"] = x_scale
+    path = tmp_path / f"{shipped}.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out), "--jobs", "1"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_deadlock_exits_3(tmp_path, capsys):
     dead = _write_config(tmp_path / "dead.yaml", experiment="dead", model=DEAD_MODEL)
     out = tmp_path / "o"
@@ -452,6 +479,31 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     )
     assert _child(probe) == "[]"
     assert (tmp_path / "o" / "tiny.csv").exists()
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha2") is None
+                    and importlib.util.find_spec("_sha256") is None,
+                    reason="this Python has no built-in SHA-256 module")
+def test_run_loads_neither_numpy_random_nor_openssl(tmp_path):
+    # the extension draws the Philox words and SHA-256 is CPython's own,
+    # so a run holds neither numpy.random (2.5 MB) nor libcrypto (3.6 MB);
+    # without the extension the words come from numpy.random
+    heavy = ("_hashlib",) + (("numpy.random",) if kernel._loop is not None else ())
+    cfg = _write_config(tmp_path / "tiny.yaml")
+    probe = (
+        "import sys, qnaps.cli\n"
+        f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r},"
+        " '--jobs', '1']) == 0\n"
+        f"print(sorted(m for m in sys.modules for heavy in {heavy!r}"
+        " if m == heavy or m.startswith(heavy + '.')))"
+    )
+    assert _child(probe) == "[]"
+
+
+def test_sha256_is_hashlibs():
+    for data in (b"", b"abc", b"qnaps|1|Queue|Jobs|service", bytes(range(256)) * 40):
+        assert qnaps.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+        assert qnaps.sha256(data).digest() == hashlib.sha256(data).digest()
 
 
 def test_import_and_main_leave_the_collector_on_and_unfrozen(tmp_path):
