@@ -11,11 +11,13 @@ loops, ``_Engine.run`` (compiled) and ``_Engine._run_python``, so one
 run gives the speed-up of the compiled loop on one machine. A second
 case times the samplers alone: fill() of one block sampler per
 distribution kind, of a mixture whose base is a mixture, and of the
-arrival-time and routing samplers the engine builds, and of the raw
-uniforms of one stream (philox-words, the Philox words every sampler is
-made from), over about 100k values a round whatever the block size,
+arrival-time and routing samplers the engine builds (routing is the
+Philox words every sampler is made from, as uniforms), and the log that
+the exponential and Erlang values take alone, on a block of arguments
+1 - u (log), over about 100k values a round whatever the block size,
 reported as values per second and nanoseconds per value in each
-benchmark's extra_info. It is the per-block numpy cost that the compiled
+benchmark's extra_info. Each is one fill of the extension, or of
+_PythonFills without it, and is the cost per block that the compiled
 loop pays on top of reading the values. Run from the checkout root with
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
@@ -23,12 +25,13 @@ loop pays on top of reading the values. Run from the checkout root with
 ``testpaths = tests`` keeps the tier-1 suite from collecting it.
 """
 
+from array import array
 from functools import partial
 
 import pytest
 
 from qnaps.config import build_model_from_config, parse_antipattern, parse_model
-from qnaps.kernel import _BLOCK, RngStream, _Block, _arrival_times, _Engine, _loop, _sampler
+from qnaps.kernel import _BLOCK, RngStream, _Block, _arrival_times, _Engine, _fills, _loop, _sampler
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 
 HORIZON, WARMUP = 300000.0, 30000.0
@@ -75,8 +78,9 @@ SAMPLERS = {
     "nested-mixture": partial(_sampler, Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)),
                                                 Erlang(2, 1.0))),
     "arrival-times": partial(_arrival_times, Exponential(0.05)),
-    "routing": lambda stream: stream.batched(1, lambda u: u),
-    "philox-words": lambda stream: _Block(partial(stream.uniforms, _BLOCK)),
+    "routing": lambda stream: stream.block(1, _fills().uniforms),
+    "log": lambda stream: _Block(partial(_fills().log,
+                                         array("d", [1.0 - u for u in stream.uniforms(_BLOCK)]))),
 }
 BLOCKS = 102_400 // _BLOCK  # fills per round
 

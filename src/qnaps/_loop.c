@@ -1,4 +1,5 @@
-/* Compiled event loop of qnaps.kernel._Engine.
+/* Compiled event loop of qnaps.kernel._Engine, and the block fills of
+   its samplers.
 
    run(*table) runs one replication on the _Table that _Engine._build
    makes, passed field by field. It copies the table's arrays and checks
@@ -20,10 +21,16 @@
    back when it returns, so next() in Python continues where it stopped.
    The kernel module docstring has the build flags this relies on.
 
-   uniforms(k0, k1, start, n) hands out the words of one RngStream: a
-   stateless Philox4x64-10, so any word is a function of the key and its
-   position, giving the same uniforms as numpy's Generator(Philox(key))
-   .random, which tests/test_kernel.py compares it against. */
+   The fills make every block of values the samplers hand out, each in
+   one pass over the words of one RngStream and with no intermediate
+   block: uniforms, the Erlang and exponential values, mixtures, shifts
+   and the running sum of arrival gaps. The words are a stateless
+   Philox4x64-10, so any word is a function of the key and its position,
+   the same words as numpy's Generator(Philox(key)).random, which
+   tests/test_kernel.py compares them against. The log is fdlibm's, in
+   plain double operations, so a block's bits depend neither on the CPU
+   nor on a libm. kernel._PythonFills is the same fills in Python, value
+   for value, and their fallback. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -275,19 +282,28 @@ heap_pop(Engine *E)
 /* ------------------------------------------------------------------ */
 /* reading the table */
 
+/* the buffer of a sampler block, which must be a 1-d float64 array, in buf */
+static int
+get_values(PyObject *obj, Py_buffer *buf)
+{
+    if (PyObject_GetBuffer(obj, buf, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return -1;
+    if (buf->ndim != 1 || buf->itemsize != sizeof(double) || buf->format == NULL
+        || strcmp(buf->format, "d") != 0) {
+        PyBuffer_Release(buf);
+        PyErr_Format(PyExc_TypeError, "sampler block %R is not a 1-d float64 array", obj);
+        return -1;
+    }
+    return 0;
+}
+
 /* B's values become the float64 block vals */
 static int
 set_vals(Block *B, PyObject *vals)
 {
     Py_buffer buf;
-    if (PyObject_GetBuffer(vals, &buf, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+    if (get_values(vals, &buf) < 0)
         return -1;
-    if (buf.ndim != 1 || buf.itemsize != sizeof(double) || buf.format == NULL
-        || strcmp(buf.format, "d") != 0) {
-        PyBuffer_Release(&buf);
-        PyErr_Format(PyExc_TypeError, "sampler block %R is not a 1-d float64 array", vals);
-        return -1;
-    }
     if (B->vals != NULL)
         PyBuffer_Release(&B->buf);
     Py_XSETREF(B->vals, Py_NewRef(vals));
@@ -896,7 +912,7 @@ loop_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
-/* Philox4x64-10 uniforms */
+/* Philox4x64-10 words */
 
 /* one Philox4x64 round on ctr under key (Salmon et al., SC 2011) */
 static inline void
@@ -928,58 +944,312 @@ philox_block(uint64_t k0, uint64_t k1, uint64_t b, uint64_t out[4])
     }
 }
 
-/* uniforms(k0, k1, start, n): words start .. start + n - 1 of the
-   Philox4x64-10 stream keyed k0 | k1 << 64, each as (w >> 11) * 2**-53,
-   in a bytearray of n native float64s */
+/* the words of one stream, read in order from a start position */
+typedef struct {
+    uint64_t k0, k1;
+    uint64_t b;         /* the block held in words */
+    uint64_t words[4];
+    int w;              /* the next word of the block */
+} Words;
+
+/* W at word args[2] of the stream keyed args[0] | args[1] << 64, which must
+   have n * k words from there; ValueError if it has not */
+static int
+words_at(Words *W, PyObject *const *args, Py_ssize_t n, Py_ssize_t k)
+{
+    uint64_t start;
+    W->k0 = PyLong_AsUnsignedLongLong(args[0]);
+    W->k1 = PyLong_AsUnsignedLongLong(args[1]);
+    start = PyLong_AsUnsignedLongLong(args[2]);
+    if (PyErr_Occurred())
+        return -1;
+    if (n < 0 || k < 1 || (uint64_t)n > (UINT64_MAX - start) / (uint64_t)k) {
+        PyErr_Format(PyExc_ValueError, "no words %llu + [0, %zd * %zd)",
+                     (unsigned long long)start, n, k);
+        return -1;
+    }
+    W->b = start / 4;
+    W->w = (int)(start % 4);
+    philox_block(W->k0, W->k1, W->b, W->words);
+    return 0;
+}
+
+/* the next word as a uniform on [0, 1): its top 53 bits times 2**-53, which
+   is what numpy's Generator(Philox(key)).random hands out */
+static inline double
+next_uniform(Words *W)
+{
+    if (W->w == 4) {
+        philox_block(W->k0, W->k1, ++W->b, W->words);
+        W->w = 0;
+    }
+    return (double)(W->words[W->w++] >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* ------------------------------------------------------------------ */
+/* the log of the samplers */
+
+/* fdlibm's e_log.c (Sun Microsystems, 1993): ln 2 split into a head with
+   a short significand and a tail, and the coefficients of its minimax
+   polynomial R(z) ~ (log(1 + f) - 2s - ...) / s, s = f / (2 + f), z = s*s */
+static const double LN2_HI = 0x1.62e42feep-1, LN2_LO = 0x1.a39ef35793c76p-33,
+    LG1 = 0x1.5555555555593p-1, LG2 = 0x1.999999997fa04p-2, LG3 = 0x1.2492494229359p-2,
+    LG4 = 0x1.c71c51d8e78afp-3, LG5 = 0x1.7466496cb03dep-3, LG6 = 0x1.39a09d078c69fp-3,
+    LG7 = 0x1.2f112df3e5244p-3;
+
+/* log x for x in (0, 1], within 1 ulp, by fdlibm's __ieee754_log: x =
+   2**k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2), and log x = k ln 2 +
+   log(1 + f), with log(1 + f) = f - f*f/2 + s (f*f/2 + R). Plain double
+   operations in a fixed order, no libm call: under -ffp-contract=off its
+   bits are the same on every IEEE machine. Its branches on k = 0 are
+   left out, as k ln 2 = 0 then gives the same bits. kernel._log is its
+   port to Python. */
+static double
+log_unit(double x)
+{
+    uint64_t bits;
+    int k = 0;
+    memcpy(&bits, &x, sizeof bits);
+    if (bits >> 52 == 0) {
+        /* subnormal: scale into the normal range */
+        k = -54;
+        x *= 0x1p54;
+        memcpy(&bits, &x, sizeof bits);
+    }
+    int hx = (int)(bits >> 32);
+    k += (hx >> 20) - 1023;
+    hx &= 0x000fffff;
+    /* i is 2**20 when the significand is at least sqrt(2): then 1 + f
+       is it halved, and k one more */
+    int i = (hx + 0x95f64) & 0x100000;
+    bits = (bits & 0xffffffffULL) | (uint64_t)(hx | (i ^ 0x3ff00000)) << 32;
+    memcpy(&x, &bits, sizeof x);
+    k += i >> 20;
+    double f = x - 1.0, dk = (double)k;
+    if ((0x000fffff & (2 + hx)) < 3) {
+        /* |f| < 2**-20 */
+        if (f == 0.0)
+            return dk * LN2_HI + dk * LN2_LO;
+        double R = f * f * (0.5 - 0.33333333333333333 * f);
+        return dk * LN2_HI - ((R - dk * LN2_LO) - f);
+    }
+    double s = f / (2.0 + f), z = s * s, w = z * z;
+    double t1 = w * (LG2 + w * (LG4 + w * LG6));
+    double t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    double R = t2 + t1;
+    if (((hx - 0x6147a) | (0x6b851 - hx)) > 0) {
+        double hfsq = 0.5 * f * f;
+        return dk * LN2_HI - ((hfsq - (s * (hfsq + R) + dk * LN2_LO)) - f);
+    }
+    return dk * LN2_HI - ((s * (f - R) - dk * LN2_LO) - f);
+}
+
+/* ------------------------------------------------------------------ */
+/* sampler fills: each returns a new block of values, and each is
+   kernel._PythonFills' method of its name, operation for operation */
+
+/* TypeError unless a function takes want arguments */
+static int
+takes(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments, got %zd", name, want, nargs);
+    return -1;
+}
+
+/* a new block of n values: a float64 memoryview of a bytearray, whose
+   values *v points at */
+static PyObject *
+new_values(Py_ssize_t n, double **v)
+{
+    if ((size_t)n > PY_SSIZE_T_MAX / sizeof(double)) {
+        PyErr_Format(PyExc_ValueError, "no block of %zd values", n);
+        return NULL;
+    }
+    PyObject *bytes = PyByteArray_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(double));
+    if (bytes == NULL)
+        return NULL;
+    *v = (double *)PyByteArray_AS_STRING(bytes);
+    PyObject *view = PyMemoryView_FromObject(bytes);
+    Py_DECREF(bytes);
+    if (view == NULL)
+        return NULL;
+    PyObject *vals = PyObject_CallMethod(view, "cast", "s", "d");
+    Py_DECREF(view);
+    return vals;
+}
+
+/* uniforms(k0, k1, start, n[, low, span]): words start .. start + n - 1
+   of the stream keyed k0 | k1 << 64 as uniforms u, each as low + span * u;
+   low 0 and span 1 by default, which leave u as it is */
 static PyObject *
 loop_uniforms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "uniforms() takes 4 arguments, got %zd", nargs);
+    double low = 0.0, span = 1.0, *v;
+    Words W;
+    if (nargs != 4 && nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "uniforms() takes 4 or 6 arguments, got %zd", nargs);
         return NULL;
     }
-    uint64_t k0 = PyLong_AsUnsignedLongLong(args[0]), k1 = PyLong_AsUnsignedLongLong(args[1]);
-    uint64_t start = PyLong_AsUnsignedLongLong(args[2]);
     Py_ssize_t n = PyLong_AsSsize_t(args[3]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (n < 0 || (size_t)n > PY_SSIZE_T_MAX / sizeof(double) || start > UINT64_MAX - (uint64_t)n) {
-        PyErr_Format(PyExc_ValueError, "uniforms(): no words %llu + [0, %zd)",
-                     (unsigned long long)start, n);
-        return NULL;
+    if (nargs == 6) {
+        low = PyFloat_AsDouble(args[4]);
+        span = PyFloat_AsDouble(args[5]);
     }
-    PyObject *out = PyByteArray_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(double));
-    if (out == NULL)
+    if (PyErr_Occurred() || words_at(&W, args, n, 1) < 0)
         return NULL;
-    char *dst = PyByteArray_AS_STRING(out);
-    uint64_t words[4], b = start / 4;
-    int w = (int)(start % 4);
-    philox_block(k0, k1, b, words);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (w == 4) {
-            philox_block(k0, k1, ++b, words);
-            w = 0;
-        }
-        double u = (double)(words[w++] >> 11) * (1.0 / 9007199254740992.0);
-        memcpy(dst + i * sizeof(double), &u, sizeof u);
+    PyObject *out = new_values(n, &v);
+    for (Py_ssize_t i = 0; out != NULL && i < n; i++)
+        v[i] = low + span * next_uniform(&W);
+    return out;
+}
+
+/* erlang(k0, k1, start, n, k, scale, divide): n values from the next n * k
+   words, each -(log(1 - u1) + ... + log(1 - uk)) over k uniforms, summed
+   left to right, times scale, or divided by it when divide. With k = 1 it
+   is the exponential. 1 - u is exact, so log(1 - u) is log1p(-u). */
+static PyObject *
+loop_erlang(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    double *v;
+    Words W;
+    if (takes("erlang", nargs, 7) < 0)
+        return NULL;
+    Py_ssize_t n = PyLong_AsSsize_t(args[3]), k = PyLong_AsSsize_t(args[4]);
+    double scale = PyFloat_AsDouble(args[5]);
+    int divide = PyObject_IsTrue(args[6]);
+    if (PyErr_Occurred() || divide < 0 || words_at(&W, args, n, k) < 0)
+        return NULL;
+    PyObject *out = new_values(n, &v);
+    for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
+        double sum = log_unit(1.0 - next_uniform(&W));
+        for (Py_ssize_t j = 1; j < k; j++)
+            sum += log_unit(1.0 - next_uniform(&W));
+        v[i] = divide ? -sum / scale : -sum * scale;
     }
     return out;
 }
 
+/* mixture(k0, k1, start, p, base, extra): with u the uniform of word start
+   + i, value i is base[i] + extra[i] when u < p, else base[i] */
+static PyObject *
+loop_mixture(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer a, e;
+    PyObject *out = NULL;
+    double *v;
+    Words W;
+    if (takes("mixture", nargs, 6) < 0)
+        return NULL;
+    double p = PyFloat_AsDouble(args[3]);
+    if (PyErr_Occurred() || get_values(args[4], &a) < 0)
+        return NULL;
+    if (get_values(args[5], &e) < 0) {
+        PyBuffer_Release(&a);
+        return NULL;
+    }
+    Py_ssize_t n = a.shape[0];
+    if (e.shape[0] != n)
+        PyErr_Format(PyExc_ValueError, "mixture(): %zd base values, %zd extra", n, e.shape[0]);
+    else if (words_at(&W, args, n, 1) == 0)
+        out = new_values(n, &v);
+    const double *base = a.buf, *extra = e.buf;
+    for (Py_ssize_t i = 0; out != NULL && i < n; i++)
+        v[i] = next_uniform(&W) < p ? base[i] + extra[i] : base[i];
+    PyBuffer_Release(&a);
+    PyBuffer_Release(&e);
+    return out;
+}
+
+/* shift(offset, values): offset + each value */
+static PyObject *
+loop_shift(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b;
+    double *v;
+    if (takes("shift", nargs, 2) < 0)
+        return NULL;
+    double offset = PyFloat_AsDouble(args[0]);
+    if (PyErr_Occurred() || get_values(args[1], &b) < 0)
+        return NULL;
+    const double *base = b.buf;
+    PyObject *out = new_values(b.shape[0], &v);
+    for (Py_ssize_t i = 0; out != NULL && i < b.shape[0]; i++)
+        v[i] = offset + base[i];
+    PyBuffer_Release(&b);
+    return out;
+}
+
+/* accumulate(carry, gaps): the running sum of gaps, added in order onto
+   carry; a carry of -0.0 leaves the first gap as it is */
+static PyObject *
+loop_accumulate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b;
+    double *v;
+    if (takes("accumulate", nargs, 2) < 0)
+        return NULL;
+    double t = PyFloat_AsDouble(args[0]);
+    if (PyErr_Occurred() || get_values(args[1], &b) < 0)
+        return NULL;
+    const double *gaps = b.buf;
+    PyObject *out = new_values(b.shape[0], &v);
+    for (Py_ssize_t i = 0; out != NULL && i < b.shape[0]; i++)
+        v[i] = t += gaps[i];
+    PyBuffer_Release(&b);
+    return out;
+}
+
+/* log(values): log x of each value x, which must lie in (0, 1] */
+static PyObject *
+loop_log(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer b;
+    double *v;
+    if (takes("log", nargs, 1) < 0 || get_values(args[0], &b) < 0)
+        return NULL;
+    const double *x = b.buf;
+    PyObject *out = new_values(b.shape[0], &v);
+    for (Py_ssize_t i = 0; out != NULL && i < b.shape[0]; i++) {
+        if (!(x[i] > 0.0 && x[i] <= 1.0)) {
+            PyObject *bad = PyFloat_FromDouble(x[i]);
+            if (bad != NULL) {
+                PyErr_Format(PyExc_ValueError, "log(): %R at %zd is outside (0, 1]", bad, i);
+                Py_DECREF(bad);
+            }
+            Py_CLEAR(out);
+            break;
+        }
+        v[i] = log_unit(x[i]);
+    }
+    PyBuffer_Release(&b);
+    return out;
+}
+
+#define METHOD(name, doc) {#name, (PyCFunction)(void (*)(void))loop_##name, METH_FASTCALL, doc}
+
 static PyMethodDef loop_methods[] = {
-    {"run", (PyCFunction)(void (*)(void))loop_run, METH_FASTCALL,
-     "run(*table) -> (cells, classes). Runs the engine of a _Table to its horizon, "
-     "closes out the jobs still alive and returns the tally."},
-    {"uniforms", (PyCFunction)(void (*)(void))loop_uniforms, METH_FASTCALL,
-     "uniforms(k0, k1, start, n) -> bytearray. Words start .. start + n - 1 of the "
-     "Philox4x64-10 stream keyed k0 | k1 << 64 as uniforms (w >> 11) * 2**-53, "
-     "n native float64s."},
+    METHOD(run, "run(*table) -> (cells, classes). Runs the engine of a _Table to its horizon, "
+              "closes out the jobs still alive and returns the tally."),
+    METHOD(uniforms, "uniforms(k0, k1, start, n[, low, span]) -> block. Words start .. start + n - 1 "
+                   "of the Philox4x64-10 stream keyed k0 | k1 << 64 as uniforms u = (w >> 11) * "
+                   "2**-53, each as low + span * u."),
+    METHOD(erlang, "erlang(k0, k1, start, n, k, scale, divide) -> block. n values, each "
+                 "-(log(1 - u1) + ... + log(1 - uk)) over the next k uniforms, times scale or "
+                 "divided by it."),
+    METHOD(mixture, "mixture(k0, k1, start, p, base, extra) -> block. base[i] + extra[i] where "
+                  "uniform i is below p, else base[i]."),
+    METHOD(shift, "shift(offset, values) -> block. offset + each value."),
+    METHOD(accumulate, "accumulate(carry, gaps) -> block. The running sum of gaps onto carry."),
+    METHOD(log, "log(values) -> block. log x of each x in (0, 1], within 1 ulp, the same bits "
+              "on every IEEE machine."),
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef loop_module = {
     PyModuleDef_HEAD_INIT, "_loop",
-    "Compiled event loop of qnaps.kernel._Engine and the Philox words of its streams.", -1,
+    "Compiled event loop of qnaps.kernel._Engine and the block fills of its samplers.", -1,
     loop_methods,
 };
 

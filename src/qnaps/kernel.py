@@ -8,19 +8,22 @@ transforms reproduce baseline runs bit for bit. A uniform is the top 53
 bits of one raw word times 2**-53, which is what numpy's Generator.random
 computes from the same words. Philox is counter-based, each word a pure
 function of the key and its position, so a stream is its key and the
-position of its next word, and the compiled extension's uniforms()
-computes the words from those; numpy's Philox, which it matches bit for
-bit, is imported only when the extension is unavailable. Every sampler,
-the routing uniforms and each open class's arrival times too, is one
-_Block: a float64 array of values, the index of the next one, and
-fill(), which returns the next array. _sampler turns a distribution into
-its block; a batched block is
-_BLOCK (4,096) values made in numpy from the uniforms of the next
-4,096*k raw words, so a sampler that has its stream to itself consumes
-the same raw sequence as taking one value at a time; routing streams,
-one consumer each, are batched too. No stream holds a block, so the
-blocks of a replication are freed by refcount when it is dropped. The
-closed-class init phase takes one word per value.
+position of its next word. Every sampler, the routing uniforms and each
+open class's arrival times too, is one _Block: a float64 buffer of
+values, the index of the next one, and fill(), which returns the next
+buffer. _sampler turns a distribution into its block; a batched block is
+_BLOCK (4,096) values made from the uniforms of the next 4,096*k raw
+words, so a sampler that has its stream to itself consumes the same raw
+sequence as taking one value at a time; routing streams, one consumer
+each, are batched too. Each block is one call of a fill of the compiled
+extension, which computes the words and transforms them in one pass: an
+exponential or Erlang value is -log(1 - u) (1 - u is exact, so this is
+-log1p(-u)) with fdlibm's log in plain double operations, so no value
+depends on the CPU, on a libm or on numpy. _PythonFills is the same
+fills in Python, bit for bit, and their fallback, with the words from
+numpy's Philox; numpy is imported only then. No stream holds a block, so
+the blocks of a replication are freed by refcount when it is dropped.
+The closed-class init phase takes one word per value.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -71,7 +74,7 @@ the flags, so an edited source never loads an old binary. gcc runs, and
 subprocess and sysconfig are imported, only when no cached binary
 exists; otherwise the import just loads the cached file. If it cannot
 be built or loaded, one warning goes to stderr, run() uses the Python
-loop and the streams take their words from numpy's Philox.
+loop and the samplers _PythonFills.
 """
 from __future__ import annotations
 
@@ -79,15 +82,14 @@ import heapq
 import math
 import os
 import sys
+from array import array
 from collections import deque
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from . import sha256
 from .model import (
@@ -106,7 +108,7 @@ from .stats import MetricSample, ReplicationResult
 
 _INF = math.inf
 _BLOCK = 4096  # values per block, the same for every sampler
-_NO_VALUES = np.empty(0)
+_NO_VALUES = array("d")
 
 
 class KernelError(RuntimeError):
@@ -137,7 +139,7 @@ class DeadlockError(KernelError):
 
 
 class _Block:
-    """One sampler: vals, the float64 block of values it is handing out;
+    """One sampler: vals, the float64 buffer of values it is handing out;
     i, the index of the next one; and fill(), which returns the next
     block. next() hands out one value and calls fill() when the block
     runs out; an empty block ends the sampler with StopIteration. The
@@ -160,7 +162,7 @@ class _Block:
             if not len(vals):
                 raise StopIteration
         self.i = i + 1
-        return vals.item(i)
+        return vals[i]
 
 
 class RngStream:
@@ -188,31 +190,120 @@ class RngStream:
         meets no other stream."""
         return RngStream(self.seed, self.station_id, self.class_id, f"{self.purpose}/{tag}")
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """The next n raw words as uniforms on [0, 1), from their top 53
-        bits."""
+    def take(self, n: int) -> int:
+        """The position of the next word, moving the stream past n words."""
         start = self.pos
         self.pos = start + n
-        if _loop is None:
-            return _philox_uniforms(self.k0, self.k1, start, n)
-        return np.frombuffer(_loop.uniforms(self.k0, self.k1, start, n))
+        return start
 
-    def batched(self, k: int, transform) -> _Block:
-        """Block sampler of transform(u): u holds the uniforms of the next
-        _BLOCK*k raw words, taken on the first next() and again each time
-        its _BLOCK values run out; transform maps them to _BLOCK values."""
-        return _Block(lambda: transform(self.uniforms(_BLOCK * k)))
+    def uniforms(self, n: int):
+        """The next n raw words as uniforms on [0, 1), from their top 53
+        bits, in a float64 buffer."""
+        return _fills().uniforms(self.k0, self.k1, self.take(n), n)
+
+    def block(self, k: int, fill, *params) -> _Block:
+        """Block sampler whose every fill() is fill(k0, k1, start, _BLOCK,
+        *params), a fill of _PythonFills or the extension: _BLOCK values
+        from the next _BLOCK*k raw words, taken on the first next() and
+        again each time its values run out."""
+        return _Block(lambda: fill(self.k0, self.k1, self.take(_BLOCK * k), _BLOCK, *params))
 
 
-def _philox_uniforms(k0: int, k1: int, start: int, n: int) -> np.ndarray:
+def _philox_uniforms(k0: int, k1: int, start: int, n: int):
     """Words start .. start + n - 1 of the stream keyed k0 | k1 << 64 as
-    uniforms, from numpy's Philox: the specification of the extension's
-    uniforms() and its fallback. numpy's Philox makes block b at counter
-    b + 1, so a generator at counter start // 4 begins at that word's block."""
+    uniforms in a numpy array, from numpy's Philox: the specification of
+    the extension's words and their fallback. numpy's Philox makes block b
+    at counter b + 1, so a generator at counter start // 4 begins at that
+    word's block."""
     from numpy.random import Generator, Philox  # only without the extension
 
     skip = start % 4
     return Generator(Philox(key=k0 | k1 << 64, counter=start // 4)).random(skip + n)[skip:]
+
+
+# fdlibm's e_log.c (Sun Microsystems, 1993), as in _loop.c: ln 2 split
+# into a head with a short significand and a tail, and the coefficients
+# of its minimax polynomial in z = s*s, s = f / (2 + f)
+_LN2_HI = float.fromhex("0x1.62e42feep-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+_LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = map(float.fromhex, (
+    "0x1.5555555555593p-1", "0x1.999999997fa04p-2", "0x1.2492494229359p-2",
+    "0x1.c71c51d8e78afp-3", "0x1.7466496cb03dep-3", "0x1.39a09d078c69fp-3",
+    "0x1.2f112df3e5244p-3"))
+
+
+def _log(x: float) -> float:
+    """log x for x in (0, 1]: log_unit of _loop.c, operation for
+    operation, so the same bits. frexp splits x exactly where log_unit
+    reads its bits: x = m * 2**e, and hx is the top 20 bits of the
+    fraction of 2m."""
+    m, e = math.frexp(x)
+    hx = int((m + m - 1.0) * 1048576.0)
+    i = (hx + 0x95F64) & 0x100000  # the significand is at least sqrt(2)
+    dk = float(e - 1 + (i >> 20))
+    f = (m if i else m + m) - 1.0
+    if (0x000FFFFF & (2 + hx)) < 3:  # |f| < 2**-20
+        if f == 0.0:
+            return dk * _LN2_HI + dk * _LN2_LO
+        R = f * f * (0.5 - 0.33333333333333333 * f)
+        return dk * _LN2_HI - ((R - dk * _LN2_LO) - f)
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    t1 = w * (_LG2 + w * (_LG4 + w * _LG6))
+    t2 = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7)))
+    R = t2 + t1
+    if ((hx - 0x6147A) | (0x6B851 - hx)) > 0:
+        hfsq = 0.5 * f * f
+        return dk * _LN2_HI - ((hfsq - (s * (hfsq + R) + dk * _LN2_LO)) - f)
+    return dk * _LN2_HI - ((s * (f - R) - dk * _LN2_LO) - f)
+
+
+class _PythonFills:
+    """The extension's fills in Python, with its signatures and, value for
+    value, its bits: their specification, which the tests compare the
+    extension against, and their fallback when it is unavailable. The
+    words come from numpy's Philox, and each block is an array('d')."""
+
+    @staticmethod
+    def uniforms(k0, k1, start, n, low=0.0, span=1.0):
+        return array("d", [low + span * u for u in _philox_uniforms(k0, k1, start, n).tolist()])
+
+    @staticmethod
+    def erlang(k0, k1, start, n, k, scale, divide):
+        u = _philox_uniforms(k0, k1, start, n * k).tolist()
+        out = array("d")
+        for i in range(0, n * k, k):
+            total = _log(1.0 - u[i])
+            for j in range(i + 1, i + k):
+                total += _log(1.0 - u[j])
+            out.append(-total / scale if divide else -total * scale)
+        return out
+
+    @staticmethod
+    def mixture(k0, k1, start, p, base, extra):
+        if len(base) != len(extra):
+            raise ValueError(f"mixture(): {len(base)} base values, {len(extra)} extra")
+        u = _philox_uniforms(k0, k1, start, len(base)).tolist()
+        return array("d", [a + e if b < p else a for b, a, e in zip(u, base, extra)])
+
+    @staticmethod
+    def shift(offset, values):
+        return array("d", [offset + b for b in values])
+
+    @staticmethod
+    def accumulate(carry, gaps):
+        return array("d", accumulate(gaps, add, initial=carry))[1:]
+
+    @staticmethod
+    def log(values):
+        return array("d", map(_log, values))
+
+
+def _fills():
+    """The extension, whose fills make every block, or _PythonFills
+    when it could not be built or loaded."""
+    return _PythonFills if _loop is None else _loop
 
 
 # station kind codes of _Table.kind
@@ -227,29 +318,29 @@ class _Table(NamedTuple):
     """The engine's layout, decided by _Engine._build and read by both
     loops. Stations and classes are numbered in model order; a cell is a
     (station, class) pair, numbered s * nclasses + c. Index tables are
-    int32 arrays, times and probabilities float64 arrays; blocks index
+    array('i') (int32), times and probabilities array('d'); blocks index
     into blocks and -1 means none. The compiled loop takes the fields in
     this order."""
 
     horizon: float
     warmup: float
-    kind: np.ndarray           # per station: its _KC_* code
-    servers: np.ndarray        # per station
-    capacity: np.ndarray       # per station: inf when unbounded
-    sampler: np.ndarray        # per cell: block of its service times, or at a source of
-                               #   its class's arrival times; -1 if neither
-    route_ptr: np.ndarray      # per cell: its class leaving its station (a source: entering
-    route_to: np.ndarray       #   the network) goes to route_to[route_ptr[k]:route_ptr[k+1]]
-    route_cum: np.ndarray      #   with these cumulative probabilities
-    route_block: np.ndarray    # per cell: block of its routing uniforms, -1 with one successor
-    flush_ptr: np.ndarray      # per cell (station, poller class): a completion there
-    flush_cls: np.ndarray      #   flushes the classes flush_cls[flush_ptr[k]:flush_ptr[k+1]]
-    reference: np.ndarray      # per class: its reference station if closed, else -1
-    place_station: np.ndarray  # per t = 0 placement, in the order the loops replay them:
-    place_class: np.ndarray    #   the station, the class and the time; at a source, the
-    place_time: np.ndarray     #   class's first arrival, else a closed-class job's calendar
-                               #   time, inf when it queues or parks
-    blocks: list               # every _Block, once
+    kind: array           # per station: its _KC_* code
+    servers: array        # per station
+    capacity: array       # per station: inf when unbounded
+    sampler: array        # per cell: block of its service times, or at a source of
+                          #   its class's arrival times; -1 if neither
+    route_ptr: array      # per cell: its class leaving its station (a source: entering
+    route_to: array       #   the network) goes to route_to[route_ptr[k]:route_ptr[k+1]]
+    route_cum: array      #   with these cumulative probabilities
+    route_block: array    # per cell: block of its routing uniforms, -1 with one successor
+    flush_ptr: array      # per cell (station, poller class): a completion there
+    flush_cls: array      #   flushes the classes flush_cls[flush_ptr[k]:flush_ptr[k+1]]
+    reference: array      # per class: its reference station if closed, else -1
+    place_station: array  # per t = 0 placement, in the order the loops replay them:
+    place_class: array    #   the station, the class and the time; at a source, the
+    place_time: array     #   class's first arrival, else a closed-class job's calendar
+                          #   time, inf when it queues or parks
+    blocks: list          # every _Block, once
 
 
 class _Job:
@@ -265,74 +356,56 @@ class _Job:
 
 
 def _sampler(dist, stream) -> _Block:
-    """Block sampler of dist's values on stream, one branch per kind. A
-    batched kind takes k raw words of stream per value: exponential 1,
-    erlang its phases, uniform 1. A deterministic value and a rate-0
-    exponential (inf) take none; their fill is C code, so a loop over
-    them runs no Python bytecode. A shift takes what its base takes. A
-    mixture takes nothing of stream itself: its branch uniforms, base and
-    extra come from the part streams branch, base and extra, one branch
-    word per value, so no value depends on the block size."""
+    """Block sampler of dist's values on stream, one branch per kind, each
+    block one fill of the extension (or of _PythonFills). A batched kind
+    takes k raw words of stream per value: exponential 1, erlang its
+    phases, uniform 1. A deterministic value and a rate-0 exponential (inf)
+    take none; their fill is C code, so a loop over them runs no Python
+    bytecode. A shift takes what its base takes. A mixture takes nothing
+    of stream itself: its branch uniforms, base and extra come from the
+    part streams branch, base and extra, one branch word per value, so no
+    value depends on the block size."""
+    fills = _fills()
     kind = dist.kind
     if kind == "deterministic" or (kind == "exponential" and dist.rate == 0.0):
-        return _Block(repeat(np.full(_BLOCK, float(dist.mean()))).__next__)
-    if kind == "exponential":
-        scale = 1.0 / dist.rate
-        return stream.batched(1, lambda u: -np.log1p(-u) * scale)
-    if kind == "erlang":
-        k = dist.phases
-        scale = 1.0 / dist.rate
-
-        def phases(u):
-            # phases summed left to right in k strided adds: half the cost
-            # of a reshape-sum, and the same bits for k <= 7 (beyond that
-            # numpy's reduction is pairwise)
-            logs = np.log1p(-u)
-            return -sum((logs[j::k] for j in range(1, k)), logs[0::k]) * scale
-
-        return stream.batched(k, phases)
+        return _Block(repeat(array("d", [float(dist.mean())]) * _BLOCK).__next__)
+    if kind in ("exponential", "erlang"):
+        k = dist.phases if kind == "erlang" else 1
+        return stream.block(k, fills.erlang, k, 1.0 / dist.rate, False)
     if kind == "uniform":
-        low = dist.low
-        span = dist.high - low
-        return stream.batched(1, lambda u: low + span * u)
+        return stream.block(1, fills.uniforms, dist.low, dist.high - dist.low)
     if kind == "shifted":
         offset = float(dist.offset)
         base = _sampler(dist.base, stream).fill
-        return _Block(lambda: offset + base())
+        return _Block(lambda: fills.shift(offset, base()))
     if kind == "mixture":
         p = dist.p_extra
         base = _sampler(dist.base, stream.part("base")).fill
         extra = _sampler(dist.extra, stream.part("extra")).fill
         branch = stream.part("branch")
-
-        def mix():
-            a = base()
-            return np.where(branch.uniforms(_BLOCK) < p, a + extra(), a)
-
-        return _Block(mix)
+        return _Block(lambda: fills.mixture(branch.k0, branch.k1, branch.take(_BLOCK), p,
+                                            base(), extra()))
     raise ValueError(f"unknown distribution {dist!r}")
 
 
 def _arrival_times(dist, stream) -> _Block:
     """Block sampler of a class's external arrival times: the running sum
-    of the gaps drawn from its arrival stream, carried from block to
-    block. np.add.accumulate adds in order, so the times are exactly
-    those of a running float sum over the gaps. The first infinite gap (a rate-0
-    exponential, or an infinite part of a mixture) makes every later time
-    infinite."""
+    of the gaps drawn from its arrival stream, added in order and carried
+    from block to block. The first infinite gap (a rate-0 exponential, or
+    an infinite part of a mixture) makes every later time infinite."""
+    fills = _fills()
     if dist.kind == "exponential" and dist.rate > 0:
-        rate = dist.rate
         # not _sampler's exponential, which multiplies by 1 / rate: that
         # rounds differently, and the shipped outputs were made by this division
-        gaps = stream.batched(1, lambda u: -np.log1p(-u) / rate).fill
+        gaps = stream.block(1, fills.erlang, 1, dist.rate, True).fill
     else:
         gaps = _sampler(dist, stream).fill
-    carry = _NO_VALUES  # the last time handed out, once there is one
+    carry = -0.0  # the last time handed out; -0.0 + gap is the gap, bit for bit
 
     def fill():
         nonlocal carry
-        times = np.add.accumulate(np.concatenate((carry, gaps())))[len(carry):]
-        carry = times[-1:]
+        times = fills.accumulate(carry, gaps())
+        carry = times[-1]
         return times
 
     return _Block(fill)
@@ -409,7 +482,7 @@ class _Engine:
                 route_cum[-1] = 1.0 + 1e-12  # guard against float dust on the last edge
                 if len(targets) > 1:
                     # one consumer per routing stream, so batching keeps its values
-                    u01 = RngStream(seed, row[1], row[0], "routing").batched(1, lambda u: u)
+                    u01 = RngStream(seed, row[1], row[0], "routing").block(1, _fills().uniforms)
                     block = index(u01)
             route_block.append(block)
             route_ptr.append(len(route_to))
@@ -423,7 +496,7 @@ class _Engine:
             service = blocks[sampler[s * ncl + c]]
             for _ in range(jc.population):
                 if kind[s] == _KC_DELAY:
-                    u = init.uniforms(1).item(0)  # a random initial phase desynchronizes cycles
+                    u = init.uniforms(1)[0]  # a random initial phase desynchronizes cycles
                     think = next(service)
                     t = u * think if think < _INF else _INF
                 elif busy[s] < stations[s].servers:
@@ -434,19 +507,21 @@ class _Engine:
                 place.append((s, c, t))
 
         def ints(values):
-            return np.array(values, dtype=np.int32)
+            return array("i", values)
 
-        flush_ptr = np.cumsum([0] + [len(f) for f in flush], dtype=np.int32)
+        def floats(values):
+            return array("d", values)
+
+        flush_ptr = ints(accumulate((len(f) for f in flush), initial=0))
         place_station, place_class, place_time = zip(*place) if place else ((), (), ())
         return _Table(
             horizon, warmup,
-            ints(kind), np.array([s.servers for s in stations], dtype=np.float64),
-            np.array([_INF if s.capacity is None else s.capacity for s in stations],
-                     dtype=np.float64),
+            ints(kind), floats(s.servers for s in stations),
+            floats(_INF if s.capacity is None else s.capacity for s in stations),
             ints(sampler),
-            ints(route_ptr), ints(route_to), np.array(route_cum, dtype=np.float64),
-            ints(route_block), flush_ptr, ints([c for f in flush for c in f]), ints(reference),
-            ints(place_station), ints(place_class), np.array(place_time, dtype=np.float64),
+            ints(route_ptr), ints(route_to), floats(route_cum),
+            ints(route_block), flush_ptr, ints(c for f in flush for c in f), ints(reference),
+            ints(place_station), ints(place_class), floats(place_time),
             blocks,
         )
 
@@ -720,7 +795,8 @@ class _Engine:
         def row(station, cname, metrics, servers, area, barea, ssum, scnt, drops):
             value = {
                 "utilization": barea / (servers * window),
-                "response-time-msec": ssum / scnt if scnt else 0.0,
+                # no completion in the window: no sample, not a time of 0
+                "response-time-msec": ssum / scnt if scnt else math.nan,
                 "throughput-per-msec": scnt / window,
                 "queue-length": area / window,
                 "dropped-count": float(drops),

@@ -85,8 +85,11 @@ def render_csv(rows) -> str:
     return out.getvalue()
 
 
-def estimate_rows(experiment, estimates, *, n, base_seed, sweep_param="", sweep_value=""):
-    """Flatten an estimate dict into CSV-schema rows, preserving its order."""
+def estimate_rows(experiment, estimates, *, base_seed, sweep_param="", sweep_value="", n=None):
+    """Flatten an estimate dict into CSV-schema rows, preserving its order.
+    A row's n is its interval's: the replications that gave its metric a
+    value. n, the replications run, is accepted from callers that still
+    pass it, and not used."""
     rows = []
     for (station, job_class, metric), ci in estimates.items():
         rows.append(
@@ -99,7 +102,7 @@ def estimate_rows(experiment, estimates, *, n, base_seed, sweep_param="", sweep_
                 metric,
                 ci.mean,
                 ci.half_width,
-                n,
+                ci.n,
                 base_seed,
             )
         )
@@ -237,8 +240,9 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
     """Line plot with markers and symmetric error bars as a standalone SVG.
 
     x positions are shared per series point; y error bars span mean ± hw.
-    With annotate_minimum the smallest y of the first series is marked
-    and its x echoed next to the point. Output depends only on the
+    A point whose y is NaN (no estimate) is left out. With
+    annotate_minimum the smallest y of the first series is marked and its
+    x echoed next to the point. Output depends only on the
     arguments (fixed canvas, fixed formatting), so equal inputs give
     byte-equal files.
     """
@@ -263,8 +267,9 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
         return float(v)
 
     xs = [tx(v) for s in series for v in s.x]
-    ylo = min(y - h for s in series for y, h in zip(s.y, s.hw))
-    yhi = max(y + h for s in series for y, h in zip(s.y, s.hw))
+    points = [[(x, y, h) for x, y, h in zip(s.x, s.y, s.hw) if not math.isnan(y)] for s in series]
+    ylo = min((y - h for pts in points for _, y, h in pts), default=0.0)
+    yhi = max((y + h for pts in points for _, y, h in pts), default=0.0)
     xlo, xhi = min(xs), max(xs)
     if xhi == xlo:
         xlo, xhi = xlo - 0.5, xhi + 0.5
@@ -341,7 +346,7 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
 
     for si, s in enumerate(series):
         color = _PALETTE[si % len(_PALETTE)]
-        pts = sorted(zip(s.x, s.y, s.hw), key=lambda p: tx(p[0]))
+        pts = sorted(points[si], key=lambda p: tx(p[0]))
         # error bars under the line
         for x, y, h in pts:
             if h <= 0:
@@ -361,10 +366,8 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
         for x, y, _ in pts:
             parts.append(f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="3" fill="{color}"/>')
 
-    if annotate_minimum:
-        s = series[0]
-        i = min(range(len(s.y)), key=lambda k: (s.y[k], k))
-        mx, my = s.x[i], s.y[i]
+    if annotate_minimum and points[0]:
+        mx, my, _ = min(points[0], key=lambda p: p[1])
         cx, cy = _fmt(px(mx)), _fmt(py(my))
         parts.append(
             f'<circle cx="{cx}" cy="{cy}" r="6" fill="none" stroke="#111111" stroke-width="1.5"/>'

@@ -127,7 +127,6 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
         csv_rows += render.estimate_rows(
             cfg.experiment,
             est,
-            n=cfg.replications,
             base_seed=cfg.seed,
             sweep_param=cfg.sweep_parameter or "",
             sweep_value="" if cfg.sweep_parameter is None else value,

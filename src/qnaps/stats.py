@@ -4,6 +4,11 @@ Estimates are order-invariant: per-replication values are kept keyed by
 replication index, sorted by it and reduced with math.fsum, so adding
 replications in any order gives bit-identical confidence intervals.
 
+A replication whose metric has no sample (a response time where nothing
+completed in the window) reports NaN. An interval is estimated over the
+replications that report a number, and its n counts them; with fewer
+than two, its mean and half-width are NaN.
+
 The interval half-width uses the two-sided 99% Student-t quantile,
 computed here with the standard library and correctly rounded: the double
 nearest the true quantile, found with the CDF evaluated in decimal. So the
@@ -138,10 +143,12 @@ def _atan(x: Decimal) -> Decimal:
 
 
 def _interval(by_rep: dict[int, float]) -> ConfidenceInterval:
-    n = len(by_rep)
+    if len(by_rep) < 2:
+        raise EstimateError(f"need at least 2 replications, got {len(by_rep)}")
+    vals = [v for _, v in sorted(by_rep.items()) if not math.isnan(v)]
+    n = len(vals)
     if n < 2:
-        raise EstimateError(f"need at least 2 replications, got {n}")
-    vals = [v for _, v in sorted(by_rep.items())]
+        return ConfidenceInterval(math.nan, math.nan, CI_LEVEL, n)
     mean = math.fsum(vals) / n
     var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
     half = _t_quantile(n - 1) * math.sqrt(var / n)

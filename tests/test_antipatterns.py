@@ -33,7 +33,8 @@ def _assert_neutral(base_model, transformed_model):
     after = _table(transformed_model)
     missing = set(base) - set(after)
     assert not missing, f"transform dropped metrics: {sorted(missing)[:4]}"
-    diffs = [k for k in base if base[k] != after[k]]
+    # float.hex compares bits, and a NaN (a cell with no completion) equals itself
+    diffs = [k for k in base if base[k].hex() != after[k].hex()]
     assert not diffs, f"neutral transform changed {len(diffs)} metrics, e.g. {diffs[:4]}"
 
 

@@ -7,6 +7,7 @@ reproducibility and stream isolation rather than values.
 
 import gc
 import hashlib
+import math
 import os
 import resource
 import subprocess
@@ -89,11 +90,11 @@ def _words_taken(stream):
     """How many raw words stream has handed out: where its next word sits
     in a twin stream, searched over the twin's first 15 blocks of words."""
     twin = RngStream(stream.seed, stream.station_id, stream.class_id, stream.purpose)
-    return _uniforms(twin, 15 * kernel._BLOCK).tolist().index(stream.uniforms(1).item(0))
+    return _uniforms(twin, 15 * kernel._BLOCK).tolist().index(stream.uniforms(1)[0])
 
 
 def _uniform01(stream):
-    return stream.uniforms(1).item(0)
+    return stream.uniforms(1)[0]
 
 
 _KEYS = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1] + [
@@ -250,12 +251,18 @@ def test_routing_stream_draws_one_word_per_decision():
     assert u01.vals.tolist() == _uniforms(twin, kernel._BLOCK).tolist()
 
 
+def _log1m(u):
+    """log(1 - u) of each uniform, by the Python port of the extension's log."""
+    return [kernel._log(1.0 - x) for x in u.tolist()]
+
+
 @pytest.mark.parametrize(
     "dist, k, formula",
     [
-        (Exponential(0.7), 1, lambda u: -np.log1p(-u) * (1.0 / 0.7)),
-        (Uniform(2.0, 5.5), 1, lambda u: 2.0 + (5.5 - 2.0) * u),
-        (Erlang(3, 1.3), 3, lambda u: -np.log1p(-u).reshape(-1, 3).sum(axis=1) * (1.0 / 1.3)),
+        (Exponential(0.7), 1, lambda u: [-v * (1.0 / 0.7) for v in _log1m(u)]),
+        (Uniform(2.0, 5.5), 1, lambda u: (2.0 + (5.5 - 2.0) * u).tolist()),
+        (Erlang(3, 1.3), 3, lambda u: [-(a + b + c) * (1.0 / 1.3)
+                                       for a, b, c in zip(*[iter(_log1m(u))] * 3)]),
     ],
     ids=["exponential", "uniform", "erlang"],
 )
@@ -265,20 +272,20 @@ def test_batched_sampler_matches_the_formula_on_raw_words(dist, k, formula):
     n, size = kernel._BLOCK + 44, kernel._BLOCK
     sampler = _sampler(dist, RngStream(17, "st", "cl", "service"))
     twin = RngStream(17, "st", "cl", "service")
-    want = [v for _ in range(2) for v in formula(_uniforms(twin, size * k)).tolist()]
+    want = [v for _ in range(2) for v in formula(_uniforms(twin, size * k))]
     assert [next(sampler) for _ in range(n)] == want[:n]
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_erlang_value_is_its_phases_summed_in_order(k):
     # value i is -(l[ik] + l[ik+1] + ... + l[ik+k-1]) / rate, summed left to
-    # right in Python, with l = log1p(-u) over the block's _BLOCK*k uniforms
+    # right in Python, with l = log(1 - u) over the block's _BLOCK*k uniforms
     n, size = kernel._BLOCK + 44, kernel._BLOCK
     sampler = _sampler(Erlang(k, 1.3), RngStream(17, "st", "cl", "service"))
     twin = RngStream(17, "st", "cl", "service")
     want = []
     for _ in range(2):
-        logs = np.log1p(-_uniforms(twin, size * k)).tolist()
+        logs = _log1m(_uniforms(twin, size * k))
         for i in range(size):
             total = logs[i * k]
             for phase in logs[i * k + 1:(i + 1) * k]:
@@ -306,6 +313,26 @@ def test_mixture_parts_draw_from_their_own_streams(dist):
         a, b = next(base), next(extra)
         want.append(offset + (a + b if u < mix.p_extra else a))
     assert [next(sampler) for _ in range(n)] == want
+
+
+@pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
+@pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values(), Exponential(0.0)],
+                         ids=[*kinds(10.0), *NESTED, "rate-0"])
+def test_compiled_fills_equal_the_python_fills(dist, monkeypatch):
+    # the extension's fills against _PythonFills, their fallback: values,
+    # arrival times with dist as the gap and routing uniforms, _BLOCK + 44
+    # of each, so every stream crosses a block
+    n = kernel._BLOCK + 44
+
+    def draw():
+        values = _sampler(dist, RngStream(41, "st", "cl", "service"))
+        times = _arrival_times(dist, RngStream(41, "st", "cl", "arrival"))
+        routing = RngStream(41, "st", "cl", "routing").block(1, kernel._fills().uniforms)
+        return [(next(values).hex(), next(times).hex(), next(routing).hex()) for _ in range(n)]
+
+    compiled = draw()
+    monkeypatch.setattr(kernel, "_loop", None)
+    assert draw() == compiled
 
 
 @pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values()],
@@ -354,6 +381,22 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
     d = x - x.mean()
     m2, m4 = (d**2).mean(), (d**4).mean()
     assert abs(x.mean() - mean) / np.sqrt(var / len(x)) < 4
+    assert abs(m2 - var) / np.sqrt((m4 - m2**2) / len(x)) < 4
+
+
+@pytest.mark.parametrize(
+    "dist, var",
+    [(Exponential(0.7), 1 / 0.7**2), (Erlang(3, 1.3), 3 / 1.3**2)],
+    ids=["exponential", "erlang"],
+)
+def test_exponential_and_erlang_match_their_closed_form_moments(dist, var):
+    # 2**20 values: sample mean and variance within 4 standard errors of
+    # k / rate and k / rate**2
+    sampler = _sampler(dist, RngStream(43, "st", "cl", "service"))
+    x = np.concatenate([sampler.fill() for _ in range(2**20 // kernel._BLOCK)])
+    d = x - x.mean()
+    m2, m4 = (d**2).mean(), (d**4).mean()
+    assert abs(x.mean() - dist.mean()) / np.sqrt(var / len(x)) < 4
     assert abs(m2 - var) / np.sqrt((m4 - m2**2) / len(x)) < 4
 
 
@@ -553,7 +596,7 @@ def test_parked_class_is_dormant_not_deadlocked_beside_open_traffic():
     r = table(run_replication(m, seed=8, horizon=2000.0, warmup=100.0))
     assert r[("Queue", "Jobs", "throughput-per-msec")] > 0.3
     assert r[("system", "Idle", "throughput-per-msec")] == 0.0
-    assert r[("system", "Idle", "response-time-msec")] == 0.0
+    assert math.isnan(r[("system", "Idle", "response-time-msec")])  # no cycle completed
 
 
 def test_detection_gate_stretches_system_time_only():

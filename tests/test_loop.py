@@ -13,7 +13,9 @@ and non-exponential arrivals. The ties pin was frozen from an engine
 that pre-drew every arrival and merged them with a lexsort. The
 arrival_mix pin, whose class M arrives by a mixture, was re-frozen when
 each mixture part got its own stream, after that mixture's sample mean
-and variance were checked against their closed forms (test_kernel.py).
+and variance were checked against their closed forms (test_kernel.py);
+its response times of class Z, which never arrives, read NaN since a
+cell with no completion has no response time.
 The remaining tests
 cover the extension's build and fallback, block samplers handed between
 Python and C, the checks the compiled loop makes on its table,
@@ -29,6 +31,7 @@ import signal
 import subprocess
 import sys
 import time
+from array import array
 from dataclasses import replace
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -455,7 +458,7 @@ def test_compiled_loop_rejects_a_block_that_is_not_float64():
 
 
 def changed(values, at, value):
-    values = values.copy()
+    values = array(values.typecode, values)
     values[at] = value
     return values
 
@@ -468,7 +471,7 @@ def changed(values, at, value):
 CORRUPT = {
     "kind": ("awty", lambda t: changed(t.kind, 0, 7), ValueError,
              r"table 'kind' holds 7 at 0, outside \[0, 4\)"),
-    "servers": ("awty", lambda t: t.servers.astype(np.int32), TypeError,
+    "servers": ("awty", lambda t: array("i", map(int, t.servers)), TypeError,
                 "table 'servers' is not a 1-d float64 array"),
     "capacity": ("awty", lambda t: t.capacity[:-1], ValueError,
                  "table 'capacity' has 7 entries, expected 8"),
@@ -482,11 +485,11 @@ CORRUPT = {
                           "table 'route_to' sends class 0 to station 2, which does not serve it"),
     "route_to/source": ("awty", lambda t: changed(t.route_to, 0, 0), ValueError,
                         "table 'route_to' sends class 0 to station 0, which is a source"),
-    "route_cum": ("awty", lambda t: t.route_cum.astype(np.float32), TypeError,
+    "route_cum": ("awty", lambda t: array("f", t.route_cum), TypeError,
                   "table 'route_cum' is not a 1-d float64 array"),
     "route_block": ("awty", lambda t: changed(t.route_block, 0, 11), ValueError,
                     "table 'route_block' holds 11 at 0"),
-    "route_block/missing": ("wwi", lambda t: np.full_like(t.route_block, -1), ValueError,
+    "route_block/missing": ("wwi", lambda t: array("i", [-1] * len(t.route_block)), ValueError,
                             "table 'route_block' has no block for route row"),
     "flush_ptr": ("awty", lambda t: t.flush_ptr[1:], ValueError,
                   "table 'flush_ptr' has 32 entries, expected 33"),

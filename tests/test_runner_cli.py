@@ -1,5 +1,6 @@
 """Experiment runner and command line behavior."""
 
+import csv
 import hashlib
 import importlib.util
 import json
@@ -440,6 +441,40 @@ def test_cli_infinite_uniform_service_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_cell_without_completions_reads_nan(tmp_path):
+    # at 1e-7 arrivals per msec no job arrives in any replication: the
+    # response-time rows read nan with n 0, every output is written, and
+    # the plot leaves the point out
+    exp = {"kind": "exponential", "mean_msec": 1.0}
+    model = {
+        "builder": "inline",
+        "stations": [
+            {"name": "Source", "kind": "source"},
+            {"name": "Queue", "kind": "fcfs", "service": {"Jobs": exp}},
+            {"name": "Sink", "kind": "sink"},
+        ],
+        "classes": [{"name": "Jobs", "kind": "open", "arrival": {"kind": "exponential", "rate_per_msec": 1e-7}}],
+        "routing": [
+            {"class": "Jobs", "from": "Source", "to": "Queue"},
+            {"class": "Jobs", "from": "Queue", "to": "Sink"},
+        ],
+    }
+    plot = {"series": [{"station": "system", "class": "Jobs", "metric": "response-time-msec"}]}
+    path = _write_config(tmp_path / "idle.yaml", experiment="idle", model=model, plot=plot,
+                         run={"replications": 3, "seed": 5, "horizon_msec": 1e5, "warmup_msec": 1e4},
+                         outputs=["csv", "svg", "table"])
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    rows = {(r["station"], r["metric"]): r for r in csv.DictReader((out / "idle.csv").open())}
+    for station in ("Queue", "system"):
+        row = rows[(station, "response-time-msec")]
+        assert (row["mean"], row["ci_half_width_99"], row["n"]) == ("nan", "nan", "0")
+        assert rows[(station, "throughput-per-msec")]["mean"] == "0.0"
+    assert "<circle" not in (out / "idle.svg").read_text(encoding="utf-8")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "idle.csv", "idle.svg", "idle_manifest.json", "idle_table.txt"]
+
+
 def test_cli_internal_error_exits_4_without_outputs(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise KernelError("flow imbalance for class Analysis: created 3, sunk 1, dropped 0, in network 1")
@@ -498,6 +533,22 @@ def test_run_loads_neither_numpy_random_nor_openssl(tmp_path):
         " if m == heavy or m.startswith(heavy + '.')))"
     )
     assert _child(probe) == "[]"
+
+
+@pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
+def test_serial_run_never_imports_numpy(tmp_path):
+    # the extension makes every block of samples, so neither the import
+    # nor a --jobs 1 run loads numpy (13 MB of a 32 MB run); without the
+    # extension its fallback takes its words from numpy's Philox
+    cfg = _write_config(tmp_path / "tiny.yaml")
+    probe = (
+        "import sys, qnaps.cli\n"
+        "imported = 'numpy' in sys.modules\n"
+        f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r},"
+        " '--jobs', '1', '--format', 'all']) == 0\n"
+        "print(imported, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    assert _child(probe) == "False []"
 
 
 def test_sha256_is_hashlibs():

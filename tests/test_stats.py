@@ -73,6 +73,37 @@ def test_interval_needs_two_replications():
         acc.estimates()
 
 
+def test_interval_leaves_out_replications_without_a_value():
+    # NaN is a replication whose metric has no sample: the interval is over
+    # the others and n counts them; under two, the interval is NaN
+    key = ("Q", "Jobs", "utilization")
+    with_gap = estimate(_make_results([1.0, math.nan, 2.0, 4.0]))[key]
+    assert with_gap == estimate(_make_results([1.0, 2.0, 4.0]))[key]
+    assert with_gap.n == 3
+    for values in ([math.nan, 4.0], [math.nan, math.nan, math.nan]):
+        ci = estimate(_make_results(values))[key]
+        assert math.isnan(ci.mean) and math.isnan(ci.half_width)
+        assert ci.n == sum(not math.isnan(v) for v in values)
+
+
+def test_response_time_is_estimated_over_the_replications_that_complete():
+    # about 2 arrivals a replication, so some replications complete no job
+    # in the window: their response time is NaN, not 0.0, and the
+    # interval is over the replications that complete one
+    reps = [run_replication(mm1_model(lam=2e-5), seed=s, horizon=1e5, warmup=1e4)
+            for s in range(20)]
+    for station in ("Queue", "system"):
+        key = (station, "Jobs", "response-time-msec")
+        values = [table(r)[key] for r in reps]
+        completed = [table(r)[(station, "Jobs", "throughput-per-msec")] > 0 for r in reps]
+        assert [not math.isnan(v) for v in values] == completed
+        done = [v for v in values if not math.isnan(v)]
+        assert 2 <= len(done) < len(values)
+        ci = estimate(reps)[key]
+        assert ci.n == len(done)
+        assert ci.mean == math.fsum(done) / len(done)
+
+
 # The double nearest the Student-t quantile at p = 0.5 + 0.99 / 2, by dof.
 _CORRECTLY_ROUNDED_T_995 = {
     1: 63.656741162871526, 2: 9.92484320091829, 3: 5.840909309733355,
