@@ -18,7 +18,11 @@ the exponential and Erlang values take alone, on a block of arguments
 reported as values per second and nanoseconds per value in each
 benchmark's extra_info. Each is one fill of the extension, or of
 _PythonFills without it, and is the cost per block that the compiled
-loop pays on top of reading the values. Run from the checkout root with
+loop pays on top of reading the values. A third case times building
+the records a run makes most of, MetricSample (one per metric per
+replication) and ConfidenceInterval (one per estimate), through the
+__init__ every record class shares, reported as nanoseconds per record.
+Run from the checkout root with
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 
@@ -33,6 +37,7 @@ import pytest
 from qnaps.config import build_model_from_config, parse_antipattern, parse_model
 from qnaps.kernel import _BLOCK, RngStream, _Block, _arrival_times, _Engine, _fills, _loop, _sampler
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
+from qnaps.stats import ConfidenceInterval, MetricSample
 
 HORIZON, WARMUP = 300000.0, 30000.0
 
@@ -95,3 +100,18 @@ def test_sampler_fill(benchmark, kind):
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["values_per_s"] = values / benchmark.stats.stats.median
         benchmark.extra_info["ns_per_value"] = benchmark.stats.stats.median / values * 1e9
+
+
+RECORDS = 10_000  # of each type per round
+
+
+def test_records(benchmark):
+    def build():
+        for _ in range(RECORDS):
+            MetricSample("Controller", "Analysis", "utilization", 0.5)
+            ConfidenceInterval(2.0, 0.1, 0.99, 15)
+        return 2 * RECORDS
+
+    records = benchmark.pedantic(build, rounds=10, warmup_rounds=1)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["ns_per_record"] = benchmark.stats.stats.median / records * 1e9

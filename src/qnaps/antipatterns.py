@@ -17,7 +17,6 @@ compounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .model import (
     DELAY,
@@ -32,6 +31,7 @@ from .model import (
     Station,
     validate_model,
 )
+from .records import FrozenRecord, replace
 
 
 class TransformError(ValueError):
@@ -44,8 +44,7 @@ class TransformError(ValueError):
 # range checks are written so that a NaN parameter fails them.
 
 
-@dataclass(frozen=True)
-class AreWeThereYet:
+class AreWeThereYet(FrozenRecord):
     f_poll: float = 0.0
     polling_demand: float = 4.0
     poller_count: int = 5
@@ -55,8 +54,7 @@ class AreWeThereYet:
     kind = "are-we-there-yet"
 
 
-@dataclass(frozen=True)
-class IsEverythingOk:
+class IsEverythingOk(FrozenRecord):
     n_status: int = 1
     check_period: float = math.inf
     p_exc: float = 0.0
@@ -69,8 +67,7 @@ class IsEverythingOk:
     kind = "is-everything-ok"
 
 
-@dataclass(frozen=True)
-class WhereWasI:
+class WhereWasI(FrozenRecord):
     overhead: float = 0.0
     buffer_capacity: int | None = None  # None or inf: unbounded
     controller: str = "Controller"

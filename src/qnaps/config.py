@@ -7,18 +7,18 @@ controls (replications, seed, horizon, warmup), the requested output
 formats, an optional plot description and an optional analytic
 validation block.
 
-The schema is a set of dataclasses, one per section: _Document (the top
-level), _Run, _Sweep, _InlineModel with model.Station, model.JobClass
-and _Route, PlotSpec with SeriesSpec, ValidationSpec with
-egraph.EgScenario, egraph.Loop and _Arm, the builder parameter sets and
-the antipattern parameter sets, one per kind in antipatterns.SPECS (the
-``builder`` and ``kind`` keys pick the set; a key of another set is
-unknown). Each field is one YAML key; a field with no default is
-required, and its annotation picks its parser in _FIELD_PARSERS. Every
-section is closed (unknown keys are errors), every list must be
-non-empty, and every error names the full key path, such as
+The schema is a set of records (qnaps.records), one per section:
+_Document (the top level), _Run, _Sweep, _InlineModel with
+model.Station, model.JobClass and _Route, PlotSpec with SeriesSpec,
+ValidationSpec with egraph.EgScenario, egraph.Loop and _Arm, the builder
+parameter sets and the antipattern parameter sets, one per kind in
+antipatterns.SPECS (the ``builder`` and ``kind`` keys pick the set; a
+key of another set is unknown). Each field is one YAML key; a field with
+no default is required, and its annotation picks its parser in
+_FIELD_PARSERS. Every section is closed (unknown keys are errors), every
+list must be non-empty, and every error names the full key path, such as
 ``model.routing[2].from``. Where a YAML key differs from the field name,
-the field's metadata names it: ``class`` (job_class; class_name in
+the field's Field(key=...) names it: ``class`` (job_class; class_name in
 scenarios), ``from`` (frm), ``arrival_rate_per_msec`` (arrival_rate),
 ``graph`` (root), ``body`` (a loop's child), ``horizon_msec`` and
 ``warmup_msec`` (horizon and warmup).
@@ -67,9 +67,7 @@ All numbers accept plain YAML scalars; numeric strings are coerced so
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -79,6 +77,7 @@ from . import antipatterns, model as qm, sha256
 from .egraph import Basic, Branch, EgError, EgNode, EgScenario, Loop, Sequence, check_scenarios, reduce
 from .antipatterns import Spec
 from .model import JobClass, Station
+from .records import Field, FrozenRecord, fields, replace
 
 SCHEMA_VERSION = "v1"
 OUTPUT_FORMATS = ("csv", "svg", "table")
@@ -200,24 +199,22 @@ def parse_distribution(node, where: str) -> qm.Distribution:
 
 
 # ---------------------------------------------------------------------------
-# section dataclasses (the ones not reused from model, egraph and
+# section records (the ones not reused from model, egraph and
 # antipatterns)
 
 Targets = tuple  # a station name, or ((station, probability), ...)
 WorkerCount = int  # a worker count, at least 1
 
 
-@dataclass(frozen=True)
-class _Route:
+class _Route(FrozenRecord):
     """One routing row of an inline model."""
 
-    job_class: str = field(metadata={"key": "class"})
-    frm: str = field(metadata={"key": "from"})
+    job_class: str = Field(key="class")
+    frm: str = Field(key="from")
     to: Targets
 
 
-@dataclass(frozen=True)
-class _InlineModel:
+class _InlineModel(FrozenRecord):
     stations: tuple[Station, ...]
     classes: tuple[JobClass, ...]
     routing: tuple[_Route, ...]
@@ -227,10 +224,9 @@ class _InlineModel:
 ModelParams = qm.BaselineParams | qm.SensorNetParams | _InlineModel
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(FrozenRecord):
     station: str
-    job_class: str = field(metadata={"key": "class"})
+    job_class: str = Field(key="class")
     metric: str
     label: str | None = None  # None: the metric name
 
@@ -239,8 +235,7 @@ class SeriesSpec:
             object.__setattr__(self, "label", self.metric)
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class PlotSpec(FrozenRecord):
     series: tuple[SeriesSpec, ...]
     title: str = ""
     x_label: str = ""
@@ -253,16 +248,14 @@ class PlotSpec:
             raise ConfigError(f"plot.x_scale: expected linear or log, got {self.x_scale!r}")
 
 
-@dataclass(frozen=True)
-class _Arm:
+class _Arm(FrozenRecord):
     """One alternative of an execution graph branch."""
 
     probability: float
     node: EgNode
 
 
-@dataclass(frozen=True)
-class ValidationSpec:
+class ValidationSpec(FrozenRecord):
     scenarios: tuple[EgScenario, ...]
     resource_map: dict[str, str]
     decimals: int = 2
@@ -272,23 +265,20 @@ class ValidationSpec:
             raise ConfigError(f"validation.decimals: expected 1 or 2, got {self.decimals}")
 
 
-@dataclass(frozen=True)
-class _Run:
+class _Run(FrozenRecord):
     replications: int
     seed: int
-    horizon: float = field(default=1e5, metadata={"key": "horizon_msec"})
-    warmup: float = field(default=0.0, metadata={"key": "warmup_msec"})
+    horizon: float = Field(default=1e5, key="horizon_msec")
+    warmup: float = Field(default=0.0, key="warmup_msec")
     jobs: WorkerCount | None = None
 
 
-@dataclass(frozen=True)
-class _Sweep:
+class _Sweep(FrozenRecord):
     parameter: str
     values: tuple[object, ...]
 
 
-@dataclass(frozen=True)
-class _Document:
+class _Document(FrozenRecord):
     schema: str
     experiment: str
     model: ModelParams
@@ -385,7 +375,7 @@ def _build_inline(spec: _InlineModel) -> qm.NetworkModel:
     return qm.NetworkModel(
         name=spec.name,
         # fcfs is the short spelling of the queueing kind
-        stations=[dataclasses.replace(s, kind=qm.FCFS) if s.kind == "fcfs" else s for s in spec.stations],
+        stations=[replace(s, kind=qm.FCFS) if s.kind == "fcfs" else s for s in spec.stations],
         classes=list(spec.classes),
         routing=routing,
         description="inline topology from experiment config",
@@ -420,7 +410,7 @@ def parse_antipattern(section, where: str = "antipattern") -> Spec:
     return _parse_fields(antipatterns.SPECS[kind], rest, where)
 
 
-# Parser for each field annotation of the section dataclasses, the builder
+# Parser for each field annotation of the section records, the builder
 # parameter sets and the antipattern parameter sets. ``int | None`` is an
 # optional bound: null or an infinite number means unbounded.
 _FIELD_PARSERS = {
@@ -459,19 +449,19 @@ _FIELD_PARSERS = {
 
 
 def _parse_fields(cls, section, where: str):
-    """Dataclass cls from a config mapping: each field read from its YAML
-    key (metadata "key", else its name) by the table entry for its
+    """Record cls from a config mapping: each field read from its YAML
+    key (its Field key, else its name) by the table entry for its
     annotation. where is the section's key path, "" at the top level.
     What cls's own checks reject is a config error at where."""
     section = _mapping(section, where or "config")
-    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
-    _check_keys(section, fields, where or "config")
+    by_key = {f.key: f for f in fields(cls)}
+    _check_keys(section, by_key, where or "config")
     kwargs = {}
-    for key, f in fields.items():
+    for key, f in by_key.items():
         spot = f"{where}.{key}" if where else key
         if key in section:
             kwargs[f.name] = _FIELD_PARSERS[f.type](section[key], spot)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+        elif f.required:
             raise ConfigError(f"{spot}: required key is missing")
     try:
         return cls(**kwargs)
@@ -499,7 +489,7 @@ def build_model_from_config(model: ModelParams, antipattern: Spec | None) -> qm.
     return net
 
 
-def _swept_field(parameter: str, model: ModelParams, antipattern: Spec | None) -> dataclasses.Field:
+def _swept_field(parameter: str, model: ModelParams, antipattern: Spec | None) -> Field:
     """The field of the builder's or the antipattern kind's parameter set
     that a sweep parameter names."""
     root, _, name = parameter.rpartition(".")
@@ -509,7 +499,7 @@ def _swept_field(parameter: str, model: ModelParams, antipattern: Spec | None) -
             f"sweep.parameter: {parameter!r} does not resolve (expected model.params.<name> "
             "of a baseline or sensor-net model, or antipattern.<name> of an antipattern section)"
         )
-    for f in dataclasses.fields(params):
+    for f in fields(params):
         if f.name == name:
             return f
     owner = params.kind if root == "antipattern" else _builder(params)
@@ -523,9 +513,9 @@ def _sweep_point(parameter: str, model: ModelParams, antipattern: Spec | None, v
     f = _swept_field(parameter, model, antipattern)
     parsed = _FIELD_PARSERS[f.type](value, parameter)
     if parameter.startswith("model."):
-        model = dataclasses.replace(model, **{f.name: parsed})
+        model = replace(model, **{f.name: parsed})
     else:
-        antipattern = dataclasses.replace(antipattern, **{f.name: parsed})
+        antipattern = replace(antipattern, **{f.name: parsed})
     return model, antipattern, parsed
 
 
@@ -581,8 +571,7 @@ class Point(NamedTuple):
     model: qm.NetworkModel  # built and validated
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(FrozenRecord):
     """Fully parsed experiment description.
 
     model and antipattern are the parameter sets the config wrote, and
@@ -606,7 +595,7 @@ class ExperimentConfig:
     plot: PlotSpec | None
     validation: ValidationSpec | None
     config_sha256: str
-    points: tuple[Point, ...] = field(repr=False, compare=False)
+    points: tuple[Point, ...] = Field(hidden=True)
 
     def __post_init__(self):
         if self.replications < 2:
@@ -647,7 +636,7 @@ class ExperimentConfig:
                        warmup=None, outputs=None) -> "ExperimentConfig":
         given = {"seed": seed, "replications": replications, "horizon": horizon,
                  "warmup": warmup, "outputs": outputs}
-        return dataclasses.replace(self, **{k: v for k, v in given.items() if v is not None})
+        return replace(self, **{k: v for k, v in given.items() if v is not None})
 
 
 def parse_config(doc, *, digest: str = "") -> ExperimentConfig:

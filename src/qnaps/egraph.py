@@ -18,9 +18,9 @@ them to the model's classes before any replication runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .model import PROB_TOL
+from .records import Field, FrozenRecord
 from .stats import ConfidenceInterval, response_time_error, utilization_error
 
 # reduced form: resource name -> msec of demand
@@ -31,11 +31,10 @@ class EgError(ValueError):
     """Malformed execution graph or scenario."""
 
 
-@dataclass(frozen=True)
-class Basic:
+class Basic(FrozenRecord):
     """Leaf block: demand in msec per resource."""
 
-    demand: dict = field(default_factory=dict)
+    demand: dict = Field(factory=dict)
 
     def __post_init__(self):
         for res, d in self.demand.items():
@@ -43,16 +42,14 @@ class Basic:
                 raise EgError(f"negative demand {d} on resource {res!r}")
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(FrozenRecord):
     children: tuple = ()
 
     def __init__(self, *children):
         object.__setattr__(self, "children", tuple(children))
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(FrozenRecord):
     """Probabilistic alternatives: (probability, node) pairs."""
 
     arms: tuple = ()
@@ -61,12 +58,11 @@ class Branch:
         object.__setattr__(self, "arms", tuple(arms))
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(FrozenRecord):
     """count repetitions of child; fractional counts are expected counts."""
 
     count: float
-    child: EgNode = field(metadata={"key": "body"})  # "key": the config's YAML key
+    child: EgNode = Field(key="body")  # key: the YAML key in a config
 
     def __post_init__(self):
         if self.count < 0:
@@ -112,21 +108,19 @@ def _accumulate(node, weight: float, out: DemandVector) -> None:
         raise EgError(f"unknown execution graph node {node!r}")
 
 
-@dataclass(frozen=True)
-class EgScenario:
+class EgScenario(FrozenRecord):
     """One class's execution graph plus its arrival rate (per msec)."""
 
-    class_name: str = field(metadata={"key": "class"})  # "key": the config's YAML key
-    root: EgNode = field(metadata={"key": "graph"})
-    arrival_rate: float = field(metadata={"key": "arrival_rate_per_msec"})
+    class_name: str = Field(key="class")  # key: the YAML key in a config
+    root: EgNode = Field(key="graph")
+    arrival_rate: float = Field(key="arrival_rate_per_msec")
 
     def __post_init__(self):
         if self.arrival_rate < 0:
             raise EgError(f"arrival rate must be >= 0 (got {self.arrival_rate})")
 
 
-@dataclass(frozen=True)
-class EgMetrics:
+class EgMetrics(FrozenRecord):
     """No-contention solution: utilization percent per resource and total
     response time."""
 
@@ -141,8 +135,7 @@ def eg_metrics(scenario: EgScenario) -> EgMetrics:
     return EgMetrics(utilization=util, response_time=response)
 
 
-@dataclass(frozen=True)
-class ValidationRow:
+class ValidationRow(FrozenRecord):
     """One class's analytic-versus-simulated comparison."""
 
     job_class: str

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from numbers import Integral
-from dataclasses import dataclass, field, replace
+
+from .records import Field, FrozenRecord, Record, replace
 
 # station kinds
 FCFS = "fcfs-queue"
@@ -33,8 +34,7 @@ METRICS = {
 PROB_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Exponential:
+class Exponential(FrozenRecord):
     """Exponential distribution. rate 0 is allowed only for arrival
     processes and means the process never fires."""
 
@@ -46,8 +46,7 @@ class Exponential:
         return math.inf if self.rate == 0.0 else 1.0 / self.rate
 
 
-@dataclass(frozen=True)
-class Deterministic:
+class Deterministic(FrozenRecord):
     """Constant service time. value may be inf for a delay entry, in which
     case jobs park there forever (used by neutral transform settings)."""
 
@@ -59,8 +58,7 @@ class Deterministic:
         return self.value
 
 
-@dataclass(frozen=True)
-class Erlang:
+class Erlang(FrozenRecord):
     phases: int
     rate: float  # per-phase rate, per msec
 
@@ -70,8 +68,7 @@ class Erlang:
         return self.phases / self.rate
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(FrozenRecord):
     low: float
     high: float
 
@@ -81,8 +78,7 @@ class Uniform:
         return 0.5 * (self.low + self.high)
 
 
-@dataclass(frozen=True)
-class Shifted:
+class Shifted(FrozenRecord):
     """base plus a constant offset. An offset of zero samples
     bit-identically to the unwrapped distribution."""
 
@@ -95,8 +91,7 @@ class Shifted:
         return self.offset + self.base.mean()
 
 
-@dataclass(frozen=True)
-class Mixture:
+class Mixture(FrozenRecord):
     """base demand plus, with probability p_extra, an additional demand."""
 
     p_extra: float
@@ -113,8 +108,7 @@ class Mixture:
 Distribution = Exponential | Deterministic | Erlang | Uniform | Shifted | Mixture
 
 
-@dataclass(frozen=True)
-class Station:
+class Station(FrozenRecord):
     """A service station. capacity counts waiting room plus jobs in
     service and applies to fcfs stations only; None means unbounded.
     Arrivals of closed classes are never dropped by a finite capacity."""
@@ -123,11 +117,10 @@ class Station:
     kind: str = FCFS
     servers: int = 1
     capacity: int | None = None
-    service: dict[str, Distribution] = field(default_factory=dict)
+    service: dict[str, Distribution] = Field(factory=dict)
 
 
-@dataclass(frozen=True)
-class JobClass:
+class JobClass(FrozenRecord):
     """Open classes need an arrival distribution; closed classes need a
     population and a reference station (cycle timing is measured from
     departure there back to the next arrival there)."""
@@ -139,11 +132,10 @@ class JobClass:
     reference: str | None = None
 
 
-@dataclass
-class RoutingTable:
+class RoutingTable(Record):
     """Per-class probabilistic routing: class -> from-station -> targets."""
 
-    rows: dict[str, dict[str, tuple[tuple[str, float], ...]]] = field(default_factory=dict)
+    rows: dict[str, dict[str, tuple[tuple[str, float], ...]]] = Field(factory=dict)
 
     def add(self, job_class: str, frm: str, targets) -> None:
         if isinstance(targets, str):
@@ -159,8 +151,7 @@ class RoutingTable:
         return RoutingTable({c: dict(m) for c, m in self.rows.items()})
 
 
-@dataclass
-class NetworkModel:
+class NetworkModel(Record):
     name: str
     stations: list[Station]
     classes: list[JobClass]
@@ -169,7 +160,7 @@ class NetworkModel:
     antipattern_tags: tuple[str, ...] = ()
     # watched class -> (poller class, station): a watched job counts as
     # finished only when the poller next completes service at the station.
-    detection: dict[str, tuple[str, str]] = field(default_factory=dict)
+    detection: dict[str, tuple[str, str]] = Field(factory=dict)
 
     def station_names(self) -> list[str]:
         return [s.name for s in self.stations]
@@ -391,8 +382,7 @@ def validate_model(model: NetworkModel) -> list[str]:
 
 # ---------------------------------------------------------------- builders
 
-@dataclass(frozen=True)
-class BaselineParams:
+class BaselineParams(FrozenRecord):
     """Single open workload through one controller, with an optional delay
     station for environment latency (None drops the station)."""
 
@@ -435,8 +425,7 @@ def build_baseline(params: BaselineParams = BaselineParams()) -> NetworkModel:
     )
 
 
-@dataclass(frozen=True)
-class SensorNetParams:
+class SensorNetParams(FrozenRecord):
     """Controller plus sensors and actors with the four standard classes.
 
     Defaults are the calibration used by the shipped validation config:

@@ -16,9 +16,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 
 from .egraph import ValidationRow
+from .records import FrozenRecord
 
 CSV_COLUMNS = (
     "experiment",
@@ -192,8 +192,7 @@ def render_validation_csv(rows: list[ValidationRow]) -> str:
 # SVG plots
 
 
-@dataclass(frozen=True)
-class PlotSeries:
+class PlotSeries(FrozenRecord):
     label: str
     x: tuple
     y: tuple

@@ -17,9 +17,10 @@ CSV bytes depend on no library's special functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from statistics import NormalDist
+
+from .records import Field, FrozenRecord, Record
 
 CI_LEVEL = 0.99
 
@@ -28,8 +29,7 @@ class EstimateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MetricSample:
+class MetricSample(FrozenRecord):
     station: str
     job_class: str
     metric: str
@@ -40,16 +40,14 @@ class MetricSample:
         return (self.station, self.job_class, self.metric)
 
 
-@dataclass
-class ReplicationResult:
+class ReplicationResult(Record):
     seed: int
     horizon: float
     warmup: float
-    samples: list[MetricSample] = field(default_factory=list)
+    samples: list[MetricSample] = Field(factory=list)
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
+class ConfidenceInterval(FrozenRecord):
     mean: float
     half_width: float
     level: float

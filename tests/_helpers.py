@@ -9,7 +9,6 @@ tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from qnaps.egraph import Basic, Branch, Loop, Sequence
 from qnaps.kernel import run_replication
@@ -26,6 +25,7 @@ from qnaps.model import (
     RoutingTable,
     Station,
 )
+from qnaps.records import replace
 from qnaps.stats import MetricAccumulator
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Config schema v1: parsing, distribution encoding, error reporting."""
 
 import copy
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -33,6 +32,7 @@ from qnaps.config import (
 )
 from qnaps.egraph import EgScenario, Loop
 from qnaps.model import BaselineParams, JobClass, SensorNetParams, Station, validate_model
+from qnaps.records import fields
 
 from _helpers import station
 
@@ -383,7 +383,7 @@ SECTIONS = (
 
 def test_every_parameter_field_has_a_parser():
     for cls in (BaselineParams, SensorNetParams, *SPECS.values(), *SECTIONS):
-        for f in dataclasses.fields(cls):
+        for f in fields(cls):
             assert f.type in _FIELD_PARSERS, f"{cls.__name__}.{f.name}: no parser for {f.type!r}"
 
 

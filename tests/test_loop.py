@@ -32,7 +32,6 @@ import subprocess
 import sys
 import time
 from array import array
-from dataclasses import replace
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -58,6 +57,7 @@ from qnaps.model import (
     Uniform,
     validate_model,
 )
+from qnaps.records import replace
 
 from _helpers import closed_cycle_model, mm1_model, stopping_arrivals_model
 from test_engine_pin import CASES, HORIZON, WARMUP, PIN, case_model, pinned_samples

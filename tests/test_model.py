@@ -1,7 +1,6 @@
 """Model layer: distributions, validation diagnostics, builders."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -28,6 +27,7 @@ from qnaps.model import (
     build_sensor_net,
     validate_model,
 )
+from qnaps.records import replace
 
 from _helpers import closed_cycle_model, closed_trap_model, job_class, mm1_model, open_trap_model
 

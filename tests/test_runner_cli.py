@@ -551,6 +551,21 @@ def test_serial_run_never_imports_numpy(tmp_path):
     assert _child(probe) == "False []"
 
 
+def test_run_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # the record types share one __init__, __repr__ and __eq__ and compile
+    # no code, so neither the import nor a run loads dataclasses or the
+    # inspect module it imports
+    cfg = _write_config(tmp_path / "tiny.yaml")
+    probe = (
+        "import sys, qnaps.cli\n"
+        "imported = sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)\n"
+        f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r},"
+        " '--jobs', '1']) == 0\n"
+        "print(imported, sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    assert _child(probe) == "[] []"
+
+
 def test_sha256_is_hashlibs():
     for data in (b"", b"abc", b"qnaps|1|Queue|Jobs|service", bytes(range(256)) * 40):
         assert qnaps.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
