@@ -11,7 +11,7 @@ loops, ``_Engine.run`` (compiled) and ``_Engine._run_python``, so one
 run gives the speed-up of the compiled loop on one machine. A second
 case times the samplers alone: fill() of one block sampler per
 distribution kind, of a mixture whose base is a mixture, and of the
-arrival-time and routing samplers the engine builds (routing is the
+arrival-gap and routing samplers the engine builds (routing is the
 Philox words every sampler is made from, as uniforms), and the log that
 the exponential and Erlang values take alone, on a block of arguments
 1 - u (log), over about 100k values a round whatever the block size,
@@ -35,7 +35,7 @@ from functools import partial
 import pytest
 
 from qnaps.config import build_model_from_config, parse_antipattern, parse_model
-from qnaps.kernel import _BLOCK, RngStream, _Block, _arrival_times, _Engine, _fills, _loop, _sampler
+from qnaps.kernel import _BLOCK, RngStream, _Block, _arrival_gaps, _Engine, _fills, _loop, _sampler
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 from qnaps.stats import ConfidenceInterval, MetricSample
 
@@ -82,7 +82,7 @@ SAMPLERS = {
     "mixture": partial(_sampler, Mixture(0.25, Exponential(0.5), Exponential(0.1))),
     "nested-mixture": partial(_sampler, Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)),
                                                 Erlang(2, 1.0))),
-    "arrival-times": partial(_arrival_times, Exponential(0.05)),
+    "arrival-gaps": partial(_arrival_gaps, Exponential(0.05)),
     "routing": lambda stream: stream.block(1, _fills().uniforms),
     "log": lambda stream: _Block(partial(_fills().log,
                                          array("d", [1.0 - u for u in stream.uniforms(_BLOCK)]))),

@@ -7,8 +7,9 @@
    index in it, raising TypeError or ValueError naming the table; past
    that the loop indexes unchecked. A source placement is its class's
    first arrival time and source cell, whose sampler holds its arrival
-   times and whose route row is its entry; the other placements are the
-   closed populations. It runs to the horizon, closes out the jobs still
+   gaps and whose route row is its entry; the other placements are the
+   closed populations. An arrival at t draws the next gap, and the next
+   arrival is t + gap. It runs to the horizon, closes out the jobs still
    alive and returns the tally _Engine._finalize reads.
 
    It is _Engine._tally_python statement for statement: every float
@@ -23,14 +24,14 @@
 
    The fills make every block of values the samplers hand out, each in
    one pass over the words of one RngStream and with no intermediate
-   block: uniforms, the Erlang and exponential values, mixtures, shifts
-   and the running sum of arrival gaps. The words are a stateless
-   Philox4x64-10, so any word is a function of the key and its position,
-   the same words as numpy's Generator(Philox(key)).random, which
-   tests/test_kernel.py compares them against. The log is fdlibm's, in
-   plain double operations, so a block's bits depend neither on the CPU
-   nor on a libm. kernel._PythonFills is the same fills in Python, value
-   for value, and their fallback. */
+   block: uniforms, the Erlang and exponential values, mixtures and
+   shifts. The words are a stateless Philox4x64-10, so any word is a
+   function of the key and its position, the same words as numpy's
+   Generator(Philox(key)).random, which tests/test_kernel.py compares
+   them against. The log is fdlibm's, in plain double operations, so a
+   block's bits depend neither on the CPU nor on a libm.
+   kernel._PythonFills is the same fills in Python, value for value, and
+   their fallback. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -85,7 +86,7 @@ typedef struct {
 
 typedef struct {
     double ta;           /* next arrival time, +inf without arrivals */
-    Py_ssize_t entry;    /* its source cell, whose sampler holds its arrival times */
+    Py_ssize_t entry;    /* its source cell, whose sampler holds its arrival gaps */
     int watched;         /* a detection poll flushes it: it is in flush_cls */
     List pending;
     long long created, sunk, dropped, live, rcnt;
@@ -616,10 +617,12 @@ run_loop(Engine *E)
             t = ta;
             ci = ca;
             Class *A = &E->cl[ci];
+            double gap;
             A->created += 1;
             r = A->entry;
-            if (draw(E, E->sampler[r], &A->ta) < 0)
+            if (draw(E, E->sampler[r], &gap) < 0)
                 return -1;
+            A->ta = t + gap;
             ca = earliest_arrival(E);
             ta = E->cl[ca].ta;
             if ((j = job_new(E)) < 0)
@@ -1181,26 +1184,6 @@ loop_shift(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     return out;
 }
 
-/* accumulate(carry, gaps): the running sum of gaps, added in order onto
-   carry; a carry of -0.0 leaves the first gap as it is */
-static PyObject *
-loop_accumulate(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer b;
-    double *v;
-    if (takes("accumulate", nargs, 2) < 0)
-        return NULL;
-    double t = PyFloat_AsDouble(args[0]);
-    if (PyErr_Occurred() || get_values(args[1], &b) < 0)
-        return NULL;
-    const double *gaps = b.buf;
-    PyObject *out = new_values(b.shape[0], &v);
-    for (Py_ssize_t i = 0; out != NULL && i < b.shape[0]; i++)
-        v[i] = t += gaps[i];
-    PyBuffer_Release(&b);
-    return out;
-}
-
 /* log(values): log x of each value x, which must lie in (0, 1] */
 static PyObject *
 loop_log(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -1241,7 +1224,6 @@ static PyMethodDef loop_methods[] = {
     METHOD(mixture, "mixture(k0, k1, start, p, base, extra) -> block. base[i] + extra[i] where "
                   "uniform i is below p, else base[i]."),
     METHOD(shift, "shift(offset, values) -> block. offset + each value."),
-    METHOD(accumulate, "accumulate(carry, gaps) -> block. The running sum of gaps onto carry."),
     METHOD(log, "log(values) -> block. log x of each x in (0, 1], within 1 ulp, the same bits "
               "on every IEEE machine."),
     {NULL, NULL, 0, NULL},

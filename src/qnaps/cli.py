@@ -15,11 +15,11 @@ value, model that does not validate), 3 simulation deadlock, 4 internal
 invariant failure in the engine (population leak, flow imbalance).
 
 Start-up: the cyclic collector is paused while the engine modules (and
-numpy and yaml with them) are imported, since every object they create
-lives for the whole process. The program entry, entry(), then freezes
-the heap, so neither the collector, nor the exit, nor a forked pool
-worker walks it again. Importing this module or calling main() leaves
-the collector on and nothing frozen.
+yaml with them) are imported, since every object they create lives for
+the whole process. The program entry, entry(), then freezes the heap,
+so neither the collector, nor the exit, nor a forked pool worker walks
+it again. Importing this module or calling main() leaves the collector
+on and nothing frozen.
 """
 
 from __future__ import annotations

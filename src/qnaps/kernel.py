@@ -9,7 +9,7 @@ bits of one raw word times 2**-53, which is what numpy's Generator.random
 computes from the same words. Philox is counter-based, each word a pure
 function of the key and its position, so a stream is its key and the
 position of its next word. Every sampler, the routing uniforms and each
-open class's arrival times too, is one _Block: a float64 buffer of
+open class's arrival gaps too, is one _Block: a float64 buffer of
 values, the index of the next one, and fill(), which returns the next
 buffer. _sampler turns a distribution into its block; a batched block is
 _BLOCK (4,096) values made from the uniforms of the next 4,096*k raw
@@ -34,11 +34,13 @@ the horizon closed out by a final sweep over the calendar, the queues and
 the parked sets. The sweep adds up the calendar in heap-array order, so
 the samples depend on the heap's layout, not only on the order of its
 pops: a heapreplace in place of a pop and a push changes them. A source
-is a station like any other: an open class's external arrival times are
-the sampler of its source cell, a running sum of the gaps drawn from its
-own stream, and that cell's route row is where the class enters. The
-loop holds only each class's next time and samples the one after when it
-takes an arrival, so arrivals need memory per class, not per job. The
+is a station like any other: an open class's external arrival gaps are
+the sampler of its source cell, drawn from its own stream, and that
+cell's route row is where the class enters. The loop holds only each
+class's next arrival time; when it takes an arrival at t, it draws a gap
+and the next arrival is t + gap, as a service completion is its start
+plus the service time. So arrivals need memory per class, not per job,
+and every sampler is a pure function of its stream's positions. The
 earliest next arrival goes first, ties going to the lower class index
 and arrivals winning ties against the calendar; calendar events with
 equal times fire in scheduling order. An arrival and a service
@@ -47,16 +49,16 @@ finite-capacity drop, then fcfs or delay entry. Arrivals never touch the
 calendar or its sequence numbers.
 
 _Engine._build is the one place that decides the engine's layout: it
-samples what is needed before the run (each open class's first arrival
-time, the closed populations' t = 0 think and service times) and emits a
-flat, index-based _Table of int32 and float64 arrays (per station, per
-(station, class) cell with one route row each in CSR form, detection
-flush lists, per class its reference station, closed classes only, and
-the t = 0 placements: the first arrivals at the sources, then the closed
-populations) plus the list of _Blocks the indices point into. A class is
-watched when a flush list names it. Both loops run on that table and
-return the same tally, per cell and per class, which _Engine._finalize
-turns into samples. _Engine.run is one C extension, _loop.c, which gets
+samples what is needed before the run (each open class's first gap,
+which is its first arrival time, and the closed populations' t = 0 think
+and service times) and emits a flat, index-based _Table of int32 and
+float64 arrays (per station, per (station, class) cell with one route
+row each in CSR form, detection flush lists, per class its reference
+station, closed classes only, and the t = 0 placements: the first
+arrivals at the sources, then the closed populations) plus the list of
+_Blocks the indices point into. A class is watched when a flush list
+names it. Both loops run on that table and return the same tally, per
+cell and per class, which _Engine._finalize turns into samples. _Engine.run is one C extension, _loop.c, which gets
 the table as typed buffers and checks each array once, on entry;
 _Engine._run_python is the same loop in Python, kept as the executable
 specification the tests compare the compiled loop against bit for bit.
@@ -263,7 +265,9 @@ class _PythonFills:
     """The extension's fills in Python, with its signatures and, value for
     value, its bits: their specification, which the tests compare the
     extension against, and their fallback when it is unavailable. The
-    words come from numpy's Philox, and each block is an array('d')."""
+    words come from numpy's Philox, and each block is an array('d'). A
+    fill is a pure function of its arguments: none carries a value from
+    one block to the next."""
 
     @staticmethod
     def uniforms(k0, k1, start, n, low=0.0, span=1.0):
@@ -290,10 +294,6 @@ class _PythonFills:
     @staticmethod
     def shift(offset, values):
         return array("d", [offset + b for b in values])
-
-    @staticmethod
-    def accumulate(carry, gaps):
-        return array("d", accumulate(gaps, add, initial=carry))[1:]
 
     @staticmethod
     def log(values):
@@ -328,7 +328,7 @@ class _Table(NamedTuple):
     servers: array        # per station
     capacity: array       # per station: inf when unbounded
     sampler: array        # per cell: block of its service times, or at a source of
-                          #   its class's arrival times; -1 if neither
+                          #   its class's arrival gaps; -1 if neither
     route_ptr: array      # per cell: its class leaving its station (a source: entering
     route_to: array       #   the network) goes to route_to[route_ptr[k]:route_ptr[k+1]]
     route_cum: array      #   with these cumulative probabilities
@@ -388,27 +388,16 @@ def _sampler(dist, stream) -> _Block:
     raise ValueError(f"unknown distribution {dist!r}")
 
 
-def _arrival_times(dist, stream) -> _Block:
-    """Block sampler of a class's external arrival times: the running sum
-    of the gaps drawn from its arrival stream, added in order and carried
-    from block to block. The first infinite gap (a rate-0 exponential, or
-    an infinite part of a mixture) makes every later time infinite."""
-    fills = _fills()
+def _arrival_gaps(dist, stream) -> _Block:
+    """Block sampler of a class's external arrival gaps; the loops add
+    each to the time of the arrival it follows. The first infinite gap (a
+    rate-0 exponential, or an infinite part of a mixture) puts the next
+    arrival at inf, and so ends the class's arrivals."""
     if dist.kind == "exponential" and dist.rate > 0:
         # not _sampler's exponential, which multiplies by 1 / rate: that
         # rounds differently, and the shipped outputs were made by this division
-        gaps = stream.block(1, fills.erlang, 1, dist.rate, True).fill
-    else:
-        gaps = _sampler(dist, stream).fill
-    carry = -0.0  # the last time handed out; -0.0 + gap is the gap, bit for bit
-
-    def fill():
-        nonlocal carry
-        times = fills.accumulate(carry, gaps())
-        carry = times[-1]
-        return times
-
-    return _Block(fill)
+        return stream.block(1, _fills().erlang, 1, dist.rate, True)
+    return _sampler(dist, stream)
 
 
 class _Engine:
@@ -459,9 +448,9 @@ class _Engine:
                 reference[c] = sidx[start]
             elif start is not None:
                 s = sidx[start]
-                times = _arrival_times(jc.arrival, RngStream(seed, start, jc.name, "arrival"))
-                sampler[s * ncl + c] = index(times)
-                place.append((s, c, next(times)))
+                gaps = _arrival_gaps(jc.arrival, RngStream(seed, start, jc.name, "arrival"))
+                sampler[s * ncl + c] = index(gaps)
+                place.append((s, c, next(gaps)))
             watcher = model.detection.get(jc.name)
             if watcher is not None:
                 flush[sidx[watcher[1]] * ncl + cidx[watcher[0]]].append(c)
@@ -616,7 +605,7 @@ class _Engine:
                 ci = tas.index(ta)  # ties go to the lower class index
                 created[ci] += 1
                 r = entry[ci]
-                tas[ci] = next(samplers[r])
+                tas[ci] = t + next(samplers[r])
                 ta = min(tas)
                 job = pool.pop() if pool else _Job(ci)
                 job.ci = ci

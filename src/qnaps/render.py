@@ -315,7 +315,7 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
             f'text-anchor="end" dominant-baseline="middle">{_label(t)}</text>'
         )
     for t in xticks:
-        x = _fmt(_ML + (math.log10(t) - xlo) / (xhi - xlo) * pw) if x_scale == "log" else _fmt(px(t))
+        x = _fmt(px(t))
         parts.append(
             f'<line x1="{x}" y1="{_MT}" x2="{x}" y2="{_H - _MB}" stroke="#eeeeee" stroke-width="1"/>'
         )

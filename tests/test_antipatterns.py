@@ -158,7 +158,31 @@ def test_transform_parameter_validation():
         )
     with pytest.raises(TransformError, match="overhead"):
         apply(build_sensor_net(SensorNetParams()), WhereWasI(overhead=-1.0))
+    for p_exc in (-0.25, 1.5):
+        with pytest.raises(TransformError, match=rf"^p_exc must be in \[0, 1\] \(got {p_exc}\)$"):
+            apply(build_sensor_net(SensorNetParams(include_status=False)),
+                  IsEverythingOk(check_period=100.0, p_exc=p_exc, exception_demand=3.0))
     assert set(SPECS) == {"are-we-there-yet", "is-everything-ok", "where-was-i"}
+
+
+def test_transforms_name_what_the_model_lacks():
+    no_polling = SensorNetParams(include_polling=False)
+    with pytest.raises(TransformError, match="^model has no station named 'Nowhere'$"):
+        apply(build_sensor_net(SensorNetParams()), WhereWasI(controller="Nowhere"))
+    with pytest.raises(TransformError, match="^model has no station named 'Nowhere'$"):
+        apply(build_sensor_net(no_polling), AreWeThereYet(f_poll=0.01, controller="Nowhere"))
+    with pytest.raises(TransformError, match="^model has no class named 'Nobody'$"):
+        apply(build_sensor_net(no_polling), AreWeThereYet(f_poll=0.01, target_class="Nobody"))
+    with pytest.raises(TransformError,
+                       match="^station 'Controller' has no service entry for class 'Nobody'$"):
+        apply(build_sensor_net(SensorNetParams()), WhereWasI(target_class="Nobody"))
+
+
+def test_transforms_refuse_an_invalid_model():
+    model = build_sensor_net(SensorNetParams(include_polling=False))
+    model.classes.clear()
+    with pytest.raises(TransformError, match="^target model is invalid: .*model has no job classes"):
+        apply(model, WhereWasI())
 
 
 def test_ieok_needs_devices():

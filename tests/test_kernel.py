@@ -23,7 +23,7 @@ from qnaps.kernel import (
     InvalidModelError,
     KernelError,
     RngStream,
-    _arrival_times,
+    _arrival_gaps,
     _Engine,
     _sampler,
     run_replication,
@@ -320,15 +320,15 @@ def test_mixture_parts_draw_from_their_own_streams(dist):
                          ids=[*kinds(10.0), *NESTED, "rate-0"])
 def test_compiled_fills_equal_the_python_fills(dist, monkeypatch):
     # the extension's fills against _PythonFills, their fallback: values,
-    # arrival times with dist as the gap and routing uniforms, _BLOCK + 44
-    # of each, so every stream crosses a block
+    # arrival gaps of dist (an exponential's divided by its rate) and
+    # routing uniforms, _BLOCK + 44 of each, so every stream crosses a block
     n = kernel._BLOCK + 44
 
     def draw():
         values = _sampler(dist, RngStream(41, "st", "cl", "service"))
-        times = _arrival_times(dist, RngStream(41, "st", "cl", "arrival"))
+        gaps = _arrival_gaps(dist, RngStream(41, "st", "cl", "arrival"))
         routing = RngStream(41, "st", "cl", "routing").block(1, kernel._fills().uniforms)
-        return [(next(values).hex(), next(times).hex(), next(routing).hex()) for _ in range(n)]
+        return [(next(values).hex(), next(gaps).hex(), next(routing).hex()) for _ in range(n)]
 
     compiled = draw()
     monkeypatch.setattr(kernel, "_loop", None)
@@ -338,14 +338,14 @@ def test_compiled_fills_equal_the_python_fills(dist, monkeypatch):
 @pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values()],
                          ids=[*kinds(10.0), *NESTED])
 def test_no_sampler_depends_on_the_block_size(dist, monkeypatch):
-    # _BLOCK + 44 values, and as many arrival times with dist as the gap,
-    # span two blocks of the shipped size and many of 97 or 256 values
+    # _BLOCK + 44 values, and as many arrival gaps of dist, span two
+    # blocks of the shipped size and many of 97 or 256 values
     n = kernel._BLOCK + 44
 
     def draw():
         values = _sampler(dist, RngStream(31, "st", "cl", "service"))
-        times = _arrival_times(dist, RngStream(31, "st", "cl", "arrival"))
-        return [(next(values).hex(), next(times).hex()) for _ in range(n)]
+        gaps = _arrival_gaps(dist, RngStream(31, "st", "cl", "arrival"))
+        return [(next(values).hex(), next(gaps).hex()) for _ in range(n)]
 
     shipped = draw()
     for size in (97, 256):

@@ -268,6 +268,22 @@ def test_arrival_merge_is_bit_identical_to_the_pin(name, loop):
     assert pinned_run(name, loop) == frozen
 
 
+@pytest.mark.parametrize("size", [97, 256])
+@pytest.mark.parametrize("loop", ["run", "_run_python"])
+def test_no_pinned_run_depends_on_the_block_size(loop, size, monkeypatch):
+    # every pin of tests/data/engine_pin.json, with blocks of 97 or 256
+    # values in place of the shipped size: each sampler refills many times
+    # more, and each arrival's t + gap crosses many block edges
+    if loop == "run" and kernel._loop is None:
+        pytest.skip("compiled loop not available")
+    frozen = json.loads(PIN.read_text(encoding="utf-8"))
+    monkeypatch.setattr(kernel, "_BLOCK", size)
+    for case in sorted(CASES):
+        assert pinned_samples(case, loop) == frozen[case], case
+    for name in sorted(ARRIVAL_PINS):
+        assert pinned_run(name, loop) == frozen[name], name
+
+
 @compiled
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_compiled_loop_matches_the_python_loop(name):

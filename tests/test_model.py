@@ -175,6 +175,27 @@ def test_validate_duplicate_and_reserved_names():
     m.classes.append(JobClass("all", "open", arrival=Exponential(0.1)))
     _diag_contains(m, "reserved for aggregate metrics")
 
+    m = mm1_model()
+    m.classes.append(JobClass("Jobs", "open", arrival=Exponential(0.1)))
+    _diag_contains(m, "class names are not unique")
+
+    m = mm1_model()
+    m.stations.insert(1, Station("system", kind=DELAY, service={"Jobs": Exponential(1.0)}))
+    _diag_contains(m, "station name 'system' is reserved for system-level metrics")
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, NAN])
+def test_validate_mixture_probability_outside_the_unit_interval(p):
+    service = mm1_model()
+    service.stations[1] = replace(service.stations[1],
+                                  service={"Jobs": Mixture(p, Exponential(1.0), Exponential(2.0))})
+    assert validate_model(service) == [
+        "station Queue, class Jobs: mixture probability must be in [0, 1]"]
+    arrival = mm1_model()
+    arrival.classes[0] = replace(arrival.classes[0],
+                                 arrival=Mixture(p, Exponential(1.0), Exponential(2.0)))
+    assert validate_model(arrival) == ["class Jobs arrival: mixture probability must be in [0, 1]"]
+
 
 def test_validate_station_fields():
     m = mm1_model()
@@ -224,6 +245,12 @@ def test_validate_rejects_infinite_uniform_bounds_and_shift_offsets(name):
 
 
 def test_validate_class_requirements():
+    m = mm1_model()
+    m.classes.clear()
+    m.routing = RoutingTable()
+    m.stations[1] = Station("Queue", kind=FCFS)
+    assert validate_model(m) == ["model has no job classes"]
+
     m = mm1_model()
     m.classes[0] = JobClass("Jobs", "open", arrival=None)
     _diag_contains(m, "needs an arrival distribution")

@@ -184,6 +184,19 @@ def test_duplicate_replication_index_rejected():
         acc.add(0, _result(2.0))
 
 
+def test_replication_with_another_key_space_rejected():
+    # a missing key, an extra key and a different key: each leaves the
+    # accumulator as it was
+    acc = MetricAccumulator()
+    acc.add(0, _result(1.0))
+    other = MetricSample("Q", "Jobs", "queue-length", 2.0)
+    for samples in ([], [*_result(2.0).samples, other], [other]):
+        with pytest.raises(EstimateError, match="key space does not match"):
+            acc.add(1, ReplicationResult(seed=1, horizon=100.0, warmup=0.0, samples=samples))
+    acc.add(1, _result(3.0))
+    assert acc.estimates()[("Q", "Jobs", "utilization")].mean == 2.0
+
+
 def test_half_width_shrinks_with_more_replications():
     m = mm1_model(lam=0.5, mu=1.0)
     results = [
