@@ -9,16 +9,17 @@ takes them, work that an engine which pre-drew them did in its build;
 only the sum compares across the two designs. Each model runs on both
 loops, ``_Engine.run`` (compiled) and ``_Engine._run_python``, so one
 run gives the speed-up of the compiled loop on one machine. A second
-case times the samplers alone: fill() of one block sampler per
-distribution kind, of a mixture whose base is a mixture, and of the
-arrival-gap and routing samplers the engine builds (routing is the
-Philox words every sampler is made from, as uniforms), and the log that
-the exponential and Erlang values take alone, on a block of arguments
-1 - u (log), over about 100k values a round whatever the block size,
-reported as values per second and nanoseconds per value in each
-benchmark's extra_info. Each is one fill of the extension, or of
-_PythonFills without it, and is the cost per block that the compiled
-loop pays on top of reading the values. A third case times building
+case times the samplers alone: fill(spec, first, _BLOCK) of the spec of
+one sampler per distribution kind, of a mixture whose base is a mixture,
+and of the arrival-gap and routing samplers the engine builds (routing
+is the Philox words every sampler is made from, as uniforms), block
+after block, and the log that the exponential and Erlang values take
+alone, on a block of arguments 1 - u (log), over about 100k values a
+round whatever the block size, reported as values per second and
+nanoseconds per value in each benchmark's extra_info. Each is one fill
+of the extension, or of _PythonFills without it, and is the cost per
+block that the compiled loop pays, in C, on top of reading the values.
+A third case times building
 the records a run makes most of, MetricSample (one per metric per
 replication) and ConfidenceInterval (one per estimate), through the
 __init__ every record class shares, reported as nanoseconds per record.
@@ -35,7 +36,7 @@ from functools import partial
 import pytest
 
 from qnaps.config import build_model_from_config, parse_antipattern, parse_model
-from qnaps.kernel import _BLOCK, RngStream, _Block, _arrival_gaps, _Engine, _fills, _loop, _sampler
+from qnaps.kernel import _BLOCK, _U01, RngStream, _arrival_spec, _Engine, _fills, _loop, _spec
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 from qnaps.stats import ConfidenceInterval, MetricSample
 
@@ -74,27 +75,38 @@ def test_engine_run(benchmark, name, loop):
 
 
 SAMPLERS = {
-    "exponential": partial(_sampler, Exponential(0.5)),
-    "deterministic": partial(_sampler, Deterministic(2.0)),
-    "erlang": partial(_sampler, Erlang(3, 1.5)),
-    "uniform": partial(_sampler, Uniform(1.0, 3.0)),
-    "shifted": partial(_sampler, Shifted(0.5, Exponential(0.5))),
-    "mixture": partial(_sampler, Mixture(0.25, Exponential(0.5), Exponential(0.1))),
-    "nested-mixture": partial(_sampler, Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)),
-                                                Erlang(2, 1.0))),
-    "arrival-gaps": partial(_arrival_gaps, Exponential(0.05)),
-    "routing": lambda stream: stream.block(1, _fills().uniforms),
-    "log": lambda stream: _Block(partial(_fills().log,
-                                         array("d", [1.0 - u for u in stream.uniforms(_BLOCK)]))),
+    "exponential": partial(_spec, Exponential(0.5)),
+    "deterministic": partial(_spec, Deterministic(2.0)),
+    "erlang": partial(_spec, Erlang(3, 1.5)),
+    "uniform": partial(_spec, Uniform(1.0, 3.0)),
+    "shifted": partial(_spec, Shifted(0.5, Exponential(0.5))),
+    "mixture": partial(_spec, Mixture(0.25, Exponential(0.5), Exponential(0.1))),
+    "nested-mixture": partial(_spec, Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)),
+                                             Erlang(2, 1.0))),
+    "arrival-gaps": partial(_arrival_spec, Exponential(0.05)),
+    "routing": partial(_spec, _U01),
+    "log": None,  # the log of a block of 1 - u, the same block each time
 }
 BLOCKS = 102_400 // _BLOCK  # fills per round
 
 
 @pytest.mark.parametrize("kind", list(SAMPLERS))
 def test_sampler_fill(benchmark, kind):
+    stream = RngStream(1, "st", "cl", "service")
+    fills = _fills()
+    if kind == "log":
+        args = array("d", [1.0 - u for u in stream.uniforms(_BLOCK)])
+
+        def fill(first):
+            return fills.log(args)
+    else:
+        spec = SAMPLERS[kind](stream)
+
+        def fill(first):
+            return fills.fill(spec, first, _BLOCK)
+
     def fill_blocks():
-        sampler = SAMPLERS[kind](RngStream(1, "st", "cl", "service"))
-        return sum(len(sampler.fill()) for _ in range(BLOCKS))
+        return sum(len(fill(first)) for first in range(0, BLOCKS * _BLOCK, _BLOCK))
 
     values = benchmark.pedantic(fill_blocks, rounds=10, warmup_rounds=1)
     if benchmark.stats is not None:  # None under --benchmark-disable

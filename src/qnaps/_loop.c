@@ -1,37 +1,35 @@
-/* Compiled event loop of qnaps.kernel._Engine, and the block fills of
-   its samplers.
+/* Compiled event loop of qnaps.kernel._Engine, and the fill of its
+   samplers.
 
    run(*table) runs one replication on the _Table that _Engine._build
-   makes, passed field by field. It copies the table's arrays and checks
-   each once, on entry, for its format, its length and the range of every
-   index in it, raising TypeError or ValueError naming the table; past
-   that the loop indexes unchecked. A source placement is its class's
-   first arrival time and source cell, whose sampler holds its arrival
-   gaps and whose route row is its entry; the other placements are the
-   closed populations. An arrival at t draws the next gap, and the next
-   arrival is t + gap. It runs to the horizon, closes out the jobs still
-   alive and returns the tally _Engine._finalize reads.
+   makes, passed field by field. It copies the table's arrays and reads
+   each sampler's spec into C structs, checking each once, on entry, for
+   its format, its length and the range of every index in it, raising
+   TypeError or ValueError naming the table or the sampler; past that
+   the loop indexes unchecked. A source placement is its class's first
+   arrival time and source cell, whose sampler holds its arrival gaps and
+   whose route row is its entry; the other placements are the closed
+   populations. An arrival at t draws the next gap, and the next arrival
+   is t + gap. It runs to the horizon, closes out the jobs still alive
+   and returns the tally _Engine._finalize reads.
 
    It is _Engine._tally_python statement for statement: every float
-   operation keeps that loop's order and grouping, the calendar is a
+   operation keeps that loop's order and grouping, and the calendar is a
    binary heap with heapq's sift algorithm keyed on (t, seq), so its
-   array layout, which the closing sweep walks, is the same, and every
-   random value comes from the engine's _Blocks as the loop goes. Their
-   vals, i and fill are the only attributes it reads or writes: it reads
-   vals in place, calls fill() when they run out and writes vals and i
-   back when it returns, so next() in Python continues where it stopped.
-   The kernel module docstring has the build flags this relies on.
+   array layout, which the closing sweep walks, is the same. A sampler
+   is its spec and the index of its next value; the loop refills a
+   buffer of block_size values per sampler with fill_spec, so it calls no
+   Python function and hands back only the tally. The kernel module
+   docstring has the build flags this relies on.
 
-   The fills make every block of values the samplers hand out, each in
-   one pass over the words of one RngStream and with no intermediate
-   block: uniforms, the Erlang and exponential values, mixtures and
-   shifts. The words are a stateless Philox4x64-10, so any word is a
-   function of the key and its position, the same words as numpy's
-   Generator(Philox(key)).random, which tests/test_kernel.py compares
-   them against. The log is fdlibm's, in plain double operations, so a
-   block's bits depend neither on the CPU nor on a libm.
-   kernel._PythonFills is the same fills in Python, value for value, and
-   their fallback. */
+   fill(spec, first, n) is fill_spec from Python: values first .. first
+   + n - 1 of a sampler. Its words are a stateless Philox4x64-10, so any
+   word is a function of the key and its position, the same words as
+   numpy's Generator(Philox(key)).random, which tests/test_kernel.py
+   compares them against; its log is fdlibm's, in plain double
+   operations, so no value depends on the CPU or on a libm.
+   kernel._PythonFills.fill is the same in Python, value for value, and
+   its fallback. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -43,19 +41,19 @@ enum { KC_FCFS = 0, KC_DELAY = 1, KC_SOURCE = 2, KC_SINK = 3 };
 /* signals are checked once per this many events */
 #define SIGNAL_EVERY 4096
 
-/* the arrays of a _Table, in its order between warmup and blocks */
+/* the arrays of a _Table, in its order between block_size and blocks */
 enum {
     KIND, SERVERS, CAPACITY, SAMPLER, ROUTE_PTR, ROUTE_TO, ROUTE_CUM, ROUTE_BLOCK,
-    FLUSH_PTR, FLUSH_CLS, REFERENCE, PLACE_STATION, PLACE_CLASS, PLACE_TIME, NTABLES
+    FLUSH_PTR, FLUSH_CLS, REFERENCE, PLACE_STATION, PLACE_CLASS, PLACE_TIME, START, NTABLES
 };
 
 static const char *const TABLE_NAMES[NTABLES] = {
     "kind", "servers", "capacity", "sampler", "route_ptr", "route_to", "route_cum", "route_block",
-    "flush_ptr", "flush_cls", "reference", "place_station", "place_class", "place_time",
+    "flush_ptr", "flush_cls", "reference", "place_station", "place_class", "place_time", "start",
 };
 
-/* each array's buffer format: i int32, d float64 */
-static const char TABLE_FORMATS[NTABLES + 1] = "iddiiidiiiiiid";
+/* each array's buffer format: i int32, d float64, q int64 */
+static const char TABLE_FORMATS[NTABLES + 1] = "iddiiidiiiiiidq";
 
 typedef struct {
     double t;
@@ -94,25 +92,46 @@ typedef struct {
 } Class;
 
 /* a route row of the table: its successor count, the first successor,
-   the block of its uniforms and its offset into route_to and route_cum */
+   the sampler of its uniforms and its offset into route_to and route_cum */
 typedef struct {
     int n, to, block, first;
 } Route;
 
-/* a _Block: its current values, read in place, and the next index */
+/* the kinds of spec node, by the name their tuple starts with */
+enum { SP_CONST, SP_UNIFORM, SP_ERLANG, SP_SHIFT, SP_MIXTURE, NKINDS };
+
+static const char *const SPEC_NAMES[NKINDS] = {"const", "uniform", "erlang", "shift", "mixture"};
+
+/* no spec nests deeper than this */
+#define MAX_DEPTH 64
+
+/* a node of a spec tree, whose kinds kernel._spec describes */
 typedef struct {
-    PyObject *obj;
-    PyObject *fill;
-    PyObject *vals;   /* the current block, held through buf */
-    Py_buffer buf;
-    const double *v;
-    Py_ssize_t n, i;
-} Block;
+    int kind;
+    int k, divide;    /* an erlang value's phases, and whether it divides by x */
+    uint64_t k0, k1;  /* the key of its words; a mixture's are its branch uniforms */
+    double x, span;   /* const value, uniform low, erlang scale, shift offset or mixture p */
+    int base, extra;  /* the nodes of a shift's base, of a mixture's base and extra */
+} Spec;
+
+/* the nodes of the specs read so far */
+typedef struct {
+    Spec *v;
+    int n, cap;
+} Specs;
+
+/* a sampler of the table: its values made block_size at a time into v */
+typedef struct {
+    int spec;       /* its root node */
+    uint64_t next;  /* the index of the first value the next refill makes */
+    double *v;
+    Py_ssize_t i;   /* the next value in v; block_size when v is used up */
+} Sampler;
 
 typedef struct {
     double horizon, warm;
     long long seq;
-    Py_ssize_t nst, ncl, nblocks;
+    Py_ssize_t nst, ncl, block, nsamplers;
     Py_ssize_t len[NTABLES];
     union {
         void *tab[NTABLES];  /* copies of the table's arrays, in its order */
@@ -124,6 +143,7 @@ typedef struct {
             const int *route_block, *flush_ptr, *flush_cls, *reference, *place_station,
                 *place_class;
             const double *place_time;
+            const long long *start;
         };
     };
     long long *busy;     /* per station */
@@ -131,14 +151,16 @@ typedef struct {
     Cell *cells;         /* [station * ncl + class] */
     Route *routes;       /* per cell: its route row */
     Class *cl;
-    Block *blocks;
+    Specs specs;
+    Sampler *samplers;
+    double *vals;        /* the samplers' buffers, one after another */
     Job *jobs;
     int njobs, capjobs, free;
     Event *heap;
     Py_ssize_t hlen, hcap;
 } Engine;
 
-_Static_assert(__builtin_offsetof(Engine, place_time) == __builtin_offsetof(Engine, tab)
+_Static_assert(__builtin_offsetof(Engine, start) == __builtin_offsetof(Engine, tab)
                + (NTABLES - 1) * sizeof(void *), "the named tables of Engine line up with tab");
 
 #define AT(E, s, c) ((Py_ssize_t)(s) * (E)->ncl + (c))
@@ -281,46 +303,276 @@ heap_pop(Engine *E)
 }
 
 /* ------------------------------------------------------------------ */
-/* reading the table */
+/* Philox4x64-10 words */
 
-/* the buffer of a sampler block, which must be a 1-d float64 array, in buf */
-static int
-get_values(PyObject *obj, Py_buffer *buf)
+/* one Philox4x64 round on ctr under key (Salmon et al., SC 2011) */
+static inline void
+philox_round(uint64_t ctr[4], const uint64_t key[2])
 {
-    if (PyObject_GetBuffer(obj, buf, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+    unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93ULL * ctr[0];
+    unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157ULL * ctr[2];
+    uint64_t hi0 = (uint64_t)(p0 >> 64), lo0 = (uint64_t)p0;
+    uint64_t hi1 = (uint64_t)(p1 >> 64), lo1 = (uint64_t)p1;
+    ctr[0] = hi1 ^ ctr[1] ^ key[0];
+    ctr[1] = lo1;
+    ctr[2] = hi0 ^ ctr[3] ^ key[1];
+    ctr[3] = lo0;
+}
+
+/* the four words of block b of the stream keyed (k0, k1), which sits at
+   counter b + 1, as numpy's Philox increments its counter before each block */
+static inline void
+philox_block(uint64_t k0, uint64_t k1, uint64_t b, uint64_t out[4])
+{
+    uint64_t key[2] = {k0, k1};
+    out[0] = b + 1;
+    out[1] = out[2] = out[3] = 0;
+    philox_round(out, key);
+    for (int r = 1; r < 10; r++) {
+        key[0] += 0x9E3779B97F4A7C15ULL;
+        key[1] += 0xBB67AE8584CAA73BULL;
+        philox_round(out, key);
+    }
+}
+
+/* the words of one stream, read in order from a start position */
+typedef struct {
+    uint64_t k0, k1;
+    uint64_t b;         /* the block held in words */
+    uint64_t words[4];
+    int w;              /* the next word of the block */
+} Words;
+
+/* W at word start of the stream keyed k0 | k1 << 64 */
+static void
+words_at(Words *W, uint64_t k0, uint64_t k1, uint64_t start)
+{
+    W->k0 = k0;
+    W->k1 = k1;
+    W->b = start / 4;
+    W->w = (int)(start % 4);
+    philox_block(k0, k1, W->b, W->words);
+}
+
+/* the next word as a uniform on [0, 1): its top 53 bits times 2**-53, which
+   is what numpy's Generator(Philox(key)).random hands out */
+static inline double
+next_uniform(Words *W)
+{
+    if (W->w == 4) {
+        philox_block(W->k0, W->k1, ++W->b, W->words);
+        W->w = 0;
+    }
+    return (double)(W->words[W->w++] >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* ------------------------------------------------------------------ */
+/* the log of the samplers */
+
+/* fdlibm's e_log.c (Sun Microsystems, 1993): ln 2 split into a head with
+   a short significand and a tail, and the coefficients of its minimax
+   polynomial R(z) ~ (log(1 + f) - 2s - ...) / s, s = f / (2 + f), z = s*s */
+static const double LN2_HI = 0x1.62e42feep-1, LN2_LO = 0x1.a39ef35793c76p-33,
+    LG1 = 0x1.5555555555593p-1, LG2 = 0x1.999999997fa04p-2, LG3 = 0x1.2492494229359p-2,
+    LG4 = 0x1.c71c51d8e78afp-3, LG5 = 0x1.7466496cb03dep-3, LG6 = 0x1.39a09d078c69fp-3,
+    LG7 = 0x1.2f112df3e5244p-3;
+
+/* log x for x in (0, 1], within 1 ulp, by fdlibm's __ieee754_log: x =
+   2**k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2), and log x = k ln 2 +
+   log(1 + f), with log(1 + f) = f - f*f/2 + s (f*f/2 + R). Plain double
+   operations in a fixed order, no libm call: under -ffp-contract=off its
+   bits are the same on every IEEE machine. Its branches on k = 0 are
+   left out, as k ln 2 = 0 then gives the same bits. kernel._log is its
+   port to Python. */
+static double
+log_unit(double x)
+{
+    uint64_t bits;
+    int k = 0;
+    memcpy(&bits, &x, sizeof bits);
+    if (bits >> 52 == 0) {
+        /* subnormal: scale into the normal range */
+        k = -54;
+        x *= 0x1p54;
+        memcpy(&bits, &x, sizeof bits);
+    }
+    int hx = (int)(bits >> 32);
+    k += (hx >> 20) - 1023;
+    hx &= 0x000fffff;
+    /* i is 2**20 when the significand is at least sqrt(2): then 1 + f
+       is it halved, and k one more */
+    int i = (hx + 0x95f64) & 0x100000;
+    bits = (bits & 0xffffffffULL) | (uint64_t)(hx | (i ^ 0x3ff00000)) << 32;
+    memcpy(&x, &bits, sizeof x);
+    k += i >> 20;
+    double f = x - 1.0, dk = (double)k;
+    if ((0x000fffff & (2 + hx)) < 3) {
+        /* |f| < 2**-20 */
+        if (f == 0.0)
+            return dk * LN2_HI + dk * LN2_LO;
+        double R = f * f * (0.5 - 0.33333333333333333 * f);
+        return dk * LN2_HI - ((R - dk * LN2_LO) - f);
+    }
+    double s = f / (2.0 + f), z = s * s, w = z * z;
+    double t1 = w * (LG2 + w * (LG4 + w * LG6));
+    double t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    double R = t2 + t1;
+    if (((hx - 0x6147a) | (0x6b851 - hx)) > 0) {
+        double hfsq = 0.5 * f * f;
+        return dk * LN2_HI - ((hfsq - (s * (hfsq + R) + dk * LN2_LO)) - f);
+    }
+    return dk * LN2_HI - ((s * (f - R) - dk * LN2_LO) - f);
+}
+
+/* ------------------------------------------------------------------ */
+/* sampler specs */
+
+/* exc for a spec that cannot be read, naming sampler b, or fill() when b < 0 */
+static int
+bad_spec(Py_ssize_t b, PyObject *spec, PyObject *exc, const char *why)
+{
+    if (b < 0)
+        PyErr_Format(exc, "fill(): %R %s", spec, why);
+    else
+        PyErr_Format(exc, "sampler %zd: %R %s", b, spec, why);
+    return -1;
+}
+
+/* the node of spec, and the nodes of its parts, appended to S: its index,
+   or -1 with TypeError or ValueError naming sampler b */
+static int
+read_spec(Specs *S, PyObject *spec, Py_ssize_t b, int depth)
+{
+    PyObject *tag = PyTuple_Check(spec) && PyTuple_GET_SIZE(spec) ? PyTuple_GET_ITEM(spec, 0) : NULL;
+    int kind = tag != NULL && PyUnicode_Check(tag) ? 0 : NKINDS, ok = 0;
+    while (kind < NKINDS && PyUnicode_CompareWithASCIIString(tag, SPEC_NAMES[kind]) != 0)
+        kind++;
+    const char *name;
+    PyObject *key[2] = {NULL, NULL}, *part[2] = {NULL, NULL};
+    Spec N = {.kind = kind, .k = 1, .base = -1, .extra = -1};
+    switch (kind) {
+    case SP_CONST:
+        ok = PyArg_ParseTuple(spec, "sd", &name, &N.x);
+        break;
+    case SP_UNIFORM:
+        ok = PyArg_ParseTuple(spec, "sOOdd", &name, &key[0], &key[1], &N.x, &N.span);
+        break;
+    case SP_ERLANG:
+        ok = PyArg_ParseTuple(spec, "sOOidp", &name, &key[0], &key[1], &N.k, &N.x, &N.divide);
+        break;
+    case SP_SHIFT:
+        ok = PyArg_ParseTuple(spec, "sdO", &name, &N.x, &part[0]);
+        break;
+    case SP_MIXTURE:
+        ok = PyArg_ParseTuple(spec, "sOOdOO", &name, &key[0], &key[1], &N.x, &part[0], &part[1]);
+    }
+    if (ok && key[0] != NULL) {
+        N.k0 = PyLong_AsUnsignedLongLong(key[0]);
+        N.k1 = PyErr_Occurred() ? 0 : PyLong_AsUnsignedLongLong(key[1]);
+        if (PyErr_Occurred() && PyErr_ExceptionMatches(PyExc_OverflowError)) {
+            PyErr_Clear();
+            return bad_spec(b, spec, PyExc_ValueError, "has a key word outside [0, 2**64)");
+        }
+        ok = !PyErr_Occurred();
+    }
+    if (!ok) {
+        PyErr_Clear();
+        return bad_spec(b, spec, PyExc_TypeError, "is not a sampler spec");
+    }
+    if (N.k < 1)
+        return bad_spec(b, spec, PyExc_ValueError, "has fewer than one phase");
+    if (depth == MAX_DEPTH)
+        return bad_spec(b, spec, PyExc_ValueError, "nests too deep");
+    if (S->n == S->cap) {
+        int cap = S->cap ? 2 * S->cap : 16;
+        Spec *grown = PyMem_Realloc(S->v, (size_t)cap * sizeof(Spec));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        S->v = grown;
+        S->cap = cap;
+    }
+    int at = S->n++;
+    if ((part[0] != NULL && (N.base = read_spec(S, part[0], b, depth + 1)) < 0)
+        || (part[1] != NULL && (N.extra = read_spec(S, part[1], b, depth + 1)) < 0))
         return -1;
-    if (buf->ndim != 1 || buf->itemsize != sizeof(double) || buf->format == NULL
-        || strcmp(buf->format, "d") != 0) {
-        PyBuffer_Release(buf);
-        PyErr_Format(PyExc_TypeError, "sampler block %R is not a 1-d float64 array", obj);
+    S->v[at] = N;
+    return at;
+}
+
+/* values first .. first + n - 1 of node s of specs into v, each
+   kernel._PythonFills.fill of its kind operation for operation. A leaf
+   that takes k words a value makes value j from words jk .. jk + k - 1
+   of its key, and a mixture makes value j from value j of its branch
+   uniforms, its base and its extra, so no value depends on n. */
+static int __attribute__((noinline))
+fill_spec(const Spec *specs, int s, uint64_t first, Py_ssize_t n, double *v)
+{
+    const Spec *N = &specs[s];
+    const double x = N->x, span = N->span;  /* v may alias specs */
+    Words W;
+    uint64_t end;
+    switch (N->kind) {
+    case SP_CONST:
+        for (Py_ssize_t i = 0; i < n; i++)
+            v[i] = x;
+        return 0;
+    case SP_UNIFORM:
+        /* low + span * u */
+        words_at(&W, N->k0, N->k1, first);
+        for (Py_ssize_t i = 0; i < n; i++)
+            v[i] = x + span * next_uniform(&W);
+        return 0;
+    case SP_ERLANG:
+        /* -(log(1 - u1) + ... + log(1 - uk)), summed left to right, times
+           scale or divided by it; with k = 1 the exponential. 1 - u is
+           exact, so log(1 - u) is log1p(-u). */
+        if (__builtin_mul_overflow(first + (uint64_t)n, (uint64_t)N->k, &end)) {
+            PyErr_Format(PyExc_ValueError, "no words for values %llu + [0, %zd) of %d each",
+                         (unsigned long long)first, n, N->k);
+            return -1;
+        }
+        words_at(&W, N->k0, N->k1, first * (uint64_t)N->k);
+        for (Py_ssize_t i = 0, k = N->k, divide = N->divide; i < n; i++) {
+            double sum = log_unit(1.0 - next_uniform(&W));
+            for (Py_ssize_t j = 1; j < k; j++)
+                sum += log_unit(1.0 - next_uniform(&W));
+            v[i] = divide ? -sum / x : -sum * x;
+        }
+        return 0;
+    case SP_SHIFT:
+        if (fill_spec(specs, N->base, first, n, v) < 0)
+            return -1;
+        for (Py_ssize_t i = 0; i < n; i++)
+            v[i] = x + v[i];
+        return 0;
+    }
+    /* a mixture: base value j, plus extra value j when branch uniform j is
+       below p; only those extra values are made, each alone */
+    if (fill_spec(specs, N->base, first, n, v) < 0)
         return -1;
+    words_at(&W, N->k0, N->k1, first);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double extra;
+        if (next_uniform(&W) < x) {
+            if (fill_spec(specs, N->extra, first + (uint64_t)i, 1, &extra) < 0)
+                return -1;
+            v[i] = v[i] + extra;
+        }
     }
     return 0;
 }
 
-/* B's values become the float64 block vals */
-static int
-set_vals(Block *B, PyObject *vals)
-{
-    Py_buffer buf;
-    if (get_values(vals, &buf) < 0)
-        return -1;
-    if (B->vals != NULL)
-        PyBuffer_Release(&B->buf);
-    Py_XSETREF(B->vals, Py_NewRef(vals));
-    B->buf = buf;
-    B->v = buf.buf;
-    B->n = buf.shape[0];
-    B->i = 0;
-    return 0;
-}
+/* ------------------------------------------------------------------ */
+/* reading the table */
 
 /* array k of the table copied into E->tab[k]: a 1-d array of its format */
 static int
 read_table(Engine *E, int k, PyObject *obj)
 {
     const char format[2] = {TABLE_FORMATS[k], '\0'};
-    size_t itemsize = format[0] == 'i' ? sizeof(int) : sizeof(double);
+    size_t itemsize = format[0] == 'i' ? sizeof(int) : sizeof(double);  /* q and d: 8 bytes */
     Py_buffer view;
     if (PyObject_GetBuffer(obj, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
         PyErr_Clear();
@@ -342,50 +594,42 @@ read_table(Engine *E, int k, PyObject *obj)
     return 0;
 wrong:
     PyErr_Format(PyExc_TypeError, "table '%s' is not a 1-d %s array", TABLE_NAMES[k],
-                 format[0] == 'i' ? "int32" : "float64");
+                 format[0] == 'i' ? "int32" : format[0] == 'q' ? "int64" : "float64");
     return -1;
 }
 
-/* every _Block of the list blocks, with its current values and index */
+/* the spec of every sampler in the list blocks read into E->specs, and
+   the buffer of each */
 static int
-read_blocks(Engine *E, PyObject *blocks)
+read_samplers(Engine *E, PyObject *blocks)
 {
     if (!PyList_Check(blocks)) {
         PyErr_SetString(PyExc_TypeError, "table 'blocks' is not a list");
         return -1;
     }
-    Py_ssize_t n = PyList_GET_SIZE(blocks);
-    if ((E->blocks = PyMem_Calloc((size_t)n + 1, sizeof(Block))) == NULL) {
+    /* a tuple, as converting a number can run code that changes the list */
+    PyObject *specs = PyList_AsTuple(blocks);
+    if (specs == NULL)
+        return -1;
+    Py_ssize_t n = PyTuple_GET_SIZE(specs);
+    if ((size_t)n > PY_SSIZE_T_MAX / sizeof(double) / (size_t)E->block) {
+        Py_DECREF(specs);
         PyErr_NoMemory();
         return -1;
     }
-    /* getting an attribute can run code that shrinks the list */
-    for (Py_ssize_t b = 0; b < n && b < PyList_GET_SIZE(blocks); b++) {
-        PyObject *obj = PyList_GET_ITEM(blocks, b), *vals, *i;
-        Block *B = &E->blocks[b];
-        B->obj = Py_NewRef(obj);
-        E->nblocks++;
-        if ((B->fill = PyObject_GetAttrString(obj, "fill")) == NULL
-            || (vals = PyObject_GetAttrString(obj, "vals")) == NULL) {
-            if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-                PyErr_Clear();
-                PyErr_Format(PyExc_TypeError, "sampler %R is not a block sampler", obj);
-            }
-            return -1;
-        }
-        Py_ssize_t at = (i = PyObject_GetAttrString(obj, "i")) == NULL ? -1 : PyLong_AsSsize_t(i);
-        Py_XDECREF(i);
-        int bad = (at == -1 && PyErr_Occurred()) || set_vals(B, vals) < 0;
-        Py_DECREF(vals);
-        if (bad)
-            return -1;
-        if (at < 0 || at > B->n) {
-            PyErr_Format(PyExc_ValueError, "sampler index %zd outside its block of %zd", at, B->n);
-            return -1;
-        }
-        B->i = at;
+    E->samplers = PyMem_Calloc((size_t)n + 1, sizeof(Sampler));
+    E->vals = PyMem_Malloc((size_t)(n * E->block) * sizeof(double) + 1);
+    int rc = E->samplers == NULL || E->vals == NULL ? (PyErr_NoMemory(), -1) : 0;
+    for (Py_ssize_t b = 0; rc == 0 && b < n; b++) {
+        int s = read_spec(&E->specs, PyTuple_GET_ITEM(specs, b), b, 0);
+        if (s < 0)
+            rc = -1;
+        else
+            E->samplers[b] = (Sampler){s, 0, E->vals + b * E->block, E->block};
     }
-    return 0;
+    Py_DECREF(specs);
+    E->nsamplers = n;
+    return rc;
 }
 
 /* ValueError unless every entry of int32 array k lies in [lo, hi) */
@@ -418,8 +662,9 @@ offsets(const Engine *E, int k, int of)
     return 0;
 }
 
-/* the table's lengths agree with its station, class and placement counts
-   and every index in it is in range */
+/* the table's lengths agree with its station, class, placement and
+   sampler counts, every index in it is in range and no sampler starts
+   before its first value */
 static int
 check_tables(Engine *E)
 {
@@ -430,6 +675,7 @@ check_tables(Engine *E)
         [ROUTE_BLOCK] = cells, [FLUSH_PTR] = cells + 1, [FLUSH_CLS] = E->len[FLUSH_CLS],
         [REFERENCE] = ncl, [PLACE_STATION] = E->len[PLACE_STATION],
         [PLACE_CLASS] = E->len[PLACE_STATION], [PLACE_TIME] = E->len[PLACE_STATION],
+        [START] = E->nsamplers,
     };
     for (int k = 0; k < NTABLES; k++)
         if (E->len[k] != want[k]) {
@@ -437,9 +683,17 @@ check_tables(Engine *E)
                          TABLE_NAMES[k], E->len[k], want[k]);
             return -1;
         }
+    for (Py_ssize_t b = 0; b < E->nsamplers; b++) {
+        if (E->start[b] < 0) {
+            PyErr_Format(PyExc_ValueError, "sampler %zd starts at value %lld, before its first",
+                         b, E->start[b]);
+            return -1;
+        }
+        E->samplers[b].next = (uint64_t)E->start[b];
+    }
     return in_range(E, KIND, KC_FCFS, KC_SINK + 1) < 0
-        || in_range(E, SAMPLER, -1, E->nblocks) < 0 || offsets(E, ROUTE_PTR, ROUTE_TO) < 0
-        || in_range(E, ROUTE_TO, 0, nst) < 0 || in_range(E, ROUTE_BLOCK, -1, E->nblocks) < 0
+        || in_range(E, SAMPLER, -1, E->nsamplers) < 0 || offsets(E, ROUTE_PTR, ROUTE_TO) < 0
+        || in_range(E, ROUTE_TO, 0, nst) < 0 || in_range(E, ROUTE_BLOCK, -1, E->nsamplers) < 0
         || offsets(E, FLUSH_PTR, FLUSH_CLS) < 0 || in_range(E, FLUSH_CLS, 0, ncl) < 0
         || in_range(E, REFERENCE, -1, nst) < 0 || in_range(E, PLACE_STATION, 0, nst) < 0
         || in_range(E, PLACE_CLASS, 0, ncl) < 0 ? -1 : 0;
@@ -452,12 +706,17 @@ read_engine(Engine *E, PyObject *const *args)
 {
     E->horizon = PyFloat_AsDouble(args[0]);
     E->warm = PyFloat_AsDouble(args[1]);
+    E->block = PyLong_AsSsize_t(args[2]);
     if (PyErr_Occurred())
         return -1;
+    if (E->block < 1) {
+        PyErr_Format(PyExc_ValueError, "table 'block_size' is %zd, not a positive count", E->block);
+        return -1;
+    }
     for (int k = 0; k < NTABLES; k++)
-        if (read_table(E, k, args[2 + k]) < 0)
+        if (read_table(E, k, args[3 + k]) < 0)
             return -1;
-    if (read_blocks(E, args[2 + NTABLES]) < 0 || check_tables(E) < 0)
+    if (read_samplers(E, args[3 + NTABLES]) < 0 || check_tables(E) < 0)
         return -1;
     Py_ssize_t cells = (Py_ssize_t)E->nst * E->ncl;
     E->busy = PyMem_Calloc((size_t)E->nst + 1, sizeof(long long));
@@ -529,14 +788,6 @@ read_engine(Engine *E, PyObject *const *args)
 static void
 free_engine(Engine *E)
 {
-    for (int b = 0; b < E->nblocks; b++) {
-        Block *B = &E->blocks[b];
-        if (B->vals != NULL)
-            PyBuffer_Release(&B->buf);
-        Py_XDECREF(B->vals);
-        Py_XDECREF(B->fill);
-        Py_DECREF(B->obj);
-    }
     for (int k = 0; k < NTABLES; k++)
         PyMem_Free(E->tab[k]);
     PyMem_Free(E->busy);
@@ -544,7 +795,9 @@ free_engine(Engine *E)
     PyMem_Free(E->cells);
     PyMem_Free(E->cl);
     PyMem_Free(E->routes);
-    PyMem_Free(E->blocks);
+    PyMem_Free(E->specs.v);
+    PyMem_Free(E->samplers);
+    PyMem_Free(E->vals);
     PyMem_Free(E->jobs);
     PyMem_Free(E->heap);
 }
@@ -552,31 +805,18 @@ free_engine(Engine *E)
 /* ------------------------------------------------------------------ */
 /* the event loop */
 
-/* B's next block from its fill(); an empty one raises StopIteration, as
-   next() does in the Python loop */
-static int
-refill(Block *B)
-{
-    PyObject *vals = PyObject_CallNoArgs(B->fill);
-    if (vals == NULL)
-        return -1;
-    int rc = set_vals(B, vals);
-    Py_DECREF(vals);
-    if (rc == 0 && B->n == 0) {
-        PyErr_SetNone(PyExc_StopIteration);
-        return -1;
-    }
-    return rc;
-}
-
-/* the next value of block sampler b */
+/* the next value of sampler b, refilling its buffer when it is used up */
 static inline int
 draw(Engine *E, int b, double *out)
 {
-    Block *B = &E->blocks[b];
-    if (B->i == B->n && refill(B) < 0)
-        return -1;
-    *out = B->v[B->i++];
+    Sampler *S = &E->samplers[b];
+    if (S->i == E->block) {
+        if (fill_spec(E->specs.v, S->spec, S->next, E->block, S->v) < 0)
+            return -1;
+        S->next += (uint64_t)E->block;
+        S->i = 0;
+    }
+    *out = S->v[S->i++];
     return 0;
 }
 
@@ -867,46 +1107,20 @@ tally(const Engine *E)
     return out;
 }
 
-/* every block's values and index written back to its _Block, keeping an
-   error already set; -1 if an error is set on return */
-static int
-write_blocks(Engine *E)
-{
-    PyObject *type, *value, *tb;
-    int rc = 0;
-    PyErr_Fetch(&type, &value, &tb);
-    for (int b = 0; b < E->nblocks && rc == 0; b++) {
-        Block *B = &E->blocks[b];
-        if (B->vals == NULL)
-            continue;
-        PyObject *i = PyLong_FromSsize_t(B->i);
-        if (i == NULL || PyObject_SetAttrString(B->obj, "vals", B->vals) < 0
-            || PyObject_SetAttrString(B->obj, "i", i) < 0)
-            rc = -1;
-        Py_XDECREF(i);
-    }
-    if (type == NULL)
-        return rc;
-    PyErr_Clear();
-    PyErr_Restore(type, value, tb);
-    return -1;
-}
-
 static PyObject *
 loop_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Engine E;
     PyObject *result = NULL;
 
-    if (nargs != NTABLES + 3) {
+    if (nargs != NTABLES + 4) {
         PyErr_Format(PyExc_TypeError, "run() takes the %d fields of a _Table, got %zd",
-                     NTABLES + 3, nargs);
+                     NTABLES + 4, nargs);
         return NULL;
     }
     memset(&E, 0, sizeof E);
     E.free = -1;
-    int failed = read_engine(&E, args) < 0 || run_loop(&E) < 0;
-    if (write_blocks(&E) == 0 && !failed) {
+    if (read_engine(&E, args) == 0 && run_loop(&E) == 0) {
         sweep(&E);
         result = tally(&E);
     }
@@ -915,141 +1129,7 @@ loop_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* ------------------------------------------------------------------ */
-/* Philox4x64-10 words */
-
-/* one Philox4x64 round on ctr under key (Salmon et al., SC 2011) */
-static inline void
-philox_round(uint64_t ctr[4], const uint64_t key[2])
-{
-    unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93ULL * ctr[0];
-    unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157ULL * ctr[2];
-    uint64_t hi0 = (uint64_t)(p0 >> 64), lo0 = (uint64_t)p0;
-    uint64_t hi1 = (uint64_t)(p1 >> 64), lo1 = (uint64_t)p1;
-    ctr[0] = hi1 ^ ctr[1] ^ key[0];
-    ctr[1] = lo1;
-    ctr[2] = hi0 ^ ctr[3] ^ key[1];
-    ctr[3] = lo0;
-}
-
-/* the four words of block b of the stream keyed (k0, k1), which sits at
-   counter b + 1, as numpy's Philox increments its counter before each block */
-static inline void
-philox_block(uint64_t k0, uint64_t k1, uint64_t b, uint64_t out[4])
-{
-    uint64_t key[2] = {k0, k1};
-    out[0] = b + 1;
-    out[1] = out[2] = out[3] = 0;
-    philox_round(out, key);
-    for (int r = 1; r < 10; r++) {
-        key[0] += 0x9E3779B97F4A7C15ULL;
-        key[1] += 0xBB67AE8584CAA73BULL;
-        philox_round(out, key);
-    }
-}
-
-/* the words of one stream, read in order from a start position */
-typedef struct {
-    uint64_t k0, k1;
-    uint64_t b;         /* the block held in words */
-    uint64_t words[4];
-    int w;              /* the next word of the block */
-} Words;
-
-/* W at word args[2] of the stream keyed args[0] | args[1] << 64, which must
-   have n * k words from there; ValueError if it has not */
-static int
-words_at(Words *W, PyObject *const *args, Py_ssize_t n, Py_ssize_t k)
-{
-    uint64_t start;
-    W->k0 = PyLong_AsUnsignedLongLong(args[0]);
-    W->k1 = PyLong_AsUnsignedLongLong(args[1]);
-    start = PyLong_AsUnsignedLongLong(args[2]);
-    if (PyErr_Occurred())
-        return -1;
-    if (n < 0 || k < 1 || (uint64_t)n > (UINT64_MAX - start) / (uint64_t)k) {
-        PyErr_Format(PyExc_ValueError, "no words %llu + [0, %zd * %zd)",
-                     (unsigned long long)start, n, k);
-        return -1;
-    }
-    W->b = start / 4;
-    W->w = (int)(start % 4);
-    philox_block(W->k0, W->k1, W->b, W->words);
-    return 0;
-}
-
-/* the next word as a uniform on [0, 1): its top 53 bits times 2**-53, which
-   is what numpy's Generator(Philox(key)).random hands out */
-static inline double
-next_uniform(Words *W)
-{
-    if (W->w == 4) {
-        philox_block(W->k0, W->k1, ++W->b, W->words);
-        W->w = 0;
-    }
-    return (double)(W->words[W->w++] >> 11) * (1.0 / 9007199254740992.0);
-}
-
-/* ------------------------------------------------------------------ */
-/* the log of the samplers */
-
-/* fdlibm's e_log.c (Sun Microsystems, 1993): ln 2 split into a head with
-   a short significand and a tail, and the coefficients of its minimax
-   polynomial R(z) ~ (log(1 + f) - 2s - ...) / s, s = f / (2 + f), z = s*s */
-static const double LN2_HI = 0x1.62e42feep-1, LN2_LO = 0x1.a39ef35793c76p-33,
-    LG1 = 0x1.5555555555593p-1, LG2 = 0x1.999999997fa04p-2, LG3 = 0x1.2492494229359p-2,
-    LG4 = 0x1.c71c51d8e78afp-3, LG5 = 0x1.7466496cb03dep-3, LG6 = 0x1.39a09d078c69fp-3,
-    LG7 = 0x1.2f112df3e5244p-3;
-
-/* log x for x in (0, 1], within 1 ulp, by fdlibm's __ieee754_log: x =
-   2**k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2), and log x = k ln 2 +
-   log(1 + f), with log(1 + f) = f - f*f/2 + s (f*f/2 + R). Plain double
-   operations in a fixed order, no libm call: under -ffp-contract=off its
-   bits are the same on every IEEE machine. Its branches on k = 0 are
-   left out, as k ln 2 = 0 then gives the same bits. kernel._log is its
-   port to Python. */
-static double
-log_unit(double x)
-{
-    uint64_t bits;
-    int k = 0;
-    memcpy(&bits, &x, sizeof bits);
-    if (bits >> 52 == 0) {
-        /* subnormal: scale into the normal range */
-        k = -54;
-        x *= 0x1p54;
-        memcpy(&bits, &x, sizeof bits);
-    }
-    int hx = (int)(bits >> 32);
-    k += (hx >> 20) - 1023;
-    hx &= 0x000fffff;
-    /* i is 2**20 when the significand is at least sqrt(2): then 1 + f
-       is it halved, and k one more */
-    int i = (hx + 0x95f64) & 0x100000;
-    bits = (bits & 0xffffffffULL) | (uint64_t)(hx | (i ^ 0x3ff00000)) << 32;
-    memcpy(&x, &bits, sizeof x);
-    k += i >> 20;
-    double f = x - 1.0, dk = (double)k;
-    if ((0x000fffff & (2 + hx)) < 3) {
-        /* |f| < 2**-20 */
-        if (f == 0.0)
-            return dk * LN2_HI + dk * LN2_LO;
-        double R = f * f * (0.5 - 0.33333333333333333 * f);
-        return dk * LN2_HI - ((R - dk * LN2_LO) - f);
-    }
-    double s = f / (2.0 + f), z = s * s, w = z * z;
-    double t1 = w * (LG2 + w * (LG4 + w * LG6));
-    double t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
-    double R = t2 + t1;
-    if (((hx - 0x6147a) | (0x6b851 - hx)) > 0) {
-        double hfsq = 0.5 * f * f;
-        return dk * LN2_HI - ((hfsq - (s * (hfsq + R) + dk * LN2_LO)) - f);
-    }
-    return dk * LN2_HI - ((s * (f - R) - dk * LN2_LO) - f);
-}
-
-/* ------------------------------------------------------------------ */
-/* sampler fills: each returns a new block of values, and each is
-   kernel._PythonFills' method of its name, operation for operation */
+/* fill and log from Python */
 
 /* TypeError unless a function takes want arguments */
 static int
@@ -1083,104 +1163,25 @@ new_values(Py_ssize_t n, double **v)
     return vals;
 }
 
-/* uniforms(k0, k1, start, n[, low, span]): words start .. start + n - 1
-   of the stream keyed k0 | k1 << 64 as uniforms u, each as low + span * u;
-   low 0 and span 1 by default, which leave u as it is */
+/* fill(spec, first, n): values first .. first + n - 1 of the sampler spec */
 static PyObject *
-loop_uniforms(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+loop_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    double low = 0.0, span = 1.0, *v;
-    Words W;
-    if (nargs != 4 && nargs != 6) {
-        PyErr_Format(PyExc_TypeError, "uniforms() takes 4 or 6 arguments, got %zd", nargs);
-        return NULL;
-    }
-    Py_ssize_t n = PyLong_AsSsize_t(args[3]);
-    if (nargs == 6) {
-        low = PyFloat_AsDouble(args[4]);
-        span = PyFloat_AsDouble(args[5]);
-    }
-    if (PyErr_Occurred() || words_at(&W, args, n, 1) < 0)
-        return NULL;
-    PyObject *out = new_values(n, &v);
-    for (Py_ssize_t i = 0; out != NULL && i < n; i++)
-        v[i] = low + span * next_uniform(&W);
-    return out;
-}
-
-/* erlang(k0, k1, start, n, k, scale, divide): n values from the next n * k
-   words, each -(log(1 - u1) + ... + log(1 - uk)) over k uniforms, summed
-   left to right, times scale, or divided by it when divide. With k = 1 it
-   is the exponential. 1 - u is exact, so log(1 - u) is log1p(-u). */
-static PyObject *
-loop_erlang(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    double *v;
-    Words W;
-    if (takes("erlang", nargs, 7) < 0)
-        return NULL;
-    Py_ssize_t n = PyLong_AsSsize_t(args[3]), k = PyLong_AsSsize_t(args[4]);
-    double scale = PyFloat_AsDouble(args[5]);
-    int divide = PyObject_IsTrue(args[6]);
-    if (PyErr_Occurred() || divide < 0 || words_at(&W, args, n, k) < 0)
-        return NULL;
-    PyObject *out = new_values(n, &v);
-    for (Py_ssize_t i = 0; out != NULL && i < n; i++) {
-        double sum = log_unit(1.0 - next_uniform(&W));
-        for (Py_ssize_t j = 1; j < k; j++)
-            sum += log_unit(1.0 - next_uniform(&W));
-        v[i] = divide ? -sum / scale : -sum * scale;
-    }
-    return out;
-}
-
-/* mixture(k0, k1, start, p, base, extra): with u the uniform of word start
-   + i, value i is base[i] + extra[i] when u < p, else base[i] */
-static PyObject *
-loop_mixture(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer a, e;
+    Specs S = {NULL, 0, 0};
     PyObject *out = NULL;
     double *v;
-    Words W;
-    if (takes("mixture", nargs, 6) < 0)
+    int s;
+    if (takes("fill", nargs, 3) < 0)
         return NULL;
-    double p = PyFloat_AsDouble(args[3]);
-    if (PyErr_Occurred() || get_values(args[4], &a) < 0)
+    Py_ssize_t first = PyLong_AsSsize_t(args[1]), n = PyLong_AsSsize_t(args[2]);
+    if (PyErr_Occurred())
         return NULL;
-    if (get_values(args[5], &e) < 0) {
-        PyBuffer_Release(&a);
-        return NULL;
-    }
-    Py_ssize_t n = a.shape[0];
-    if (e.shape[0] != n)
-        PyErr_Format(PyExc_ValueError, "mixture(): %zd base values, %zd extra", n, e.shape[0]);
-    else if (words_at(&W, args, n, 1) == 0)
-        out = new_values(n, &v);
-    const double *base = a.buf, *extra = e.buf;
-    for (Py_ssize_t i = 0; out != NULL && i < n; i++)
-        v[i] = next_uniform(&W) < p ? base[i] + extra[i] : base[i];
-    PyBuffer_Release(&a);
-    PyBuffer_Release(&e);
-    return out;
-}
-
-/* shift(offset, values): offset + each value */
-static PyObject *
-loop_shift(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer b;
-    double *v;
-    if (takes("shift", nargs, 2) < 0)
-        return NULL;
-    double offset = PyFloat_AsDouble(args[0]);
-    if (PyErr_Occurred() || get_values(args[1], &b) < 0)
-        return NULL;
-    const double *base = b.buf;
-    PyObject *out = new_values(b.shape[0], &v);
-    for (Py_ssize_t i = 0; out != NULL && i < b.shape[0]; i++)
-        v[i] = offset + base[i];
-    PyBuffer_Release(&b);
+    if (first < 0 || n < 0)
+        PyErr_Format(PyExc_ValueError, "fill(): no values %zd + [0, %zd)", first, n);
+    else if ((s = read_spec(&S, args[0], -1, 0)) >= 0 && (out = new_values(n, &v)) != NULL
+             && fill_spec(S.v, s, (uint64_t)first, n, v) < 0)
+        Py_CLEAR(out);
+    PyMem_Free(S.v);
     return out;
 }
 
@@ -1190,8 +1191,15 @@ loop_log(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer b;
     double *v;
-    if (takes("log", nargs, 1) < 0 || get_values(args[0], &b) < 0)
+    if (takes("log", nargs, 1) < 0
+        || PyObject_GetBuffer(args[0], &b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return NULL;
+    if (b.ndim != 1 || b.itemsize != sizeof(double) || b.format == NULL
+        || strcmp(b.format, "d") != 0) {
+        PyBuffer_Release(&b);
+        PyErr_Format(PyExc_TypeError, "log(): %R is not a 1-d float64 array", args[0]);
+        return NULL;
+    }
     const double *x = b.buf;
     PyObject *out = new_values(b.shape[0], &v);
     for (Py_ssize_t i = 0; out != NULL && i < b.shape[0]; i++) {
@@ -1215,15 +1223,9 @@ loop_log(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 static PyMethodDef loop_methods[] = {
     METHOD(run, "run(*table) -> (cells, classes). Runs the engine of a _Table to its horizon, "
               "closes out the jobs still alive and returns the tally."),
-    METHOD(uniforms, "uniforms(k0, k1, start, n[, low, span]) -> block. Words start .. start + n - 1 "
-                   "of the Philox4x64-10 stream keyed k0 | k1 << 64 as uniforms u = (w >> 11) * "
-                   "2**-53, each as low + span * u."),
-    METHOD(erlang, "erlang(k0, k1, start, n, k, scale, divide) -> block. n values, each "
-                 "-(log(1 - u1) + ... + log(1 - uk)) over the next k uniforms, times scale or "
-                 "divided by it."),
-    METHOD(mixture, "mixture(k0, k1, start, p, base, extra) -> block. base[i] + extra[i] where "
-                  "uniform i is below p, else base[i]."),
-    METHOD(shift, "shift(offset, values) -> block. offset + each value."),
+    METHOD(fill, "fill(spec, first, n) -> block. Values first .. first + n - 1 of the sampler "
+               "spec, a tuple tree of const, uniform, erlang, shift and mixture nodes "
+               "(kernel._spec), from Philox4x64-10 words."),
     METHOD(log, "log(values) -> block. log x of each x in (0, 1], within 1 ulp, the same bits "
               "on every IEEE machine."),
     {NULL, NULL, 0, NULL},
@@ -1231,7 +1233,7 @@ static PyMethodDef loop_methods[] = {
 
 static struct PyModuleDef loop_module = {
     PyModuleDef_HEAD_INIT, "_loop",
-    "Compiled event loop of qnaps.kernel._Engine and the block fills of its samplers.", -1,
+    "Compiled event loop of qnaps.kernel._Engine and the fill of its samplers.", -1,
     loop_methods,
 };
 

@@ -7,23 +7,22 @@ word sequences of untouched streams, which is what makes neutral model
 transforms reproduce baseline runs bit for bit. A uniform is the top 53
 bits of one raw word times 2**-53, which is what numpy's Generator.random
 computes from the same words. Philox is counter-based, each word a pure
-function of the key and its position, so a stream is its key and the
-position of its next word. Every sampler, the routing uniforms and each
-open class's arrival gaps too, is one _Block: a float64 buffer of
-values, the index of the next one, and fill(), which returns the next
-buffer. _sampler turns a distribution into its block; a batched block is
-_BLOCK (4,096) values made from the uniforms of the next 4,096*k raw
-words, so a sampler that has its stream to itself consumes the same raw
-sequence as taking one value at a time; routing streams, one consumer
-each, are batched too. Each block is one call of a fill of the compiled
-extension, which computes the words and transforms them in one pass: an
+function of the key and its position, so a sampler is data: its spec, a
+small tuple tree that _spec makes from a distribution and its stream
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+and the index of its next value. Every sampler is one, the routing
+uniforms and each open class's arrival gaps too. fill(spec, first, n)
+makes values first .. first + n - 1: a leaf that takes k words a value
+(exponential and uniform 1, Erlang its phases) makes value j from words
+jk .. jk + k - 1 of its stream, and a mixture makes value j from value j
+of its branch uniforms, its base and its extra, each on a part stream of
+its own, so no value depends on how many are made at once. An
 exponential or Erlang value is -log(1 - u) (1 - u is exact, so this is
 -log1p(-u)) with fdlibm's log in plain double operations, so no value
-depends on the CPU, on a libm or on numpy. _PythonFills is the same
-fills in Python, bit for bit, and their fallback, with the words from
-numpy's Philox; numpy is imported only then. No stream holds a block, so
-the blocks of a replication are freed by refcount when it is dropped.
-The closed-class init phase takes one word per value.
+depends on the CPU, on a libm or on numpy. fill is in the compiled
+extension; _PythonFills is the same fill in Python, bit for bit, and its
+fallback, with the words from numpy's Philox; numpy is imported only
+then. The closed-class init phase takes one word per job.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -51,32 +50,35 @@ calendar or its sequence numbers.
 _Engine._build is the one place that decides the engine's layout: it
 samples what is needed before the run (each open class's first gap,
 which is its first arrival time, and the closed populations' t = 0 think
-and service times) and emits a flat, index-based _Table of int32 and
-float64 arrays (per station, per (station, class) cell with one route
-row each in CSR form, detection flush lists, per class its reference
-station, closed classes only, and the t = 0 placements: the first
-arrivals at the sources, then the closed populations) plus the list of
-_Blocks the indices point into. A class is watched when a flush list
-names it. Both loops run on that table and return the same tally, per
-cell and per class, which _Engine._finalize turns into samples. _Engine.run is one C extension, _loop.c, which gets
-the table as typed buffers and checks each array once, on entry;
-_Engine._run_python is the same loop in Python, kept as the executable
-specification the tests compare the compiled loop against bit for bit.
-The two share this contract: they replay the placements in the same
-order, every float operation is done in the same order and grouping; the
-calendar is a binary heap with heapq's sift algorithm keyed on (t, seq),
-so its array layout, and with it the closing sweep, is the same; and
-random values come only from the blocks: the Python loop takes them with
-next(), the compiled loop reads them from the arrays in place and calls
-fill() when one runs out. The extension is built when this module is
-imported, with gcc -O2 -ffp-contract=off (no fused multiply-add, no
--ffast-math; x86-64 does its double arithmetic in SSE2 registers), into
-src/qnaps/__pycache__ under a name keyed by the sha256 of _loop.c and
-the flags, so an edited source never loads an old binary. gcc runs, and
-subprocess and sysconfig are imported, only when no cached binary
-exists; otherwise the import just loads the cached file. If it cannot
-be built or loaded, one warning goes to stderr, run() uses the Python
-loop and the samplers _PythonFills.
+and service times), each sampler with one fill of exactly the values it
+places, and emits a flat, index-based _Table of int32 and float64 arrays
+(per station, per (station, class) cell with one route row each in CSR
+form, detection flush lists, per class its reference station, closed
+classes only, and the t = 0 placements: the first arrivals at the
+sources, then the closed populations) plus the spec of every sampler
+and the index of its next value, the values _build did not place. A
+class is watched when a flush list names it. Both loops run on that
+table and return the same tally, per cell and per class, which
+_Engine._finalize turns into samples. _Engine.run is one C extension,
+_loop.c, which copies the table's arrays and reads its specs into C
+structs, checking each once, on entry; _Engine._run_python is the same
+loop in Python, kept as the executable specification the tests compare
+the compiled loop against bit for bit. The two share this contract:
+they replay the placements in the same order, every float operation is
+done in the same order and grouping; the calendar is a binary heap with
+heapq's sift algorithm keyed on (t, seq), so its array layout, and with
+it the closing sweep, is the same; and random values come only from the
+samplers, block_size of them to a fill: the Python loop takes them with
+next() from _values, and the compiled loop from a buffer per sampler
+that it refills in C, so it calls no Python function. The extension is
+built when this module is imported, with gcc -O2 -ffp-contract=off (no
+fused multiply-add, no -ffast-math; x86-64 does its double arithmetic in
+SSE2 registers), into src/qnaps/__pycache__ under a name keyed by the
+sha256 of _loop.c and the flags, so an edited source never loads an old
+binary. gcc runs, and subprocess and sysconfig are imported, only when
+no cached binary exists; otherwise the import just loads the cached
+file. If it cannot be built or loaded, one warning goes to stderr, and
+run() uses the Python loop and fill _PythonFills.fill.
 """
 from __future__ import annotations
 
@@ -88,7 +90,7 @@ from array import array
 from collections import deque
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
-from itertools import accumulate, repeat
+from itertools import accumulate, count
 from operator import add
 from pathlib import Path
 from typing import NamedTuple
@@ -103,14 +105,15 @@ from .model import (
     SOURCE,
     SYSTEM_STATION,
     NetworkModel,
+    Uniform,
     _class_start,
     validate_model,
 )
 from .stats import MetricSample, ReplicationResult
 
 _INF = math.inf
-_BLOCK = 4096  # values per block, the same for every sampler
-_NO_VALUES = array("d")
+_BLOCK = 4096  # values per fill of a sampler, the same for every sampler
+_U01 = Uniform(0.0, 1.0)  # the routing and init uniforms
 
 
 class KernelError(RuntimeError):
@@ -138,33 +141,6 @@ class DeadlockError(KernelError):
 
     def __reduce__(self):  # survive a trip through a worker process
         return (type(self), (self.class_names,))
-
-
-class _Block:
-    """One sampler: vals, the float64 buffer of values it is handing out;
-    i, the index of the next one; and fill(), which returns the next
-    block. next() hands out one value and calls fill() when the block
-    runs out; an empty block ends the sampler with StopIteration. The
-    compiled loop reads vals in place and writes vals and i back when it
-    returns, so next() continues where it stopped."""
-
-    __slots__ = ("vals", "i", "fill")
-
-    def __init__(self, fill):
-        self.vals = _NO_VALUES
-        self.i = 0
-        self.fill = fill
-
-    def __next__(self) -> float:
-        vals = self.vals
-        i = self.i
-        if i == len(vals):
-            vals = self.vals = self.fill()
-            i = self.i = 0
-            if not len(vals):
-                raise StopIteration
-        self.i = i + 1
-        return vals[i]
 
 
 class RngStream:
@@ -201,14 +177,7 @@ class RngStream:
     def uniforms(self, n: int):
         """The next n raw words as uniforms on [0, 1), from their top 53
         bits, in a float64 buffer."""
-        return _fills().uniforms(self.k0, self.k1, self.take(n), n)
-
-    def block(self, k: int, fill, *params) -> _Block:
-        """Block sampler whose every fill() is fill(k0, k1, start, _BLOCK,
-        *params), a fill of _PythonFills or the extension: _BLOCK values
-        from the next _BLOCK*k raw words, taken on the first next() and
-        again each time its values run out."""
-        return _Block(lambda: fill(self.k0, self.k1, self.take(_BLOCK * k), _BLOCK, *params))
+        return _fills().fill(_spec(_U01, self), self.take(n), n)
 
 
 def _philox_uniforms(k0: int, k1: int, start: int, n: int):
@@ -262,38 +231,41 @@ def _log(x: float) -> float:
 
 
 class _PythonFills:
-    """The extension's fills in Python, with its signatures and, value for
-    value, its bits: their specification, which the tests compare the
-    extension against, and their fallback when it is unavailable. The
-    words come from numpy's Philox, and each block is an array('d'). A
-    fill is a pure function of its arguments: none carries a value from
-    one block to the next."""
+    """The extension's fill and log in Python, with its signatures and,
+    value for value, its bits: their specification, which the tests
+    compare the extension against, and their fallback when it is
+    unavailable. The words come from numpy's Philox, and each block of
+    values is an array('d')."""
 
     @staticmethod
-    def uniforms(k0, k1, start, n, low=0.0, span=1.0):
-        return array("d", [low + span * u for u in _philox_uniforms(k0, k1, start, n).tolist()])
-
-    @staticmethod
-    def erlang(k0, k1, start, n, k, scale, divide):
-        u = _philox_uniforms(k0, k1, start, n * k).tolist()
-        out = array("d")
-        for i in range(0, n * k, k):
-            total = _log(1.0 - u[i])
-            for j in range(i + 1, i + k):
-                total += _log(1.0 - u[j])
-            out.append(-total / scale if divide else -total * scale)
-        return out
-
-    @staticmethod
-    def mixture(k0, k1, start, p, base, extra):
-        if len(base) != len(extra):
-            raise ValueError(f"mixture(): {len(base)} base values, {len(extra)} extra")
-        u = _philox_uniforms(k0, k1, start, len(base)).tolist()
-        return array("d", [a + e if b < p else a for b, a, e in zip(u, base, extra)])
-
-    @staticmethod
-    def shift(offset, values):
-        return array("d", [offset + b for b in values])
+    def fill(spec, first, n):
+        """Values first .. first + n - 1 of the sampler spec (see _spec)."""
+        kind = spec[0]
+        if kind == "const":
+            return array("d", spec[1:]) * n
+        if kind == "uniform":
+            _, k0, k1, low, span = spec
+            return array("d", [low + span * u for u in _philox_uniforms(k0, k1, first, n).tolist()])
+        if kind == "erlang":
+            _, k0, k1, k, scale, divide = spec
+            u = _philox_uniforms(k0, k1, first * k, n * k).tolist()
+            out = array("d")
+            for i in range(0, n * k, k):
+                total = _log(1.0 - u[i])
+                for j in range(i + 1, i + k):
+                    total += _log(1.0 - u[j])
+                out.append(-total / scale if divide else -total * scale)
+            return out
+        fill = _PythonFills.fill
+        if kind == "shift":
+            _, offset, base = spec
+            return array("d", [offset + b for b in fill(base, first, n)])
+        if kind == "mixture":
+            _, k0, k1, p, base, extra = spec
+            u = _philox_uniforms(k0, k1, first, n).tolist()
+            return array("d", [a + e if b < p else a
+                               for b, a, e in zip(u, fill(base, first, n), fill(extra, first, n))])
+        raise TypeError(f"fill(): {spec!r} is not a sampler spec")
 
     @staticmethod
     def log(values):
@@ -301,8 +273,8 @@ class _PythonFills:
 
 
 def _fills():
-    """The extension, whose fills make every block, or _PythonFills
-    when it could not be built or loaded."""
+    """The extension, whose fill makes every sampler's values, or
+    _PythonFills when it could not be built or loaded."""
     return _PythonFills if _loop is None else _loop
 
 
@@ -318,21 +290,22 @@ class _Table(NamedTuple):
     """The engine's layout, decided by _Engine._build and read by both
     loops. Stations and classes are numbered in model order; a cell is a
     (station, class) pair, numbered s * nclasses + c. Index tables are
-    array('i') (int32), times and probabilities array('d'); blocks index
-    into blocks and -1 means none. The compiled loop takes the fields in
-    this order."""
+    array('i') (int32), times and probabilities array('d'); a sampler is
+    an index into start and blocks, and -1 means none. The compiled loop
+    takes the fields in this order."""
 
     horizon: float
     warmup: float
+    block_size: int       # values per fill of a sampler, in either loop
     kind: array           # per station: its _KC_* code
     servers: array        # per station
     capacity: array       # per station: inf when unbounded
-    sampler: array        # per cell: block of its service times, or at a source of
+    sampler: array        # per cell: sampler of its service times, or at a source of
                           #   its class's arrival gaps; -1 if neither
     route_ptr: array      # per cell: its class leaving its station (a source: entering
     route_to: array       #   the network) goes to route_to[route_ptr[k]:route_ptr[k+1]]
     route_cum: array      #   with these cumulative probabilities
-    route_block: array    # per cell: block of its routing uniforms, -1 with one successor
+    route_block: array    # per cell: sampler of its routing uniforms, -1 with one successor
     flush_ptr: array      # per cell (station, poller class): a completion there
     flush_cls: array      #   flushes the classes flush_cls[flush_ptr[k]:flush_ptr[k+1]]
     reference: array      # per class: its reference station if closed, else -1
@@ -340,7 +313,8 @@ class _Table(NamedTuple):
     place_class: array    #   the station, the class and the time; at a source, the
     place_time: array     #   class's first arrival, else a closed-class job's calendar
                           #   time, inf when it queues or parks
-    blocks: list          # every _Block, once
+    start: array          # per sampler: the index of its next value, array('q')
+    blocks: list          # per sampler: its spec
 
 
 class _Job:
@@ -355,49 +329,55 @@ class _Job:
         self.sstart = 0.0
 
 
-def _sampler(dist, stream) -> _Block:
-    """Block sampler of dist's values on stream, one branch per kind, each
-    block one fill of the extension (or of _PythonFills). A batched kind
-    takes k raw words of stream per value: exponential 1, erlang its
-    phases, uniform 1. A deterministic value and a rate-0 exponential (inf)
-    take none; their fill is C code, so a loop over them runs no Python
-    bytecode. A shift takes what its base takes. A mixture takes nothing
-    of stream itself: its branch uniforms, base and extra come from the
-    part streams branch, base and extra, one branch word per value, so no
-    value depends on the block size."""
-    fills = _fills()
+def _spec(dist, stream) -> tuple:
+    """The spec of the sampler of dist's values on stream: a tuple tree
+    that fill() reads, of these nodes, with k0 and k1 the words of a
+    stream's key:
+      ("const", value): a deterministic value, or a rate-0 exponential's
+        inf; it takes no words;
+      ("uniform", k0, k1, low, span): low + span * u of word j;
+      ("erlang", k0, k1, k, scale, divide): -(log(1 - u1) + ... +
+        log(1 - uk)) over words jk .. jk + k - 1, times scale, or divided
+        by it when divide; an exponential is k = 1 times 1 / rate;
+      ("shift", offset, base): offset + value j of base, on stream;
+      ("mixture", k0, k1, p, base, extra): base value j, plus extra value
+        j when uniform j of k0, k1 is below p; the uniforms, base and
+        extra are on the part streams branch, base and extra."""
     kind = dist.kind
     if kind == "deterministic" or (kind == "exponential" and dist.rate == 0.0):
-        return _Block(repeat(array("d", [float(dist.mean())]) * _BLOCK).__next__)
+        return ("const", float(dist.mean()))
     if kind in ("exponential", "erlang"):
         k = dist.phases if kind == "erlang" else 1
-        return stream.block(k, fills.erlang, k, 1.0 / dist.rate, False)
+        return ("erlang", stream.k0, stream.k1, k, 1.0 / dist.rate, False)
     if kind == "uniform":
-        return stream.block(1, fills.uniforms, dist.low, dist.high - dist.low)
+        return ("uniform", stream.k0, stream.k1, dist.low, dist.high - dist.low)
     if kind == "shifted":
-        offset = float(dist.offset)
-        base = _sampler(dist.base, stream).fill
-        return _Block(lambda: fills.shift(offset, base()))
+        return ("shift", float(dist.offset), _spec(dist.base, stream))
     if kind == "mixture":
-        p = dist.p_extra
-        base = _sampler(dist.base, stream.part("base")).fill
-        extra = _sampler(dist.extra, stream.part("extra")).fill
         branch = stream.part("branch")
-        return _Block(lambda: fills.mixture(branch.k0, branch.k1, branch.take(_BLOCK), p,
-                                            base(), extra()))
+        return ("mixture", branch.k0, branch.k1, dist.p_extra,
+                _spec(dist.base, stream.part("base")), _spec(dist.extra, stream.part("extra")))
     raise ValueError(f"unknown distribution {dist!r}")
 
 
-def _arrival_gaps(dist, stream) -> _Block:
-    """Block sampler of a class's external arrival gaps; the loops add
-    each to the time of the arrival it follows. The first infinite gap (a
-    rate-0 exponential, or an infinite part of a mixture) puts the next
-    arrival at inf, and so ends the class's arrivals."""
+def _arrival_spec(dist, stream) -> tuple:
+    """The spec of a class's external arrival gaps; the loops add each to
+    the time of the arrival it follows. The first infinite gap (a rate-0
+    exponential, or an infinite part of a mixture) puts the next arrival
+    at inf, and so ends the class's arrivals."""
     if dist.kind == "exponential" and dist.rate > 0:
-        # not _sampler's exponential, which multiplies by 1 / rate: that
+        # not _spec's exponential, which multiplies by 1 / rate: that
         # rounds differently, and the shipped outputs were made by this division
-        return stream.block(1, _fills().erlang, 1, dist.rate, True)
-    return _sampler(dist, stream)
+        return ("erlang", stream.k0, stream.k1, 1, dist.rate, True)
+    return _spec(dist, stream)
+
+
+def _values(spec, start, block):
+    """Values start, start + 1, ... of the sampler spec, made block at a
+    time: a sampler of the Python loop."""
+    fill = _fills().fill
+    for first in count(start, block):
+        yield from fill(spec, first, block)
 
 
 class _Engine:
@@ -423,10 +403,12 @@ class _Engine:
         sidx = {s.name: i for i, s in enumerate(stations)}
         cidx = {jc.name: i for i, jc in enumerate(classes)}
         ncl = len(classes)
-        blocks = []
+        fill = _fills().fill
+        blocks, start = [], []
 
-        def index(block):
-            blocks.append(block)
+        def index(spec):
+            blocks.append(spec)
+            start.append(0)
             return len(blocks) - 1
 
         kind = [_KC[s.kind] for s in stations]
@@ -435,7 +417,7 @@ class _Engine:
             if kind[s] in (_KC_FCFS, _KC_DELAY):
                 for cname, dist in st.service.items():
                     stream = RngStream(seed, st.name, cname, "service")
-                    sampler[s * ncl + cidx[cname]] = index(_sampler(dist, stream))
+                    sampler[s * ncl + cidx[cname]] = index(_spec(dist, stream))
 
         # each open class's first arrival at its source, then the closed
         # populations at their reference stations at t = 0
@@ -443,14 +425,15 @@ class _Engine:
         reference = [-1] * ncl
         flush = [[] for _ in sampler]
         for c, jc in enumerate(classes):
-            start = _class_start(model, jc)
+            home = _class_start(model, jc)
             if jc.kind == "closed":
-                reference[c] = sidx[start]
-            elif start is not None:
-                s = sidx[start]
-                gaps = _arrival_gaps(jc.arrival, RngStream(seed, start, jc.name, "arrival"))
-                sampler[s * ncl + c] = index(gaps)
-                place.append((s, c, next(gaps)))
+                reference[c] = sidx[home]
+            elif home is not None:
+                s = sidx[home]
+                gaps = _arrival_spec(jc.arrival, RngStream(seed, home, jc.name, "arrival"))
+                b = sampler[s * ncl + c] = index(gaps)
+                start[b] = 1
+                place.append((s, c, fill(gaps, 0, 1)[0]))
             watcher = model.detection.get(jc.name)
             if watcher is not None:
                 flush[sidx[watcher[1]] * ncl + cidx[watcher[0]]].append(c)
@@ -470,30 +453,29 @@ class _Engine:
                     route_cum.append(acc)
                 route_cum[-1] = 1.0 + 1e-12  # guard against float dust on the last edge
                 if len(targets) > 1:
-                    # one consumer per routing stream, so batching keeps its values
-                    u01 = RngStream(seed, row[1], row[0], "routing").block(1, _fills().uniforms)
-                    block = index(u01)
+                    block = index(_spec(_U01, RngStream(seed, row[1], row[0], "routing")))
             route_block.append(block)
             route_ptr.append(len(route_to))
 
+        # the closed populations' jobs in order: at a delay each thinks for
+        # a random phase of its first think time, which desynchronizes
+        # cycles; at an fcfs station the first fill its free servers and
+        # the rest queue. The sampler starts after the m values placed.
         busy = [0] * len(stations)
         for c, jc in enumerate(classes):
             if jc.kind != "closed":
                 continue
             s = reference[c]
-            init = RngStream(seed, jc.reference, jc.name, "init")
-            service = blocks[sampler[s * ncl + c]]
-            for _ in range(jc.population):
-                if kind[s] == _KC_DELAY:
-                    u = init.uniforms(1)[0]  # a random initial phase desynchronizes cycles
-                    think = next(service)
-                    t = u * think if think < _INF else _INF
-                elif busy[s] < stations[s].servers:
-                    busy[s] += 1
-                    t = next(service)
-                else:
-                    t = _INF
-                place.append((s, c, t))
+            b = sampler[s * ncl + c]
+            n = jc.population
+            m = start[b] = n if kind[s] == _KC_DELAY else min(n, stations[s].servers - busy[s])
+            times = fill(blocks[b], 0, m).tolist()
+            if kind[s] == _KC_DELAY:
+                phase = RngStream(seed, jc.reference, jc.name, "init").uniforms(n).tolist()
+                times = [u * think if think < _INF else _INF for u, think in zip(phase, times)]
+            else:
+                busy[s] += m
+            place.extend((s, c, t) for t in times + [_INF] * (n - m))
 
         def ints(values):
             return array("i", values)
@@ -504,14 +486,14 @@ class _Engine:
         flush_ptr = ints(accumulate((len(f) for f in flush), initial=0))
         place_station, place_class, place_time = zip(*place) if place else ((), (), ())
         return _Table(
-            horizon, warmup,
+            horizon, warmup, _BLOCK,
             ints(kind), floats(s.servers for s in stations),
             floats(_INF if s.capacity is None else s.capacity for s in stations),
             ints(sampler),
             ints(route_ptr), ints(route_to), floats(route_cum),
             ints(route_block), flush_ptr, ints(c for f in flush for c in f), ints(reference),
             ints(place_station), ints(place_class), floats(place_time),
-            blocks,
+            array("q", start), blocks,
         )
 
     def _check_deadlock(self):
@@ -548,10 +530,10 @@ class _Engine:
         servers = T.servers.tolist()
         cap = T.capacity.tolist()
         reference = T.reference.tolist()
-        blocks = T.blocks
-        samplers = [blocks[b] if b >= 0 else None for b in T.sampler.tolist()]
+        its = [_values(spec, first, T.block_size) for spec, first in zip(T.blocks, T.start)]
+        samplers = [its[b] if b >= 0 else None for b in T.sampler.tolist()]
         ptr, to, cum = T.route_ptr.tolist(), T.route_to.tolist(), T.route_cum.tolist()
-        routes = [(to[a:b], cum[a:b], blocks[r] if b - a > 1 else None)
+        routes = [(to[a:b], cum[a:b], its[r] if b - a > 1 else None)
                   for a, b, r in zip(ptr, ptr[1:], T.route_block.tolist())]
         ptr, fcls = T.flush_ptr.tolist(), T.flush_cls.tolist()
         flush = [fcls[a:b] for a, b in zip(ptr, ptr[1:])]

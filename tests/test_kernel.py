@@ -12,7 +12,9 @@ import os
 import resource
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
+from types import GeneratorType
 
 import numpy as np
 import pytest
@@ -23,9 +25,9 @@ from qnaps.kernel import (
     InvalidModelError,
     KernelError,
     RngStream,
-    _arrival_gaps,
+    _arrival_spec,
     _Engine,
-    _sampler,
+    _spec,
     run_replication,
 )
 from qnaps.model import (
@@ -97,6 +99,17 @@ def _uniform01(stream):
     return stream.uniforms(1)[0]
 
 
+def _fill(spec, first, n):
+    """Values first .. first + n - 1 of the sampler spec, in one fill."""
+    return kernel._fills().fill(spec, first, n).tolist()
+
+
+def _take(spec, n, block=None):
+    """The first n values of the sampler spec as the Python loop takes
+    them, block (_BLOCK by default) to a fill."""
+    return list(islice(kernel._values(spec, 0, block or kernel._BLOCK), n))
+
+
 _KEYS = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1] + [
     int.from_bytes(hashlib.sha256(str(i).encode()).digest()[:16], "little") for i in range(200)]
 
@@ -111,13 +124,12 @@ def _numpy_words(key, n):
 def test_extension_words_equal_numpys_philox():
     # start offsets 0-3 within the first block, starts on either side of
     # later block boundaries, and lengths that end inside, on and past one
-    uniforms = kernel._loop.uniforms
     for key in _KEYS:
         want = _numpy_words(key, 8200)
-        k0, k1 = key & ((1 << 64) - 1), key >> 64
+        u01 = ("uniform", key & ((1 << 64) - 1), key >> 64, 0.0, 1.0)
         for start in (0, 1, 2, 3, 4091, 4092, 4094):
             for n in (0, 1, 3, 4, 4096, 4097):
-                got = np.frombuffer(uniforms(k0, k1, start, n))
+                got = np.frombuffer(kernel._loop.fill(u01, start, n))
                 assert got.tolist() == want[start:start + n].tolist(), (key, start, n)
 
 
@@ -169,29 +181,44 @@ def test_streams_are_isolated_under_interleaving():
 
 
 def test_sampler_draw_accounting():
-    # a batched sampler takes a whole block's words on its first value
-    s = RngStream(11, "st", "cl", "service")
-    exp = _sampler(Exponential(2.0), s)
-    vals = [next(exp) for _ in range(10)]
-    assert _words_taken(s) == kernel._BLOCK
-    assert all(v >= 0 for v in vals)
-
-    stream = RngStream(11, "st", "cl", "erl")
-    erl = _sampler(Erlang(3, 1.0), stream)
-    next(erl)
-    assert _words_taken(stream) == 3 * kernel._BLOCK  # one word per phase per value
-
-    zero = _sampler(Exponential(0.0), RngStream(11, "st", "cl", "z"))
-    assert next(zero) == float("inf")
+    # value j of a sampler that takes k words a value is made from words
+    # jk .. jk + k - 1 of its stream, whatever value a fill starts at
+    stream = RngStream(11, "st", "cl", "service")
+    logs = _log1m(_uniforms(RngStream(11, "st", "cl", "service"), 12))
+    assert _fill(_spec(Exponential(2.0), stream), 7, 3) == [-v * 0.5 for v in logs[7:10]]
+    erlang = _spec(Erlang(3, 1.0), stream)
+    assert _fill(erlang, 2, 2) == [-(a + b + c) * 1.0 for a, b, c in zip(*[iter(logs[6:12])] * 3)]
+    assert _fill(_spec(Exponential(0.0), stream), 5, 2) == [math.inf, math.inf]
+    assert stream.pos == 0  # a sampler moves no stream
 
 
 def test_model_samplers_draw_documented_amounts():
     stream = RngStream(5, "s", "c", "service")
-    det = _sampler(Deterministic(4.0), stream)
-    assert next(det) == 4.0
-    expo = _sampler(Exponential(1.0), stream)
-    next(expo)
-    assert _words_taken(stream) == kernel._BLOCK  # the deterministic took none
+    det = _spec(Deterministic(4.0), stream)
+    assert det == ("const", 4.0)  # no key: it takes no words
+    assert _fill(det, 3, 2) == [4.0, 4.0]
+    assert _spec(Exponential(1.0), stream) == ("erlang", stream.k0, stream.k1, 1, 1.0, False)
+
+
+def _words_per_value(spec) -> int:
+    """The words value j of the sampler spec takes, over every stream it reads."""
+    kind = spec[0]
+    if kind in ("const", "uniform"):
+        return kind == "uniform"
+    if kind == "erlang":
+        return spec[3]
+    if kind == "shift":
+        return _words_per_value(spec[2])
+    return 1 + _words_per_value(spec[4]) + _words_per_value(spec[5])
+
+
+def _keys(spec) -> list:
+    """The key of every stream the sampler spec reads, once per node."""
+    kind = spec[0]
+    if kind == "shift":
+        return _keys(spec[2])
+    keys = [] if kind == "const" else [spec[1:3]]
+    return keys + (_keys(spec[4]) + _keys(spec[5]) if kind == "mixture" else [])
 
 
 @pytest.mark.parametrize(
@@ -206,10 +233,9 @@ def test_model_samplers_draw_documented_amounts():
     ids=["exponential", "erlang", "shifted", "mixture", "shifted-mixture-of-mixtures"],
 )
 def test_draws_count_every_value_across_a_refill(dist, k, monkeypatch):
-    # _BLOCK + 44 values cross the first block, so every stream the
-    # sampler reads, its own and its part streams and theirs, has taken
-    # two blocks of words, k words a value in all
-    n = kernel._BLOCK + 44
+    # every stream the sampler reads, its own and its part streams and
+    # theirs, is one node's, and a value takes k words of them in all;
+    # _BLOCK + 44 values taken across a refill are those of one fill
     streams = [RngStream(11, "st", "cl", "refill")]
     part = RngStream.part
 
@@ -218,15 +244,16 @@ def test_draws_count_every_value_across_a_refill(dist, k, monkeypatch):
         return streams[-1]
 
     monkeypatch.setattr(RngStream, "part", recorded_part)
-    sampler = _sampler(dist, streams[0])
-    for _ in range(n):
-        next(sampler)
-    taken = [_words_taken(s) for s in streams]
-    assert all(w % (2 * kernel._BLOCK) == 0 for w in taken)
-    assert sum(taken) == 2 * kernel._BLOCK * k
+    spec = _spec(dist, streams[0])
+    keys = _keys(spec)
+    assert len(set(keys)) == len(keys)
+    assert set(keys) <= {(s.k0, s.k1) for s in streams}
+    assert _words_per_value(spec) == k
+    n = kernel._BLOCK + 44
+    assert _take(spec, n) == _fill(spec, 0, n)
 
 
-def test_routing_stream_draws_one_word_per_decision():
+def test_routing_stream_draws_one_word_per_decision(monkeypatch):
     routing = RoutingTable()
     routing.add("Jobs", "Source", [("A", 0.3), ("B", 0.7)])
     routing.add("Jobs", "A", "Sink")
@@ -243,12 +270,24 @@ def test_routing_stream_draws_one_word_per_decision():
         routing=routing,
     )
     engine = _Engine(m, seed=12, horizon=2000.0, warmup=0.0)
-    decisions = engine._tally()[1][0][0]  # created: every arrival splits once at the source
-    assert 300 < decisions < kernel._BLOCK
-    u01 = engine.table.blocks[engine.table.route_block[0]]  # cell (Source, Jobs)
+    b = engine.table.route_block[0]  # cell (Source, Jobs)
+    u01 = engine.table.blocks[b]
+    # value j of the routing sampler is word j of its stream, from the first
     twin = RngStream(12, "Source", "Jobs", "routing")
-    assert u01.i == decisions
-    assert u01.vals.tolist() == _uniforms(twin, kernel._BLOCK).tolist()
+    assert engine.table.start[b] == 0
+    assert _fill(u01, 0, kernel._BLOCK) == _uniforms(twin, kernel._BLOCK).tolist()
+    taken = []
+    values = kernel._values
+
+    def counted(spec, first, block):
+        for v in values(spec, first, block):
+            taken.append(spec)
+            yield v
+
+    monkeypatch.setattr(kernel, "_values", counted)
+    decisions = engine._tally_python()[1][0][0]  # created: every arrival splits once at the source
+    assert decisions > 300
+    assert sum(spec is u01 for spec in taken) == decisions
 
 
 def _log1m(u):
@@ -267,21 +306,21 @@ def _log1m(u):
     ids=["exponential", "uniform", "erlang"],
 )
 def test_batched_sampler_matches_the_formula_on_raw_words(dist, k, formula):
-    # values come from blocks of _BLOCK values made from _BLOCK*k words;
-    # _BLOCK + 44 values cross a refill
+    # value j is made from words jk .. jk + k - 1; _BLOCK + 44 values
+    # cross a refill
     n, size = kernel._BLOCK + 44, kernel._BLOCK
-    sampler = _sampler(dist, RngStream(17, "st", "cl", "service"))
+    sampler = _spec(dist, RngStream(17, "st", "cl", "service"))
     twin = RngStream(17, "st", "cl", "service")
     want = [v for _ in range(2) for v in formula(_uniforms(twin, size * k))]
-    assert [next(sampler) for _ in range(n)] == want[:n]
+    assert _take(sampler, n) == want[:n]
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_erlang_value_is_its_phases_summed_in_order(k):
     # value i is -(l[ik] + l[ik+1] + ... + l[ik+k-1]) / rate, summed left to
-    # right in Python, with l = log(1 - u) over the block's _BLOCK*k uniforms
+    # right in Python, with l = log(1 - u) over the uniforms of the words
     n, size = kernel._BLOCK + 44, kernel._BLOCK
-    sampler = _sampler(Erlang(k, 1.3), RngStream(17, "st", "cl", "service"))
+    sampler = _spec(Erlang(k, 1.3), RngStream(17, "st", "cl", "service"))
     twin = RngStream(17, "st", "cl", "service")
     want = []
     for _ in range(2):
@@ -291,7 +330,7 @@ def test_erlang_value_is_its_phases_summed_in_order(k):
             for phase in logs[i * k + 1:(i + 1) * k]:
                 total += phase
             want.append(-total * (1.0 / 1.3))
-    assert [next(sampler) for _ in range(n)] == want[:n]
+    assert _take(sampler, n) == want[:n]
 
 
 @pytest.mark.parametrize(
@@ -304,31 +343,30 @@ def test_mixture_parts_draw_from_their_own_streams(dist):
     # service/base or service/extra; _BLOCK + 44 values cross a refill
     n = kernel._BLOCK + 44
     offset, mix = (dist.offset, dist.base) if dist.kind == "shifted" else (0.0, dist)
-    sampler = _sampler(dist, RngStream(29, "st", "cl", "service"))
+    sampler = _spec(dist, RngStream(29, "st", "cl", "service"))
     branch = _uniforms(RngStream(29, "st", "cl", "service/branch"), n).tolist()
-    base = _sampler(mix.base, RngStream(29, "st", "cl", "service/base"))
-    extra = _sampler(mix.extra, RngStream(29, "st", "cl", "service/extra"))
-    want = []
-    for u in branch:
-        a, b = next(base), next(extra)
-        want.append(offset + (a + b if u < mix.p_extra else a))
-    assert [next(sampler) for _ in range(n)] == want
+    base = _take(_spec(mix.base, RngStream(29, "st", "cl", "service/base")), n)
+    extra = _take(_spec(mix.extra, RngStream(29, "st", "cl", "service/extra")), n)
+    want = [offset + (a + b if u < mix.p_extra else a) for u, a, b in zip(branch, base, extra)]
+    assert _take(sampler, n) == want
 
 
 @pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
 @pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values(), Exponential(0.0)],
                          ids=[*kinds(10.0), *NESTED, "rate-0"])
 def test_compiled_fills_equal_the_python_fills(dist, monkeypatch):
-    # the extension's fills against _PythonFills, their fallback: values,
+    # the extension's fill against _PythonFills.fill, its fallback: values,
     # arrival gaps of dist (an exponential's divided by its rate) and
-    # routing uniforms, _BLOCK + 44 of each, so every stream crosses a block
+    # routing uniforms, _BLOCK + 44 of each, so every stream crosses a
+    # block, and 9 from value 4093 on
     n = kernel._BLOCK + 44
 
     def draw():
-        values = _sampler(dist, RngStream(41, "st", "cl", "service"))
-        gaps = _arrival_gaps(dist, RngStream(41, "st", "cl", "arrival"))
-        routing = RngStream(41, "st", "cl", "routing").block(1, kernel._fills().uniforms)
-        return [(next(values).hex(), next(gaps).hex(), next(routing).hex()) for _ in range(n)]
+        values = _spec(dist, RngStream(41, "st", "cl", "service"))
+        gaps = _arrival_spec(dist, RngStream(41, "st", "cl", "arrival"))
+        routing = _spec(kernel._U01, RngStream(41, "st", "cl", "routing"))
+        return [[v.hex() for v in _take(spec, n) + _fill(spec, 4093, 9)]
+                for spec in (values, gaps, routing)]
 
     compiled = draw()
     monkeypatch.setattr(kernel, "_loop", None)
@@ -337,20 +375,18 @@ def test_compiled_fills_equal_the_python_fills(dist, monkeypatch):
 
 @pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values()],
                          ids=[*kinds(10.0), *NESTED])
-def test_no_sampler_depends_on_the_block_size(dist, monkeypatch):
+def test_no_sampler_depends_on_the_block_size(dist):
     # _BLOCK + 44 values, and as many arrival gaps of dist, span two
-    # blocks of the shipped size and many of 97 or 256 values
+    # blocks of the shipped size and many of 97 or 256 values; a sampler
+    # that starts at value 1000 hands out the values from 1000 on
     n = kernel._BLOCK + 44
-
-    def draw():
-        values = _sampler(dist, RngStream(31, "st", "cl", "service"))
-        gaps = _arrival_gaps(dist, RngStream(31, "st", "cl", "arrival"))
-        return [(next(values).hex(), next(gaps).hex()) for _ in range(n)]
-
-    shipped = draw()
+    specs = (_spec(dist, RngStream(31, "st", "cl", "service")),
+             _arrival_spec(dist, RngStream(31, "st", "cl", "arrival")))
+    shipped = [_take(spec, n) for spec in specs]
     for size in (97, 256):
-        monkeypatch.setattr(kernel, "_BLOCK", size)
-        assert draw() == shipped
+        assert [_take(spec, n, size) for spec in specs] == shipped
+        assert [list(islice(kernel._values(spec, 1000, size), 50)) for spec in specs] == [
+            values[1000:1050] for values in shipped]
 
 
 @pytest.mark.parametrize(
@@ -376,8 +412,7 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
         dist = job_class(arrival_mix_model(), "M").arrival
         stream = RngStream(ARRIVAL_PINS[case], "Source", "M", "arrival")
         assert dist == Mixture(0.3, Uniform(1.0, 5.0), Shifted(0.5, Exponential(0.5)))
-    sampler = _sampler(dist, stream)
-    x = np.concatenate([sampler.fill() for _ in range(2**20 // kernel._BLOCK)])
+    x = np.frombuffer(kernel._fills().fill(_spec(dist, stream), 0, 2**20))
     d = x - x.mean()
     m2, m4 = (d**2).mean(), (d**4).mean()
     assert abs(x.mean() - mean) / np.sqrt(var / len(x)) < 4
@@ -392,8 +427,7 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
 def test_exponential_and_erlang_match_their_closed_form_moments(dist, var):
     # 2**20 values: sample mean and variance within 4 standard errors of
     # k / rate and k / rate**2
-    sampler = _sampler(dist, RngStream(43, "st", "cl", "service"))
-    x = np.concatenate([sampler.fill() for _ in range(2**20 // kernel._BLOCK)])
+    x = np.frombuffer(kernel._fills().fill(_spec(dist, RngStream(43, "st", "cl", "service")), 0, 2**20))
     d = x - x.mean()
     m2, m4 = (d**2).mean(), (d**4).mean()
     assert abs(x.mean() - dist.mean()) / np.sqrt(var / len(x)) < 4
@@ -401,11 +435,13 @@ def test_exponential_and_erlang_match_their_closed_form_moments(dist, var):
 
 
 def test_no_block_outlives_its_replication():
-    # no stream holds a block, so a replication's streams, blocks and
-    # values are freed by refcount as soon as it is dropped, with the
-    # cyclic collector off
+    # the Python loop's samplers are generators of _values that nothing
+    # else holds, so a replication's samplers and their blocks are freed
+    # by refcount as soon as it is dropped, with the cyclic collector off;
+    # the compiled loop frees the buffers it makes before it returns
     def live_blocks():
-        return {id(o) for o in gc.get_objects() if isinstance(o, kernel._Block)}
+        return {id(o) for o in gc.get_objects()
+                if isinstance(o, GeneratorType) and o.gi_code is kernel._values.__code__}
 
     gc.collect()
     gc.disable()

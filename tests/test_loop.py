@@ -2,9 +2,8 @@
 
 _Engine._run_python is the executable specification of _Engine.run. The
 differential test runs both on the same engines and requires every
-sample to match bit for bit, every block of the table to stop at the
-same index of the same values, and every class to have created, sunk
-and dropped the same jobs and to hold as many at the horizon; one of its
+sample to match bit for bit and every class to have created, sunk and
+dropped the same jobs and to hold as many at the horizon; one of its
 models puts every distribution kind on both loops as service, arrival and
 probabilistic routing target, and another gives two classes a source
 each, so arrivals are read from source cells at two stations. Two pins in
@@ -17,10 +16,10 @@ and variance were checked against their closed forms (test_kernel.py);
 its response times of class Z, which never arrives, read NaN since a
 cell with no completion has no response time.
 The remaining tests
-cover the extension's build and fallback, block samplers handed between
-Python and C, the checks the compiled loop makes on its table,
-exceptions and signals crossing the C boundary, and the micro-benchmark
-in bench/, which must still import.
+cover the extension's build and fallback, the samplers' start indices,
+the checks the compiled loop makes on its table and its specs, that it
+calls no Python function, signals crossing the C boundary, and the
+micro-benchmark in bench/, which must still import.
 """
 
 import json
@@ -35,7 +34,6 @@ from array import array
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qnaps import kernel
@@ -251,9 +249,8 @@ def flows_and_samples(model, seed, horizon, loop):
 
 
 def outcome(model, seed, loop):
-    flows, samples, engine = flows_and_samples(model, seed, HORIZON / 2, loop)
-    blocks = [(b.i, b.vals.tobytes()) for b in engine.table.blocks]
-    return samples, blocks, flows
+    flows, samples, _ = flows_and_samples(model, seed, HORIZON / 2, loop)
+    return samples, flows
 
 
 def pinned_run(name: str, loop: str) -> dict:
@@ -271,7 +268,7 @@ def test_arrival_merge_is_bit_identical_to_the_pin(name, loop):
 @pytest.mark.parametrize("size", [97, 256])
 @pytest.mark.parametrize("loop", ["run", "_run_python"])
 def test_no_pinned_run_depends_on_the_block_size(loop, size, monkeypatch):
-    # every pin of tests/data/engine_pin.json, with blocks of 97 or 256
+    # every pin of tests/data/engine_pin.json, with fills of 97 or 256
     # values in place of the shipped size: each sampler refills many times
     # more, and each arrival's t + gap crosses many block edges
     if loop == "run" and kernel._loop is None:
@@ -384,93 +381,71 @@ def test_micro_benchmark_still_collects():
     assert "bench/test_engine_run.py::test_sampler_fill[nested-mixture]" in done.stdout
 
 
-@compiled
-def test_blocks_hand_off_between_python_and_the_compiled_loop():
-    # _build's closed-class init and a direct next() take values of the
-    # Think block in Python before the run; the run continues that block
-    # where they stopped, and a next() after it continues where the run
-    # stopped: both loops hand out the same values and stop at the same one
-    def handed_off(loop):
-        # few Loop jobs park, so the run takes more than a block of think times
-        engine = _Engine(parking_model(park=0.0001), 7, HORIZON / 2, WARMUP)
-        think = engine.table.blocks[engine.table.sampler[0]]  # cell (Think, Loop)
-        assert think.i == 4  # one think time per Loop job
-        before = next(think)
-        result = getattr(engine, loop)()
-        # where the run stopped, in the values of a twin of the Think stream
-        twin = kernel._sampler(Exponential(0.2), kernel.RngStream(7, "Think", "Loop", "service"))
-        blocks = [twin.fill() for _ in range(20)]
-        j = next(j for j, b in enumerate(blocks) if np.array_equal(b, think.vals))
-        taken = j * kernel._BLOCK + think.i
-        assert next(think) == np.concatenate(blocks).item(taken)
-        return [s.value.hex() for s in result.samples], before, taken
-
-    samples, before, taken = handed_off("run")
-    assert (samples, before, taken) == handed_off("_run_python")
-    assert taken > kernel._BLOCK  # the run crossed blocks
-
-
-def one_block_then(k, after):
-    """fill() of a sampler whose first block is k values 1.0, and whose
-    every later fill() returns after()."""
-    first = [np.full(k, 1.0)]
-    return lambda: first.pop() if first else after()
-
-
-def broken_after(k):
-    def fail():
-        raise ValueError(f"fill() broke after {k} values")
-    return fail
-
-
-def break_sampler(engine, where, sampler):
-    """Put sampler in place of the service, routing or arrival sampler
-    of the wwi class that is routed over two actors."""
+@pytest.mark.parametrize("loop", ["run", "_run_python"])
+def test_raising_a_start_index_skips_that_many_values(loop):
+    # mm1's arrival gaps from value 1 + m on: the class's first arrival is
+    # the one _build placed, and each next one t + gap over those values
+    engine = _Engine(mm1_model(), 5, 2000.0, 200.0)
     table = engine.table
-    ncl = len(table.reference)
-    k = next(k for k, b in enumerate(table.route_block) if b >= 0 and table.kind[k // ncl] == 0)
-    source = table.kind.tolist().index(kernel._KC_SOURCE)
-    block = {"service": table.sampler[k], "routing": table.route_block[k],
-             "arrival": table.sampler[source * ncl + k % ncl]}[where]
-    table.blocks[block] = sampler
-
-
-@pytest.mark.parametrize("loop", ["run", "_run_python"])
-@pytest.mark.parametrize("where", ["service", "routing", "arrival"])
-def test_sampler_exception_comes_out_of_either_loop(loop, where):
-    if loop == "run" and kernel._loop is None:
-        pytest.skip("compiled loop not available")
-    engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
-    break_sampler(engine, where, kernel._Block(one_block_then(50, broken_after(50))))
-    with pytest.raises(ValueError, match=r"fill\(\) broke after 50 values"):
-        getattr(engine, loop)()
-
-
-@pytest.mark.parametrize("loop", ["run", "_run_python"])
-def test_sampler_that_runs_out_stops_either_loop(loop):
-    # an empty block from fill() raises StopIteration in both loops
-    engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
-    sampler = kernel._Block(one_block_then(50, lambda: np.empty(0)))
-    break_sampler(engine, "service", sampler)
-    with pytest.raises(StopIteration):
-        getattr(engine, loop)()
-    assert (len(sampler.vals), sampler.i) == (0, 0)  # the empty block was kept
+    b = table.sampler[table.place_station[0] * len(table.reference) + table.place_class[0]]
+    m = 1000
+    table.start[b] += m
+    t, created = table.place_time[0], 0
+    for gap in kernel._fills().fill(table.blocks[b], 1 + m, 4 * kernel._BLOCK).tolist():
+        if t >= 2000.0:
+            break
+        created += 1
+        t = t + gap
+    assert getattr(engine, TALLY[loop])()[1][0][0] == created > 1000
 
 
 @compiled
-def test_compiled_loop_rejects_a_sampler_that_is_not_a_block():
-    engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
-    break_sampler(engine, "service", iter([1.0] * 50))
-    with pytest.raises(TypeError, match="is not a block sampler"):
-        engine.run()
+@pytest.mark.parametrize("name", ["wwi", "awty", "every_kind", "closed_cycle"])
+def test_compiled_loop_matches_the_python_loop_from_any_start(name):
+    # every sampler started m values further on, a different m for each
+    def outcome_from(loop):
+        engine = _Engine(MODELS[name], 1001, HORIZON / 2, WARMUP)
+        for b in range(len(engine.table.start)):
+            engine.table.start[b] += 4093 * b + 5
+        result = getattr(engine, loop)()
+        return [s.value.hex() for s in result.samples]
+
+    assert outcome_from("run") == outcome_from("_run_python")
+    assert outcome_from("run") != [s.value.hex() for s in _Engine(
+        MODELS[name], 1001, HORIZON / 2, WARMUP).run().samples]
 
 
 @compiled
-def test_compiled_loop_rejects_a_block_that_is_not_float64():
-    engine = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP)
-    break_sampler(engine, "service", kernel._Block(lambda: np.ones(256, dtype=np.int64)))
-    with pytest.raises(TypeError, match="is not a 1-d float64 array"):
-        engine.run()
+def test_compiled_loop_calls_no_python_function():
+    # a wwi replication, every sampler kind of its model made in C
+    table = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP).table
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        tally = kernel._loop.run(*table)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert sum(row[0] for row in tally[1]) > 5000  # it ran: jobs were created
+
+
+@compiled
+@pytest.mark.parametrize("spec, error, match", [
+    (("erlang", 1, 2), TypeError, r"fill\(\): \('erlang', 1, 2\) is not a sampler spec"),
+    (("uniform", 1 << 64, 0, 0.0, 1.0), ValueError, r"has a key word outside \[0, 2\*\*64\)"),
+    (("erlang", 1, 2, 0, 1.0, False), ValueError, "has fewer than one phase"),
+    (("shift", 1.0, ["const", 1.0]), TypeError, r"\['const', 1.0\] is not a sampler spec"),
+], ids=["arity", "key", "phases", "part"])
+def test_compiled_fill_rejects_a_malformed_spec(spec, error, match):
+    with pytest.raises(error, match=match):
+        kernel._loop.fill(spec, 0, 1)
+    with pytest.raises(ValueError, match=r"fill\(\): no values -1 \+ \[0, 1\)"):
+        kernel._loop.fill(("const", 1.0), -1, 1)
 
 
 def changed(values, at, value):
@@ -479,12 +454,19 @@ def changed(values, at, value):
     return values
 
 
+def replaced(specs, at, spec):
+    specs = list(specs)
+    specs[at] = spec
+    return specs
+
+
 # per case: the model, how the field before any / is corrupted, and the
 # error the compiled loop raises for it (awty has 8 stations, 4 classes,
-# 11 blocks and 11 route successors, the first of them the entry of class
-# 0 at station 0, its source; placement 2 is the first of closed class 2;
-# wwi routes over two actors)
+# 11 samplers and 11 route successors, the first of them the entry of
+# class 0 at station 0, its source; placement 2 is the first of closed
+# class 2; wwi routes over two actors)
 CORRUPT = {
+    "block_size": ("awty", lambda t: 0, ValueError, "table 'block_size' is 0, not a positive count"),
     "kind": ("awty", lambda t: changed(t.kind, 0, 7), ValueError,
              r"table 'kind' holds 7 at 0, outside \[0, 4\)"),
     "servers": ("awty", lambda t: array("i", map(int, t.servers)), TypeError,
@@ -519,7 +501,15 @@ CORRUPT = {
                     "table 'place_class' holds 4 at 0"),
     "place_time": ("awty", lambda t: t.place_time.tolist(), TypeError,
                    "table 'place_time' is not a 1-d float64 array"),
+    "start": ("awty", lambda t: changed(t.start, 3, -1), ValueError,
+              "sampler 3 starts at value -1, before its first"),
     "blocks": ("awty", lambda t: tuple(t.blocks), TypeError, "table 'blocks' is not a list"),
+    "blocks/spec": ("awty", lambda t: replaced(t.blocks, 3, ("gamma", 2.0)), TypeError,
+                    r"sampler 3: \('gamma', 2.0\) is not a sampler spec"),
+    "blocks/part": ("awty", lambda t: replaced(t.blocks, 3, ("shift", 1.0, ("const", "1"))),
+                    TypeError, r"sampler 3: \('const', '1'\) is not a sampler spec"),
+    "blocks/key": ("awty", lambda t: replaced(t.blocks, 3, ("uniform", -1, 0, 0.0, 1.0)),
+                   ValueError, r"sampler 3: .* has a key word outside \[0, 2\*\*64\)"),
 }
 
 
@@ -542,9 +532,9 @@ def test_compiled_loop_checks_its_table_on_entry(case):
 
 @compiled
 def test_compiled_loop_checks_for_signals():
-    # constant blocks only, whose fill() is C code, so no Python bytecode
-    # runs inside the loop and only the loop's own check can deliver the
-    # signal; uninterrupted this run takes about half a minute
+    # the compiled loop makes every value in C, so no Python bytecode runs
+    # inside it and only the loop's own check can deliver the signal;
+    # uninterrupted this run takes about half a minute
     routing = RoutingTable()
     routing.add("Loop", "A", "B")
     routing.add("Loop", "B", "A")
