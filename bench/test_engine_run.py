@@ -36,7 +36,7 @@ from functools import partial
 import pytest
 
 from qnaps.config import build_model_from_config, parse_antipattern, parse_model
-from qnaps.kernel import _BLOCK, _U01, RngStream, _arrival_spec, _Engine, _fills, _loop, _spec
+from qnaps.kernel import _BLOCK, _U01, _arrival_spec, _Engine, _fills, _loop, _spec
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 from qnaps.stats import ConfidenceInterval, MetricSample
 
@@ -92,15 +92,15 @@ BLOCKS = 102_400 // _BLOCK  # fills per round
 
 @pytest.mark.parametrize("kind", list(SAMPLERS))
 def test_sampler_fill(benchmark, kind):
-    stream = RngStream(1, "st", "cl", "service")
+    name = "1|st|cl|service"
     fills = _fills()
     if kind == "log":
-        args = array("d", [1.0 - u for u in stream.uniforms(_BLOCK)])
+        args = array("d", [1.0 - u for u in fills.fill(_spec(_U01, name), 0, _BLOCK)])
 
         def fill(first):
             return fills.log(args)
     else:
-        spec = SAMPLERS[kind](stream)
+        spec = SAMPLERS[kind](name)
 
         def fill(first):
             return fills.fill(spec, first, _BLOCK)

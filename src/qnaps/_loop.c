@@ -3,15 +3,15 @@
 
    run(*table) runs one replication on the _Table that _Engine._build
    makes, passed field by field. It copies the table's arrays and reads
-   each sampler's spec into C structs, checking each once, on entry, for
-   its format, its length and the range of every index in it, raising
-   TypeError or ValueError naming the table or the sampler; past that
-   the loop indexes unchecked. A source placement is its class's first
-   arrival time and source cell, whose sampler holds its arrival gaps and
-   whose route row is its entry; the other placements are the closed
-   populations. An arrival at t draws the next gap, and the next arrival
-   is t + gap. It runs to the horizon, closes out the jobs still alive
-   and returns the tally _Engine._finalize reads.
+   its specs, one per sampler, into C structs, checking each once, on
+   entry, for its format, its length and the range of every index in it,
+   raising TypeError or ValueError naming the table or the sampler; past
+   that the loop indexes unchecked. A source placement is its class's
+   first arrival time and source cell, whose sampler holds its arrival
+   gaps and whose route row is its entry; the other placements are the
+   closed populations. An arrival at t draws the next gap, and the next
+   arrival is t + gap. It runs to the horizon, closes out the jobs still
+   alive and returns the tally _Engine._finalize reads.
 
    It is _Engine._tally_python statement for statement: every float
    operation keeps that loop's order and grouping, and the calendar is a
@@ -41,14 +41,14 @@ enum { KC_FCFS = 0, KC_DELAY = 1, KC_SOURCE = 2, KC_SINK = 3 };
 /* signals are checked once per this many events */
 #define SIGNAL_EVERY 4096
 
-/* the arrays of a _Table, in its order between block_size and blocks */
+/* the arrays of a _Table, in its order between block_size and specs */
 enum {
-    KIND, SERVERS, CAPACITY, SAMPLER, ROUTE_PTR, ROUTE_TO, ROUTE_CUM, ROUTE_BLOCK,
+    KIND, SERVERS, CAPACITY, SAMPLER, ROUTE_PTR, ROUTE_TO, ROUTE_CUM, ROUTE_SAMPLER,
     FLUSH_PTR, FLUSH_CLS, REFERENCE, PLACE_STATION, PLACE_CLASS, PLACE_TIME, START, NTABLES
 };
 
 static const char *const TABLE_NAMES[NTABLES] = {
-    "kind", "servers", "capacity", "sampler", "route_ptr", "route_to", "route_cum", "route_block",
+    "kind", "servers", "capacity", "sampler", "route_ptr", "route_to", "route_cum", "route_sampler",
     "flush_ptr", "flush_cls", "reference", "place_station", "place_class", "place_time", "start",
 };
 
@@ -94,7 +94,7 @@ typedef struct {
 /* a route row of the table: its successor count, the first successor,
    the sampler of its uniforms and its offset into route_to and route_cum */
 typedef struct {
-    int n, to, block, first;
+    int n, to, sampler, first;
 } Route;
 
 /* the kinds of spec node, by the name their tuple starts with */
@@ -140,7 +140,7 @@ typedef struct {
             const double *servers, *capacity;
             const int *sampler, *route_ptr, *route_to;
             const double *route_cum;
-            const int *route_block, *flush_ptr, *flush_cls, *reference, *place_station,
+            const int *route_sampler, *flush_ptr, *flush_cls, *reference, *place_station,
                 *place_class;
             const double *place_time;
             const long long *start;
@@ -598,22 +598,22 @@ wrong:
     return -1;
 }
 
-/* the spec of every sampler in the list blocks read into E->specs, and
+/* the spec of every sampler in the list specs read into E->specs, and
    the buffer of each */
 static int
-read_samplers(Engine *E, PyObject *blocks)
+read_samplers(Engine *E, PyObject *specs)
 {
-    if (!PyList_Check(blocks)) {
-        PyErr_SetString(PyExc_TypeError, "table 'blocks' is not a list");
+    if (!PyList_Check(specs)) {
+        PyErr_SetString(PyExc_TypeError, "table 'specs' is not a list");
         return -1;
     }
     /* a tuple, as converting a number can run code that changes the list */
-    PyObject *specs = PyList_AsTuple(blocks);
-    if (specs == NULL)
+    PyObject *items = PyList_AsTuple(specs);
+    if (items == NULL)
         return -1;
-    Py_ssize_t n = PyTuple_GET_SIZE(specs);
+    Py_ssize_t n = PyTuple_GET_SIZE(items);
     if ((size_t)n > PY_SSIZE_T_MAX / sizeof(double) / (size_t)E->block) {
-        Py_DECREF(specs);
+        Py_DECREF(items);
         PyErr_NoMemory();
         return -1;
     }
@@ -621,13 +621,13 @@ read_samplers(Engine *E, PyObject *blocks)
     E->vals = PyMem_Malloc((size_t)(n * E->block) * sizeof(double) + 1);
     int rc = E->samplers == NULL || E->vals == NULL ? (PyErr_NoMemory(), -1) : 0;
     for (Py_ssize_t b = 0; rc == 0 && b < n; b++) {
-        int s = read_spec(&E->specs, PyTuple_GET_ITEM(specs, b), b, 0);
+        int s = read_spec(&E->specs, PyTuple_GET_ITEM(items, b), b, 0);
         if (s < 0)
             rc = -1;
         else
             E->samplers[b] = (Sampler){s, 0, E->vals + b * E->block, E->block};
     }
-    Py_DECREF(specs);
+    Py_DECREF(items);
     E->nsamplers = n;
     return rc;
 }
@@ -672,7 +672,7 @@ check_tables(Engine *E)
     Py_ssize_t want[NTABLES] = {
         [KIND] = nst, [SERVERS] = nst, [CAPACITY] = nst, [SAMPLER] = cells,
         [ROUTE_PTR] = cells + 1, [ROUTE_TO] = E->len[ROUTE_TO], [ROUTE_CUM] = E->len[ROUTE_TO],
-        [ROUTE_BLOCK] = cells, [FLUSH_PTR] = cells + 1, [FLUSH_CLS] = E->len[FLUSH_CLS],
+        [ROUTE_SAMPLER] = cells, [FLUSH_PTR] = cells + 1, [FLUSH_CLS] = E->len[FLUSH_CLS],
         [REFERENCE] = ncl, [PLACE_STATION] = E->len[PLACE_STATION],
         [PLACE_CLASS] = E->len[PLACE_STATION], [PLACE_TIME] = E->len[PLACE_STATION],
         [START] = E->nsamplers,
@@ -693,7 +693,7 @@ check_tables(Engine *E)
     }
     return in_range(E, KIND, KC_FCFS, KC_SINK + 1) < 0
         || in_range(E, SAMPLER, -1, E->nsamplers) < 0 || offsets(E, ROUTE_PTR, ROUTE_TO) < 0
-        || in_range(E, ROUTE_TO, 0, nst) < 0 || in_range(E, ROUTE_BLOCK, -1, E->nsamplers) < 0
+        || in_range(E, ROUTE_TO, 0, nst) < 0 || in_range(E, ROUTE_SAMPLER, -1, E->nsamplers) < 0
         || offsets(E, FLUSH_PTR, FLUSH_CLS) < 0 || in_range(E, FLUSH_CLS, 0, ncl) < 0
         || in_range(E, REFERENCE, -1, nst) < 0 || in_range(E, PLACE_STATION, 0, nst) < 0
         || in_range(E, PLACE_CLASS, 0, ncl) < 0 ? -1 : 0;
@@ -729,13 +729,13 @@ read_engine(Engine *E, PyObject *const *args)
         return -1;
     }
     /* a route row takes its class to a sink or to a station that serves
-       it, never into a source, and has a block of uniforms when it has
+       it, never into a source, and has a sampler of uniforms when it has
        more than one successor */
     for (Py_ssize_t r = 0; r < cells; r++) {
         int first = E->route_ptr[r], n = E->route_ptr[r + 1] - first;
         Py_ssize_t c = r % E->ncl;
-        if (n > 1 && E->route_block[r] < 0) {
-            PyErr_Format(PyExc_ValueError, "table 'route_block' has no block for route row %zd", r);
+        if (n > 1 && E->route_sampler[r] < 0) {
+            PyErr_Format(PyExc_ValueError, "table 'route_sampler' has no sampler for route row %zd", r);
             return -1;
         }
         for (int i = first; i < first + n; i++) {
@@ -749,7 +749,7 @@ read_engine(Engine *E, PyObject *const *args)
                 return -1;
             }
         }
-        E->routes[r] = (Route){n, n ? E->route_to[first] : -1, E->route_block[r], first};
+        E->routes[r] = (Route){n, n ? E->route_to[first] : -1, E->route_sampler[r], first};
     }
     for (int c = 0; c < E->ncl; c++)
         E->cl[c].ta = INFINITY;
@@ -941,7 +941,7 @@ run_loop(Engine *E)
         if (R->n != 1) {
             double u = 0.0;
             int i = 0;
-            if (R->n > 1 && draw(E, R->block, &u) < 0)
+            if (R->n > 1 && draw(E, R->sampler, &u) < 0)
                 return -1;
             while (i < R->n && E->route_cum[R->first + i] < u)
                 i++;

@@ -30,7 +30,7 @@ import sys
 
 gc.disable()
 try:
-    from .config import ConfigError, load_config
+    from .config import ConfigError, _worker_count, load_config
     from .kernel import DeadlockError, InvalidModelError, KernelError
     from .runner import run_experiment
     if not gc.get_freeze_count():
@@ -63,18 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _pick_jobs(flag_value, cfg_jobs) -> int:
-    if flag_value is not None:
-        jobs = flag_value
-    elif cfg_jobs is not None:
-        jobs = cfg_jobs
-    else:
-        jobs = 1
-    if jobs < 1:
-        raise ConfigError(f"jobs: must be >= 1, got {jobs}")
-    return jobs
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -93,7 +81,8 @@ def main(argv=None) -> int:
             warmup=args.warmup,
             outputs=outputs,
         )
-        jobs = _pick_jobs(args.jobs, cfg.jobs)
+        # run.jobs was checked at parse
+        jobs = (cfg.jobs or 1) if args.jobs is None else _worker_count(args.jobs, "--jobs")
         written = run_experiment(cfg, out_dir=args.out, jobs=jobs, echo=print)
         for path in written:
             print(f"wrote {path}")

@@ -1,28 +1,30 @@
 """Deterministic discrete-event engine for queueing network models.
 
-Random numbers come from one Philox4x64-10 counter-based generator per
-(station, class, purpose) triple, keyed by SHA-256 of the replication seed
-and the triple. Structural edits to a model therefore never disturb the
-word sequences of untouched streams, which is what makes neutral model
-transforms reproduce baseline runs bit for bit. A uniform is the top 53
-bits of one raw word times 2**-53, which is what numpy's Generator.random
-computes from the same words. Philox is counter-based, each word a pure
-function of the key and its position, so a sampler is data: its spec, a
-small tuple tree that _spec makes from a distribution and its stream
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
-and the index of its next value. Every sampler is one, the routing
-uniforms and each open class's arrival gaps too. fill(spec, first, n)
-makes values first .. first + n - 1: a leaf that takes k words a value
-(exponential and uniform 1, Erlang its phases) makes value j from words
-jk .. jk + k - 1 of its stream, and a mixture makes value j from value j
-of its branch uniforms, its base and its extra, each on a part stream of
-its own, so no value depends on how many are made at once. An
-exponential or Erlang value is -log(1 - u) (1 - u is exact, so this is
--log1p(-u)) with fdlibm's log in plain double operations, so no value
-depends on the CPU, on a libm or on numpy. fill is in the compiled
-extension; _PythonFills is the same fill in Python, bit for bit, and its
-fallback, with the words from numpy's Philox; numpy is imported only
-then. The closed-class init phase takes one word per job.
+Random numbers come from one Philox4x64-10 counter-based stream per
+(station, class, purpose) triple. A stream is its name,
+f"{seed}|{station}|{class}|{purpose}", and _key(name) is its key, the
+first 16 bytes of the name's SHA-256. Structural edits to a model
+therefore never disturb the word sequences of untouched streams, which
+is what makes neutral model transforms reproduce baseline runs bit for
+bit. A uniform is the top 53 bits of one raw word times 2**-53, which is
+what numpy's Generator.random computes from the same words. Philox is
+counter-based, each word a pure function of the key and its position, so
+a sampler is data: its spec, a small tuple tree that _spec makes from a
+distribution and its stream's name (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011), and the index of its next value.
+Every sampler is one, the routing uniforms and each open class's arrival
+gaps too. fill(spec, first, n) makes values first .. first + n - 1: a
+leaf that takes k words a value (exponential and uniform 1, Erlang its
+phases) makes value j from words jk .. jk + k - 1 of its stream, and a
+mixture makes value j from value j of its branch uniforms, its base and
+its extra, each on a part stream of its own, so no value depends on how
+many are made at once. An exponential or Erlang value is -log(1 - u)
+(1 - u is exact, so this is -log1p(-u)) with fdlibm's log in plain double
+operations, so no value depends on the CPU, on a libm or on numpy. fill
+is in the compiled extension; _PythonFills is the same fill in Python,
+bit for bit, and its fallback, with the words from numpy's Philox; numpy
+is imported only then. The closed-class init phase is one more fill, of
+one uniform per job.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -56,9 +58,9 @@ places, and emits a flat, index-based _Table of int32 and float64 arrays
 form, detection flush lists, per class its reference station, closed
 classes only, and the t = 0 placements: the first arrivals at the
 sources, then the closed populations) plus the spec of every sampler
-and the index of its next value, the values _build did not place. A
-class is watched when a flush list names it. Both loops run on that
-table and return the same tally, per cell and per class, which
+(specs) and the index of its next value (start), the values _build did
+not place. A class is watched when a flush list names it. Both loops run
+on that table and return the same tally, per cell and per class, which
 _Engine._finalize turns into samples. _Engine.run is one C extension,
 _loop.c, which copies the table's arrays and reads its specs into C
 structs, checking each once, on entry; _Engine._run_python is the same
@@ -143,41 +145,14 @@ class DeadlockError(KernelError):
         return (type(self), (self.class_names,))
 
 
-class RngStream:
-    """One Philox stream for one (station, class, purpose) triple: a pure
-    function of its key, so two streams with one key hand out the same
-    words. It holds the key's two 64-bit words and the position of its
-    next word; the compiled extension computes words from those alone, so
-    a stream costs no generator state and reads no OS entropy."""
-
-    __slots__ = ("seed", "station_id", "class_id", "purpose", "k0", "k1", "pos")
-
-    def __init__(self, seed: int, station_id: str, class_id: str, purpose: str):
-        self.seed = seed
-        self.station_id = station_id
-        self.class_id = class_id
-        self.purpose = purpose
-        digest = sha256(f"{seed}|{station_id}|{class_id}|{purpose}".encode()).digest()
-        self.k0 = int.from_bytes(digest[:8], "little")
-        self.k1 = int.from_bytes(digest[8:16], "little")
-        self.pos = 0
-
-    def part(self, tag: str) -> RngStream:
-        """The stream of part tag of a sampler on this stream, keyed by
-        purpose/tag. No top-level purpose holds a /, so a part stream
-        meets no other stream."""
-        return RngStream(self.seed, self.station_id, self.class_id, f"{self.purpose}/{tag}")
-
-    def take(self, n: int) -> int:
-        """The position of the next word, moving the stream past n words."""
-        start = self.pos
-        self.pos = start + n
-        return start
-
-    def uniforms(self, n: int):
-        """The next n raw words as uniforms on [0, 1), from their top 53
-        bits, in a float64 buffer."""
-        return _fills().fill(_spec(_U01, self), self.take(n), n)
+def _key(name: str) -> tuple[int, int]:
+    """The two 64-bit words of the key of the stream called name: the
+    first 16 bytes of the name's SHA-256, read little-endian. A stream is
+    its name, f"{seed}|{station}|{class}|{purpose}", and a part of a
+    sampler's is name + "/branch", "/base" or "/extra"; no purpose holds
+    a /, so a part stream meets no other stream."""
+    digest = sha256(name.encode()).digest()
+    return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little")
 
 
 def _philox_uniforms(k0: int, k1: int, start: int, n: int):
@@ -291,7 +266,7 @@ class _Table(NamedTuple):
     loops. Stations and classes are numbered in model order; a cell is a
     (station, class) pair, numbered s * nclasses + c. Index tables are
     array('i') (int32), times and probabilities array('d'); a sampler is
-    an index into start and blocks, and -1 means none. The compiled loop
+    an index into start and specs, and -1 means none. The compiled loop
     takes the fields in this order."""
 
     horizon: float
@@ -305,7 +280,7 @@ class _Table(NamedTuple):
     route_ptr: array      # per cell: its class leaving its station (a source: entering
     route_to: array       #   the network) goes to route_to[route_ptr[k]:route_ptr[k+1]]
     route_cum: array      #   with these cumulative probabilities
-    route_block: array    # per cell: sampler of its routing uniforms, -1 with one successor
+    route_sampler: array  # per cell: sampler of its routing uniforms, -1 with one successor
     flush_ptr: array      # per cell (station, poller class): a completion there
     flush_cls: array      #   flushes the classes flush_cls[flush_ptr[k]:flush_ptr[k+1]]
     reference: array      # per class: its reference station if closed, else -1
@@ -314,7 +289,7 @@ class _Table(NamedTuple):
     place_time: array     #   class's first arrival, else a closed-class job's calendar
                           #   time, inf when it queues or parks
     start: array          # per sampler: the index of its next value, array('q')
-    blocks: list          # per sampler: its spec
+    specs: list           # per sampler: its spec
 
 
 class _Job:
@@ -329,38 +304,38 @@ class _Job:
         self.sstart = 0.0
 
 
-def _spec(dist, stream) -> tuple:
-    """The spec of the sampler of dist's values on stream: a tuple tree
-    that fill() reads, of these nodes, with k0 and k1 the words of a
-    stream's key:
+def _spec(dist, name: str) -> tuple:
+    """The spec of the sampler of dist's values on the stream called name:
+    a tuple tree that fill() reads, of these nodes, with k0, k1 = _key of
+    a stream's name:
       ("const", value): a deterministic value, or a rate-0 exponential's
         inf; it takes no words;
       ("uniform", k0, k1, low, span): low + span * u of word j;
       ("erlang", k0, k1, k, scale, divide): -(log(1 - u1) + ... +
         log(1 - uk)) over words jk .. jk + k - 1, times scale, or divided
         by it when divide; an exponential is k = 1 times 1 / rate;
-      ("shift", offset, base): offset + value j of base, on stream;
+      ("shift", offset, base): offset + value j of base, on name;
       ("mixture", k0, k1, p, base, extra): base value j, plus extra value
         j when uniform j of k0, k1 is below p; the uniforms, base and
-        extra are on the part streams branch, base and extra."""
+        extra are on the part streams name + "/branch", "/base" and
+        "/extra"."""
     kind = dist.kind
     if kind == "deterministic" or (kind == "exponential" and dist.rate == 0.0):
         return ("const", float(dist.mean()))
     if kind in ("exponential", "erlang"):
         k = dist.phases if kind == "erlang" else 1
-        return ("erlang", stream.k0, stream.k1, k, 1.0 / dist.rate, False)
+        return ("erlang", *_key(name), k, 1.0 / dist.rate, False)
     if kind == "uniform":
-        return ("uniform", stream.k0, stream.k1, dist.low, dist.high - dist.low)
+        return ("uniform", *_key(name), dist.low, dist.high - dist.low)
     if kind == "shifted":
-        return ("shift", float(dist.offset), _spec(dist.base, stream))
+        return ("shift", float(dist.offset), _spec(dist.base, name))
     if kind == "mixture":
-        branch = stream.part("branch")
-        return ("mixture", branch.k0, branch.k1, dist.p_extra,
-                _spec(dist.base, stream.part("base")), _spec(dist.extra, stream.part("extra")))
+        return ("mixture", *_key(name + "/branch"), dist.p_extra,
+                _spec(dist.base, name + "/base"), _spec(dist.extra, name + "/extra"))
     raise ValueError(f"unknown distribution {dist!r}")
 
 
-def _arrival_spec(dist, stream) -> tuple:
+def _arrival_spec(dist, name: str) -> tuple:
     """The spec of a class's external arrival gaps; the loops add each to
     the time of the arrival it follows. The first infinite gap (a rate-0
     exponential, or an infinite part of a mixture) puts the next arrival
@@ -368,8 +343,8 @@ def _arrival_spec(dist, stream) -> tuple:
     if dist.kind == "exponential" and dist.rate > 0:
         # not _spec's exponential, which multiplies by 1 / rate: that
         # rounds differently, and the shipped outputs were made by this division
-        return ("erlang", stream.k0, stream.k1, 1, dist.rate, True)
-    return _spec(dist, stream)
+        return ("erlang", *_key(name), 1, dist.rate, True)
+    return _spec(dist, name)
 
 
 def _values(spec, start, block):
@@ -404,20 +379,20 @@ class _Engine:
         cidx = {jc.name: i for i, jc in enumerate(classes)}
         ncl = len(classes)
         fill = _fills().fill
-        blocks, start = [], []
+        specs, start = [], []
 
         def index(spec):
-            blocks.append(spec)
+            specs.append(spec)
             start.append(0)
-            return len(blocks) - 1
+            return len(specs) - 1
 
         kind = [_KC[s.kind] for s in stations]
         sampler = [-1] * (len(stations) * ncl)
         for s, st in enumerate(stations):
             if kind[s] in (_KC_FCFS, _KC_DELAY):
                 for cname, dist in st.service.items():
-                    stream = RngStream(seed, st.name, cname, "service")
-                    sampler[s * ncl + cidx[cname]] = index(_spec(dist, stream))
+                    name = f"{seed}|{st.name}|{cname}|service"
+                    sampler[s * ncl + cidx[cname]] = index(_spec(dist, name))
 
         # each open class's first arrival at its source, then the closed
         # populations at their reference stations at t = 0
@@ -430,7 +405,7 @@ class _Engine:
                 reference[c] = sidx[home]
             elif home is not None:
                 s = sidx[home]
-                gaps = _arrival_spec(jc.arrival, RngStream(seed, home, jc.name, "arrival"))
+                gaps = _arrival_spec(jc.arrival, f"{seed}|{home}|{jc.name}|arrival")
                 b = sampler[s * ncl + c] = index(gaps)
                 start[b] = 1
                 place.append((s, c, fill(gaps, 0, 1)[0]))
@@ -440,11 +415,11 @@ class _Engine:
 
         # route rows: a served cell's class leaving its station, a source
         # cell's entering the network; every other row is empty
-        route_ptr, route_to, route_cum, route_block = [0], [], [], []
+        route_ptr, route_to, route_cum, route_sampler = [0], [], [], []
         for k, b in enumerate(sampler):
             row = classes[k % ncl].name, stations[k // ncl].name
             targets = model.routing.successors(*row) if b >= 0 else None
-            block = -1
+            u01 = -1
             if targets:
                 acc = 0.0
                 for to, p in targets:
@@ -453,8 +428,8 @@ class _Engine:
                     route_cum.append(acc)
                 route_cum[-1] = 1.0 + 1e-12  # guard against float dust on the last edge
                 if len(targets) > 1:
-                    block = index(_spec(_U01, RngStream(seed, row[1], row[0], "routing")))
-            route_block.append(block)
+                    u01 = index(_spec(_U01, f"{seed}|{row[1]}|{row[0]}|routing"))
+            route_sampler.append(u01)
             route_ptr.append(len(route_to))
 
         # the closed populations' jobs in order: at a delay each thinks for
@@ -469,9 +444,9 @@ class _Engine:
             b = sampler[s * ncl + c]
             n = jc.population
             m = start[b] = n if kind[s] == _KC_DELAY else min(n, stations[s].servers - busy[s])
-            times = fill(blocks[b], 0, m).tolist()
+            times = fill(specs[b], 0, m).tolist()
             if kind[s] == _KC_DELAY:
-                phase = RngStream(seed, jc.reference, jc.name, "init").uniforms(n).tolist()
+                phase = fill(_spec(_U01, f"{seed}|{jc.reference}|{jc.name}|init"), 0, n).tolist()
                 times = [u * think if think < _INF else _INF for u, think in zip(phase, times)]
             else:
                 busy[s] += m
@@ -491,9 +466,9 @@ class _Engine:
             floats(_INF if s.capacity is None else s.capacity for s in stations),
             ints(sampler),
             ints(route_ptr), ints(route_to), floats(route_cum),
-            ints(route_block), flush_ptr, ints(c for f in flush for c in f), ints(reference),
+            ints(route_sampler), flush_ptr, ints(c for f in flush for c in f), ints(reference),
             ints(place_station), ints(place_class), floats(place_time),
-            array("q", start), blocks,
+            array("q", start), specs,
         )
 
     def _check_deadlock(self):
@@ -530,11 +505,11 @@ class _Engine:
         servers = T.servers.tolist()
         cap = T.capacity.tolist()
         reference = T.reference.tolist()
-        its = [_values(spec, first, T.block_size) for spec, first in zip(T.blocks, T.start)]
+        its = [_values(spec, first, T.block_size) for spec, first in zip(T.specs, T.start)]
         samplers = [its[b] if b >= 0 else None for b in T.sampler.tolist()]
         ptr, to, cum = T.route_ptr.tolist(), T.route_to.tolist(), T.route_cum.tolist()
         routes = [(to[a:b], cum[a:b], its[r] if b - a > 1 else None)
-                  for a, b, r in zip(ptr, ptr[1:], T.route_block.tolist())]
+                  for a, b, r in zip(ptr, ptr[1:], T.route_sampler.tolist())]
         ptr, fcls = T.flush_ptr.tolist(), T.flush_cls.tolist()
         flush = [fcls[a:b] for a, b in zip(ptr, ptr[1:])]
         nst, ncl = len(kind), len(reference)
@@ -810,6 +785,10 @@ class _Engine:
 
 def run_replication(model: NetworkModel, seed: int, horizon: float, warmup: float = 0.0) -> ReplicationResult:
     """Simulate one replication. Pure in (model, seed, horizon, warmup)."""
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon {horizon} must be finite")
+    if not warmup >= 0.0:
+        raise ValueError(f"warmup {warmup} must be at least 0")
     if not warmup < horizon:
         raise ValueError(f"warmup {warmup} must be below horizon {horizon}")
     diags = validate_model(model)

@@ -24,7 +24,6 @@ from qnaps.kernel import (
     DeadlockError,
     InvalidModelError,
     KernelError,
-    RngStream,
     _arrival_spec,
     _Engine,
     _spec,
@@ -77,26 +76,13 @@ NESTED = {
 }
 
 
-def _uniforms(stream, n):
-    """The next n uniforms of stream, advancing it, from numpy's Philox
-    keyed as the stream's docstring says: the top 53 bits of each raw
-    word times 2**-53."""
-    material = f"{stream.seed}|{stream.station_id}|{stream.class_id}|{stream.purpose}".encode()
-    key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
-    words = np.random.Philox(key=key).random_raw(stream.pos + n)[stream.pos:]
-    stream.pos += n
+def _uniforms(name, n):
+    """The first n uniforms of the stream called name, from numpy's Philox
+    keyed as _key's docstring says, by the first 16 bytes of the name's
+    SHA-256: the top 53 bits of each raw word times 2**-53."""
+    key = int.from_bytes(hashlib.sha256(name.encode()).digest()[:16], "little")
+    words = np.random.Philox(key=key).random_raw(n)
     return (words >> np.uint64(11)) * (1.0 / (1 << 53))
-
-
-def _words_taken(stream):
-    """How many raw words stream has handed out: where its next word sits
-    in a twin stream, searched over the twin's first 15 blocks of words."""
-    twin = RngStream(stream.seed, stream.station_id, stream.class_id, stream.purpose)
-    return _uniforms(twin, 15 * kernel._BLOCK).tolist().index(stream.uniforms(1)[0])
-
-
-def _uniform01(stream):
-    return stream.uniforms(1)[0]
 
 
 def _fill(spec, first, n):
@@ -116,7 +102,7 @@ _KEYS = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1] + [
 
 def _numpy_words(key, n):
     """The first n uniforms of Generator(Philox(key)).random, the words
-    RngStream documents."""
+    of the stream keyed key."""
     return np.random.Generator(np.random.Philox(key=key)).random(n)
 
 
@@ -145,59 +131,62 @@ def test_fallback_words_equal_numpys_philox():
 
 @pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
 def test_extension_and_fallback_agree_far_into_a_stream(monkeypatch):
-    # a stream read in uneven pieces, past 2**32 blocks of words
+    # values past 2**32 blocks of words into a stream, in uneven pieces
+    # that together are one fill
     far = 5 << 34
-    extension = RngStream(3, "st", "cl", "service")
-    fallback = RngStream(3, "st", "cl", "service")
-    extension.pos = fallback.pos = far + 1
-    got = [extension.uniforms(n).tolist() for n in (1, 7, 4097)]
+    u01 = ("uniform", *kernel._key("3|st|cl|service"), 0.0, 1.0)
+    pieces = [(far + 1, 1), (far + 2, 7), (far + 9, 4097)]
+    got = [_fill(u01, first, n) for first, n in pieces]
+    assert sum(got, []) == _fill(u01, far + 1, 4105)
     monkeypatch.setattr(kernel, "_loop", None)
-    assert [fallback.uniforms(n).tolist() for n in (1, 7, 4097)] == got
-    assert extension.pos == fallback.pos == far + 1 + 4105
+    assert [_fill(u01, first, n) for first, n in pieces] == got
+
+
+def test_key_is_the_first_16_bytes_of_the_names_sha256():
+    for name in ("42|Queue|Jobs|service", "0|Sensor 1|Reading|arrival/base/extra",
+                 "18446744073709551615|é|ß|init"):
+        digest = hashlib.sha256(name.encode()).digest()
+        k0, k1 = int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little")
+        assert kernel._key(name) == (k0, k1), name
 
 
 def test_stream_is_reproducible_and_purpose_separated():
-    a1 = RngStream(42, "Queue", "Jobs", "service")
-    a2 = RngStream(42, "Queue", "Jobs", "service")
-    b = RngStream(42, "Queue", "Jobs", "routing")
-    seq1 = [_uniform01(a1) for _ in range(50)]
-    seq2 = [_uniform01(a2) for _ in range(50)]
-    other = [_uniform01(b) for _ in range(50)]
-    assert seq1 == seq2
-    assert seq1 != other
-    assert all(0.0 <= u < 1.0 for u in seq1 + other)
-    assert _words_taken(a1) == 50
+    a1 = _fill(_spec(kernel._U01, "42|Queue|Jobs|service"), 0, 50)
+    a2 = _fill(_spec(kernel._U01, "42|Queue|Jobs|service"), 0, 50)
+    other = _fill(_spec(kernel._U01, "42|Queue|Jobs|routing"), 0, 50)
+    assert a1 == a2
+    assert a1 != other
+    assert all(0.0 <= u < 1.0 for u in a1 + other)
 
 
 def test_streams_are_isolated_under_interleaving():
-    a, b = RngStream(7, "A", "c", "service"), RngStream(7, "B", "c", "service")
-    fresh = RngStream(7, "A", "c", "service")
-    solo = [_uniform01(fresh) for _ in range(20)]
+    # a fill keeps no state: one value at a time, between fills of another
+    # stream, gives the values of one fill
+    a, b = _spec(kernel._U01, "7|A|c|service"), _spec(kernel._U01, "7|B|c|service")
     interleaved = []
-    for _ in range(20):
-        interleaved.append(_uniform01(a))
-        _uniform01(b)  # traffic on B must not disturb A
-    assert interleaved == solo
+    for j in range(20):
+        interleaved += _fill(a, j, 1)
+        _fill(b, j, 1)  # traffic on B must not disturb A
+    assert interleaved == _fill(a, 0, 20)
 
 
 def test_sampler_draw_accounting():
     # value j of a sampler that takes k words a value is made from words
     # jk .. jk + k - 1 of its stream, whatever value a fill starts at
-    stream = RngStream(11, "st", "cl", "service")
-    logs = _log1m(_uniforms(RngStream(11, "st", "cl", "service"), 12))
-    assert _fill(_spec(Exponential(2.0), stream), 7, 3) == [-v * 0.5 for v in logs[7:10]]
-    erlang = _spec(Erlang(3, 1.0), stream)
+    name = "11|st|cl|service"
+    logs = _log1m(_uniforms(name, 12))
+    assert _fill(_spec(Exponential(2.0), name), 7, 3) == [-v * 0.5 for v in logs[7:10]]
+    erlang = _spec(Erlang(3, 1.0), name)
     assert _fill(erlang, 2, 2) == [-(a + b + c) * 1.0 for a, b, c in zip(*[iter(logs[6:12])] * 3)]
-    assert _fill(_spec(Exponential(0.0), stream), 5, 2) == [math.inf, math.inf]
-    assert stream.pos == 0  # a sampler moves no stream
+    assert _fill(_spec(Exponential(0.0), name), 5, 2) == [math.inf, math.inf]
 
 
 def test_model_samplers_draw_documented_amounts():
-    stream = RngStream(5, "s", "c", "service")
-    det = _spec(Deterministic(4.0), stream)
+    name = "5|s|c|service"
+    det = _spec(Deterministic(4.0), name)
     assert det == ("const", 4.0)  # no key: it takes no words
     assert _fill(det, 3, 2) == [4.0, 4.0]
-    assert _spec(Exponential(1.0), stream) == ("erlang", stream.k0, stream.k1, 1, 1.0, False)
+    assert _spec(Exponential(1.0), name) == ("erlang", *kernel._key(name), 1, 1.0, False)
 
 
 def _words_per_value(spec) -> int:
@@ -232,22 +221,18 @@ def _keys(spec) -> list:
     ],
     ids=["exponential", "erlang", "shifted", "mixture", "shifted-mixture-of-mixtures"],
 )
-def test_draws_count_every_value_across_a_refill(dist, k, monkeypatch):
+def test_draws_count_every_value_across_a_refill(dist, k):
     # every stream the sampler reads, its own and its part streams and
-    # theirs, is one node's, and a value takes k words of them in all;
-    # _BLOCK + 44 values taken across a refill are those of one fill
-    streams = [RngStream(11, "st", "cl", "refill")]
-    part = RngStream.part
-
-    def recorded_part(self, tag):
-        streams.append(part(self, tag))
-        return streams[-1]
-
-    monkeypatch.setattr(RngStream, "part", recorded_part)
-    spec = _spec(dist, streams[0])
+    # theirs (name + "/branch", "/base" or "/extra", two deep here), is
+    # one node's, and a value takes k words of them in all; _BLOCK + 44
+    # values taken across a refill are those of one fill
+    names = ["11|st|cl|refill"]
+    for _ in range(2):
+        names += [n + tag for n in names for tag in ("/branch", "/base", "/extra")]
+    spec = _spec(dist, names[0])
     keys = _keys(spec)
     assert len(set(keys)) == len(keys)
-    assert set(keys) <= {(s.k0, s.k1) for s in streams}
+    assert set(keys) <= set(map(kernel._key, names))
     assert _words_per_value(spec) == k
     n = kernel._BLOCK + 44
     assert _take(spec, n) == _fill(spec, 0, n)
@@ -270,12 +255,11 @@ def test_routing_stream_draws_one_word_per_decision(monkeypatch):
         routing=routing,
     )
     engine = _Engine(m, seed=12, horizon=2000.0, warmup=0.0)
-    b = engine.table.route_block[0]  # cell (Source, Jobs)
-    u01 = engine.table.blocks[b]
+    b = engine.table.route_sampler[0]  # cell (Source, Jobs)
+    u01 = engine.table.specs[b]
     # value j of the routing sampler is word j of its stream, from the first
-    twin = RngStream(12, "Source", "Jobs", "routing")
     assert engine.table.start[b] == 0
-    assert _fill(u01, 0, kernel._BLOCK) == _uniforms(twin, kernel._BLOCK).tolist()
+    assert _fill(u01, 0, kernel._BLOCK) == _uniforms("12|Source|Jobs|routing", kernel._BLOCK).tolist()
     taken = []
     values = kernel._values
 
@@ -309,9 +293,8 @@ def test_batched_sampler_matches_the_formula_on_raw_words(dist, k, formula):
     # value j is made from words jk .. jk + k - 1; _BLOCK + 44 values
     # cross a refill
     n, size = kernel._BLOCK + 44, kernel._BLOCK
-    sampler = _spec(dist, RngStream(17, "st", "cl", "service"))
-    twin = RngStream(17, "st", "cl", "service")
-    want = [v for _ in range(2) for v in formula(_uniforms(twin, size * k))]
+    sampler = _spec(dist, "17|st|cl|service")
+    want = formula(_uniforms("17|st|cl|service", 2 * size * k))
     assert _take(sampler, n) == want[:n]
 
 
@@ -320,16 +303,14 @@ def test_erlang_value_is_its_phases_summed_in_order(k):
     # value i is -(l[ik] + l[ik+1] + ... + l[ik+k-1]) / rate, summed left to
     # right in Python, with l = log(1 - u) over the uniforms of the words
     n, size = kernel._BLOCK + 44, kernel._BLOCK
-    sampler = _spec(Erlang(k, 1.3), RngStream(17, "st", "cl", "service"))
-    twin = RngStream(17, "st", "cl", "service")
+    sampler = _spec(Erlang(k, 1.3), "17|st|cl|service")
+    logs = _log1m(_uniforms("17|st|cl|service", 2 * size * k))
     want = []
-    for _ in range(2):
-        logs = _log1m(_uniforms(twin, size * k))
-        for i in range(size):
-            total = logs[i * k]
-            for phase in logs[i * k + 1:(i + 1) * k]:
-                total += phase
-            want.append(-total * (1.0 / 1.3))
+    for i in range(2 * size):
+        total = logs[i * k]
+        for phase in logs[i * k + 1:(i + 1) * k]:
+            total += phase
+        want.append(-total * (1.0 / 1.3))
     assert _take(sampler, n) == want[:n]
 
 
@@ -339,14 +320,14 @@ def test_erlang_value_is_its_phases_summed_in_order(k):
 )
 def test_mixture_parts_draw_from_their_own_streams(dist):
     # value i is base value i, plus extra value i when branch uniform i is
-    # below p; each is rebuilt from a fresh stream keyed service/branch,
-    # service/base or service/extra; _BLOCK + 44 values cross a refill
+    # below p; each is rebuilt from its part stream, named name +
+    # "/branch", "/base" or "/extra"; _BLOCK + 44 values cross a refill
     n = kernel._BLOCK + 44
     offset, mix = (dist.offset, dist.base) if dist.kind == "shifted" else (0.0, dist)
-    sampler = _spec(dist, RngStream(29, "st", "cl", "service"))
-    branch = _uniforms(RngStream(29, "st", "cl", "service/branch"), n).tolist()
-    base = _take(_spec(mix.base, RngStream(29, "st", "cl", "service/base")), n)
-    extra = _take(_spec(mix.extra, RngStream(29, "st", "cl", "service/extra")), n)
+    sampler = _spec(dist, "29|st|cl|service")
+    branch = _uniforms("29|st|cl|service/branch", n).tolist()
+    base = _take(_spec(mix.base, "29|st|cl|service/base"), n)
+    extra = _take(_spec(mix.extra, "29|st|cl|service/extra"), n)
     want = [offset + (a + b if u < mix.p_extra else a) for u, a, b in zip(branch, base, extra)]
     assert _take(sampler, n) == want
 
@@ -362,9 +343,9 @@ def test_compiled_fills_equal_the_python_fills(dist, monkeypatch):
     n = kernel._BLOCK + 44
 
     def draw():
-        values = _spec(dist, RngStream(41, "st", "cl", "service"))
-        gaps = _arrival_spec(dist, RngStream(41, "st", "cl", "arrival"))
-        routing = _spec(kernel._U01, RngStream(41, "st", "cl", "routing"))
+        values = _spec(dist, "41|st|cl|service")
+        gaps = _arrival_spec(dist, "41|st|cl|arrival")
+        routing = _spec(kernel._U01, "41|st|cl|routing")
         return [[v.hex() for v in _take(spec, n) + _fill(spec, 4093, 9)]
                 for spec in (values, gaps, routing)]
 
@@ -380,8 +361,7 @@ def test_no_sampler_depends_on_the_block_size(dist):
     # blocks of the shipped size and many of 97 or 256 values; a sampler
     # that starts at value 1000 hands out the values from 1000 on
     n = kernel._BLOCK + 44
-    specs = (_spec(dist, RngStream(31, "st", "cl", "service")),
-             _arrival_spec(dist, RngStream(31, "st", "cl", "arrival")))
+    specs = (_spec(dist, "31|st|cl|service"), _arrival_spec(dist, "31|st|cl|arrival"))
     shipped = [_take(spec, n) for spec in specs]
     for size in (97, 256):
         assert [_take(spec, n, size) for spec in specs] == shipped
@@ -406,13 +386,13 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
     if case == "ieok_exc":
         model, seed = case_model(case), CASES[case][2]
         dist = station(model, "Controller").service["Status"]
-        stream = RngStream(seed, "Controller", "Status", "service")
+        name = f"{seed}|Controller|Status|service"
         assert dist == Mixture(0.25, Exponential(2.0), Exponential(1 / 3))
     else:
         dist = job_class(arrival_mix_model(), "M").arrival
-        stream = RngStream(ARRIVAL_PINS[case], "Source", "M", "arrival")
+        name = f"{ARRIVAL_PINS[case]}|Source|M|arrival"
         assert dist == Mixture(0.3, Uniform(1.0, 5.0), Shifted(0.5, Exponential(0.5)))
-    x = np.frombuffer(kernel._fills().fill(_spec(dist, stream), 0, 2**20))
+    x = np.frombuffer(kernel._fills().fill(_spec(dist, name), 0, 2**20))
     d = x - x.mean()
     m2, m4 = (d**2).mean(), (d**4).mean()
     assert abs(x.mean() - mean) / np.sqrt(var / len(x)) < 4
@@ -427,7 +407,7 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
 def test_exponential_and_erlang_match_their_closed_form_moments(dist, var):
     # 2**20 values: sample mean and variance within 4 standard errors of
     # k / rate and k / rate**2
-    x = np.frombuffer(kernel._fills().fill(_spec(dist, RngStream(43, "st", "cl", "service")), 0, 2**20))
+    x = np.frombuffer(kernel._fills().fill(_spec(dist, "43|st|cl|service"), 0, 2**20))
     d = x - x.mean()
     m2, m4 = (d**2).mean(), (d**4).mean()
     assert abs(x.mean() - dist.mean()) / np.sqrt(var / len(x)) < 4
@@ -516,6 +496,23 @@ def test_invalid_model_and_window_guards():
     assert any("arrival" in d for d in err.value.diagnostics)
     with pytest.raises(ValueError):
         run_replication(mm1_model(), seed=1, horizon=10.0, warmup=10.0)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_non_finite_horizon_is_refused_before_validation(horizon):
+    # an infinite horizon would run forever; the model is invalid too, and
+    # the horizon is what is reported
+    broken = mm1_model()
+    broken.classes[0] = JobClass("Jobs", "open", arrival=None)
+    with pytest.raises(ValueError, match=f"horizon {horizon} must be finite"):
+        run_replication(broken, seed=1, horizon=horizon)
+
+
+def test_negative_warmup_is_refused():
+    # a window that opens before t = 0 would read mm1's utilization at
+    # about half of rho = 0.5
+    with pytest.raises(ValueError, match="warmup -10000.0 must be at least 0"):
+        run_replication(mm1_model(lam=0.5), seed=1, horizon=1e4, warmup=-1e4)
 
 
 def test_open_class_without_a_path_to_a_sink_is_rejected():

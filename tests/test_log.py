@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qnaps import kernel
-from qnaps.kernel import RngStream
+from qnaps.kernel import _U01, _spec
 
 compiled = pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
 
@@ -27,6 +27,11 @@ compiled = pytest.mark.skipif(kernel._loop is None, reason="compiled extension n
 def log(x) -> np.ndarray:
     """The log of each x, from the extension, or the Python port without it."""
     return np.frombuffer(kernel._fills().log(np.ascontiguousarray(x, dtype=np.float64)))
+
+
+def uniforms(name: str, n: int) -> np.ndarray:
+    """The first n uniforms of the stream called name."""
+    return np.frombuffer(kernel._fills().fill(_spec(_U01, name), 0, n))
 
 
 def _near(x: float, k: int = 2) -> list[float]:
@@ -60,7 +65,7 @@ def mpmath_arguments() -> np.ndarray:
                0xFFFFD, 0xFFFFE, 0xFFFFF):
         for low in (0, 1, 0x7FFFFFFF, 0xFFFFFFFF):
             xs.append(_with_fraction(hx, low))
-    u = np.frombuffer(RngStream(2021, "log", "test", "mpmath").uniforms(20000))
+    u = uniforms("2021|log|test|mpmath", 20000)
     return np.concatenate([np.array(xs), 1.0 - u])
 
 
@@ -112,7 +117,7 @@ def test_log_is_within_one_ulp_on_two_million_arguments():
     for part in range(8):
         size = 250_000
         if part < 4:
-            xs = 1.0 - np.frombuffer(RngStream(part, "log", "test", "uniform").uniforms(size))
+            xs = 1.0 - uniforms(f"{part}|log|test|uniform", size)
         elif part < 6:
             xs = np.floor(2.0 ** rng.uniform(0.0, 53.0, size)) * 2.0**-53
         else:

@@ -391,7 +391,7 @@ def test_raising_a_start_index_skips_that_many_values(loop):
     m = 1000
     table.start[b] += m
     t, created = table.place_time[0], 0
-    for gap in kernel._fills().fill(table.blocks[b], 1 + m, 4 * kernel._BLOCK).tolist():
+    for gap in kernel._fills().fill(table.specs[b], 1 + m, 4 * kernel._BLOCK).tolist():
         if t >= 2000.0:
             break
         created += 1
@@ -485,10 +485,10 @@ CORRUPT = {
                         "table 'route_to' sends class 0 to station 0, which is a source"),
     "route_cum": ("awty", lambda t: array("f", t.route_cum), TypeError,
                   "table 'route_cum' is not a 1-d float64 array"),
-    "route_block": ("awty", lambda t: changed(t.route_block, 0, 11), ValueError,
-                    "table 'route_block' holds 11 at 0"),
-    "route_block/missing": ("wwi", lambda t: array("i", [-1] * len(t.route_block)), ValueError,
-                            "table 'route_block' has no block for route row"),
+    "route_sampler": ("awty", lambda t: changed(t.route_sampler, 0, 11), ValueError,
+                      "table 'route_sampler' holds 11 at 0"),
+    "route_sampler/missing": ("wwi", lambda t: array("i", [-1] * len(t.route_sampler)), ValueError,
+                              "table 'route_sampler' has no sampler for route row"),
     "flush_ptr": ("awty", lambda t: t.flush_ptr[1:], ValueError,
                   "table 'flush_ptr' has 32 entries, expected 33"),
     "flush_cls": ("awty", lambda t: changed(t.flush_cls, 0, -1), ValueError,
@@ -503,13 +503,13 @@ CORRUPT = {
                    "table 'place_time' is not a 1-d float64 array"),
     "start": ("awty", lambda t: changed(t.start, 3, -1), ValueError,
               "sampler 3 starts at value -1, before its first"),
-    "blocks": ("awty", lambda t: tuple(t.blocks), TypeError, "table 'blocks' is not a list"),
-    "blocks/spec": ("awty", lambda t: replaced(t.blocks, 3, ("gamma", 2.0)), TypeError,
-                    r"sampler 3: \('gamma', 2.0\) is not a sampler spec"),
-    "blocks/part": ("awty", lambda t: replaced(t.blocks, 3, ("shift", 1.0, ("const", "1"))),
-                    TypeError, r"sampler 3: \('const', '1'\) is not a sampler spec"),
-    "blocks/key": ("awty", lambda t: replaced(t.blocks, 3, ("uniform", -1, 0, 0.0, 1.0)),
-                   ValueError, r"sampler 3: .* has a key word outside \[0, 2\*\*64\)"),
+    "specs": ("awty", lambda t: tuple(t.specs), TypeError, "table 'specs' is not a list"),
+    "specs/spec": ("awty", lambda t: replaced(t.specs, 3, ("gamma", 2.0)), TypeError,
+                   r"sampler 3: \('gamma', 2.0\) is not a sampler spec"),
+    "specs/part": ("awty", lambda t: replaced(t.specs, 3, ("shift", 1.0, ("const", "1"))),
+                   TypeError, r"sampler 3: \('const', '1'\) is not a sampler spec"),
+    "specs/key": ("awty", lambda t: replaced(t.specs, 3, ("uniform", -1, 0, 0.0, 1.0)),
+                  ValueError, r"sampler 3: .* has a key word outside \[0, 2\*\*64\)"),
 }
 
 

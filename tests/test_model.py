@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qnaps.antipatterns import AreWeThereYet, IsEverythingOk, TransformError, WhereWasI, apply
-from qnaps.kernel import RngStream, _fills, _spec
+from qnaps.kernel import _fills, _spec
 from qnaps.model import (
     DELAY,
     FCFS,
@@ -37,12 +37,12 @@ from _helpers import closed_cycle_model, closed_trap_model, job_class, mm1_model
 
 
 def _stream(tag="d"):
-    return RngStream(123, "st", "cl", tag)
+    return f"123|st|cl|{tag}"
 
 
-def _values(dist, stream, n):
-    """The first n values of dist's sampler on stream."""
-    return _fills().fill(_spec(dist, stream), 0, n).tolist()
+def _values(dist, name, n):
+    """The first n values of dist's sampler on the stream called name."""
+    return _fills().fill(_spec(dist, name), 0, n).tolist()
 
 
 def test_distribution_means():

@@ -602,9 +602,10 @@ def test_program_entry_freezes_the_heap(tmp_path):
     assert '\nqnaps = "qnaps.cli:entry"\n' in pyproject
 
 
-def test_cli_jobs_below_one_is_a_config_error(tmp_path):
+def test_cli_jobs_below_one_is_a_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "tiny.yaml")
     assert main(["--config", str(cfg), "--jobs", "0"]) == 2
+    assert "--jobs: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_cli_takes_run_jobs_when_jobs_is_absent(tmp_path, capsys):
