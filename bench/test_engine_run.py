@@ -7,8 +7,9 @@ flush) and the default sensor net of table6_validation. Build and loop
 are timed together because the loop draws the external arrivals as it
 takes them, work that an engine which pre-drew them did in its build;
 only the sum compares across the two designs. Each model runs on both
-loops, ``_Engine.run`` (compiled) and ``_Engine._run_python``, so one
-run gives the speed-up of the compiled loop on one machine. A second
+loops, ``_Engine.run`` (compiled) and ``run`` of ``tests/_reference.py``
+on the extension's fill, so one run gives the speed-up of the compiled
+loop on one machine. A second
 case times the samplers alone: fill(spec, first, _BLOCK) of the spec of
 one sampler per distribution kind, of a mixture whose base is a mixture,
 and of the arrival-gap and routing samplers the engine builds (routing
@@ -17,8 +18,8 @@ after block, and the log that the exponential and Erlang values take
 alone, on a block of arguments 1 - u (log), over about 100k values a
 round whatever the block size, reported as values per second and
 nanoseconds per value in each benchmark's extra_info. Each is one fill
-of the extension, or of _PythonFills without it, and is the cost per
-block that the compiled loop pays, in C, on top of reading the values.
+of the extension, and is the cost per block that the compiled loop
+pays, in C, on top of reading the values.
 A third case times building
 the records a run makes most of, MetricSample (one per metric per
 replication) and ConfidenceInterval (one per estimate), through the
@@ -30,15 +31,20 @@ Run from the checkout root with
 ``testpaths = tests`` keeps the tier-1 suite from collecting it.
 """
 
+import sys
 from array import array
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from qnaps.config import build_model_from_config, parse_antipattern, parse_model
-from qnaps.kernel import _BLOCK, _U01, _arrival_spec, _Engine, _fills, _loop, _spec
+from qnaps.kernel import _BLOCK, _U01, _arrival_spec, _Engine, _loop, _spec
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 from qnaps.stats import ConfidenceInterval, MetricSample
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import _reference  # noqa: E402  (the Python loop, a test module)
 
 HORIZON, WARMUP = 300000.0, 30000.0
 
@@ -61,14 +67,15 @@ MODELS = {
 @pytest.mark.parametrize("loop", ["run", "_run_python"])
 @pytest.mark.parametrize("name", list(MODELS))
 def test_engine_run(benchmark, name, loop):
-    if loop == "run" and _loop is None:
-        pytest.skip("compiled loop not available")
     model_section, antipattern_section, seed = MODELS[name]
     antipattern = None if antipattern_section is None else parse_antipattern(antipattern_section)
     net = build_model_from_config(parse_model(model_section), antipattern)
 
     def build_and_run():
-        return getattr(_Engine(net, seed, HORIZON, WARMUP), loop)()
+        engine = _Engine(net, seed, HORIZON, WARMUP)
+        if loop == "run":
+            return engine.run()
+        return engine._finalize(_reference.run(*engine.table, fill=_loop.fill))
 
     result = benchmark.pedantic(build_and_run, rounds=10, warmup_rounds=1)
     assert result.samples
@@ -93,17 +100,16 @@ BLOCKS = 102_400 // _BLOCK  # fills per round
 @pytest.mark.parametrize("kind", list(SAMPLERS))
 def test_sampler_fill(benchmark, kind):
     name = "1|st|cl|service"
-    fills = _fills()
     if kind == "log":
-        args = array("d", [1.0 - u for u in fills.fill(_spec(_U01, name), 0, _BLOCK)])
+        args = array("d", [1.0 - u for u in _loop.fill(_spec(_U01, name), 0, _BLOCK)])
 
         def fill(first):
-            return fills.log(args)
+            return _loop.log(args)
     else:
         spec = SAMPLERS[kind](name)
 
         def fill(first):
-            return fills.fill(spec, first, _BLOCK)
+            return _loop.fill(spec, first, _BLOCK)
 
     def fill_blocks():
         return sum(len(fill(first)) for first in range(0, BLOCKS * _BLOCK, _BLOCK))

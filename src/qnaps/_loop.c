@@ -13,23 +13,23 @@
    arrival is t + gap. It runs to the horizon, closes out the jobs still
    alive and returns the tally _Engine._finalize reads.
 
-   It is _Engine._tally_python statement for statement: every float
-   operation keeps that loop's order and grouping, and the calendar is a
-   binary heap with heapq's sift algorithm keyed on (t, seq), so its
-   array layout, which the closing sweep walks, is the same. A sampler
-   is its spec and the index of its next value; the loop refills a
-   buffer of block_size values per sampler with fill_spec, so it calls no
-   Python function and hands back only the tally. The kernel module
-   docstring has the build flags this relies on.
+   It is run of tests/_reference.py, its specification, statement for
+   statement: every float operation keeps that loop's order and
+   grouping, and the calendar is a binary heap with heapq's sift
+   algorithm keyed on (t, seq), so its array layout, which the closing
+   sweep walks, is the same. A sampler is its spec and the index of its
+   next value; the loop refills a buffer of block_size values per
+   sampler with fill_spec, so it calls no Python function and hands back
+   only the tally. The kernel module docstring has the build flags this
+   relies on.
 
    fill(spec, first, n) is fill_spec from Python: values first .. first
    + n - 1 of a sampler. Its words are a stateless Philox4x64-10, so any
    word is a function of the key and its position, the same words as
    numpy's Generator(Philox(key)).random, which tests/test_kernel.py
    compares them against; its log is fdlibm's, in plain double
-   operations, so no value depends on the CPU or on a libm.
-   kernel._PythonFills.fill is the same in Python, value for value, and
-   its fallback. */
+   operations, so no value depends on the CPU or on a libm. fill of
+   tests/_reference.py is the same in Python, value for value. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -502,7 +502,7 @@ read_spec(Specs *S, PyObject *spec, Py_ssize_t b, int depth)
 }
 
 /* values first .. first + n - 1 of node s of specs into v, each
-   kernel._PythonFills.fill of its kind operation for operation. A leaf
+   tests/_reference.py's fill of its kind operation for operation. A leaf
    that takes k words a value makes value j from words jk .. jk + k - 1
    of its key, and a mixture makes value j from value j of its branch
    uniforms, its base and its extra, so no value depends on n. */

@@ -10,9 +10,12 @@ config can satisfy (svg only when the config is plottable: it has a plot
 section and every sweep value is a number; asking for --format svg
 explicitly when it is not is an error).
 
-Exit codes: 0 success, 2 configuration problem (bad file, bad flag
-value, model that does not validate), 3 simulation deadlock, 4 internal
-invariant failure in the engine (population leak, flow imbalance).
+Exit codes: 0 success, 1 the compiled event loop could not be built or
+loaded (the import of qnaps.kernel raises ImportError, which names the
+compiler's exit code and the tail of its stderr, or the load's error),
+2 configuration problem (bad file, bad flag value, model that does not
+validate), 3 simulation deadlock, 4 internal invariant failure in the
+engine (population leak, flow imbalance).
 
 Start-up: the cyclic collector is paused while the engine modules (and
 yaml with them) are imported, since every object they create lives for

@@ -21,10 +21,10 @@ its extra, each on a part stream of its own, so no value depends on how
 many are made at once. An exponential or Erlang value is -log(1 - u)
 (1 - u is exact, so this is -log1p(-u)) with fdlibm's log in plain double
 operations, so no value depends on the CPU, on a libm or on numpy. fill
-is in the compiled extension; _PythonFills is the same fill in Python,
-bit for bit, and its fallback, with the words from numpy's Philox; numpy
-is imported only then. The closed-class init phase is one more fill, of
-one uniform per job.
+is in the compiled extension; tests/_reference.py has the same fill in
+Python, bit for bit, with the words from numpy's Philox: its
+specification. The closed-class init phase is one more fill, of one
+uniform per job.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -59,19 +59,19 @@ form, detection flush lists, per class its reference station, closed
 classes only, and the t = 0 placements: the first arrivals at the
 sources, then the closed populations) plus the spec of every sampler
 (specs) and the index of its next value (start), the values _build did
-not place. A class is watched when a flush list names it. Both loops run
-on that table and return the same tally, per cell and per class, which
+not place. A class is watched when a flush list names it. The loop runs
+on that table and returns its tally, per cell and per class, which
 _Engine._finalize turns into samples. _Engine.run is one C extension,
 _loop.c, which copies the table's arrays and reads its specs into C
-structs, checking each once, on entry; _Engine._run_python is the same
-loop in Python, kept as the executable specification the tests compare
-the compiled loop against bit for bit. The two share this contract:
-they replay the placements in the same order, every float operation is
-done in the same order and grouping; the calendar is a binary heap with
+structs, checking each once, on entry. tests/_reference.py has the same
+loop in Python, the executable specification the tests compare the
+compiled loop against bit for bit. The two share this contract: they
+replay the placements in the same order, every float operation is done
+in the same order and grouping; the calendar is a binary heap with
 heapq's sift algorithm keyed on (t, seq), so its array layout, and with
 it the closing sweep, is the same; and random values come only from the
-samplers, block_size of them to a fill: the Python loop takes them with
-next() from _values, and the compiled loop from a buffer per sampler
+samplers, block_size of them to a fill: the Python loop takes them from
+the fill it is given, and the compiled loop from a buffer per sampler
 that it refills in C, so it calls no Python function. The extension is
 built when this module is imported, with gcc -O2 -ffp-contract=off (no
 fused multiply-add, no -ffast-math; x86-64 does its double arithmetic in
@@ -79,20 +79,18 @@ SSE2 registers), into src/qnaps/__pycache__ under a name keyed by the
 sha256 of _loop.c and the flags, so an edited source never loads an old
 binary. gcc runs, and subprocess and sysconfig are imported, only when
 no cached binary exists; otherwise the import just loads the cached
-file. If it cannot be built or loaded, one warning goes to stderr, and
-run() uses the Python loop and fill _PythonFills.fill.
+file. If it cannot be built or loaded, the import raises ImportError
+with the compiler's exit code and the tail of its stderr, or the load's
+error: gcc and the Python headers are required.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import os
-import sys
 from array import array
-from collections import deque
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
-from itertools import accumulate, count
+from itertools import accumulate
 from operator import add
 from pathlib import Path
 from typing import NamedTuple
@@ -155,104 +153,6 @@ def _key(name: str) -> tuple[int, int]:
     return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little")
 
 
-def _philox_uniforms(k0: int, k1: int, start: int, n: int):
-    """Words start .. start + n - 1 of the stream keyed k0 | k1 << 64 as
-    uniforms in a numpy array, from numpy's Philox: the specification of
-    the extension's words and their fallback. numpy's Philox makes block b
-    at counter b + 1, so a generator at counter start // 4 begins at that
-    word's block."""
-    from numpy.random import Generator, Philox  # only without the extension
-
-    skip = start % 4
-    return Generator(Philox(key=k0 | k1 << 64, counter=start // 4)).random(skip + n)[skip:]
-
-
-# fdlibm's e_log.c (Sun Microsystems, 1993), as in _loop.c: ln 2 split
-# into a head with a short significand and a tail, and the coefficients
-# of its minimax polynomial in z = s*s, s = f / (2 + f)
-_LN2_HI = float.fromhex("0x1.62e42feep-1")
-_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
-_LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = map(float.fromhex, (
-    "0x1.5555555555593p-1", "0x1.999999997fa04p-2", "0x1.2492494229359p-2",
-    "0x1.c71c51d8e78afp-3", "0x1.7466496cb03dep-3", "0x1.39a09d078c69fp-3",
-    "0x1.2f112df3e5244p-3"))
-
-
-def _log(x: float) -> float:
-    """log x for x in (0, 1]: log_unit of _loop.c, operation for
-    operation, so the same bits. frexp splits x exactly where log_unit
-    reads its bits: x = m * 2**e, and hx is the top 20 bits of the
-    fraction of 2m."""
-    m, e = math.frexp(x)
-    hx = int((m + m - 1.0) * 1048576.0)
-    i = (hx + 0x95F64) & 0x100000  # the significand is at least sqrt(2)
-    dk = float(e - 1 + (i >> 20))
-    f = (m if i else m + m) - 1.0
-    if (0x000FFFFF & (2 + hx)) < 3:  # |f| < 2**-20
-        if f == 0.0:
-            return dk * _LN2_HI + dk * _LN2_LO
-        R = f * f * (0.5 - 0.33333333333333333 * f)
-        return dk * _LN2_HI - ((R - dk * _LN2_LO) - f)
-    s = f / (2.0 + f)
-    z = s * s
-    w = z * z
-    t1 = w * (_LG2 + w * (_LG4 + w * _LG6))
-    t2 = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7)))
-    R = t2 + t1
-    if ((hx - 0x6147A) | (0x6B851 - hx)) > 0:
-        hfsq = 0.5 * f * f
-        return dk * _LN2_HI - ((hfsq - (s * (hfsq + R) + dk * _LN2_LO)) - f)
-    return dk * _LN2_HI - ((s * (f - R) - dk * _LN2_LO) - f)
-
-
-class _PythonFills:
-    """The extension's fill and log in Python, with its signatures and,
-    value for value, its bits: their specification, which the tests
-    compare the extension against, and their fallback when it is
-    unavailable. The words come from numpy's Philox, and each block of
-    values is an array('d')."""
-
-    @staticmethod
-    def fill(spec, first, n):
-        """Values first .. first + n - 1 of the sampler spec (see _spec)."""
-        kind = spec[0]
-        if kind == "const":
-            return array("d", spec[1:]) * n
-        if kind == "uniform":
-            _, k0, k1, low, span = spec
-            return array("d", [low + span * u for u in _philox_uniforms(k0, k1, first, n).tolist()])
-        if kind == "erlang":
-            _, k0, k1, k, scale, divide = spec
-            u = _philox_uniforms(k0, k1, first * k, n * k).tolist()
-            out = array("d")
-            for i in range(0, n * k, k):
-                total = _log(1.0 - u[i])
-                for j in range(i + 1, i + k):
-                    total += _log(1.0 - u[j])
-                out.append(-total / scale if divide else -total * scale)
-            return out
-        fill = _PythonFills.fill
-        if kind == "shift":
-            _, offset, base = spec
-            return array("d", [offset + b for b in fill(base, first, n)])
-        if kind == "mixture":
-            _, k0, k1, p, base, extra = spec
-            u = _philox_uniforms(k0, k1, first, n).tolist()
-            return array("d", [a + e if b < p else a
-                               for b, a, e in zip(u, fill(base, first, n), fill(extra, first, n))])
-        raise TypeError(f"fill(): {spec!r} is not a sampler spec")
-
-    @staticmethod
-    def log(values):
-        return array("d", map(_log, values))
-
-
-def _fills():
-    """The extension, whose fill makes every sampler's values, or
-    _PythonFills when it could not be built or loaded."""
-    return _PythonFills if _loop is None else _loop
-
-
 # station kind codes of _Table.kind
 _KC_FCFS = 0
 _KC_DELAY = 1
@@ -262,8 +162,8 @@ _KC = {FCFS: _KC_FCFS, DELAY: _KC_DELAY, SOURCE: _KC_SOURCE, SINK: _KC_SINK}
 
 
 class _Table(NamedTuple):
-    """The engine's layout, decided by _Engine._build and read by both
-    loops. Stations and classes are numbered in model order; a cell is a
+    """The engine's layout, decided by _Engine._build and read by the
+    loop. Stations and classes are numbered in model order; a cell is a
     (station, class) pair, numbered s * nclasses + c. Index tables are
     array('i') (int32), times and probabilities array('d'); a sampler is
     an index into start and specs, and -1 means none. The compiled loop
@@ -290,18 +190,6 @@ class _Table(NamedTuple):
                           #   time, inf when it queues or parks
     start: array          # per sampler: the index of its next value, array('q')
     specs: list           # per sampler: its spec
-
-
-class _Job:
-    # entered doubles as the cycle-start marker for closed classes
-    # (-1.0 until the first departure from the reference station)
-    __slots__ = ("ci", "entered", "arrived", "sstart")
-
-    def __init__(self, ci):
-        self.ci = ci
-        self.entered = -1.0
-        self.arrived = 0.0
-        self.sstart = 0.0
 
 
 def _spec(dist, name: str) -> tuple:
@@ -347,17 +235,9 @@ def _arrival_spec(dist, name: str) -> tuple:
     return _spec(dist, name)
 
 
-def _values(spec, start, block):
-    """Values start, start + 1, ... of the sampler spec, made block at a
-    time: a sampler of the Python loop."""
-    fill = _fills().fill
-    for first in count(start, block):
-        yield from fill(spec, first, block)
-
-
 class _Engine:
-    """One replication. _build decides the layout both loops run on, the
-    _Table; a loop returns its tally, which _finalize turns into samples.
+    """One replication. _build decides the layout the loop runs on, the
+    _Table; the loop returns its tally, which _finalize turns into samples.
     The tally is (cells, classes): per cell, (area, barea, ssum, scnt,
     drops), the integrals of the job count and of busy servers, the sum
     and count of station sojourns inside the window and the drops; per
@@ -378,7 +258,7 @@ class _Engine:
         sidx = {s.name: i for i, s in enumerate(stations)}
         cidx = {jc.name: i for i, jc in enumerate(classes)}
         ncl = len(classes)
-        fill = _fills().fill
+        fill = _loop.fill
         specs, start = [], []
 
         def index(spec):
@@ -483,249 +363,10 @@ class _Engine:
     def run(self) -> ReplicationResult:
         return self._finalize(self._tally())
 
-    def _run_python(self) -> ReplicationResult:
-        return self._finalize(self._tally_python())
-
     def _tally(self):
-        """Simulate to the horizon on the compiled loop, or on the Python
-        loop when the extension could not be built or loaded."""
-        if _loop is None:
-            return self._tally_python()
+        """Simulate to the horizon on the compiled loop."""
         self._check_deadlock()
         return _loop.run(*self.table)
-
-    def _tally_python(self):
-        """The event loop in Python, on the same table: the executable
-        specification of the compiled loop and its fallback."""
-        self._check_deadlock()
-        T = self.table
-        horizon = T.horizon
-        warm = T.warmup
-        kind = T.kind.tolist()
-        servers = T.servers.tolist()
-        cap = T.capacity.tolist()
-        reference = T.reference.tolist()
-        its = [_values(spec, first, T.block_size) for spec, first in zip(T.specs, T.start)]
-        samplers = [its[b] if b >= 0 else None for b in T.sampler.tolist()]
-        ptr, to, cum = T.route_ptr.tolist(), T.route_to.tolist(), T.route_cum.tolist()
-        routes = [(to[a:b], cum[a:b], its[r] if b - a > 1 else None)
-                  for a, b, r in zip(ptr, ptr[1:], T.route_sampler.tolist())]
-        ptr, fcls = T.flush_ptr.tolist(), T.flush_cls.tolist()
-        flush = [fcls[a:b] for a, b in zip(ptr, ptr[1:])]
-        nst, ncl = len(kind), len(reference)
-        watched = [c in fcls for c in range(ncl)]
-        ncells = nst * ncl
-        tas, entry = [_INF] * ncl, [0] * ncl  # per class: next arrival time, source cell
-
-        busy = [0] * nst
-        queues = [deque() for _ in range(nst)]
-        parked = [[] for _ in range(ncells)]
-        pending = [[] for _ in range(ncl)]
-        area, barea, ssum = [0.0] * ncells, [0.0] * ncells, [0.0] * ncells
-        scnt, drops = [0] * ncells, [0] * ncells
-        created, sunk, dropped, live = [0] * ncl, [0] * ncl, [0] * ncl, [0] * ncl
-        rsum, rcnt, larea = [0.0] * ncl, [0] * ncl, [0.0] * ncl
-        heap = []
-        pop = heapq.heappop
-        push = heapq.heappush
-        seq = 0
-        pool = []
-
-        for s, ci, t in zip(T.place_station.tolist(), T.place_class.tolist(),
-                            T.place_time.tolist()):
-            if kind[s] == _KC_SOURCE:
-                tas[ci] = t
-                entry[ci] = s * ncl + ci
-                continue
-            job = _Job(ci)
-            if t < _INF:
-                busy[s] += kind[s] == _KC_FCFS
-                push(heap, (t, seq, job, s))
-                seq += 1
-            elif kind[s] == _KC_FCFS:
-                queues[s].append(job)
-            else:
-                parked[s * ncl + ci].append(job)
-
-        ta = min(tas, default=_INF)
-        while True:
-            if heap:
-                rec = heap[0]
-                t = rec[0]
-            else:
-                t = _INF
-            if ta <= t:
-                # external arrival (wins ties against calendar events)
-                if ta >= horizon:
-                    break
-                t = ta
-                ci = tas.index(ta)  # ties go to the lower class index
-                created[ci] += 1
-                r = entry[ci]
-                tas[ci] = t + next(samplers[r])
-                ta = min(tas)
-                job = pool.pop() if pool else _Job(ci)
-                job.ci = ci
-                job.entered = t
-            else:
-                if t >= horizon:
-                    break
-                pop(heap)
-                job = rec[2]
-                s = rec[3]
-                ci = job.ci
-                k = s * ncl + ci
-
-                if kind[s] == 0:
-                    # service completes at an fcfs station
-                    if t > warm:
-                        a = job.arrived
-                        d = t - a
-                        ssum[k] += d
-                        scnt[k] += 1
-                        area[k] += d if a > warm else t - warm
-                        ss = job.sstart
-                        barea[k] += t - ss if ss > warm else t - warm
-                    busy[s] -= 1
-                    q = queues[s]
-                    if q:
-                        nj = q.popleft()
-                        busy[s] += 1
-                        nj.sstart = t
-                        sv = next(samplers[s * ncl + nj.ci])
-                        push(heap, (t + sv, seq, nj, s))
-                        seq += 1
-                    for w in flush[k]:
-                        pend = pending[w]
-                        if pend:
-                            if t > warm:
-                                for pj in pend:
-                                    e = pj.entered
-                                    rsum[w] += t - e
-                                    larea[w] += t - e if e > warm else t - warm
-                                rcnt[w] += len(pend)
-                            pool.extend(pend)
-                            pend.clear()
-                    if reference[ci] == s:
-                        # leaving the reference station opens a cycle
-                        job.entered = t
-                else:
-                    # delay timer fires
-                    if t > warm:
-                        a = job.arrived
-                        d = t - a
-                        ssum[k] += d
-                        scnt[k] += 1
-                        area[k] += d if a > warm else t - warm
-                    if reference[ci] == s:
-                        job.entered = t
-                r = k
-
-            # route the arriving or departing job to its next station: the
-            # first whose cumulative probability reaches the row's uniform;
-            # a row of one successor takes no uniform
-            tos, cums, u01 = routes[r]
-            if u01 is None:
-                ns = tos[0]  # IndexError on a row without successors
-            else:
-                u = next(u01)
-                i = 0
-                while cums[i] < u:
-                    i += 1
-                ns = tos[i]
-
-            kc = kind[ns]
-            if kc == 3:
-                # sink
-                sunk[ci] += 1
-                if not watched[ci]:
-                    if t > warm:
-                        e = job.entered
-                        rsum[ci] += t - e
-                        rcnt[ci] += 1
-                        larea[ci] += t - e if e > warm else t - warm
-                    pool.append(job)
-                else:
-                    # watched job: physically done, logically in the system
-                    # until the next detection poll completes
-                    pending[ci].append(job)
-                continue
-
-            if reference[ci] == ns and job.entered >= 0.0:
-                # a cycle closes on return to the reference station
-                # (entered is always set before the first return; the guard
-                # is insurance against malformed hand-built topologies)
-                if t > warm:
-                    e = job.entered
-                    rsum[ci] += t - e
-                    rcnt[ci] += 1
-                    larea[ci] += t - e if e > warm else t - warm
-
-            k = ns * ncl + ci
-            if kc == 0:
-                if cap[ns] < _INF and busy[ns] + len(queues[ns]) >= cap[ns] and reference[ci] < 0:
-                    # closed populations are never dropped
-                    dropped[ci] += 1
-                    if t > warm:
-                        drops[k] += 1
-                        e = job.entered
-                        larea[ci] += t - e if e > warm else t - warm
-                    pool.append(job)
-                    continue
-                job.arrived = t
-                if busy[ns] < servers[ns]:
-                    busy[ns] += 1
-                    job.sstart = t
-                    s = next(samplers[k])
-                    push(heap, (t + s, seq, job, ns))
-                    seq += 1
-                else:
-                    queues[ns].append(job)
-            else:
-                # delay entry (validation keeps jobs out of sources)
-                job.arrived = t
-                d = next(samplers[k])
-                if d < _INF:
-                    push(heap, (t + d, seq, job, ns))
-                    seq += 1
-                else:
-                    parked[k].append(job)
-
-        # close out the jobs alive at the horizon: in service or thinking
-        # (calendar, in heap-array order), waiting (queues), parked
-        # (infinite delays) and awaiting detection
-        def close_out(job, s, in_service):
-            ci = job.ci
-            live[ci] += 1
-            k = s * ncl + ci
-            a = job.arrived
-            area[k] += horizon - (a if a > warm else warm)
-            if in_service:
-                ss = job.sstart
-                barea[k] += horizon - (ss if ss > warm else warm)
-            if reference[ci] >= 0:
-                if s != reference[ci] and job.entered >= 0.0:
-                    e = job.entered
-                    larea[ci] += horizon - (e if e > warm else warm)
-            else:
-                e = job.entered
-                larea[ci] += horizon - (e if e > warm else warm)
-
-        for rec in heap:
-            close_out(rec[2], rec[3], kind[rec[3]] == _KC_FCFS)
-        for s in range(nst):
-            for job in queues[s]:
-                close_out(job, s, False)
-            for k in range(s * ncl, (s + 1) * ncl):
-                for job in parked[k]:
-                    close_out(job, s, False)
-        for ci in range(ncl):
-            for job in pending[ci]:
-                e = job.entered
-                larea[ci] += horizon - (e if e > warm else warm)
-
-        return (list(zip(area, barea, ssum, scnt, drops)),
-                list(zip(created, sunk, dropped, live, rsum, rcnt, larea)))
 
     def _finalize(self, tally) -> ReplicationResult:
         cells, classes = tally
@@ -810,9 +451,10 @@ def _loop_path(source: bytes, cache_dir: Path) -> Path:
 def _build_loop(cc: str, cache_dir: Path):
     """The compiled event loop: _loop.c built with compiler cc into
     cache_dir unless its cache file is there, then loaded. A build
-    removes the binaries of other sources. On failure, one warning on
-    stderr and None."""
-    tmp = None
+    removes the binaries of other sources. When it cannot be built or
+    loaded, ImportError naming why: the compiler's exit code and the
+    tail of its stderr, or the error that stopped the build or the load."""
+    tmp = reason = None
     try:
         path = _loop_path(_LOOP_SOURCE.read_bytes(), cache_dir)
         if not path.exists():
@@ -825,25 +467,23 @@ def _build_loop(cc: str, cache_dir: Path):
             done = subprocess.run([cc, *_CFLAGS, include, str(_LOOP_SOURCE), "-o", str(tmp)],
                                   capture_output=True, text=True)
             if done.returncode:
-                return _unavailable(f"{cc} exited {done.returncode}: {done.stderr.strip()[-2000:]}")
-            os.replace(tmp, path)
-            for old in cache_dir.glob(f"_loop_*{EXTENSION_SUFFIXES[0]}"):
-                if old != path:
-                    old.unlink(missing_ok=True)
-        loader = ExtensionFileLoader("qnaps._loop", str(path))
-        module = module_from_spec(spec_from_loader(loader.name, loader))
-        loader.exec_module(module)
-        return module
+                reason = f"{cc} exited {done.returncode}: {done.stderr.strip()[-2000:]}"
+            else:
+                os.replace(tmp, path)
+                for old in cache_dir.glob(f"_loop_*{EXTENSION_SUFFIXES[0]}"):
+                    if old != path:
+                        old.unlink(missing_ok=True)
+        if reason is None:
+            loader = ExtensionFileLoader("qnaps._loop", str(path))
+            module = module_from_spec(spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module
     except (OSError, ImportError) as exc:
-        return _unavailable(f"{type(exc).__name__}: {exc}")
+        reason = f"{type(exc).__name__}: {exc}"
     finally:
         if tmp is not None:
             tmp.unlink(missing_ok=True)
-
-
-def _unavailable(reason: str) -> None:
-    print(f"qnaps: compiled event loop unavailable ({reason}); using the Python loop",
-          file=sys.stderr)
+    raise ImportError(f"compiled event loop unavailable ({reason})")
 
 
 _loop = _build_loop("gcc", Path(__file__).with_name("__pycache__"))

@@ -14,8 +14,8 @@ wwi were re-frozen when the samplers took fdlibm's log in place of
 numpy's log1p, after that log was checked against mpmath
 (test_log.py) and every compiled fill against its Python port: 58
 values moved, by at most 3.5e-13 relative. Each case is pinned on
-both loops: _Engine.run, compiled, and _Engine._run_python, the Python
-loop it was ported from.
+both loops: _Engine.run, compiled, and run of tests/_reference.py, the
+Python loop it was ported from, on the extension's fill.
 """
 
 import json
@@ -23,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+import _reference
+from qnaps import kernel
 from qnaps.config import build_model_from_config, parse_antipattern, parse_model
 from qnaps.kernel import _Engine
 
@@ -60,8 +62,17 @@ def case_model(case: str):
     return build_model_from_config(parse_model(model_section), antipattern)
 
 
+def tally(engine: _Engine, loop: str = "run"):
+    """engine's tally on loop: "run", the compiled loop, or "_run_python",
+    the reference loop on the extension's fill."""
+    if loop == "run":
+        return engine._tally()
+    return _reference.run(*engine.table, fill=kernel._loop.fill)
+
+
 def pinned_samples(case: str, loop: str = "run") -> list[list[str]]:
-    result = getattr(_Engine(case_model(case), CASES[case][2], HORIZON, WARMUP), loop)()
+    engine = _Engine(case_model(case), CASES[case][2], HORIZON, WARMUP)
+    result = engine._finalize(tally(engine, loop))
     return [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples]
 
 

@@ -19,6 +19,7 @@ from types import GeneratorType
 import numpy as np
 import pytest
 
+import _reference
 from qnaps import kernel
 from qnaps.kernel import (
     DeadlockError,
@@ -57,7 +58,7 @@ from _helpers import (
     stopping_arrivals_model,
     table,
 )
-from test_engine_pin import CASES, case_model
+from test_engine_pin import CASES, case_model, tally
 from test_loop import ARRIVAL_PINS, MODELS, arrival_mix_model, kinds
 
 
@@ -85,15 +86,16 @@ def _uniforms(name, n):
     return (words >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
-def _fill(spec, first, n):
-    """Values first .. first + n - 1 of the sampler spec, in one fill."""
-    return kernel._fills().fill(spec, first, n).tolist()
+def _fill(spec, first, n, fill=kernel._loop.fill):
+    """Values first .. first + n - 1 of the sampler spec, in one fill of
+    the extension, or of the fill given."""
+    return fill(spec, first, n).tolist()
 
 
-def _take(spec, n, block=None):
+def _take(spec, n, block=None, fill=kernel._loop.fill):
     """The first n values of the sampler spec as the Python loop takes
     them, block (_BLOCK by default) to a fill."""
-    return list(islice(kernel._values(spec, 0, block or kernel._BLOCK), n))
+    return list(islice(_reference._values(fill, spec, 0, block or kernel._BLOCK), n))
 
 
 _KEYS = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1] + [
@@ -106,7 +108,6 @@ def _numpy_words(key, n):
     return np.random.Generator(np.random.Philox(key=key)).random(n)
 
 
-@pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
 def test_extension_words_equal_numpys_philox():
     # start offsets 0-3 within the first block, starts on either side of
     # later block boundaries, and lengths that end inside, on and past one
@@ -125,21 +126,19 @@ def test_fallback_words_equal_numpys_philox():
         k0, k1 = key & ((1 << 64) - 1), key >> 64
         for start in (0, 1, 2, 3, 4094):
             for n in (1, 4, 4097):
-                got = kernel._philox_uniforms(k0, k1, start, n)
+                got = _reference._philox_uniforms(k0, k1, start, n)
                 assert got.tolist() == want[start:start + n].tolist(), (key, start, n)
 
 
-@pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
-def test_extension_and_fallback_agree_far_into_a_stream(monkeypatch):
+def test_extension_and_fallback_agree_far_into_a_stream():
     # values past 2**32 blocks of words into a stream, in uneven pieces
-    # that together are one fill
+    # that together are one fill, of the extension and of the reference
     far = 5 << 34
     u01 = ("uniform", *kernel._key("3|st|cl|service"), 0.0, 1.0)
     pieces = [(far + 1, 1), (far + 2, 7), (far + 9, 4097)]
     got = [_fill(u01, first, n) for first, n in pieces]
     assert sum(got, []) == _fill(u01, far + 1, 4105)
-    monkeypatch.setattr(kernel, "_loop", None)
-    assert [_fill(u01, first, n) for first, n in pieces] == got
+    assert [_fill(u01, first, n, _reference.fill) for first, n in pieces] == got
 
 
 def test_key_is_the_first_16_bytes_of_the_names_sha256():
@@ -261,22 +260,22 @@ def test_routing_stream_draws_one_word_per_decision(monkeypatch):
     assert engine.table.start[b] == 0
     assert _fill(u01, 0, kernel._BLOCK) == _uniforms("12|Source|Jobs|routing", kernel._BLOCK).tolist()
     taken = []
-    values = kernel._values
+    values = _reference._values
 
-    def counted(spec, first, block):
-        for v in values(spec, first, block):
+    def counted(fill, spec, first, block):
+        for v in values(fill, spec, first, block):
             taken.append(spec)
             yield v
 
-    monkeypatch.setattr(kernel, "_values", counted)
-    decisions = engine._tally_python()[1][0][0]  # created: every arrival splits once at the source
+    monkeypatch.setattr(_reference, "_values", counted)
+    decisions = tally(engine, "_run_python")[1][0][0]  # created: every arrival splits once at the source
     assert decisions > 300
     assert sum(spec is u01 for spec in taken) == decisions
 
 
 def _log1m(u):
     """log(1 - u) of each uniform, by the Python port of the extension's log."""
-    return [kernel._log(1.0 - x) for x in u.tolist()]
+    return [_reference._log(1.0 - x) for x in u.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -332,26 +331,23 @@ def test_mixture_parts_draw_from_their_own_streams(dist):
     assert _take(sampler, n) == want
 
 
-@pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
 @pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values(), Exponential(0.0)],
                          ids=[*kinds(10.0), *NESTED, "rate-0"])
-def test_compiled_fills_equal_the_python_fills(dist, monkeypatch):
-    # the extension's fill against _PythonFills.fill, its fallback: values,
+def test_compiled_fills_equal_the_python_fills(dist):
+    # the extension's fill against the reference's, its specification: values,
     # arrival gaps of dist (an exponential's divided by its rate) and
     # routing uniforms, _BLOCK + 44 of each, so every stream crosses a
     # block, and 9 from value 4093 on
     n = kernel._BLOCK + 44
 
-    def draw():
+    def draw(fill):
         values = _spec(dist, "41|st|cl|service")
         gaps = _arrival_spec(dist, "41|st|cl|arrival")
         routing = _spec(kernel._U01, "41|st|cl|routing")
-        return [[v.hex() for v in _take(spec, n) + _fill(spec, 4093, 9)]
+        return [[v.hex() for v in _take(spec, n, fill=fill) + _fill(spec, 4093, 9, fill)]
                 for spec in (values, gaps, routing)]
 
-    compiled = draw()
-    monkeypatch.setattr(kernel, "_loop", None)
-    assert draw() == compiled
+    assert draw(_reference.fill) == draw(kernel._loop.fill)
 
 
 @pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values()],
@@ -365,7 +361,8 @@ def test_no_sampler_depends_on_the_block_size(dist):
     shipped = [_take(spec, n) for spec in specs]
     for size in (97, 256):
         assert [_take(spec, n, size) for spec in specs] == shipped
-        assert [list(islice(kernel._values(spec, 1000, size), 50)) for spec in specs] == [
+        assert [list(islice(_reference._values(kernel._loop.fill, spec, 1000, size), 50))
+                for spec in specs] == [
             values[1000:1050] for values in shipped]
 
 
@@ -392,7 +389,7 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
         dist = job_class(arrival_mix_model(), "M").arrival
         name = f"{ARRIVAL_PINS[case]}|Source|M|arrival"
         assert dist == Mixture(0.3, Uniform(1.0, 5.0), Shifted(0.5, Exponential(0.5)))
-    x = np.frombuffer(kernel._fills().fill(_spec(dist, name), 0, 2**20))
+    x = np.frombuffer(kernel._loop.fill(_spec(dist, name), 0, 2**20))
     d = x - x.mean()
     m2, m4 = (d**2).mean(), (d**4).mean()
     assert abs(x.mean() - mean) / np.sqrt(var / len(x)) < 4
@@ -407,7 +404,7 @@ def test_pinned_mixtures_match_their_closed_form_moments(case, mean, var):
 def test_exponential_and_erlang_match_their_closed_form_moments(dist, var):
     # 2**20 values: sample mean and variance within 4 standard errors of
     # k / rate and k / rate**2
-    x = np.frombuffer(kernel._fills().fill(_spec(dist, "43|st|cl|service"), 0, 2**20))
+    x = np.frombuffer(kernel._loop.fill(_spec(dist, "43|st|cl|service"), 0, 2**20))
     d = x - x.mean()
     m2, m4 = (d**2).mean(), (d**4).mean()
     assert abs(x.mean() - dist.mean()) / np.sqrt(var / len(x)) < 4
@@ -421,14 +418,14 @@ def test_no_block_outlives_its_replication():
     # the compiled loop frees the buffers it makes before it returns
     def live_blocks():
         return {id(o) for o in gc.get_objects()
-                if isinstance(o, GeneratorType) and o.gi_code is kernel._values.__code__}
+                if isinstance(o, GeneratorType) and o.gi_code is _reference._values.__code__}
 
     gc.collect()
     gc.disable()
     try:
         before = live_blocks()
         run_replication(MODELS["wwi"], 73003, 40000.0, 4000.0)
-        _Engine(MODELS["wwi"], 73003, 40000.0, 4000.0)._run_python()
+        tally(_Engine(MODELS["wwi"], 73003, 40000.0, 4000.0), "_run_python")
         assert live_blocks() == before
     finally:
         gc.enable()

@@ -1,8 +1,8 @@
 """The log every exponential, Erlang and arrival-gap value is made with.
 
 _loop.c's log_unit is fdlibm's log, in plain double operations, so its
-bits are the same on every IEEE machine; kernel._log is its port to
-Python, used when the extension is unavailable. The samplers call it on
+bits are the same on every IEEE machine; _log of tests/_reference.py is
+its port to Python, its specification. The samplers call it on
 1 - u, u = (w >> 11) * 2**-53, which is exact, so the arguments are the
 multiples of 2**-53 in (0, 1]. Its error is checked against mpmath at
 120 bits on the ends of that range, on powers of two and their
@@ -18,20 +18,19 @@ import mpmath
 import numpy as np
 import pytest
 
+import _reference
 from qnaps import kernel
 from qnaps.kernel import _U01, _spec
 
-compiled = pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
-
 
 def log(x) -> np.ndarray:
-    """The log of each x, from the extension, or the Python port without it."""
-    return np.frombuffer(kernel._fills().log(np.ascontiguousarray(x, dtype=np.float64)))
+    """The log of each x, from the extension."""
+    return np.frombuffer(kernel._loop.log(np.ascontiguousarray(x, dtype=np.float64)))
 
 
 def uniforms(name: str, n: int) -> np.ndarray:
     """The first n uniforms of the stream called name."""
-    return np.frombuffer(kernel._fills().fill(_spec(_U01, name), 0, n))
+    return np.frombuffer(kernel._loop.fill(_spec(_U01, name), 0, n))
 
 
 def _near(x: float, k: int = 2) -> list[float]:
@@ -129,7 +128,6 @@ def test_log_is_within_one_ulp_on_two_million_arguments():
     assert worst > 0.5  # the check can fail: fdlibm's log is not correctly rounded
 
 
-@compiled
 def test_python_log_is_the_extensions_bit_for_bit():
     rng = np.random.default_rng(7)
     xs = np.concatenate([
@@ -138,10 +136,9 @@ def test_python_log_is_the_extensions_bit_for_bit():
         [2.0**-1022, 5e-324, 2.0**-1060 * 3.0],  # the normal and subnormal ends of (0, 1]
     ])
     want = [v.hex() for v in np.frombuffer(kernel._loop.log(xs)).tolist()]
-    assert [kernel._log(x).hex() for x in xs.tolist()] == want
+    assert [_reference._log(x).hex() for x in xs.tolist()] == want
 
 
-@compiled
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0 + 2.0**-52, float("inf"), float("nan")])
 def test_compiled_log_refuses_arguments_outside_its_range(bad):
     with pytest.raises(ValueError, match=r"log\(\): .* at 1 is outside \(0, 1\]"):

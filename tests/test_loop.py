@@ -1,6 +1,7 @@
 """The compiled event loop against the Python loop it was ported from.
 
-_Engine._run_python is the executable specification of _Engine.run. The
+run of tests/_reference.py is the executable specification of
+_Engine.run; the tests run it on the extension's fill. The
 differential test runs both on the same engines and requires every
 sample to match bit for bit and every class to have created, sunk and
 dropped the same jobs and to hold as many at the horizon; one of its
@@ -15,10 +16,10 @@ each mixture part got its own stream, after that mixture's sample mean
 and variance were checked against their closed forms (test_kernel.py);
 its response times of class Z, which never arrives, read NaN since a
 cell with no completion has no response time.
-The remaining tests
-cover the extension's build and fallback, the samplers' start indices,
-the checks the compiled loop makes on its table and its specs, that it
-calls no Python function, signals crossing the C boundary, and the
+The remaining tests cover the extension's build and its failure, which
+stops the import and so a CLI run, the samplers' start indices, the
+checks the compiled loop makes on its table and its specs, that it calls
+no Python function, signals crossing the C boundary, and the
 micro-benchmark in bench/, which must still import.
 """
 
@@ -58,9 +59,7 @@ from qnaps.model import (
 from qnaps.records import replace
 
 from _helpers import closed_cycle_model, mm1_model, stopping_arrivals_model
-from test_engine_pin import CASES, HORIZON, WARMUP, PIN, case_model, pinned_samples
-
-compiled = pytest.mark.skipif(kernel._loop is None, reason="compiled loop not available")
+from test_engine_pin import CASES, HORIZON, WARMUP, PIN, case_model, pinned_samples, tally
 
 
 def parking_model(park: float = 0.01) -> NetworkModel:
@@ -233,17 +232,13 @@ MODELS = {
 ARRIVAL_PINS = {"ties": 61001, "arrival_mix": 62002}
 
 
-# the engine method that runs each loop and returns its tally
-TALLY = {"run": "_tally", "_run_python": "_tally_python"}
-
-
 def flows_and_samples(model, seed, horizon, loop):
     """Each class's (name, created, sunk, dropped, live) and every sample
     of one replication on loop, and the engine it ran."""
     engine = _Engine(model, seed, horizon, WARMUP)
-    tally = getattr(engine, TALLY[loop])()
-    result = engine._finalize(tally)
-    flows = [[jc.name, *row[:4]] for jc, row in zip(model.classes, tally[1])]
+    counts = tally(engine, loop)
+    result = engine._finalize(counts)
+    flows = [[jc.name, *row[:4]] for jc, row in zip(model.classes, counts[1])]
     samples = [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples]
     return flows, samples, engine
 
@@ -271,8 +266,6 @@ def test_no_pinned_run_depends_on_the_block_size(loop, size, monkeypatch):
     # every pin of tests/data/engine_pin.json, with fills of 97 or 256
     # values in place of the shipped size: each sampler refills many times
     # more, and each arrival's t + gap crosses many block edges
-    if loop == "run" and kernel._loop is None:
-        pytest.skip("compiled loop not available")
     frozen = json.loads(PIN.read_text(encoding="utf-8"))
     monkeypatch.setattr(kernel, "_BLOCK", size)
     for case in sorted(CASES):
@@ -281,7 +274,6 @@ def test_no_pinned_run_depends_on_the_block_size(loop, size, monkeypatch):
         assert pinned_run(name, loop) == frozen[name], name
 
 
-@compiled
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_compiled_loop_matches_the_python_loop(name):
     model = MODELS[name]
@@ -291,7 +283,8 @@ def test_compiled_loop_matches_the_python_loop(name):
 
 
 def test_parking_model_parks_jobs_during_the_run():
-    result = _Engine(parking_model(), 7, HORIZON / 2, WARMUP)._run_python()
+    engine = _Engine(parking_model(), 7, HORIZON / 2, WARMUP)
+    result = engine._finalize(tally(engine, "_run_python"))
     park = {s.metric: s.value for s in result.samples
             if (s.station, s.job_class) == ("Park", "Loop")}
     # a Loop job that reaches Park stays there: none leaves, and between
@@ -300,51 +293,60 @@ def test_parking_model_parks_jobs_during_the_run():
     assert 0 < park["queue-length"] <= 4
 
 
-@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
-def test_gcc_on_path_means_the_compiled_loop_is_loaded():
-    # tier-1 must not quietly test only the fallback
-    assert kernel._loop is not None
-
-
-def test_build_failure_warns_once_and_falls_back(tmp_path, capsys, monkeypatch):
+def test_build_failure_raises_and_leaves_no_file(tmp_path, capsys):
     cache = tmp_path / "cache"
     missing = tmp_path / "no-such-cc"
-    assert kernel._build_loop(str(missing), cache) is None
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert "compiled event loop unavailable" in err[0]
-    assert "FileNotFoundError" in err[0] and str(missing) in err[0]
+    with pytest.raises(ImportError) as failed:
+        kernel._build_loop(str(missing), cache)
+    message = str(failed.value)
+    assert message.startswith("compiled event loop unavailable (FileNotFoundError: ")
+    assert str(missing) in message
+    assert capsys.readouterr().err == ""  # it raises; it does not warn
     assert list(cache.iterdir()) == []  # no half-written binary left behind
 
-    monkeypatch.setattr(kernel, "_loop", None)
-    frozen = json.loads(PIN.read_text(encoding="utf-8"))
-    for case in sorted(CASES):
-        assert pinned_samples(case) == frozen[case]
 
-
-def test_compiler_that_exits_1_warns_once_and_leaves_no_file(tmp_path, capsys):
+def test_compiler_that_exits_1_raises_and_leaves_no_file(tmp_path, capsys):
     # the compiler starts, writes part of its output and fails
     cc = tmp_path / "failing-cc"
     cc.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\n'
                   'echo partial > "$2"\necho "_loop.c:1: error: broken" >&2\nexit 1\n')
     cc.chmod(0o755)
     cache = tmp_path / "cache"
-    assert kernel._build_loop(str(cc), cache) is None
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert "compiled event loop unavailable" in err[0]
-    assert f"{cc} exited 1" in err[0] and "error: broken" in err[0]
+    with pytest.raises(ImportError) as failed:
+        kernel._build_loop(str(cc), cache)
+    message = str(failed.value)
+    assert message.startswith("compiled event loop unavailable (")
+    assert f"{cc} exited 1" in message and "error: broken" in message
+    assert capsys.readouterr().err == ""
     assert list(cache.iterdir()) == []
 
 
-def test_unloadable_cached_binary_warns_without_building(tmp_path, capsys):
+def test_unloadable_cached_binary_raises_without_building(tmp_path, capsys):
     # a cache hit never runs the compiler, so its failure is the load's
     cached = kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), tmp_path)
     cached.write_bytes(b"not a shared object")
-    assert kernel._build_loop(str(tmp_path / "no-such-cc"), tmp_path) is None
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "compiled event loop unavailable (ImportError: " in err[0]
+    with pytest.raises(ImportError, match=r"^compiled event loop unavailable \(ImportError: "):
+        kernel._build_loop(str(tmp_path / "no-such-cc"), tmp_path)
+    assert capsys.readouterr().err == ""
     assert sorted(tmp_path.iterdir()) == [cached]
+
+
+def test_cli_without_gcc_exits_1_naming_it(tmp_path):
+    # a copy of the package with no cached binary, run where no gcc is on
+    # PATH: the import of the engine fails, and with it the run
+    shutil.copytree(Path(kernel.__file__).parent, tmp_path / "qnaps",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PATH": str(tmp_path / "bin")}
+    config = tmp_path / "qnaps" / "configs" / "baseline.yaml"
+    done = subprocess.run(
+        [sys.executable, "-m", "qnaps.cli", "--config", str(config), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    last = done.stderr.strip().splitlines()[-1]
+    assert "compiled event loop unavailable" in last and "'gcc'" in last, last
+    assert not (tmp_path / "out").exists()
+    assert list((tmp_path / "qnaps" / "__pycache__").glob("_loop_*")) == []
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
@@ -352,7 +354,7 @@ def test_build_from_scratch_loads_and_replaces_older_binaries(tmp_path, capsys, 
     stale = tmp_path / f"_loop_0123456789abcdef{EXTENSION_SUFFIXES[0]}"
     stale.write_bytes(b"built from another source")
     module = kernel._build_loop("gcc", tmp_path)
-    assert module is not None and capsys.readouterr().err == ""
+    assert capsys.readouterr().err == ""
     built = kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), tmp_path)
     assert sorted(tmp_path.iterdir()) == [built]
     monkeypatch.setattr(kernel, "_loop", module)
@@ -364,8 +366,7 @@ def test_cache_name_follows_the_source_hash(tmp_path):
     name = kernel._loop_path(source, tmp_path).name
     assert kernel._loop_path(source, tmp_path).name == name
     assert kernel._loop_path(source + b"\n", tmp_path).name != name
-    if kernel._loop is not None:
-        assert kernel._loop.__file__.endswith(name)
+    assert kernel._loop.__file__.endswith(name)
 
 
 def test_micro_benchmark_still_collects():
@@ -391,15 +392,14 @@ def test_raising_a_start_index_skips_that_many_values(loop):
     m = 1000
     table.start[b] += m
     t, created = table.place_time[0], 0
-    for gap in kernel._fills().fill(table.specs[b], 1 + m, 4 * kernel._BLOCK).tolist():
+    for gap in kernel._loop.fill(table.specs[b], 1 + m, 4 * kernel._BLOCK).tolist():
         if t >= 2000.0:
             break
         created += 1
         t = t + gap
-    assert getattr(engine, TALLY[loop])()[1][0][0] == created > 1000
+    assert tally(engine, loop)[1][0][0] == created > 1000
 
 
-@compiled
 @pytest.mark.parametrize("name", ["wwi", "awty", "every_kind", "closed_cycle"])
 def test_compiled_loop_matches_the_python_loop_from_any_start(name):
     # every sampler started m values further on, a different m for each
@@ -407,7 +407,7 @@ def test_compiled_loop_matches_the_python_loop_from_any_start(name):
         engine = _Engine(MODELS[name], 1001, HORIZON / 2, WARMUP)
         for b in range(len(engine.table.start)):
             engine.table.start[b] += 4093 * b + 5
-        result = getattr(engine, loop)()
+        result = engine._finalize(tally(engine, loop))
         return [s.value.hex() for s in result.samples]
 
     assert outcome_from("run") == outcome_from("_run_python")
@@ -415,7 +415,6 @@ def test_compiled_loop_matches_the_python_loop_from_any_start(name):
         MODELS[name], 1001, HORIZON / 2, WARMUP).run().samples]
 
 
-@compiled
 def test_compiled_loop_calls_no_python_function():
     # a wwi replication, every sampler kind of its model made in C
     table = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP).table
@@ -434,7 +433,6 @@ def test_compiled_loop_calls_no_python_function():
     assert sum(row[0] for row in tally[1]) > 5000  # it ran: jobs were created
 
 
-@compiled
 @pytest.mark.parametrize("spec, error, match", [
     (("erlang", 1, 2), TypeError, r"fill\(\): \('erlang', 1, 2\) is not a sampler spec"),
     (("uniform", 1 << 64, 0, 0.0, 1.0), ValueError, r"has a key word outside \[0, 2\*\*64\)"),
@@ -518,7 +516,6 @@ def test_corrupt_cases_cover_every_table_array():
     assert arrays == set(kernel._Table._fields) - {"horizon", "warmup"}
 
 
-@compiled
 @pytest.mark.parametrize("case", sorted(CORRUPT))
 def test_compiled_loop_checks_its_table_on_entry(case):
     name, corrupt, error, match = CORRUPT[case]
@@ -530,7 +527,6 @@ def test_compiled_loop_checks_its_table_on_entry(case):
         kernel._loop.run(*bad)
 
 
-@compiled
 def test_compiled_loop_checks_for_signals():
     # the compiled loop makes every value in C, so no Python bytecode runs
     # inside it and only the loop's own check can deliver the signal;

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qnaps.antipatterns import AreWeThereYet, IsEverythingOk, TransformError, WhereWasI, apply
-from qnaps.kernel import _fills, _spec
+from qnaps.kernel import _loop, _spec
 from qnaps.model import (
     DELAY,
     FCFS,
@@ -42,7 +42,7 @@ def _stream(tag="d"):
 
 def _values(dist, name, n):
     """The first n values of dist's sampler on the stream called name."""
-    return _fills().fill(_spec(dist, name), 0, n).tolist()
+    return _loop.fill(_spec(dist, name), 0, n).tolist()
 
 
 def test_distribution_means():

@@ -1,5 +1,6 @@
 """Experiment runner and command line behavior."""
 
+import ast
 import csv
 import hashlib
 import importlib.util
@@ -499,11 +500,11 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # the CI quantile is computed in the standard library and SVG text is
     # escaped without xml.sax; a whole run, not only the import, must load
     # no scipy, xml.sax or urllib.request module, so a lazy import fails too.
-    # A serial run with the compiled loop already cached loads neither the
-    # pool nor the compiler tools.
-    heavy = ("scipy", "xml.sax", "urllib.request")
-    if kernel._loop is not None:  # the cached binary is there
-        heavy += ("concurrent.futures", "multiprocessing", "subprocess", "sysconfig")
+    # A serial run with the compiled loop already cached, as it is once
+    # this process has imported the kernel, loads neither the pool nor the
+    # compiler tools.
+    heavy = ("scipy", "xml.sax", "urllib.request",
+             "concurrent.futures", "multiprocessing", "subprocess", "sysconfig")
     cfg = _write_config(tmp_path / "tiny.yaml")
     probe = (
         "import sys, qnaps.cli\n"
@@ -521,9 +522,8 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
                     reason="this Python has no built-in SHA-256 module")
 def test_run_loads_neither_numpy_random_nor_openssl(tmp_path):
     # the extension draws the Philox words and SHA-256 is CPython's own,
-    # so a run holds neither numpy.random (2.5 MB) nor libcrypto (3.6 MB);
-    # without the extension the words come from numpy.random
-    heavy = ("_hashlib",) + (("numpy.random",) if kernel._loop is not None else ())
+    # so a run holds neither numpy.random (2.5 MB) nor libcrypto (3.6 MB)
+    heavy = ("_hashlib", "numpy.random")
     cfg = _write_config(tmp_path / "tiny.yaml")
     probe = (
         "import sys, qnaps.cli\n"
@@ -535,11 +535,9 @@ def test_run_loads_neither_numpy_random_nor_openssl(tmp_path):
     assert _child(probe) == "[]"
 
 
-@pytest.mark.skipif(kernel._loop is None, reason="compiled extension not available")
 def test_serial_run_never_imports_numpy(tmp_path):
     # the extension makes every block of samples, so neither the import
-    # nor a --jobs 1 run loads numpy (13 MB of a 32 MB run); without the
-    # extension its fallback takes its words from numpy's Philox
+    # nor a --jobs 1 run loads numpy (13 MB of a 32 MB run)
     cfg = _write_config(tmp_path / "tiny.yaml")
     probe = (
         "import sys, qnaps.cli\n"
@@ -549,6 +547,22 @@ def test_serial_run_never_imports_numpy(tmp_path):
         "print(imported, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     )
     assert _child(probe) == "False []"
+
+
+def test_no_product_module_imports_numpy():
+    # numpy is a test dependency only: no module of the package imports
+    # it, not even lazily, inside a function
+    imports = []
+    for path in sorted(Path(qnaps.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            imports += [(path.name, n) for n in names if n.split(".")[0] == "numpy"]
+    assert imports == []
 
 
 def test_run_loads_neither_dataclasses_nor_inspect(tmp_path):

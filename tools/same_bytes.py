@@ -8,11 +8,13 @@ Runs `python -m qnaps.cli --config <checkout>/src/qnaps/configs/NAME.yaml
 for every shipped config (or each NAME given) and every K, each into a
 fresh temporary directory. Then it compares every file the two sides
 wrote, byte for byte; a manifest is compared as JSON without its
-wall_clock_seconds. --python-loop runs both sides with the compiled
-extension set aside, so the Python loop and the Python fills write the
-bytes. Prints one line per run and exits 1 listing each file that
-differs, or is written on one side only; exits 2 when a run fails.
-Standard library only.
+wall_clock_seconds. --python-loop runs both sides on the Python loop and
+the Python fills, so no compiled code makes a value or runs the loop:
+tests/_reference.py stands in for the compiled extension, or, in an
+older checkout without that file, the kernel's own fallback, which it
+took when the extension was set aside. Prints one line per run and
+exits 1 listing each file that differs, or is written on one side only;
+exits 2 when a run fails. Standard library only.
 """
 from __future__ import annotations
 
@@ -24,8 +26,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-# runs the CLI as `python -m qnaps.cli` does, with the compiled loop unloaded
-_PYTHON_LOOP = "import qnaps.kernel as k; k._loop = None; from qnaps.cli import entry; entry()"
+# run the CLI as `python -m qnaps.cli` does, on tests/_reference.py in
+# place of the compiled extension, or, in an older checkout, with the
+# extension unloaded, so that the kernel falls back to its Python loop
+_REFERENCE_LOOP = ("import sys; sys.path.insert(0, 'tests'); import _reference, qnaps.kernel as k; "
+                   "k._loop = _reference; from qnaps.cli import entry; entry()")
+_FALLBACK_LOOP = "import qnaps.kernel as k; k._loop = None; from qnaps.cli import entry; entry()"
 
 
 def configs(checkout: Path) -> list[str]:
@@ -35,7 +41,10 @@ def configs(checkout: Path) -> list[str]:
 def run(checkout: Path, config: str, jobs: int, out: Path, python_loop: bool) -> dict[str, bytes]:
     """Every file one CLI run in checkout writes, by name."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    program = ["-c", _PYTHON_LOOP] if python_loop else ["-m", "qnaps.cli"]
+    program = ["-m", "qnaps.cli"]
+    if python_loop:
+        reference = (checkout / "tests/_reference.py").is_file()
+        program = ["-c", _REFERENCE_LOOP if reference else _FALLBACK_LOOP]
     args = [sys.executable, *program, "--config", str(checkout / f"src/qnaps/configs/{config}.yaml"),
             "--format", "all", "--jobs", str(jobs), "--out", str(out)]
     done = subprocess.run(args, env=env, cwd=checkout, capture_output=True, text=True)
@@ -68,7 +77,7 @@ def main(argv=None) -> int:
     p.add_argument("--jobs", type=int, nargs="+", default=[1, 2], metavar="K")
     p.add_argument("--config", nargs="+", metavar="NAME", help="default: every shipped config")
     p.add_argument("--python-loop", action="store_true",
-                   help="set the compiled extension aside on both sides")
+                   help="run both sides on the Python loop and fills")
     args = p.parse_args(argv)
     before, after = args.before.resolve(), args.after.resolve()
     for checkout in (before, after):
