@@ -20,8 +20,13 @@
    sweep walks, is the same. A sampler is its spec and the index of its
    next value; the loop refills a buffer of block_size values per
    sampler with fill_spec, so it calls no Python function and hands back
-   only the tally. The kernel module docstring has the build flags this
-   relies on.
+   only the tally. The loop runs without the GIL, so replications on
+   threads run in parallel: it takes the GIL back only for its signal
+   check and to raise its errors (PyGILState, which assumes the main
+   interpreter), and its jobs and calendar grow in the raw memory
+   domain, which needs no GIL. Reading the table, the closing sweep and
+   the tally hold the GIL. The kernel module docstring has the build
+   flags this relies on.
 
    fill(spec, first, n) is fill_spec from Python: values first .. first
    + n - 1 of a sampler. Its words are a stateless Philox4x64-10, so any
@@ -40,6 +45,14 @@ enum { KC_FCFS = 0, KC_DELAY = 1, KC_SOURCE = 2, KC_SINK = 3 };
 
 /* signals are checked once per this many events */
 #define SIGNAL_EVERY 4096
+
+/* stmt run with the GIL, which the loop runs without and Python's callers hold */
+#define WITH_GIL(stmt)                                 \
+    do {                                               \
+        PyGILState_STATE gil_ = PyGILState_Ensure();   \
+        stmt;                                          \
+        PyGILState_Release(gil_);                      \
+    } while (0)
 
 /* the arrays of a _Table, in its order between block_size and specs */
 enum {
@@ -177,9 +190,9 @@ job_new(Engine *E)
     } else {
         if (E->njobs == E->capjobs) {
             int cap = E->capjobs ? 2 * E->capjobs : 64;
-            Job *grown = PyMem_Realloc(E->jobs, (size_t)cap * sizeof(Job));
+            Job *grown = PyMem_RawRealloc(E->jobs, (size_t)cap * sizeof(Job));
             if (grown == NULL) {
-                PyErr_NoMemory();
+                WITH_GIL(PyErr_NoMemory());
                 return -1;
             }
             E->jobs = grown;
@@ -272,9 +285,9 @@ heap_push(Engine *E, double t, int job, int st)
 {
     if (E->hlen == E->hcap) {
         Py_ssize_t cap = E->hcap ? 2 * E->hcap : 64;
-        Event *grown = PyMem_Realloc(E->heap, (size_t)cap * sizeof(Event));
+        Event *grown = PyMem_RawRealloc(E->heap, (size_t)cap * sizeof(Event));
         if (grown == NULL) {
-            PyErr_NoMemory();
+            WITH_GIL(PyErr_NoMemory());
             return -1;
         }
         E->heap = grown;
@@ -529,8 +542,8 @@ fill_spec(const Spec *specs, int s, uint64_t first, Py_ssize_t n, double *v)
            scale or divided by it; with k = 1 the exponential. 1 - u is
            exact, so log(1 - u) is log1p(-u). */
         if (__builtin_mul_overflow(first + (uint64_t)n, (uint64_t)N->k, &end)) {
-            PyErr_Format(PyExc_ValueError, "no words for values %llu + [0, %zd) of %d each",
-                         (unsigned long long)first, n, N->k);
+            WITH_GIL(PyErr_Format(PyExc_ValueError, "no words for values %llu + [0, %zd) of %d each",
+                                  (unsigned long long)first, n, N->k));
             return -1;
         }
         words_at(&W, N->k0, N->k1, first * (uint64_t)N->k);
@@ -798,8 +811,8 @@ free_engine(Engine *E)
     PyMem_Free(E->specs.v);
     PyMem_Free(E->samplers);
     PyMem_Free(E->vals);
-    PyMem_Free(E->jobs);
-    PyMem_Free(E->heap);
+    PyMem_RawFree(E->jobs);
+    PyMem_RawFree(E->heap);
 }
 
 /* ------------------------------------------------------------------ */
@@ -845,8 +858,10 @@ run_loop(Engine *E)
         Py_ssize_t r;
 
         if (++tick == SIGNAL_EVERY) {
+            int rc;
+            WITH_GIL(rc = PyErr_CheckSignals());
             tick = 0;
-            if (PyErr_CheckSignals() < 0)
+            if (rc < 0)
                 return -1;
         }
         t = E->hlen ? E->heap[0].t : INFINITY;
@@ -946,7 +961,8 @@ run_loop(Engine *E)
             while (i < R->n && E->route_cum[R->first + i] < u)
                 i++;
             if (i == R->n) {
-                PyErr_Format(PyExc_IndexError, "route row %zd has no successor for class %d", r, ci);
+                WITH_GIL(PyErr_Format(PyExc_IndexError, "route row %zd has no successor for class %d",
+                                      r, ci));
                 return -1;
             }
             ns = E->route_to[R->first + i];
@@ -1120,9 +1136,15 @@ loop_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     memset(&E, 0, sizeof E);
     E.free = -1;
-    if (read_engine(&E, args) == 0 && run_loop(&E) == 0) {
-        sweep(&E);
-        result = tally(&E);
+    if (read_engine(&E, args) == 0) {
+        int rc;
+        Py_BEGIN_ALLOW_THREADS
+        rc = run_loop(&E);
+        Py_END_ALLOW_THREADS
+        if (rc == 0) {
+            sweep(&E);
+            result = tally(&E);
+        }
     }
     free_engine(&E);
     return result;

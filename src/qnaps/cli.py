@@ -12,7 +12,8 @@ explicitly when it is not is an error).
 
 Exit codes: 0 success, 1 the compiled event loop could not be built or
 loaded (the import of qnaps.kernel raises ImportError, which names the
-compiler's exit code and the tail of its stderr, or the load's error),
+compiler's exit code and the tail of its stderr, or the load's error;
+importing this module then prints it as one "qnaps:" line and exits),
 2 configuration problem (bad file, bad flag value, model that does not
 validate), 3 simulation deadlock, 4 internal invariant failure in the
 engine (population leak, flow imbalance).
@@ -20,9 +21,8 @@ engine (population leak, flow imbalance).
 Start-up: the cyclic collector is paused while the engine modules (and
 yaml with them) are imported, since every object they create lives for
 the whole process. The program entry, entry(), then freezes the heap,
-so neither the collector, nor the exit, nor a forked pool worker walks
-it again. Importing this module or calling main() leaves the collector
-on and nothing frozen.
+so neither the collector nor the exit walks it again. Importing this
+module or calling main() leaves the collector on and nothing frozen.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ try:
         # re-enabling would start a young collection over all of it
         gc.freeze()
         gc.unfreeze()
+except ImportError as exc:  # as when the compiled event loop cannot be built or loaded
+    sys.exit(f"qnaps: {exc}")
 finally:
     gc.enable()
 

@@ -72,7 +72,9 @@ heapq's sift algorithm keyed on (t, seq), so its array layout, and with
 it the closing sweep, is the same; and random values come only from the
 samplers, block_size of them to a fill: the Python loop takes them from
 the fill it is given, and the compiled loop from a buffer per sampler
-that it refills in C, so it calls no Python function. The extension is
+that it refills in C, so it calls no Python function. The compiled loop
+runs without the GIL, taking it back only for its signal check and its
+errors, so replications on threads run in parallel. The extension is
 built when this module is imported, with gcc -O2 -ffp-contract=off (no
 fused multiply-add, no -ffast-math; x86-64 does its double arithmetic in
 SSE2 registers), into src/qnaps/__pycache__ under a name keyed by the
@@ -125,9 +127,6 @@ class InvalidModelError(KernelError):
         self.diagnostics = list(diagnostics)
         super().__init__("invalid model: " + "; ".join(self.diagnostics))
 
-    def __reduce__(self):  # args holds the joined message, not diagnostics
-        return (type(self), (self.diagnostics,))
-
 
 class DeadlockError(KernelError):
     """No enabled event anywhere while closed classes still hold jobs."""
@@ -138,9 +137,6 @@ class DeadlockError(KernelError):
             "simulation deadlock: closed class(es) with no enabled event: "
             + ", ".join(self.class_names)
         )
-
-    def __reduce__(self):  # survive a trip through a worker process
-        return (type(self), (self.class_names,))
 
 
 def _key(name: str) -> tuple[int, int]:

@@ -16,14 +16,20 @@ Each sweep point's model was built and validated once, when the config
 was parsed; the run takes it from the config's points. The whole
 experiment is one flat grid of (point model x replication seed),
 point-major, over which kernel.run_replication is mapped: builtin map at
-one worker, one process pool's map otherwise, so no sweep point waits
-for the slowest replication of the one before it. A worker gets the
-pickled model and returns its replication's samples. Results come back
-in grid order and are folded in (point, replication) order, each point
+one worker, one thread pool's map otherwise, so no sweep point waits
+for the slowest replication of the one before it. The compiled loop
+runs without the GIL, so the threads' replications run in parallel; they
+share each point's model, which nothing mutates. Results come back in
+grid order and are folded in (point, replication) order, each point
 reduced and announced as its last replication arrives, so the worker
 count never changes any number. The first failing replication stops the
 run: the pool's map cancels every replication not yet handed to a
-worker.
+worker, and the run returns once those in flight have ended.
+
+An interrupt (SIGINT) reaches the main thread only, as KeyboardInterrupt,
+which stops the run the same way: the pending replications are
+cancelled, and each one already on a worker thread runs to its end,
+since no signal reaches a worker thread.
 """
 
 from __future__ import annotations
@@ -96,9 +102,9 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
     per_point = []
     try:
         if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor  # a serial run never loads the pool
+            from concurrent.futures import ThreadPoolExecutor  # a serial run never loads the pool
 
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(seeds)))
+            pool = ThreadPoolExecutor(max_workers=min(jobs, len(seeds)))
             results = pool.map(run_replication, *grid)
         else:
             results = map(run_replication, *grid)

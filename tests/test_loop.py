@@ -19,7 +19,8 @@ cell with no completion has no response time.
 The remaining tests cover the extension's build and its failure, which
 stops the import and so a CLI run, the samplers' start indices, the
 checks the compiled loop makes on its table and its specs, that it calls
-no Python function, signals crossing the C boundary, and the
+no Python function, that it runs without the GIL and raises its mid-run
+errors alike on any thread, signals crossing the C boundary, and the
 micro-benchmark in bench/, which must still import.
 """
 
@@ -30,8 +31,10 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -343,8 +346,9 @@ def test_cli_without_gcc_exits_1_naming_it(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 1, done.stdout + done.stderr
-    last = done.stderr.strip().splitlines()[-1]
-    assert "compiled event loop unavailable" in last and "'gcc'" in last, last
+    # one line, the CLI's, with no traceback before it
+    [line] = done.stderr.strip().splitlines()
+    assert line.startswith("qnaps: compiled event loop unavailable (") and "'gcc'" in line, line
     assert not (tmp_path / "out").exists()
     assert list((tmp_path / "qnaps" / "__pycache__").glob("_loop_*")) == []
 
@@ -514,6 +518,67 @@ CORRUPT = {
 def test_corrupt_cases_cover_every_table_array():
     arrays = {case.split("/")[0] for case in CORRUPT}
     assert arrays == set(kernel._Table._fields) - {"horizon", "warmup"}
+
+
+def test_compiled_loop_runs_without_the_gil():
+    # a wwi replication on a thread while this one sleeps 1 ms at a time:
+    # were the GIL held for the whole loop, one of this thread's waits
+    # would last about as long as the replication
+    table = _Engine(MODELS["wwi"], 73003, 4e6, WARMUP).table
+    t0 = time.perf_counter()
+    kernel._loop.run(*table)
+    one_rep = time.perf_counter() - t0
+    worker = threading.Thread(target=kernel._loop.run, args=table)
+    longest = 0.0
+    last = time.perf_counter()
+    worker.start()
+    while worker.is_alive():
+        time.sleep(0.001)
+        now = time.perf_counter()
+        longest, last = max(longest, now - last), now
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert longest < one_rep / 4, (longest, one_rep)
+
+
+def no_successor(t):
+    # route row 5 of wwi, Actors leaving the Controller, with every
+    # cumulative probability below any uniform
+    cum = array("d", t.route_cum)
+    for i in range(t.route_ptr[5], t.route_ptr[6]):
+        cum[i] = -1.0
+    return t._replace(route_cum=cum)
+
+
+def no_words(t):
+    # that cell's service sampler an Erlang-2 whose first refill, from the
+    # last int64 index on, would need words past 2**64
+    b = t.sampler[5]
+    return t._replace(specs=replaced(t.specs, b, ("erlang", 1, 2, 2, 1.0, False)),
+                      start=changed(t.start, b, 2**63 - 1))
+
+
+# tables the compiled loop fails on mid-run, where it runs without the
+# GIL, and the error it raises; they pass the checks on entry
+MID_RUN = {
+    "route": (no_successor, IndexError, "route row 5 has no successor for class 1"),
+    "words": (no_words, ValueError,
+              "no words for values 9223372036854775807 + [0, 4096) of 2 each"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MID_RUN))
+def test_mid_run_errors_are_the_same_on_any_thread(case):
+    # raised with the GIL taken back: once on this thread, then twice at
+    # once on two worker threads
+    corrupt, error, message = MID_RUN[case]
+    bad = corrupt(_Engine(MODELS["wwi"], 73003, HORIZON, WARMUP).table)
+    with pytest.raises(error) as here:
+        kernel._loop.run(*bad)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(kernel._loop.run, *bad) for _ in range(2)]
+        failed = [run.exception(timeout=60) for run in runs]
+    assert [(type(e), str(e)) for e in (here.value, *failed)] == [(error, message)] * 3
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPT))

@@ -8,9 +8,11 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -91,6 +93,27 @@ def test_worker_count_never_changes_results(tmp_path):
     run_experiment(cfg, out_dir=tmp_path / "serial", jobs=1)
     run_experiment(cfg, out_dir=tmp_path / "parallel", jobs=3)
     assert (tmp_path / "serial/tiny.csv").read_bytes() == (tmp_path / "parallel/tiny.csv").read_bytes()
+
+
+def test_more_threads_than_cores_switching_often_write_the_serial_bytes(tmp_path):
+    # the worker threads share each point's model: with more threads than
+    # cores and the interpreter switching threads every microsecond, a
+    # replication that wrote to shared state would move a byte
+    cfg = load_config(_write_config(
+        tmp_path / "grid.yaml",
+        experiment="grid",
+        sweep={"parameter": "model.params.arrival_rate", "values": [0.02, 0.05]},
+        run={"replications": 4, "seed": 5, "horizon_msec": 2000.0, "warmup_msec": 200.0},
+    ))
+    run_experiment(cfg, out_dir=tmp_path / "serial", jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_experiment(cfg, out_dir=tmp_path / "threads", jobs=2 * (os.cpu_count() or 1) + 1)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in ("grid.csv", "grid_table.txt"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "threads" / name).read_bytes()
 
 
 def test_flat_grid_matches_serial_bytes_and_reports_points_in_order(tmp_path):
@@ -302,6 +325,39 @@ def test_cli_parallel_sweep_deadlock_exits_3_without_running_the_grid(tmp_path, 
     assert "deadlock" in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())  # nothing partial
     assert elapsed < (reps / 4) * one_rep, (elapsed, one_rep)
+
+
+def test_cli_parallel_run_interrupted_stops_after_the_replications_in_flight(tmp_path):
+    # SIGINT reaches the main thread only: the pending replications are
+    # cancelled and each one on a worker thread runs to its end, so the
+    # run exits within about one replication of the signal, and killed by
+    # it, having written nothing. A replication is timed as the child runs
+    # it, two at once.
+    wwi = Path(qnaps.__file__).parent / "configs" / "wwi.yaml"
+    horizon = 1e7
+    cfg = load_config(wwi)
+    t0 = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(run_replication, [cfg.points[0].model] * 2, [cfg.seed, cfg.seed ^ 1],
+                      [horizon] * 2, [cfg.warmup] * 2))
+    one_rep = time.perf_counter() - t0
+
+    out = tmp_path / "o"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qnaps.cli", "--config", str(wwi), "--horizon", str(horizon),
+         "--replications", "4", "--jobs", "2", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    time.sleep(0.3 + one_rep / 2)  # start-up, then half way through the first replications
+    child.send_signal(signal.SIGINT)
+    t0 = time.perf_counter()
+    _, err = child.communicate(timeout=60)
+    after = time.perf_counter() - t0
+    assert child.returncode == -signal.SIGINT, err
+    assert b"KeyboardInterrupt" in err
+    assert not out.exists() or not list(out.iterdir())
+    assert after < 1.25 * one_rep, (after, one_rep)
 
 
 def test_cli_open_class_with_no_way_out_exits_2(tmp_path, capsys):
@@ -563,6 +619,22 @@ def test_no_product_module_imports_numpy():
                 continue
             imports += [(path.name, n) for n in names if n.split(".")[0] == "numpy"]
     assert imports == []
+
+
+def test_parallel_run_loads_no_process_machinery(tmp_path):
+    # replications run on threads of the one process: a --jobs 2 run
+    # starts no worker process and pickles nothing
+    heavy = ("multiprocessing", "pickle", "_pickle", "concurrent.futures.process")
+    cfg = _write_config(tmp_path / "tiny.yaml")
+    probe = (
+        "import sys, qnaps.cli\n"
+        f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r},"
+        " '--jobs', '2']) == 0\n"
+        f"print(sorted(m for m in sys.modules for heavy in {heavy!r}"
+        " if m == heavy or m.startswith(heavy + '.')))"
+    )
+    assert _child(probe) == "[]"
+    assert (tmp_path / "o" / "tiny.csv").exists()
 
 
 def test_run_loads_neither_dataclasses_nor_inspect(tmp_path):
