@@ -7,7 +7,7 @@ flush) and the default sensor net of table6_validation. Build and loop
 are timed together because the loop draws the external arrivals as it
 takes them, work that an engine which pre-drew them did in its build;
 only the sum compares across the two designs. Each model runs on both
-loops, ``_Engine.run`` (compiled) and ``run`` of ``tests/_reference.py``
+loops, ``_loop.run`` (compiled) and ``run`` of ``tests/_reference.py``
 on the extension's fill, so one run gives the speed-up of the compiled
 loop on one machine. A second
 case times the samplers alone: fill(spec, first, _BLOCK) of the spec of
@@ -39,7 +39,7 @@ from pathlib import Path
 import pytest
 
 from qnaps.config import build_model_from_config, parse_antipattern, parse_model
-from qnaps.kernel import _BLOCK, _U01, _arrival_spec, _Engine, _loop, _spec
+from qnaps.kernel import _BLOCK, _U01, _arrival_spec, _build, _finalize, _loop, _spec
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 from qnaps.stats import ConfidenceInterval, MetricSample
 
@@ -72,10 +72,9 @@ def test_engine_run(benchmark, name, loop):
     net = build_model_from_config(parse_model(model_section), antipattern)
 
     def build_and_run():
-        engine = _Engine(net, seed, HORIZON, WARMUP)
-        if loop == "run":
-            return engine.run()
-        return engine._finalize(_reference.run(*engine.table, fill=_loop.fill))
+        table = _build(net, seed, HORIZON, WARMUP)
+        run = _loop.run if loop == "run" else partial(_reference.run, fill=_loop.fill)
+        return _finalize(net, seed, table, run(*table))
 
     result = benchmark.pedantic(build_and_run, rounds=10, warmup_rounds=1)
     assert result.samples

@@ -1,7 +1,6 @@
-/* Compiled event loop of qnaps.kernel._Engine, and the fill of its
-   samplers.
+/* Compiled event loop of qnaps.kernel, and the fill of its samplers.
 
-   run(*table) runs one replication on the _Table that _Engine._build
+   run(*table) runs one replication on the _Table that kernel._build
    makes, passed field by field. It copies the table's arrays and reads
    its specs, one per sampler, into C structs, checking each once, on
    entry, for its format, its length and the range of every index in it,
@@ -11,7 +10,10 @@
    gaps and whose route row is its entry; the other placements are the
    closed populations. An arrival at t draws the next gap, and the next
    arrival is t + gap. It runs to the horizon, closes out the jobs still
-   alive and returns the tally _Engine._finalize reads.
+   alive and returns the tally kernel._finalize reads. Each accounting
+   rule is one helper: inside (the part of an interval in the window),
+   complete (a response or cycle) and start_service (at an fcfs station);
+   tests/_reference.py writes them out where they are used.
 
    It is run of tests/_reference.py, its specification, statement for
    statement: every float operation keeps that loop's order and
@@ -833,6 +835,36 @@ draw(Engine *E, int b, double *out)
     return 0;
 }
 
+/* the part of [x, t) inside the window, which starts at warm */
+static inline double
+inside(double x, double t, double warm)
+{
+    return t - (x > warm ? x : warm);
+}
+
+/* a response (open class) or a cycle (closed class) that began at e
+   completes at t: recorded when t is inside the window */
+static inline void
+complete(Class *C, double e, double t, double warm)
+{
+    if (t > warm) {
+        C->rsum += t - e;
+        C->rcnt += 1;
+        C->larea += inside(e, t, warm);
+    }
+}
+
+/* job j starts service at fcfs station s at t */
+static int
+start_service(Engine *E, int s, int j, double t)
+{
+    double sv;
+    E->busy[s] += 1;
+    E->jobs[j].sstart = t;
+    return draw(E, E->sampler[AT(E, s, E->jobs[j].ci)], &sv) < 0
+        || heap_push(E, t + sv, j, s) < 0 ? -1 : 0;
+}
+
 /* the class with the earliest next arrival, the lowest index on a tie */
 static int
 earliest_arrival(const Engine *E)
@@ -893,59 +925,33 @@ run_loop(Engine *E)
             j = ev.job;
             ci = J->ci;
             r = AT(E, s, ci);
-            if (E->kind[s] == KC_FCFS) {
-                /* service completes at an fcfs station */
-                if (t > warm) {
-                    Cell *cell = &E->cells[r];
-                    double a = J->arrived;
-                    double d = t - a;
-                    cell->ssum += d;
-                    cell->scnt += 1;
-                    cell->area += a > warm ? d : t - warm;
-                    double ss = J->sstart;
-                    cell->barea += ss > warm ? t - ss : t - warm;
-                }
+            /* service completes at an fcfs station, or a delay timer fires */
+            int fcfs = E->kind[s] == KC_FCFS;
+            if (t > warm) {
+                Cell *cell = &E->cells[r];
+                double a = J->arrived;
+                cell->ssum += t - a;
+                cell->scnt += 1;
+                cell->area += inside(a, t, warm);
+                if (fcfs)
+                    cell->barea += inside(J->sstart, t, warm);
+            }
+            if (fcfs) {
                 E->busy[s] -= 1;
-                if (E->queue[s].len) {
-                    int nj = list_popleft(E, &E->queue[s]);
-                    double sv;
-                    E->busy[s] += 1;
-                    E->jobs[nj].sstart = t;
-                    if (draw(E, E->sampler[AT(E, s, E->jobs[nj].ci)], &sv) < 0
-                        || heap_push(E, t + sv, nj, s) < 0)
-                        return -1;
-                }
+                if (E->queue[s].len && start_service(E, s, list_popleft(E, &E->queue[s]), t) < 0)
+                    return -1;
                 for (int k = E->flush_ptr[r]; k < E->flush_ptr[r + 1]; k++) {
                     Class *W = &E->cl[E->flush_cls[k]];
-                    if (W->pending.len) {
-                        if (t > warm) {
-                            for (int p = W->pending.head; p >= 0; p = E->jobs[p].next) {
-                                double e = E->jobs[p].entered;
-                                W->rsum += t - e;
-                                W->larea += e > warm ? t - e : t - warm;
-                            }
-                            W->rcnt += W->pending.len;
-                        }
-                        while (W->pending.len)
-                            job_free(E, list_popleft(E, &W->pending));
+                    while (W->pending.len) {
+                        int p = list_popleft(E, &W->pending);
+                        complete(W, E->jobs[p].entered, t, warm);
+                        job_free(E, p);
                     }
                 }
-                if (E->reference[ci] == s)
-                    /* leaving the reference station opens a cycle */
-                    E->jobs[j].entered = t;
-            } else {
-                /* delay timer fires */
-                if (t > warm) {
-                    Cell *cell = &E->cells[r];
-                    double a = J->arrived;
-                    double d = t - a;
-                    cell->ssum += d;
-                    cell->scnt += 1;
-                    cell->area += a > warm ? d : t - warm;
-                }
-                if (E->reference[ci] == s)
-                    J->entered = t;
             }
+            if (E->reference[ci] == s)
+                /* leaving the reference station opens a cycle */
+                J->entered = t;
         }
 
         /* route the arriving or departing job to its next station: the
@@ -973,12 +979,7 @@ run_loop(Engine *E)
             Class *C = &E->cl[ci];
             C->sunk += 1;
             if (!C->watched) {
-                if (t > warm) {
-                    double e = J->entered;
-                    C->rsum += t - e;
-                    C->rcnt += 1;
-                    C->larea += e > warm ? t - e : t - warm;
-                }
+                complete(C, J->entered, t, warm);
                 job_free(E, j);
             } else {
                 /* watched job: physically done, logically in the system
@@ -988,16 +989,9 @@ run_loop(Engine *E)
             continue;
         }
 
-        if (E->reference[ci] == ns && J->entered >= 0.0) {
+        if (E->reference[ci] == ns && J->entered >= 0.0)
             /* a cycle closes on return to the reference station */
-            Class *C = &E->cl[ci];
-            if (t > warm) {
-                double e = J->entered;
-                C->rsum += t - e;
-                C->rcnt += 1;
-                C->larea += e > warm ? t - e : t - warm;
-            }
-        }
+            complete(&E->cl[ci], J->entered, t, warm);
 
         Py_ssize_t k = AT(E, ns, ci);
         Cell *cell = &E->cells[k];
@@ -1008,18 +1002,14 @@ run_loop(Engine *E)
                 C->dropped += 1;
                 if (t > warm) {
                     cell->drops += 1;
-                    double e = J->entered;
-                    C->larea += e > warm ? t - e : t - warm;
+                    C->larea += inside(J->entered, t, warm);
                 }
                 job_free(E, j);
                 continue;
             }
             J->arrived = t;
             if (E->busy[ns] < E->servers[ns]) {
-                double sv;
-                E->busy[ns] += 1;
-                J->sstart = t;
-                if (draw(E, E->sampler[k], &sv) < 0 || heap_push(E, t + sv, j, ns) < 0)
+                if (start_service(E, ns, j, t) < 0)
                     return -1;
             } else {
                 list_append(E, &E->queue[ns], j);
@@ -1053,21 +1043,12 @@ close_out(Engine *E, int j, int s, int in_service)
     Class *C = &E->cl[ci];
     C->live += 1;
     Cell *cell = &E->cells[AT(E, s, ci)];
-    double a = J->arrived;
-    cell->area += horizon - (a > warm ? a : warm);
-    if (in_service) {
-        double ss = J->sstart;
-        cell->barea += horizon - (ss > warm ? ss : warm);
-    }
-    if (E->reference[ci] >= 0) {
-        if (s != E->reference[ci] && J->entered >= 0.0) {
-            double e = J->entered;
-            C->larea += horizon - (e > warm ? e : warm);
-        }
-    } else {
-        double e = J->entered;
-        C->larea += horizon - (e > warm ? e : warm);
-    }
+    cell->area += inside(J->arrived, horizon, warm);
+    if (in_service)
+        cell->barea += inside(J->sstart, horizon, warm);
+    /* a closed job's cycle is open unless it sits at its reference station */
+    if (E->reference[ci] < 0 || (s != E->reference[ci] && J->entered >= 0.0))
+        C->larea += inside(J->entered, horizon, warm);
 }
 
 static void
@@ -1089,10 +1070,8 @@ sweep(Engine *E)
     }
     for (int c = 0; c < E->ncl; c++) {
         Class *C = &E->cl[c];
-        for (int j = C->pending.len ? C->pending.head : -1; j >= 0; j = E->jobs[j].next) {
-            double e = E->jobs[j].entered;
-            C->larea += horizon - (e > warm ? e : warm);
-        }
+        for (int j = C->pending.len ? C->pending.head : -1; j >= 0; j = E->jobs[j].next)
+            C->larea += inside(E->jobs[j].entered, horizon, warm);
     }
 }
 
@@ -1255,7 +1234,7 @@ static PyMethodDef loop_methods[] = {
 
 static struct PyModuleDef loop_module = {
     PyModuleDef_HEAD_INIT, "_loop",
-    "Compiled event loop of qnaps.kernel._Engine and the fill of its samplers.", -1,
+    "Compiled event loop of qnaps.kernel and the fill of its samplers.", -1,
     loop_methods,
 };
 

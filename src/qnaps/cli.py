@@ -16,7 +16,9 @@ compiler's exit code and the tail of its stderr, or the load's error;
 importing this module then prints it as one "qnaps:" line and exits),
 2 configuration problem (bad file, bad flag value, model that does not
 validate), 3 simulation deadlock, 4 internal invariant failure in the
-engine (population leak, flow imbalance).
+engine (population leak, flow imbalance). A run whose stdout reader goes
+away (qnaps ... | head -1) writes its files and exits as usual, its
+progress lines going to os.devnull from then on.
 
 Start-up: the cyclic collector is paused while the engine modules (and
 yaml with them) are imported, since every object they create lives for
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 gc.disable()
@@ -68,6 +71,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _echo(line: str) -> None:
+    """Print line, flushed; once stdout's reader is gone, stdout is
+    os.devnull (the signal module docs' "Note on SIGPIPE")."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -88,9 +101,9 @@ def main(argv=None) -> int:
         )
         # run.jobs was checked at parse
         jobs = (cfg.jobs or 1) if args.jobs is None else _worker_count(args.jobs, "--jobs")
-        written = run_experiment(cfg, out_dir=args.out, jobs=jobs, echo=print)
+        written = run_experiment(cfg, out_dir=args.out, jobs=jobs, echo=_echo)
         for path in written:
-            print(f"wrote {path}")
+            _echo(f"wrote {path}")
         return EXIT_OK
     except (ConfigError, InvalidModelError) as exc:
         print(f"qnaps: config error: {exc}", file=sys.stderr)

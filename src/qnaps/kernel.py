@@ -49,41 +49,42 @@ completion leave through the same routing step: sink, cycle close,
 finite-capacity drop, then fcfs or delay entry. Arrivals never touch the
 calendar or its sequence numbers.
 
-_Engine._build is the one place that decides the engine's layout: it
-samples what is needed before the run (each open class's first gap,
-which is its first arrival time, and the closed populations' t = 0 think
-and service times), each sampler with one fill of exactly the values it
-places, and emits a flat, index-based _Table of int32 and float64 arrays
-(per station, per (station, class) cell with one route row each in CSR
-form, detection flush lists, per class its reference station, closed
-classes only, and the t = 0 placements: the first arrivals at the
-sources, then the closed populations) plus the spec of every sampler
-(specs) and the index of its next value (start), the values _build did
-not place. A class is watched when a flush list names it. The loop runs
-on that table and returns its tally, per cell and per class, which
-_Engine._finalize turns into samples. _Engine.run is one C extension,
-_loop.c, which copies the table's arrays and reads its specs into C
-structs, checking each once, on entry. tests/_reference.py has the same
-loop in Python, the executable specification the tests compare the
-compiled loop against bit for bit. The two share this contract: they
-replay the placements in the same order, every float operation is done
-in the same order and grouping; the calendar is a binary heap with
-heapq's sift algorithm keyed on (t, seq), so its array layout, and with
-it the closing sweep, is the same; and random values come only from the
-samplers, block_size of them to a fill: the Python loop takes them from
-the fill it is given, and the compiled loop from a buffer per sampler
-that it refills in C, so it calls no Python function. The compiled loop
-runs without the GIL, taking it back only for its signal check and its
-errors, so replications on threads run in parallel. The extension is
-built when this module is imported, with gcc -O2 -ffp-contract=off (no
-fused multiply-add, no -ffast-math; x86-64 does its double arithmetic in
-SSE2 registers), into src/qnaps/__pycache__ under a name keyed by the
-sha256 of _loop.c and the flags, so an edited source never loads an old
-binary. gcc runs, and subprocess and sysconfig are imported, only when
-no cached binary exists; otherwise the import just loads the cached
-file. If it cannot be built or loaded, the import raises ImportError
-with the compiler's exit code and the tail of its stderr, or the load's
-error: gcc and the Python headers are required.
+A replication is build, loop, finalize (run_replication). _build is the
+one place that decides the engine's layout: it samples what is needed
+before the run (each open class's first gap, which is its first arrival
+time, and the closed populations' t = 0 think and service times), each
+sampler with one fill of exactly the values it places, and emits a flat,
+index-based _Table of int32 and float64 arrays (per station, per
+(station, class) cell with one route row each in CSR form, detection
+flush lists, per class its reference station, closed classes only, and
+the t = 0 placements: the first arrivals at the sources, then the closed
+populations) plus the spec of every sampler (specs) and the index of its
+next value (start), the values _build did not place. A class is watched
+when a flush list names it. The loop, _loop.run(*table), runs on that
+table and returns its tally, per cell and per class, which _finalize
+turns into samples. The loop is one C extension, _loop.c, which copies
+the table's arrays and reads its specs into C structs, checking each
+once, on entry. tests/_reference.py has the same loop in Python, the
+executable specification the tests compare the compiled loop against bit
+for bit. The two share this contract: they replay the placements in the
+same order, every float operation is done in the same order and
+grouping; the calendar is a binary heap with heapq's sift algorithm
+keyed on (t, seq), so its array layout, and with it the closing sweep,
+is the same; and random values come only from the samplers, block_size
+of them to a fill: the Python loop takes them from the fill it is given,
+and the compiled loop from a buffer per sampler that it refills in C, so
+it calls no Python function. The compiled loop runs without the GIL,
+taking it back only for its signal check and its errors, so replications
+on threads run in parallel. The extension is built when this module is
+imported, with gcc -O2 -ffp-contract=off (no fused multiply-add, no
+-ffast-math; x86-64 does its double arithmetic in SSE2 registers), into
+src/qnaps/__pycache__ under a name keyed by the sha256 of _loop.c and
+the flags, so an edited source never loads an old binary. gcc runs, and
+subprocess and sysconfig are imported, only when no cached binary
+exists; otherwise the import just loads the cached file. If it cannot be
+built or loaded, the import raises ImportError with the compiler's exit
+code and the tail of its stderr, or the load's error: gcc and the Python
+headers are required.
 """
 from __future__ import annotations
 
@@ -158,12 +159,12 @@ _KC = {FCFS: _KC_FCFS, DELAY: _KC_DELAY, SOURCE: _KC_SOURCE, SINK: _KC_SINK}
 
 
 class _Table(NamedTuple):
-    """The engine's layout, decided by _Engine._build and read by the
-    loop. Stations and classes are numbered in model order; a cell is a
-    (station, class) pair, numbered s * nclasses + c. Index tables are
-    array('i') (int32), times and probabilities array('d'); a sampler is
-    an index into start and specs, and -1 means none. The compiled loop
-    takes the fields in this order."""
+    """The engine's layout, decided by _build and read by the loop. Stations
+    and classes are numbered in model order; a cell is a (station,
+    class) pair, numbered s * nclasses + c. Index tables are array('i')
+    (int32), times and probabilities array('d'); a sampler is an index
+    into start and specs, and -1 means none. The compiled loop takes the
+    fields in this order."""
 
     horizon: float
     warmup: float
@@ -231,193 +232,178 @@ def _arrival_spec(dist, name: str) -> tuple:
     return _spec(dist, name)
 
 
-class _Engine:
-    """One replication. _build decides the layout the loop runs on, the
-    _Table; the loop returns its tally, which _finalize turns into samples.
-    The tally is (cells, classes): per cell, (area, barea, ssum, scnt,
-    drops), the integrals of the job count and of busy servers, the sum
-    and count of station sojourns inside the window and the drops; per
-    class, (created, sunk, dropped, live, rsum, rcnt, larea), its flow
-    counts, the jobs alive at the horizon, the sum and count of system
-    response (open) or cycle (closed) times and the integral of the
-    in-system job count."""
+def _build(model: NetworkModel, seed: int, horizon: float, warmup: float) -> _Table:
+    """The _Table the loop runs one replication of model on."""
+    seed = int(seed)
+    stations, classes = model.stations, model.classes
+    sidx = {s.name: i for i, s in enumerate(stations)}
+    cidx = {jc.name: i for i, jc in enumerate(classes)}
+    ncl = len(classes)
+    fill = _loop.fill
+    specs, start = [], []
 
-    def __init__(self, model: NetworkModel, seed: int, horizon: float, warmup: float):
-        self.model = model
-        self.seed = seed
-        self.table = self._build(float(horizon), float(warmup))
+    def index(spec):
+        specs.append(spec)
+        start.append(0)
+        return len(specs) - 1
 
-    def _build(self, horizon: float, warmup: float) -> _Table:
-        model = self.model
-        seed = int(self.seed)
-        stations, classes = model.stations, model.classes
-        sidx = {s.name: i for i, s in enumerate(stations)}
-        cidx = {jc.name: i for i, jc in enumerate(classes)}
-        ncl = len(classes)
-        fill = _loop.fill
-        specs, start = [], []
+    kind = [_KC[s.kind] for s in stations]
+    sampler = [-1] * (len(stations) * ncl)
+    for s, st in enumerate(stations):
+        if kind[s] in (_KC_FCFS, _KC_DELAY):
+            for cname, dist in st.service.items():
+                name = f"{seed}|{st.name}|{cname}|service"
+                sampler[s * ncl + cidx[cname]] = index(_spec(dist, name))
 
-        def index(spec):
-            specs.append(spec)
-            start.append(0)
-            return len(specs) - 1
+    # each open class's first arrival at its source, then the closed
+    # populations at their reference stations at t = 0
+    place = []
+    reference = [-1] * ncl
+    flush = [[] for _ in sampler]
+    for c, jc in enumerate(classes):
+        home = _class_start(model, jc)
+        if jc.kind == "closed":
+            reference[c] = sidx[home]
+        elif home is not None:
+            s = sidx[home]
+            gaps = _arrival_spec(jc.arrival, f"{seed}|{home}|{jc.name}|arrival")
+            b = sampler[s * ncl + c] = index(gaps)
+            start[b] = 1
+            place.append((s, c, fill(gaps, 0, 1)[0]))
+        watcher = model.detection.get(jc.name)
+        if watcher is not None:
+            flush[sidx[watcher[1]] * ncl + cidx[watcher[0]]].append(c)
 
-        kind = [_KC[s.kind] for s in stations]
-        sampler = [-1] * (len(stations) * ncl)
-        for s, st in enumerate(stations):
-            if kind[s] in (_KC_FCFS, _KC_DELAY):
-                for cname, dist in st.service.items():
-                    name = f"{seed}|{st.name}|{cname}|service"
-                    sampler[s * ncl + cidx[cname]] = index(_spec(dist, name))
+    # route rows: a served cell's class leaving its station, a source
+    # cell's entering the network; every other row is empty
+    route_ptr, route_to, route_cum, route_sampler = [0], [], [], []
+    for k, b in enumerate(sampler):
+        row = classes[k % ncl].name, stations[k // ncl].name
+        targets = model.routing.successors(*row) if b >= 0 else None
+        u01 = -1
+        if targets:
+            acc = 0.0
+            for to, p in targets:
+                acc += p
+                route_to.append(sidx[to])
+                route_cum.append(acc)
+            route_cum[-1] = 1.0 + 1e-12  # guard against float dust on the last edge
+            if len(targets) > 1:
+                u01 = index(_spec(_U01, f"{seed}|{row[1]}|{row[0]}|routing"))
+        route_sampler.append(u01)
+        route_ptr.append(len(route_to))
 
-        # each open class's first arrival at its source, then the closed
-        # populations at their reference stations at t = 0
-        place = []
-        reference = [-1] * ncl
-        flush = [[] for _ in sampler]
-        for c, jc in enumerate(classes):
-            home = _class_start(model, jc)
-            if jc.kind == "closed":
-                reference[c] = sidx[home]
-            elif home is not None:
-                s = sidx[home]
-                gaps = _arrival_spec(jc.arrival, f"{seed}|{home}|{jc.name}|arrival")
-                b = sampler[s * ncl + c] = index(gaps)
-                start[b] = 1
-                place.append((s, c, fill(gaps, 0, 1)[0]))
-            watcher = model.detection.get(jc.name)
-            if watcher is not None:
-                flush[sidx[watcher[1]] * ncl + cidx[watcher[0]]].append(c)
+    # the closed populations' jobs in order: at a delay each thinks for
+    # a random phase of its first think time, which desynchronizes
+    # cycles; at an fcfs station the first fill its free servers and
+    # the rest queue. The sampler starts after the m values placed.
+    busy = [0] * len(stations)
+    for c, jc in enumerate(classes):
+        if jc.kind != "closed":
+            continue
+        s = reference[c]
+        b = sampler[s * ncl + c]
+        n = jc.population
+        m = start[b] = n if kind[s] == _KC_DELAY else min(n, stations[s].servers - busy[s])
+        times = fill(specs[b], 0, m).tolist()
+        if kind[s] == _KC_DELAY:
+            phase = fill(_spec(_U01, f"{seed}|{jc.reference}|{jc.name}|init"), 0, n).tolist()
+            times = [u * think if think < _INF else _INF for u, think in zip(phase, times)]
+        else:
+            busy[s] += m
+        place.extend((s, c, t) for t in times + [_INF] * (n - m))
 
-        # route rows: a served cell's class leaving its station, a source
-        # cell's entering the network; every other row is empty
-        route_ptr, route_to, route_cum, route_sampler = [0], [], [], []
-        for k, b in enumerate(sampler):
-            row = classes[k % ncl].name, stations[k // ncl].name
-            targets = model.routing.successors(*row) if b >= 0 else None
-            u01 = -1
-            if targets:
-                acc = 0.0
-                for to, p in targets:
-                    acc += p
-                    route_to.append(sidx[to])
-                    route_cum.append(acc)
-                route_cum[-1] = 1.0 + 1e-12  # guard against float dust on the last edge
-                if len(targets) > 1:
-                    u01 = index(_spec(_U01, f"{seed}|{row[1]}|{row[0]}|routing"))
-            route_sampler.append(u01)
-            route_ptr.append(len(route_to))
+    def ints(values):
+        return array("i", values)
 
-        # the closed populations' jobs in order: at a delay each thinks for
-        # a random phase of its first think time, which desynchronizes
-        # cycles; at an fcfs station the first fill its free servers and
-        # the rest queue. The sampler starts after the m values placed.
-        busy = [0] * len(stations)
-        for c, jc in enumerate(classes):
-            if jc.kind != "closed":
-                continue
-            s = reference[c]
-            b = sampler[s * ncl + c]
-            n = jc.population
-            m = start[b] = n if kind[s] == _KC_DELAY else min(n, stations[s].servers - busy[s])
-            times = fill(specs[b], 0, m).tolist()
-            if kind[s] == _KC_DELAY:
-                phase = fill(_spec(_U01, f"{seed}|{jc.reference}|{jc.name}|init"), 0, n).tolist()
-                times = [u * think if think < _INF else _INF for u, think in zip(phase, times)]
-            else:
-                busy[s] += m
-            place.extend((s, c, t) for t in times + [_INF] * (n - m))
+    def floats(values):
+        return array("d", values)
 
-        def ints(values):
-            return array("i", values)
+    flush_ptr = ints(accumulate((len(f) for f in flush), initial=0))
+    place_station, place_class, place_time = zip(*place) if place else ((), (), ())
+    return _Table(
+        float(horizon), float(warmup), _BLOCK,
+        ints(kind), floats(s.servers for s in stations),
+        floats(_INF if s.capacity is None else s.capacity for s in stations),
+        ints(sampler),
+        ints(route_ptr), ints(route_to), floats(route_cum),
+        ints(route_sampler), flush_ptr, ints(c for f in flush for c in f), ints(reference),
+        ints(place_station), ints(place_class), floats(place_time),
+        array("q", start), specs,
+    )
 
-        def floats(values):
-            return array("d", values)
 
-        flush_ptr = ints(accumulate((len(f) for f in flush), initial=0))
-        place_station, place_class, place_time = zip(*place) if place else ((), (), ())
-        return _Table(
-            horizon, warmup, _BLOCK,
-            ints(kind), floats(s.servers for s in stations),
-            floats(_INF if s.capacity is None else s.capacity for s in stations),
-            ints(sampler),
-            ints(route_ptr), ints(route_to), floats(route_cum),
-            ints(route_sampler), flush_ptr, ints(c for f in flush for c in f), ints(reference),
-            ints(place_station), ints(place_class), floats(place_time),
-            array("q", start), specs,
-        )
+def _check_deadlock(model: NetworkModel, table: _Table) -> None:
+    """DeadlockError when closed classes hold jobs but no closed-class job
+    is on the calendar and no arrival comes before the horizon."""
+    if all(time >= table.horizon if table.kind[s] == _KC_SOURCE else time == _INF
+           for s, time in zip(table.place_station.tolist(), table.place_time.tolist())):
+        dead = [jc.name for jc in model.classes if jc.kind == "closed"]
+        if dead:
+            raise DeadlockError(dead)
 
-    def _check_deadlock(self):
-        # no closed-class job on the calendar and no arrival before the horizon
-        t = self.table
-        if all(time >= t.horizon if t.kind[s] == _KC_SOURCE else time == _INF
-               for s, time in zip(t.place_station.tolist(), t.place_time.tolist())):
-            dead = [jc.name for jc in self.model.classes if jc.kind == "closed"]
-            if dead:
-                raise DeadlockError(dead)
 
-    def run(self) -> ReplicationResult:
-        return self._finalize(self._tally())
+def _finalize(model: NetworkModel, seed: int, table: _Table, tally) -> ReplicationResult:
+    """The samples of the tally the loop returned on table. The tally is
+    (cells, classes): per cell, (area, barea, ssum, scnt, drops), the
+    integrals of the job count and of busy servers, the sum and count of
+    station sojourns inside the window and the drops; per class,
+    (created, sunk, dropped, live, rsum, rcnt, larea), its flow counts,
+    the jobs alive at the horizon, the sum and count of system response
+    (open) or cycle (closed) times and the integral of the in-system job
+    count."""
+    cells, classes = tally
+    ncl = len(model.classes)
+    _check_conservation(model, classes)
 
-    def _tally(self):
-        """Simulate to the horizon on the compiled loop."""
-        self._check_deadlock()
-        return _loop.run(*self.table)
+    window = table.horizon - table.warmup
+    samples = []
 
-    def _finalize(self, tally) -> ReplicationResult:
-        cells, classes = tally
-        horizon = self.table.horizon
-        warm = self.table.warmup
-        model = self.model
-        ncl = len(model.classes)
-        self._check_conservation(classes)
+    def row(station, cname, metrics, servers, area, barea, ssum, scnt, drops):
+        value = {
+            "utilization": barea / (servers * window),
+            # no completion in the window: no sample, not a time of 0
+            "response-time-msec": ssum / scnt if scnt else math.nan,
+            "throughput-per-msec": scnt / window,
+            "queue-length": area / window,
+            "dropped-count": float(drops),
+            "dropped-rate-per-msec": drops / window,
+        }
+        samples.extend(MetricSample(station, cname, m, value[m]) for m in metrics)
 
-        window = horizon - warm
-        samples = []
+    for s, st in enumerate(model.stations):
+        metrics = METRICS.get(st.kind)
+        if metrics is None:
+            continue
+        # a running total from 0.0 in class order, not sum(): its float
+        # summation is compensated from Python 3.12 on
+        total = (0.0, 0.0, 0.0, 0, 0)
+        for c, jc in enumerate(model.classes):
+            if jc.name in st.service:
+                cell = cells[s * ncl + c]
+                row(st.name, jc.name, metrics, st.servers, *cell)
+                total = tuple(map(add, total, cell))
+        row(st.name, ALL_CLASSES, metrics, st.servers, *total)
 
-        def row(station, cname, metrics, servers, area, barea, ssum, scnt, drops):
-            value = {
-                "utilization": barea / (servers * window),
-                # no completion in the window: no sample, not a time of 0
-                "response-time-msec": ssum / scnt if scnt else math.nan,
-                "throughput-per-msec": scnt / window,
-                "queue-length": area / window,
-                "dropped-count": float(drops),
-                "dropped-rate-per-msec": drops / window,
-            }
-            samples.extend(MetricSample(station, cname, m, value[m]) for m in metrics)
+    for jc, (_, _, _, _, rsum, rcnt, larea) in zip(model.classes, classes):
+        row(SYSTEM_STATION, jc.name, METRICS[SYSTEM_STATION], 1, larea, 0.0, rsum, rcnt, 0)
 
-        for s, st in enumerate(model.stations):
-            metrics = METRICS.get(st.kind)
-            if metrics is None:
-                continue
-            # a running total from 0.0 in class order, not sum(): its float
-            # summation is compensated from Python 3.12 on
-            total = (0.0, 0.0, 0.0, 0, 0)
-            for c, jc in enumerate(model.classes):
-                if jc.name in st.service:
-                    cell = cells[s * ncl + c]
-                    row(st.name, jc.name, metrics, st.servers, *cell)
-                    total = tuple(map(add, total, cell))
-            row(st.name, ALL_CLASSES, metrics, st.servers, *total)
+    return ReplicationResult(seed, table.horizon, table.warmup, samples)
 
-        for jc, (_, _, _, _, rsum, rcnt, larea) in zip(model.classes, classes):
-            row(SYSTEM_STATION, jc.name, METRICS[SYSTEM_STATION], 1, larea, 0.0, rsum, rcnt, 0)
 
-        return ReplicationResult(self.seed, horizon, warm, samples)
-
-    def _check_conservation(self, classes):
-        for jc, (created, sunk, dropped, live, *_) in zip(self.model.classes, classes):
-            if jc.kind == "closed":
-                if live != jc.population:
-                    raise KernelError(
-                        f"closed population leak: class {jc.name} holds {live} of {jc.population}"
-                    )
-            elif created != sunk + dropped + live:
+def _check_conservation(model: NetworkModel, classes) -> None:
+    """KernelError unless every job of the tally's classes is accounted for."""
+    for jc, (created, sunk, dropped, live, *_) in zip(model.classes, classes):
+        if jc.kind == "closed":
+            if live != jc.population:
                 raise KernelError(
-                    f"flow imbalance for class {jc.name}: created {created}, "
-                    f"sunk {sunk}, dropped {dropped}, in network {live}"
+                    f"closed population leak: class {jc.name} holds {live} of {jc.population}"
                 )
+        elif created != sunk + dropped + live:
+            raise KernelError(
+                f"flow imbalance for class {jc.name}: created {created}, "
+                f"sunk {sunk}, dropped {dropped}, in network {live}"
+            )
 
 
 def run_replication(model: NetworkModel, seed: int, horizon: float, warmup: float = 0.0) -> ReplicationResult:
@@ -431,7 +417,9 @@ def run_replication(model: NetworkModel, seed: int, horizon: float, warmup: floa
     diags = validate_model(model)
     if diags:
         raise InvalidModelError(diags)
-    return _Engine(model, seed, horizon, warmup).run()
+    table = _build(model, seed, horizon, warmup)
+    _check_deadlock(model, table)
+    return _finalize(model, seed, table, _loop.run(*table))
 
 
 _LOOP_SOURCE = Path(__file__).with_name("_loop.c")

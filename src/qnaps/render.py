@@ -63,8 +63,6 @@ class RenderError(ValueError):
 def _cell(value) -> str:
     """Stable text form: repr for floats (round-trip), str otherwise,
     JSON for structured sweep values."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (dict, list, tuple)):

@@ -124,7 +124,7 @@ def _values(fill, spec, start, block):
 
 def run(*table, fill=fill):
     """The event loop on the fields of a _Table, with values from fill:
-    the tally, per cell and per class, that _Engine._finalize reads."""
+    the tally, per cell and per class, that kernel._finalize reads."""
     T = _Table(*table)
     horizon = T.horizon
     warm = T.warmup
@@ -203,16 +203,17 @@ def run(*table, fill=fill):
             ci = job.ci
             k = s * ncl + ci
 
-            if kind[s] == 0:
-                # service completes at an fcfs station
-                if t > warm:
-                    a = job.arrived
-                    d = t - a
-                    ssum[k] += d
-                    scnt[k] += 1
-                    area[k] += d if a > warm else t - warm
+            # service completes at an fcfs station, or a delay timer fires
+            fcfs = kind[s] == _KC_FCFS
+            if t > warm:
+                a = job.arrived
+                ssum[k] += t - a
+                scnt[k] += 1
+                area[k] += t - (a if a > warm else warm)
+                if fcfs:
                     ss = job.sstart
-                    barea[k] += t - ss if ss > warm else t - warm
+                    barea[k] += t - (ss if ss > warm else warm)
+            if fcfs:
                 busy[s] -= 1
                 q = queues[s]
                 if q:
@@ -224,28 +225,17 @@ def run(*table, fill=fill):
                     seq += 1
                 for w in flush[k]:
                     pend = pending[w]
-                    if pend:
+                    for pj in pend:
                         if t > warm:
-                            for pj in pend:
-                                e = pj.entered
-                                rsum[w] += t - e
-                                larea[w] += t - e if e > warm else t - warm
-                            rcnt[w] += len(pend)
-                        pool.extend(pend)
-                        pend.clear()
-                if reference[ci] == s:
-                    # leaving the reference station opens a cycle
-                    job.entered = t
-            else:
-                # delay timer fires
-                if t > warm:
-                    a = job.arrived
-                    d = t - a
-                    ssum[k] += d
-                    scnt[k] += 1
-                    area[k] += d if a > warm else t - warm
-                if reference[ci] == s:
-                    job.entered = t
+                            e = pj.entered
+                            rsum[w] += t - e
+                            rcnt[w] += 1
+                            larea[w] += t - (e if e > warm else warm)
+                    pool.extend(pend)
+                    pend.clear()
+            if reference[ci] == s:
+                # leaving the reference station opens a cycle
+                job.entered = t
             r = k
 
         # route the arriving or departing job to its next station: the
@@ -270,7 +260,7 @@ def run(*table, fill=fill):
                     e = job.entered
                     rsum[ci] += t - e
                     rcnt[ci] += 1
-                    larea[ci] += t - e if e > warm else t - warm
+                    larea[ci] += t - (e if e > warm else warm)
                 pool.append(job)
             else:
                 # watched job: physically done, logically in the system
@@ -286,7 +276,7 @@ def run(*table, fill=fill):
                 e = job.entered
                 rsum[ci] += t - e
                 rcnt[ci] += 1
-                larea[ci] += t - e if e > warm else t - warm
+                larea[ci] += t - (e if e > warm else warm)
 
         k = ns * ncl + ci
         if kc == 0:
@@ -296,7 +286,7 @@ def run(*table, fill=fill):
                 if t > warm:
                     drops[k] += 1
                     e = job.entered
-                    larea[ci] += t - e if e > warm else t - warm
+                    larea[ci] += t - (e if e > warm else warm)
                 pool.append(job)
                 continue
             job.arrived = t
@@ -330,11 +320,8 @@ def run(*table, fill=fill):
         if in_service:
             ss = job.sstart
             barea[k] += horizon - (ss if ss > warm else warm)
-        if reference[ci] >= 0:
-            if s != reference[ci] and job.entered >= 0.0:
-                e = job.entered
-                larea[ci] += horizon - (e if e > warm else warm)
-        else:
+        # a closed job's cycle is open unless it sits at its reference station
+        if reference[ci] < 0 or (s != reference[ci] and job.entered >= 0.0):
             e = job.entered
             larea[ci] += horizon - (e if e > warm else warm)
 

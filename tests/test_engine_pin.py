@@ -14,7 +14,7 @@ wwi were re-frozen when the samplers took fdlibm's log in place of
 numpy's log1p, after that log was checked against mpmath
 (test_log.py) and every compiled fill against its Python port: 58
 values moved, by at most 3.5e-13 relative. Each case is pinned on
-both loops: _Engine.run, compiled, and run of tests/_reference.py, the
+both loops: _loop.run, compiled, and run of tests/_reference.py, the
 Python loop it was ported from, on the extension's fill.
 """
 
@@ -26,7 +26,7 @@ import pytest
 import _reference
 from qnaps import kernel
 from qnaps.config import build_model_from_config, parse_antipattern, parse_model
-from qnaps.kernel import _Engine
+from qnaps.kernel import _build, _finalize, _Table
 
 PIN = Path(__file__).parent / "data" / "engine_pin.json"
 
@@ -62,17 +62,18 @@ def case_model(case: str):
     return build_model_from_config(parse_model(model_section), antipattern)
 
 
-def tally(engine: _Engine, loop: str = "run"):
-    """engine's tally on loop: "run", the compiled loop, or "_run_python",
+def tally(table: _Table, loop: str = "run"):
+    """table's tally on loop: "run", the compiled loop, or "_run_python",
     the reference loop on the extension's fill."""
     if loop == "run":
-        return engine._tally()
-    return _reference.run(*engine.table, fill=kernel._loop.fill)
+        return kernel._loop.run(*table)
+    return _reference.run(*table, fill=kernel._loop.fill)
 
 
 def pinned_samples(case: str, loop: str = "run") -> list[list[str]]:
-    engine = _Engine(case_model(case), CASES[case][2], HORIZON, WARMUP)
-    result = engine._finalize(tally(engine, loop))
+    model, seed = case_model(case), CASES[case][2]
+    table = _build(model, seed, HORIZON, WARMUP)
+    result = _finalize(model, seed, table, tally(table, loop))
     return [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples]
 
 

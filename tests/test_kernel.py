@@ -26,7 +26,8 @@ from qnaps.kernel import (
     InvalidModelError,
     KernelError,
     _arrival_spec,
-    _Engine,
+    _build,
+    _finalize,
     _spec,
     run_replication,
 )
@@ -49,6 +50,7 @@ from qnaps.model import (
 )
 
 from _helpers import (
+    closed_cycle_model,
     covers,
     estimate,
     job_class,
@@ -253,11 +255,11 @@ def test_routing_stream_draws_one_word_per_decision(monkeypatch):
         classes=[JobClass("Jobs", "open", arrival=Exponential(0.5))],
         routing=routing,
     )
-    engine = _Engine(m, seed=12, horizon=2000.0, warmup=0.0)
-    b = engine.table.route_sampler[0]  # cell (Source, Jobs)
-    u01 = engine.table.specs[b]
+    table = _build(m, seed=12, horizon=2000.0, warmup=0.0)
+    b = table.route_sampler[0]  # cell (Source, Jobs)
+    u01 = table.specs[b]
     # value j of the routing sampler is word j of its stream, from the first
-    assert engine.table.start[b] == 0
+    assert table.start[b] == 0
     assert _fill(u01, 0, kernel._BLOCK) == _uniforms("12|Source|Jobs|routing", kernel._BLOCK).tolist()
     taken = []
     values = _reference._values
@@ -268,7 +270,7 @@ def test_routing_stream_draws_one_word_per_decision(monkeypatch):
             yield v
 
     monkeypatch.setattr(_reference, "_values", counted)
-    decisions = tally(engine, "_run_python")[1][0][0]  # created: every arrival splits once at the source
+    decisions = tally(table, "_run_python")[1][0][0]  # created: every arrival splits once at the source
     assert decisions > 300
     assert sum(spec is u01 for spec in taken) == decisions
 
@@ -425,7 +427,7 @@ def test_no_block_outlives_its_replication():
     try:
         before = live_blocks()
         run_replication(MODELS["wwi"], 73003, 40000.0, 4000.0)
-        tally(_Engine(MODELS["wwi"], 73003, 40000.0, 4000.0), "_run_python")
+        tally(_build(MODELS["wwi"], 73003, 40000.0, 4000.0), "_run_python")
         assert live_blocks() == before
     finally:
         gc.enable()
@@ -528,42 +530,53 @@ def test_open_class_routed_from_source_straight_to_sink():
         classes=[JobClass("Jobs", "open", arrival=Exponential(0.5))],
         routing=routing,
     )
-    engine = _Engine(m, seed=3, horizon=2000.0, warmup=200.0)
-    created, sunk, *_ = engine._tally()[1][0]
+    created, sunk, *_ = kernel._loop.run(*_build(m, seed=3, horizon=2000.0, warmup=200.0))[1][0]
     assert created == sunk > 900
     reps = [run_replication(m, seed=s, horizon=2000.0, warmup=200.0) for s in range(5)]
     assert covers(estimate(reps)[("system", "Jobs", "throughput-per-msec")], 0.5)
 
 
 def test_flow_check_fires_from_the_engine():
-    engine = _Engine(mm1_model(capacity=3), seed=5, horizon=2000.0, warmup=200.0)
-    cells, classes = engine._tally()
+    model = mm1_model(capacity=3)
+    table = _build(model, seed=5, horizon=2000.0, warmup=200.0)
+    cells, classes = kernel._loop.run(*table)
     created, sunk, dropped, *rest = classes[0]
     assert created > 1000 and dropped > 0
-    engine._finalize((cells, classes))  # balanced as the loop left it
+    _finalize(model, 5, table, (cells, classes))  # balanced as the loop left it
     with pytest.raises(KernelError, match="flow imbalance for class Jobs"):
-        engine._finalize((cells, [(created, sunk - 1, dropped, *rest)]))
+        _finalize(model, 5, table, (cells, [(created, sunk - 1, dropped, *rest)]))
+
+
+def test_population_check_fires_from_the_engine():
+    model = closed_cycle_model(population=3)
+    table = _build(model, seed=5, horizon=2000.0, warmup=200.0)
+    cells, classes = kernel._loop.run(*table)
+    *counts, live, rsum, rcnt, larea = classes[0]
+    assert live == 3 and rcnt > 0
+    _finalize(model, 5, table, (cells, classes))  # every job as the loop left it
+    with pytest.raises(KernelError, match="closed population leak: class Jobs holds 2 of 3"):
+        _finalize(model, 5, table, (cells, [(*counts, live - 1, rsum, rcnt, larea)]))
 
 
 def test_arrivals_run_until_their_first_infinite_gap():
     model = stopping_arrivals_model()
     assert validate_model(model) == []
-    engine = _Engine(model, seed=1, horizon=1e4, warmup=1e3)
-    tally = engine._tally()
+    table = _build(model, seed=1, horizon=1e4, warmup=1e3)
+    tally = kernel._loop.run(*table)
     created, sunk, *_ = tally[1][0]
     # about 100 arrivals, where 1e4 msec at rate 0.8 would give 8000
     assert 0 < created == sunk < 1000
-    engine._finalize(tally)  # the flow check holds
+    _finalize(model, 1, table, tally)  # the flow check holds
 
 
 _HIGH_RATE_CHILD = """
 from _helpers import mm1_model
-from qnaps.kernel import _Engine
+from qnaps.kernel import _build, _finalize, _loop
 model = mm1_model(lam=100, mu=1000)
-_Engine(model, 1, 1e6, 1e5)
-engine = _Engine(model, 1, 1e4, 1e3)
-tally = engine._tally()
-engine._finalize(tally)  # the flow check
+_build(model, 1, 1e6, 1e5)
+table = _build(model, 1, 1e4, 1e3)
+tally = _loop.run(*table)
+_finalize(model, 1, table, tally)  # the flow check
 print(*tally[1][0][:3])
 """
 

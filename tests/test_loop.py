@@ -1,7 +1,7 @@
 """The compiled event loop against the Python loop it was ported from.
 
 run of tests/_reference.py is the executable specification of
-_Engine.run; the tests run it on the extension's fill. The
+_loop.run; the tests run it on the extension's fill. The
 differential test runs both on the same engines and requires every
 sample to match bit for bit and every class to have created, sunk and
 dropped the same jobs and to hold as many at the horizon; one of its
@@ -41,7 +41,7 @@ from pathlib import Path
 import pytest
 
 from qnaps import kernel
-from qnaps.kernel import _Engine
+from qnaps.kernel import _build, _finalize, run_replication
 from qnaps.model import (
     DELAY,
     FCFS,
@@ -237,22 +237,22 @@ ARRIVAL_PINS = {"ties": 61001, "arrival_mix": 62002}
 
 def flows_and_samples(model, seed, horizon, loop):
     """Each class's (name, created, sunk, dropped, live) and every sample
-    of one replication on loop, and the engine it ran."""
-    engine = _Engine(model, seed, horizon, WARMUP)
-    counts = tally(engine, loop)
-    result = engine._finalize(counts)
+    of one replication on loop."""
+    table = _build(model, seed, horizon, WARMUP)
+    counts = tally(table, loop)
+    result = _finalize(model, seed, table, counts)
     flows = [[jc.name, *row[:4]] for jc, row in zip(model.classes, counts[1])]
     samples = [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples]
-    return flows, samples, engine
+    return flows, samples
 
 
 def outcome(model, seed, loop):
-    flows, samples, _ = flows_and_samples(model, seed, HORIZON / 2, loop)
+    flows, samples = flows_and_samples(model, seed, HORIZON / 2, loop)
     return samples, flows
 
 
 def pinned_run(name: str, loop: str) -> dict:
-    flows, samples, _ = flows_and_samples(MODELS[name], ARRIVAL_PINS[name], HORIZON, loop)
+    flows, samples = flows_and_samples(MODELS[name], ARRIVAL_PINS[name], HORIZON, loop)
     return {"flow": [f[:4] for f in flows], "samples": samples}
 
 
@@ -286,8 +286,9 @@ def test_compiled_loop_matches_the_python_loop(name):
 
 
 def test_parking_model_parks_jobs_during_the_run():
-    engine = _Engine(parking_model(), 7, HORIZON / 2, WARMUP)
-    result = engine._finalize(tally(engine, "_run_python"))
+    model = parking_model()
+    table = _build(model, 7, HORIZON / 2, WARMUP)
+    result = _finalize(model, 7, table, tally(table, "_run_python"))
     park = {s.metric: s.value for s in result.samples
             if (s.station, s.job_class) == ("Park", "Loop")}
     # a Loop job that reaches Park stays there: none leaves, and between
@@ -390,8 +391,7 @@ def test_micro_benchmark_still_collects():
 def test_raising_a_start_index_skips_that_many_values(loop):
     # mm1's arrival gaps from value 1 + m on: the class's first arrival is
     # the one _build placed, and each next one t + gap over those values
-    engine = _Engine(mm1_model(), 5, 2000.0, 200.0)
-    table = engine.table
+    table = _build(mm1_model(), 5, 2000.0, 200.0)
     b = table.sampler[table.place_station[0] * len(table.reference) + table.place_class[0]]
     m = 1000
     table.start[b] += m
@@ -401,27 +401,27 @@ def test_raising_a_start_index_skips_that_many_values(loop):
             break
         created += 1
         t = t + gap
-    assert tally(engine, loop)[1][0][0] == created > 1000
+    assert tally(table, loop)[1][0][0] == created > 1000
 
 
 @pytest.mark.parametrize("name", ["wwi", "awty", "every_kind", "closed_cycle"])
 def test_compiled_loop_matches_the_python_loop_from_any_start(name):
     # every sampler started m values further on, a different m for each
     def outcome_from(loop):
-        engine = _Engine(MODELS[name], 1001, HORIZON / 2, WARMUP)
-        for b in range(len(engine.table.start)):
-            engine.table.start[b] += 4093 * b + 5
-        result = engine._finalize(tally(engine, loop))
+        table = _build(MODELS[name], 1001, HORIZON / 2, WARMUP)
+        for b in range(len(table.start)):
+            table.start[b] += 4093 * b + 5
+        result = _finalize(MODELS[name], 1001, table, tally(table, loop))
         return [s.value.hex() for s in result.samples]
 
     assert outcome_from("run") == outcome_from("_run_python")
-    assert outcome_from("run") != [s.value.hex() for s in _Engine(
-        MODELS[name], 1001, HORIZON / 2, WARMUP).run().samples]
+    assert outcome_from("run") != [s.value.hex() for s in run_replication(
+        MODELS[name], 1001, HORIZON / 2, WARMUP).samples]
 
 
 def test_compiled_loop_calls_no_python_function():
     # a wwi replication, every sampler kind of its model made in C
-    table = _Engine(MODELS["wwi"], 73003, HORIZON, WARMUP).table
+    table = _build(MODELS["wwi"], 73003, HORIZON, WARMUP)
     calls = []
 
     def profile(frame, event, arg):
@@ -524,7 +524,7 @@ def test_compiled_loop_runs_without_the_gil():
     # a wwi replication on a thread while this one sleeps 1 ms at a time:
     # were the GIL held for the whole loop, one of this thread's waits
     # would last about as long as the replication
-    table = _Engine(MODELS["wwi"], 73003, 4e6, WARMUP).table
+    table = _build(MODELS["wwi"], 73003, 4e6, WARMUP)
     t0 = time.perf_counter()
     kernel._loop.run(*table)
     one_rep = time.perf_counter() - t0
@@ -572,7 +572,7 @@ def test_mid_run_errors_are_the_same_on_any_thread(case):
     # raised with the GIL taken back: once on this thread, then twice at
     # once on two worker threads
     corrupt, error, message = MID_RUN[case]
-    bad = corrupt(_Engine(MODELS["wwi"], 73003, HORIZON, WARMUP).table)
+    bad = corrupt(_build(MODELS["wwi"], 73003, HORIZON, WARMUP))
     with pytest.raises(error) as here:
         kernel._loop.run(*bad)
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -584,9 +584,9 @@ def test_mid_run_errors_are_the_same_on_any_thread(case):
 @pytest.mark.parametrize("case", sorted(CORRUPT))
 def test_compiled_loop_checks_its_table_on_entry(case):
     name, corrupt, error, match = CORRUPT[case]
-    table = _Engine(MODELS[name], 73003, HORIZON, WARMUP).table
+    table = _build(MODELS[name], 73003, HORIZON, WARMUP)
     assert kernel._loop.run(*table)  # the table as built runs
-    table = _Engine(MODELS[name], 73003, HORIZON, WARMUP).table
+    table = _build(MODELS[name], 73003, HORIZON, WARMUP)
     bad = table._replace(**{case.split("/")[0]: corrupt(table)})
     with pytest.raises(error, match=match):
         kernel._loop.run(*bad)
@@ -608,7 +608,6 @@ def test_compiled_loop_checks_for_signals():
         classes=[JobClass("Loop", "closed", population=1, reference="A")],
         routing=routing,
     )
-    engine = _Engine(model, 1, 1e9, 0.0)
 
     class Alarm(Exception):
         pass
@@ -621,7 +620,7 @@ def test_compiled_loop_checks_for_signals():
         signal.setitimer(signal.ITIMER_REAL, 0.2)
         start = time.perf_counter()
         with pytest.raises(Alarm):
-            engine.run()
+            run_replication(model, 1, 1e9, 0.0)
         assert time.perf_counter() - start < 10.0
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)

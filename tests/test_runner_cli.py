@@ -767,3 +767,57 @@ def test_cli_format_all_leaves_svg_out_when_sweep_values_are_not_numbers(tmp_pat
     assert sorted(p.name for p in out.iterdir()) == ["names.csv", "names_manifest.json", "names_table.txt"]
     assert main(["--config", str(path), "--out", str(tmp_path / "svg"), "--format", "svg"]) == 2
     assert "plot: sweep values must be numeric to plot, got 'A'" in capsys.readouterr().err
+
+
+_SWEEPS = {
+    # a distribution swept whole: its text forms are JSON, keys sorted
+    "mapping": ("baseline", "model.params.controller_service",
+                [{"kind": "exponential", "mean_msec": 5}, {"kind": "erlang", "phases": 2, "mean_msec": 5}],
+                ['{"kind": "exponential", "mean_msec": 5}', '{"kind": "erlang", "mean_msec": 5, "phases": 2}']),
+    "bool": ("sensor-net", "model.params.include_polling", [True, False], ["True", "False"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEPS))
+def test_cli_writes_structured_and_bool_sweep_values(tmp_path, case):
+    # the CSV cells and the table headings hold each value's text form,
+    # and the manifest the value itself
+    builder, parameter, values, texts = _SWEEPS[case]
+    path = _write_config(tmp_path / "s.yaml", experiment="s", model={"builder": builder},
+                         sweep={"parameter": parameter, "values": values})
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    with open(out / "s.csv", newline="", encoding="utf-8") as f:
+        assert {row["sweep_value"] for row in csv.DictReader(f)} == set(texts)
+    headings = [ln for ln in (out / "s_table.txt").read_text().splitlines() if ln.startswith("# ")]
+    assert headings == [f"# s  [{parameter} = {t}]" for t in texts]
+    assert json.loads((out / "s_manifest.json").read_text())["sweep_values"] == values
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_cli_whose_stdout_reader_is_gone_writes_every_file_and_exits_0(tmp_path, unbuffered):
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # its first progress line meets a broken pipe
+    baseline = Path(qnaps.__file__).parent / "configs" / "baseline.yaml"
+    flags = ["--config", str(baseline), "--horizon", "20000", "--warmup", "1000"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "qnaps.cli", *flags, "--out", str(tmp_path / "piped")],
+                              env=env, stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert main([*flags, "--out", str(tmp_path / "normal")]) == 0
+    files = {}
+    for side in ("piped", "normal"):
+        files[side] = {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
+        manifest = json.loads(files[side].pop("baseline_manifest.json"))
+        manifest.pop("wall_clock_seconds")
+        files[side]["baseline_manifest.json"] = manifest
+    assert sorted(files["piped"]) == ["baseline.csv", "baseline_manifest.json", "baseline_table.txt"]
+    assert files["piped"] == files["normal"]

@@ -10,11 +10,11 @@ fresh temporary directory. Then it compares every file the two sides
 wrote, byte for byte; a manifest is compared as JSON without its
 wall_clock_seconds. --python-loop runs both sides on the Python loop and
 the Python fills, so no compiled code makes a value or runs the loop:
-tests/_reference.py stands in for the compiled extension, or, in an
-older checkout without that file, the kernel's own fallback, which it
-took when the extension was set aside. Prints one line per run and
-exits 1 listing each file that differs, or is written on one side only;
-exits 2 when a run fails. Standard library only.
+tests/_reference.py stands in for the compiled extension, and a checkout
+without that file is refused before any run. Prints one line per run
+and exits 1 listing each file that differs, or is written on one side
+only; exits 2 when a checkout is refused or a run fails. Standard
+library only.
 """
 from __future__ import annotations
 
@@ -27,11 +27,9 @@ import tempfile
 from pathlib import Path
 
 # run the CLI as `python -m qnaps.cli` does, on tests/_reference.py in
-# place of the compiled extension, or, in an older checkout, with the
-# extension unloaded, so that the kernel falls back to its Python loop
+# place of the compiled extension
 _REFERENCE_LOOP = ("import sys; sys.path.insert(0, 'tests'); import _reference, qnaps.kernel as k; "
                    "k._loop = _reference; from qnaps.cli import entry; entry()")
-_FALLBACK_LOOP = "import qnaps.kernel as k; k._loop = None; from qnaps.cli import entry; entry()"
 
 
 def configs(checkout: Path) -> list[str]:
@@ -41,10 +39,7 @@ def configs(checkout: Path) -> list[str]:
 def run(checkout: Path, config: str, jobs: int, out: Path, python_loop: bool) -> dict[str, bytes]:
     """Every file one CLI run in checkout writes, by name."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    program = ["-m", "qnaps.cli"]
-    if python_loop:
-        reference = (checkout / "tests/_reference.py").is_file()
-        program = ["-c", _REFERENCE_LOOP if reference else _FALLBACK_LOOP]
+    program = ["-c", _REFERENCE_LOOP] if python_loop else ["-m", "qnaps.cli"]
     args = [sys.executable, *program, "--config", str(checkout / f"src/qnaps/configs/{config}.yaml"),
             "--format", "all", "--jobs", str(jobs), "--out", str(out)]
     done = subprocess.run(args, env=env, cwd=checkout, capture_output=True, text=True)
@@ -83,6 +78,8 @@ def main(argv=None) -> int:
     for checkout in (before, after):
         if not (checkout / "src/qnaps/cli.py").is_file():
             p.error(f"{checkout} is not a qnaps checkout (no src/qnaps/cli.py)")
+        if args.python_loop and not (checkout / "tests/_reference.py").is_file():
+            p.error(f"{checkout} has no Python loop to run (no tests/_reference.py)")
     bad, files = [], 0
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
         for config in args.config or configs(before):
