@@ -1103,7 +1103,7 @@ tally(const Engine *E)
 }
 
 static PyObject *
-loop_run(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+loop_run(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Engine E;
     PyObject *result = NULL;
@@ -1166,7 +1166,7 @@ new_values(Py_ssize_t n, double **v)
 
 /* fill(spec, first, n): values first .. first + n - 1 of the sampler spec */
 static PyObject *
-loop_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+loop_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Specs S = {NULL, 0, 0};
     PyObject *out = NULL;
@@ -1188,7 +1188,7 @@ loop_fill(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 /* log(values): log x of each value x, which must lie in (0, 1] */
 static PyObject *
-loop_log(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+loop_log(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer b;
     double *v;
@@ -1233,9 +1233,9 @@ static PyMethodDef loop_methods[] = {
 };
 
 static struct PyModuleDef loop_module = {
-    PyModuleDef_HEAD_INIT, "_loop",
-    "Compiled event loop of qnaps.kernel and the fill of its samplers.", -1,
-    loop_methods,
+    PyModuleDef_HEAD_INIT, .m_name = "_loop",
+    .m_doc = "Compiled event loop of qnaps.kernel and the fill of its samplers.", .m_size = -1,
+    .m_methods = loop_methods,
 };
 
 PyMODINIT_FUNC

@@ -13,29 +13,30 @@ entries keep their own random streams.
 A model records which transforms were applied in antipattern_tags; a
 second application of the same transform is rejected rather than silently
 compounded.
+
+AreWeThereYet and IsEverythingOk check their parameters, then add the
+sensor net's own Polling and Status cycles (qnaps.model's
+add_polling_cycle and add_status_cycle).
 """
 from __future__ import annotations
 
 import math
 
 from .model import (
-    DELAY,
-    SINK,
     Deterministic,
     Distribution,
     Exponential,
-    JobClass,
     Mixture,
     NetworkModel,
     Shifted,
-    Station,
+    TransformError,
+    _set_service,
+    _station_index,
+    add_polling_cycle,
+    add_status_cycle,
     validate_model,
 )
-from .records import FrozenRecord, replace
-
-
-class TransformError(ValueError):
-    """Bad antipattern parameters or an inapplicable target model."""
+from .records import FrozenRecord
 
 
 # Times are msec and f_poll is per msec. poller_count, check_demand,
@@ -79,38 +80,11 @@ class WhereWasI(FrozenRecord):
 Spec = AreWeThereYet | IsEverythingOk | WhereWasI
 
 
-def _require_absent(model: NetworkModel, stations=(), classes=()) -> None:
-    have_s = set(model.station_names())
-    have_c = {c.name for c in model.classes}
-    for s in stations:
-        if s in have_s:
-            raise TransformError(f"station name {s!r} already exists in the model")
-    for c in classes:
-        if c in have_c:
-            raise TransformError(f"class name {c!r} already exists in the model")
-
-
-def _station_index(model: NetworkModel, name: str) -> int:
-    for i, s in enumerate(model.stations):
-        if s.name == name:
-            return i
-    raise TransformError(f"model has no station named {name!r}")
-
-
-def _set_service(model: NetworkModel, station: str, job_class: str, dist: Distribution, **changes) -> None:
-    """Give job_class the service dist at station, plus any other station
-    field changes."""
-    i = _station_index(model, station)
-    service = dict(model.stations[i].service)
-    service[job_class] = dist
-    model.stations[i] = replace(model.stations[i], service=service, **changes)
-
-
-def _insert_before_sink(model: NetworkModel, station: Station) -> None:
-    at = len(model.stations)
-    if model.stations and model.stations[-1].kind == SINK:
-        at -= 1
-    model.stations.insert(at, station)
+def _require_absent(model: NetworkModel, station: str, job_class: str) -> None:
+    if station in model.station_names():
+        raise TransformError(f"station name {station!r} already exists in the model")
+    if any(c.name == job_class for c in model.classes):
+        raise TransformError(f"class name {job_class!r} already exists in the model")
 
 
 def _are_we_there_yet(net: NetworkModel, spec: AreWeThereYet) -> str:
@@ -131,19 +105,13 @@ def _are_we_there_yet(net: NetworkModel, spec: AreWeThereYet) -> str:
         raise TransformError(f"poller_count must be >= 1 (got {spec.poller_count})")
     if not spec.polling_demand > 0:
         raise TransformError(f"polling_demand must be > 0 (got {spec.polling_demand})")
-    _require_absent(net, stations=("PollThink",), classes=("Polling",))
-    _set_service(net, spec.controller, "Polling", Exponential(1.0 / spec.polling_demand))
+    _require_absent(net, "PollThink", "Polling")
     active = spec.f_poll > 0
-    if active and spec.target_class not in {c.name for c in net.classes}:
-        raise TransformError(f"model has no class named {spec.target_class!r}")
-
-    period = Deterministic(1.0 / spec.f_poll if active else math.inf)
-    _insert_before_sink(net, Station("PollThink", kind=DELAY, service={"Polling": period}))
-    net.classes.append(JobClass("Polling", "closed", population=spec.poller_count,
-                                reference="PollThink"))
-    net.routing.add("Polling", "PollThink", spec.controller)
-    net.routing.add("Polling", spec.controller, "PollThink")
+    add_polling_cycle(net, spec.poller_count, Deterministic(1.0 / spec.f_poll if active else math.inf),
+                      Exponential(1.0 / spec.polling_demand), spec.controller)
     if active:
+        if spec.target_class not in {c.name for c in net.classes}:
+            raise TransformError(f"model has no class named {spec.target_class!r}")
         net.detection[spec.target_class] = ("Polling", spec.controller)
     return (f"f_poll={spec.f_poll}/msec, demand={spec.polling_demand} msec, "
             f"{spec.poller_count} pollers")
@@ -153,7 +121,8 @@ def _is_everything_ok(net: NetworkModel, spec: IsEverythingOk) -> str:
     """Add a closed Status class that periodically checks every device.
 
     Status jobs cycle StatusThink (check_period) -> controller
-    (check_demand) -> each device in turn (device_demand) -> StatusThink.
+    (check_demand) -> each device in turn (device_demand) -> StatusThink;
+    a device named twice, or the controller as a device, is refused.
     With probability p_exc a device check raises an exception whose
     handling costs exception_demand at the controller; the extra demand is
     folded into the controller check visit so the class keeps one service
@@ -172,28 +141,18 @@ def _is_everything_ok(net: NetworkModel, spec: IsEverythingOk) -> str:
         raise TransformError(f"device_demand must be > 0 (got {spec.device_demand})")
     if spec.p_exc > 0 and not spec.exception_demand > 0:
         raise TransformError("exception_demand must be > 0 when p_exc > 0")
-    _require_absent(net, stations=("StatusThink",), classes=("Status",))
+    _require_absent(net, "StatusThink", "Status")
 
     check: Distribution = Exponential(1.0 / spec.check_demand)
     if spec.p_exc > 0:
         check = Mixture(spec.p_exc, check, Exponential(1.0 / spec.exception_demand))
-    _set_service(net, spec.controller, "Status", check)
     devices = spec.devices
     if devices is None:
         devices = tuple(s.name for s in net.stations if s.name.startswith("Sensor"))
     if not devices:
         raise TransformError("no checked devices: pass devices or add Sensor* stations")
-    for d in devices:
-        _set_service(net, d, "Status", Exponential(1.0 / spec.device_demand))
-    _insert_before_sink(net, Station("StatusThink", kind=DELAY,
-                                     service={"Status": Deterministic(spec.check_period)}))
-    net.classes.append(JobClass("Status", "closed", population=spec.n_status,
-                                reference="StatusThink"))
-    net.routing.add("Status", "StatusThink", spec.controller)
-    chain = list(devices) + ["StatusThink"]
-    net.routing.add("Status", spec.controller, chain[0])
-    for here, nxt in zip(devices, chain[1:]):
-        net.routing.add("Status", here, nxt)
+    add_status_cycle(net, spec.n_status, Deterministic(spec.check_period), check, devices,
+                     Exponential(1.0 / spec.device_demand), spec.controller)
     return f"n_status={spec.n_status}, period={spec.check_period} msec, p_exc={spec.p_exc}"
 
 

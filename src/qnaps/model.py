@@ -1,8 +1,10 @@
 """Multiclass queueing network models.
 
 Stations, job classes, service distributions, per-class probabilistic
-routing, plus the two builders the experiment configs use. All times are
-milliseconds and all rates are per millisecond.
+routing, plus the two builders the experiment configs use and the
+sensor net's closed cycles, which build_sensor_net and the IEOK and AWTY
+transforms all add: add_status_cycle and add_polling_cycle. All times
+are milliseconds and all rates are per millisecond.
 """
 from __future__ import annotations
 
@@ -144,6 +146,11 @@ class RoutingTable(Record):
             (str(t), float(p)) for t, p in targets
         )
 
+    def add_path(self, job_class: str, stations) -> None:
+        """Route job_class from each of stations to the next."""
+        for frm, to in zip(stations, stations[1:]):
+            self.add(job_class, frm, to)
+
     def successors(self, job_class: str, frm: str):
         return self.rows.get(job_class, {}).get(frm)
 
@@ -166,17 +173,9 @@ class NetworkModel(Record):
         return [s.name for s in self.stations]
 
     def clone(self) -> "NetworkModel":
-        stations = [replace(s, service=dict(s.service)) for s in self.stations]
-        classes = list(self.classes)
-        return NetworkModel(
-            name=self.name,
-            stations=stations,
-            classes=classes,
-            routing=self.routing.copy(),
-            description=self.description,
-            antipattern_tags=self.antipattern_tags,
-            detection=dict(self.detection),
-        )
+        return replace(self, stations=[replace(s, service=dict(s.service)) for s in self.stations],
+                       classes=list(self.classes), routing=self.routing.copy(),
+                       detection=dict(self.detection))
 
 
 def _check_distribution(dist, where: str, allow_inf: bool, arrival: bool) -> list[str]:
@@ -373,11 +372,88 @@ def validate_model(model: NetworkModel) -> list[str]:
             if s.name in live and not exits & _reachable(model, jc, s.name, positive=True):
                 diags.append(f"class {jc.name}: station {s.name} has {fault}")
 
+    # a watched job leaves when its poller next completes fcfs service at the station
+    for watched, (poller, st) in model.detection.items():
+        where = f"detection of class {watched}"
+        if watched not in class_names:
+            diags.append(f"{where}: no such class")
+        if poller not in class_names:
+            diags.append(f"{where}: unknown poller class {poller!r}")
+        if st not in by_name:
+            diags.append(f"{where}: unknown station {st!r}")
+        elif by_name[st].kind != FCFS:
+            diags.append(f"{where}: station {st} is not an fcfs station")
+        elif poller in class_names and poller not in by_name[st].service:
+            diags.append(f"{where}: station {st} does not serve poller class {poller}")
+
     refs = [jc.reference for jc in model.classes if jc.kind == "closed" and jc.reference]
     for ref in sorted(set(r for r in refs if refs.count(r) > 1)):
         diags.append(f"station {ref}: more than one closed class uses it as reference")
 
     return diags
+
+
+# ---------------------------------------------------------- closed cycles
+
+class TransformError(ValueError):
+    """Bad antipattern parameters or an inapplicable target model."""
+
+
+def _station_index(model: NetworkModel, name: str) -> int:
+    for i, s in enumerate(model.stations):
+        if s.name == name:
+            return i
+    raise TransformError(f"model has no station named {name!r}")
+
+
+def _set_service(model: NetworkModel, station: str, job_class: str, dist: Distribution, **changes) -> None:
+    """Give job_class the service dist at station, plus any other station
+    field changes."""
+    i = _station_index(model, station)
+    old = model.stations[i]
+    model.stations[i] = replace(old, service={**old.service, job_class: dist}, **changes)
+
+
+def _insert_before_sink(model: NetworkModel, station: Station) -> None:
+    at = len(model.stations)
+    if model.stations and model.stations[-1].kind == SINK:
+        at -= 1
+    model.stations.insert(at, station)
+
+
+def _closed_cycle(model: NetworkModel, job_class: JobClass, think: Station, path) -> None:
+    """Add the closed class job_class: its jobs think at the new delay
+    station think, inserted before the sink, then visit each (station,
+    demand) of path in turn. A station named twice is refused, since its
+    second visit would overwrite the first one's demand and route."""
+    stops = [name for name, _ in path]
+    for i, name in enumerate(stops):
+        if name in stops[:i]:
+            raise TransformError(f"the {job_class.name} cycle visits station {name!r} twice")
+    for name, demand in path:
+        _set_service(model, name, job_class.name, demand)
+    _insert_before_sink(model, think)
+    model.classes.append(job_class)
+    model.routing.add_path(job_class.name, [think.name, *stops, think.name])
+
+
+def add_status_cycle(model: NetworkModel, population: int, period: Distribution, check: Distribution,
+                     devices, device_demand: Distribution, controller: str = "Controller") -> None:
+    """The Status tour: population jobs think at StatusThink for period,
+    then check at the controller (check) and at each device in turn
+    (device_demand)."""
+    _closed_cycle(model, JobClass("Status", "closed", population=population, reference="StatusThink"),
+                  Station("StatusThink", kind=DELAY, service={"Status": period}),
+                  [(controller, check)] + [(d, device_demand) for d in devices])
+
+
+def add_polling_cycle(model: NetworkModel, population: int, period: Distribution, demand: Distribution,
+                      controller: str = "Controller") -> None:
+    """The Polling cycle: population jobs think at PollThink for period,
+    then poll the controller (demand)."""
+    _closed_cycle(model, JobClass("Polling", "closed", population=population, reference="PollThink"),
+                  Station("PollThink", kind=DELAY, service={"Polling": period}),
+                  [(controller, demand)])
 
 
 # ---------------------------------------------------------------- builders
@@ -396,25 +472,16 @@ class BaselineParams(FrozenRecord):
 
 def build_baseline(params: BaselineParams = BaselineParams()) -> NetworkModel:
     cname = params.class_name
-    stations = [Station("Source", kind=SOURCE)]
-    stations.append(
-        Station(
-            "Controller",
-            kind=FCFS,
-            servers=params.controller_servers,
-            capacity=params.controller_capacity,
-            service={cname: params.controller_service},
-        )
-    )
-    routing = RoutingTable()
-    routing.add(cname, "Source", "Controller")
+    stations = [
+        Station("Source", kind=SOURCE),
+        Station("Controller", kind=FCFS, servers=params.controller_servers,
+                capacity=params.controller_capacity, service={cname: params.controller_service}),
+    ]
     if params.environment_delay is not None:
         stations.append(Station("Environment", kind=DELAY, service={cname: params.environment_delay}))
-        routing.add(cname, "Controller", "Environment")
-        routing.add(cname, "Environment", "Sink")
-    else:
-        routing.add(cname, "Controller", "Sink")
     stations.append(Station("Sink", kind=SINK))
+    routing = RoutingTable()
+    routing.add_path(cname, [s.name for s in stations])
     classes = [JobClass(cname, "open", arrival=Exponential(params.arrival_rate))]
     return NetworkModel(
         name="baseline",
@@ -460,6 +527,8 @@ class SensorNetParams(FrozenRecord):
 
 
 def build_sensor_net(params: SensorNetParams = SensorNetParams()) -> NetworkModel:
+    """The open Analysis and Actors workloads, then the Status cycle
+    over the sensors and the Polling cycle when params include them."""
     if params.sensor_count < 1:
         raise ValueError("sensor_count must be >= 1")
     if params.actor_count < 1:
@@ -467,24 +536,11 @@ def build_sensor_net(params: SensorNetParams = SensorNetParams()) -> NetworkMode
 
     sensors = [f"Sensor{i + 1}" for i in range(params.sensor_count)]
     actors = [f"Actor{i + 1}" for i in range(params.actor_count)]
-
-    controller_service: dict[str, Distribution] = {
-        "Analysis": params.analysis_controller_demand,
-        "Actors": params.actors_controller_demand,
-    }
-    classes = [
-        JobClass("Analysis", "open", arrival=Exponential(params.analysis_arrival_rate)),
-        JobClass("Actors", "open", arrival=Exponential(params.actors_arrival_rate)),
-    ]
+    environment = params.analysis_environment_delay
 
     routing = RoutingTable()
-    routing.add("Analysis", "Source", "Controller")
-    if params.analysis_environment_delay is not None:
-        routing.add("Analysis", "Controller", "Environment")
-        routing.add("Analysis", "Environment", "Sink")
-    else:
-        routing.add("Analysis", "Controller", "Sink")
-
+    via = ["Environment"] if environment is not None else []
+    routing.add_path("Analysis", ["Source", "Controller", *via, "Sink"])
     routing.add("Actors", "Source", "Controller")
     split = [1.0 / params.actor_count] * params.actor_count
     split[-1] = 1.0 - sum(split[:-1])  # exact row sum
@@ -492,49 +548,31 @@ def build_sensor_net(params: SensorNetParams = SensorNetParams()) -> NetworkMode
     for a in actors:
         routing.add("Actors", a, "Sink")
 
-    stations = [Station("Source", kind=SOURCE)]
-    if params.include_status:
-        classes.append(
-            JobClass("Status", "closed", population=params.status_population, reference="StatusThink")
-        )
-        controller_service["Status"] = params.status_controller_demand
-        routing.add("Status", "StatusThink", "Controller")
-        chain = sensors + ["StatusThink"]
-        routing.add("Status", "Controller", chain[0])
-        for here, nxt in zip(sensors, chain[1:]):
-            routing.add("Status", here, nxt)
-    if params.include_polling:
-        classes.append(
-            JobClass("Polling", "closed", population=params.polling_population, reference="PollThink")
-        )
-        controller_service["Polling"] = params.polling_controller_demand
-        routing.add("Polling", "PollThink", "Controller")
-        routing.add("Polling", "Controller", "PollThink")
-
-    stations.append(Station("Controller", kind=FCFS, service=controller_service))
-    for s in sensors:
-        svc = {"Status": params.status_device_demand} if params.include_status else {}
-        stations.append(Station(s, kind=FCFS, service=svc))
-    for a in actors:
-        stations.append(Station(a, kind=FCFS, service={"Actors": params.actors_actor_demand}))
-    if params.analysis_environment_delay is not None:
-        stations.append(
-            Station("Environment", kind=DELAY, service={"Analysis": params.analysis_environment_delay})
-        )
-    if params.include_status:
-        stations.append(
-            Station("StatusThink", kind=DELAY, service={"Status": params.status_check_period})
-        )
-    if params.include_polling:
-        stations.append(
-            Station("PollThink", kind=DELAY, service={"Polling": params.polling_period})
-        )
+    stations = [
+        Station("Source", kind=SOURCE),
+        Station("Controller", kind=FCFS, service={"Analysis": params.analysis_controller_demand,
+                                                  "Actors": params.actors_controller_demand}),
+    ]
+    stations += [Station(s, kind=FCFS) for s in sensors]
+    stations += [Station(a, kind=FCFS, service={"Actors": params.actors_actor_demand}) for a in actors]
+    if environment is not None:
+        stations.append(Station("Environment", kind=DELAY, service={"Analysis": environment}))
     stations.append(Station("Sink", kind=SINK))
 
-    return NetworkModel(
+    net = NetworkModel(
         name="sensor-net",
         stations=stations,
-        classes=classes,
+        classes=[
+            JobClass("Analysis", "open", arrival=Exponential(params.analysis_arrival_rate)),
+            JobClass("Actors", "open", arrival=Exponential(params.actors_arrival_rate)),
+        ],
         routing=routing,
         description="controller with sensors, actors and periodic check cycles",
     )
+    if params.include_status:
+        add_status_cycle(net, params.status_population, params.status_check_period,
+                         params.status_controller_demand, sensors, params.status_device_demand)
+    if params.include_polling:
+        add_polling_cycle(net, params.polling_population, params.polling_period,
+                          params.polling_controller_demand)
+    return net

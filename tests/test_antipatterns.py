@@ -17,7 +17,8 @@ from qnaps.antipatterns import (
     apply,
 )
 from qnaps.kernel import run_replication
-from qnaps.model import BaselineParams, SensorNetParams, build_baseline, build_sensor_net
+from qnaps.model import (BaselineParams, Deterministic, Exponential, SensorNetParams, build_baseline,
+                         build_sensor_net)
 
 from _helpers import job_class, station, table
 
@@ -117,6 +118,39 @@ def test_ieok_explicit_device_list():
     transformed = apply(base.clone(), IsEverythingOk(check_period=50.0, devices=("Actor1",)))
     assert "Status" in station(transformed, "Actor1").service
     assert "Status" not in station(transformed, "Sensor1").service
+
+
+def test_ieok_refuses_a_device_named_twice_or_the_controller():
+    # either would overwrite a row of the tour: the first Sensor1 visit,
+    # or the controller's check demand and its route
+    base = build_sensor_net(SensorNetParams(sensor_count=2, include_status=False))
+    for devices, name in ((("Sensor1", "Sensor1", "Sensor2"), "Sensor1"), (("Controller",), "Controller")):
+        with pytest.raises(TransformError, match=f"^the Status cycle visits station '{name}' twice$"):
+            apply(base, IsEverythingOk(check_period=50.0, devices=devices))
+
+
+def test_builder_cycles_are_the_transforms_cycles():
+    # the sensor net's own Status and Polling cycles equal the ones IEOK
+    # and AWTY add at matching settings; only AWTY watches a class. The
+    # Status case leaves Polling out, whose think station the builder
+    # places after StatusThink and a transform before it.
+    for own, without, spec in (
+        (SensorNetParams(include_polling=False, status_check_period=Deterministic(23.75),
+                         status_controller_demand=Exponential(1.0),
+                         status_device_demand=Exponential(1.0 / 0.17)),
+         SensorNetParams(include_polling=False, include_status=False),
+         IsEverythingOk(check_period=23.75, check_demand=1.0, device_demand=0.17)),
+        (SensorNetParams(polling_population=5, polling_period=Deterministic(20.0),
+                         polling_controller_demand=Exponential(1.0 / 4.0)),
+         SensorNetParams(include_polling=False),
+         AreWeThereYet(f_poll=0.05, polling_demand=4.0, poller_count=5)),
+    ):
+        built, transformed = build_sensor_net(own), apply(build_sensor_net(without), spec)
+        assert transformed.stations == built.stations
+        assert transformed.classes == built.classes
+        assert transformed.routing == built.routing
+        assert built.detection == {}
+    assert transformed.detection == {"Analysis": ("Polling", "Controller")}
 
 
 def test_wwi_structure_shift_and_cap():

@@ -17,7 +17,8 @@ and variance were checked against their closed forms (test_kernel.py);
 its response times of class Z, which never arrives, read NaN since a
 cell with no completion has no response time.
 The remaining tests cover the extension's build and its failure, which
-stops the import and so a CLI run, the samplers' start indices, the
+stops the import and so a CLI run, a build of the source with every gcc
+warning of -Wall -Wextra an error, the samplers' start indices, the
 checks the compiled loop makes on its table and its specs, that it calls
 no Python function, that it runs without the GIL and raises its mid-run
 errors alike on any thread, signals crossing the C boundary, and the
@@ -31,6 +32,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import sysconfig
 import threading
 import time
 from array import array
@@ -364,6 +366,16 @@ def test_build_from_scratch_loads_and_replaces_older_binaries(tmp_path, capsys, 
     assert sorted(tmp_path.iterdir()) == [built]
     monkeypatch.setattr(kernel, "_loop", module)
     assert outcome(MODELS["mm1_capacity3"], 5, "run") == outcome(MODELS["mm1_capacity3"], 5, "_run_python")
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_source_compiles_without_a_warning(tmp_path):
+    include = "-I" + sysconfig.get_paths()["include"]
+    done = subprocess.run(["gcc", *kernel._CFLAGS, "-Wall", "-Wextra", "-Werror", include,
+                           str(kernel._LOOP_SOURCE), "-o", str(tmp_path / "_loop.so")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 def test_cache_name_follows_the_source_hash(tmp_path):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qnaps.antipatterns import AreWeThereYet, IsEverythingOk, TransformError, WhereWasI, apply
-from qnaps.kernel import _loop, _spec
+from qnaps.kernel import InvalidModelError, _loop, _spec, run_replication
 from qnaps.model import (
     DELAY,
     FCFS,
@@ -403,6 +403,35 @@ def test_validate_shared_reference_station():
     m.routing.add("Second", "S1", "S2")
     m.routing.add("Second", "S2", "S1")
     _diag_contains(m, "more than one closed class uses it as reference")
+
+
+def test_validate_detection_entries():
+    # each entry names an existing watched class, an existing poller class
+    # and an fcfs station that serves the poller: only a poller's fcfs
+    # completion there releases the watched jobs
+    m = apply(build_sensor_net(SensorNetParams(include_polling=False)), AreWeThereYet(f_poll=0.05))
+    assert validate_model(m) == []
+    where = "detection of class Analysis"
+    for entry, diag in (
+        (("Nope", "Controller"), f"{where}: unknown poller class 'Nope'"),
+        (("Polling", "Nowhere"), f"{where}: unknown station 'Nowhere'"),
+        (("Polling", "PollThink"), f"{where}: station PollThink is not an fcfs station"),
+        (("Polling", "Sensor1"), f"{where}: station Sensor1 does not serve poller class Polling"),
+    ):
+        bad = m.clone()
+        bad.detection["Analysis"] = entry
+        assert validate_model(bad) == [diag]
+    bad = m.clone()
+    bad.detection["Nobody"] = ("Polling", "Controller")
+    assert validate_model(bad) == ["detection of class Nobody: no such class"]
+
+
+def test_replication_refuses_an_unknown_poller_by_name():
+    m = apply(build_sensor_net(SensorNetParams(include_polling=False)), AreWeThereYet(f_poll=0.05))
+    m.detection["Analysis"] = ("Nope", "Controller")
+    with pytest.raises(InvalidModelError, match="^invalid model: detection of class Analysis: "
+                                                "unknown poller class 'Nope'$"):
+        run_replication(m, seed=1, horizon=100.0)
 
 
 # ---------------------------------------------------------------------------
