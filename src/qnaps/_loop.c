@@ -34,9 +34,11 @@
    + n - 1 of a sampler. Its words are a stateless Philox4x64-10, so any
    word is a function of the key and its position, the same words as
    numpy's Generator(Philox(key)).random, which tests/test_kernel.py
-   compares them against; its log is fdlibm's, in plain double
-   operations, so no value depends on the CPU or on a libm. fill of
-   tests/_reference.py is the same in Python, value for value. */
+   compares them against; its log is fdlibm's, run on 8 values at a time
+   in SIMD lanes whose bits are each those of the scalar fdlibm
+   (log_lanes), so no value depends on the CPU, its vector width or a
+   libm. fill of tests/_reference.py is the same in Python, value for
+   value. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -392,51 +394,85 @@ static const double LN2_HI = 0x1.62e42feep-1, LN2_LO = 0x1.a39ef35793c76p-33,
     LG4 = 0x1.c71c51d8e78afp-3, LG5 = 0x1.7466496cb03dep-3, LG6 = 0x1.39a09d078c69fp-3,
     LG7 = 0x1.2f112df3e5244p-3;
 
-/* log x for x in (0, 1], within 1 ulp, by fdlibm's __ieee754_log: x =
-   2**k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2), and log x = k ln 2 +
-   log(1 + f), with log(1 + f) = f - f*f/2 + s (f*f/2 + R). Plain double
-   operations in a fixed order, no libm call: under -ffp-contract=off its
-   bits are the same on every IEEE machine. Its branches on k = 0 are
-   left out, as k ln 2 = 0 then gives the same bits. kernel._log is its
-   port to Python. */
-static double
-log_unit(double x)
+/* values the lane log takes at once: 8 doubles, one AVX-512 register */
+#define LANES 8
+
+typedef double Lanes __attribute__((vector_size(LANES * sizeof(double))));
+typedef long long Ints __attribute__((vector_size(LANES * sizeof(double))));
+typedef unsigned long long Bits __attribute__((vector_size(LANES * sizeof(double))));
+
+/* a in the lanes where mask m is all ones, b where it is all zeros */
+#define SELECT(m, a, b) ((Lanes)(((Bits)(m) & (Bits)(a)) | (~(Bits)(m) & (Bits)(b))))
+
+/* the targets log_lanes is built for, of which the loader picks the best
+   this CPU has; a test build pins one with -DLANE_TARGETS=... */
+#ifndef LANE_TARGETS
+#if defined(__x86_64__)
+#define LANE_TARGETS __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define LANE_TARGETS
+#endif
+#endif
+
+/* log x of each x of v[0 .. n - 1] in place, for x in (0, 1], within 1
+   ulp, by fdlibm's __ieee754_log: x = 2**k (1 + f) with sqrt(2)/2 <= 1 +
+   f < sqrt(2), and log x = k ln 2 + log(1 + f), with log(1 + f) = f -
+   f*f/2 + s (f*f/2 + R). It takes LANES values at a time, padding a
+   shorter tail with 1.0: each lane does fdlibm's operations in fdlibm's
+   order, every branch is computed, and each lane picks its own by a
+   mask. IEEE add, multiply and divide round the same in any register,
+   and -ffp-contract=off forbids fused multiply-add, so on every target
+   and every IEEE machine each lane has the bits of the scalar fdlibm; no
+   libm is called. Its branches on k = 0 are left out, as k ln 2 = 0 then
+   gives the same bits. The vectors live only inside this function, so no
+   call passes one. _log of tests/_reference.py is its specification, one
+   value at a time. */
+static void LANE_TARGETS
+log_lanes(double *v, Py_ssize_t n)
 {
-    uint64_t bits;
-    int k = 0;
-    memcpy(&bits, &x, sizeof bits);
-    if (bits >> 52 == 0) {
-        /* subnormal: scale into the normal range */
-        k = -54;
-        x *= 0x1p54;
-        memcpy(&bits, &x, sizeof bits);
+    for (Py_ssize_t at = 0; at < n; at += LANES) {
+        Lanes x;
+        if (n - at >= LANES)
+            memcpy(&x, v + at, sizeof x);
+        else
+            for (int j = 0; j < LANES; j++)
+                x[j] = at + j < n ? v[at + j] : 1.0;
+        Bits bits = (Bits)x;
+        /* subnormal: scaled into the normal range, and k -54 */
+        Bits sub = (Bits)((bits >> 52) == 0);
+        bits = (sub & (Bits)(x * 0x1p54)) | (~sub & bits);
+        Bits hx = bits >> 32;
+        Ints k = ((Ints)sub & -54) + (Ints)(hx >> 20) - 1023;
+        hx &= 0x000fffff;
+        /* i is 2**20 when the significand is at least sqrt(2): then 1 + f
+           is it halved, and k one more */
+        Bits i = (hx + 0x95f64) & 0x100000;
+        bits = (bits & 0xffffffff) | (hx | (i ^ 0x3ff00000)) << 32;
+        k += (Ints)(i >> 20);
+        Lanes f = (Lanes)bits - 1.0;
+        /* (double)k, exactly: |k| < 2**51, so the bits of 1.5 * 2**52 plus k
+           are those of 1.5 * 2**52 + k */
+        Lanes dk = (Lanes)(k + 0x4338000000000000LL) - 0x1.8p52;
+        /* |f| < 2**-20, with f == 0 apart */
+        Ints tiny = (Ints)(0x000fffff & (2 + hx)) < 3;
+        Lanes R0 = f * f * (0.5 - 0.33333333333333333 * f);
+        Lanes near1 = SELECT(f == 0.0, dk * LN2_HI + dk * LN2_LO,
+                             dk * LN2_HI - ((R0 - dk * LN2_LO) - f));
+        Lanes s = f / (2.0 + f), z = s * s, w = z * z;
+        Lanes t1 = w * (LG2 + w * (LG4 + w * LG6));
+        Lanes t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+        Lanes R = t2 + t1, hfsq = 0.5 * f * f;
+        Ints h = (Ints)hx;
+        Lanes y = SELECT(((h - 0x6147a) | (0x6b851 - h)) > 0,
+                         dk * LN2_HI - ((hfsq - (s * (hfsq + R) + dk * LN2_LO)) - f),
+                         dk * LN2_HI - ((s * (f - R) - dk * LN2_LO) - f));
+        y = SELECT(tiny, near1, y);
+        if (n - at >= LANES)
+            memcpy(v + at, &y, sizeof y);
+        else
+            for (int j = 0; at + j < n; j++)
+                v[at + j] = y[j];
     }
-    int hx = (int)(bits >> 32);
-    k += (hx >> 20) - 1023;
-    hx &= 0x000fffff;
-    /* i is 2**20 when the significand is at least sqrt(2): then 1 + f
-       is it halved, and k one more */
-    int i = (hx + 0x95f64) & 0x100000;
-    bits = (bits & 0xffffffffULL) | (uint64_t)(hx | (i ^ 0x3ff00000)) << 32;
-    memcpy(&x, &bits, sizeof x);
-    k += i >> 20;
-    double f = x - 1.0, dk = (double)k;
-    if ((0x000fffff & (2 + hx)) < 3) {
-        /* |f| < 2**-20 */
-        if (f == 0.0)
-            return dk * LN2_HI + dk * LN2_LO;
-        double R = f * f * (0.5 - 0.33333333333333333 * f);
-        return dk * LN2_HI - ((R - dk * LN2_LO) - f);
-    }
-    double s = f / (2.0 + f), z = s * s, w = z * z;
-    double t1 = w * (LG2 + w * (LG4 + w * LG6));
-    double t2 = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
-    double R = t2 + t1;
-    if (((hx - 0x6147a) | (0x6b851 - hx)) > 0) {
-        double hfsq = 0.5 * f * f;
-        return dk * LN2_HI - ((hfsq - (s * (hfsq + R) + dk * LN2_LO)) - f);
-    }
-    return dk * LN2_HI - ((s * (f - R) - dk * LN2_LO) - f);
 }
 
 /* ------------------------------------------------------------------ */
@@ -516,6 +552,48 @@ read_spec(Specs *S, PyObject *spec, Py_ssize_t b, int depth)
     return at;
 }
 
+/* words an erlang fill takes at a time */
+#define CHUNK 512
+
+/* values first .. first + n - 1 of erlang node N into v: -(log(1 - u1) +
+   ... + log(1 - uk)), summed left to right, times scale or divided by it;
+   with k = 1 the exponential. 1 - u is exact, so log(1 - u) is
+   log1p(-u). The words go through a buffer CHUNK at a time, as 1 - u and
+   then, in place, as their logs; a value's partial sum and its phase
+   carry from one chunk to the next, so every k takes this one path. */
+static int
+fill_erlang(const Spec *N, uint64_t first, Py_ssize_t n, double *v)
+{
+    const double x = N->x;  /* v may alias specs */
+    const int k = N->k, divide = N->divide;
+    uint64_t end;
+    if (__builtin_mul_overflow(first + (uint64_t)n, (uint64_t)k, &end)) {
+        WITH_GIL(PyErr_Format(PyExc_ValueError, "no words for values %llu + [0, %zd) of %d each",
+                              (unsigned long long)first, n, k));
+        return -1;
+    }
+    Words W;
+    double buf[CHUNK], sum = 0.0;
+    int phase = 0;
+    uint64_t left = end - first * (uint64_t)k;  /* the words still to take */
+    words_at(&W, N->k0, N->k1, first * (uint64_t)k);
+    while (left > 0) {
+        int m = left < CHUNK ? (int)left : CHUNK;
+        for (int j = 0; j < m; j++)
+            buf[j] = 1.0 - next_uniform(&W);
+        log_lanes(buf, m);
+        for (int j = 0; j < m; j++) {
+            sum = phase ? sum + buf[j] : buf[j];
+            if (++phase == k) {
+                *v++ = divide ? -sum / x : -sum * x;
+                phase = 0;
+            }
+        }
+        left -= (uint64_t)m;
+    }
+    return 0;
+}
+
 /* values first .. first + n - 1 of node s of specs into v, each
    tests/_reference.py's fill of its kind operation for operation. A leaf
    that takes k words a value makes value j from words jk .. jk + k - 1
@@ -527,7 +605,6 @@ fill_spec(const Spec *specs, int s, uint64_t first, Py_ssize_t n, double *v)
     const Spec *N = &specs[s];
     const double x = N->x, span = N->span;  /* v may alias specs */
     Words W;
-    uint64_t end;
     switch (N->kind) {
     case SP_CONST:
         for (Py_ssize_t i = 0; i < n; i++)
@@ -540,22 +617,7 @@ fill_spec(const Spec *specs, int s, uint64_t first, Py_ssize_t n, double *v)
             v[i] = x + span * next_uniform(&W);
         return 0;
     case SP_ERLANG:
-        /* -(log(1 - u1) + ... + log(1 - uk)), summed left to right, times
-           scale or divided by it; with k = 1 the exponential. 1 - u is
-           exact, so log(1 - u) is log1p(-u). */
-        if (__builtin_mul_overflow(first + (uint64_t)n, (uint64_t)N->k, &end)) {
-            WITH_GIL(PyErr_Format(PyExc_ValueError, "no words for values %llu + [0, %zd) of %d each",
-                                  (unsigned long long)first, n, N->k));
-            return -1;
-        }
-        words_at(&W, N->k0, N->k1, first * (uint64_t)N->k);
-        for (Py_ssize_t i = 0, k = N->k, divide = N->divide; i < n; i++) {
-            double sum = log_unit(1.0 - next_uniform(&W));
-            for (Py_ssize_t j = 1; j < k; j++)
-                sum += log_unit(1.0 - next_uniform(&W));
-            v[i] = divide ? -sum / x : -sum * x;
-        }
-        return 0;
+        return fill_erlang(N, first, n, v);
     case SP_SHIFT:
         if (fill_spec(specs, N->base, first, n, v) < 0)
             return -1;
@@ -1204,6 +1266,7 @@ loop_log(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     const double *x = b.buf;
     PyObject *out = new_values(b.shape[0], &v);
     for (Py_ssize_t i = 0; out != NULL && i < b.shape[0]; i++) {
+        v[i] = x[i];
         if (!(x[i] > 0.0 && x[i] <= 1.0)) {
             PyObject *bad = PyFloat_FromDouble(x[i]);
             if (bad != NULL) {
@@ -1213,8 +1276,9 @@ loop_log(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
             Py_CLEAR(out);
             break;
         }
-        v[i] = log_unit(x[i]);
     }
+    if (out != NULL)
+        log_lanes(v, b.shape[0]);
     PyBuffer_Release(&b);
     return out;
 }

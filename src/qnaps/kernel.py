@@ -77,9 +77,12 @@ it calls no Python function. The compiled loop runs without the GIL,
 taking it back only for its signal check and its errors, so replications
 on threads run in parallel. The extension is built when this module is
 imported, with gcc -O2 -ffp-contract=off (no fused multiply-add, no
--ffast-math; x86-64 does its double arithmetic in SSE2 registers), into
-src/qnaps/__pycache__ under a name keyed by the sha256 of _loop.c and
-the flags, so an edited source never loads an old binary. gcc runs, and
+-ffast-math), into src/qnaps/__pycache__ under a name keyed by the
+sha256 of _loop.c and the flags, so an edited source never loads an old
+binary. On x86-64 the samplers' log is built for AVX-512, AVX2 and the
+baseline, and the loader picks the best this CPU has; IEEE add, multiply
+and divide round the same in any register, so all give the same bits,
+and so does the generic build on other machines. gcc runs, and
 subprocess and sysconfig are imported, only when no cached binary
 exists; otherwise the import just loads the cached file. If it cannot be
 built or loaded, the import raises ImportError with the compiler's exit

@@ -1,15 +1,22 @@
 """The log every exponential, Erlang and arrival-gap value is made with.
 
-_loop.c's log_unit is fdlibm's log, in plain double operations, so its
-bits are the same on every IEEE machine; _log of tests/_reference.py is
-its port to Python, its specification. The samplers call it on
-1 - u, u = (w >> 11) * 2**-53, which is exact, so the arguments are the
-multiples of 2**-53 in (0, 1]. Its error is checked against mpmath at
-120 bits on the ends of that range, on powers of two and their
-neighbours, on the edges of its branches and on 20,000 arguments from a
-stream; and on 2,000,000 more against the platform's long double log,
-which the first set checks against mpmath in turn. The port must give
-the extension's bits on every argument.
+_loop.c's log_lanes is fdlibm's log, its operations done on 8 values at
+a time in SIMD lanes, every branch computed and each lane picking its
+own by a mask; IEEE add, multiply and divide round the same in any
+register and -ffp-contract=off forbids fused multiply-add, so each
+lane's bits are those of the scalar fdlibm, on every IEEE machine. _log
+of tests/_reference.py is its specification, one value at a time, and
+log() of the extension calls the same function as the samplers. The
+samplers call it on 1 - u, u = (w >> 11) * 2**-53, which is exact, so
+the arguments are the multiples of 2**-53 in (0, 1]. Its error is
+checked against mpmath at 120 bits on the ends of that range, on powers
+of two and their neighbours, on the edges of its branches and on 20,000
+arguments from a stream; and on 2,000,000 more against the platform's
+long double log, which the first set checks against mpmath in turn. The
+port must give the extension's bits on every argument, and on each edge
+of a branch, 1.0 and each subnormal end at every lane of a full vector
+and of a padded tail. test_targets.py builds the extension for each
+target its log dispatches to and holds each build to the same bits.
 """
 
 from array import array
@@ -46,14 +53,14 @@ def _near(x: float, k: int = 2) -> list[float]:
 
 def _with_fraction(hx: int, low: int) -> float:
     """The double in [0.5, 1) whose fraction has top 20 bits hx and low
-    32 bits low: log_unit branches on hx."""
+    32 bits low: the log branches on hx."""
     return float(np.array([(0x3FE00000 | hx) << 32 | low], dtype=np.uint64).view(np.float64)[0])
 
 
 def mpmath_arguments() -> np.ndarray:
     """The arguments checked against mpmath: the ends, u = 0 and
     u = 1 - 2**-53, every power of two between and its neighbours, 1 - u
-    for small u, the edges of log_unit's branches, and 20,000 from a
+    for small u, the edges of the log's branches, and 20,000 from a
     stream."""
     xs = [1.0, 2.0**-53]
     for j in range(54):
@@ -137,6 +144,29 @@ def test_python_log_is_the_extensions_bit_for_bit():
     ])
     want = [v.hex() for v in np.frombuffer(kernel._loop.log(xs)).tolist()]
     assert [_reference._log(x).hex() for x in xs.tolist()] == want
+
+
+# 1.0, the subnormal and normal ends of (0, 1], and each side of every
+# branch edge: |f| < 2**-20 and f == 0 in it, the two hfsq forms, and the
+# significand's halving at sqrt(2)
+EDGES = [1.0, 1.0 - 2.0**-53, 0.5, 2.0**-1022, 5e-324, 2.0**-1060 * 3.0, 2.0**-1073 * 3.0,
+         2.0**-1023 + 2.0**-1074, *[_with_fraction(hx, low) for hx in (
+             0, 1, 2, 0x6147A, 0x6147B, 0x6B851, 0x6B852, 0x6A09B, 0x6A09C, 0xFFFFD, 0xFFFFE)
+             for low in (0, 1, 0xFFFFFFFF)]]
+
+
+def lane_placements() -> list[list[float]]:
+    """Each edge at every offset of arrays of 1 to 16 values, among the
+    other edges: at every lane of a full vector of 8, and at every lane of
+    each tail of 1 to 7 values, alone and after a full vector."""
+    return [[EDGES[(start + j) % len(EDGES)] for j in range(n)]
+            for n in range(1, 17) for start in range(len(EDGES))]
+
+
+def test_every_lane_of_a_vector_and_of_a_tail_has_the_reference_bits():
+    for xs in lane_placements():
+        got = [v.hex() for v in kernel._loop.log(array("d", xs)).tolist()]
+        assert got == [_reference._log(x).hex() for x in xs], xs
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0 + 2.0**-52, float("inf"), float("nan")])

@@ -18,13 +18,16 @@ its response times of class Z, which never arrives, read NaN since a
 cell with no completion has no response time.
 The remaining tests cover the extension's build and its failure, which
 stops the import and so a CLI run, a build of the source with every gcc
-warning of -Wall -Wextra an error, the samplers' start indices, the
+warning of -Wall -Wextra an error, a build under AddressSanitizer and
+UndefinedBehaviorSanitizer that must pass the log, pin and fill tests
+without a report (tools/sanitize.py), the samplers' start indices, the
 checks the compiled loop makes on its table and its specs, that it calls
 no Python function, that it runs without the GIL and raises its mid-run
 errors alike on any thread, signals crossing the C boundary, and the
 micro-benchmark in bench/, which must still import.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -65,6 +68,8 @@ from qnaps.records import replace
 
 from _helpers import closed_cycle_model, mm1_model, stopping_arrivals_model
 from test_engine_pin import CASES, HORIZON, WARMUP, PIN, case_model, pinned_samples, tally
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def parking_model(park: float = 0.01) -> NetworkModel:
@@ -376,6 +381,25 @@ def test_source_compiles_without_a_warning(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def _sanitize_tool():
+    """tools/sanitize.py as a module."""
+    spec = importlib.util.spec_from_file_location("sanitize", ROOT / "tools" / "sanitize.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None or _sanitize_tool().runtimes() is None,
+                    reason="no gcc, or gcc finds no libasan.so or libubsan.so to preload")
+def test_sanitized_build_passes_the_loops_tests():
+    # tools/sanitize.py builds _loop.c under ASan and UBSan and runs the log,
+    # pin and fill tests on it, failing on any sanitizer report
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "sanitize.py")], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
+    assert " passed" in done.stdout
 
 
 def test_cache_name_follows_the_source_hash(tmp_path):
