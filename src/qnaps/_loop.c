@@ -242,7 +242,7 @@ list_popleft(Engine *E, List *L)
 }
 
 /* ------------------------------------------------------------------ */
-/* calendar: heapq's _siftdown/_siftup on (t, seq) */
+/* calendar: heapq's _siftdown (sift_item) and _siftup (sift_up) on (t, seq) */
 
 static inline int
 ev_lt(const Event *a, const Event *b)
@@ -250,10 +250,14 @@ ev_lt(const Event *a, const Event *b)
     return a->t < b->t || (a->t == b->t && a->seq < b->seq);
 }
 
+/* heapq's _siftdown with its newitem passed in, not read back from h[pos]:
+   newitem fills the hole at pos, rising toward startpos past each parent
+   it sorts before. The event a push makes stays in
+   registers, so no load waits on the stores that would have written it,
+   and the comparisons, the moves and the array are heapq's. */
 static inline void
-sift_down(Event *h, Py_ssize_t startpos, Py_ssize_t pos)
+sift_item(Event *h, Py_ssize_t startpos, Py_ssize_t pos, Event newitem)
 {
-    Event newitem = h[pos];
     while (pos > startpos) {
         Py_ssize_t parentpos = (pos - 1) >> 1;
         if (ev_lt(&newitem, &h[parentpos])) {
@@ -266,11 +270,13 @@ sift_down(Event *h, Py_ssize_t startpos, Py_ssize_t pos)
     h[pos] = newitem;
 }
 
+/* heapq's _siftup with its newitem passed in: the hole at pos sinks to a
+   leaf along the smaller children, and newitem fills it as sift_item
+   does; a pop passes the last event in, not storing it at the root first */
 static inline void
-sift_up(Event *h, Py_ssize_t endpos, Py_ssize_t pos)
+sift_up(Event *h, Py_ssize_t endpos, Py_ssize_t pos, Event newitem)
 {
     Py_ssize_t startpos = pos;
-    Event newitem = h[pos];
     Py_ssize_t childpos = 2 * pos + 1;
     while (childpos < endpos) {
         Py_ssize_t rightpos = childpos + 1;
@@ -280,8 +286,7 @@ sift_up(Event *h, Py_ssize_t endpos, Py_ssize_t pos)
         pos = childpos;
         childpos = 2 * pos + 1;
     }
-    h[pos] = newitem;
-    sift_down(h, startpos, pos);
+    sift_item(h, startpos, pos, newitem);
 }
 
 static int
@@ -297,12 +302,8 @@ heap_push(Engine *E, double t, int job, int st)
         E->heap = grown;
         E->hcap = cap;
     }
-    Event *ev = &E->heap[E->hlen];
-    ev->t = t;
-    ev->seq = E->seq++;
-    ev->job = job;
-    ev->st = st;
-    sift_down(E->heap, 0, E->hlen++);
+    Event ev = {t, E->seq++, job, st};
+    sift_item(E->heap, 0, E->hlen++, ev);
     return 0;
 }
 
@@ -312,8 +313,7 @@ heap_pop(Engine *E)
     Event last = E->heap[--E->hlen];
     if (E->hlen) {
         Event top = E->heap[0];
-        E->heap[0] = last;
-        sift_up(E->heap, E->hlen, 0);
+        sift_up(E->heap, E->hlen, 0, last);
         return top;
     }
     return last;
@@ -369,6 +369,18 @@ words_at(Words *W, uint64_t k0, uint64_t k1, uint64_t start)
     W->b = start / 4;
     W->w = (int)(start % 4);
     philox_block(k0, k1, W->b, W->words);
+}
+
+/* W, which words_at placed, at word pos of its stream: the block that
+   holds it is made only when W holds another */
+static inline void
+words_seek(Words *W, uint64_t pos)
+{
+    if (pos / 4 != W->b) {
+        W->b = pos / 4;
+        philox_block(W->k0, W->k1, W->b, W->words);
+    }
+    W->w = (int)(pos % 4);
 }
 
 /* the next word as a uniform on [0, 1): its top 53 bits times 2**-53, which
@@ -552,35 +564,45 @@ read_spec(Specs *S, PyObject *spec, Py_ssize_t b, int depth)
     return at;
 }
 
-/* words an erlang fill takes at a time */
+/* words an erlang fill takes at a time, and indices a mixture collects */
 #define CHUNK 512
 
-/* values first .. first + n - 1 of erlang node N into v: -(log(1 - u1) +
-   ... + log(1 - uk)), summed left to right, times scale or divided by it;
-   with k = 1 the exponential. 1 - u is exact, so log(1 - u) is
-   log1p(-u). The words go through a buffer CHUNK at a time, as 1 - u and
-   then, in place, as their logs; a value's partial sum and its phase
-   carry from one chunk to the next, so every k takes this one path. */
+/* values of erlang node N into v, value i the value of index at[i], or of
+   first + i when at is NULL: -(log(1 - u1) + ... + log(1 - uk)), summed
+   left to right, times scale or divided by it; with k = 1 the
+   exponential. 1 - u is exact, so log(1 - u) is log1p(-u). The words go
+   through a buffer CHUNK at a time, as 1 - u and then, in place, as their
+   logs; a value's partial sum and its phase carry from one chunk to the
+   next, so every k takes this one path. */
 static int
-fill_erlang(const Spec *N, uint64_t first, Py_ssize_t n, double *v)
+fill_erlang(const Spec *N, uint64_t first, const uint64_t *at, Py_ssize_t n, double *v)
 {
     const double x = N->x;  /* v may alias specs */
     const int k = N->k, divide = N->divide;
-    uint64_t end;
-    if (__builtin_mul_overflow(first + (uint64_t)n, (uint64_t)k, &end)) {
-        WITH_GIL(PyErr_Format(PyExc_ValueError, "no words for values %llu + [0, %zd) of %d each",
-                              (unsigned long long)first, n, k));
+    uint64_t lo = at ? at[0] : first, hi = at ? at[n - 1] + 1 : first + (uint64_t)n, end;
+    if (__builtin_mul_overflow(hi, (uint64_t)k, &end)) {
+        WITH_GIL(PyErr_Format(PyExc_ValueError, "no words for values %llu + [0, %llu) of %d each",
+                              (unsigned long long)lo, (unsigned long long)(hi - lo), k));
         return -1;
     }
     Words W;
     double buf[CHUNK], sum = 0.0;
-    int phase = 0;
-    uint64_t left = end - first * (uint64_t)k;  /* the words still to take */
-    words_at(&W, N->k0, N->k1, first * (uint64_t)k);
+    int phase = 0, taken = 0;  /* taken: the words of value i in the buffer so far */
+    Py_ssize_t i = 0;
+    uint64_t left = (uint64_t)n * (uint64_t)k;  /* the words still to take */
+    words_at(&W, N->k0, N->k1, lo * (uint64_t)k);
     while (left > 0) {
         int m = left < CHUNK ? (int)left : CHUNK;
-        for (int j = 0; j < m; j++)
-            buf[j] = 1.0 - next_uniform(&W);
+        if (at == NULL)
+            for (int j = 0; j < m; j++)
+                buf[j] = 1.0 - next_uniform(&W);
+        else
+            for (int j = 0; j < m; j++) {
+                if (taken == 0)
+                    words_seek(&W, at[i++] * (uint64_t)k);
+                buf[j] = 1.0 - next_uniform(&W);
+                taken = taken + 1 == k ? 0 : taken + 1;
+            }
         log_lanes(buf, m);
         for (int j = 0; j < m; j++) {
             sum = phase ? sum + buf[j] : buf[j];
@@ -594,11 +616,51 @@ fill_erlang(const Spec *N, uint64_t first, Py_ssize_t n, double *v)
     return 0;
 }
 
+static int fill_spec(const Spec *specs, int s, uint64_t first, Py_ssize_t n, double *v);
+static int fill_at(const Spec *specs, int s, const uint64_t *at, Py_ssize_t n, double *v);
+
+/* values of mixture node N into v, value i the value of index at[i], or
+   of first + i when at is NULL: base value j, plus extra value j when
+   branch uniform j is below p. Only those extra values are made, by one
+   fill_at of the indices of up to CHUNK of them, so an Erlang extra
+   takes the logs of its words together. */
+static int
+fill_mixture(const Spec *specs, const Spec *N, uint64_t first, const uint64_t *at, Py_ssize_t n,
+             double *v)
+{
+    const double p = N->x;  /* v may alias specs */
+    uint64_t idx[CHUNK];
+    Py_ssize_t where[CHUNK];
+    double extra[CHUNK];
+    int m = 0;
+    Words W;
+    if ((at ? fill_at(specs, N->base, at, n, v) : fill_spec(specs, N->base, first, n, v)) < 0)
+        return -1;
+    words_at(&W, N->k0, N->k1, at ? at[0] : first);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        uint64_t j = at ? at[i] : first + (uint64_t)i;
+        words_seek(&W, j);
+        if (next_uniform(&W) < p) {
+            idx[m] = j;
+            where[m++] = i;
+        }
+        if (m == CHUNK || (m > 0 && i == n - 1)) {
+            if (fill_at(specs, N->extra, idx, m, extra) < 0)
+                return -1;
+            for (int e = 0; e < m; e++)
+                v[where[e]] = v[where[e]] + extra[e];
+            m = 0;
+        }
+    }
+    return 0;
+}
+
 /* values first .. first + n - 1 of node s of specs into v, each
    tests/_reference.py's fill of its kind operation for operation. A leaf
    that takes k words a value makes value j from words jk .. jk + k - 1
    of its key, and a mixture makes value j from value j of its branch
-   uniforms, its base and its extra, so no value depends on n. */
+   uniforms, its base and its extra, so no value depends on n or on which
+   other values are made with it. */
 static int __attribute__((noinline))
 fill_spec(const Spec *specs, int s, uint64_t first, Py_ssize_t n, double *v)
 {
@@ -617,7 +679,7 @@ fill_spec(const Spec *specs, int s, uint64_t first, Py_ssize_t n, double *v)
             v[i] = x + span * next_uniform(&W);
         return 0;
     case SP_ERLANG:
-        return fill_erlang(N, first, n, v);
+        return fill_erlang(N, first, NULL, n, v);
     case SP_SHIFT:
         if (fill_spec(specs, N->base, first, n, v) < 0)
             return -1;
@@ -625,20 +687,39 @@ fill_spec(const Spec *specs, int s, uint64_t first, Py_ssize_t n, double *v)
             v[i] = x + v[i];
         return 0;
     }
-    /* a mixture: base value j, plus extra value j when branch uniform j is
-       below p; only those extra values are made, each alone */
-    if (fill_spec(specs, N->base, first, n, v) < 0)
-        return -1;
-    words_at(&W, N->k0, N->k1, first);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        double extra;
-        if (next_uniform(&W) < x) {
-            if (fill_spec(specs, N->extra, first + (uint64_t)i, 1, &extra) < 0)
-                return -1;
-            v[i] = v[i] + extra;
+    return fill_mixture(specs, N, first, NULL, n, v);
+}
+
+/* fill_spec's values of node s of specs at the n >= 1 indices at[0] <
+   at[1] < ... into v: value i is value at[i] of the node */
+static int
+fill_at(const Spec *specs, int s, const uint64_t *at, Py_ssize_t n, double *v)
+{
+    const Spec *N = &specs[s];
+    const double x = N->x, span = N->span;  /* v may alias specs */
+    Words W;
+    switch (N->kind) {
+    case SP_CONST:
+        for (Py_ssize_t i = 0; i < n; i++)
+            v[i] = x;
+        return 0;
+    case SP_UNIFORM:
+        words_at(&W, N->k0, N->k1, at[0]);
+        for (Py_ssize_t i = 0; i < n; i++) {
+            words_seek(&W, at[i]);
+            v[i] = x + span * next_uniform(&W);
         }
+        return 0;
+    case SP_ERLANG:
+        return fill_erlang(N, 0, at, n, v);
+    case SP_SHIFT:
+        if (fill_at(specs, N->base, at, n, v) < 0)
+            return -1;
+        for (Py_ssize_t i = 0; i < n; i++)
+            v[i] = x + v[i];
+        return 0;
     }
-    return 0;
+    return fill_mixture(specs, N, 0, at, n, v);
 }
 
 /* ------------------------------------------------------------------ */

@@ -6,8 +6,10 @@ differential test runs both on the same engines and requires every
 sample to match bit for bit and every class to have created, sunk and
 dropped the same jobs and to hold as many at the horizon; one of its
 models puts every distribution kind on both loops as service, arrival and
-probabilistic routing target, and another gives two classes a source
-each, so arrivals are read from source cells at two stations. Two pins in
+probabilistic routing target, another gives two classes a source
+each, so arrivals are read from source cells at two stations, and one
+keeps about 250 events on the calendar, with ties, so sifts go eight
+levels deep and the closing sweep walks a deep heap array. Two pins in
 tests/data/engine_pin.json hold both loops' lazy arrival merge on tied
 and non-exponential arrivals. The ties pin was frozen from an engine
 that pre-drew every arrival and merged them with a lexsort. The
@@ -19,12 +21,13 @@ cell with no completion has no response time.
 The remaining tests cover the extension's build and its failure, which
 stops the import and so a CLI run, a build of the source with every gcc
 warning of -Wall -Wextra an error, a build under AddressSanitizer and
-UndefinedBehaviorSanitizer that must pass the log, pin and fill tests
-without a report (tools/sanitize.py), the samplers' start indices, the
-checks the compiled loop makes on its table and its specs, that it calls
-no Python function, that it runs without the GIL and raises its mid-run
-errors alike on any thread, signals crossing the C boundary, and the
-micro-benchmark in bench/, which must still import.
+UndefinedBehaviorSanitizer that must pass the log, pin, fill, calendar
+and thread tests without a report (tools/sanitize.py), a smoke run of
+the sampling profiler (tools/profile_loop.py), the samplers' start
+indices, the checks the compiled loop makes on its table and its specs,
+that it calls no Python function, that it runs without the GIL and
+raises its mid-run errors alike on any thread, signals crossing the C
+boundary, and the micro-benchmark in bench/, which must still import.
 """
 
 import importlib.util
@@ -176,6 +179,30 @@ def two_source_model() -> NetworkModel:
     )
 
 
+def deep_calendar_model() -> NetworkModel:
+    """300 closed jobs that cycle between Work, an fcfs station of 32
+    servers with a deterministic service of 400.3 ms where they start, and
+    Think, a delay with an exponential time of mean 2,800 ms. Work is
+    saturated, so its servers finish in step, 32 events at one time whose
+    order the calendar's tie-break on scheduling order decides, and about
+    250 jobs are on the calendar at any time, the horizon too: the heap is
+    eight levels deep, where on a shipped model it holds 3 to 5 events,
+    and the closing sweep adds up a deep heap array's order. 400.3 is not
+    a short binary fraction, so those sums round and their order shows."""
+    routing = RoutingTable()
+    routing.add("Crowd", "Work", "Think")
+    routing.add("Crowd", "Think", "Work")
+    return NetworkModel(
+        name="deep-calendar",
+        stations=[
+            Station("Work", kind=FCFS, servers=32, service={"Crowd": Deterministic(400.3)}),
+            Station("Think", kind=DELAY, service={"Crowd": Exponential(1.0 / 2800.0)}),
+        ],
+        classes=[JobClass("Crowd", "closed", population=300, reference="Work")],
+        routing=routing,
+    )
+
+
 def kinds(scale: float) -> dict:
     """One distribution of each kind with a finite mean of about scale."""
     s = scale
@@ -236,6 +263,7 @@ MODELS = {
     "stopping_arrivals": stopping_arrivals_model(),
     "every_kind": every_kind_model(),
     "two_sources": two_source_model(),
+    "deep_calendar": deep_calendar_model(),
 }
 
 # seeds of the arrival-merge pins in tests/data/engine_pin.json
@@ -290,6 +318,17 @@ def test_compiled_loop_matches_the_python_loop(name):
     assert validate_model(model) == []
     for seed in range(1000, 1020):
         assert outcome(model, seed, "run") == outcome(model, seed, "_run_python"), seed
+
+
+def test_deep_calendar_model_keeps_hundreds_of_events():
+    # the time-average number of jobs thinking plus those in service, all
+    # on the calendar, and Work's 32 servers busy the whole window
+    model = deep_calendar_model()
+    table = _build(model, 1000, HORIZON / 2, WARMUP)
+    (work, think), _ = tally(table, "run")
+    window = HORIZON / 2 - WARMUP
+    assert work[1] / window == pytest.approx(32.0)
+    assert (think[0] + work[1]) / window > 200.0
 
 
 def test_parking_model_parks_jobs_during_the_run():
@@ -400,6 +439,26 @@ def test_sanitized_build_passes_the_loops_tests():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
     assert " passed" in done.stdout
+
+
+def _profile_tool():
+    """tools/profile_loop.py as a module."""
+    spec = importlib.util.spec_from_file_location("profile_loop", ROOT / "tools" / "profile_loop.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(_profile_tool().refusal() is not None,
+                    reason="the profiler refuses this machine: not x86-64 Linux, or no addr2line or gcc")
+def test_profiler_attributes_samples_to_the_event_loop():
+    # one round of baseline gets about 5 timer samples, and about 60% of
+    # them fall in run_loop or what is inlined into it, so 5 rounds name it
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "profile_loop.py"), "baseline",
+                           "--rounds", "5"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
+    assert done.stdout.startswith("profile_loop: baseline, 5 rounds: ")
+    assert "run_loop" in done.stdout
 
 
 def test_cache_name_follows_the_source_hash(tmp_path):

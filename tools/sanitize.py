@@ -8,8 +8,12 @@ temporary directory, so the product's cached binary is untouched. Then a
 child interpreter, with gcc's libasan and libubsan preloaded (LD_PRELOAD)
 and ASAN_OPTIONS=detect_leaks=0:allocator_may_return_null=1, loads that
 build as qnaps.kernel._loop and runs pytest on TESTS: the log on every
-lane and tail, the engine pins and the compiled fills against the
-reference's. Leaks are not reported: the interpreter itself keeps memory
+lane and tail, the engine pins, the compiled fills against the
+reference's, the compiled loop against the reference loop on the models
+that stress the calendar (tied times, a closed cycle, two sources and a
+calendar of about 250 events), and the loop run without the GIL on a
+thread and failing mid-run on two threads at once. Leaks are not
+reported: the interpreter itself keeps memory
 to its exit. Exits 0 when the tests pass and neither sanitizer printed a
 word; 1, printing the child's output, when a test fails or a sanitizer
 reports; 2 when gcc finds no libasan.so or libubsan.so, or the build
@@ -34,7 +38,11 @@ from qnaps import kernel  # noqa: E402  (for _CFLAGS and the source path)
 
 SANITIZE_FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined")
 TESTS = ("tests/test_log.py", "tests/test_engine_pin.py",
-         "tests/test_kernel.py::test_compiled_fills_equal_the_python_fills")
+         "tests/test_kernel.py::test_compiled_fills_equal_the_python_fills",
+         *(f"tests/test_loop.py::test_compiled_loop_matches_the_python_loop[{name}]"
+           for name in ("ties", "closed_cycle", "two_sources", "deep_calendar")),
+         "tests/test_loop.py::test_compiled_loop_runs_without_the_gil",
+         "tests/test_loop.py::test_mid_run_errors_are_the_same_on_any_thread")
 REPORT = re.compile(r"Sanitizer|runtime error:")
 
 # load the build in argv[1] as qnaps.kernel._loop, then run pytest on
