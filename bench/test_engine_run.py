@@ -12,6 +12,7 @@ on the extension's fill, so one run gives the speed-up of the compiled
 loop on one machine. A second
 case times the samplers alone: fill(spec, first, _BLOCK) of the spec of
 one sampler per distribution kind, of a mixture whose base is a mixture,
+of a mixture that adds its Erlang extra to one value in twenty,
 and of the arrival-gap and routing samplers the engine builds (routing
 is the Philox words every sampler is made from, as uniforms), block
 after block, and the log that the exponential and Erlang values take
@@ -89,6 +90,8 @@ SAMPLERS = {
     "mixture": partial(_spec, Mixture(0.25, Exponential(0.5), Exponential(0.1))),
     "nested-mixture": partial(_spec, Mixture(0.4, Mixture(0.5, Uniform(1.0, 2.0), Exponential(2.0)),
                                              Erlang(2, 1.0))),
+    # a rare extra is made for every value and taken for one in twenty
+    "rare-mixture": partial(_spec, Mixture(0.05, Exponential(2.0), Erlang(3, 1.0))),
     "arrival-gaps": partial(_arrival_spec, Exponential(0.05)),
     "routing": partial(_spec, _U01),
     "log": None,  # the log of a block of 1 - u, the same block each time

@@ -70,7 +70,7 @@ class IsEverythingOk(FrozenRecord):
 
 class WhereWasI(FrozenRecord):
     overhead: float = 0.0
-    buffer_capacity: int | None = None  # None or inf: unbounded
+    buffer_capacity: int | None = None  # None or +inf: unbounded
     controller: str = "Controller"
     target_class: str = "Analysis"
 
@@ -169,7 +169,7 @@ def _where_was_i(net: NetworkModel, spec: WhereWasI) -> str:
     if not spec.overhead >= 0:
         raise TransformError(f"overhead must be >= 0 (got {spec.overhead})")
     cap = spec.buffer_capacity
-    if cap is not None and math.isinf(cap):
+    if cap == math.inf:  # -inf is not unbounded; it fails the check below
         cap = None
     if cap is not None:
         if not cap >= 1 or cap != int(cap):

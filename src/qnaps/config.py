@@ -295,7 +295,8 @@ class _Document(FrozenRecord):
 
 
 def _unbounded_integer(value, where: str) -> int | None:
-    if value is None or (isinstance(value, float) and math.isinf(value)):
+    """null or +inf: unbounded (None); else an integer, which -inf is not."""
+    if value is None or value == math.inf:
         return None
     return _integer(value, where)
 

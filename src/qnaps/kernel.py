@@ -435,6 +435,26 @@ def _loop_path(source: bytes, cache_dir: Path) -> Path:
     return cache_dir / f"_loop_{tag}{EXTENSION_SUFFIXES[0]}"
 
 
+def _compile(cc: str, out: Path, *flags: str, timeout: float | None = None):
+    """_loop.c built with compiler cc, _CFLAGS and flags into out: the
+    compiler's CompletedProcess, its output as text. Raises OSError when
+    cc cannot be run, and subprocess.TimeoutExpired past timeout."""
+    import subprocess  # the compiler tools load only on a cache miss
+    import sysconfig
+
+    include = "-I" + sysconfig.get_paths()["include"]
+    return subprocess.run([cc, *_CFLAGS, *flags, include, str(_LOOP_SOURCE), "-o", str(out)],
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _load(path: Path):
+    """The extension built at path, loaded as qnaps._loop."""
+    loader = ExtensionFileLoader("qnaps._loop", str(path))
+    module = module_from_spec(spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
 def _build_loop(cc: str, cache_dir: Path):
     """The compiled event loop: _loop.c built with compiler cc into
     cache_dir unless its cache file is there, then loaded. A build
@@ -445,14 +465,9 @@ def _build_loop(cc: str, cache_dir: Path):
     try:
         path = _loop_path(_LOOP_SOURCE.read_bytes(), cache_dir)
         if not path.exists():
-            import subprocess  # the compiler tools load only on a cache miss
-            import sysconfig
-
             cache_dir.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            include = "-I" + sysconfig.get_paths()["include"]
-            done = subprocess.run([cc, *_CFLAGS, include, str(_LOOP_SOURCE), "-o", str(tmp)],
-                                  capture_output=True, text=True)
+            done = _compile(cc, tmp)
             if done.returncode:
                 reason = f"{cc} exited {done.returncode}: {done.stderr.strip()[-2000:]}"
             else:
@@ -461,10 +476,7 @@ def _build_loop(cc: str, cache_dir: Path):
                     if old != path:
                         old.unlink(missing_ok=True)
         if reason is None:
-            loader = ExtensionFileLoader("qnaps._loop", str(path))
-            module = module_from_spec(spec_from_loader(loader.name, loader))
-            loader.exec_module(module)
-            return module
+            return _load(path)
     except (OSError, ImportError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
     finally:

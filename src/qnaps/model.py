@@ -178,6 +178,9 @@ class NetworkModel(Record):
                        detection=dict(self.detection))
 
 
+_MAX_PHASES = 2**31 - 1  # the compiled loop reads a phase count as a C int
+
+
 def _check_distribution(dist, where: str, allow_inf: bool, arrival: bool) -> list[str]:
     out = _check_parameters(dist, where, allow_inf, arrival)
     if arrival and not out and not dist.mean() > 0.0:  # else arrivals never advance time
@@ -202,6 +205,8 @@ def _check_parameters(dist, where: str, allow_inf: bool, arrival: bool) -> list[
             out.append(f"{where}: erlang phases must be an integer (got {dist.phases!r})")
         elif not dist.phases >= 1:
             out.append(f"{where}: erlang phases must be >= 1")
+        elif dist.phases > _MAX_PHASES:
+            out.append(f"{where}: erlang phases must be <= {_MAX_PHASES} (got {dist.phases})")
         if not dist.rate > 0:
             out.append(f"{where}: erlang rate must be > 0")
     elif k == "uniform":

@@ -43,8 +43,8 @@ _LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = map(float.fromhex, (
 
 
 def _log(x: float) -> float:
-    """log x for x in (0, 1]: log_unit of _loop.c, operation for
-    operation, so the same bits. frexp splits x exactly where log_unit
+    """log x for x in (0, 1]: one lane of log_lanes in _loop.c, operation
+    for operation, so the same bits. frexp splits x exactly where a lane
     reads its bits: x = m * 2**e, and hx is the top 20 bits of the
     fraction of 2m."""
     m, e = math.frexp(x)

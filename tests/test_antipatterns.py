@@ -231,6 +231,14 @@ def test_wwi_rejects_existing_finite_capacity():
         apply(base, WhereWasI(buffer_capacity=8, target_class="Analysis"))
 
 
+def test_wwi_buffer_of_negative_infinity_is_refused():
+    # +inf means unbounded, as None does; -inf is no capacity at all
+    unbounded = apply(build_sensor_net(SensorNetParams()), WhereWasI(buffer_capacity=None))
+    assert apply(build_sensor_net(SensorNetParams()), WhereWasI(buffer_capacity=float("inf"))) == unbounded
+    with pytest.raises(TransformError, match=r"^buffer_capacity must be a positive integer \(got -inf\)$"):
+        apply(build_sensor_net(SensorNetParams()), WhereWasI(buffer_capacity=float("-inf")))
+
+
 # ---------------------------------------------------------------------------
 # directional effects under common random numbers
 

@@ -494,6 +494,20 @@ MALFORMED = {
                         "params": {"controller_service": {"kind": "exponential", "mean_msec": 0}}}),
         "model.params.controller_service.mean_msec: must be positive",
     ),
+    # only null and +inf mean unbounded; -inf is no capacity
+    "negative infinite controller capacity": (
+        _minimal(model={"builder": "baseline", "params": {"controller_capacity": float("-inf")}}),
+        "model.params.controller_capacity: expected an integer, got -inf",
+    ),
+    "negative infinite station capacity": (
+        _inline(lambda m: m["stations"][2].update(capacity=float("-inf"))),
+        "model.stations[2].capacity: expected an integer, got -inf",
+    ),
+    "negative infinite buffer capacity": (
+        _minimal(model={"builder": "sensor-net"},
+                 antipattern={"kind": "where-was-i", "buffer_capacity": float("-inf")}),
+        "antipattern.buffer_capacity: expected an integer, got -inf",
+    ),
     "routing row without from": (
         _inline(lambda m: m["routing"][2].pop("from")),
         "model.routing[2].from: required key is missing",

@@ -333,20 +333,35 @@ def test_mixture_parts_draw_from_their_own_streams(dist):
     assert _take(sampler, n) == want
 
 
-@pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values(), Exponential(0.0)],
-                         ids=[*kinds(10.0), *NESTED, "rate-0"])
+# mixtures at the edges of the extension's fill, which makes a mixture's
+# extra values 512 at a time, taken or not
+MIXTURE_EDGES = {
+    "p-0": Mixture(0.0, Exponential(2.0), Erlang(3, 1.0)),
+    "p-1": Mixture(1.0, Exponential(2.0), Erlang(3, 1.0)),
+    "rate-0-extra": Mixture(0.3, Uniform(1.0, 2.0), Exponential(0.0)),
+    "infinite-extra": Mixture(0.3, Exponential(1.0), Deterministic(math.inf)),
+    "mixture-extra": Mixture(0.5, Exponential(1.0), Mixture(0.3, Erlang(2, 1.0), Uniform(0.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values(), Exponential(0.0),
+                                  *MIXTURE_EDGES.values()],
+                         ids=[*kinds(10.0), *NESTED, "rate-0", *MIXTURE_EDGES])
 def test_compiled_fills_equal_the_python_fills(dist):
     # the extension's fill against the reference's, its specification: values,
     # arrival gaps of dist (an exponential's divided by its rate) and
     # routing uniforms, _BLOCK + 44 of each, so every stream crosses a
-    # block, and 9 from value 4093 on
+    # block, 9 from value 4093 on, and 1100 from value 700 on, from a first
+    # value that is not a multiple of 512 and over two of the 512-value
+    # chunks in which a mixture makes its extra values
     n = kernel._BLOCK + 44
 
     def draw(fill):
         values = _spec(dist, "41|st|cl|service")
         gaps = _arrival_spec(dist, "41|st|cl|arrival")
         routing = _spec(kernel._U01, "41|st|cl|routing")
-        return [[v.hex() for v in _take(spec, n, fill=fill) + _fill(spec, 4093, 9, fill)]
+        return [[v.hex() for v in _take(spec, n, fill=fill) + _fill(spec, 4093, 9, fill)
+                 + _fill(spec, 700, 1100, fill)]
                 for spec in (values, gaps, routing)]
 
     assert draw(_reference.fill) == draw(kernel._loop.fill)

@@ -38,7 +38,6 @@ import shutil
 import signal
 import subprocess
 import sys
-import sysconfig
 import threading
 import time
 from array import array
@@ -414,10 +413,7 @@ def test_build_from_scratch_loads_and_replaces_older_binaries(tmp_path, capsys, 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
 def test_source_compiles_without_a_warning(tmp_path):
-    include = "-I" + sysconfig.get_paths()["include"]
-    done = subprocess.run(["gcc", *kernel._CFLAGS, "-Wall", "-Wextra", "-Werror", include,
-                           str(kernel._LOOP_SOURCE), "-o", str(tmp_path / "_loop.so")],
-                          capture_output=True, text=True, timeout=120)
+    done = kernel._compile("gcc", tmp_path / "_loop.so", "-Wall", "-Wextra", "-Werror", timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
 

@@ -367,6 +367,18 @@ def test_validate_rejects_non_integral_counts(count):
     assert validate_model(model) == [diagnostic]
 
 
+def test_validate_rejects_more_phases_than_a_c_int_holds():
+    # the compiled loop reads a phase count as a C int; a larger one passed
+    # validation and then failed every replication
+    big = Erlang(2**31, 1.0)
+    assert validate_model(_queue_with(service={"Jobs": big})) == [
+        "station Queue, class Jobs: erlang phases must be <= 2147483647 (got 2147483648)"]
+    m = mm1_model()
+    m.classes[0] = JobClass("Jobs", "open", arrival=big)
+    assert validate_model(m) == ["class Jobs arrival: erlang phases must be <= 2147483647 (got 2147483648)"]
+    assert validate_model(_queue_with(service={"Jobs": Erlang(2**31 - 1, 1.0)})) == []
+
+
 def test_validate_arrivals_need_a_positive_mean():
     # zero gaps would keep the arrival list growing at t = 0 forever
     for dist in (Deterministic(0.0), Uniform(0.0, 0.0), Shifted(0.0, Deterministic(0.0)),

@@ -475,6 +475,18 @@ def test_cli_routing_into_a_source_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_erlang_phases_beyond_a_c_int_exit_2(tmp_path, capsys):
+    # it passed validation, then every replication failed in the compiled loop with exit 1
+    model = {"builder": "baseline",
+             "params": {"controller_service": {"kind": "erlang", "phases": 3_000_000_000, "mean_msec": 5.0}}}
+    path = _write_config(tmp_path / "phases.yaml", experiment="phases", model=model)
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "station Controller, class Analysis: erlang phases must be <= 2147483647 (got 3000000000)" in err
+    assert not out.exists()
+
+
 def test_cli_infinite_uniform_service_exits_2(tmp_path, capsys):
     # it ran with exit 0 and wrote a response time of 0.0 for a queue that never empties
     model = {

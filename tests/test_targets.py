@@ -20,10 +20,8 @@ import platform
 import re
 import shutil
 import subprocess
-import sysconfig
 from functools import cache
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +55,9 @@ def target_loop(request, tmp_path_factory):
     target = request.param
     pin = "" if target == "default" else f'__attribute__((target("{target}")))'
     path = tmp_path_factory.mktemp(target) / f"_loop{EXTENSION_SUFFIXES[0]}"
-    include = "-I" + sysconfig.get_paths()["include"]
-    done = subprocess.run(["gcc", *kernel._CFLAGS, "-Wall", "-Wextra", "-Werror", f"-DLANE_TARGETS={pin}",
-                           include, str(kernel._LOOP_SOURCE), "-o", str(path)],
-                          capture_output=True, text=True, timeout=120)
+    done = kernel._compile("gcc", path, "-Wall", "-Wextra", "-Werror", f"-DLANE_TARGETS={pin}", timeout=120)
     assert done.returncode == 0 and done.stderr == "", done.stderr
-    loader = ExtensionFileLoader("qnaps._loop", str(path))
-    module = module_from_spec(spec_from_loader(loader.name, loader))
-    loader.exec_module(module)
-    return module
+    return kernel._load(path)
 
 
 def hexes(values) -> list[str]:

@@ -35,16 +35,14 @@ import platform
 import shutil
 import subprocess
 import sys
-import sysconfig
 import tempfile
 from collections import Counter
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-from qnaps import kernel  # noqa: E402  (for _CFLAGS, the source path and the loop)
+from qnaps import kernel  # noqa: E402  (for its build of the source, and the loop)
 from qnaps.config import load_config  # noqa: E402
 from qnaps.runner import replication_seed  # noqa: E402
 
@@ -117,17 +115,10 @@ def refusal() -> str | None:
     return None
 
 
-def gcc(*args: str) -> None:
-    done = subprocess.run(["gcc", *args], capture_output=True, text=True)
+def built(done: subprocess.CompletedProcess) -> None:
+    """Exits naming the failure when done, a run of gcc, failed."""
     if done.returncode:
         sys.exit(f"profile_loop: gcc exited {done.returncode}: {done.stderr}")
-
-
-def load_loop(path: Path):
-    loader = ExtensionFileLoader("qnaps._loop", str(path))
-    module = module_from_spec(spec_from_loader(loader.name, loader))
-    loader.exec_module(module)
-    return module
 
 
 def mapped_range(path: Path) -> tuple[int, int, int]:
@@ -190,11 +181,11 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         build = Path(tmp) / f"_loop{EXTENSION_SUFFIXES[0]}"
-        gcc(*kernel._CFLAGS, "-g", "-I" + sysconfig.get_paths()["include"], str(kernel._LOOP_SOURCE),
-            "-o", str(build))
+        built(kernel._compile("gcc", build, "-g"))
         (Path(tmp) / "sampler.c").write_text(SAMPLER)
-        gcc("-O2", "-fPIC", "-shared", str(Path(tmp) / "sampler.c"), "-o", str(Path(tmp) / "sampler.so"))
-        kernel._loop = load_loop(build)
+        built(subprocess.run(["gcc", "-O2", "-fPIC", "-shared", str(Path(tmp) / "sampler.c"),
+                              "-o", str(Path(tmp) / "sampler.so")], capture_output=True, text=True))
+        kernel._loop = kernel._load(build)
         sampler = ctypes.CDLL(str(Path(tmp) / "sampler.so"))
         sampler.sampler_pcs.restype = ctypes.POINTER(ctypes.c_ulonglong)
         sampler.sampler_count.restype = ctypes.c_long

@@ -9,17 +9,17 @@ child interpreter, with gcc's libasan and libubsan preloaded (LD_PRELOAD)
 and ASAN_OPTIONS=detect_leaks=0:allocator_may_return_null=1, loads that
 build as qnaps.kernel._loop and runs pytest on TESTS: the log on every
 lane and tail, the engine pins, the compiled fills against the
-reference's, the compiled loop against the reference loop on the models
-that stress the calendar (tied times, a closed cycle, two sources and a
-calendar of about 250 events), and the loop run without the GIL on a
-thread and failing mid-run on two threads at once. Leaks are not
-reported: the interpreter itself keeps memory
-to its exit. Exits 0 when the tests pass and neither sanitizer printed a
-word; 1, printing the child's output, when a test fails or a sanitizer
-reports; 2 when gcc finds no libasan.so or libubsan.so, or the build
-fails. ThreadSanitizer is out of reach: preloading gcc 12's libtsan
-crashed CPython 3.11.7 at start-up, before any qnaps code ran, so the
-loop's threads are not checked for races.
+reference's, mixtures at the edges of the fill among them, the compiled
+loop against the reference loop on the models that stress the calendar
+(tied times, a closed cycle, two sources and a calendar of about 250
+events), and the loop run without the GIL on a thread and failing
+mid-run on two threads at once. Leaks are not reported: the interpreter
+itself keeps memory to its exit. Exits 0 when the tests pass and neither
+sanitizer printed a word; 1, printing the child's output, when a test
+fails or a sanitizer reports; 2 when gcc finds no libasan.so or
+libubsan.so, or the build fails. ThreadSanitizer is out of reach:
+preloading gcc 12's libtsan crashed CPython 3.11.7 at start-up, before
+any qnaps code ran, so the loop's threads are not checked for races.
 """
 from __future__ import annotations
 
@@ -27,14 +27,13 @@ import os
 import re
 import subprocess
 import sys
-import sysconfig
 import tempfile
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-from qnaps import kernel  # noqa: E402  (for _CFLAGS and the source path)
+from qnaps import kernel  # noqa: E402  (for its build of the source)
 
 SANITIZE_FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined")
 TESTS = ("tests/test_log.py", "tests/test_engine_pin.py",
@@ -50,13 +49,9 @@ REPORT = re.compile(r"Sanitizer|runtime error:")
 # report to file descriptor 2, which pytest's capture would swallow
 CHILD = """
 import sys
-from importlib.machinery import ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_loader
 import pytest
 from qnaps import kernel
-loader = ExtensionFileLoader("qnaps._loop", sys.argv[1])
-kernel._loop = module_from_spec(spec_from_loader(loader.name, loader))
-loader.exec_module(kernel._loop)
+kernel._loop = kernel._load(sys.argv[1])
 sys.exit(pytest.main(["-q", "-s", "-p", "no:cacheprovider", *sys.argv[2:]]))
 """
 
@@ -81,9 +76,7 @@ def main() -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         build = Path(tmp) / f"_loop{EXTENSION_SUFFIXES[0]}"
-        include = "-I" + sysconfig.get_paths()["include"]
-        done = subprocess.run(["gcc", *kernel._CFLAGS, *SANITIZE_FLAGS, include,
-                               str(kernel._LOOP_SOURCE), "-o", str(build)], capture_output=True, text=True)
+        done = kernel._compile("gcc", build, *SANITIZE_FLAGS)
         if done.returncode:
             print(f"sanitize: gcc exited {done.returncode}: {done.stderr}", file=sys.stderr)
             return 2
