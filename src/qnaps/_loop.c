@@ -803,6 +803,15 @@ read_engine(Engine *E, PyObject *const *args)
         PyErr_Format(PyExc_ValueError, "table 'block_size' is %zd, not a positive count", E->block);
         return -1;
     }
+    /* a loop that never reaches its horizon never returns */
+    if (!isfinite(E->horizon)) {
+        PyErr_Format(PyExc_ValueError, "table 'horizon' is %R, not a finite time", args[0]);
+        return -1;
+    }
+    if (!(E->warm >= 0.0 && E->warm < E->horizon)) {
+        PyErr_Format(PyExc_ValueError, "table 'warmup' is %R, not in [0, horizon)", args[1]);
+        return -1;
+    }
     for (int k = 0; k < NTABLES; k++)
         if (read_table(E, k, args[3 + k]) < 0)
             return -1;
@@ -850,6 +859,12 @@ read_engine(Engine *E, PyObject *const *args)
     for (Py_ssize_t p = 0; p < E->len[PLACE_STATION]; p++) {
         int s = E->place_station[p], c = E->place_class[p], j;
         double t = E->place_time[p];
+        /* at a NaN or negative time the clock can stall (-1e300 + gap is
+           -1e300); inf queues or parks */
+        if (!(t >= 0.0)) {
+            PyErr_Format(PyExc_ValueError, "table 'place_time' holds a time below 0 or NaN at %zd", p);
+            return -1;
+        }
         if (E->sampler[AT(E, s, c)] < 0) {
             PyErr_Format(PyExc_ValueError,
                          "table 'place_station' places class %d at station %d, which does not serve it",

@@ -12,16 +12,18 @@ _Document (the top level), _Run, _Sweep, _InlineModel with
 model.Station, model.JobClass and _Route, PlotSpec with SeriesSpec,
 ValidationSpec with egraph.EgScenario, egraph.Loop and _Arm, the builder
 parameter sets and the antipattern parameter sets, one per kind in
-antipatterns.SPECS (the ``builder`` and ``kind`` keys pick the set; a
-key of another set is unknown). Each field is one YAML key; a field with
-no default is required, and its annotation picks its parser in
-_FIELD_PARSERS. Every section is closed (unknown keys are errors), every
-list must be non-empty, and every error names the full key path, such as
+antipatterns.SPECS, and the distributions of model.Distribution (the
+``builder`` and ``kind`` keys pick the set; a key of another set is
+unknown). Each field is one YAML key; a field with no default is
+required, and its annotation picks its parser in _FIELD_PARSERS. Every
+section is closed (unknown keys are errors), every list must be
+non-empty, and every error names the full key path, such as
 ``model.routing[2].from``. Where a YAML key differs from the field name,
 the field's Field(key=...) names it: ``class`` (job_class; class_name in
 scenarios), ``from`` (frm), ``arrival_rate_per_msec`` (arrival_rate),
 ``graph`` (root), ``body`` (a loop's child), ``horizon_msec`` and
-``warmup_msec`` (horizon and warmup).
+``warmup_msec`` (horizon and warmup), and the distributions' ``_msec``
+keys (rate, value, low, high and offset).
 
 Schema v1, top level::
 
@@ -38,7 +40,8 @@ Schema v1, top level::
 Model section: either ``builder: baseline | sensor-net`` plus a
 ``params`` mapping whose keys mirror the builder's parameter fields, or
 ``builder: inline`` with explicit ``stations``, ``classes`` and
-``routing`` lists. Distributions are mappings tagged by ``kind``::
+``routing`` lists. A distribution is a section whose ``kind`` picks its
+record::
 
     {kind: exponential, rate_per_msec: r}   or {kind: exponential, mean_msec: m}
     {kind: deterministic, value_msec: v}    # .inf parks jobs at a delay
@@ -46,6 +49,10 @@ Model section: either ``builder: baseline | sensor-net`` plus a
     {kind: uniform, low_msec: a, high_msec: b}
     {kind: shifted, offset_msec: o, base: {...}}
     {kind: mixture, p_extra: p, base: {...}, extra: {...}}
+
+An exponential or Erlang takes exactly one of ``rate_per_msec`` and
+``mean_msec``, the one key no record has: a positive mean m stands for
+the rate phases / m.
 
 A sweep parameter names a field of a parsed set, ``model.params.<field>``
 (not of an inline model) or ``antipattern.<field>``, which the config may
@@ -152,50 +159,28 @@ def _tag(section, tag: str, table: dict, where: str) -> tuple[str, dict]:
 # ---------------------------------------------------------------------------
 # distributions
 
-# kind -> (keys it needs, keys it takes exactly one of, what it takes)
-_DIST_KEYS = {
-    "exponential": (set(), {"rate_per_msec", "mean_msec"}, "exactly one of rate_per_msec, mean_msec"),
-    "deterministic": ({"value_msec"}, set(), "value_msec"),
-    "erlang": ({"phases"}, {"rate_per_msec", "mean_msec"}, "phases plus one of rate_per_msec, mean_msec"),
-    "uniform": ({"low_msec", "high_msec"}, set(), "low_msec and high_msec"),
-    "shifted": ({"offset_msec", "base"}, set(), "offset_msec and base"),
-    "mixture": ({"p_extra", "base", "extra"}, set(), "p_extra, base and extra"),
-}
+_DISTRIBUTIONS = {cls.kind: cls for cls in qm.Distribution.__args__}
 
 
 def parse_distribution(node, where: str) -> qm.Distribution:
-    kind, node = _tag(node, "kind", _DIST_KEYS, where)
-    needs, one_of, takes = _DIST_KEYS[kind]
-    _check_keys(node, needs | one_of, where)
-    if not needs <= set(node) or (one_of and len(one_of & set(node)) != 1):
-        raise ConfigError(f"{where}: {kind} takes {takes}")
-
-    def number(key):
-        return _number(node[key], f"{where}.{key}")
-
-    def dist(key):
-        return parse_distribution(node[key], f"{where}.{key}")
-
-    def mean():
-        value = number("mean_msec")
-        if value <= 0:
-            raise ConfigError(f"{where}.mean_msec: must be positive")
-        return value
-
-    if kind == "exponential":
-        if "rate_per_msec" in node:
-            return qm.Exponential(number("rate_per_msec"))
-        return qm.Exponential(1.0 / mean())
-    if kind == "deterministic":
-        return qm.Deterministic(number("value_msec"))
-    if kind == "erlang":
-        phases = _integer(node["phases"], f"{where}.phases")
-        return qm.Erlang(phases, number("rate_per_msec") if "rate_per_msec" in node else phases / mean())
-    if kind == "uniform":
-        return qm.Uniform(number("low_msec"), number("high_msec"))
-    if kind == "shifted":
-        return qm.Shifted(number("offset_msec"), dist("base"))
-    return qm.Mixture(number("p_extra"), dist("base"), dist("extra"))
+    """The distribution record a section tagged by kind describes. An
+    exponential or Erlang takes exactly one of rate_per_msec and
+    mean_msec; a mean stands for the rate phases / mean, with one phase
+    for an exponential."""
+    kind, rest = _tag(node, "kind", _DISTRIBUTIONS, where)
+    if kind in ("exponential", "erlang"):
+        if ("rate_per_msec" in rest) == ("mean_msec" in rest):
+            raise ConfigError(f"{where}: {kind} takes exactly one of rate_per_msec, mean_msec")
+        if "mean_msec" in rest:
+            mean = _number(rest.pop("mean_msec"), f"{where}.mean_msec")
+            if not mean > 0:
+                raise ConfigError(f"{where}.mean_msec: must be positive")
+            phases = _integer(rest.get("phases", 1), f"{where}.phases") if kind == "erlang" else 1
+            try:
+                rest["rate_per_msec"] = phases / mean
+            except OverflowError:
+                raise ConfigError(f"{where}.phases: too many phases for a float rate") from None
+    return _parse_fields(_DISTRIBUTIONS[kind], rest, where)
 
 
 # ---------------------------------------------------------------------------

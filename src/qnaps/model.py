@@ -40,7 +40,7 @@ class Exponential(FrozenRecord):
     """Exponential distribution. rate 0 is allowed only for arrival
     processes and means the process never fires."""
 
-    rate: float  # per msec
+    rate: float = Field(key="rate_per_msec")
 
     kind = "exponential"
 
@@ -52,7 +52,7 @@ class Deterministic(FrozenRecord):
     """Constant service time. value may be inf for a delay entry, in which
     case jobs park there forever (used by neutral transform settings)."""
 
-    value: float
+    value: float = Field(key="value_msec")
 
     kind = "deterministic"
 
@@ -62,7 +62,7 @@ class Deterministic(FrozenRecord):
 
 class Erlang(FrozenRecord):
     phases: int
-    rate: float  # per-phase rate, per msec
+    rate: float = Field(key="rate_per_msec")  # per phase
 
     kind = "erlang"
 
@@ -71,8 +71,8 @@ class Erlang(FrozenRecord):
 
 
 class Uniform(FrozenRecord):
-    low: float
-    high: float
+    low: float = Field(key="low_msec")
+    high: float = Field(key="high_msec")
 
     kind = "uniform"
 
@@ -84,8 +84,8 @@ class Shifted(FrozenRecord):
     """base plus a constant offset. An offset of zero samples
     bit-identically to the unwrapped distribution."""
 
-    offset: float
-    base: "Distribution"
+    offset: float = Field(key="offset_msec")
+    base: Distribution
 
     kind = "shifted"
 
@@ -97,8 +97,8 @@ class Mixture(FrozenRecord):
     """base demand plus, with probability p_extra, an additional demand."""
 
     p_extra: float
-    base: "Distribution"
-    extra: "Distribution"
+    base: Distribution
+    extra: Distribution
 
     kind = "mixture"
 
@@ -178,7 +178,12 @@ class NetworkModel(Record):
                        detection=dict(self.detection))
 
 
-_MAX_PHASES = 2**31 - 1  # the compiled loop reads a phase count as a C int
+# the compiled loop makes a refill of 4,096 values from 4,096 * phases
+# words with no signal check, holds servers and capacities as float64, and
+# jobs in an array of an int size it doubles
+_MAX_PHASES = 2**14
+_MAX_COUNT = 2**53
+_MAX_POPULATION = 2**30
 
 
 def _check_distribution(dist, where: str, allow_inf: bool, arrival: bool) -> list[str]:
@@ -283,15 +288,15 @@ def validate_model(model: NetworkModel) -> list[str]:
             continue
         if not isinstance(s.servers, Integral):
             diags.append(f"station {s.name}: servers must be an integer (got {s.servers!r})")
-        elif s.servers < 1:
-            diags.append(f"station {s.name}: servers must be >= 1")
+        elif not 1 <= s.servers <= _MAX_COUNT:
+            diags.append(f"station {s.name}: servers must be >= 1 and <= {_MAX_COUNT}")
         if s.capacity is not None:
             if s.kind != FCFS:
                 diags.append(f"station {s.name}: capacity only applies to fcfs stations")
             elif not isinstance(s.capacity, Integral):
                 diags.append(f"station {s.name}: capacity must be an integer (got {s.capacity!r})")
-            elif s.capacity < 1:
-                diags.append(f"station {s.name}: capacity must be >= 1")
+            elif not 1 <= s.capacity <= _MAX_COUNT:
+                diags.append(f"station {s.name}: capacity must be >= 1 and <= {_MAX_COUNT}")
         for cname, dist in s.service.items():
             if cname not in class_names:
                 diags.append(f"station {s.name}: service entry for unknown class {cname!r}")
@@ -311,8 +316,8 @@ def validate_model(model: NetworkModel) -> list[str]:
         else:
             if not isinstance(jc.population, Integral):
                 diags.append(f"class {jc.name}: population must be an integer (got {jc.population!r})")
-            elif jc.population < 1:
-                diags.append(f"class {jc.name}: closed class needs population >= 1")
+            elif not 1 <= jc.population <= _MAX_POPULATION:
+                diags.append(f"class {jc.name}: closed class needs population >= 1 and <= {_MAX_POPULATION}")
             if jc.reference is None or jc.reference not in by_name:
                 diags.append(f"class {jc.name}: closed class needs an existing reference station")
             elif by_name[jc.reference].kind not in (FCFS, DELAY):
@@ -531,13 +536,15 @@ class SensorNetParams(FrozenRecord):
     polling_controller_demand: Distribution = Exponential(1.0 / 2.06)
 
 
+_MAX_DEVICES = 4096  # a station each; 10**400 of them would fill memory
+
+
 def build_sensor_net(params: SensorNetParams = SensorNetParams()) -> NetworkModel:
     """The open Analysis and Actors workloads, then the Status cycle
     over the sensors and the Polling cycle when params include them."""
-    if params.sensor_count < 1:
-        raise ValueError("sensor_count must be >= 1")
-    if params.actor_count < 1:
-        raise ValueError("actor_count must be >= 1")
+    for name in ("sensor_count", "actor_count"):
+        if not 1 <= getattr(params, name) <= _MAX_DEVICES:
+            raise ValueError(f"{name} must be >= 1 and <= {_MAX_DEVICES}")
 
     sensors = [f"Sensor{i + 1}" for i in range(params.sensor_count)]
     actors = [f"Actor{i + 1}" for i in range(params.actor_count)]

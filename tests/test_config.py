@@ -31,7 +31,7 @@ from qnaps.config import (
     parse_model,
 )
 from qnaps.egraph import EgScenario, Loop
-from qnaps.model import BaselineParams, JobClass, SensorNetParams, Station, validate_model
+from qnaps.model import BaselineParams, Distribution, JobClass, SensorNetParams, Station, validate_model
 from qnaps.records import fields
 
 from _helpers import station
@@ -138,8 +138,10 @@ def test_distribution_encodings():
     assert parse_distribution({"kind": "exponential", "rate_per_msec": 0.5}, "x").mean() == 2.0
     assert parse_distribution({"kind": "exponential", "mean_msec": 2.0}, "x").rate == 0.5
     assert parse_distribution({"kind": "deterministic", "value_msec": 3.0}, "x").value == 3.0
-    erl = parse_distribution({"kind": "erlang", "phases": 4, "mean_msec": 2.0}, "x")
+    node = {"kind": "erlang", "phases": 4, "mean_msec": 2.0}
+    erl = parse_distribution(node, "x")
     assert erl.phases == 4 and erl.mean() == pytest.approx(2.0)
+    assert node == {"kind": "erlang", "phases": 4, "mean_msec": 2.0}  # a sweep value is written as given
     uni = parse_distribution({"kind": "uniform", "low_msec": 1.0, "high_msec": 2.0}, "x")
     assert (uni.low, uni.high) == (1.0, 2.0)
     sh = parse_distribution(
@@ -170,6 +172,11 @@ def test_distribution_encodings():
         ({"kind": "erlang", "phases": 2.5, "rate_per_msec": 1.0}, "expected an integer"),
         ({"kind": "deterministic", "value_msec": 1.0, "extra_key": 2}, "unknown key"),
         ({"mean_msec": 1.0}, "spot.kind: required key is missing"),
+        ({"kind": "erlang", "mean_msec": 1.0}, "spot.phases: required key is missing"),
+        ({"kind": "uniform", "low_msec": 1.0}, "spot.high_msec: required key is missing"),
+        ({"kind": "shifted", "base": {"kind": "deterministic"}}, "spot.offset_msec: required key is missing"),
+        ({"kind": "exponential", "mean_msec": 0.0}, "spot.mean_msec: must be positive"),
+        ({"kind": "erlang", "phases": 10**400, "mean_msec": 2.0}, "spot.phases: too many phases for a float rate"),
     ],
 )
 def test_distribution_rejections(node, message):
@@ -389,7 +396,7 @@ SECTIONS = (
 
 
 def test_every_parameter_field_has_a_parser():
-    for cls in (BaselineParams, SensorNetParams, *SPECS.values(), *SECTIONS):
+    for cls in (BaselineParams, SensorNetParams, *SPECS.values(), *SECTIONS, *Distribution.__args__):
         for f in fields(cls):
             assert f.type in _FIELD_PARSERS, f"{cls.__name__}.{f.name}: no parser for {f.type!r}"
 
@@ -662,12 +669,45 @@ def test_validation_section_is_checked_against_the_model_at_parse_time(case):
         parse_config(doc)
 
 
+# every distribution kind, each rate both ways, and a shifted mixture
+# whose extra is itself a mixture
+INLINE_EVERY_KIND = {
+    "builder": "inline",
+    "stations": [
+        {"name": "Source", "kind": "source"},
+        {"name": "Q", "kind": "fcfs", "servers": 2, "capacity": 8, "service": {
+            "Jobs": {"kind": "erlang", "phases": 3, "mean_msec": 1.5},
+            "Loop": {"kind": "uniform", "low_msec": 0.5, "high_msec": 1.5}}},
+        {"name": "D", "kind": "delay", "service": {
+            "Jobs": {"kind": "shifted", "offset_msec": 0.5, "base": {
+                "kind": "mixture", "p_extra": 0.25, "base": {"kind": "deterministic", "value_msec": 1.0},
+                "extra": {"kind": "mixture", "p_extra": 0.5,
+                          "base": {"kind": "exponential", "rate_per_msec": 2.0},
+                          "extra": {"kind": "erlang", "phases": 2, "rate_per_msec": 1.0}}}},
+            "Loop": {"kind": "exponential", "mean_msec": 4.0}}},
+        {"name": "Sink", "kind": "sink"},
+    ],
+    "classes": [
+        {"name": "Jobs", "kind": "open", "arrival": {"kind": "exponential", "mean_msec": 5.0}},
+        {"name": "Loop", "kind": "closed", "population": 2, "reference": "D"},
+    ],
+    "routing": [
+        {"class": "Jobs", "from": "Source", "to": "Q"},
+        {"class": "Jobs", "from": "Q", "to": {"D": 0.5, "Sink": 0.5}},
+        {"class": "Jobs", "from": "D", "to": "Sink"},
+        {"class": "Loop", "from": "D", "to": "Q"},
+        {"class": "Loop", "from": "Q", "to": "D"},
+    ],
+}
+
+
 FUZZED = {
     **{p.stem: yaml.safe_load(p.read_text()) for p in SHIPPED},
     "inline_open": _minimal(model=INLINE_PINNED["open"]),
     "inline_closed": _minimal(model=INLINE_PINNED["closed"]),
     "validated": _validated(lambda v: v["scenarios"][0].update(graph={"seq": [
         _branch(0.5, 0.5), {"loop": {"count": 2, "body": {"basic": {"Controller": 1.0}}}}]})),
+    "inline_every_kind": _minimal(model=INLINE_EVERY_KIND),
 }
 
 
@@ -683,7 +723,7 @@ def test_any_value_at_any_key_parses_or_is_a_config_error(name):
     # a config a user edits either parses or stops with a ConfigError (CLI
     # exit 2), never with another exception from deep inside the parser
     for path in _key_paths(FUZZED[name]):
-        for value in (["x"], {"a": 1}, None, -1, 0, "x", 2.5, True, []):
+        for value in (["x"], {"a": 1}, None, -1, 0, "x", 2.5, True, [], 10**400):
             doc = copy.deepcopy(FUZZED[name])
             node = doc
             for key in path[:-1]:

@@ -25,15 +25,17 @@ UndefinedBehaviorSanitizer that must pass the log, pin, fill, calendar
 and thread tests without a report (tools/sanitize.py), a smoke run of
 the sampling profiler (tools/profile_loop.py), the samplers' start
 indices, the checks the compiled loop makes on its table and its specs,
-that it calls no Python function, that it runs without the GIL and
-raises its mid-run errors alike on any thread, signals crossing the C
-boundary, and the micro-benchmark in bench/, which must still import.
+a fixed-seed fuzz of tables changed at random, that it calls no Python
+function, that it runs without the GIL and raises its mid-run errors
+alike on any thread, signals crossing the C boundary, and the
+micro-benchmark in bench/, which must still import.
 """
 
 import importlib.util
 import json
 import math
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -594,6 +596,16 @@ CORRUPT = {
                     "table 'place_class' holds 4 at 0"),
     "place_time": ("awty", lambda t: t.place_time.tolist(), TypeError,
                    "table 'place_time' is not a 1-d float64 array"),
+    "place_time/nan": ("awty", lambda t: changed(t.place_time, 2, math.nan), ValueError,
+                       "table 'place_time' holds a time below 0 or NaN at 2"),
+    "place_time/-inf": ("awty", lambda t: changed(t.place_time, 0, -math.inf), ValueError,
+                        "table 'place_time' holds a time below 0 or NaN at 0"),
+    "horizon": ("awty", lambda t: math.inf, ValueError, "table 'horizon' is inf, not a finite time"),
+    "horizon/nan": ("awty", lambda t: math.nan, ValueError, "table 'horizon' is nan, not a finite time"),
+    "warmup": ("awty", lambda t: math.nan, ValueError, r"table 'warmup' is nan, not in \[0, horizon\)"),
+    "warmup/negative": ("awty", lambda t: -1.0, ValueError, r"table 'warmup' is -1.0, not in \[0, horizon\)"),
+    "warmup/horizon": ("awty", lambda t: t.horizon, ValueError,
+                       r"table 'warmup' is \d+\.0, not in \[0, horizon\)"),
     "start": ("awty", lambda t: changed(t.start, 3, -1), ValueError,
               "sampler 3 starts at value -1, before its first"),
     "specs": ("awty", lambda t: tuple(t.specs), TypeError, "table 'specs' is not a list"),
@@ -608,7 +620,7 @@ CORRUPT = {
 
 def test_corrupt_cases_cover_every_table_array():
     arrays = {case.split("/")[0] for case in CORRUPT}
-    assert arrays == set(kernel._Table._fields) - {"horizon", "warmup"}
+    assert arrays == set(kernel._Table._fields)
 
 
 def test_compiled_loop_runs_without_the_gil():
@@ -681,6 +693,129 @@ def test_compiled_loop_checks_its_table_on_entry(case):
     bad = table._replace(**{case.split("/")[0]: corrupt(table)})
     with pytest.raises(error, match=match):
         kernel._loop.run(*bad)
+
+
+# fuzzed tables: the models they start from, what a run of one may raise,
+# and the values a scalar field may become
+FUZZ_BASES = ("mm1_capacity3", "closed_cycle", "parking", "two_sources", "wwi", "awty", "every_kind")
+FUZZ_ERRORS = (ValueError, TypeError, IndexError, OverflowError, MemoryError)
+FUZZ_SCALARS = {
+    "horizon": (math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0, 50.0),
+    "warmup": (math.nan, math.inf, -math.inf, -1.0, 0.0, 499.0, 500.0),
+    "block_size": (-1, 0, 1, 3, 2**62, 2**63, 2.5),
+}
+
+
+def too_deep():
+    spec = ("const", 1.0)
+    for _ in range(65):
+        spec = ("shift", 0.0, spec)
+    return spec
+
+
+# specs the loop refuses, alone or as a part of another
+JUNK_SPECS = (
+    None, (), ["const", 1.0], ("gamma", 2.0), ("const",), ("const", "1"), ("const", 1.0, 2.0),
+    ("erlang", 1, 2), ("erlang", 1, 2, 0, 1.0, False), ("erlang", 1, 2, 2**31, 1.0, False),
+    ("erlang", -1, 2, 1, 1.0, False), ("uniform", 1, 2**64, 0.0, 1.0), ("uniform", 1.5, 2, 0.0, 1.0),
+    ("shift", 1.0, "x"), ("mixture", 1, 2, 0.5, ("const", 1.0)), too_deep(),
+)
+
+
+def fuzzed_entry(rng, typecode):
+    """An index, a start, or a time or count that is NaN, infinite, negative,
+    tiny or huge, for an array of typecode."""
+    if typecode == "i":
+        return rng.choice((-2**31, 2**31 - 1, *range(-2, 12)))
+    if typecode == "q":
+        return rng.choice((-2**63, -1, 0, 1, 4093, 2**62, 2**63 - 1))
+    return rng.choice((math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 0.5, 2.0, 1e300))
+
+
+def fuzzed_specs(specs, rng):
+    """specs with a junk spec, a junk part, two specs swapped, or another
+    type or length."""
+    specs, b = list(specs), rng.randrange(len(specs))
+    how = rng.randrange(4)
+    if how == 0:
+        specs[b] = rng.choice(JUNK_SPECS)
+    elif how == 1:
+        specs[b] = rng.choice((("shift", 1.0, rng.choice(JUNK_SPECS)),
+                               ("mixture", 1, 2, 0.5, specs[b], rng.choice(JUNK_SPECS))))
+    elif how == 2:
+        other = rng.randrange(len(specs))
+        specs[b], specs[other] = specs[other], specs[b]
+    else:
+        specs = rng.choice((tuple(specs), specs[:-1], specs + specs[:1]))
+    return specs
+
+
+def fuzzed(table, name, rng):
+    """table with its field name changed at random."""
+    old = getattr(table, name)
+    if name in FUZZ_SCALARS:
+        new = rng.choice(FUZZ_SCALARS[name])
+    elif name == "specs":
+        new = fuzzed_specs(old, rng)
+    else:
+        how = rng.randrange(4)
+        if how == 0:
+            other = "q" if old.typecode == "d" else "d"
+            new = rng.choice((old.tolist(), bytes(8 * len(old)), None, array(other, [0] * len(old)),
+                              array("f", [0.0] * len(old)), array("l", [0] * len(old))))
+        elif how == 1:
+            new = rng.choice((old[:-1], old + old[:1], old[:0]))
+        elif not old:
+            new = old
+        else:
+            new = array(old.typecode, old)
+            new[rng.randrange(len(new))] = fuzzed_entry(rng, old.typecode)
+    return table._replace(**{name: new})
+
+
+def test_fuzzed_tables_run_or_raise():
+    """Tables of seven models changed at random, one or two fields at a time:
+    an index set in or out of range, an array made shorter, longer or empty,
+    or of another type, a sampler's start moved, a time, count or
+    probability made NaN, infinite, negative, tiny or huge, the horizon,
+    warmup or block size made invalid, and a spec made malformed, given a
+    malformed part, or swapped with another. Each run returns a tally or
+    raises ValueError, TypeError, IndexError, OverflowError or MemoryError,
+    within a second. The fuzz makes no well-formed spec of its own, so it
+    leaves out the valid specs that make zero-time loops, such as a zero
+    arrival gap or a closed cycle of zero demands, and those whose values
+    are NaN or negative: validate_model refuses them, the table check on
+    entry does not."""
+    rng = random.Random(20261019)
+    bases = {name: _build(MODELS[name], 7, 500.0, 50.0) for name in FUZZ_BASES}
+
+    class Overran(Exception):
+        pass
+
+    def ring(signum, frame):
+        raise Overran
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    outcomes = set()
+    try:
+        for _ in range(3000):
+            base = rng.choice(FUZZ_BASES)
+            table, changes = bases[base], rng.sample(kernel._Table._fields, rng.randint(1, 2))
+            for name in changes:
+                table = fuzzed(table, name, rng)
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            try:
+                kernel._loop.run(*table)
+                outcomes.add("tally")
+            except FUZZ_ERRORS as exc:
+                outcomes.add(type(exc).__name__)
+            except Overran:
+                pytest.fail(f"{base} with {changes} changed ran past 1 s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert outcomes == {"tally", "ValueError", "TypeError", "IndexError", "OverflowError", "MemoryError"}
 
 
 def test_compiled_loop_checks_for_signals():

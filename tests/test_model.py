@@ -368,15 +368,31 @@ def test_validate_rejects_non_integral_counts(count):
 
 
 def test_validate_rejects_more_phases_than_a_c_int_holds():
-    # the compiled loop reads a phase count as a C int; a larger one passed
-    # validation and then failed every replication
-    big = Erlang(2**31, 1.0)
-    assert validate_model(_queue_with(service={"Jobs": big})) == [
-        "station Queue, class Jobs: erlang phases must be <= 2147483647 (got 2147483648)"]
-    m = mm1_model()
-    m.classes[0] = JobClass("Jobs", "open", arrival=big)
-    assert validate_model(m) == ["class Jobs arrival: erlang phases must be <= 2147483647 (got 2147483648)"]
-    assert validate_model(_queue_with(service={"Jobs": Erlang(2**31 - 1, 1.0)})) == []
+    # the compiled loop reads a phase count as a C int, and makes a refill of
+    # 4,096 values from 4,096 * phases words with no signal check: 2**31
+    # phases failed every replication, and 2**31 - 1 made one refill take hours
+    for phases in (2**31, 2**14 + 1):
+        big = Erlang(phases, 1.0)
+        message = f"erlang phases must be <= 16384 (got {phases})"
+        assert validate_model(_queue_with(service={"Jobs": big})) == [f"station Queue, class Jobs: {message}"]
+        m = mm1_model()
+        m.classes[0] = JobClass("Jobs", "open", arrival=big)
+        assert validate_model(m) == [f"class Jobs arrival: {message}"]
+    assert validate_model(_queue_with(service={"Jobs": Erlang(2**14, 1.0)})) == []
+
+
+def test_validate_rejects_counts_the_kernel_cannot_hold():
+    # the loop's tables hold servers and capacities as float64 and its jobs
+    # in an int-indexed array it doubles: 10**400 of any of the three passed
+    # validation, then every replication raised OverflowError
+    for count, ok in ((10**400, False), (2**53 + 1, False), (2**53, True)):
+        for field in ("servers", "capacity"):
+            diags = validate_model(_queue_with(**{field: count}))
+            assert diags == ([] if ok else [f"station Queue: {field} must be >= 1 and <= 9007199254740992"])
+    for population, ok in ((10**400, False), (2**30 + 1, False), (2**30, True)):
+        m = closed_cycle_model(population=population)
+        assert validate_model(m) == ([] if ok else [
+            "class Jobs: closed class needs population >= 1 and <= 1073741824"])
 
 
 def test_validate_arrivals_need_a_positive_mean():

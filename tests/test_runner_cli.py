@@ -483,7 +483,26 @@ def test_cli_erlang_phases_beyond_a_c_int_exit_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "station Controller, class Analysis: erlang phases must be <= 2147483647 (got 3000000000)" in err
+    assert "station Controller, class Analysis: erlang phases must be <= 16384 (got 3000000000)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"controller_service": {"kind": "erlang", "phases": 10**400, "mean_msec": 2.0}},
+     "model.params.controller_service.phases: too many phases for a float rate"),
+    ({"controller_servers": 10**400}, "station Controller: servers must be >= 1 and <= 9007199254740992"),
+    ({"controller_capacity": 10**400}, "station Controller: capacity must be >= 1 and <= 9007199254740992"),
+    ({"status_population": 10**400}, "class Status: closed class needs population >= 1 and <= 1073741824"),
+], ids=["phases", "servers", "capacity", "population"])
+def test_cli_count_past_float_or_index_range_exits_2(tmp_path, capsys, params, message):
+    # each printed a traceback and exited 1: the Erlang from its mean in the
+    # parser, the counts in every replication's table
+    builder = "sensor-net" if "status_population" in params else "baseline"
+    path = _write_config(tmp_path / "big.yaml", experiment="big", model={"builder": builder, "params": params})
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 
