@@ -9,7 +9,9 @@ takes them, work that an engine which pre-drew them did in its build;
 only the sum compares across the two designs. Each model runs on both
 loops, ``_loop.run`` (compiled) and ``run`` of ``tests/_reference.py``
 on the extension's fill, so one run gives the speed-up of the compiled
-loop on one machine. A second
+loop on one machine, and each reports the median over the completions in
+its window (the tally's per-cell ``scnt``, summed) as nanoseconds per
+completion, the loop's cost of an event, in its extra_info. A second
 case times the samplers alone: fill(spec, first, _BLOCK) of the spec of
 one sampler per distribution kind, of a mixture whose base is a mixture,
 of a mixture that adds its Erlang extra to one value in twenty,
@@ -75,10 +77,14 @@ def test_engine_run(benchmark, name, loop):
     def build_and_run():
         table = _build(net, seed, HORIZON, WARMUP)
         run = _loop.run if loop == "run" else partial(_reference.run, fill=_loop.fill)
-        return _finalize(net, seed, table, run(*table))
+        counts = run(*table)
+        return _finalize(net, seed, table, counts), counts
 
-    result = benchmark.pedantic(build_and_run, rounds=10, warmup_rounds=1)
+    result, (cells, _) = benchmark.pedantic(build_and_run, rounds=10, warmup_rounds=1)
     assert result.samples
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        completions = sum(row[3] for row in cells)  # each cell's scnt
+        benchmark.extra_info["ns_per_completion"] = benchmark.stats.stats.median / completions * 1e9
 
 
 SAMPLERS = {

@@ -93,10 +93,19 @@ typedef struct {
     Py_ssize_t len;
 } List;
 
+/* a sampler of the table: its values made block_size at a time into v */
+typedef struct {
+    int spec;       /* its root node */
+    uint64_t next;  /* the index of the first value the next refill makes */
+    double *v;
+    Py_ssize_t i;   /* the next value in v; block_size when v is used up */
+} Sampler;
+
 typedef struct {
     double area, barea, ssum;
     long long scnt, drops;
     List parked;
+    Sampler *sampler;  /* its service, delay or arrival gaps; NULL if none */
 } Cell;
 
 typedef struct {
@@ -136,14 +145,6 @@ typedef struct {
     Spec *v;
     int n, cap;
 } Specs;
-
-/* a sampler of the table: its values made block_size at a time into v */
-typedef struct {
-    int spec;       /* its root node */
-    uint64_t next;  /* the index of the first value the next refill makes */
-    double *v;
-    Py_ssize_t i;   /* the next value in v; block_size when v is used up */
-} Sampler;
 
 typedef struct {
     double horizon, warm;
@@ -185,7 +186,7 @@ _Static_assert(__builtin_offsetof(Engine, start) == __builtin_offsetof(Engine, t
 /* ------------------------------------------------------------------ */
 /* jobs and lists */
 
-static int
+static inline int
 job_new(Engine *E)
 {
     int j = E->free;
@@ -242,12 +243,28 @@ list_popleft(Engine *E, List *L)
 }
 
 /* ------------------------------------------------------------------ */
-/* calendar: heapq's _siftdown (sift_item) and _siftup (sift_up) on (t, seq) */
+/* calendar: heapq's _siftdown (sift_item) and _siftup (sift_up) on (t, seq)
+
+   An event's key is (bits(t) << 1) << 64 | seq, compared as one unsigned
+   128-bit integer. The bits of a double t >= 0, +inf among them, rise
+   with t, since its exponent sits above its significand; the shift drops
+   the sign bit, so -0.0 keys as +0.0 and their tie goes to seq, as the
+   tuples (t, seq) tie in heapq. A time is a placement time, which
+   read_engine refuses below 0 or NaN, or the time of an event plus a
+   value, whose spec read_spec refuses with a number below 0 or NaN; so
+   the key orders every time the loop pushes as (t, seq) does. */
+static inline unsigned __int128
+ev_key(const Event *e)
+{
+    uint64_t bits;
+    memcpy(&bits, &e->t, sizeof bits);
+    return (unsigned __int128)(bits << 1) << 64 | (uint64_t)e->seq;
+}
 
 static inline int
 ev_lt(const Event *a, const Event *b)
 {
-    return a->t < b->t || (a->t == b->t && a->seq < b->seq);
+    return ev_key(a) < ev_key(b);
 }
 
 /* heapq's _siftdown with its newitem passed in, not read back from h[pos]:
@@ -289,7 +306,7 @@ sift_up(Event *h, Py_ssize_t endpos, Py_ssize_t pos, Event newitem)
     sift_item(h, startpos, pos, newitem);
 }
 
-static int
+static inline int
 heap_push(Engine *E, double t, int job, int st)
 {
     if (E->hlen == E->hcap) {
@@ -532,6 +549,13 @@ read_spec(Specs *S, PyObject *spec, Py_ssize_t b, int depth)
     }
     if (N.k < 1)
         return bad_spec(b, spec, PyExc_ValueError, "has fewer than one phase");
+    /* the ranges validate_model enforces, so that no value is negative or
+       NaN, which the calendar's key does not order; -0.0 and +inf pass (an
+       infinite scale still makes 0 * inf, NaN, of a word of 0: 1 in 2**53) */
+    if (kind == SP_MIXTURE && !(N.x >= 0.0 && N.x <= 1.0))
+        return bad_spec(b, spec, PyExc_ValueError, "has a probability outside [0, 1]");
+    if (!(N.x >= 0.0 && N.span >= 0.0))
+        return bad_spec(b, spec, PyExc_ValueError, "has a number below 0 or NaN");
     if (depth == MAX_DEPTH)
         return bad_spec(b, spec, PyExc_ValueError, "nests too deep");
     if (S->n == S->cap) {
@@ -849,6 +873,8 @@ read_engine(Engine *E, PyObject *const *args)
             }
         }
         E->routes[r] = (Route){n, n ? E->route_to[first] : -1, E->route_sampler[r], first};
+        if (E->sampler[r] >= 0)
+            E->cells[r].sampler = &E->samplers[E->sampler[r]];
     }
     for (int c = 0; c < E->ncl; c++)
         E->cl[c].ta = INFINITY;
@@ -910,11 +936,10 @@ free_engine(Engine *E)
 /* ------------------------------------------------------------------ */
 /* the event loop */
 
-/* the next value of sampler b, refilling its buffer when it is used up */
+/* the next value of sampler S, refilling its buffer when it is used up */
 static inline int
-draw(Engine *E, int b, double *out)
+draw(Engine *E, Sampler *S, double *out)
 {
-    Sampler *S = &E->samplers[b];
     if (S->i == E->block) {
         if (fill_spec(E->specs.v, S->spec, S->next, E->block, S->v) < 0)
             return -1;
@@ -944,25 +969,32 @@ complete(Class *C, double e, double t, double warm)
     }
 }
 
-/* job j starts service at fcfs station s at t */
-static int
-start_service(Engine *E, int s, int j, double t)
+/* job j starts service at fcfs station s at t, for a time drawn from S,
+   the sampler of its cell */
+static inline int
+start_service(Engine *E, int s, int j, double t, Sampler *S)
 {
     double sv;
     E->busy[s] += 1;
     E->jobs[j].sstart = t;
-    return draw(E, E->sampler[AT(E, s, E->jobs[j].ci)], &sv) < 0
-        || heap_push(E, t + sv, j, s) < 0 ? -1 : 0;
+    return draw(E, S, &sv) < 0 || heap_push(E, t + sv, j, s) < 0 ? -1 : 0;
 }
 
-/* the class with the earliest next arrival, the lowest index on a tie */
+/* the class with the earliest next arrival, the lowest index on a tie.
+   The running minimum stays in m, so no step waits on reloading the
+   time of the class the step before chose. */
 static int
 earliest_arrival(const Engine *E)
 {
     int ca = 0;
-    for (int c = 1; c < E->ncl; c++)
-        if (E->cl[c].ta < E->cl[ca].ta)
+    double m = E->cl[0].ta;
+    for (int c = 1; c < E->ncl; c++) {
+        double x = E->cl[c].ta;
+        if (x < m) {
+            m = x;
             ca = c;
+        }
+    }
     return ca;
 }
 
@@ -997,7 +1029,7 @@ run_loop(Engine *E)
             double gap;
             A->created += 1;
             r = A->entry;
-            if (draw(E, E->sampler[r], &gap) < 0)
+            if (draw(E, E->cells[r].sampler, &gap) < 0)
                 return -1;
             A->ta = t + gap;
             ca = earliest_arrival(E);
@@ -1028,8 +1060,11 @@ run_loop(Engine *E)
             }
             if (fcfs) {
                 E->busy[s] -= 1;
-                if (E->queue[s].len && start_service(E, s, list_popleft(E, &E->queue[s]), t) < 0)
-                    return -1;
+                if (E->queue[s].len) {
+                    int q = list_popleft(E, &E->queue[s]);
+                    if (start_service(E, s, q, t, E->cells[AT(E, s, E->jobs[q].ci)].sampler) < 0)
+                        return -1;
+                }
                 for (int k = E->flush_ptr[r]; k < E->flush_ptr[r + 1]; k++) {
                     Class *W = &E->cl[E->flush_cls[k]];
                     while (W->pending.len) {
@@ -1052,7 +1087,7 @@ run_loop(Engine *E)
         if (R->n != 1) {
             double u = 0.0;
             int i = 0;
-            if (R->n > 1 && draw(E, R->sampler, &u) < 0)
+            if (R->n > 1 && draw(E, &E->samplers[R->sampler], &u) < 0)
                 return -1;
             while (i < R->n && E->route_cum[R->first + i] < u)
                 i++;
@@ -1099,7 +1134,7 @@ run_loop(Engine *E)
             }
             J->arrived = t;
             if (E->busy[ns] < E->servers[ns]) {
-                if (start_service(E, ns, j, t) < 0)
+                if (start_service(E, ns, j, t, cell->sampler) < 0)
                     return -1;
             } else {
                 list_append(E, &E->queue[ns], j);
@@ -1108,7 +1143,7 @@ run_loop(Engine *E)
             /* delay entry (validation keeps jobs out of sources) */
             double d;
             J->arrived = t;
-            if (draw(E, E->sampler[k], &d) < 0)
+            if (draw(E, cell->sampler, &d) < 0)
                 return -1;
             if (d < INFINITY) {
                 if (heap_push(E, t + d, j, ns) < 0)

@@ -9,8 +9,10 @@ models puts every distribution kind on both loops as service, arrival and
 probabilistic routing target, another gives two classes a source
 each, so arrivals are read from source cells at two stations, and one
 keeps about 250 events on the calendar, with ties, so sifts go eight
-levels deep and the closing sweep walks a deep heap array. Two pins in
-tests/data/engine_pin.json hold both loops' lazy arrival merge on tied
+levels deep and the closing sweep walks a deep heap array; two hold the
+orders of ties: three open classes, listed after a closed one, whose
+arrivals tie every time, and closed jobs placed at -0.0 and +0.0. Two
+pins in tests/data/engine_pin.json hold both loops' lazy arrival merge on tied
 and non-exponential arrivals. The ties pin was frozen from an engine
 that pre-drew every arrival and merged them with a lexsort. The
 arrival_mix pin, whose class M arrives by a mixture, was re-frozen when
@@ -204,6 +206,56 @@ def deep_calendar_model() -> NetworkModel:
     )
 
 
+def arrival_tie_model() -> NetworkModel:
+    """A closed class listed first, so class 0 never arrives, then three
+    open classes whose deterministic arrivals tie every 6 ms: the lowest
+    class index among them arrives first, and W, fcfs with a mean service
+    that differs by class, serves them in that order."""
+    routing = RoutingTable()
+    routing.add("C", "Think", "W")
+    routing.add("C", "W", "Think")
+    for cname in ("A", "B", "D"):
+        routing.add(cname, "Source", "W")
+        routing.add(cname, "W", "Sink")
+    return NetworkModel(
+        name="arrival-ties",
+        stations=[
+            Station("Source", kind=SOURCE),
+            Station("Think", kind=DELAY, service={"C": Exponential(0.1)}),
+            Station("W", kind=FCFS, capacity=4,
+                    service={"C": Exponential(1.0), "A": Exponential(2.0), "B": Exponential(1.0),
+                             "D": Exponential(0.5)}),
+            Station("Sink", kind=SINK),
+        ],
+        classes=[JobClass("C", "closed", population=2, reference="Think"),
+                 *(JobClass(c, "open", arrival=Deterministic(6.0)) for c in ("A", "B", "D"))],
+        routing=routing,
+    )
+
+
+def signed_zero_model() -> NetworkModel:
+    """Closed classes P and Q that think for no time at delays of their
+    own, P for -0.0 ms and Q for +0.0 ms, and are served at one fcfs
+    station W: P's jobs are placed at t = -0.0 and Q's at +0.0, equal
+    times, so the calendar's tie-break on scheduling order puts P's first,
+    as heapq's tuples do."""
+    routing = RoutingTable()
+    for cname in ("P", "Q"):
+        routing.add(cname, f"Think{cname}", "W")
+        routing.add(cname, "W", f"Think{cname}")
+    return NetworkModel(
+        name="signed-zero",
+        stations=[
+            Station("ThinkP", kind=DELAY, service={"P": Deterministic(-0.0)}),
+            Station("ThinkQ", kind=DELAY, service={"Q": Deterministic(0.0)}),
+            Station("W", kind=FCFS, service={"P": Exponential(1.0), "Q": Exponential(0.5)}),
+        ],
+        classes=[JobClass("P", "closed", population=2, reference="ThinkP"),
+                 JobClass("Q", "closed", population=2, reference="ThinkQ")],
+        routing=routing,
+    )
+
+
 def kinds(scale: float) -> dict:
     """One distribution of each kind with a finite mean of about scale."""
     s = scale
@@ -265,6 +317,8 @@ MODELS = {
     "every_kind": every_kind_model(),
     "two_sources": two_source_model(),
     "deep_calendar": deep_calendar_model(),
+    "arrival_ties": arrival_tie_model(),
+    "signed_zero": signed_zero_model(),
 }
 
 # seeds of the arrival-merge pins in tests/data/engine_pin.json
@@ -535,7 +589,10 @@ def test_compiled_loop_calls_no_python_function():
     (("uniform", 1 << 64, 0, 0.0, 1.0), ValueError, r"has a key word outside \[0, 2\*\*64\)"),
     (("erlang", 1, 2, 0, 1.0, False), ValueError, "has fewer than one phase"),
     (("shift", 1.0, ["const", 1.0]), TypeError, r"\['const', 1.0\] is not a sampler spec"),
-], ids=["arity", "key", "phases", "part"])
+    (("shift", 1.0, ("const", math.nan)), ValueError, r"\('const', nan\) has a number below 0 or NaN"),
+    (("mixture", 1, 2, 1.5, ("const", 1.0), ("const", 2.0)), ValueError,
+     r"fill\(\): .* has a probability outside \[0, 1\]"),
+], ids=["arity", "key", "phases", "part", "nan", "probability"])
 def test_compiled_fill_rejects_a_malformed_spec(spec, error, match):
     with pytest.raises(error, match=match):
         kernel._loop.fill(spec, 0, 1)
@@ -615,6 +672,9 @@ CORRUPT = {
                    TypeError, r"sampler 3: \('const', '1'\) is not a sampler spec"),
     "specs/key": ("awty", lambda t: replaced(t.specs, 3, ("uniform", -1, 0, 0.0, 1.0)),
                   ValueError, r"sampler 3: .* has a key word outside \[0, 2\*\*64\)"),
+    # a service time that is NaN stalled the clock: this table ran forever
+    "specs/nan": ("closed_cycle", lambda t: replaced(t.specs, 0, (*t.specs[0][:4], math.nan, False)),
+                  ValueError, r"sampler 0: .* has a number below 0 or NaN"),
 }
 
 
@@ -719,6 +779,14 @@ JUNK_SPECS = (
     ("erlang", 1, 2), ("erlang", 1, 2, 0, 1.0, False), ("erlang", 1, 2, 2**31, 1.0, False),
     ("erlang", -1, 2, 1, 1.0, False), ("uniform", 1, 2**64, 0.0, 1.0), ("uniform", 1.5, 2, 0.0, 1.0),
     ("shift", 1.0, "x"), ("mixture", 1, 2, 0.5, ("const", 1.0)), too_deep(),
+    # well formed, with a number outside the range validate_model enforces
+    ("const", math.nan), ("const", -1.0), ("uniform", 1, 2, -1.0, 1.0), ("uniform", 1, 2, 0.0, -1.0),
+    ("uniform", 1, 2, math.nan, 1.0), ("uniform", 1, 2, 0.0, math.nan),
+    ("erlang", 1, 2, 1, -1.0, False), ("erlang", 1, 2, 2, math.nan, True),
+    ("shift", -1.0, ("const", 1.0)), ("shift", math.nan, ("const", 1.0)),
+    ("mixture", 1, 2, 1.5, ("const", 1.0), ("const", 1.0)),
+    ("mixture", 1, 2, -0.5, ("const", 1.0), ("const", 1.0)),
+    ("mixture", 1, 2, math.nan, ("const", 1.0), ("const", 1.0)),
 )
 
 
@@ -781,11 +849,11 @@ def test_fuzzed_tables_run_or_raise():
     warmup or block size made invalid, and a spec made malformed, given a
     malformed part, or swapped with another. Each run returns a tally or
     raises ValueError, TypeError, IndexError, OverflowError or MemoryError,
-    within a second. The fuzz makes no well-formed spec of its own, so it
-    leaves out the valid specs that make zero-time loops, such as a zero
-    arrival gap or a closed cycle of zero demands, and those whose values
-    are NaN or negative: validate_model refuses them, the table check on
-    entry does not."""
+    within a second. The fuzz makes no well-formed spec of its own but
+    those of JUNK_SPECS, so it leaves out the valid specs that make
+    zero-time loops, such as a zero arrival gap or a closed cycle of zero
+    demands: validate_model refuses them, the table check on entry does
+    not. A spec whose numbers are NaN or negative is refused on entry."""
     rng = random.Random(20261019)
     bases = {name: _build(MODELS[name], 7, 500.0, 50.0) for name in FUZZ_BASES}
 
