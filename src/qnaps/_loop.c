@@ -1,34 +1,34 @@
 /* Compiled event loop of qnaps.kernel, and the fill of its samplers.
 
-   run(*table) runs one replication on the _Table that kernel._build
-   makes, passed field by field. It copies the table's arrays and reads
-   its specs, one per sampler, into C structs, checking each once, on
-   entry, for its format, its length and the range of every index in it,
-   raising TypeError or ValueError naming the table or the sampler; past
-   that the loop indexes unchecked. A source placement is its class's
-   first arrival time and source cell, whose sampler holds its arrival
-   gaps and whose route row is its entry; the other placements are the
-   closed populations. An arrival at t draws the next gap, and the next
+   run(*table) runs one replication on the _Table that kernel._build makes,
+   passed field by field. It copies the table's arrays and reads its specs,
+   one per sampler, into C structs, checking each once, on entry, for its
+   format, its length and the range of every index in it, raising TypeError
+   or ValueError naming the table or the sampler; past that the loop
+   indexes unchecked. set_up then makes the t = 0 state: each class's first
+   arrival, drawn from its entry, the source cell whose sampler holds its
+   arrival gaps and whose route row is where it enters, and the closed
+   populations at their reference stations; run returns None when nothing
+   can ever happen. An arrival at t draws the next gap, and the next
    arrival is t + gap. It runs to the horizon, closes out the jobs still
-   alive and returns the tally kernel._finalize reads. Each accounting
-   rule is one helper: inside (the part of an interval in the window),
-   complete (a response or cycle) and start_service (at an fcfs station);
+   alive and returns the tally kernel._finalize reads. Each accounting rule
+   is one helper: inside (the part of an interval in the window), complete
+   (a response or cycle) and start_service (at an fcfs station);
    tests/_reference.py writes them out where they are used.
 
    It is run of tests/_reference.py, its specification, statement for
-   statement: every float operation keeps that loop's order and
-   grouping, and the calendar is a binary heap with heapq's sift
-   algorithm keyed on (t, seq), so its array layout, which the closing
-   sweep walks, is the same. A sampler is its spec and the index of its
-   next value; the loop refills a buffer of block_size values per
-   sampler with fill_spec, so it calls no Python function and hands back
-   only the tally. The loop runs without the GIL, so replications on
-   threads run in parallel: it takes the GIL back only for its signal
-   check and to raise its errors (PyGILState, which assumes the main
-   interpreter), and its jobs and calendar grow in the raw memory
-   domain, which needs no GIL. Reading the table, the closing sweep and
-   the tally hold the GIL. The kernel module docstring has the build
-   flags this relies on.
+   statement: every float operation keeps that loop's order and grouping,
+   and the calendar is a binary heap with heapq's sift algorithm keyed on
+   (t, seq), so its array layout, which the closing sweep walks, is the
+   same. A sampler is its spec, whose values the loop takes from value 0
+   on, refilling a buffer of block_size values per sampler with fill_spec,
+   so it calls no Python function and hands back only the tally. The loop
+   runs without the GIL, so replications on threads run in parallel: it
+   takes the GIL back only for its signal check and to raise its errors
+   (PyGILState, which assumes the main interpreter), and its jobs and
+   calendar grow in the raw memory domain, which needs no GIL. Reading the
+   table, set_up, the closing sweep and the tally hold the GIL. The kernel
+   module docstring has the build flags this relies on.
 
    fill(spec, first, n) is fill_spec from Python: values first .. first
    + n - 1 of a sampler. Its words are a stateless Philox4x64-10, so any
@@ -61,16 +61,16 @@ enum { KC_FCFS = 0, KC_DELAY = 1, KC_SOURCE = 2, KC_SINK = 3 };
 /* the arrays of a _Table, in its order between block_size and specs */
 enum {
     KIND, SERVERS, CAPACITY, SAMPLER, ROUTE_PTR, ROUTE_TO, ROUTE_CUM, ROUTE_SAMPLER,
-    FLUSH_PTR, FLUSH_CLS, REFERENCE, PLACE_STATION, PLACE_CLASS, PLACE_TIME, START, NTABLES
+    FLUSH_PTR, FLUSH_CLS, REFERENCE, POPULATION, INIT, NTABLES
 };
 
 static const char *const TABLE_NAMES[NTABLES] = {
     "kind", "servers", "capacity", "sampler", "route_ptr", "route_to", "route_cum", "route_sampler",
-    "flush_ptr", "flush_cls", "reference", "place_station", "place_class", "place_time", "start",
+    "flush_ptr", "flush_cls", "reference", "population", "init",
 };
 
-/* each array's buffer format: i int32, d float64, q int64 */
-static const char TABLE_FORMATS[NTABLES + 1] = "iddiiidiiiiiidq";
+/* each array's buffer format: i int32, d float64 */
+static const char TABLE_FORMATS[NTABLES + 1] = "iddiiidiiiiii";
 
 typedef struct {
     double t;
@@ -158,10 +158,7 @@ typedef struct {
             const double *servers, *capacity;
             const int *sampler, *route_ptr, *route_to;
             const double *route_cum;
-            const int *route_sampler, *flush_ptr, *flush_cls, *reference, *place_station,
-                *place_class;
-            const double *place_time;
-            const long long *start;
+            const int *route_sampler, *flush_ptr, *flush_cls, *reference, *population, *init;
         };
     };
     long long *busy;     /* per station */
@@ -178,7 +175,7 @@ typedef struct {
     Py_ssize_t hlen, hcap;
 } Engine;
 
-_Static_assert(__builtin_offsetof(Engine, start) == __builtin_offsetof(Engine, tab)
+_Static_assert(__builtin_offsetof(Engine, init) == __builtin_offsetof(Engine, tab)
                + (NTABLES - 1) * sizeof(void *), "the named tables of Engine line up with tab");
 
 #define AT(E, s, c) ((Py_ssize_t)(s) * (E)->ncl + (c))
@@ -194,8 +191,9 @@ job_new(Engine *E)
         E->free = E->jobs[j].next;
     } else {
         if (E->njobs == E->capjobs) {
-            int cap = E->capjobs ? 2 * E->capjobs : 64;
-            Job *grown = PyMem_RawRealloc(E->jobs, (size_t)cap * sizeof(Job));
+            /* a job is an int index: the array stops at 2**30 entries */
+            int cap = E->capjobs > INT_MAX / 2 ? 0 : E->capjobs ? 2 * E->capjobs : 64;
+            Job *grown = cap ? PyMem_RawRealloc(E->jobs, (size_t)cap * sizeof(Job)) : NULL;
             if (grown == NULL) {
                 WITH_GIL(PyErr_NoMemory());
                 return -1;
@@ -249,10 +247,10 @@ list_popleft(Engine *E, List *L)
    128-bit integer. The bits of a double t >= 0, +inf among them, rise
    with t, since its exponent sits above its significand; the shift drops
    the sign bit, so -0.0 keys as +0.0 and their tie goes to seq, as the
-   tuples (t, seq) tie in heapq. A time is a placement time, which
-   read_engine refuses below 0 or NaN, or the time of an event plus a
-   value, whose spec read_spec refuses with a number below 0 or NaN; so
-   the key orders every time the loop pushes as (t, seq) does. */
+   tuples (t, seq) tie in heapq. A time is a value times a uniform, or
+   the time of an event plus a value, and read_spec refuses a spec with
+   a number below 0 or NaN; so the key orders every time the loop pushes
+   as (t, seq) does. */
 static inline unsigned __int128
 ev_key(const Event *e)
 {
@@ -686,7 +684,7 @@ static int
 read_table(Engine *E, int k, PyObject *obj)
 {
     const char format[2] = {TABLE_FORMATS[k], '\0'};
-    size_t itemsize = format[0] == 'i' ? sizeof(int) : sizeof(double);  /* q and d: 8 bytes */
+    size_t itemsize = format[0] == 'i' ? sizeof(int) : sizeof(double);
     Py_buffer view;
     if (PyObject_GetBuffer(obj, &view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
         PyErr_Clear();
@@ -708,7 +706,7 @@ read_table(Engine *E, int k, PyObject *obj)
     return 0;
 wrong:
     PyErr_Format(PyExc_TypeError, "table '%s' is not a 1-d %s array", TABLE_NAMES[k],
-                 format[0] == 'i' ? "int32" : format[0] == 'q' ? "int64" : "float64");
+                 format[0] == 'i' ? "int32" : "float64");
     return -1;
 }
 
@@ -776,9 +774,11 @@ offsets(const Engine *E, int k, int of)
     return 0;
 }
 
-/* the table's lengths agree with its station, class, placement and
-   sampler counts, every index in it is in range and no sampler starts
-   before its first value */
+/* the table's lengths agree with its station, class and sampler counts,
+   every index in it is in range, no population is above 2**30,
+   validate_model's bound, as set_up places it with no signal check, and
+   a class with jobs has a reference station that serves it, and an init
+   sampler unless that station is fcfs */
 static int
 check_tables(Engine *E)
 {
@@ -787,9 +787,7 @@ check_tables(Engine *E)
         [KIND] = nst, [SERVERS] = nst, [CAPACITY] = nst, [SAMPLER] = cells,
         [ROUTE_PTR] = cells + 1, [ROUTE_TO] = E->len[ROUTE_TO], [ROUTE_CUM] = E->len[ROUTE_TO],
         [ROUTE_SAMPLER] = cells, [FLUSH_PTR] = cells + 1, [FLUSH_CLS] = E->len[FLUSH_CLS],
-        [REFERENCE] = ncl, [PLACE_STATION] = E->len[PLACE_STATION],
-        [PLACE_CLASS] = E->len[PLACE_STATION], [PLACE_TIME] = E->len[PLACE_STATION],
-        [START] = E->nsamplers,
+        [REFERENCE] = ncl, [POPULATION] = ncl, [INIT] = ncl,
     };
     for (int k = 0; k < NTABLES; k++)
         if (E->len[k] != want[k]) {
@@ -797,24 +795,26 @@ check_tables(Engine *E)
                          TABLE_NAMES[k], E->len[k], want[k]);
             return -1;
         }
-    for (Py_ssize_t b = 0; b < E->nsamplers; b++) {
-        if (E->start[b] < 0) {
-            PyErr_Format(PyExc_ValueError, "sampler %zd starts at value %lld, before its first",
-                         b, E->start[b]);
-            return -1;
-        }
-        E->samplers[b].next = (uint64_t)E->start[b];
-    }
-    return in_range(E, KIND, KC_FCFS, KC_SINK + 1) < 0
+    if (in_range(E, KIND, KC_FCFS, KC_SINK + 1) < 0
         || in_range(E, SAMPLER, -1, E->nsamplers) < 0 || offsets(E, ROUTE_PTR, ROUTE_TO) < 0
         || in_range(E, ROUTE_TO, 0, nst) < 0 || in_range(E, ROUTE_SAMPLER, -1, E->nsamplers) < 0
         || offsets(E, FLUSH_PTR, FLUSH_CLS) < 0 || in_range(E, FLUSH_CLS, 0, ncl) < 0
-        || in_range(E, REFERENCE, -1, nst) < 0 || in_range(E, PLACE_STATION, 0, nst) < 0
-        || in_range(E, PLACE_CLASS, 0, ncl) < 0 ? -1 : 0;
+        || in_range(E, REFERENCE, -1, nst) < 0 || in_range(E, POPULATION, 0, (1 << 30) + 1) < 0
+        || in_range(E, INIT, -1, E->nsamplers) < 0)
+        return -1;
+    for (int c = 0; c < ncl; c++) {
+        int s = E->reference[c];
+        if (E->population[c] && (s < 0 || E->sampler[AT(E, s, c)] < 0))
+            return PyErr_Format(PyExc_ValueError, "table 'population' places class %d at "
+                                "station %d, which does not serve it", c, s), -1;
+        if (E->population[c] && E->kind[s] != KC_FCFS && E->init[c] < 0)
+            return PyErr_Format(PyExc_ValueError, "table 'init' has no sampler for class %d", c), -1;
+    }
+    return 0;
 }
 
 /* the engine of a table passed as run()'s arguments, checked, with its
-   route rows, watched classes, first arrivals and closed populations in place */
+   route rows and watched classes in place */
 static int
 read_engine(Engine *E, PyObject *const *args)
 {
@@ -876,43 +876,8 @@ read_engine(Engine *E, PyObject *const *args)
         if (E->sampler[r] >= 0)
             E->cells[r].sampler = &E->samplers[E->sampler[r]];
     }
-    for (int c = 0; c < E->ncl; c++)
-        E->cl[c].ta = INFINITY;
     for (Py_ssize_t k = 0; k < E->len[FLUSH_CLS]; k++)
         E->cl[E->flush_cls[k]].watched = 1;
-    /* each open class's first arrival at its source, then the closed
-       populations: on the calendar, or queued or parked */
-    for (Py_ssize_t p = 0; p < E->len[PLACE_STATION]; p++) {
-        int s = E->place_station[p], c = E->place_class[p], j;
-        double t = E->place_time[p];
-        /* at a NaN or negative time the clock can stall (-1e300 + gap is
-           -1e300); inf queues or parks */
-        if (!(t >= 0.0)) {
-            PyErr_Format(PyExc_ValueError, "table 'place_time' holds a time below 0 or NaN at %zd", p);
-            return -1;
-        }
-        if (E->sampler[AT(E, s, c)] < 0) {
-            PyErr_Format(PyExc_ValueError,
-                         "table 'place_station' places class %d at station %d, which does not serve it",
-                         c, s);
-            return -1;
-        }
-        if (E->kind[s] == KC_SOURCE) {
-            E->cl[c].ta = t;
-            E->cl[c].entry = AT(E, s, c);
-            continue;
-        }
-        if ((j = job_new(E)) < 0)
-            return -1;
-        E->jobs[j].ci = c;
-        if (t < INFINITY) {
-            E->busy[s] += E->kind[s] == KC_FCFS;
-            if (heap_push(E, t, j, s) < 0)
-                return -1;
-        } else {
-            list_append(E, E->kind[s] == KC_FCFS ? &E->queue[s] : &E->cells[AT(E, s, c)].parked, j);
-        }
-    }
     return 0;
 }
 
@@ -978,6 +943,51 @@ start_service(Engine *E, int s, int j, double t, Sampler *S)
     E->busy[s] += 1;
     E->jobs[j].sstart = t;
     return draw(E, S, &sv) < 0 || heap_push(E, t + sv, j, s) < 0 ? -1 : 0;
+}
+
+/* the t = 0 state: each class's first arrival, drawn from its entry,
+   the source cell with a sampler; then the closed populations in class
+   order, each job placed at its reference station as one that enters it,
+   but at a delay for a phase u, from its init sampler, of its think time,
+   which desynchronizes cycles. 1 when jobs exist but no event is on the
+   calendar and no arrival comes before the horizon; -1 on an error. */
+static int
+set_up(Engine *E)
+{
+    int soon = 0;
+    for (int c = 0; c < E->ncl; c++) {
+        Class *C = &E->cl[c];
+        C->ta = INFINITY;
+        int s = 0;
+        while (s < E->nst && !(E->kind[s] == KC_SOURCE && E->cells[AT(E, s, c)].sampler != NULL))
+            s++;
+        C->entry = AT(E, s, c);
+        if (s < E->nst && draw(E, E->cells[C->entry].sampler, &C->ta) < 0)
+            return -1;
+        soon |= !(C->ta >= E->horizon);
+        s = E->reference[c];
+        for (int n = 0; n < E->population[c]; n++) {
+            Cell *cell = &E->cells[AT(E, s, c)];
+            int j = job_new(E), rc = 0;
+            double think, u;
+            if (j < 0)
+                return -1;
+            E->jobs[j].ci = c;
+            if (E->kind[s] == KC_FCFS && E->busy[s] < E->servers[s])
+                rc = start_service(E, s, j, 0.0, cell->sampler);
+            else if (E->kind[s] == KC_FCFS)
+                list_append(E, &E->queue[s], j);
+            else if (draw(E, cell->sampler, &think) < 0 || draw(E, &E->samplers[E->init[c]], &u) < 0)
+                rc = -1;
+            else if (think < INFINITY)
+                rc = heap_push(E, u * think, j, s);
+            else
+                list_append(E, &cell->parked, j);
+            if (rc < 0)
+                return -1;
+        }
+    }
+    return E->njobs && E->hlen == 0 && !soon;
 }
 
 /* the class with the earliest next arrival, the lowest index on a tie.
@@ -1240,18 +1250,18 @@ loop_run(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     }
     memset(&E, 0, sizeof E);
     E.free = -1;
-    if (read_engine(&E, args) == 0) {
-        int rc;
+    int rc = read_engine(&E, args);
+    if (rc == 0 && (rc = set_up(&E)) == 0) {
         Py_BEGIN_ALLOW_THREADS
         rc = run_loop(&E);
         Py_END_ALLOW_THREADS
-        if (rc == 0) {
-            sweep(&E);
-            result = tally(&E);
-        }
+    }
+    if (rc == 0) {
+        sweep(&E);
+        result = tally(&E);
     }
     free_engine(&E);
-    return result;
+    return rc == 1 ? Py_NewRef(Py_None) : result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1349,8 +1359,8 @@ loop_log(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 #define METHOD(name, doc) {#name, (PyCFunction)(void (*)(void))loop_##name, METH_FASTCALL, doc}
 
 static PyMethodDef loop_methods[] = {
-    METHOD(run, "run(*table) -> (cells, classes). Runs the engine of a _Table to its horizon, "
-              "closes out the jobs still alive and returns the tally."),
+    METHOD(run, "run(*table) -> (cells, classes), or None when no job can ever move. Runs the "
+              "engine of a _Table to its horizon and returns the tally."),
     METHOD(fill, "fill(spec, first, n) -> block. Values first .. first + n - 1 of the sampler "
                "spec, a tuple tree of const, uniform, erlang, shift and mixture nodes "
                "(kernel._spec), from Philox4x64-10 words."),
@@ -1359,14 +1369,17 @@ static PyMethodDef loop_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+/* multi-phase init: each load of a build, from any path, is a module of its own */
+static PyModuleDef_Slot loop_slots[] = {{0, NULL}};
+
 static struct PyModuleDef loop_module = {
     PyModuleDef_HEAD_INIT, .m_name = "_loop",
-    .m_doc = "Compiled event loop of qnaps.kernel and the fill of its samplers.", .m_size = -1,
-    .m_methods = loop_methods,
+    .m_doc = "Compiled event loop of qnaps.kernel and the fill of its samplers.", .m_size = 0,
+    .m_methods = loop_methods, .m_slots = loop_slots,
 };
 
 PyMODINIT_FUNC
 PyInit__loop(void)
 {
-    return PyModule_Create(&loop_module);
+    return PyModuleDef_Init(&loop_module);
 }

@@ -11,20 +11,20 @@ what numpy's Generator.random computes from the same words. Philox is
 counter-based, each word a pure function of the key and its position, so
 a sampler is data: its spec, a small tuple tree that _spec makes from a
 distribution and its stream's name (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011), and the index of its next value.
-Every sampler is one, the routing uniforms and each open class's arrival
-gaps too. fill(spec, first, n) makes values first .. first + n - 1: a
-leaf that takes k words a value (exponential and uniform 1, Erlang its
-phases) makes value j from words jk .. jk + k - 1 of its stream, and a
-mixture makes value j from value j of its branch uniforms, its base and
-its extra, each on a part stream of its own, so no value depends on how
-many are made at once. An exponential or Erlang value is -log(1 - u)
+numbers: as easy as 1, 2, 3", SC 2011); the loops take its values in
+order from value 0. Every sampler is one, the routing uniforms, each
+open class's arrival gaps and the closed classes' init phases too.
+fill(spec, first, n) makes values first .. first + n - 1: a leaf that
+takes k words a value (exponential and uniform 1, Erlang its phases)
+makes value j from words jk .. jk + k - 1 of its stream, and a mixture
+makes value j from value j of its branch uniforms, its base and its
+extra, each on a part stream of its own, so no value depends on how many
+are made at once. An exponential or Erlang value is -log(1 - u)
 (1 - u is exact, so this is -log1p(-u)) with fdlibm's log in plain double
 operations, so no value depends on the CPU, on a libm or on numpy. fill
 is in the compiled extension; tests/_reference.py has the same fill in
 Python, bit for bit, with the words from numpy's Philox: its
-specification. The closed-class init phase is one more fill, of one
-uniform per job.
+specification.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -50,44 +50,46 @@ finite-capacity drop, then fcfs or delay entry. Arrivals never touch the
 calendar or its sequence numbers.
 
 A replication is build, loop, finalize (run_replication). _build is the
-one place that decides the engine's layout: it samples what is needed
-before the run (each open class's first gap, which is its first arrival
-time, and the closed populations' t = 0 think and service times), each
-sampler with one fill of exactly the values it places, and emits a flat,
+one place that decides the engine's layout, and draws no value: a flat,
 index-based _Table of int32 and float64 arrays (per station, per
 (station, class) cell with one route row each in CSR form, detection
-flush lists, per class its reference station, closed classes only, and
-the t = 0 placements: the first arrivals at the sources, then the closed
-populations) plus the spec of every sampler (specs) and the index of its
-next value (start), the values _build did not place. A class is watched
-when a flush list names it. The loop, _loop.run(*table), runs on that
-table and returns its tally, per cell and per class, which _finalize
-turns into samples. The loop is one C extension, _loop.c, which copies
-the table's arrays and reads its specs into C structs, checking each
-once, on entry. tests/_reference.py has the same loop in Python, the
-executable specification the tests compare the compiled loop against bit
-for bit. The two share this contract: they replay the placements in the
-same order, every float operation is done in the same order and
-grouping; the calendar is a binary heap with heapq's sift algorithm
-keyed on (t, seq), so its array layout, and with it the closing sweep,
-is the same; and random values come only from the samplers, block_size
-of them to a fill: the Python loop takes them from the fill it is given,
-and the compiled loop from a buffer per sampler that it refills in C, so
-it calls no Python function. The compiled loop runs without the GIL,
-taking it back only for its signal check and its errors, so replications
-on threads run in parallel. The extension is built when this module is
-imported, with gcc -O2 -ffp-contract=off (no fused multiply-add, no
--ffast-math), into src/qnaps/__pycache__ under a name keyed by the
-sha256 of _loop.c and the flags, so an edited source never loads an old
-binary. On x86-64 the samplers' log is built for AVX-512, AVX2 and the
-baseline, and the loader picks the best this CPU has; IEEE add, multiply
-and divide round the same in any register, so all give the same bits,
-and so does the generic build on other machines. gcc runs, and
-subprocess and sysconfig are imported, only when no cached binary
-exists; otherwise the import just loads the cached file. If it cannot be
-built or loaded, the import raises ImportError with the compiler's exit
-code and the tail of its stderr, or the load's error: gcc and the Python
-headers are required.
+flush lists, and per class its reference station, population and init
+sampler, closed classes only) plus the spec of every sampler (specs). A
+class is watched when a flush list names it. The loop,
+_loop.run(*table), makes the t = 0 state by its own rules: each open
+class's first gap is its first arrival time, and each closed job is
+placed at its reference station as one that enters it, in class order,
+but at a delay for a random phase of its think time, which
+desynchronizes cycles. When closed jobs exist but nothing can ever
+happen (no event on the calendar and no arrival before the horizon), it
+returns None, and run_replication raises DeadlockError; otherwise it
+returns its tally, per cell and per class, which _finalize turns into
+samples. The loop is one C extension, _loop.c, which copies the table's
+arrays and reads its specs into C structs, checking each once, on entry.
+tests/_reference.py has the same loop in Python, the executable
+specification the tests compare the compiled loop against bit for bit.
+The two share this contract: they make the t = 0 state in the same
+order, every float operation is done in the same order and grouping; the
+calendar is a binary heap with heapq's sift algorithm keyed on (t, seq),
+so its array layout, and with it the closing sweep, is the same; and
+random values come only from the samplers, block_size of them to a fill:
+the Python loop takes them from the fill it is given, and the compiled
+loop from a buffer per sampler that it refills in C, so it calls no
+Python function. The compiled loop makes the t = 0 state with the GIL
+held, then runs without it, taking it back only for its signal check and
+its errors, so replications on threads run in parallel. The extension is
+built when this module is imported, with gcc -O2 -ffp-contract=off (no
+fused multiply-add, no -ffast-math), into src/qnaps/__pycache__ under a
+name keyed by the sha256 of _loop.c and the flags, so an edited source
+never loads an old binary. On x86-64 the samplers' log is built for
+AVX-512, AVX2 and the baseline, and the loader picks the best this CPU
+has; IEEE add, multiply and divide round the same in any register, so
+all give the same bits, and so does the generic build on other machines.
+gcc runs, and subprocess and sysconfig are imported, only when no cached
+binary exists; otherwise the import just loads the cached file. If it
+cannot be built or loaded, the import raises ImportError with the
+compiler's exit code and the tail of its stderr, or the load's error:
+gcc and the Python headers are required.
 """
 from __future__ import annotations
 
@@ -166,8 +168,8 @@ class _Table(NamedTuple):
     and classes are numbered in model order; a cell is a (station,
     class) pair, numbered s * nclasses + c. Index tables are array('i')
     (int32), times and probabilities array('d'); a sampler is an index
-    into start and specs, and -1 means none. The compiled loop takes the
-    fields in this order."""
+    into specs, and -1 means none. The compiled loop takes the fields in
+    this order."""
 
     horizon: float
     warmup: float
@@ -184,11 +186,9 @@ class _Table(NamedTuple):
     flush_ptr: array      # per cell (station, poller class): a completion there
     flush_cls: array      #   flushes the classes flush_cls[flush_ptr[k]:flush_ptr[k+1]]
     reference: array      # per class: its reference station if closed, else -1
-    place_station: array  # per t = 0 placement, in the order the loops replay them:
-    place_class: array    #   the station, the class and the time; at a source, the
-    place_time: array     #   class's first arrival, else a closed-class job's calendar
-                          #   time, inf when it queues or parks
-    start: array          # per sampler: the index of its next value, array('q')
+    population: array     # per class: its job count if closed, else 0
+    init: array           # per class: the sampler of the phases of its first think
+                          #   times when its reference station is a delay, else -1
     specs: list           # per sampler: its spec
 
 
@@ -242,12 +242,10 @@ def _build(model: NetworkModel, seed: int, horizon: float, warmup: float) -> _Ta
     sidx = {s.name: i for i, s in enumerate(stations)}
     cidx = {jc.name: i for i, jc in enumerate(classes)}
     ncl = len(classes)
-    fill = _loop.fill
-    specs, start = [], []
+    specs = []
 
     def index(spec):
         specs.append(spec)
-        start.append(0)
         return len(specs) - 1
 
     kind = [_KC[s.kind] for s in stations]
@@ -258,21 +256,17 @@ def _build(model: NetworkModel, seed: int, horizon: float, warmup: float) -> _Ta
                 name = f"{seed}|{st.name}|{cname}|service"
                 sampler[s * ncl + cidx[cname]] = index(_spec(dist, name))
 
-    # each open class's first arrival at its source, then the closed
-    # populations at their reference stations at t = 0
-    place = []
-    reference = [-1] * ncl
+    # each open class's arrival gaps at its source, each closed class's
+    # reference station and population
+    reference, population = [-1] * ncl, [0] * ncl
     flush = [[] for _ in sampler]
     for c, jc in enumerate(classes):
         home = _class_start(model, jc)
         if jc.kind == "closed":
-            reference[c] = sidx[home]
+            reference[c], population[c] = sidx[home], jc.population
         elif home is not None:
-            s = sidx[home]
             gaps = _arrival_spec(jc.arrival, f"{seed}|{home}|{jc.name}|arrival")
-            b = sampler[s * ncl + c] = index(gaps)
-            start[b] = 1
-            place.append((s, c, fill(gaps, 0, 1)[0]))
+            sampler[sidx[home] * ncl + c] = index(gaps)
         watcher = model.detection.get(jc.name)
         if watcher is not None:
             flush[sidx[watcher[1]] * ncl + cidx[watcher[0]]].append(c)
@@ -296,25 +290,10 @@ def _build(model: NetworkModel, seed: int, horizon: float, warmup: float) -> _Ta
         route_sampler.append(u01)
         route_ptr.append(len(route_to))
 
-    # the closed populations' jobs in order: at a delay each thinks for
-    # a random phase of its first think time, which desynchronizes
-    # cycles; at an fcfs station the first fill its free servers and
-    # the rest queue. The sampler starts after the m values placed.
-    busy = [0] * len(stations)
-    for c, jc in enumerate(classes):
-        if jc.kind != "closed":
-            continue
-        s = reference[c]
-        b = sampler[s * ncl + c]
-        n = jc.population
-        m = start[b] = n if kind[s] == _KC_DELAY else min(n, stations[s].servers - busy[s])
-        times = fill(specs[b], 0, m).tolist()
-        if kind[s] == _KC_DELAY:
-            phase = fill(_spec(_U01, f"{seed}|{jc.reference}|{jc.name}|init"), 0, n).tolist()
-            times = [u * think if think < _INF else _INF for u, think in zip(phase, times)]
-        else:
-            busy[s] += m
-        place.extend((s, c, t) for t in times + [_INF] * (n - m))
+    # at a delay reference each job of a closed population first thinks
+    # for a random phase of its think time, which desynchronizes cycles
+    init = [index(_spec(_U01, f"{seed}|{jc.reference}|{jc.name}|init"))
+            if s >= 0 and kind[s] == _KC_DELAY else -1 for s, jc in zip(reference, classes)]
 
     def ints(values):
         return array("i", values)
@@ -323,27 +302,15 @@ def _build(model: NetworkModel, seed: int, horizon: float, warmup: float) -> _Ta
         return array("d", values)
 
     flush_ptr = ints(accumulate((len(f) for f in flush), initial=0))
-    place_station, place_class, place_time = zip(*place) if place else ((), (), ())
     return _Table(
         float(horizon), float(warmup), _BLOCK,
         ints(kind), floats(s.servers for s in stations),
         floats(_INF if s.capacity is None else s.capacity for s in stations),
         ints(sampler),
         ints(route_ptr), ints(route_to), floats(route_cum),
-        ints(route_sampler), flush_ptr, ints(c for f in flush for c in f), ints(reference),
-        ints(place_station), ints(place_class), floats(place_time),
-        array("q", start), specs,
+        ints(route_sampler), flush_ptr, ints(c for f in flush for c in f),
+        ints(reference), ints(population), ints(init), specs,
     )
-
-
-def _check_deadlock(model: NetworkModel, table: _Table) -> None:
-    """DeadlockError when closed classes hold jobs but no closed-class job
-    is on the calendar and no arrival comes before the horizon."""
-    if all(time >= table.horizon if table.kind[s] == _KC_SOURCE else time == _INF
-           for s, time in zip(table.place_station.tolist(), table.place_time.tolist())):
-        dead = [jc.name for jc in model.classes if jc.kind == "closed"]
-        if dead:
-            raise DeadlockError(dead)
 
 
 def _finalize(model: NetworkModel, seed: int, table: _Table, tally) -> ReplicationResult:
@@ -421,8 +388,10 @@ def run_replication(model: NetworkModel, seed: int, horizon: float, warmup: floa
     if diags:
         raise InvalidModelError(diags)
     table = _build(model, seed, horizon, warmup)
-    _check_deadlock(model, table)
-    return _finalize(model, seed, table, _loop.run(*table))
+    tally = _loop.run(*table)
+    if tally is None:
+        raise DeadlockError(jc.name for jc in model.classes if jc.kind == "closed")
+    return _finalize(model, seed, table, tally)
 
 
 _LOOP_SOURCE = Path(__file__).with_name("_loop.c")

@@ -115,16 +115,17 @@ class _Job:
         self.sstart = 0.0
 
 
-def _values(fill, spec, start, block):
-    """Values start, start + 1, ... of the sampler spec, made by fill
-    block at a time: a sampler of the Python loop."""
-    for first in count(start, block):
+def _values(fill, spec, block):
+    """Values 0, 1, ... of the sampler spec, made by fill block at a
+    time: a sampler of the Python loop."""
+    for first in count(0, block):
         yield from fill(spec, first, block)
 
 
 def run(*table, fill=fill):
     """The event loop on the fields of a _Table, with values from fill:
-    the tally, per cell and per class, that kernel._finalize reads."""
+    the tally, per cell and per class, that kernel._finalize reads, or
+    None when closed jobs can never move."""
     T = _Table(*table)
     horizon = T.horizon
     warm = T.warmup
@@ -132,7 +133,9 @@ def run(*table, fill=fill):
     servers = T.servers.tolist()
     cap = T.capacity.tolist()
     reference = T.reference.tolist()
-    its = [_values(fill, spec, first, T.block_size) for spec, first in zip(T.specs, T.start)]
+    population = T.population.tolist()
+    its = [_values(fill, spec, T.block_size) for spec in T.specs]
+    init = [its[b] if b >= 0 else None for b in T.init.tolist()]
     samplers = [its[b] if b >= 0 else None for b in T.sampler.tolist()]
     ptr, to, cum = T.route_ptr.tolist(), T.route_to.tolist(), T.route_cum.tolist()
     routes = [(to[a:b], cum[a:b], its[r] if b - a > 1 else None)
@@ -158,21 +161,40 @@ def run(*table, fill=fill):
     seq = 0
     pool = []
 
-    for s, ci, t in zip(T.place_station.tolist(), T.place_class.tolist(),
-                        T.place_time.tolist()):
-        if kind[s] == _KC_SOURCE:
-            tas[ci] = t
-            entry[ci] = s * ncl + ci
-            continue
-        job = _Job(ci)
-        if t < _INF:
-            busy[s] += kind[s] == _KC_FCFS
-            push(heap, (t, seq, job, s))
-            seq += 1
-        elif kind[s] == _KC_FCFS:
-            queues[s].append(job)
-        else:
-            parked[s * ncl + ci].append(job)
+    # t = 0: each class's first arrival, drawn from its entry, the source
+    # cell with a sampler; then the closed populations in class order,
+    # each job placed at its reference station as one that enters it is,
+    # except that at a delay it first thinks for a phase u of its think
+    # time, which desynchronizes cycles
+    for ci in range(ncl):
+        for s in range(nst):
+            k = s * ncl + ci
+            if kind[s] == _KC_SOURCE and samplers[k] is not None:
+                tas[ci] = next(samplers[k])
+                entry[ci] = k
+                break
+        s = reference[ci]
+        k = s * ncl + ci
+        for _ in range(population[ci]):
+            job = _Job(ci)
+            if kind[s] == _KC_FCFS and busy[s] < servers[s]:
+                busy[s] += 1
+                job.sstart = 0.0
+                sv = next(samplers[k])
+                push(heap, (0.0 + sv, seq, job, s))
+                seq += 1
+            elif kind[s] == _KC_FCFS:
+                queues[s].append(job)
+            else:
+                think = next(samplers[k])
+                u = next(init[ci])
+                if think < _INF:
+                    push(heap, (u * think, seq, job, s))
+                    seq += 1
+                else:
+                    parked[k].append(job)
+    if any(population) and not heap and all(ta >= horizon for ta in tas):
+        return None
 
     ta = min(tas, default=_INF)
     while True:

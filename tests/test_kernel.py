@@ -97,7 +97,7 @@ def _fill(spec, first, n, fill=kernel._loop.fill):
 def _take(spec, n, block=None, fill=kernel._loop.fill):
     """The first n values of the sampler spec as the Python loop takes
     them, block (_BLOCK by default) to a fill."""
-    return list(islice(_reference._values(fill, spec, 0, block or kernel._BLOCK), n))
+    return list(islice(_reference._values(fill, spec, block or kernel._BLOCK), n))
 
 
 _KEYS = [0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1] + [
@@ -259,13 +259,12 @@ def test_routing_stream_draws_one_word_per_decision(monkeypatch):
     b = table.route_sampler[0]  # cell (Source, Jobs)
     u01 = table.specs[b]
     # value j of the routing sampler is word j of its stream, from the first
-    assert table.start[b] == 0
     assert _fill(u01, 0, kernel._BLOCK) == _uniforms("12|Source|Jobs|routing", kernel._BLOCK).tolist()
     taken = []
     values = _reference._values
 
-    def counted(fill, spec, first, block):
-        for v in values(fill, spec, first, block):
+    def counted(fill, spec, block):
+        for v in values(fill, spec, block):
             taken.append(spec)
             yield v
 
@@ -371,16 +370,14 @@ def test_compiled_fills_equal_the_python_fills(dist):
                          ids=[*kinds(10.0), *NESTED])
 def test_no_sampler_depends_on_the_block_size(dist):
     # _BLOCK + 44 values, and as many arrival gaps of dist, span two
-    # blocks of the shipped size and many of 97 or 256 values; a sampler
-    # that starts at value 1000 hands out the values from 1000 on
+    # blocks of the shipped size and many of 97 or 256 values; a fill
+    # from value 1000 makes the values from 1000 on
     n = kernel._BLOCK + 44
     specs = (_spec(dist, "31|st|cl|service"), _arrival_spec(dist, "31|st|cl|arrival"))
     shipped = [_take(spec, n) for spec in specs]
     for size in (97, 256):
         assert [_take(spec, n, size) for spec in specs] == shipped
-        assert [list(islice(_reference._values(kernel._loop.fill, spec, 1000, size), 50))
-                for spec in specs] == [
-            values[1000:1050] for values in shipped]
+    assert [_fill(spec, 1000, 50) for spec in specs] == [values[1000:1050] for values in shipped]
 
 
 @pytest.mark.parametrize(
@@ -613,6 +610,83 @@ def test_high_rate_arrivals_build_in_bounded_memory():
     assert dropped == 0 and 0 <= created - sunk < 100
 
 
+_BIG_POPULATION_CHILD = """
+from qnaps.kernel import run_replication
+from qnaps.model import DELAY, FCFS, Exponential, JobClass, NetworkModel, RoutingTable, Station
+routing = RoutingTable()
+routing.add("Crowd", "Think", "Work")
+routing.add("Crowd", "Work", "Think")
+model = NetworkModel(
+    name="crowd",
+    stations=[Station("Think", kind=DELAY, service={"Crowd": Exponential(1e-6)}),
+              Station("Work", kind=FCFS, service={"Crowd": Exponential(1.0)})],
+    classes=[JobClass("Crowd", "closed", population=2_500_000, reference="Think")],
+    routing=routing,
+)
+result = run_replication(model, 1, 20.0, 10.0)
+print(*(s.value for s in result.samples
+        if (s.station, s.job_class, s.metric) == ("Think", "Crowd", "queue-length")))
+"""
+
+
+def test_big_populations_build_in_bounded_memory():
+    # 2.5e6 closed jobs at a delay, each thinking for a phase of a think
+    # time of mean 1e6 ms: the loop places them itself, a few dozen bytes
+    # a job, so a replication runs under a 512 MiB address-space cap
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _BIG_POPULATION_CHILD], capture_output=True,
+                          text=True, env=env, timeout=120, preexec_fn=cap_memory)
+    assert done.returncode == 0, done.stderr
+    assert 2_499_000 < float(done.stdout) < 2_500_000
+
+
+def dormant_model(arrival, think: float) -> NetworkModel:
+    """Two Idle jobs that think for think ms at Think, their reference
+    station, beside open Jobs whose gaps between arrivals are arrival;
+    both are served at Queue."""
+    routing = RoutingTable()
+    routing.add("Jobs", "Source", "Queue")
+    routing.add("Jobs", "Queue", "Sink")
+    routing.add("Idle", "Think", "Queue")
+    routing.add("Idle", "Queue", "Think")
+    return NetworkModel(
+        name="dormant",
+        stations=[
+            Station("Source", kind=SOURCE),
+            Station("Queue", kind=FCFS, service={"Jobs": Exponential(1.0), "Idle": Exponential(1.0)}),
+            Station("Sink", kind=SINK),
+            Station("Think", kind=DELAY, service={"Idle": Deterministic(think)}),
+        ],
+        classes=[
+            JobClass("Jobs", "open", arrival=arrival),
+            JobClass("Idle", "closed", population=2, reference="Think"),
+        ],
+        routing=routing,
+    )
+
+
+@pytest.mark.parametrize("first_arrival, think, deadlocked", [
+    (100.0, math.inf, True),   # the first arrival at the horizon: nothing ever happens
+    (99.0, math.inf, False),   # one arrival before it
+    (100.0, 1e9, False),       # the first thinks end past the horizon, but they are events
+], ids=["arrival-at-horizon", "arrival-before-horizon", "think-past-horizon"])
+def test_deadlock_boundary(first_arrival, think, deadlocked):
+    model = dormant_model(Deterministic(first_arrival), think)
+    if deadlocked:
+        with pytest.raises(DeadlockError) as err:
+            run_replication(model, seed=4, horizon=100.0)
+        assert err.value.class_names == ["Idle"]
+    else:
+        r = table(run_replication(model, seed=4, horizon=100.0))
+        assert r[("system", "Idle", "throughput-per-msec")] == 0.0
+        assert r[("Queue", "Jobs", "throughput-per-msec")] <= 0.01
+
+
 def test_deadlock_when_nothing_can_ever_happen():
     routing = RoutingTable()
     routing.add("Loop", "Think", "Work")
@@ -632,25 +706,7 @@ def test_deadlock_when_nothing_can_ever_happen():
 
 
 def test_parked_class_is_dormant_not_deadlocked_beside_open_traffic():
-    routing = RoutingTable()
-    routing.add("Jobs", "Source", "Queue")
-    routing.add("Jobs", "Queue", "Sink")
-    routing.add("Idle", "Think", "Queue")
-    routing.add("Idle", "Queue", "Think")
-    m = NetworkModel(
-        name="dormant",
-        stations=[
-            Station("Source", kind=SOURCE),
-            Station("Queue", kind=FCFS, service={"Jobs": Exponential(1.0), "Idle": Exponential(1.0)}),
-            Station("Sink", kind=SINK),
-            Station("Think", kind=DELAY, service={"Idle": Deterministic(float("inf"))}),
-        ],
-        classes=[
-            JobClass("Jobs", "open", arrival=Exponential(0.5)),
-            JobClass("Idle", "closed", population=2, reference="Think"),
-        ],
-        routing=routing,
-    )
+    m = dormant_model(Exponential(0.5), math.inf)
     r = table(run_replication(m, seed=8, horizon=2000.0, warmup=100.0))
     assert r[("Queue", "Jobs", "throughput-per-msec")] > 0.3
     assert r[("system", "Idle", "throughput-per-msec")] == 0.0

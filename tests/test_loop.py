@@ -21,15 +21,16 @@ and variance were checked against their closed forms (test_kernel.py);
 its response times of class Z, which never arrives, read NaN since a
 cell with no completion has no response time.
 The remaining tests cover the extension's build and its failure, which
-stops the import and so a CLI run, a build of the source with every gcc
-warning of -Wall -Wextra an error, a build under AddressSanitizer and
-UndefinedBehaviorSanitizer that must pass the log, pin, fill, calendar
-and thread tests without a report (tools/sanitize.py), a smoke run of
-the sampling profiler (tools/profile_loop.py), the samplers' start
-indices, the checks the compiled loop makes on its table and its specs,
-a fixed-seed fuzz of tables changed at random, that it calls no Python
-function, that it runs without the GIL and raises its mid-run errors
-alike on any thread, signals crossing the C boundary, and the
+stops the import and so a CLI run, that each load of a build is a
+module of its own, a build of the source with every gcc warning of
+-Wall -Wextra an error, a build under AddressSanitizer and
+UndefinedBehaviorSanitizer that must pass the log, pin, fill, calendar,
+table-check and thread tests without a report (tools/sanitize.py), a
+smoke run of the sampling profiler (tools/profile_loop.py), the checks
+the compiled loop makes on its table, populations among them, and on
+its specs, a fixed-seed fuzz of tables changed at random, that it calls
+no Python function, that it runs without the GIL and raises its mid-run
+errors alike on any thread, signals crossing the C boundary, and the
 micro-benchmark in bench/, which must still import.
 """
 
@@ -521,6 +522,17 @@ def test_cache_name_follows_the_source_hash(tmp_path):
     assert kernel._loop.__file__.endswith(name)
 
 
+def test_each_load_of_a_build_is_a_module_of_its_own(tmp_path):
+    # a copy of the product's build, then the product's: two modules, each
+    # running the build at its own path, as a tool comparing builds needs
+    product = Path(kernel._loop.__file__)
+    copy = tmp_path / product.name
+    shutil.copyfile(product, copy)
+    first, second = kernel._load(copy), kernel._load(product)
+    assert first is not second
+    assert (first.__file__, second.__file__) == (str(copy), str(product))
+
+
 def test_micro_benchmark_still_collects():
     # bench/ sits outside testpaths, so a kernel name it imports that is
     # renamed or gone would break it unnoticed; collecting it imports it
@@ -532,38 +544,6 @@ def test_micro_benchmark_still_collects():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "bench/test_engine_run.py::test_sampler_fill[nested-mixture]" in done.stdout
-
-
-@pytest.mark.parametrize("loop", ["run", "_run_python"])
-def test_raising_a_start_index_skips_that_many_values(loop):
-    # mm1's arrival gaps from value 1 + m on: the class's first arrival is
-    # the one _build placed, and each next one t + gap over those values
-    table = _build(mm1_model(), 5, 2000.0, 200.0)
-    b = table.sampler[table.place_station[0] * len(table.reference) + table.place_class[0]]
-    m = 1000
-    table.start[b] += m
-    t, created = table.place_time[0], 0
-    for gap in kernel._loop.fill(table.specs[b], 1 + m, 4 * kernel._BLOCK).tolist():
-        if t >= 2000.0:
-            break
-        created += 1
-        t = t + gap
-    assert tally(table, loop)[1][0][0] == created > 1000
-
-
-@pytest.mark.parametrize("name", ["wwi", "awty", "every_kind", "closed_cycle"])
-def test_compiled_loop_matches_the_python_loop_from_any_start(name):
-    # every sampler started m values further on, a different m for each
-    def outcome_from(loop):
-        table = _build(MODELS[name], 1001, HORIZON / 2, WARMUP)
-        for b in range(len(table.start)):
-            table.start[b] += 4093 * b + 5
-        result = _finalize(MODELS[name], 1001, table, tally(table, loop))
-        return [s.value.hex() for s in result.samples]
-
-    assert outcome_from("run") == outcome_from("_run_python")
-    assert outcome_from("run") != [s.value.hex() for s in run_replication(
-        MODELS[name], 1001, HORIZON / 2, WARMUP).samples]
 
 
 def test_compiled_loop_calls_no_python_function():
@@ -598,6 +578,10 @@ def test_compiled_fill_rejects_a_malformed_spec(spec, error, match):
         kernel._loop.fill(spec, 0, 1)
     with pytest.raises(ValueError, match=r"fill\(\): no values -1 \+ \[0, 1\)"):
         kernel._loop.fill(("const", 1.0), -1, 1)
+    # an Erlang-2 from the last int64 index on would need words past 2**64
+    with pytest.raises(ValueError, match=r"^no words for values 9223372036854775807 \+ \[0, 4096\) "
+                                         r"of 2 each$"):
+        kernel._loop.fill(("erlang", 1, 2, 2, 1.0, False), 2**63 - 1, 4096)
 
 
 def changed(values, at, value):
@@ -614,9 +598,10 @@ def replaced(specs, at, spec):
 
 # per case: the model, how the field before any / is corrupted, and the
 # error the compiled loop raises for it (awty has 8 stations, 4 classes,
-# 11 samplers and 11 route successors, the first of them the entry of
-# class 0 at station 0, its source; placement 2 is the first of closed
-# class 2; wwi routes over two actors)
+# 13 samplers and 11 route successors, the first of them the entry of
+# class 0 at station 0, its source; its closed classes 2 and 3 think at
+# delays, stations 5 and 6, with init samplers 11 and 12; wwi routes
+# over two actors)
 CORRUPT = {
     "block_size": ("awty", lambda t: 0, ValueError, "table 'block_size' is 0, not a positive count"),
     "kind": ("awty", lambda t: changed(t.kind, 0, 7), ValueError,
@@ -625,8 +610,8 @@ CORRUPT = {
                 "table 'servers' is not a 1-d float64 array"),
     "capacity": ("awty", lambda t: t.capacity[:-1], ValueError,
                  "table 'capacity' has 7 entries, expected 8"),
-    "sampler": ("awty", lambda t: changed(t.sampler, 4, 11), ValueError,
-                "table 'sampler' holds 11 at 4"),
+    "sampler": ("awty", lambda t: changed(t.sampler, 4, 13), ValueError,
+                "table 'sampler' holds 13 at 4"),
     "route_ptr": ("awty", lambda t: changed(t.route_ptr, 5, 12), ValueError,
                   "table 'route_ptr' is not offsets from 0 to 11"),
     "route_to": ("awty", lambda t: changed(t.route_to, 0, 8), ValueError,
@@ -637,8 +622,8 @@ CORRUPT = {
                         "table 'route_to' sends class 0 to station 0, which is a source"),
     "route_cum": ("awty", lambda t: array("f", t.route_cum), TypeError,
                   "table 'route_cum' is not a 1-d float64 array"),
-    "route_sampler": ("awty", lambda t: changed(t.route_sampler, 0, 11), ValueError,
-                      "table 'route_sampler' holds 11 at 0"),
+    "route_sampler": ("awty", lambda t: changed(t.route_sampler, 0, 13), ValueError,
+                      "table 'route_sampler' holds 13 at 0"),
     "route_sampler/missing": ("wwi", lambda t: array("i", [-1] * len(t.route_sampler)), ValueError,
                               "table 'route_sampler' has no sampler for route row"),
     "flush_ptr": ("awty", lambda t: t.flush_ptr[1:], ValueError,
@@ -647,24 +632,25 @@ CORRUPT = {
                   "table 'flush_cls' holds -1 at 0"),
     "reference": ("awty", lambda t: changed(t.reference, 2, 8), ValueError,
                   "table 'reference' holds 8 at 2"),
-    "place_station": ("awty", lambda t: changed(t.place_station, 2, 0), ValueError,
-                      "table 'place_station' places class 2 at station 0, which does not serve it"),
-    "place_class": ("awty", lambda t: changed(t.place_class, 0, 4), ValueError,
-                    "table 'place_class' holds 4 at 0"),
-    "place_time": ("awty", lambda t: t.place_time.tolist(), TypeError,
-                   "table 'place_time' is not a 1-d float64 array"),
-    "place_time/nan": ("awty", lambda t: changed(t.place_time, 2, math.nan), ValueError,
-                       "table 'place_time' holds a time below 0 or NaN at 2"),
-    "place_time/-inf": ("awty", lambda t: changed(t.place_time, 0, -math.inf), ValueError,
-                        "table 'place_time' holds a time below 0 or NaN at 0"),
+    "reference/unserved": ("awty", lambda t: changed(t.reference, 2, 4), ValueError,
+                           "table 'population' places class 2 at station 4, which does not serve it"),
+    "population": ("awty", lambda t: changed(t.population, 3, -1), ValueError,
+                   r"table 'population' holds -1 at 3, outside \[0, 1073741825\)"),
+    # 2**31 - 1 jobs would be placed with no signal check
+    "population/huge": ("awty", lambda t: changed(t.population, 3, 2**31 - 1), ValueError,
+                        r"table 'population' holds 2147483647 at 3, outside \[0, 1073741825\)"),
+    "population/open": ("awty", lambda t: changed(t.population, 0, 1), ValueError,
+                        "table 'population' places class 0 at station -1, which does not serve it"),
+    "init": ("awty", lambda t: changed(t.init, 3, -1), ValueError,
+             "table 'init' has no sampler for class 3"),
+    "init/range": ("awty", lambda t: changed(t.init, 2, 13), ValueError,
+                   r"table 'init' holds 13 at 2, outside \[-1, 13\)"),
     "horizon": ("awty", lambda t: math.inf, ValueError, "table 'horizon' is inf, not a finite time"),
     "horizon/nan": ("awty", lambda t: math.nan, ValueError, "table 'horizon' is nan, not a finite time"),
     "warmup": ("awty", lambda t: math.nan, ValueError, r"table 'warmup' is nan, not in \[0, horizon\)"),
     "warmup/negative": ("awty", lambda t: -1.0, ValueError, r"table 'warmup' is -1.0, not in \[0, horizon\)"),
     "warmup/horizon": ("awty", lambda t: t.horizon, ValueError,
                        r"table 'warmup' is \d+\.0, not in \[0, horizon\)"),
-    "start": ("awty", lambda t: changed(t.start, 3, -1), ValueError,
-              "sampler 3 starts at value -1, before its first"),
     "specs": ("awty", lambda t: tuple(t.specs), TypeError, "table 'specs' is not a list"),
     "specs/spec": ("awty", lambda t: replaced(t.specs, 3, ("gamma", 2.0)), TypeError,
                    r"sampler 3: \('gamma', 2.0\) is not a sampler spec"),
@@ -713,20 +699,10 @@ def no_successor(t):
     return t._replace(route_cum=cum)
 
 
-def no_words(t):
-    # that cell's service sampler an Erlang-2 whose first refill, from the
-    # last int64 index on, would need words past 2**64
-    b = t.sampler[5]
-    return t._replace(specs=replaced(t.specs, b, ("erlang", 1, 2, 2, 1.0, False)),
-                      start=changed(t.start, b, 2**63 - 1))
-
-
 # tables the compiled loop fails on mid-run, where it runs without the
 # GIL, and the error it raises; they pass the checks on entry
 MID_RUN = {
     "route": (no_successor, IndexError, "route row 5 has no successor for class 1"),
-    "words": (no_words, ValueError,
-              "no words for values 9223372036854775807 + [0, 4096) of 2 each"),
 }
 
 
@@ -791,12 +767,10 @@ JUNK_SPECS = (
 
 
 def fuzzed_entry(rng, typecode):
-    """An index, a start, or a time or count that is NaN, infinite, negative,
-    tiny or huge, for an array of typecode."""
+    """An index or population, or a time or count that is NaN, infinite,
+    negative, tiny or huge, for an array of typecode."""
     if typecode == "i":
         return rng.choice((-2**31, 2**31 - 1, *range(-2, 12)))
-    if typecode == "q":
-        return rng.choice((-2**63, -1, 0, 1, 4093, 2**62, 2**63 - 1))
     return rng.choice((math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 0.5, 2.0, 1e300))
 
 
@@ -843,9 +817,9 @@ def fuzzed(table, name, rng):
 
 def test_fuzzed_tables_run_or_raise():
     """Tables of seven models changed at random, one or two fields at a time:
-    an index set in or out of range, an array made shorter, longer or empty,
-    or of another type, a sampler's start moved, a time, count or
-    probability made NaN, infinite, negative, tiny or huge, the horizon,
+    an index or population set in or out of range, an array made shorter,
+    longer or empty, or of another type, a time, count or probability made
+    NaN, infinite, negative, tiny or huge, the horizon,
     warmup or block size made invalid, and a spec made malformed, given a
     malformed part, or swapped with another. Each run returns a tally or
     raises ValueError, TypeError, IndexError, OverflowError or MemoryError,

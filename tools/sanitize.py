@@ -12,9 +12,11 @@ lane and tail, the engine pins, the compiled fills against the
 reference's, mixtures at the edges of the fill among them, the compiled
 loop against the reference loop on the models that stress the calendar
 (tied times, a closed cycle, two sources, a calendar of about 250
-events, tied arrivals and times of -0.0 and +0.0), the loop run without
-the GIL on a thread and failing mid-run on two threads at once, and a
-fixed-seed fuzz of tables and specs changed at random. Leaks are not
+events, tied arrivals and times of -0.0 and +0.0), the checks the loop
+makes on its table on entry, which keep its t = 0 set-up in bounds, the
+deadlock boundary, the loop run without the GIL on a thread and failing
+mid-run on two threads at once, and a fixed-seed fuzz of tables and
+specs changed at random. Leaks are not
 reported: the interpreter itself keeps memory to its exit. Exits 0 when the tests pass and neither
 sanitizer printed a word; 1, printing the child's output, when a test
 fails or a sanitizer reports; 2 when gcc finds no libasan.so or
@@ -42,6 +44,8 @@ TESTS = ("tests/test_log.py", "tests/test_engine_pin.py",
          *(f"tests/test_loop.py::test_compiled_loop_matches_the_python_loop[{name}]"
            for name in ("ties", "closed_cycle", "two_sources", "deep_calendar", "arrival_ties",
                         "signed_zero")),
+         "tests/test_loop.py::test_compiled_loop_checks_its_table_on_entry",
+         "tests/test_kernel.py::test_deadlock_boundary",
          "tests/test_loop.py::test_compiled_loop_runs_without_the_gil",
          "tests/test_loop.py::test_mid_run_errors_are_the_same_on_any_thread",
          "tests/test_loop.py::test_fuzzed_tables_run_or_raise")
