@@ -11,10 +11,10 @@
    populations at their reference stations; run returns None when nothing
    can ever happen. An arrival at t draws the next gap, and the next
    arrival is t + gap. It runs to the horizon, closes out the jobs still
-   alive and returns the tally kernel._finalize reads. Each accounting rule
-   is one helper: inside (the part of an interval in the window), complete
-   (a response or cycle) and start_service (at an fcfs station);
-   tests/_reference.py writes them out where they are used.
+   alive and returns the tally kernel._finalize reads. Each rule is one
+   helper: inside (the part of an interval in the window), complete (a
+   response or cycle), start_service (at an fcfs station) and enter (a
+   job's entry into a station, each closed job's at t = 0 among them).
 
    It is run of tests/_reference.py, its specification, statement for
    statement: every float operation keeps that loop's order and grouping,
@@ -50,6 +50,9 @@ enum { KC_FCFS = 0, KC_DELAY = 1, KC_SOURCE = 2, KC_SINK = 3 };
 /* signals are checked once per this many events */
 #define SIGNAL_EVERY 4096
 
+/* validate_model's bound on a table's closed jobs, which set_up places with no signal check */
+#define MAX_POPULATION (1 << 24)
+
 /* stmt run with the GIL, which the loop runs without and Python's callers hold */
 #define WITH_GIL(stmt)                                 \
     do {                                               \
@@ -80,7 +83,8 @@ typedef struct {
 } Event;
 
 typedef struct {
-    double entered;  /* arrival in the system, or cycle start; -1.0 unset */
+    double entered;  /* arrival in the system, or cycle start; -1.0 unset, so
+                        a closed job's t = 0 entry at its reference closes no cycle */
     double arrived;  /* arrival at the current station */
     double sstart;   /* service start at the current fcfs station */
     int ci;
@@ -775,10 +779,9 @@ offsets(const Engine *E, int k, int of)
 }
 
 /* the table's lengths agree with its station, class and sampler counts,
-   every index in it is in range, no population is above 2**30,
-   validate_model's bound, as set_up places it with no signal check, and
-   a class with jobs has a reference station that serves it, and an init
-   sampler unless that station is fcfs */
+   every index in it is in range, its populations sum to no more than
+   MAX_POPULATION, and a class with jobs has a reference station that
+   serves it, and an init sampler unless that station is fcfs */
 static int
 check_tables(Engine *E)
 {
@@ -799,17 +802,22 @@ check_tables(Engine *E)
         || in_range(E, SAMPLER, -1, E->nsamplers) < 0 || offsets(E, ROUTE_PTR, ROUTE_TO) < 0
         || in_range(E, ROUTE_TO, 0, nst) < 0 || in_range(E, ROUTE_SAMPLER, -1, E->nsamplers) < 0
         || offsets(E, FLUSH_PTR, FLUSH_CLS) < 0 || in_range(E, FLUSH_CLS, 0, ncl) < 0
-        || in_range(E, REFERENCE, -1, nst) < 0 || in_range(E, POPULATION, 0, (1 << 30) + 1) < 0
+        || in_range(E, REFERENCE, -1, nst) < 0 || in_range(E, POPULATION, 0, MAX_POPULATION + 1) < 0
         || in_range(E, INIT, -1, E->nsamplers) < 0)
         return -1;
+    long long jobs = 0;
     for (int c = 0; c < ncl; c++) {
         int s = E->reference[c];
+        jobs += E->population[c];
         if (E->population[c] && (s < 0 || E->sampler[AT(E, s, c)] < 0))
             return PyErr_Format(PyExc_ValueError, "table 'population' places class %d at "
                                 "station %d, which does not serve it", c, s), -1;
         if (E->population[c] && E->kind[s] != KC_FCFS && E->init[c] < 0)
             return PyErr_Format(PyExc_ValueError, "table 'init' has no sampler for class %d", c), -1;
     }
+    if (jobs > MAX_POPULATION)
+        return PyErr_Format(PyExc_ValueError, "table 'population' sums to %lld, above %d", jobs,
+                            MAX_POPULATION), -1;
     return 0;
 }
 
@@ -945,12 +953,53 @@ start_service(Engine *E, int s, int j, double t, Sampler *S)
     return draw(E, S, &sv) < 0 || heap_push(E, t + sv, j, s) < 0 ? -1 : 0;
 }
 
+/* job j enters station s, not a sink, at t: a cycle closes on a return
+   to the reference station, an open job is dropped at a full fcfs station,
+   and then it starts service or queues there, or at a delay draws d, then
+   a phase u from phase (1.0 without one; set_up passes a closed class's
+   init sampler, which desynchronizes cycles), and is held until t + u *
+   d, or parked when d is infinite. Out of line, the loop ran 2% slower. */
+static inline __attribute__((always_inline)) int
+enter(Engine *E, int j, int s, double t, Sampler *phase)
+{
+    Job *J = &E->jobs[j];
+    int ci = J->ci;
+    Class *C = &E->cl[ci];
+    Cell *cell = &E->cells[AT(E, s, ci)];
+    if (E->reference[ci] == s && J->entered >= 0.0)
+        complete(C, J->entered, t, E->warm);
+    J->arrived = t;
+    if (E->kind[s] == KC_FCFS) {
+        if (E->busy[s] + E->queue[s].len >= E->capacity[s] && E->reference[ci] < 0) {
+            /* closed populations are never dropped */
+            C->dropped += 1;
+            if (t > E->warm) {
+                cell->drops += 1;
+                C->larea += inside(J->entered, t, E->warm);
+            }
+            job_free(E, j);
+            return 0;
+        }
+        if (E->busy[s] < E->servers[s])
+            return start_service(E, s, j, t, cell->sampler);
+        list_append(E, &E->queue[s], j);
+        return 0;
+    }
+    /* delay entry (validation keeps jobs out of sources) */
+    double d, u = 1.0;
+    if (draw(E, cell->sampler, &d) < 0 || (phase != NULL && draw(E, phase, &u) < 0))
+        return -1;
+    if (d < INFINITY)
+        return heap_push(E, t + u * d, j, s);
+    list_append(E, &cell->parked, j);
+    return 0;
+}
+
 /* the t = 0 state: each class's first arrival, drawn from its entry,
    the source cell with a sampler; then the closed populations in class
-   order, each job placed at its reference station as one that enters it,
-   but at a delay for a phase u, from its init sampler, of its think time,
-   which desynchronizes cycles. 1 when jobs exist but no event is on the
-   calendar and no arrival comes before the horizon; -1 on an error. */
+   order, each job entering its reference station. 1 when jobs exist but
+   no event is on the calendar and no arrival comes before the horizon;
+   -1 on an error. */
 static int
 set_up(Engine *E)
 {
@@ -967,23 +1016,11 @@ set_up(Engine *E)
         soon |= !(C->ta >= E->horizon);
         s = E->reference[c];
         for (int n = 0; n < E->population[c]; n++) {
-            Cell *cell = &E->cells[AT(E, s, c)];
-            int j = job_new(E), rc = 0;
-            double think, u;
+            int j = job_new(E);
             if (j < 0)
                 return -1;
             E->jobs[j].ci = c;
-            if (E->kind[s] == KC_FCFS && E->busy[s] < E->servers[s])
-                rc = start_service(E, s, j, 0.0, cell->sampler);
-            else if (E->kind[s] == KC_FCFS)
-                list_append(E, &E->queue[s], j);
-            else if (draw(E, cell->sampler, &think) < 0 || draw(E, &E->samplers[E->init[c]], &u) < 0)
-                rc = -1;
-            else if (think < INFINITY)
-                rc = heap_push(E, u * think, j, s);
-            else
-                list_append(E, &cell->parked, j);
-            if (rc < 0)
+            if (enter(E, j, s, 0.0, E->kind[s] == KC_FCFS ? NULL : &E->samplers[E->init[c]]) < 0)
                 return -1;
         }
     }
@@ -1109,12 +1146,11 @@ run_loop(Engine *E)
             ns = E->route_to[R->first + i];
         }
 
-        Job *J = &E->jobs[j];
         if (E->kind[ns] == KC_SINK) {
             Class *C = &E->cl[ci];
             C->sunk += 1;
             if (!C->watched) {
-                complete(C, J->entered, t, warm);
+                complete(C, E->jobs[j].entered, t, warm);
                 job_free(E, j);
             } else {
                 /* watched job: physically done, logically in the system
@@ -1124,44 +1160,8 @@ run_loop(Engine *E)
             continue;
         }
 
-        if (E->reference[ci] == ns && J->entered >= 0.0)
-            /* a cycle closes on return to the reference station */
-            complete(&E->cl[ci], J->entered, t, warm);
-
-        Py_ssize_t k = AT(E, ns, ci);
-        Cell *cell = &E->cells[k];
-        if (E->kind[ns] == KC_FCFS) {
-            if (E->busy[ns] + E->queue[ns].len >= E->capacity[ns] && E->reference[ci] < 0) {
-                /* closed populations are never dropped */
-                Class *C = &E->cl[ci];
-                C->dropped += 1;
-                if (t > warm) {
-                    cell->drops += 1;
-                    C->larea += inside(J->entered, t, warm);
-                }
-                job_free(E, j);
-                continue;
-            }
-            J->arrived = t;
-            if (E->busy[ns] < E->servers[ns]) {
-                if (start_service(E, ns, j, t, cell->sampler) < 0)
-                    return -1;
-            } else {
-                list_append(E, &E->queue[ns], j);
-            }
-        } else {
-            /* delay entry (validation keeps jobs out of sources) */
-            double d;
-            J->arrived = t;
-            if (draw(E, cell->sampler, &d) < 0)
-                return -1;
-            if (d < INFINITY) {
-                if (heap_push(E, t + d, j, ns) < 0)
-                    return -1;
-            } else {
-                list_append(E, &cell->parked, j);
-            }
-        }
+        if (enter(E, j, ns, t, NULL) < 0)
+            return -1;
     }
     return 0;
 }

@@ -57,9 +57,9 @@ flush lists, and per class its reference station, population and init
 sampler, closed classes only) plus the spec of every sampler (specs). A
 class is watched when a flush list names it. The loop,
 _loop.run(*table), makes the t = 0 state by its own rules: each open
-class's first gap is its first arrival time, and each closed job is
-placed at its reference station as one that enters it, in class order,
-but at a delay for a random phase of its think time, which
+class's first gap is its first arrival time, and each closed job, in
+class order, enters its reference station by the loop's own entry step,
+but at a delay thinks for a random phase of its think time, which
 desynchronizes cycles. When closed jobs exist but nothing can ever
 happen (no event on the calendar and no arrival before the horizon), it
 returns None, and run_replication raises DeadlockError; otherwise it

@@ -180,10 +180,10 @@ class NetworkModel(Record):
 
 # the compiled loop makes a refill of 4,096 values from 4,096 * phases
 # words with no signal check, holds servers and capacities as float64, and
-# jobs in an array of an int size it doubles
+# places every closed job of a model at t = 0 with no signal check
 _MAX_PHASES = 2**14
 _MAX_COUNT = 2**53
-_MAX_POPULATION = 2**30
+_MAX_POPULATION = 2**24
 
 
 def _check_distribution(dist, where: str, allow_inf: bool, arrival: bool) -> list[str]:
@@ -304,6 +304,7 @@ def validate_model(model: NetworkModel) -> list[str]:
                 dist, f"station {s.name}, class {cname}", allow_inf=(s.kind == DELAY), arrival=False
             )
 
+    populations = {}  # per closed class whose own population is in range
     for jc in model.classes:
         if jc.kind not in ("open", "closed"):
             diags.append(f"class {jc.name}: kind must be open or closed")
@@ -318,6 +319,8 @@ def validate_model(model: NetworkModel) -> list[str]:
                 diags.append(f"class {jc.name}: population must be an integer (got {jc.population!r})")
             elif not 1 <= jc.population <= _MAX_POPULATION:
                 diags.append(f"class {jc.name}: closed class needs population >= 1 and <= {_MAX_POPULATION}")
+            else:
+                populations[jc.name] = jc.population
             if jc.reference is None or jc.reference not in by_name:
                 diags.append(f"class {jc.name}: closed class needs an existing reference station")
             elif by_name[jc.reference].kind not in (FCFS, DELAY):
@@ -381,6 +384,9 @@ def validate_model(model: NetworkModel) -> list[str]:
         for s in model.stations:
             if s.name in live and not exits & _reachable(model, jc, s.name, positive=True):
                 diags.append(f"class {jc.name}: station {s.name} has {fault}")
+    if sum(populations.values()) > _MAX_POPULATION:
+        diags.append(f"classes {', '.join(populations)}: closed populations total "
+                     f"{sum(populations.values())}, above {_MAX_POPULATION}")
 
     # a watched job leaves when its poller next completes fcfs service at the station
     for watched, (poller, st) in model.detection.items():

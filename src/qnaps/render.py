@@ -212,6 +212,15 @@ def _label(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _widened(lo: float, hi: float, pad: float) -> tuple[float, float]:
+    """lo and hi, or each moved out by pad when they are no more than
+    2**20 ulps apart: _nice_ticks would then step by less than half an
+    ulp, and its t += step never move t."""
+    if hi - lo > 2**20 * math.ulp(max(abs(lo), abs(hi))):
+        return lo, hi
+    return lo - pad, hi + pad
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 5):
     """1/2/5-stepped ticks covering [lo, hi]."""
     if hi <= lo:
@@ -267,12 +276,8 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
     points = [[(x, y, h) for x, y, h in zip(s.x, s.y, s.hw) if not math.isnan(y)] for s in series]
     ylo = min((y - h for pts in points for _, y, h in pts), default=0.0)
     yhi = max((y + h for pts in points for _, y, h in pts), default=0.0)
-    xlo, xhi = min(xs), max(xs)
-    if xhi == xlo:
-        xlo, xhi = xlo - 0.5, xhi + 0.5
-    if yhi == ylo:
-        pad = abs(ylo) * 0.1 or 1.0
-        ylo, yhi = ylo - pad, yhi + pad
+    xlo, xhi = _widened(min(xs), max(xs), 0.5)
+    ylo, yhi = _widened(ylo, yhi, abs(ylo) * 0.1 or 1.0)
     ypad = (yhi - ylo) * 0.08
     ylo, yhi = ylo - ypad, yhi + ypad
     xpad = (xhi - xlo) * 0.05

@@ -4,10 +4,12 @@ fill(spec, first, n), log(values) and run(*table, fill=fill) have the
 extension's signatures and, value for value and sample for sample, its
 bits. The tests hold _loop.c to them. The words come from numpy's
 Philox, and each block of values is an array('d'). run is the event loop
-of _loop.c statement for statement (see the qnaps.kernel docstring for
-the contract the two share); it takes its values from the fill it is
-given, block_size of them to a fill, so a test can run it on the
-extension's fill, and tools/same_bytes.py --python-loop on this one.
+of _loop.c function for function and statement for statement: its t = 0
+set-up, loop and closing sweep, with the helpers enter, complete and
+start_service (see the qnaps.kernel docstring for the contract the two
+share); it takes its values from the fill it is given, block_size of
+them to a fill, so a test can run it on the extension's fill, and
+tools/same_bytes.py --python-loop on this one.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from itertools import count
 
 from numpy.random import Generator, Philox
 
-from qnaps.kernel import _INF, _KC_FCFS, _KC_SOURCE, _Table
+from qnaps.kernel import _INF, _KC_FCFS, _KC_SINK, _KC_SOURCE, _Table
 
 
 def _philox_uniforms(k0: int, k1: int, start: int, n: int):
@@ -105,7 +107,8 @@ def log(values):
 
 class _Job:
     # entered doubles as the cycle-start marker for closed classes
-    # (-1.0 until the first departure from the reference station)
+    # (-1.0 until the first departure from the reference station, so a
+    # closed job's t = 0 entry at its reference closes no cycle)
     __slots__ = ("ci", "entered", "arrived", "sstart")
 
     def __init__(self, ci):
@@ -158,14 +161,60 @@ def run(*table, fill=fill):
     heap = []
     pop = heapq.heappop
     push = heapq.heappush
-    seq = 0
+    seq = count()
     pool = []
+
+    def complete(ci, e, t):
+        # a response (open class) or a cycle (closed class) that began at
+        # e completes at t: recorded when t is inside the window
+        if t > warm:
+            rsum[ci] += t - e
+            rcnt[ci] += 1
+            larea[ci] += t - (e if e > warm else warm)
+
+    def start_service(s, job, t, sampler):
+        # job starts service at fcfs station s at t, for a time drawn from
+        # sampler, the sampler of its cell
+        busy[s] += 1
+        job.sstart = t
+        sv = next(sampler)
+        push(heap, (t + sv, next(seq), job, s))
+
+    def enter(job, s, t, phase):
+        # job enters station s, not a sink, at t; at a delay it is held
+        # for a drawn time d times a phase u from phase (1.0 without one)
+        ci = job.ci
+        k = s * ncl + ci
+        if reference[ci] == s and job.entered >= 0.0:
+            # a cycle closes on return to the reference station
+            complete(ci, job.entered, t)
+        job.arrived = t
+        if kind[s] == _KC_FCFS:
+            if busy[s] + len(queues[s]) >= cap[s] and reference[ci] < 0:
+                # closed populations are never dropped
+                dropped[ci] += 1
+                if t > warm:
+                    drops[k] += 1
+                    e = job.entered
+                    larea[ci] += t - (e if e > warm else warm)
+                pool.append(job)
+            elif busy[s] < servers[s]:
+                start_service(s, job, t, samplers[k])
+            else:
+                queues[s].append(job)
+        else:
+            # delay entry (validation keeps jobs out of sources)
+            d = next(samplers[k])
+            u = 1.0 if phase is None else next(phase)
+            if d < _INF:
+                push(heap, (t + u * d, next(seq), job, s))
+            else:
+                parked[k].append(job)
 
     # t = 0: each class's first arrival, drawn from its entry, the source
     # cell with a sampler; then the closed populations in class order,
-    # each job placed at its reference station as one that enters it is,
-    # except that at a delay it first thinks for a phase u of its think
-    # time, which desynchronizes cycles
+    # each job entering its reference station, at a delay with its init
+    # sampler as the phase, which desynchronizes cycles
     for ci in range(ncl):
         for s in range(nst):
             k = s * ncl + ci
@@ -174,25 +223,8 @@ def run(*table, fill=fill):
                 entry[ci] = k
                 break
         s = reference[ci]
-        k = s * ncl + ci
         for _ in range(population[ci]):
-            job = _Job(ci)
-            if kind[s] == _KC_FCFS and busy[s] < servers[s]:
-                busy[s] += 1
-                job.sstart = 0.0
-                sv = next(samplers[k])
-                push(heap, (0.0 + sv, seq, job, s))
-                seq += 1
-            elif kind[s] == _KC_FCFS:
-                queues[s].append(job)
-            else:
-                think = next(samplers[k])
-                u = next(init[ci])
-                if think < _INF:
-                    push(heap, (u * think, seq, job, s))
-                    seq += 1
-                else:
-                    parked[k].append(job)
+            enter(_Job(ci), s, 0.0, None if kind[s] == _KC_FCFS else init[ci])
     if any(population) and not heap and all(ta >= horizon for ta in tas):
         return None
 
@@ -240,19 +272,11 @@ def run(*table, fill=fill):
                 q = queues[s]
                 if q:
                     nj = q.popleft()
-                    busy[s] += 1
-                    nj.sstart = t
-                    sv = next(samplers[s * ncl + nj.ci])
-                    push(heap, (t + sv, seq, nj, s))
-                    seq += 1
+                    start_service(s, nj, t, samplers[s * ncl + nj.ci])
                 for w in flush[k]:
                     pend = pending[w]
                     for pj in pend:
-                        if t > warm:
-                            e = pj.entered
-                            rsum[w] += t - e
-                            rcnt[w] += 1
-                            larea[w] += t - (e if e > warm else warm)
+                        complete(w, pj.entered, t)
                     pool.extend(pend)
                     pend.clear()
             if reference[ci] == s:
@@ -273,62 +297,17 @@ def run(*table, fill=fill):
                 i += 1
             ns = tos[i]
 
-        kc = kind[ns]
-        if kc == 3:
-            # sink
+        if kind[ns] == _KC_SINK:
             sunk[ci] += 1
             if not watched[ci]:
-                if t > warm:
-                    e = job.entered
-                    rsum[ci] += t - e
-                    rcnt[ci] += 1
-                    larea[ci] += t - (e if e > warm else warm)
+                complete(ci, job.entered, t)
                 pool.append(job)
             else:
                 # watched job: physically done, logically in the system
                 # until the next detection poll completes
                 pending[ci].append(job)
-            continue
-
-        if reference[ci] == ns and job.entered >= 0.0:
-            # a cycle closes on return to the reference station
-            # (entered is always set before the first return; the guard
-            # is insurance against malformed hand-built topologies)
-            if t > warm:
-                e = job.entered
-                rsum[ci] += t - e
-                rcnt[ci] += 1
-                larea[ci] += t - (e if e > warm else warm)
-
-        k = ns * ncl + ci
-        if kc == 0:
-            if cap[ns] < _INF and busy[ns] + len(queues[ns]) >= cap[ns] and reference[ci] < 0:
-                # closed populations are never dropped
-                dropped[ci] += 1
-                if t > warm:
-                    drops[k] += 1
-                    e = job.entered
-                    larea[ci] += t - (e if e > warm else warm)
-                pool.append(job)
-                continue
-            job.arrived = t
-            if busy[ns] < servers[ns]:
-                busy[ns] += 1
-                job.sstart = t
-                s = next(samplers[k])
-                push(heap, (t + s, seq, job, ns))
-                seq += 1
-            else:
-                queues[ns].append(job)
         else:
-            # delay entry (validation keeps jobs out of sources)
-            job.arrived = t
-            d = next(samplers[k])
-            if d < _INF:
-                push(heap, (t + d, seq, job, ns))
-                seq += 1
-            else:
-                parked[k].append(job)
+            enter(job, ns, t, None)
 
     # close out the jobs alive at the horizon: in service or thinking
     # (calendar, in heap-array order), waiting (queues), parked

@@ -11,7 +11,9 @@ each, so arrivals are read from source cells at two stations, and one
 keeps about 250 events on the calendar, with ties, so sifts go eight
 levels deep and the closing sweep walks a deep heap array; two hold the
 orders of ties: three open classes, listed after a closed one, whose
-arrivals tie every time, and closed jobs placed at -0.0 and +0.0. Two
+arrivals tie every time, and closed jobs placed at -0.0 and +0.0; and
+in one a closed population overfills its fcfs reference station at
+t = 0, never dropped, beside an open class that is dropped there. Two
 pins in tests/data/engine_pin.json hold both loops' lazy arrival merge on tied
 and non-exponential arrivals. The ties pin was frozen from an engine
 that pre-drew every arrival and merged them with a lexsort. The
@@ -257,6 +259,31 @@ def signed_zero_model() -> NetworkModel:
     )
 
 
+def closed_over_capacity_model() -> NetworkModel:
+    """Five Loop jobs whose reference station W, fcfs with 2 servers and
+    capacity 3, they overfill from t = 0: closed jobs are never dropped,
+    so all five enter it, two in service and three queued, while open
+    Jobs that share W are dropped whenever it holds 3 or more."""
+    routing = RoutingTable()
+    routing.add("Loop", "W", "Think")
+    routing.add("Loop", "Think", "W")
+    routing.add("Jobs", "Source", "W")
+    routing.add("Jobs", "W", "Sink")
+    return NetworkModel(
+        name="closed-over-capacity",
+        stations=[
+            Station("Source", kind=SOURCE),
+            Station("W", kind=FCFS, servers=2, capacity=3,
+                    service={"Loop": Exponential(0.1), "Jobs": Exponential(0.2)}),
+            Station("Think", kind=DELAY, service={"Loop": Exponential(0.05)}),
+            Station("Sink", kind=SINK),
+        ],
+        classes=[JobClass("Loop", "closed", population=5, reference="W"),
+                 JobClass("Jobs", "open", arrival=Exponential(0.05))],
+        routing=routing,
+    )
+
+
 def kinds(scale: float) -> dict:
     """One distribution of each kind with a finite mean of about scale."""
     s = scale
@@ -320,6 +347,7 @@ MODELS = {
     "deep_calendar": deep_calendar_model(),
     "arrival_ties": arrival_tie_model(),
     "signed_zero": signed_zero_model(),
+    "closed_over_capacity": closed_over_capacity_model(),
 }
 
 # seeds of the arrival-merge pins in tests/data/engine_pin.json
@@ -385,6 +413,14 @@ def test_deep_calendar_model_keeps_hundreds_of_events():
     window = HORIZON / 2 - WARMUP
     assert work[1] / window == pytest.approx(32.0)
     assert (think[0] + work[1]) / window > 200.0
+
+
+@pytest.mark.parametrize("loop", ["run", "_run_python"])
+def test_closed_jobs_overfill_their_reference_without_a_drop(loop):
+    table = _build(closed_over_capacity_model(), 7, HORIZON / 2, WARMUP)
+    (_, _, loop_dropped, loop_live, *_), (_, _, jobs_dropped, *_) = tally(table, loop)[1]
+    assert loop_dropped == 0 and loop_live == 5
+    assert jobs_dropped > 0
 
 
 def test_parking_model_parks_jobs_during_the_run():
@@ -635,10 +671,13 @@ CORRUPT = {
     "reference/unserved": ("awty", lambda t: changed(t.reference, 2, 4), ValueError,
                            "table 'population' places class 2 at station 4, which does not serve it"),
     "population": ("awty", lambda t: changed(t.population, 3, -1), ValueError,
-                   r"table 'population' holds -1 at 3, outside \[0, 1073741825\)"),
+                   r"table 'population' holds -1 at 3, outside \[0, 16777217\)"),
     # 2**31 - 1 jobs would be placed with no signal check
     "population/huge": ("awty", lambda t: changed(t.population, 3, 2**31 - 1), ValueError,
-                        r"table 'population' holds 2147483647 at 3, outside \[0, 1073741825\)"),
+                        r"table 'population' holds 2147483647 at 3, outside \[0, 16777217\)"),
+    # each population in range, but 2**24 + 1 jobs in all
+    "population/total": ("awty", lambda t: changed(t.population, 3, 2**24), ValueError,
+                         "table 'population' sums to 16777217, above 16777216"),
     "population/open": ("awty", lambda t: changed(t.population, 0, 1), ValueError,
                         "table 'population' places class 0 at station -1, which does not serve it"),
     "init": ("awty", lambda t: changed(t.init, 3, -1), ValueError,

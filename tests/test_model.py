@@ -389,10 +389,20 @@ def test_validate_rejects_counts_the_kernel_cannot_hold():
         for field in ("servers", "capacity"):
             diags = validate_model(_queue_with(**{field: count}))
             assert diags == ([] if ok else [f"station Queue: {field} must be >= 1 and <= 9007199254740992"])
-    for population, ok in ((10**400, False), (2**30 + 1, False), (2**30, True)):
+    for population, ok in ((10**400, False), (2**24 + 1, False), (2**24, True)):
         m = closed_cycle_model(population=population)
         assert validate_model(m) == ([] if ok else [
-            "class Jobs: closed class needs population >= 1 and <= 1073741824"])
+            "class Jobs: closed class needs population >= 1 and <= 16777216"])
+
+
+def test_validate_bounds_the_sum_of_closed_populations():
+    # the loop places every closed job at t = 0 with no signal check, so
+    # the bound holds for all classes together: 2**30 jobs in each of two
+    # classes would ask for about 64 GB before the first event
+    for polling, ok in ((2**24 - 2, True), (2**24 - 1, False)):
+        m = build_sensor_net(SensorNetParams(status_population=2, polling_population=polling))
+        assert validate_model(m) == ([] if ok else [
+            "classes Status, Polling: closed populations total 16777217, above 16777216"])
 
 
 def test_validate_arrivals_need_a_positive_mean():

@@ -1,6 +1,11 @@
 """Renderers: CSV schema, table formatting, deterministic SVG."""
 
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
@@ -141,3 +146,33 @@ def test_svg_input_validation():
     single = PlotSeries("one", (5.0,), (2.0,), (0.1,))
     svg = render_plot([single])  # a single point renders without error
     assert svg.count("<circle") == 1
+
+
+# the plot of argv[1]'s x and y values on argv[2]'s x scale: its count of text labels
+_NARROW_CHILD = """
+import ast, re, sys
+from qnaps.render import PlotSeries, render_plot
+x, y = ast.literal_eval(sys.argv[1])
+svg = render_plot([PlotSeries("s", x, y, (0.0,) * len(x))], x_scale=sys.argv[2])
+print(len(re.findall("<text", svg)))
+"""
+
+
+@pytest.mark.parametrize("x, y, scale", [
+    ((0.05, 0.05000000000000001), (1.0, 2.0), "linear"),
+    ((1.0, 2.0), (1.0, 1.0000000000000002), "linear"),
+    ((10.0, 10.000000000000004), (1.0, 2.0), "log"),  # logs 1.0 and 1.0000000000000002
+], ids=["x", "y", "log-x"])
+def test_svg_of_values_a_few_ulps_apart_returns(x, y, scale):
+    # the ticks stepped t += step by less than half an ulp of t, so t never
+    # moved and the tick list grew until memory ran out; run in a child
+    # under a 1 GiB address-space cap and a timeout, so such a hang fails
+    # the test and does not stop the suite
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", _NARROW_CHILD, repr((x, y)), scale],
+                          capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory)
+    assert done.returncode == 0, done.stderr
+    assert 4 < int(done.stdout) < 40

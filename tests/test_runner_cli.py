@@ -492,7 +492,7 @@ def test_cli_erlang_phases_beyond_a_c_int_exit_2(tmp_path, capsys):
      "model.params.controller_service.phases: too many phases for a float rate"),
     ({"controller_servers": 10**400}, "station Controller: servers must be >= 1 and <= 9007199254740992"),
     ({"controller_capacity": 10**400}, "station Controller: capacity must be >= 1 and <= 9007199254740992"),
-    ({"status_population": 10**400}, "class Status: closed class needs population >= 1 and <= 1073741824"),
+    ({"status_population": 10**400}, "class Status: closed class needs population >= 1 and <= 16777216"),
 ], ids=["phases", "servers", "capacity", "population"])
 def test_cli_count_past_float_or_index_range_exits_2(tmp_path, capsys, params, message):
     # each printed a traceback and exited 1: the Erlang from its mean in the

@@ -12,7 +12,8 @@ lane and tail, the engine pins, the compiled fills against the
 reference's, mixtures at the edges of the fill among them, the compiled
 loop against the reference loop on the models that stress the calendar
 (tied times, a closed cycle, two sources, a calendar of about 250
-events, tied arrivals and times of -0.0 and +0.0), the checks the loop
+events, tied arrivals, times of -0.0 and +0.0, and a closed population
+that overfills its fcfs reference at t = 0), the checks the loop
 makes on its table on entry, which keep its t = 0 set-up in bounds, the
 deadlock boundary, the loop run without the GIL on a thread and failing
 mid-run on two threads at once, and a fixed-seed fuzz of tables and
@@ -43,7 +44,7 @@ TESTS = ("tests/test_log.py", "tests/test_engine_pin.py",
          "tests/test_kernel.py::test_compiled_fills_equal_the_python_fills",
          *(f"tests/test_loop.py::test_compiled_loop_matches_the_python_loop[{name}]"
            for name in ("ties", "closed_cycle", "two_sources", "deep_calendar", "arrival_ties",
-                        "signed_zero")),
+                        "signed_zero", "closed_over_capacity")),
          "tests/test_loop.py::test_compiled_loop_checks_its_table_on_entry",
          "tests/test_kernel.py::test_deadlock_boundary",
          "tests/test_loop.py::test_compiled_loop_runs_without_the_gil",
