@@ -27,6 +27,9 @@ A third case times building
 the records a run makes most of, MetricSample (one per metric per
 replication) and ConfidenceInterval (one per estimate), through the
 __init__ every record class shares, reported as nanoseconds per record.
+A fourth times load_config over the six shipped configs, reported as
+microseconds per config, with the YAML read alone in its extra_info:
+qnaps.yamldoc.read against yaml.safe_load, each the best of 20 rounds.
 Run from the checkout root with
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
@@ -35,13 +38,16 @@ Run from the checkout root with
 """
 
 import sys
+import time
 from array import array
 from functools import partial
 from pathlib import Path
 
 import pytest
+import yaml
 
-from qnaps.config import build_model_from_config, parse_antipattern, parse_model
+from qnaps import yamldoc
+from qnaps.config import build_model_from_config, load_config, parse_antipattern, parse_model
 from qnaps.kernel import _BLOCK, _U01, _arrival_spec, _build, _finalize, _loop, _spec
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 from qnaps.stats import ConfidenceInterval, MetricSample
@@ -141,3 +147,30 @@ def test_records(benchmark):
     records = benchmark.pedantic(build, rounds=10, warmup_rounds=1)
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["ns_per_record"] = benchmark.stats.stats.median / records * 1e9
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "src" / "qnaps" / "configs").glob("*.yaml"))
+
+
+def _us_per_text(read, texts, rounds=20):
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for text in texts:
+            read(text)
+        best = min(best, time.perf_counter() - start)
+    return best / len(texts) * 1e6
+
+
+def test_load_config(benchmark):
+    def load_all():
+        for path in CONFIGS:
+            load_config(path)
+        return len(CONFIGS)
+
+    configs = benchmark.pedantic(load_all, rounds=10, warmup_rounds=1)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        texts = [path.read_text(encoding="utf-8") for path in CONFIGS]
+        benchmark.extra_info["us_per_config"] = benchmark.stats.stats.median / configs * 1e6
+        benchmark.extra_info["yamldoc_read_us_per_config"] = _us_per_text(yamldoc.read, texts)
+        benchmark.extra_info["yaml_safe_load_us_per_config"] = _us_per_text(yaml.safe_load, texts)

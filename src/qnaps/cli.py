@@ -20,11 +20,11 @@ engine (population leak, flow imbalance). A run whose stdout reader goes
 away (qnaps ... | head -1) writes its files and exits as usual, its
 progress lines going to os.devnull from then on.
 
-Start-up: the cyclic collector is paused while the engine modules (and
-yaml with them) are imported, since every object they create lives for
-the whole process. The program entry, entry(), then freezes the heap,
-so neither the collector nor the exit walks it again. Importing this
-module or calling main() leaves the collector on and nothing frozen.
+Start-up: the cyclic collector is paused while the engine modules are
+imported, since every object they create lives for the whole process.
+The program entry, entry(), then freezes the heap, so neither the
+collector nor the exit walks it again. Importing this module or calling
+main() leaves the collector on and nothing frozen.
 """
 
 from __future__ import annotations

@@ -70,6 +70,16 @@ demand in its scenario and be an fcfs station serving the class.
 
 All numbers accept plain YAML scalars; numeric strings are coerced so
 ``1e6`` works regardless of the YAML float grammar corner cases.
+
+load_config reads the file with qnaps.yamldoc, not PyYAML: block and
+flow mappings and sequences, plain and quoted scalars, comments, one
+leading ``---`` and one closing ``...``, with plain scalars resolved as
+yaml.safe_load resolves them (YAML 1.1: ``yes`` is true, ``1e5`` a
+string, ``1:30`` is 90).
+Anchors, aliases, tags, block scalars (``|``, ``>``), ``?`` keys,
+directives, a second document, tabs outside quotes and comments,
+timestamps and merge keys are refused, naming the line and column, and
+so is a key given twice, which PyYAML read as its last value.
 """
 
 from __future__ import annotations
@@ -78,9 +88,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-import yaml
-
-from . import antipatterns, model as qm, sha256
+from . import antipatterns, model as qm, sha256, yamldoc
 from .egraph import Basic, Branch, EgError, EgNode, EgScenario, Loop, Sequence, check_scenarios, reduce
 from .antipatterns import Spec
 from .model import JobClass, Station
@@ -698,7 +706,7 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(data)
-    except yaml.YAMLError as exc:
+        doc = yamldoc.read(data.decode("utf-16" if data[:2] in (b"\xff\xfe", b"\xfe\xff") else "utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError too
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     return parse_config(doc, digest=sha256(data).hexdigest())

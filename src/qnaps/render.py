@@ -212,12 +212,20 @@ def _label(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _wide(lo: float, hi: float) -> bool:
+    return hi - lo > 2**20 * math.ulp(max(abs(lo), abs(hi)))
+
+
 def _widened(lo: float, hi: float, pad: float) -> tuple[float, float]:
     """lo and hi, or each moved out by pad when they are no more than
     2**20 ulps apart: _nice_ticks would then step by less than half an
-    ulp, and its t += step never move t."""
-    if hi - lo > 2**20 * math.ulp(max(abs(lo), abs(hi))):
+    ulp, and its t += step never move t. Where pad leaves them that close
+    (|lo| or |hi| of 2**32 or more, for a pad of 0.5), the pad is a tenth
+    of the larger magnitude instead."""
+    if _wide(lo, hi):
         return lo, hi
+    if not _wide(lo - pad, hi + pad):
+        pad = 0.1 * max(abs(lo), abs(hi))
     return lo - pad, hi + pad
 
 

@@ -255,3 +255,19 @@ def eg_expectation_by_paths(node):
         for res, v in d.items():
             out[res] = out.get(res, 0.0) + p * v
     return out
+
+
+def same_yaml(a, b) -> bool:
+    """a == b with the same types all the way down, keys included (True
+    is not 1, and 1 is not 1.0), and each float by its repr, so -0.0 is
+    not 0.0 and a NaN matches a NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        keys = {key: key for key in b}
+        return len(a) == len(b) and all(
+            key in keys and same_yaml(key, keys[key]) and same_yaml(value, b[key]) for key, value in a.items()
+        )
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_yaml, a, b))
+    return repr(a) == repr(b) if isinstance(a, float) else a == b

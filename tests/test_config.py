@@ -446,8 +446,22 @@ def test_load_config_io_errors(tmp_path):
         load_config(tmp_path / "missing.yaml")
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema: [unclosed", encoding="utf-8")
-    with pytest.raises(ConfigError, match="not valid YAML"):
+    where = f"config {bad} is not valid YAML: line 1, column 18: expected ',' or ']'"
+    with pytest.raises(ConfigError, match=re.escape(where)):
         load_config(bad)
+    bad.write_bytes(b"schema: v\xff1")
+    with pytest.raises(ConfigError, match="not valid YAML: 'utf-8' codec can't decode byte 0xff"):
+        load_config(bad)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16-le", "utf-16-be"])
+def test_load_config_reads_a_byte_order_mark_and_crlf_lines(tmp_path, encoding):
+    # as PyYAML did: UTF-16 by its byte order mark, UTF-8 otherwise
+    shipped = SHIPPED[0]
+    text = "\ufeff" * encoding.startswith("utf-16") + shipped.read_text(encoding="utf-8").replace("\n", "\r\n")
+    path = tmp_path / shipped.name
+    path.write_bytes(text.encode(encoding))
+    assert load_config(path).points == load_config(shipped).points
 
 
 def test_overrides_revalidate():

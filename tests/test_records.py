@@ -10,20 +10,10 @@ The checks need neither pytest, numpy nor PyYAML, so they also run as a
 plain script on any supported Python:
 
     PYTHONPATH=src python tests/test_records.py
-
-A stand-in yaml module is installed there when PyYAML is missing: the
-package reads YAML only in load_config, which no check calls.
 """
 
 import pickle
 import sys
-import types
-
-if __name__ == "__main__":
-    try:
-        import yaml  # noqa: F401
-    except ImportError:
-        sys.modules["yaml"] = types.ModuleType("yaml")
 
 from qnaps import antipatterns, config, egraph, model, render, stats
 from qnaps.config import ConfigError, parse_config

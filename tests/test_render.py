@@ -162,7 +162,11 @@ print(len(re.findall("<text", svg)))
     ((0.05, 0.05000000000000001), (1.0, 2.0), "linear"),
     ((1.0, 2.0), (1.0, 1.0000000000000002), "linear"),
     ((10.0, 10.000000000000004), (1.0, 2.0), "log"),  # logs 1.0 and 1.0000000000000002
-], ids=["x", "y", "log-x"])
+    ((1e20,), (1.0,), "linear"),  # ±0.5 does not move a single x this large
+    ((-1e20,), (1.0,), "linear"),
+    ((2.0**53,), (1.0,), "linear"),
+    ((2.0**51,), (1.0,), "linear"),  # ±0.5 moves it, by too little for the ticks
+], ids=["x", "y", "log-x", "x-1e20", "x-minus-1e20", "x-2**53", "x-2**51"])
 def test_svg_of_values_a_few_ulps_apart_returns(x, y, scale):
     # the ticks stepped t += step by less than half an ulp of t, so t never
     # moved and the tick list grew until memory ran out; run in a child

@@ -387,14 +387,15 @@ def test_cli_closed_class_with_no_way_back_exits_2(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     for delay in (0.0, 1.0):
-        fixed = {"C": {"kind": "deterministic", "value_msec": delay}}
+        fixed = {"kind": "deterministic", "value_msec": delay}
         model = {
             "builder": "inline",
             "stations": [
                 {"name": "Ref", "kind": "delay", "service": {"C": {"kind": "exponential", "mean_msec": 1.0}}},
                 {"name": "A", "kind": "fcfs", "service": {"C": {"kind": "exponential", "mean_msec": 0.5}}},
-                {"name": "B", "kind": "delay", "service": fixed},
-                {"name": "X", "kind": "delay", "service": fixed},
+                # copies: safe_dump writes a dict met twice as an anchor and an alias
+                {"name": "B", "kind": "delay", "service": {"C": dict(fixed)}},
+                {"name": "X", "kind": "delay", "service": {"C": dict(fixed)}},
             ],
             "classes": [{"name": "C", "kind": "closed", "population": 2, "reference": "Ref"}],
             "routing": [
@@ -671,14 +672,16 @@ def test_parallel_run_loads_no_process_machinery(tmp_path):
 def test_run_loads_neither_dataclasses_nor_inspect(tmp_path):
     # the record types share one __init__, __repr__ and __eq__ and compile
     # no code, so neither the import nor a run loads dataclasses or the
-    # inspect module it imports
+    # inspect module it imports; configs are read by qnaps.yamldoc, so
+    # neither loads PyYAML either
     cfg = _write_config(tmp_path / "tiny.yaml")
     probe = (
         "import sys, qnaps.cli\n"
-        "imported = sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)\n"
+        "modules = ('dataclasses', 'inspect', 'yaml')\n"
+        "imported = sorted(m for m in modules if m in sys.modules)\n"
         f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r},"
         " '--jobs', '1']) == 0\n"
-        "print(imported, sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(imported, sorted(m for m in modules if m in sys.modules))"
     )
     assert _child(probe) == "[] []"
 
