@@ -10,7 +10,7 @@ only the sum compares across the two designs. Each model runs on both
 loops, ``_loop.run`` (compiled) and ``run`` of ``tests/_reference.py``
 on the extension's fill, so one run gives the speed-up of the compiled
 loop on one machine, and each reports the median over the completions in
-its window (the tally's per-cell ``scnt``, summed) as nanoseconds per
+its window (the sum of its ``_Tally``'s ``scnt``) as nanoseconds per
 completion, the loop's cost of an event, in its extra_info. A second
 case times the samplers alone: fill(spec, first, _BLOCK) of the spec of
 one sampler per distribution kind, of a mixture whose base is a mixture,
@@ -48,7 +48,7 @@ import yaml
 
 from qnaps import yamldoc
 from qnaps.config import build_model_from_config, load_config, parse_antipattern, parse_model
-from qnaps.kernel import _BLOCK, _U01, _arrival_spec, _build, _finalize, _loop, _spec
+from qnaps.kernel import _BLOCK, _U01, _arrival_spec, _build, _finalize, _loop, _spec, _Tally
 from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
 from qnaps.stats import ConfidenceInterval, MetricSample
 
@@ -86,10 +86,10 @@ def test_engine_run(benchmark, name, loop):
         counts = run(*table)
         return _finalize(net, seed, table, counts), counts
 
-    result, (cells, _) = benchmark.pedantic(build_and_run, rounds=10, warmup_rounds=1)
+    result, counts = benchmark.pedantic(build_and_run, rounds=10, warmup_rounds=1)
     assert result.samples
     if benchmark.stats is not None:  # None under --benchmark-disable
-        completions = sum(row[3] for row in cells)  # each cell's scnt
+        completions = sum(_Tally(*counts).scnt)
         benchmark.extra_info["ns_per_completion"] = benchmark.stats.stats.median / completions * 1e9
 
 

@@ -43,6 +43,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stddef.h>
 #include <string.h>
 
 enum { KC_FCFS = 0, KC_DELAY = 1, KC_SOURCE = 2, KC_SINK = 3 };
@@ -179,8 +180,8 @@ typedef struct {
     Py_ssize_t hlen, hcap;
 } Engine;
 
-_Static_assert(__builtin_offsetof(Engine, init) == __builtin_offsetof(Engine, tab)
-               + (NTABLES - 1) * sizeof(void *), "the named tables of Engine line up with tab");
+_Static_assert(offsetof(Engine, init) == offsetof(Engine, tab) + (NTABLES - 1) * sizeof(void *),
+               "the named tables of Engine line up with tab");
 
 #define AT(E, s, c) ((Py_ssize_t)(s) * (E)->ncl + (c))
 
@@ -1210,29 +1211,42 @@ sweep(Engine *E)
     }
 }
 
-/* (cells, classes): per cell (area, barea, ssum, scnt, drops), per class
-   (created, sunk, dropped, live, rsum, rcnt, larea) */
+/* the fields of a kernel._Tally, in its order: each a member of every Cell
+   (per cell) or every Class (per class), a double or else a long long */
+static const struct {
+    size_t offset;
+    int per_class, is_double;
+} TALLY[] = {
+    {offsetof(Cell, area), 0, 1},      {offsetof(Cell, barea), 0, 1},
+    {offsetof(Cell, ssum), 0, 1},      {offsetof(Cell, scnt), 0, 0},
+    {offsetof(Cell, drops), 0, 0},     {offsetof(Class, created), 1, 0},
+    {offsetof(Class, sunk), 1, 0},     {offsetof(Class, dropped), 1, 0},
+    {offsetof(Class, live), 1, 0},     {offsetof(Class, rsum), 1, 1},
+    {offsetof(Class, rcnt), 1, 0},     {offsetof(Class, larea), 1, 1},
+};
+
+/* the tally: a tuple of one list per TALLY field */
 static PyObject *
 tally(const Engine *E)
 {
-    Py_ssize_t cells = E->nst * E->ncl;
-    PyObject *out = Py_BuildValue("(NN)", PyList_New(cells), PyList_New(E->ncl));
-    for (Py_ssize_t k = 0; out != NULL && k < cells; k++) {
-        const Cell *C = &E->cells[k];
-        PyObject *row = Py_BuildValue("(dddLL)", C->area, C->barea, C->ssum, C->scnt, C->drops);
-        if (row == NULL)
+    const Py_ssize_t nfields = sizeof TALLY / sizeof *TALLY;
+    PyObject *out = PyTuple_New(nfields);
+    for (Py_ssize_t f = 0; out != NULL && f < nfields; f++) {
+        const int per_class = TALLY[f].per_class;
+        const Py_ssize_t n = per_class ? E->ncl : (Py_ssize_t)E->nst * E->ncl;
+        const size_t size = per_class ? sizeof(Class) : sizeof(Cell);
+        const char *at = (per_class ? (const char *)E->cl : (const char *)E->cells) + TALLY[f].offset;
+        PyObject *list = PyList_New(n);
+        PyTuple_SET_ITEM(out, f, list);
+        if (list == NULL)
             Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(PyTuple_GET_ITEM(out, 0), k, row);
-    }
-    for (int c = 0; out != NULL && c < E->ncl; c++) {
-        const Class *C = &E->cl[c];
-        PyObject *row = Py_BuildValue("(LLLLdLd)", C->created, C->sunk, C->dropped, C->live,
-                                      C->rsum, C->rcnt, C->larea);
-        if (row == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(PyTuple_GET_ITEM(out, 1), c, row);
+        for (Py_ssize_t k = 0; out != NULL && k < n; k++, at += size) {
+            PyObject *v = TALLY[f].is_double ? PyFloat_FromDouble(*(const double *)at)
+                                             : PyLong_FromLongLong(*(const long long *)at);
+            PyList_SET_ITEM(list, k, v);
+            if (v == NULL)
+                Py_CLEAR(out);
+        }
     }
     return out;
 }
@@ -1359,8 +1373,8 @@ loop_log(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 #define METHOD(name, doc) {#name, (PyCFunction)(void (*)(void))loop_##name, METH_FASTCALL, doc}
 
 static PyMethodDef loop_methods[] = {
-    METHOD(run, "run(*table) -> (cells, classes), or None when no job can ever move. Runs the "
-              "engine of a _Table to its horizon and returns the tally."),
+    METHOD(run, "run(*table) -> the fields of a kernel._Tally, or None when no job can ever "
+              "move. Runs the engine of a _Table to its horizon and returns the tally."),
     METHOD(fill, "fill(spec, first, n) -> block. Values first .. first + n - 1 of the sampler "
                "spec, a tuple tree of const, uniform, erlang, shift and mixture nodes "
                "(kernel._spec), from Philox4x64-10 words."),

@@ -15,8 +15,10 @@ loaded (the import of qnaps.kernel raises ImportError, which names the
 compiler's exit code and the tail of its stderr, or the load's error;
 importing this module then prints it as one "qnaps:" line and exits),
 2 configuration problem (bad file, bad flag value, model that does not
-validate), 3 simulation deadlock, 4 internal invariant failure in the
-engine (population leak, flow imbalance). A run whose stdout reader goes
+validate; an --out that is a file, or lies under one, is a bad flag
+value, found before any replication runs and named on one "qnaps:"
+line), 3 simulation deadlock, 4 internal invariant failure in the engine
+(population leak, flow imbalance). A run whose stdout reader goes
 away (qnaps ... | head -1) writes its files and exits as usual, its
 progress lines going to os.devnull from then on.
 
@@ -30,9 +32,11 @@ main() leaves the collector on and nothing frozen.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
+from pathlib import Path
 
 gc.disable()
 try:
@@ -81,6 +85,15 @@ def _echo(line: str) -> None:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
+def _check_out(out: str) -> None:
+    """ConfigError unless out is a directory or can be made one: the
+    nearest of it and its parents that exists is one. Makes nothing."""
+    path = Path(out).absolute()
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out}: {nearest}: {os.strerror(errno.ENOTDIR)}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -101,6 +114,7 @@ def main(argv=None) -> int:
         )
         # run.jobs was checked at parse
         jobs = (cfg.jobs or 1) if args.jobs is None else _worker_count(args.jobs, "--jobs")
+        _check_out(args.out)
         written = run_experiment(cfg, out_dir=args.out, jobs=jobs, echo=_echo)
         for path in written:
             _echo(f"wrote {path}")

@@ -88,7 +88,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from . import antipatterns, model as qm, sha256, yamldoc
+from . import antipatterns, model as qm, render, sha256, yamldoc
 from .egraph import Basic, Branch, EgError, EgNode, EgScenario, Loop, Sequence, check_scenarios, reduce
 from .antipatterns import Spec
 from .model import JobClass, Station
@@ -607,9 +607,10 @@ class ExperimentConfig(FrozenRecord):
 
     @property
     def plottable(self) -> bool:
-        """svg output can draw this config: it has a plot section and the
+        """svg output can draw this config: it has a plot section, the
         swept field parsed every sweep value to a finite number, a
-        positive one on a log x scale."""
+        positive one on a log x scale, and a plot's x axis can hold them
+        (render.x_axis)."""
         return self._unplottable() is None
 
     def _unplottable(self) -> str | None:
@@ -624,6 +625,10 @@ class ExperimentConfig(FrozenRecord):
                 return f"plot: sweep values must be finite to plot, got {shown!r}"
             if self.plot.x_scale == "log" and p.x <= 0:
                 return f"plot: x_scale log needs positive sweep values, got {shown!r}"
+        log = self.plot.x_scale == "log"
+        if render.x_axis([math.log10(p.x) if log else p.x for p in self.points], log) is None:
+            shown = [p.value if self.sweep_parameter is not None else p.x for p in self.points]
+            return f"plot: sweep values {shown!r} do not fit on a plot's x axis"
         return None
 
     def with_overrides(self, *, seed=None, replications=None, horizon=None,

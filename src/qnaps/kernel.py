@@ -63,9 +63,10 @@ but at a delay thinks for a random phase of its think time, which
 desynchronizes cycles. When closed jobs exist but nothing can ever
 happen (no event on the calendar and no arrival before the horizon), it
 returns None, and run_replication raises DeadlockError; otherwise it
-returns its tally, per cell and per class, which _finalize turns into
-samples. The loop is one C extension, _loop.c, which copies the table's
-arrays and reads its specs into C structs, checking each once, on entry.
+returns its tally, the fields of a _Tally in order, which _finalize
+reads by name and turns into samples. The loop is one C extension,
+_loop.c, which copies the table's arrays and reads its specs into C
+structs, checking each once, on entry.
 tests/_reference.py has the same loop in Python, the executable
 specification the tests compare the compiled loop against bit for bit.
 The two share this contract: they make the t = 0 state in the same
@@ -192,6 +193,25 @@ class _Table(NamedTuple):
     specs: list           # per sampler: its spec
 
 
+class _Tally(NamedTuple):
+    """What the loop counted in one replication: a list per field, of a
+    value per cell (s * nclasses + c) or per class, counts as ints. The
+    loops return the fields in this order, _loop.c from its TALLY table."""
+
+    area: list     # per cell: the integral of its job count over the window
+    barea: list    #   the integral of its busy servers
+    ssum: list     #   the sum of its station sojourns that end inside the window
+    scnt: list     #   their count
+    drops: list    #   its drops inside the window
+    created: list  # per class: its jobs created
+    sunk: list     #   its jobs that reached a sink
+    dropped: list  #   its jobs dropped
+    live: list     #   its jobs alive at the horizon
+    rsum: list     #   the sum of its response (open) or cycle (closed) times in the window
+    rcnt: list     #   their count
+    larea: list    #   the integral of its in-system job count
+
+
 def _spec(dist, name: str) -> tuple:
     """The spec of the sampler of dist's values on the stream called name:
     a tuple tree that fill() reads, of these nodes, with k0, k1 = _key of
@@ -314,17 +334,11 @@ def _build(model: NetworkModel, seed: int, horizon: float, warmup: float) -> _Ta
 
 
 def _finalize(model: NetworkModel, seed: int, table: _Table, tally) -> ReplicationResult:
-    """The samples of the tally the loop returned on table. The tally is
-    (cells, classes): per cell, (area, barea, ssum, scnt, drops), the
-    integrals of the job count and of busy servers, the sum and count of
-    station sojourns inside the window and the drops; per class,
-    (created, sunk, dropped, live, rsum, rcnt, larea), its flow counts,
-    the jobs alive at the horizon, the sum and count of system response
-    (open) or cycle (closed) times and the integral of the in-system job
-    count."""
-    cells, classes = tally
+    """The samples of the tally the loop returned on table: the fields of
+    a _Tally, in order."""
+    T = _Tally(*tally)
     ncl = len(model.classes)
-    _check_conservation(model, classes)
+    _check_conservation(model, T)
 
     window = table.horizon - table.warmup
     samples = []
@@ -350,20 +364,21 @@ def _finalize(model: NetworkModel, seed: int, table: _Table, tally) -> Replicati
         total = (0.0, 0.0, 0.0, 0, 0)
         for c, jc in enumerate(model.classes):
             if jc.name in st.service:
-                cell = cells[s * ncl + c]
+                k = s * ncl + c
+                cell = T.area[k], T.barea[k], T.ssum[k], T.scnt[k], T.drops[k]
                 row(st.name, jc.name, metrics, st.servers, *cell)
                 total = tuple(map(add, total, cell))
         row(st.name, ALL_CLASSES, metrics, st.servers, *total)
 
-    for jc, (_, _, _, _, rsum, rcnt, larea) in zip(model.classes, classes):
-        row(SYSTEM_STATION, jc.name, METRICS[SYSTEM_STATION], 1, larea, 0.0, rsum, rcnt, 0)
+    for c, jc in enumerate(model.classes):
+        row(SYSTEM_STATION, jc.name, METRICS[SYSTEM_STATION], 1, T.larea[c], 0.0, T.rsum[c], T.rcnt[c], 0)
 
     return ReplicationResult(seed, table.horizon, table.warmup, samples)
 
 
-def _check_conservation(model: NetworkModel, classes) -> None:
+def _check_conservation(model: NetworkModel, T: _Tally) -> None:
     """KernelError unless every job of the tally's classes is accounted for."""
-    for jc, (created, sunk, dropped, live, *_) in zip(model.classes, classes):
+    for jc, created, sunk, dropped, live in zip(model.classes, T.created, T.sunk, T.dropped, T.live):
         if jc.kind == "closed":
             if live != jc.population:
                 raise KernelError(

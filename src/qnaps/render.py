@@ -229,6 +229,25 @@ def _widened(lo: float, hi: float, pad: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _axis(lo: float, hi: float, pad: float, margin: float, log: bool = False):
+    """The range an axis draws for values over [lo, hi] (decades on a log
+    axis): widened by pad, then out by margin of its width on each side;
+    None when it leaves the floats: its width is not finite, or a log
+    axis passes decades -307 .. 308, whose ticks 10**d are normal."""
+    lo, hi = _widened(lo, hi, pad)
+    m = (hi - lo) * margin
+    lo, hi = lo - m, hi + m
+    if math.isfinite(hi - lo) and (not log or -307.0 <= lo <= hi <= 308.0):
+        return lo, hi
+    return None
+
+
+def x_axis(xs, log: bool = False):
+    """The range of a plot's x axis over xs, given in decades on a log
+    axis, or None when no plot can draw them (_axis)."""
+    return _axis(min(xs), max(xs), 0.5, 0.05, log)
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 5):
     """1/2/5-stepped ticks covering [lo, hi]."""
     if hi <= lo:
@@ -280,16 +299,17 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
             return math.log10(v)
         return float(v)
 
-    xs = [tx(v) for s in series for v in s.x]
+    xs = [v for s in series for v in s.x]
     points = [[(x, y, h) for x, y, h in zip(s.x, s.y, s.hw) if not math.isnan(y)] for s in series]
     ylo = min((y - h for pts in points for _, y, h in pts), default=0.0)
     yhi = max((y + h for pts in points for _, y, h in pts), default=0.0)
-    xlo, xhi = _widened(min(xs), max(xs), 0.5)
-    ylo, yhi = _widened(ylo, yhi, abs(ylo) * 0.1 or 1.0)
-    ypad = (yhi - ylo) * 0.08
-    ylo, yhi = ylo - ypad, yhi + ypad
-    xpad = (xhi - xlo) * 0.05
-    xlo, xhi = xlo - xpad, xhi + xpad
+    x_range = x_axis([tx(v) for v in xs], x_scale == "log")
+    if x_range is None:
+        raise RenderError(f"x values {min(xs)!r} to {max(xs)!r} do not fit on a plot's axis")
+    y_range = _axis(ylo, yhi, abs(ylo) * 0.1 or 1.0, 0.08)
+    if y_range is None:
+        raise RenderError(f"y values {ylo!r} to {yhi!r} with errors do not fit on a plot's axis")
+    (xlo, xhi), (ylo, yhi) = x_range, y_range
 
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 

@@ -21,7 +21,7 @@ from itertools import count
 
 from numpy.random import Generator, Philox
 
-from qnaps.kernel import _INF, _KC_FCFS, _KC_SINK, _KC_SOURCE, _Table
+from qnaps.kernel import _INF, _KC_FCFS, _KC_SINK, _KC_SOURCE, _Table, _Tally
 
 
 def _philox_uniforms(k0: int, k1: int, start: int, n: int):
@@ -127,8 +127,8 @@ def _values(fill, spec, block):
 
 def run(*table, fill=fill):
     """The event loop on the fields of a _Table, with values from fill:
-    the tally, per cell and per class, that kernel._finalize reads, or
-    None when closed jobs can never move."""
+    the _Tally that kernel._finalize reads, or None when closed jobs can
+    never move."""
     T = _Table(*table)
     horizon = T.horizon
     warm = T.warmup
@@ -339,5 +339,5 @@ def run(*table, fill=fill):
             e = job.entered
             larea[ci] += horizon - (e if e > warm else warm)
 
-    return (list(zip(area, barea, ssum, scnt, drops)),
-            list(zip(created, sunk, dropped, live, rsum, rcnt, larea)))
+    return _Tally(area=area, barea=barea, ssum=ssum, scnt=scnt, drops=drops, created=created,
+                  sunk=sunk, dropped=dropped, live=live, rsum=rsum, rcnt=rcnt, larea=larea)

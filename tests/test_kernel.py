@@ -29,6 +29,7 @@ from qnaps.kernel import (
     _build,
     _finalize,
     _spec,
+    _Tally,
     run_replication,
 )
 from qnaps.model import (
@@ -269,7 +270,7 @@ def test_routing_stream_draws_one_word_per_decision(monkeypatch):
             yield v
 
     monkeypatch.setattr(_reference, "_values", counted)
-    decisions = tally(table, "_run_python")[1][0][0]  # created: every arrival splits once at the source
+    decisions = tally(table, "_run_python").created[0]  # every arrival splits once at the source
     assert decisions > 300
     assert sum(spec is u01 for spec in taken) == decisions
 
@@ -542,8 +543,8 @@ def test_open_class_routed_from_source_straight_to_sink():
         classes=[JobClass("Jobs", "open", arrival=Exponential(0.5))],
         routing=routing,
     )
-    created, sunk, *_ = kernel._loop.run(*_build(m, seed=3, horizon=2000.0, warmup=200.0))[1][0]
-    assert created == sunk > 900
+    t = _Tally(*kernel._loop.run(*_build(m, seed=3, horizon=2000.0, warmup=200.0)))
+    assert t.created == t.sunk and t.created[0] > 900
     reps = [run_replication(m, seed=s, horizon=2000.0, warmup=200.0) for s in range(5)]
     assert covers(estimate(reps)[("system", "Jobs", "throughput-per-msec")], 0.5)
 
@@ -551,45 +552,42 @@ def test_open_class_routed_from_source_straight_to_sink():
 def test_flow_check_fires_from_the_engine():
     model = mm1_model(capacity=3)
     table = _build(model, seed=5, horizon=2000.0, warmup=200.0)
-    cells, classes = kernel._loop.run(*table)
-    created, sunk, dropped, *rest = classes[0]
-    assert created > 1000 and dropped > 0
-    _finalize(model, 5, table, (cells, classes))  # balanced as the loop left it
+    t = _Tally(*kernel._loop.run(*table))
+    assert t.created[0] > 1000 and t.dropped[0] > 0
+    _finalize(model, 5, table, t)  # balanced as the loop left it
     with pytest.raises(KernelError, match="flow imbalance for class Jobs"):
-        _finalize(model, 5, table, (cells, [(created, sunk - 1, dropped, *rest)]))
+        _finalize(model, 5, table, t._replace(sunk=[t.sunk[0] - 1]))
 
 
 def test_population_check_fires_from_the_engine():
     model = closed_cycle_model(population=3)
     table = _build(model, seed=5, horizon=2000.0, warmup=200.0)
-    cells, classes = kernel._loop.run(*table)
-    *counts, live, rsum, rcnt, larea = classes[0]
-    assert live == 3 and rcnt > 0
-    _finalize(model, 5, table, (cells, classes))  # every job as the loop left it
+    t = _Tally(*kernel._loop.run(*table))
+    assert t.live == [3] and t.rcnt[0] > 0
+    _finalize(model, 5, table, t)  # every job as the loop left it
     with pytest.raises(KernelError, match="closed population leak: class Jobs holds 2 of 3"):
-        _finalize(model, 5, table, (cells, [(*counts, live - 1, rsum, rcnt, larea)]))
+        _finalize(model, 5, table, t._replace(live=[t.live[0] - 1]))
 
 
 def test_arrivals_run_until_their_first_infinite_gap():
     model = stopping_arrivals_model()
     assert validate_model(model) == []
     table = _build(model, seed=1, horizon=1e4, warmup=1e3)
-    tally = kernel._loop.run(*table)
-    created, sunk, *_ = tally[1][0]
+    t = _Tally(*kernel._loop.run(*table))
     # about 100 arrivals, where 1e4 msec at rate 0.8 would give 8000
-    assert 0 < created == sunk < 1000
-    _finalize(model, 1, table, tally)  # the flow check holds
+    assert t.created == t.sunk and 0 < t.created[0] < 1000
+    _finalize(model, 1, table, t)  # the flow check holds
 
 
 _HIGH_RATE_CHILD = """
 from _helpers import mm1_model
-from qnaps.kernel import _build, _finalize, _loop
+from qnaps.kernel import _build, _finalize, _loop, _Tally
 model = mm1_model(lam=100, mu=1000)
 _build(model, 1, 1e6, 1e5)
 table = _build(model, 1, 1e4, 1e3)
-tally = _loop.run(*table)
-_finalize(model, 1, table, tally)  # the flow check
-print(*tally[1][0][:3])
+t = _Tally(*_loop.run(*table))
+_finalize(model, 1, table, t)  # the flow check
+print(*t.created, *t.sunk, *t.dropped)
 """
 
 

@@ -55,7 +55,7 @@ from pathlib import Path
 import pytest
 
 from qnaps import kernel
-from qnaps.kernel import _build, _finalize, run_replication
+from qnaps.kernel import _build, _finalize, _Tally, run_replication
 from qnaps.model import (
     DELAY,
     FCFS,
@@ -354,25 +354,30 @@ MODELS = {
 ARRIVAL_PINS = {"ties": 61001, "arrival_mix": 62002}
 
 
-def flows_and_samples(model, seed, horizon, loop):
-    """Each class's (name, created, sunk, dropped, live) and every sample
-    of one replication on loop."""
+def outcome(model, seed, loop, horizon=HORIZON / 2):
+    """The _Tally and every sample of one replication on loop."""
     table = _build(model, seed, horizon, WARMUP)
-    counts = tally(table, loop)
+    counts = _Tally(*tally(table, loop))
     result = _finalize(model, seed, table, counts)
-    flows = [[jc.name, *row[:4]] for jc, row in zip(model.classes, counts[1])]
-    samples = [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples]
-    return flows, samples
+    return counts, [[s.station, s.job_class, s.metric, s.value.hex()] for s in result.samples]
 
 
-def outcome(model, seed, loop):
-    flows, samples = flows_and_samples(model, seed, HORIZON / 2, loop)
-    return samples, flows
+def assert_loops_agree(model, seed):
+    """The compiled loop's tally and samples are the Python loop's, field
+    by field, so a mismatch names the field."""
+    (ours, our_samples), (spec, spec_samples) = (outcome(model, seed, loop)
+                                                 for loop in ("run", "_run_python"))
+    for field in _Tally._fields:
+        assert getattr(ours, field) == getattr(spec, field), (seed, field)
+    assert our_samples == spec_samples, seed
 
 
 def pinned_run(name: str, loop: str) -> dict:
-    flows, samples = flows_and_samples(MODELS[name], ARRIVAL_PINS[name], HORIZON, loop)
-    return {"flow": [f[:4] for f in flows], "samples": samples}
+    """Each class's [name, created, sunk, dropped] and every sample."""
+    model = MODELS[name]
+    counts, samples = outcome(model, ARRIVAL_PINS[name], loop, HORIZON)
+    flows = zip([jc.name for jc in model.classes], counts.created, counts.sunk, counts.dropped)
+    return {"flow": [list(f) for f in flows], "samples": samples}
 
 
 @pytest.mark.parametrize("loop", ["run", "_run_python"])
@@ -401,7 +406,25 @@ def test_compiled_loop_matches_the_python_loop(name):
     model = MODELS[name]
     assert validate_model(model) == []
     for seed in range(1000, 1020):
-        assert outcome(model, seed, "run") == outcome(model, seed, "_run_python"), seed
+        assert_loops_agree(model, seed)
+
+
+@pytest.mark.parametrize("loop", ["run", "_run_python"])
+def test_both_loops_return_the_fields_of_a_tally(loop):
+    # the tally's contract: _Tally's fields in order, per cell or per
+    # class, counts as ints and the rest as floats
+    table = _build(MODELS["every_kind"], 1000, HORIZON / 2, WARMUP)
+    nst, ncl = len(table.kind), len(table.reference)
+    counts = tally(table, loop)
+    assert len(counts) == len(_Tally._fields)
+    if loop == "_run_python":
+        assert type(counts) is _Tally
+    for field, values in zip(_Tally._fields, counts):
+        per_cell = field in ("area", "barea", "ssum", "scnt", "drops")
+        number = float if field in ("area", "barea", "ssum", "rsum", "larea") else int
+        assert type(values) is list, field
+        assert len(values) == (nst * ncl if per_cell else ncl), field
+        assert all(type(v) is number for v in values), field
 
 
 def test_deep_calendar_model_keeps_hundreds_of_events():
@@ -409,18 +432,20 @@ def test_deep_calendar_model_keeps_hundreds_of_events():
     # on the calendar, and Work's 32 servers busy the whole window
     model = deep_calendar_model()
     table = _build(model, 1000, HORIZON / 2, WARMUP)
-    (work, think), _ = tally(table, "run")
+    t = _Tally(*tally(table, "run"))
+    work, think = 0, 1  # the cells of Crowd at Work and at Think
     window = HORIZON / 2 - WARMUP
-    assert work[1] / window == pytest.approx(32.0)
-    assert (think[0] + work[1]) / window > 200.0
+    assert t.barea[work] / window == pytest.approx(32.0)
+    assert (t.area[think] + t.barea[work]) / window > 200.0
 
 
 @pytest.mark.parametrize("loop", ["run", "_run_python"])
 def test_closed_jobs_overfill_their_reference_without_a_drop(loop):
     table = _build(closed_over_capacity_model(), 7, HORIZON / 2, WARMUP)
-    (_, _, loop_dropped, loop_live, *_), (_, _, jobs_dropped, *_) = tally(table, loop)[1]
-    assert loop_dropped == 0 and loop_live == 5
-    assert jobs_dropped > 0
+    t = _Tally(*tally(table, loop))
+    closed, open_ = 0, 1  # classes Loop and Jobs
+    assert t.dropped[closed] == 0 and t.live[closed] == 5
+    assert t.dropped[open_] > 0
 
 
 def test_parking_model_parks_jobs_during_the_run():
@@ -501,7 +526,7 @@ def test_build_from_scratch_loads_and_replaces_older_binaries(tmp_path, capsys, 
     built = kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), tmp_path)
     assert sorted(tmp_path.iterdir()) == [built]
     monkeypatch.setattr(kernel, "_loop", module)
-    assert outcome(MODELS["mm1_capacity3"], 5, "run") == outcome(MODELS["mm1_capacity3"], 5, "_run_python")
+    assert_loops_agree(MODELS["mm1_capacity3"], 5)
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
@@ -593,11 +618,11 @@ def test_compiled_loop_calls_no_python_function():
 
     sys.setprofile(profile)
     try:
-        tally = kernel._loop.run(*table)
+        counts = kernel._loop.run(*table)
     finally:
         sys.setprofile(None)
     assert calls == []
-    assert sum(row[0] for row in tally[1]) > 5000  # it ran: jobs were created
+    assert sum(_Tally(*counts).created) > 5000  # it ran: jobs were created
 
 
 @pytest.mark.parametrize("spec, error, match", [

@@ -148,6 +148,21 @@ def test_svg_input_validation():
     assert svg.count("<circle") == 1
 
 
+@pytest.mark.parametrize("x, y, hw, scale, match", [
+    ((1.7e308,), (1.0,), (0.0,), "linear", "x values"),  # the pad of a tenth carries it past
+    ((-1.7e308, 1.7e308), (1.0, 1.0), (0.0, 0.0), "linear", "x values"),
+    ((1.0,), (1.7e308,), (0.0,), "linear", "y values"),
+    ((1.0, 2.0), (-1.7e308, 1.7e308), (0.0, 0.0), "linear", "y values"),
+    ((1.0,), (1.0,), (1.7e308,), "linear", "y values"),
+    ((1e308,), (1.0,), (0.0,), "log", "x values"),  # a tick at 10**308.4
+    ((1e-300, 1e300), (1.0, 1.0), (0.0, 0.0), "log", "x values"),
+], ids=["x", "x-span", "y", "y-span", "half-width", "log-x", "log-x-span"])
+def test_svg_of_a_range_past_the_floats_is_a_render_error(x, y, hw, scale, match):
+    # past the floats: the arithmetic of each one's ticks would overflow
+    with pytest.raises(RenderError, match=f"{match} .* do not fit on a plot's axis"):
+        render_plot([PlotSeries("s", x, y, hw)], x_scale=scale)
+
+
 # the plot of argv[1]'s x and y values on argv[2]'s x scale: its count of text labels
 _NARROW_CHILD = """
 import ast, re, sys

@@ -272,8 +272,10 @@ def test_cli_resource_map_without_utilization_exits_2_before_any_replication(
          "plot: sweep values must be finite to plot, got inf"),
         ("wwi", "antipattern.overhead", [0.0, 1.0], "log",
          "plot: x_scale log needs positive sweep values, got 0.0"),
+        ("wwi", "antipattern.overhead", [0.5, 1.7e308], None,
+         "plot: sweep values [0.5, 1.7e+308] do not fit on a plot's x axis"),
     ],
-    ids=["infinite", "zero-on-log-scale"],
+    ids=["infinite", "zero-on-log-scale", "past-the-floats"],
 )
 def test_cli_sweep_value_the_plot_cannot_place_exits_2_before_any_replication(
         tmp_path, capsys, no_replications, shipped, parameter, values, x_scale, message):
@@ -288,6 +290,20 @@ def test_cli_sweep_value_the_plot_cannot_place_exits_2_before_any_replication(
     assert main(["--config", str(path), "--out", str(out), "--jobs", "1"]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_cli_out_at_or_under_a_file_exits_2_before_any_replication(
+        tmp_path, capsys, no_replications, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept", encoding="utf-8")
+    out = afile / "sub" if under else afile
+    cfg = _write_config(tmp_path / "tiny.yaml")
+    assert main(["--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+    # one line, naming the path, with no traceback before it
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line == f"qnaps: config error: --out {out}: {afile}: Not a directory"
+    assert afile.read_text(encoding="utf-8") == "kept"
 
 
 def test_cli_deadlock_exits_3(tmp_path, capsys):
