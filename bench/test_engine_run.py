@@ -11,7 +11,10 @@ loops, ``_loop.run`` (compiled) and ``run`` of ``tests/_reference.py``
 on the extension's fill, so one run gives the speed-up of the compiled
 loop on one machine, and each reports the median over the completions in
 its window (the sum of its ``_Tally``'s ``scnt``) as nanoseconds per
-completion, the loop's cost of an event, in its extra_info. A second
+completion, the loop's cost of an event, in its extra_info. Beside
+them, validate_model times the check every build runs first, on the
+largest sensor net build_sensor_net makes (4,096 sensors and 4,096
+actors, 8,198 stations), reported as microseconds per station. A second
 case times the samplers alone: fill(spec, first, _BLOCK) of the spec of
 one sampler per distribution kind, of a mixture whose base is a mixture,
 of a mixture that adds its Erlang extra to one value in twenty,
@@ -49,7 +52,8 @@ import yaml
 from qnaps import yamldoc
 from qnaps.config import build_model_from_config, load_config, parse_antipattern, parse_model
 from qnaps.kernel import _BLOCK, _U01, _arrival_spec, _build, _finalize, _loop, _spec, _Tally
-from qnaps.model import Deterministic, Erlang, Exponential, Mixture, Shifted, Uniform
+from qnaps.model import (Deterministic, Erlang, Exponential, Mixture, SensorNetParams, Shifted, Uniform,
+                         build_sensor_net, validate_model)
 from qnaps.stats import ConfidenceInterval, MetricSample
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -91,6 +95,13 @@ def test_engine_run(benchmark, name, loop):
     if benchmark.stats is not None:  # None under --benchmark-disable
         completions = sum(_Tally(*counts).scnt)
         benchmark.extra_info["ns_per_completion"] = benchmark.stats.stats.median / completions * 1e9
+
+
+def test_validate_model(benchmark):
+    net = build_sensor_net(SensorNetParams(sensor_count=4096, actor_count=4096))
+    assert benchmark.pedantic(validate_model, (net,), rounds=10, warmup_rounds=1) == []
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_station"] = benchmark.stats.stats.median / len(net.stations) * 1e6
 
 
 SAMPLERS = {

@@ -87,7 +87,7 @@ def _require_absent(model: NetworkModel, station: str, job_class: str) -> None:
         raise TransformError(f"class name {job_class!r} already exists in the model")
 
 
-def _are_we_there_yet(net: NetworkModel, spec: AreWeThereYet) -> str:
+def _are_we_there_yet(net: NetworkModel, spec: AreWeThereYet) -> None:
     """Add a closed Polling class whose jobs repeatedly ask the controller
     whether watched work has finished.
 
@@ -113,11 +113,9 @@ def _are_we_there_yet(net: NetworkModel, spec: AreWeThereYet) -> str:
         if spec.target_class not in {c.name for c in net.classes}:
             raise TransformError(f"model has no class named {spec.target_class!r}")
         net.detection[spec.target_class] = ("Polling", spec.controller)
-    return (f"f_poll={spec.f_poll}/msec, demand={spec.polling_demand} msec, "
-            f"{spec.poller_count} pollers")
 
 
-def _is_everything_ok(net: NetworkModel, spec: IsEverythingOk) -> str:
+def _is_everything_ok(net: NetworkModel, spec: IsEverythingOk) -> None:
     """Add a closed Status class that periodically checks every device.
 
     Status jobs cycle StatusThink (check_period) -> controller
@@ -153,10 +151,9 @@ def _is_everything_ok(net: NetworkModel, spec: IsEverythingOk) -> str:
         raise TransformError("no checked devices: pass devices or add Sensor* stations")
     add_status_cycle(net, spec.n_status, Deterministic(spec.check_period), check, devices,
                      Exponential(1.0 / spec.device_demand), spec.controller)
-    return f"n_status={spec.n_status}, period={spec.check_period} msec, p_exc={spec.p_exc}"
 
 
-def _where_was_i(net: NetworkModel, spec: WhereWasI) -> str:
+def _where_was_i(net: NetworkModel, spec: WhereWasI) -> None:
     """Charge the controller a save-restore prefix for the analysed
     workload and bound its waiting room.
 
@@ -187,7 +184,6 @@ def _where_was_i(net: NetworkModel, spec: WhereWasI) -> str:
     _set_service(net, spec.controller, spec.target_class,
                  Shifted(spec.overhead, controller.service[spec.target_class]),
                  capacity=controller.capacity if cap is None else cap)
-    return f"overhead={spec.overhead} msec, capacity={'unbounded' if cap is None else cap}"
 
 
 _APPLIERS = {
@@ -201,15 +197,14 @@ SPECS = {cls.kind: cls for cls in _APPLIERS}
 
 
 def apply(model: NetworkModel, spec: Spec) -> NetworkModel:
-    """model with the antipattern spec describes added, tagged with its
-    kind and noted in its description; model itself is left unchanged."""
+    """model with the antipattern spec describes added and tagged with its
+    kind; model itself is left unchanged."""
     if spec.kind in model.antipattern_tags:
         raise TransformError(f"model already carries the {spec.kind} transform")
     diags = validate_model(model)
     if diags:
         raise TransformError("target model is invalid: " + "; ".join(diags))
     out = model.clone()
-    note = _APPLIERS[type(spec)](out, spec)
+    _APPLIERS[type(spec)](out, spec)
     out.antipattern_tags = model.antipattern_tags + (spec.kind,)
-    out.description = (model.description + "; " if model.description else "") + f"{spec.kind}: {note}"
     return out

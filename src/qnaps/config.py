@@ -372,7 +372,6 @@ def _build_inline(spec: _InlineModel) -> qm.NetworkModel:
         stations=[replace(s, kind=qm.FCFS) if s.kind == "fcfs" else s for s in spec.stations],
         classes=list(spec.classes),
         routing=routing,
-        description="inline topology from experiment config",
     )
 
 

@@ -163,7 +163,6 @@ class NetworkModel(Record):
     stations: list[Station]
     classes: list[JobClass]
     routing: RoutingTable
-    description: str = ""
     antipattern_tags: tuple[str, ...] = ()
     # watched class -> (poller class, station): a watched job counts as
     # finished only when the poller next completes service at the station.
@@ -247,25 +246,23 @@ def _class_start(model: NetworkModel, jc: JobClass) -> str | None:
     return None
 
 
-def _reachable(model: NetworkModel, jc: JobClass, start: str, positive: bool = False) -> set[str]:
-    """Stations reachable from start; positive follows only edges with p > 0."""
-    seen: set[str] = set()
-    frontier = [start]
-    rows = model.routing.rows.get(jc.name, {})
+def _reachable(edges: dict[str, list[str]], starts) -> set[str]:
+    """The stations reached along edges (station -> next stations) from starts, starts included."""
+    seen, frontier = set(starts), list(starts)
     while frontier:
-        here = frontier.pop()
-        if here in seen:
-            continue
-        seen.add(here)
-        for to, p in rows.get(here, ()):
-            if to not in seen and (p > 0 or not positive):
+        for to in edges.get(frontier.pop(), ()):
+            if to not in seen:
+                seen.add(to)
                 frontier.append(to)
     return seen
 
 
 def validate_model(model: NetworkModel) -> list[str]:
     """Collect diagnostics. An empty list means the model is runnable.
-    Never raises."""
+    Never raises. Routing takes three searches per class over its edges:
+    reach (every edge, from its entry), live (p > 0 edges, from its entry)
+    and the way out (p > 0 edges reversed, from its exits: its sinks if
+    open, its reference station if closed), the stations that can leave."""
     diags: list[str] = []
     station_names = [s.name for s in model.stations]
     class_names = [c.name for c in model.classes]
@@ -350,14 +347,14 @@ def validate_model(model: NetworkModel) -> list[str]:
         if start is None:
             diags.append(f"class {jc.name}: no entry point (source routing row or reference station)")
             continue
-        reach = _reachable(model, jc, start)
+        reach = _reachable({frm: [to for to, _ in targets] for frm, targets in rows.items()}, [start])
         for st in reach:
             s = by_name.get(st)
             if s is None:
                 continue
             if s.kind in (FCFS, DELAY) and jc.name not in s.service:
                 diags.append(f"station {st}: reachable by class {jc.name} but has no service entry for it")
-            if s.kind in (FCFS, DELAY) and st not in model.routing.rows.get(jc.name, {}):
+            if s.kind in (FCFS, DELAY) and st not in rows:
                 diags.append(f"class {jc.name}: station {st} has no outgoing routing row")
         if jc.kind == "closed":
             if any(by_name[st].kind == SINK for st in reach if st in by_name):
@@ -378,11 +375,15 @@ def validate_model(model: NetworkModel) -> list[str]:
         else:
             exits = {s.name for s in model.stations if s.kind == SINK}
             fault = "no path to a sink (open-class jobs reaching it never leave)"
-        # a job that can never leave (open) or never return (closed)
-        # circulates forever; at zero delay the clock would never advance
-        live = _reachable(model, jc, start, positive=True)
+        # a job at a live station outside the way out circulates forever; at zero delay, time stalls
+        edges = {frm: [to for to, p in targets if p > 0] for frm, targets in rows.items()}
+        back: dict[str, list[str]] = {}
+        for frm, tos in edges.items():
+            for to in tos:
+                back.setdefault(to, []).append(frm)
+        live, way_out = _reachable(edges, [start]), _reachable(back, exits)
         for s in model.stations:
-            if s.name in live and not exits & _reachable(model, jc, s.name, positive=True):
+            if s.name in live and s.name not in way_out:
                 diags.append(f"class {jc.name}: station {s.name} has {fault}")
     if sum(populations.values()) > _MAX_POPULATION:
         diags.append(f"classes {', '.join(populations)}: closed populations total "
@@ -504,7 +505,6 @@ def build_baseline(params: BaselineParams = BaselineParams()) -> NetworkModel:
         stations=stations,
         classes=classes,
         routing=routing,
-        description="open workload through a single controller",
     )
 
 
@@ -585,7 +585,6 @@ def build_sensor_net(params: SensorNetParams = SensorNetParams()) -> NetworkMode
             JobClass("Actors", "open", arrival=Exponential(params.actors_arrival_rate)),
         ],
         routing=routing,
-        description="controller with sensors, actors and periodic check cycles",
     )
     if params.include_status:
         add_status_cycle(net, params.status_population, params.status_check_period,

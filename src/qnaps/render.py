@@ -273,7 +273,8 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
     """Line plot with markers and symmetric error bars as a standalone SVG.
 
     x positions are shared per series point; y error bars span mean ± hw.
-    A point whose y is NaN (no estimate) is left out. With
+    A point whose y is NaN (no estimate) is left out. Every x, and the
+    error bar of every point drawn, must be finite. With
     annotate_minimum the smallest y of the first series is marked and its
     x echoed next to the point. Output depends only on the
     arguments (fixed canvas, fixed formatting), so equal inputs give
@@ -289,6 +290,10 @@ def render_plot(series: list[PlotSeries], *, title: str = "", x_label: str = "",
             )
         if not s.x:
             raise RenderError(f"series {s.label!r}: needs at least one point")
+        if not all(map(math.isfinite, s.x)):
+            raise RenderError(f"series {s.label!r}: every x must be finite")
+        if not all(math.isfinite(h) for y, h in zip(s.y, s.hw) if not math.isnan(y)):
+            raise RenderError(f"series {s.label!r}: the error bar of a drawn point must be finite")
     if x_scale not in ("linear", "log"):
         raise RenderError(f"x_scale must be linear or log, got {x_scale!r}")
 

@@ -161,7 +161,6 @@ def test_wwi_structure_shift_and_cap():
     assert svc.mean() == pytest.approx(1.5 + 2.0)
     assert station(transformed, "Controller").capacity == 6
     assert station(base, "Controller").capacity is None  # the input is left as it was
-    assert transformed.description.endswith("where-was-i: overhead=1.5 msec, capacity=6")
 
 
 # ---------------------------------------------------------------------------

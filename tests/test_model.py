@@ -342,6 +342,20 @@ def test_validate_closed_class_needs_a_path_back_to_its_reference(delay):
     assert validate_model(m) == []
 
 
+def test_validation_searches_each_class_a_fixed_number_of_times(monkeypatch):
+    # reach, the live stations and the way out are one search each per
+    # class, so validating the largest sensor net (8,198 stations) costs
+    # in proportion to its size, not to its square
+    import qnaps.model as qm
+
+    net = build_sensor_net(SensorNetParams(sensor_count=4096, actor_count=4096))
+    searches = []
+    search = qm._reachable
+    monkeypatch.setattr(qm, "_reachable", lambda *args, **kw: searches.append(args) or search(*args, **kw))
+    assert validate_model(net) == []
+    assert 0 < len(searches) <= 3 * len(net.classes)
+
+
 def _queue_with(**fields):
     model = mm1_model()
     model.stations[1] = replace(model.stations[1], **fields)

@@ -1,5 +1,6 @@
 """Renderers: CSV schema, table formatting, deterministic SVG."""
 
+import math
 import os
 import re
 import resource
@@ -161,6 +162,27 @@ def test_svg_of_a_range_past_the_floats_is_a_render_error(x, y, hw, scale, match
     # past the floats: the arithmetic of each one's ticks would overflow
     with pytest.raises(RenderError, match=f"{match} .* do not fit on a plot's axis"):
         render_plot([PlotSeries("s", x, y, hw)], x_scale=scale)
+
+
+@pytest.mark.parametrize("x, y, hw, match", [
+    ((1.0, math.nan), (1.0, 2.0), (0.0, 0.0), "every x must be finite"),
+    ((math.nan, 1.0), (1.0, 2.0), (0.0, 0.0), "every x must be finite"),
+    ((1.0, math.inf), (1.0, 2.0), (0.0, 0.0), "every x must be finite"),
+    ((1.0, 2.0), (1.0, 2.0), (0.0, math.nan), "the error bar of a drawn point must be finite"),
+    ((1.0, 2.0), (1.0, 2.0), (math.nan, 0.0), "the error bar of a drawn point must be finite"),
+    ((1.0, 2.0), (1.0, 2.0), (0.0, math.inf), "the error bar of a drawn point must be finite"),
+], ids=["nan-x-second", "nan-x-first", "inf-x", "nan-hw-second", "nan-hw-first", "inf-hw"])
+def test_svg_of_a_non_finite_x_or_error_bar_is_a_render_error(x, y, hw, match):
+    # min and max pass a NaN on only from the first position, so the axis
+    # range alone cannot refuse a NaN elsewhere; each refusal names its series
+    with pytest.raises(RenderError, match=f"series 's': {match}"):
+        render_plot([PlotSeries("s", x, y, hw)])
+
+
+def test_svg_leaves_out_a_nan_y_whatever_its_error_bar():
+    # a point with no estimate is not drawn, so its error bar is not checked
+    svg = render_plot([PlotSeries("s", (1.0, 2.0, 3.0), (1.0, math.nan, 2.0), (0.0, math.nan, 0.0))])
+    assert svg.count("<circle") == 2 and not re.search(r"\bnan\b", svg)
 
 
 # the plot of argv[1]'s x and y values on argv[2]'s x scale: its count of text labels

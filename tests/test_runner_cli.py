@@ -689,11 +689,12 @@ def test_run_loads_neither_dataclasses_nor_inspect(tmp_path):
     # the record types share one __init__, __repr__ and __eq__ and compile
     # no code, so neither the import nor a run loads dataclasses or the
     # inspect module it imports; configs are read by qnaps.yamldoc, so
-    # neither loads PyYAML either
+    # neither loads PyYAML either; the t quantile's Newton search starts at
+    # 0, so neither loads statistics or the fractions module it imports
     cfg = _write_config(tmp_path / "tiny.yaml")
     probe = (
         "import sys, qnaps.cli\n"
-        "modules = ('dataclasses', 'inspect', 'yaml')\n"
+        "modules = ('dataclasses', 'inspect', 'yaml', 'statistics', 'fractions')\n"
         "imported = sorted(m for m in modules if m in sys.modules)\n"
         f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r},"
         " '--jobs', '1']) == 0\n"
