@@ -89,7 +89,10 @@ def _check_out(out: str) -> None:
     """ConfigError unless out is a directory or can be made one: the
     nearest of it and its parents that exists is one. Makes nothing."""
     path = Path(out).absolute()
-    nearest = next(p for p in (path, *path.parents) if p.exists())
+    try:
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:  # e.g. a name too long for the file system
+        raise ConfigError(f"--out {out}: {exc.strerror}") from None
     if not nearest.is_dir():
         raise ConfigError(f"--out {out}: {nearest}: {os.strerror(errno.ENOTDIR)}")
 

@@ -199,6 +199,8 @@ def build_validation_table(scenarios, qn_estimates, resource_map) -> list[Valida
             utilization_error=utilization_error(eg_util, qn_util_pct.mean),
             eg_response=metrics.response_time,
             qn_response=qn_resp,
-            response_error=response_time_error(metrics.response_time, qn_resp.mean),
+            # no relative error against a simulated mean of 0: the row reads nan
+            response_error=(response_time_error(metrics.response_time, qn_resp.mean)
+                            if qn_resp.mean != 0 else math.nan),
         ))
     return rows

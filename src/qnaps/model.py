@@ -348,24 +348,21 @@ def validate_model(model: NetworkModel) -> list[str]:
             diags.append(f"class {jc.name}: no entry point (source routing row or reference station)")
             continue
         reach = _reachable({frm: [to for to, _ in targets] for frm, targets in rows.items()}, [start])
-        for st in reach:
-            s = by_name.get(st)
-            if s is None:
-                continue
+        # in station order, so the diagnostics do not follow the set's hash order
+        reached = [s for s in by_name.values() if s.name in reach]
+        for s in reached:
             if s.kind in (FCFS, DELAY) and jc.name not in s.service:
-                diags.append(f"station {st}: reachable by class {jc.name} but has no service entry for it")
-            if s.kind in (FCFS, DELAY) and st not in rows:
-                diags.append(f"class {jc.name}: station {st} has no outgoing routing row")
+                diags.append(f"station {s.name}: reachable by class {jc.name} but has no service entry for it")
+            if s.kind in (FCFS, DELAY) and s.name not in rows:
+                diags.append(f"class {jc.name}: station {s.name} has no outgoing routing row")
         if jc.kind == "closed":
-            if any(by_name[st].kind == SINK for st in reach if st in by_name):
+            if any(s.kind == SINK for s in reached):
                 diags.append(f"class {jc.name}: closed class must not reach a sink (population would drain)")
             # a cycle with zero total demand would spin forever at t=0
             cycle_mean = sum(
-                by_name[st].service[jc.name].mean()
-                for st in reach
-                if st in by_name
-                and by_name[st].kind in (FCFS, DELAY)
-                and jc.name in by_name[st].service
+                s.service[jc.name].mean()
+                for s in reached
+                if s.kind in (FCFS, DELAY) and jc.name in s.service
             )
             if cycle_mean == 0.0:
                 diags.append(f"class {jc.name}: total service demand around the cycle is zero")

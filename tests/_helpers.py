@@ -8,7 +8,9 @@ tautology.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 from qnaps.egraph import Basic, Branch, Loop, Sequence
 from qnaps.kernel import run_replication
@@ -271,3 +273,12 @@ def same_yaml(a, b) -> bool:
     if isinstance(a, list):
         return len(a) == len(b) and all(map(same_yaml, a, b))
     return repr(a) == repr(b) if isinstance(a, float) else a == b
+
+
+def load_script(path: Path):
+    """The module that the script at path defines, loaded from its file:
+    tools/ and perfbench/ are no packages."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

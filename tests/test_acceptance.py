@@ -2,15 +2,18 @@
 
 Covers the analytic oracles (open queue, finite buffer, closed network),
 the frozen validation-table numerics, transform neutrality, behavior of
-the shipped experiment configs (sweet spot, monotone load, determinism,
+the shipped experiment configs (sweet spot, monotone load, their pinned bytes,
 a system-wide Little's law audit), and graph reduction brute force.
 """
 
 import csv
+import hashlib
 import json
 import math
+import platform
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from _helpers import (
     eg_expectation_by_paths,
     estimate,
     exact_mva,
+    load_script,
     mm1_model,
     mm1k_drop_probability,
     random_eg,
@@ -50,21 +54,22 @@ from _helpers import (
 
 HORIZON, WARMUP = 1.0e5, 1.0e4
 
-SHIPPED = ("baseline", "awty_sweep", "ieok_sweep", "wwi", "wwi_single",
-           "table6_validation")
+same_bytes = load_script(Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py")
+PIN = json.loads(same_bytes.PIN.read_text(encoding="utf-8"))
+JOBS = (1, 2)
 
 
 @pytest.fixture(scope="module")
 def shipped_runs(tmp_path_factory):
-    """Run every shipped config twice at full scale; reused by four gates."""
+    """Run every shipped config at full scale at jobs 1 and 2; reused by four gates."""
     runs = {}
-    for name in SHIPPED:
+    for name in PIN:
         cfg = load_config(resources.files("qnaps") / "configs" / f"{name}.yaml")
         dirs, seconds = [], []
-        for tag in ("a", "b"):
-            out = tmp_path_factory.mktemp(f"{name}_{tag}")
+        for jobs in JOBS:
+            out = tmp_path_factory.mktemp(f"{name}_jobs{jobs}")
             t0 = time.perf_counter()
-            run_experiment(cfg, out_dir=out, jobs=1)
+            run_experiment(cfg, out_dir=out, jobs=jobs)
             seconds.append(time.perf_counter() - t0)
             dirs.append(out)
         runs[name] = {"cfg": cfg, "dirs": tuple(dirs), "seconds": tuple(seconds)}
@@ -228,24 +233,16 @@ def test_criterion_07_status_utilization_monotone(shipped_runs):
 
 
 # ---------------------------------------------------------------------------
-# 8. reruns of every shipped config are byte identical
+# 8. every shipped config writes its pinned bytes, at jobs 1 and at jobs 2
 
 
 def test_criterion_08_reruns_byte_identical(shipped_runs):
-    for name, run in shipped_runs.items():
-        a, b = run["dirs"]
-        names_a = sorted(p.name for p in a.iterdir())
-        assert names_a == sorted(p.name for p in b.iterdir())
-        for fname in names_a:
-            bytes_a = (a / fname).read_bytes()
-            bytes_b = (b / fname).read_bytes()
-            if fname.endswith("_manifest.json"):
-                doc_a, doc_b = json.loads(bytes_a), json.loads(bytes_b)
-                assert doc_a.pop("wall_clock_seconds") is not None
-                assert doc_b.pop("wall_clock_seconds") is not None
-                assert doc_a == doc_b, f"{name}: manifest drifted beyond wall clock"
-            else:
-                assert bytes_a == bytes_b, f"{name}: {fname} not reproducible"
+    differ = [f"{name} --jobs {jobs}: {fname}" for name, run in shipped_runs.items()
+              for jobs, out in zip(JOBS, run["dirs"]) for fname in same_bytes.check(out, PIN[name])]
+    loop_c = hashlib.sha256((resources.files("qnaps") / "_loop.c").read_bytes()).hexdigest()
+    assert not differ, (
+        f"files differ from {same_bytes.PIN.name} on {platform.machine()}, Python "
+        f"{platform.python_version()}, _loop.c sha256 {loop_c}:\n" + "\n".join(differ))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Model layer: distributions, validation diagnostics, builders."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +287,33 @@ def test_validate_reachable_station_needs_service():
     m = mm1_model()
     m.stations[1] = Station("Queue", kind=FCFS, service={})
     _diag_contains(m, "no service entry")
+
+
+_FAN_CHILD = """
+import json
+from qnaps.model import FCFS, SOURCE, Exponential, JobClass, NetworkModel, RoutingTable, Station, validate_model
+queues = [f"Q{i}" for i in range(6)]
+routing = RoutingTable()
+routing.add("Jobs", "Source", [(q, 1 / 6) for q in queues])
+model = NetworkModel(name="fan", stations=[Station("Source", kind=SOURCE)] + [Station(q, kind=FCFS) for q in queues],
+                     classes=[JobClass("Jobs", "open", arrival=Exponential(1.0))], routing=routing)
+print(json.dumps(validate_model(model)))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2", "3"])
+def test_validate_lists_reached_stations_in_station_order(hash_seed):
+    # the stations a class reaches are a set; its order follows the hash
+    # seed, and the diagnostics must not
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", _FAN_CHILD], capture_output=True, text=True,
+                          env=env, check=True)
+    reached = [(f"station Q{i}: reachable by class Jobs but has no service entry for it",
+                f"class Jobs: station Q{i} has no outgoing routing row") for i in range(6)]
+    way_out = [f"class Jobs: station {st} has no path to a sink (open-class jobs reaching it never leave)"
+               for st in ("Source", *(f"Q{i}" for i in range(6)))]
+    assert json.loads(done.stdout) == [d for pair in reached for d in pair] + way_out
 
 
 def test_validate_closed_class_cycle_rules():

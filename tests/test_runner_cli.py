@@ -306,6 +306,14 @@ def test_cli_out_at_or_under_a_file_exits_2_before_any_replication(
     assert afile.read_text(encoding="utf-8") == "kept"
 
 
+def test_cli_out_name_too_long_exits_2_before_any_replication(tmp_path, capsys, no_replications):
+    out = tmp_path / ("o" * 300)
+    cfg = _write_config(tmp_path / "tiny.yaml")
+    assert main(["--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+    [line] = capsys.readouterr().err.strip().splitlines()
+    assert line == f"qnaps: config error: --out {out}: File name too long"
+
+
 def test_cli_deadlock_exits_3(tmp_path, capsys):
     dead = _write_config(tmp_path / "dead.yaml", experiment="dead", model=DEAD_MODEL)
     out = tmp_path / "o"
@@ -578,6 +586,34 @@ def test_cli_cell_without_completions_reads_nan(tmp_path):
     assert "<circle" not in (out / "idle.svg").read_text(encoding="utf-8")
     assert sorted(p.name for p in out.iterdir()) == [
         "idle.csv", "idle.svg", "idle_manifest.json", "idle_table.txt"]
+
+
+def test_cli_validation_against_a_zero_simulated_response_reads_nan(tmp_path):
+    # every service of the class takes 0 msec: its simulated response time
+    # is 0, so the relative error is undefined; the run writes every file
+    zero = {"kind": "deterministic", "value_msec": 0.0}
+    model = {
+        "builder": "inline",
+        "stations": [
+            {"name": "Source", "kind": "source"},
+            {"name": "Queue", "kind": "fcfs", "service": {"Jobs": zero}},
+            {"name": "Sink", "kind": "sink"},
+        ],
+        "classes": [{"name": "Jobs", "kind": "open", "arrival": {"kind": "exponential", "rate_per_msec": 0.1}}],
+        "routing": [
+            {"class": "Jobs", "from": "Source", "to": "Queue"},
+            {"class": "Jobs", "from": "Queue", "to": "Sink"},
+        ],
+    }
+    scenario = {"class": "Jobs", "arrival_rate_per_msec": 0.1, "graph": {"basic": {"Queue": 1.0}}}
+    path = _write_config(tmp_path / "zero.yaml", experiment="zero", model=model,
+                         validation={"resource_map": {"Jobs": "Queue"}, "scenarios": [scenario]})
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    [row] = csv.DictReader((out / "zero_validation.csv").open())
+    assert (row["qn_response_msec"], row["response_time_error_pct"]) == ("0.0", "nan")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "zero.csv", "zero_manifest.json", "zero_table.txt", "zero_validation.csv", "zero_validation.txt"]
 
 
 def test_cli_internal_error_exits_4_without_outputs(tmp_path, capsys, monkeypatch):
