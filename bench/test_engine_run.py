@@ -51,7 +51,7 @@ import yaml
 
 from qnaps import yamldoc
 from qnaps.config import build_model_from_config, load_config, parse_antipattern, parse_model
-from qnaps.kernel import _BLOCK, _U01, _arrival_spec, _build, _finalize, _loop, _spec, _Tally
+from qnaps.kernel import _BLOCK, _U01, _build, _finalize, _loop, _spec, _Tally
 from qnaps.model import (Deterministic, Erlang, Exponential, Mixture, SensorNetParams, Shifted, Uniform,
                          build_sensor_net, validate_model)
 from qnaps.stats import ConfidenceInterval, MetricSample
@@ -115,7 +115,6 @@ SAMPLERS = {
                                              Erlang(2, 1.0))),
     # a rare extra is made for every value and taken for one in twenty
     "rare-mixture": partial(_spec, Mixture(0.05, Exponential(2.0), Erlang(3, 1.0))),
-    "arrival-gaps": partial(_arrival_spec, Exponential(0.05)),
     "routing": partial(_spec, _U01),
     "log": None,  # the log of a block of 1 - u, the same block each time
 }

@@ -139,7 +139,7 @@ static const char *const SPEC_NAMES[NKINDS] = {"const", "uniform", "erlang", "sh
 /* a node of a spec tree, whose kinds kernel._spec describes */
 typedef struct {
     int kind;
-    int k, divide;    /* an erlang value's phases, and whether it divides by x */
+    int k;            /* an erlang value's phases */
     uint64_t k0, k1;  /* the key of its words; a mixture's are its branch uniforms */
     double x, span;   /* const value, uniform low, erlang scale, shift offset or mixture p */
     int base, extra;  /* the nodes of a shift's base, of a mixture's base and extra */
@@ -529,7 +529,7 @@ read_spec(Specs *S, PyObject *spec, Py_ssize_t b, int depth)
         ok = PyArg_ParseTuple(spec, "sOOdd", &name, &key[0], &key[1], &N.x, &N.span);
         break;
     case SP_ERLANG:
-        ok = PyArg_ParseTuple(spec, "sOOidp", &name, &key[0], &key[1], &N.k, &N.x, &N.divide);
+        ok = PyArg_ParseTuple(spec, "sOOid", &name, &key[0], &key[1], &N.k, &N.x);
         break;
     case SP_SHIFT:
         ok = PyArg_ParseTuple(spec, "sdO", &name, &N.x, &part[0]);
@@ -583,16 +583,16 @@ read_spec(Specs *S, PyObject *spec, Py_ssize_t b, int depth)
 #define CHUNK 512
 
 /* values first .. first + n - 1 of erlang node N into v: -(log(1 - u1) +
-   ... + log(1 - uk)), summed left to right, times scale or divided by it;
-   with k = 1 the exponential. 1 - u is exact, so log(1 - u) is
-   log1p(-u). The words go through a buffer CHUNK at a time, as 1 - u and
-   then, in place, as their logs; a value's partial sum and its phase
+   ... + log(1 - uk)), summed left to right, times scale = 1 / rate; with
+   k = 1 the exponential, arrival gaps too. 1 - u is exact, so log(1 - u)
+   is log1p(-u). The words go through a buffer CHUNK at a time, as 1 - u
+   and then, in place, as their logs; a value's partial sum and its phase
    carry from one chunk to the next, so every k takes this one path. */
 static int
 fill_erlang(const Spec *N, uint64_t first, Py_ssize_t n, double *v)
 {
     const double x = N->x;  /* v may alias specs */
-    const int k = N->k, divide = N->divide;
+    const int k = N->k;
     uint64_t end;
     if (__builtin_mul_overflow(first + (uint64_t)n, (uint64_t)k, &end)) {
         WITH_GIL(PyErr_Format(PyExc_ValueError, "no words for values %llu + [0, %zd) of %d each",
@@ -612,7 +612,7 @@ fill_erlang(const Spec *N, uint64_t first, Py_ssize_t n, double *v)
         for (int j = 0; j < m; j++) {
             sum = phase ? sum + buf[j] : buf[j];
             if (++phase == k) {
-                *v++ = divide ? -sum / x : -sum * x;
+                *v++ = -sum * x;
                 phase = 0;
             }
         }

@@ -38,7 +38,7 @@ class Basic(FrozenRecord):
 
     def __post_init__(self):
         for res, d in self.demand.items():
-            if d < 0:
+            if not d >= 0:
                 raise EgError(f"negative demand {d} on resource {res!r}")
 
 
@@ -65,7 +65,7 @@ class Loop(FrozenRecord):
     child: EgNode = Field(key="body")  # key: the YAML key in a config
 
     def __post_init__(self):
-        if self.count < 0:
+        if not self.count >= 0:
             raise EgError(f"loop count must be >= 0 (got {self.count})")
 
 
@@ -95,7 +95,7 @@ def _accumulate(node, weight: float, out: DemandVector) -> None:
             raise EgError("branch with no arms")
         total = 0.0
         for p, child in node.arms:
-            if p < 0 or p > 1:
+            if not 0 <= p <= 1:
                 raise EgError(f"branch probability {p} outside [0, 1]")
             total += p
         if abs(total - 1.0) > PROB_TOL:
@@ -116,7 +116,7 @@ class EgScenario(FrozenRecord):
     arrival_rate: float = Field(key="arrival_rate_per_msec")
 
     def __post_init__(self):
-        if self.arrival_rate < 0:
+        if not self.arrival_rate >= 0:
             raise EgError(f"arrival rate must be >= 0 (got {self.arrival_rate})")
 
 

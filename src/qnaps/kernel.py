@@ -19,12 +19,12 @@ takes k words a value (exponential and uniform 1, Erlang its phases)
 makes value j from words jk .. jk + k - 1 of its stream, and a mixture
 makes value j from value j of its branch uniforms, its base and its
 extra, each on a part stream of its own, so no value depends on how many
-are made at once. An exponential or Erlang value is -log(1 - u)
-(1 - u is exact, so this is -log1p(-u)) with fdlibm's log in plain double
-operations, so no value depends on the CPU, on a libm or on numpy. fill
-is in the compiled extension; tests/_reference.py has the same fill in
-Python, bit for bit, with the words from numpy's Philox: its
-specification.
+are made at once. An exponential or Erlang value, arrival gaps included,
+is a sum of -log(1 - u) times 1 / rate (1 - u is exact, so this is
+-log1p(-u)) with fdlibm's log in plain double operations, so no value
+depends on the CPU, on a libm or on numpy. fill is in the compiled
+extension; tests/_reference.py has the same fill in Python, bit for bit,
+with the words from numpy's Philox: its specification.
 
 run_replication(model, seed, horizon, warmup) is a pure function of its
 arguments. The measurement window is [warmup, horizon): completion samples
@@ -219,9 +219,9 @@ def _spec(dist, name: str) -> tuple:
       ("const", value): a deterministic value, or a rate-0 exponential's
         inf; it takes no words;
       ("uniform", k0, k1, low, span): low + span * u of word j;
-      ("erlang", k0, k1, k, scale, divide): -(log(1 - u1) + ... +
-        log(1 - uk)) over words jk .. jk + k - 1, times scale, or divided
-        by it when divide; an exponential is k = 1 times 1 / rate;
+      ("erlang", k0, k1, k, scale): -(log(1 - u1) + ... + log(1 - uk))
+        over words jk .. jk + k - 1, times scale = 1 / rate; an
+        exponential, an arrival gap's too, is k = 1;
       ("shift", offset, base): offset + value j of base, on name;
       ("mixture", k0, k1, p, base, extra): base value j, plus extra value
         j when uniform j of k0, k1 is below p; the uniforms, base and
@@ -232,7 +232,7 @@ def _spec(dist, name: str) -> tuple:
         return ("const", float(dist.mean()))
     if kind in ("exponential", "erlang"):
         k = dist.phases if kind == "erlang" else 1
-        return ("erlang", *_key(name), k, 1.0 / dist.rate, False)
+        return ("erlang", *_key(name), k, 1.0 / dist.rate)
     if kind == "uniform":
         return ("uniform", *_key(name), dist.low, dist.high - dist.low)
     if kind == "shifted":
@@ -241,18 +241,6 @@ def _spec(dist, name: str) -> tuple:
         return ("mixture", *_key(name + "/branch"), dist.p_extra,
                 _spec(dist.base, name + "/base"), _spec(dist.extra, name + "/extra"))
     raise ValueError(f"unknown distribution {dist!r}")
-
-
-def _arrival_spec(dist, name: str) -> tuple:
-    """The spec of a class's external arrival gaps; the loops add each to
-    the time of the arrival it follows. The first infinite gap (a rate-0
-    exponential, or an infinite part of a mixture) puts the next arrival
-    at inf, and so ends the class's arrivals."""
-    if dist.kind == "exponential" and dist.rate > 0:
-        # not _spec's exponential, which multiplies by 1 / rate: that
-        # rounds differently, and the shipped outputs were made by this division
-        return ("erlang", *_key(name), 1, dist.rate, True)
-    return _spec(dist, name)
 
 
 def _build(model: NetworkModel, seed: int, horizon: float, warmup: float) -> _Table:
@@ -277,7 +265,9 @@ def _build(model: NetworkModel, seed: int, horizon: float, warmup: float) -> _Ta
                 sampler[s * ncl + cidx[cname]] = index(_spec(dist, name))
 
     # each open class's arrival gaps at its source, each closed class's
-    # reference station and population
+    # reference station and population; the loops add a gap to the time
+    # of the arrival it follows, so the first infinite gap (a rate-0
+    # exponential, or an infinite part of a mixture) ends the class's arrivals
     reference, population = [-1] * ncl, [0] * ncl
     flush = [[] for _ in sampler]
     for c, jc in enumerate(classes):
@@ -285,7 +275,7 @@ def _build(model: NetworkModel, seed: int, horizon: float, warmup: float) -> _Ta
         if jc.kind == "closed":
             reference[c], population[c] = sidx[home], jc.population
         elif home is not None:
-            gaps = _arrival_spec(jc.arrival, f"{seed}|{home}|{jc.name}|arrival")
+            gaps = _spec(jc.arrival, f"{seed}|{home}|{jc.name}|arrival")
             sampler[sidx[home] * ncl + c] = index(gaps)
         watcher = model.detection.get(jc.name)
         if watcher is not None:

@@ -200,7 +200,6 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
             "replication_seeds": [
                 replication_seed(cfg.seed, 0, r) for r in range(cfg.replications)
             ],
-            "jobs": jobs,
             "outputs": {
                 name: sha256(artifacts[name].encode("utf-8")).hexdigest()
                 for name in sorted(artifacts)

@@ -80,14 +80,14 @@ def fill(spec, first, n):
         _, k0, k1, low, span = spec
         return array("d", [low + span * u for u in _philox_uniforms(k0, k1, first, n).tolist()])
     if kind == "erlang":
-        _, k0, k1, k, scale, divide = spec
+        _, k0, k1, k, scale = spec
         u = _philox_uniforms(k0, k1, first * k, n * k).tolist()
         out = array("d")
         for i in range(0, n * k, k):
             total = _log(1.0 - u[i])
             for j in range(i + 1, i + k):
                 total += _log(1.0 - u[j])
-            out.append(-total / scale if divide else -total * scale)
+            out.append(-total * scale)
         return out
     if kind == "shift":
         _, offset, base = spec

@@ -1,5 +1,7 @@
 """Execution graphs: reduction semantics, metrics, validation join."""
 
+import math
+
 import pytest
 
 from qnaps.egraph import (
@@ -48,6 +50,15 @@ def test_branch_probability_validation():
         Basic({"A": -1.0})
     with pytest.raises(EgError, match="count"):
         Loop(-1, Basic({"A": 1.0}))
+    # NaN fails every range check too
+    with pytest.raises(EgError, match="negative demand"):
+        Basic({"A": math.nan})
+    with pytest.raises(EgError, match="count"):
+        Loop(math.nan, Basic({"A": 1.0}))
+    with pytest.raises(EgError, match="arrival rate"):
+        EgScenario("A", Basic({"A": 1.0}), math.nan)
+    with pytest.raises(EgError, match="outside"):
+        eg_reduce(Branch((math.nan, Basic({"A": 1.0})), (1.0, Basic({"A": 2.0}))))
 
 
 def test_eg_metrics_and_saturation():

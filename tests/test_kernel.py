@@ -25,7 +25,6 @@ from qnaps.kernel import (
     DeadlockError,
     InvalidModelError,
     KernelError,
-    _arrival_spec,
     _build,
     _finalize,
     _spec,
@@ -188,7 +187,7 @@ def test_model_samplers_draw_documented_amounts():
     det = _spec(Deterministic(4.0), name)
     assert det == ("const", 4.0)  # no key: it takes no words
     assert _fill(det, 3, 2) == [4.0, 4.0]
-    assert _spec(Exponential(1.0), name) == ("erlang", *kernel._key(name), 1, 1.0, False)
+    assert _spec(Exponential(1.0), name) == ("erlang", *kernel._key(name), 1, 1.0)
 
 
 def _words_per_value(spec) -> int:
@@ -348,9 +347,8 @@ MIXTURE_EDGES = {
                                   *MIXTURE_EDGES.values()],
                          ids=[*kinds(10.0), *NESTED, "rate-0", *MIXTURE_EDGES])
 def test_compiled_fills_equal_the_python_fills(dist):
-    # the extension's fill against the reference's, its specification: values,
-    # arrival gaps of dist (an exponential's divided by its rate) and
-    # routing uniforms, _BLOCK + 44 of each, so every stream crosses a
+    # the extension's fill against the reference's, its specification: values
+    # and routing uniforms, _BLOCK + 44 of each, so every stream crosses a
     # block, 9 from value 4093 on, and 1100 from value 700 on, from a first
     # value that is not a multiple of 512 and over two of the 512-value
     # chunks in which a mixture makes its extra values
@@ -358,11 +356,10 @@ def test_compiled_fills_equal_the_python_fills(dist):
 
     def draw(fill):
         values = _spec(dist, "41|st|cl|service")
-        gaps = _arrival_spec(dist, "41|st|cl|arrival")
         routing = _spec(kernel._U01, "41|st|cl|routing")
         return [[v.hex() for v in _take(spec, n, fill=fill) + _fill(spec, 4093, 9, fill)
                  + _fill(spec, 700, 1100, fill)]
-                for spec in (values, gaps, routing)]
+                for spec in (values, routing)]
 
     assert draw(_reference.fill) == draw(kernel._loop.fill)
 
@@ -370,15 +367,15 @@ def test_compiled_fills_equal_the_python_fills(dist):
 @pytest.mark.parametrize("dist", [*kinds(10.0).values(), *NESTED.values()],
                          ids=[*kinds(10.0), *NESTED])
 def test_no_sampler_depends_on_the_block_size(dist):
-    # _BLOCK + 44 values, and as many arrival gaps of dist, span two
-    # blocks of the shipped size and many of 97 or 256 values; a fill
-    # from value 1000 makes the values from 1000 on
+    # _BLOCK + 44 values of dist span two blocks of the shipped size and
+    # many of 97 or 256 values; a fill from value 1000 makes the values
+    # from 1000 on
     n = kernel._BLOCK + 44
-    specs = (_spec(dist, "31|st|cl|service"), _arrival_spec(dist, "31|st|cl|arrival"))
-    shipped = [_take(spec, n) for spec in specs]
+    spec = _spec(dist, "31|st|cl|service")
+    shipped = _take(spec, n)
     for size in (97, 256):
-        assert [_take(spec, n, size) for spec in specs] == shipped
-    assert [_fill(spec, 1000, 50) for spec in specs] == [values[1000:1050] for values in shipped]
+        assert _take(spec, n, size) == shipped
+    assert _fill(spec, 1000, 50) == shipped[1000:1050]
 
 
 @pytest.mark.parametrize(

@@ -628,7 +628,7 @@ def test_compiled_loop_calls_no_python_function():
 @pytest.mark.parametrize("spec, error, match", [
     (("erlang", 1, 2), TypeError, r"fill\(\): \('erlang', 1, 2\) is not a sampler spec"),
     (("uniform", 1 << 64, 0, 0.0, 1.0), ValueError, r"has a key word outside \[0, 2\*\*64\)"),
-    (("erlang", 1, 2, 0, 1.0, False), ValueError, "has fewer than one phase"),
+    (("erlang", 1, 2, 0, 1.0), ValueError, "has fewer than one phase"),
     (("shift", 1.0, ["const", 1.0]), TypeError, r"\['const', 1.0\] is not a sampler spec"),
     (("shift", 1.0, ("const", math.nan)), ValueError, r"\('const', nan\) has a number below 0 or NaN"),
     (("mixture", 1, 2, 1.5, ("const", 1.0), ("const", 2.0)), ValueError,
@@ -642,7 +642,7 @@ def test_compiled_fill_rejects_a_malformed_spec(spec, error, match):
     # an Erlang-2 from the last int64 index on would need words past 2**64
     with pytest.raises(ValueError, match=r"^no words for values 9223372036854775807 \+ \[0, 4096\) "
                                          r"of 2 each$"):
-        kernel._loop.fill(("erlang", 1, 2, 2, 1.0, False), 2**63 - 1, 4096)
+        kernel._loop.fill(("erlang", 1, 2, 2, 1.0), 2**63 - 1, 4096)
 
 
 def changed(values, at, value):
@@ -723,7 +723,7 @@ CORRUPT = {
     "specs/key": ("awty", lambda t: replaced(t.specs, 3, ("uniform", -1, 0, 0.0, 1.0)),
                   ValueError, r"sampler 3: .* has a key word outside \[0, 2\*\*64\)"),
     # a service time that is NaN stalled the clock: this table ran forever
-    "specs/nan": ("closed_cycle", lambda t: replaced(t.specs, 0, (*t.specs[0][:4], math.nan, False)),
+    "specs/nan": ("closed_cycle", lambda t: replaced(t.specs, 0, (*t.specs[0][:4], math.nan)),
                   ValueError, r"sampler 0: .* has a number below 0 or NaN"),
 }
 
@@ -816,13 +816,14 @@ def too_deep():
 # specs the loop refuses, alone or as a part of another
 JUNK_SPECS = (
     None, (), ["const", 1.0], ("gamma", 2.0), ("const",), ("const", "1"), ("const", 1.0, 2.0),
-    ("erlang", 1, 2), ("erlang", 1, 2, 0, 1.0, False), ("erlang", 1, 2, 2**31, 1.0, False),
-    ("erlang", -1, 2, 1, 1.0, False), ("uniform", 1, 2**64, 0.0, 1.0), ("uniform", 1.5, 2, 0.0, 1.0),
+    ("erlang", 1, 2), ("erlang", 1, 2, 0, 1.0), ("erlang", 1, 2, 2**31, 1.0),
+    ("erlang", -1, 2, 1, 1.0), ("erlang", 1, 2, 1, 1.0, False), ("uniform", 1, 2**64, 0.0, 1.0),
+    ("uniform", 1.5, 2, 0.0, 1.0),
     ("shift", 1.0, "x"), ("mixture", 1, 2, 0.5, ("const", 1.0)), too_deep(),
     # well formed, with a number outside the range validate_model enforces
     ("const", math.nan), ("const", -1.0), ("uniform", 1, 2, -1.0, 1.0), ("uniform", 1, 2, 0.0, -1.0),
     ("uniform", 1, 2, math.nan, 1.0), ("uniform", 1, 2, 0.0, math.nan),
-    ("erlang", 1, 2, 1, -1.0, False), ("erlang", 1, 2, 2, math.nan, True),
+    ("erlang", 1, 2, 1, -1.0), ("erlang", 1, 2, 2, math.nan),
     ("shift", -1.0, ("const", 1.0)), ("shift", math.nan, ("const", 1.0)),
     ("mixture", 1, 2, 1.5, ("const", 1.0), ("const", 1.0)),
     ("mixture", 1, 2, -0.5, ("const", 1.0), ("const", 1.0)),

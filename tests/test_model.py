@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qnaps.antipatterns import AreWeThereYet, IsEverythingOk, TransformError, WhereWasI, apply
-from qnaps.kernel import InvalidModelError, _loop, _spec, run_replication
+from qnaps.kernel import InvalidModelError, _build, _loop, _spec, run_replication
 from qnaps.model import (
     DELAY,
     FCFS,
@@ -79,6 +79,14 @@ def test_sample_average_approaches_mean(dist):
 def test_zero_offset_shift_is_bit_identical():
     base = Exponential(0.7)
     assert _values(base, _stream("a"), 200) == _values(Shifted(0.0, base), _stream("a"), 200)
+    # as an open class's arrival gaps too, and so in a whole replication
+    plain, shifted = mm1_model(), mm1_model()
+    shifted.classes[0] = replace(plain.classes[0], arrival=Shifted(0.0, Exponential(0.8)))
+    tables = [_build(m, seed=11, horizon=2000.0, warmup=200.0) for m in (plain, shifted)]
+    gaps = [_loop.fill(t.specs[t.sampler[0]], 0, 4096).tolist() for t in tables]  # cell Source, Jobs
+    assert gaps[0] == gaps[1]
+    runs = [run_replication(m, seed=11, horizon=2000.0, warmup=200.0).samples for m in (plain, shifted)]
+    assert [(x.key, x.value.hex()) for x in runs[0]] == [(x.key, x.value.hex()) for x in runs[1]]
 
 
 def test_erlang_is_sum_of_phases():

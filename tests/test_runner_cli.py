@@ -781,18 +781,21 @@ def test_cli_jobs_below_one_is_a_config_error(tmp_path, capsys):
     assert "--jobs: must be >= 1, got 0" in capsys.readouterr().err
 
 
-def test_cli_takes_run_jobs_when_jobs_is_absent(tmp_path, capsys):
+def test_cli_takes_run_jobs_when_jobs_is_absent(tmp_path, capsys, monkeypatch):
+    taken = []
+    monkeypatch.setattr("qnaps.cli.run_experiment",
+                        lambda cfg, *, out_dir, jobs, echo: taken.append(jobs) or [])
     run = {"replications": 2, "seed": 424242, "horizon_msec": 2000.0, "warmup_msec": 200.0}
     cfg = _write_config(tmp_path / "tiny.yaml", run={**run, "jobs": 2})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert json.loads((tmp_path / "o" / "tiny_manifest.json").read_text())["jobs"] == 2
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o1"), "--jobs", "1"]) == 0
-    assert json.loads((tmp_path / "o1" / "tiny_manifest.json").read_text())["jobs"] == 1
+    assert taken == [2, 1]
 
     bad = _write_config(tmp_path / "bad.yaml", run={**run, "jobs": 0})
     capsys.readouterr()
     assert main(["--config", str(bad), "--out", str(tmp_path / "o0")]) == 2
     assert "run.jobs: must be >= 1, got 0" in capsys.readouterr().err
+    assert taken == [2, 1]
     assert not (tmp_path / "o0").exists()
 
 

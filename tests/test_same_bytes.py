@@ -11,11 +11,13 @@ ROOT = Path(__file__).resolve().parents[1]
 same_bytes = load_script(ROOT / "tools" / "same_bytes.py")
 
 
-def test_check_ignores_only_the_manifests_clock_and_jobs(tmp_path):
+def test_check_ignores_only_the_manifests_clock(tmp_path):
     pinned = {"experiment": "x", "outputs": {"x.csv": same_bytes.sha256(b"a,b\n").hexdigest()}}
     (tmp_path / "x.csv").write_bytes(b"a,b\n")
     manifest = tmp_path / "x_manifest.json"
     manifest.write_text(json.dumps({**pinned, "jobs": 2, "wall_clock_seconds": 9.0}))
+    assert same_bytes.check(tmp_path, pinned) == ["x_manifest.json"]
+    manifest.write_text(json.dumps({**pinned, "wall_clock_seconds": 9.0}))
     assert same_bytes.check(tmp_path, pinned) == []
     assert same_bytes.check(tmp_path, {**pinned, "replications": 3}) == ["x_manifest.json"]
     (tmp_path / "x.csv").write_bytes(b"a,c\n")

@@ -29,7 +29,7 @@ import pytest
 
 import _reference
 from qnaps import kernel
-from qnaps.kernel import _arrival_spec, _spec
+from qnaps.kernel import _spec
 from qnaps.model import Erlang
 
 from test_kernel import NESTED
@@ -77,29 +77,26 @@ def test_each_targets_log_has_the_reference_bits(target_loop):
     assert np.array_equal(np.frombuffer(target_loop.log(xs)).view(np.uint64), want)
 
 
-# every kind and the nested mixtures, whose exponential arrival gaps
-# divide, and an Erlang with more phases than a chunk of the fill has words
+# every kind and the nested mixtures, and an Erlang with more phases than
+# a chunk of the fill has words
 FILL_DISTS = {**kinds(10.0), **NESTED, "erlang-700": Erlang(700, 70.0)}
 
 
 @cache
-def reference_fills(name: str) -> list[list[str]]:
+def reference_fills(name: str) -> list[str]:
     """tests/_reference.py's values 0 .. 1099 and 4093 .. 4101 of the
-    samplers of FILL_DISTS[name], and of its arrival gaps, as hex."""
-    dist = FILL_DISTS[name]
+    sampler of FILL_DISTS[name], as hex."""
     n = 8 if name == "erlang-700" else 1100
-    specs = (_spec(dist, "43|st|cl|service"), _arrival_spec(dist, "43|st|cl|arrival"))
-    return [hexes(_reference.fill(spec, 0, n).tolist() + _reference.fill(spec, 4093, 9).tolist())
-            for spec in specs]
+    spec = _spec(FILL_DISTS[name], "43|st|cl|service")
+    return hexes(_reference.fill(spec, 0, n).tolist() + _reference.fill(spec, 4093, 9).tolist())
 
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
 def test_each_targets_fills_have_the_reference_bits(target_loop):
     for name, dist in FILL_DISTS.items():
         n = 8 if name == "erlang-700" else 1100
-        specs = (_spec(dist, "43|st|cl|service"), _arrival_spec(dist, "43|st|cl|arrival"))
-        got = [hexes(target_loop.fill(spec, 0, n).tolist() + target_loop.fill(spec, 4093, 9).tolist())
-               for spec in specs]
+        spec = _spec(dist, "43|st|cl|service")
+        got = hexes(target_loop.fill(spec, 0, n).tolist() + target_loop.fill(spec, 4093, 9).tolist())
         assert got == reference_fills(name), name
 
 
