@@ -58,7 +58,8 @@ A sweep parameter names a field of a parsed set, ``model.params.<field>``
 (not of an inline model) or ``antipattern.<field>``, which the config may
 omit (its default is then swept over); anything else is rejected by
 name. A sweep point replaces that one field by the value as the field's
-parser reads it, so ``1e-2`` sweeps a float field as 0.01.
+parser reads it, so ``1e-2`` sweeps a float field as 0.01 (and collides
+with a later 0.01: no point may be listed twice).
 
 parse_config builds and validates each point's model once, and checks
 the sections that refer to it before any replication runs: every plot
@@ -659,12 +660,16 @@ def parse_config(doc, *, digest: str = "") -> ExperimentConfig:
 
     # Build each point now: a broken model, plot or validation section
     # fails at parse time, not after the replications have run.
-    points = []
+    points, parsed_values = [], []
     for value in sweep.values if sweep else (None,):
         spot = f" (sweep {sweep.parameter} = {value!r})" if sweep else ""
         try:
             model, antipattern, parsed = (_sweep_point(sweep.parameter, top.model, top.antipattern, value)
                                           if sweep else (top.model, top.antipattern, 0.0))
+            if parsed in parsed_values:  # the same model and seeds: the same rows twice
+                raise ConfigError(f"sweep.values[{len(points)}]: the same point as "
+                                  f"sweep.values[{parsed_values.index(parsed)}]")
+            parsed_values.append(parsed)
             net = build_model_from_config(model, antipattern)
         except ConfigError as exc:
             raise ConfigError(f"{exc}{spot}") from exc

@@ -3,8 +3,9 @@
 Everything here is a pure view over estimate dictionaries; no file IO.
 The CSV column set is fixed (experiment, sweep_param, sweep_value,
 station, class, metric, mean, ci_half_width_99, n, base_seed) so plots
-and tables are derivable from the one format. Float cells use repr for
-round-trip fidelity; text tables round for reading.
+and tables are derivable from the one format. cell_text spells every
+value written out whole (CSV cells, progress lines, table headings);
+text tables round their numbers for reading.
 
 SVG output is assembled by hand so identical inputs give identical
 bytes: no timestamps, no generated ids, fixed coordinate formatting.
@@ -60,27 +61,34 @@ class RenderError(ValueError):
     """Inconsistent inputs handed to a renderer."""
 
 
-def _cell(value) -> str:
-    """Stable text form: repr for floats (round-trip), str otherwise,
-    JSON for structured sweep values."""
+def cell_text(value) -> str:
+    """The one spelling of an output value, in CSV cells, progress lines
+    and table headings alike: repr for a float (round-trip), a string as
+    written, anything else as JSON with sorted keys (null, true, 8,
+    [1, 2]), which is how the manifest spells it."""
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (dict, list, tuple)):
-        return json.dumps(value, sort_keys=True)
-    return "" if value is None else str(value)
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, sort_keys=True)
+
+
+def _csv_document(columns, rows) -> str:
+    """The CSV document with header columns and each row's cell_text."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        row = tuple(row)
+        if len(row) != len(columns):
+            raise RenderError(f"CSV row has {len(row)} cells, schema has {len(columns)}")
+        writer.writerow([cell_text(v) for v in row])
+    return out.getvalue()
 
 
 def render_csv(rows) -> str:
     """rows: iterables matching CSV_COLUMNS. Returns the full document."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        row = tuple(row)
-        if len(row) != len(CSV_COLUMNS):
-            raise RenderError(f"CSV row has {len(row)} cells, schema has {len(CSV_COLUMNS)}")
-        writer.writerow([_cell(v) for v in row])
-    return out.getvalue()
+    return _csv_document(CSV_COLUMNS, rows)
 
 
 def estimate_rows(experiment, estimates, *, base_seed, sweep_param="", sweep_value="", n=None):
@@ -166,24 +174,12 @@ def render_validation_csv(rows: list[ValidationRow]) -> str:
     """Machine-readable companion to the text table (full precision)."""
     if not rows:
         raise RenderError("validation table needs at least one row")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(VALIDATION_CSV_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.job_class,
-                repr(r.eg_utilization),
-                repr(r.qn_utilization.mean),
-                repr(r.qn_utilization.half_width),
-                repr(r.utilization_error),
-                repr(r.eg_response),
-                repr(r.qn_response.mean),
-                repr(r.qn_response.half_width),
-                repr(r.response_error),
-            ]
-        )
-    return out.getvalue()
+    return _csv_document(VALIDATION_CSV_COLUMNS, (
+        (r.job_class, r.eg_utilization, r.qn_utilization.mean, r.qn_utilization.half_width,
+         r.utilization_error, r.eg_response, r.qn_response.mean, r.qn_response.half_width,
+         r.response_error)
+        for r in rows
+    ))
 
 
 # ---------------------------------------------------------------------------

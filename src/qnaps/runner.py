@@ -55,14 +55,6 @@ def replication_seed(base_seed: int, sweep_index: int, rep_index: int) -> int:
     return (base_seed ^ rep_index) & SEED_MASK
 
 
-def _sweep_value_text(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True)
-    return str(value)
-
-
 def _plot_series(cfg: ExperimentConfig, per_point) -> list[render.PlotSeries]:
     """per_point: list of (sweep_value, estimates). Each point sits at its
     x; the config checked at parse time that every x is a number and
@@ -117,7 +109,7 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
                 value = cfg.points[i].value
                 per_point.append((value, acc.estimates()))
                 if cfg.sweep_parameter is not None:
-                    say(f"{cfg.experiment}: {cfg.sweep_parameter} = {_sweep_value_text(value)} done "
+                    say(f"{cfg.experiment}: {cfg.sweep_parameter} = {render.cell_text(value)} done "
                         f"({reps} replications)")
                 else:
                     say(f"{cfg.experiment}: {reps} replications done")
@@ -152,7 +144,7 @@ def run_experiment(cfg: ExperimentConfig, *, out_dir, jobs: int = 1, echo=None) 
         for value, est in per_point:
             heading = f"# {cfg.experiment}"
             if cfg.sweep_parameter is not None:
-                heading += f"  [{cfg.sweep_parameter} = {_sweep_value_text(value)}]"
+                heading += f"  [{cfg.sweep_parameter} = {render.cell_text(value)}]"
             blocks.append(render.render_estimates_table(est, heading=heading))
         text = "\n".join(blocks)
         artifacts[f"{cfg.experiment}_table.txt"] = text

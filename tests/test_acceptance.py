@@ -151,7 +151,13 @@ def test_criterion_03_closed_network_matches_exact_mva():
 # 4. frozen validation-table numerics and layout
 
 # frozen reference rows for the comparison table: (class, eg util %,
-# qn util %, qn util hw, util err, eg resp, qn resp, qn resp hw, resp err)
+# qn util %, qn util hw, util err, eg resp, qn resp, qn resp hw, resp err).
+# The rows came with the repository's first commit, laid out as the
+# paper's Table 6; no file records more of their source. This repo
+# reproduces their utilizations but not their response times, and two of
+# those sit below their own demand sums (Analysis 5.35 < 5.53, Status
+# 1.11 < 1.17), which no FCFS model with those demands gives. They stay
+# frozen as a layout and numerics fixture, not as an oracle.
 _ORIGINAL = [
     ("Analysis", 17.4, 17.8, 0.41, 0.4, 5.53, 5.35, 0.10, 3.18),
     ("Status", 3.9, 4.1, 0.08, 0.2, 1.17, 1.11, 0.02, 5.05),

@@ -258,6 +258,22 @@ def test_sweep_path_validation():
                               sweep={"parameter": "model.params.name", "values": ["a"]}))
 
 
+def test_a_sweep_point_listed_twice_is_refused():
+    # the same model under the same seeds would write the same rows twice;
+    # values collide as the swept field parses them
+    for params, antipattern, field, values in (
+        ({}, {"kind": "where-was-i", "overhead": 0.0}, "buffer_capacity", [4, 8, 8]),
+        ({"include_polling": False}, {"kind": "are-we-there-yet", "f_poll": 0.02}, "f_poll",
+         [0.03, "1e-2", 0.01]),
+    ):
+        doc = _minimal(model={"builder": "sensor-net", "params": params}, antipattern=antipattern,
+                       sweep={"parameter": f"antipattern.{field}", "values": values})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"sweep.values[2]: the same point as sweep.values[1] "
+                f"(sweep antipattern.{field} = {values[2]!r})")):
+            parse_config(doc)
+
+
 def test_sweep_points_must_build():
     doc = _minimal(
         model={"builder": "sensor-net"},

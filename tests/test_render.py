@@ -17,6 +17,7 @@ from qnaps.render import (
     PlotSeries,
     RenderError,
     _escape,
+    cell_text,
     estimate_rows,
     render_csv,
     render_estimates_table,
@@ -53,6 +54,22 @@ def test_csv_schema_and_float_fidelity():
 
     with pytest.raises(RenderError, match="cells"):
         render_csv([("too", "short")])
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1, "0.1"),
+    (-0.0, "-0.0"),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    ("1e-2", "1e-2"),  # a string as written
+    (8, "8"),
+    (True, "true"),
+    (None, "null"),
+    ([1, 2], "[1, 2]"),
+    ({"b": 1, "a": 2}, '{"a": 2, "b": 1}'),
+])
+def test_cell_text_spells_each_kind_of_value(value, text):
+    assert cell_text(value) == text
 
 
 def test_estimates_table_alignment():

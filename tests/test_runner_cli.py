@@ -292,6 +292,16 @@ def test_cli_sweep_value_the_plot_cannot_place_exits_2_before_any_replication(
     assert not out.exists()
 
 
+def test_cli_sweep_point_listed_twice_exits_2_before_any_replication(
+        tmp_path, capsys, no_replications):
+    cfg = _write_config(tmp_path / "twice.yaml",
+                        sweep={"parameter": "model.params.arrival_rate", "values": [0.02, 0.05, 0.02]})
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "sweep.values[2]: the same point as sweep.values[0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
 def test_cli_out_at_or_under_a_file_exits_2_before_any_replication(
         tmp_path, capsys, no_replications, under):
@@ -859,24 +869,32 @@ def test_cli_format_all_leaves_svg_out_when_sweep_values_are_not_numbers(tmp_pat
     assert "plot: sweep values must be numeric to plot, got 'A'" in capsys.readouterr().err
 
 
+_SENSOR_NET = {"model": {"builder": "sensor-net"}}
 _SWEEPS = {
     # a distribution swept whole: its text forms are JSON, keys sorted
-    "mapping": ("baseline", "model.params.controller_service",
+    "mapping": ({"model": {"builder": "baseline"}}, "model.params.controller_service",
                 [{"kind": "exponential", "mean_msec": 5}, {"kind": "erlang", "phases": 2, "mean_msec": 5}],
                 ['{"kind": "exponential", "mean_msec": 5}', '{"kind": "erlang", "mean_msec": 5, "phases": 2}']),
-    "bool": ("sensor-net", "model.params.include_polling", [True, False], ["True", "False"]),
+    # a bool and null as JSON spells them, as the manifest does; an
+    # unbounded buffer is a point like any other, and an empty
+    # sweep_value cell would read as a run without a sweep
+    "bool": (_SENSOR_NET, "model.params.include_polling", [True, False], ["true", "false"]),
+    "null": ({**_SENSOR_NET, "antipattern": {"kind": "where-was-i"}}, "antipattern.buffer_capacity",
+             [None, 8], ["null", "8"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SWEEPS))
-def test_cli_writes_structured_and_bool_sweep_values(tmp_path, case):
-    # the CSV cells and the table headings hold each value's text form,
-    # and the manifest the value itself
-    builder, parameter, values, texts = _SWEEPS[case]
-    path = _write_config(tmp_path / "s.yaml", experiment="s", model={"builder": builder},
+def test_cli_writes_structured_and_bool_sweep_values(tmp_path, capsys, case):
+    # the CSV cells, the progress lines and the table headings hold each
+    # value's text form, and the manifest the value itself
+    sections, parameter, values, texts = _SWEEPS[case]
+    path = _write_config(tmp_path / "s.yaml", experiment="s", **sections,
                          sweep={"parameter": parameter, "values": values})
     out = tmp_path / "o"
     assert main(["--config", str(path), "--out", str(out)]) == 0
+    progress = [ln for ln in capsys.readouterr().out.splitlines() if ln.endswith("replications)")]
+    assert progress == [f"s: {parameter} = {t} done (2 replications)" for t in texts]
     with open(out / "s.csv", newline="", encoding="utf-8") as f:
         assert {row["sweep_value"] for row in csv.DictReader(f)} == set(texts)
     headings = [ln for ln in (out / "s_table.txt").read_text().splitlines() if ln.startswith("# ")]
