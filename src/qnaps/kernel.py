@@ -82,7 +82,9 @@ its errors, so replications on threads run in parallel. The extension is
 built when this module is imported, with gcc -O2 -ffp-contract=off (no
 fused multiply-add, no -ffast-math), into src/qnaps/__pycache__ under a
 name keyed by the sha256 of _loop.c and the flags, so an edited source
-never loads an old binary. On x86-64 the samplers' log is built for
+never loads an old binary; the test and tool builds (-Werror target
+pins, the sanitizers, -g) go through the same _built, each flag set in
+a subdirectory of its own. On x86-64 the samplers' log is built for
 AVX-512, AVX2 and the baseline, and the loader picks the best this CPU
 has; IEEE add, multiply and divide round the same in any register, so
 all give the same bits, and so does the generic build on other machines.
@@ -401,11 +403,12 @@ def run_replication(model: NetworkModel, seed: int, horizon: float, warmup: floa
 
 _LOOP_SOURCE = Path(__file__).with_name("_loop.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-strict-aliasing", "-fPIC", "-shared")
+_CACHE = Path(__file__).with_name("__pycache__")
 
 
-def _loop_path(source: bytes, cache_dir: Path) -> Path:
-    """Cache file of the extension built from source with _CFLAGS."""
-    tag = sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+def _loop_path(source: bytes, cache_dir: Path, *flags: str) -> Path:
+    """Cache file of the extension built from source with _CFLAGS and flags."""
+    tag = sha256(source + " ".join(_CFLAGS + flags).encode()).hexdigest()[:16]
     return cache_dir / f"_loop_{tag}{EXTENSION_SUFFIXES[0]}"
 
 
@@ -421,37 +424,29 @@ def _compile(cc: str, out: Path, *flags: str, timeout: float | None = None):
                           capture_output=True, text=True, timeout=timeout)
 
 
-def _load(path: Path):
-    """The extension built at path, loaded as qnaps._loop."""
-    loader = ExtensionFileLoader("qnaps._loop", str(path))
-    module = module_from_spec(spec_from_loader(loader.name, loader))
-    loader.exec_module(module)
-    return module
-
-
-def _build_loop(cc: str, cache_dir: Path):
-    """The compiled event loop: _loop.c built with compiler cc into
-    cache_dir unless its cache file is there, then loaded. A build
-    removes the binaries of other sources. When it cannot be built or
-    loaded, ImportError naming why: the compiler's exit code and the
-    tail of its stderr, or the error that stopped the build or the load."""
-    tmp = reason = None
+def _built(cc: str, cache_dir: Path, *flags: str) -> Path:
+    """The cache file of _loop.c built with _CFLAGS and flags in
+    cache_dir, compiled with compiler cc unless it is there. A build
+    removes the other binaries in cache_dir, which holds one flag set's
+    builds. When it cannot be built, ImportError naming why: the
+    compiler's exit code and the tail of its stderr, or the error that
+    stopped the build; it then leaves no file."""
+    tmp = None
     try:
-        path = _loop_path(_LOOP_SOURCE.read_bytes(), cache_dir)
-        if not path.exists():
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            done = _compile(cc, tmp)
-            if done.returncode:
-                reason = f"{cc} exited {done.returncode}: {done.stderr.strip()[-2000:]}"
-            else:
-                os.replace(tmp, path)
-                for old in cache_dir.glob(f"_loop_*{EXTENSION_SUFFIXES[0]}"):
-                    if old != path:
-                        old.unlink(missing_ok=True)
-        if reason is None:
-            return _load(path)
-    except (OSError, ImportError) as exc:
+        path = _loop_path(_LOOP_SOURCE.read_bytes(), cache_dir, *flags)
+        if path.exists():
+            return path
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        done = _compile(cc, tmp, *flags)
+        if done.returncode == 0:
+            os.replace(tmp, path)
+            for old in cache_dir.glob(f"_loop_*{EXTENSION_SUFFIXES[0]}"):
+                if old != path:
+                    old.unlink(missing_ok=True)
+            return path
+        reason = f"{cc} exited {done.returncode}: {done.stderr.strip()[-2000:]}"
+    except OSError as exc:
         reason = f"{type(exc).__name__}: {exc}"
     finally:
         if tmp is not None:
@@ -459,4 +454,16 @@ def _build_loop(cc: str, cache_dir: Path):
     raise ImportError(f"compiled event loop unavailable ({reason})")
 
 
-_loop = _build_loop("gcc", Path(__file__).with_name("__pycache__"))
+def _load(path: Path):
+    """The extension built at path, loaded as qnaps._loop; ImportError
+    naming the load's error when it cannot be loaded."""
+    loader = ExtensionFileLoader("qnaps._loop", str(path))
+    try:
+        module = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+    except ImportError as exc:
+        raise ImportError(f"compiled event loop unavailable (ImportError: {exc})") from None
+    return module
+
+
+_loop = _load(_built("gcc", _CACHE))

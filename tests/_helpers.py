@@ -51,6 +51,27 @@ def mm1_model(lam: float = 0.8, mu: float = 1.0, capacity: int | None = None) ->
     )
 
 
+def two_class_queue_model(lams, mus, capacity: int | None = None) -> NetworkModel:
+    """Open classes A and B, Poisson at rates lams, at one fcfs server
+    that serves them exponentially at rates mus, sharing its capacity."""
+    names = ("A", "B")
+    routing = RoutingTable()
+    for name in names:
+        routing.add(name, "Source", "Queue")
+        routing.add(name, "Queue", "Sink")
+    return NetworkModel(
+        name="two-class-queue",
+        stations=[
+            Station("Source", kind=SOURCE),
+            Station("Queue", kind=FCFS, capacity=capacity,
+                    service={n: Exponential(mu) for n, mu in zip(names, mus)}),
+            Station("Sink", kind=SINK),
+        ],
+        classes=[JobClass(n, "open", arrival=Exponential(lam)) for n, lam in zip(names, lams)],
+        routing=routing,
+    )
+
+
 def stopping_arrivals_model() -> NetworkModel:
     """mm1_model whose arrival gap is infinite with probability 0.01: the
     arrival mean is infinite only through a part, so the class takes
@@ -172,6 +193,17 @@ def mm1k_drop_probability(lam: float, mu: float, k: int) -> float:
     if rho == 1.0:
         return 1.0 / (k + 1)
     return (1.0 - rho) * rho**k / (1.0 - rho ** (k + 1))
+
+
+def mg1_class_responses(lams, mus) -> tuple:
+    """Mean response time of each class at one fcfs server fed by Poisson
+    classes at rates lams with exponential services at rates mus: the
+    Pollaczek-Khinchine wait lam E[S^2] / (2 (1 - rho)), the same for
+    every class, plus the class's own mean service time. An exponential
+    of rate mu has E[S^2] = 2 / mu^2."""
+    rho = math.fsum(lam / mu for lam, mu in zip(lams, mus))
+    wait = math.fsum(lam * 2.0 / mu**2 for lam, mu in zip(lams, mus)) / (2.0 * (1.0 - rho))
+    return tuple(wait + 1.0 / mu for mu in mus)
 
 
 def exact_mva(demands, n_max: int):

@@ -3,7 +3,9 @@
 Covers the analytic oracles (open queue, finite buffer, closed network),
 the frozen validation-table numerics, transform neutrality, behavior of
 the shipped experiment configs (sweet spot, monotone load, their pinned bytes,
-a system-wide Little's law audit), and graph reduction brute force.
+a Little's law audit of every station and class), graph reduction brute
+force, and two open classes at one fcfs server (Pollaczek-Khinchine
+waits for class-dependent means, drops at a capacity they share).
 """
 
 import csv
@@ -45,11 +47,13 @@ from _helpers import (
     estimate,
     exact_mva,
     load_script,
+    mg1_class_responses,
     mm1_model,
     mm1k_drop_probability,
     random_eg,
     run_reps,
     table,
+    two_class_queue_model,
 )
 
 HORIZON, WARMUP = 1.0e5, 1.0e4
@@ -130,6 +134,41 @@ def test_criterion_02_finite_buffer_drop_probability():
     p_sim = drops / (drops + served)
     assert abs(p_sim - mm1k_drop_probability(0.5, 1.0, 3)) <= 0.005
     assert time.perf_counter() - t0 < 60.0
+
+
+# ---------------------------------------------------------------------------
+# 2b. two open classes at one fcfs server: class-dependent means, and a
+# capacity they share
+
+
+def test_criterion_02b_fcfs_classes_share_the_pollaczek_khinchine_wait():
+    # rho = 0.3 / 1 + 0.1 / 0.25 = 0.7: every class waits the same 6.333 ms
+    lams, mus = (0.3, 0.1), (1.0, 0.25)
+    model = two_class_queue_model(lams, mus)
+    exact = mg1_class_responses(lams, mus)
+    for trial in range(5):
+        seeds = [replication_seed(3000 + 64 * trial, 0, rep) for rep in range(10)]
+        est = estimate(run_reps(model, seeds, 2.0e5, 2.0e4))
+        for job_class, t in zip(("A", "B"), exact):
+            ci = est[("Queue", job_class, "response-time-msec")]
+            assert abs(ci.mean - t) <= 2.0 * ci.half_width, (
+                f"trial {trial} class {job_class}: {ci.mean:.4f} +- {ci.half_width:.4f} vs {t:.4f}")
+
+
+def test_criterion_02c_shared_capacity_drops_every_class_alike():
+    # whatever the labels, the total is M/M/1/4 at rho = 0.8, and by PASTA
+    # each class finds the buffer full with the same probability P4
+    lams = (0.5, 0.3)
+    model = two_class_queue_model(lams, (1.0, 1.0), capacity=4)
+    p4 = mm1k_drop_probability(sum(lams), 1.0, 4)
+    est = estimate(run_reps(model, [replication_seed(4000, 0, rep) for rep in range(10)],
+                            HORIZON, WARMUP))
+    for job_class, lam in zip(("A", "B"), lams):
+        for metric, exact in (("dropped-rate-per-msec", lam * p4),
+                              ("throughput-per-msec", lam * (1.0 - p4))):
+            ci = est[("Queue", job_class, metric)]
+            assert abs(ci.mean - exact) <= 2.0 * ci.half_width, (
+                f"class {job_class} {metric}: {ci.mean:.5f} +- {ci.half_width:.5f} vs {exact:.5f}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +291,25 @@ def test_criterion_08_reruns_byte_identical(shipped_runs):
 
 
 # ---------------------------------------------------------------------------
-# 9. Little's law audit on every shipped config
+# 9. Little's law audit on every cell of every shipped config
 
 
-def test_criterion_09_littles_law_system_wide(shipped_runs):
+def test_criterion_09_littles_law_per_station_and_class(shipped_runs):
+    # every (station, class) cell, the all-class rows and the system's
+    # among them; the window's sojourn identity keeps each within 0.1%
     for name, run in shipped_runs.items():
-        rows = [r for r in _csv_rows(run["dirs"][0], name) if r["station"] == "system"]
-        points = {}
-        for r in rows:
-            points.setdefault((r["sweep_value"], r["class"]), {})[r["metric"]] = float(r["mean"])
-        assert points, name
-        for (sweep_value, job_class), metrics in points.items():
+        cells = {}
+        for r in _csv_rows(run["dirs"][0], name):
+            cells.setdefault((r["sweep_value"], r["station"], r["class"]), {})[r["metric"]] = float(r["mean"])
+        assert cells, name
+        for (sweep_value, station, job_class), metrics in cells.items():
             n_bar = metrics["queue-length"]
             flow = metrics["throughput-per-msec"] * metrics["response-time-msec"]
-            where = f"{name} [{sweep_value}] class {job_class}"
+            where = f"{name} [{sweep_value}] {station} class {job_class}"
             if n_bar == 0.0:
                 assert flow == 0.0, where
             else:
-                assert abs(n_bar - flow) <= 0.05 * n_bar, (
+                assert abs(n_bar - flow) <= 0.001 * n_bar, (
                     f"{where}: N={n_bar:.5f} vs XR={flow:.5f}")
 
 

@@ -23,8 +23,10 @@ and variance were checked against their closed forms (test_kernel.py);
 its response times of class Z, which never arrives, read NaN since a
 cell with no completion has no response time.
 The remaining tests cover the extension's build and its failure, which
-stops the import and so a CLI run, that each load of a build is a
-module of its own, a build of the source with every gcc warning of
+stops the import and so a CLI run, its cache, which names a build by
+its source and flags, compiles each once and replaces only the older
+builds of its own flag set, that each load of a build is a module of
+its own, a build of the source with every gcc warning of
 -Wall -Wextra an error, a build under AddressSanitizer and
 UndefinedBehaviorSanitizer that must pass the log, pin, fill, calendar,
 table-check and thread tests without a report (tools/sanitize.py), a
@@ -460,32 +462,43 @@ def test_parking_model_parks_jobs_during_the_run():
     assert 0 < park["queue-length"] <= 4
 
 
+def fake_cc(path: Path, body: str) -> str:
+    """A compiler at path that finds the file after -o and runs body on it
+    as $2: a stand-in for gcc that builds nothing."""
+    path.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\n' + body)
+    path.chmod(0o755)
+    return str(path)
+
+
+# the product's flags, then a flag set of a test or tool build
+FLAG_SETS = ((), ("-g",))
+
+
 def test_build_failure_raises_and_leaves_no_file(tmp_path, capsys):
-    cache = tmp_path / "cache"
     missing = tmp_path / "no-such-cc"
-    with pytest.raises(ImportError) as failed:
-        kernel._build_loop(str(missing), cache)
-    message = str(failed.value)
-    assert message.startswith("compiled event loop unavailable (FileNotFoundError: ")
-    assert str(missing) in message
-    assert capsys.readouterr().err == ""  # it raises; it does not warn
-    assert list(cache.iterdir()) == []  # no half-written binary left behind
+    for flags in FLAG_SETS:
+        cache = tmp_path / f"cache{len(flags)}"
+        with pytest.raises(ImportError) as failed:
+            kernel._built(str(missing), cache, *flags)
+        message = str(failed.value)
+        assert message.startswith("compiled event loop unavailable (FileNotFoundError: ")
+        assert str(missing) in message
+        assert capsys.readouterr().err == ""  # it raises; it does not warn
+        assert list(cache.iterdir()) == []  # no half-written binary left behind
 
 
 def test_compiler_that_exits_1_raises_and_leaves_no_file(tmp_path, capsys):
     # the compiler starts, writes part of its output and fails
-    cc = tmp_path / "failing-cc"
-    cc.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\n'
-                  'echo partial > "$2"\necho "_loop.c:1: error: broken" >&2\nexit 1\n')
-    cc.chmod(0o755)
-    cache = tmp_path / "cache"
-    with pytest.raises(ImportError) as failed:
-        kernel._build_loop(str(cc), cache)
-    message = str(failed.value)
-    assert message.startswith("compiled event loop unavailable (")
-    assert f"{cc} exited 1" in message and "error: broken" in message
-    assert capsys.readouterr().err == ""
-    assert list(cache.iterdir()) == []
+    cc = fake_cc(tmp_path / "failing-cc", 'echo partial > "$2"\necho "_loop.c:1: error: broken" >&2\nexit 1\n')
+    for flags in FLAG_SETS:
+        cache = tmp_path / f"cache{len(flags)}"
+        with pytest.raises(ImportError) as failed:
+            kernel._built(cc, cache, *flags)
+        message = str(failed.value)
+        assert message.startswith("compiled event loop unavailable (")
+        assert f"{cc} exited 1" in message and "error: broken" in message
+        assert capsys.readouterr().err == ""
+        assert list(cache.iterdir()) == []
 
 
 def test_unloadable_cached_binary_raises_without_building(tmp_path, capsys):
@@ -493,9 +506,33 @@ def test_unloadable_cached_binary_raises_without_building(tmp_path, capsys):
     cached = kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), tmp_path)
     cached.write_bytes(b"not a shared object")
     with pytest.raises(ImportError, match=r"^compiled event loop unavailable \(ImportError: "):
-        kernel._build_loop(str(tmp_path / "no-such-cc"), tmp_path)
+        kernel._load(kernel._built(str(tmp_path / "no-such-cc"), tmp_path))
     assert capsys.readouterr().err == ""
     assert sorted(tmp_path.iterdir()) == [cached]
+
+
+def test_second_build_with_the_same_flags_runs_no_compiler(tmp_path):
+    cc = fake_cc(tmp_path / "cc", 'echo built > "$2"\n')
+    failing = fake_cc(tmp_path / "failing-cc", "exit 1\n")
+    for flags in FLAG_SETS:
+        cache = tmp_path / f"cache{len(flags)}"
+        path = kernel._built(cc, cache, *flags)
+        assert path == kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), cache, *flags)
+        assert kernel._built(failing, cache, *flags) == path
+        assert path.read_text() == "built\n" and sorted(cache.iterdir()) == [path]
+
+
+def test_a_build_replaces_only_its_own_flag_sets_binaries(tmp_path):
+    # tmp_path is the product's directory, a and b two flag sets' own
+    product = tmp_path / f"_loop_0123456789abcdef{EXTENSION_SUFFIXES[0]}"
+    stale = tmp_path / "a" / product.name
+    other = tmp_path / "b" / product.name
+    for path in (product, stale, other):
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("built from another source")
+    built = kernel._built(fake_cc(tmp_path / "cc", 'echo built > "$2"\n'), tmp_path / "a", "-g")
+    assert sorted((tmp_path / "a").iterdir()) == [built]
+    assert product.exists() and other.exists()
 
 
 def test_cli_without_gcc_exits_1_naming_it(tmp_path):
@@ -521,7 +558,7 @@ def test_cli_without_gcc_exits_1_naming_it(tmp_path):
 def test_build_from_scratch_loads_and_replaces_older_binaries(tmp_path, capsys, monkeypatch):
     stale = tmp_path / f"_loop_0123456789abcdef{EXTENSION_SUFFIXES[0]}"
     stale.write_bytes(b"built from another source")
-    module = kernel._build_loop("gcc", tmp_path)
+    module = kernel._load(kernel._built("gcc", tmp_path))
     assert capsys.readouterr().err == ""
     built = kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), tmp_path)
     assert sorted(tmp_path.iterdir()) == [built]
@@ -581,6 +618,10 @@ def test_cache_name_follows_the_source_hash(tmp_path):
     assert kernel._loop_path(source, tmp_path).name == name
     assert kernel._loop_path(source + b"\n", tmp_path).name != name
     assert kernel._loop.__file__.endswith(name)
+    # the flags are hashed with the source, in order
+    flag_sets = [(), ("-g",), ("-g", "-O1"), ("-O1", "-g"), ("-DLANE_TARGETS=",)]
+    assert len({kernel._loop_path(source, tmp_path, *flags).name for flags in flag_sets}) == 5
+    assert kernel._loop_path(source, tmp_path, "-g").name == kernel._loop_path(source, tmp_path, "-g").name
 
 
 def test_each_load_of_a_build_is_a_module_of_its_own(tmp_path):

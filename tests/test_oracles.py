@@ -15,6 +15,7 @@ from qnaps.egraph import Basic, Branch, Loop, Sequence, reduce as eg_reduce
 from _helpers import (
     eg_expectation_by_paths,
     exact_mva,
+    mg1_class_responses,
     mm1_queue_length,
     mm1_response,
     mm1_utilization,
@@ -37,6 +38,16 @@ def test_mm1k_drop_closed_form():
     assert mm1k_drop_probability(1.0, 1.0, 3) == pytest.approx(0.25, rel=1e-15)
     # K -> large approaches 0 for rho < 1
     assert mm1k_drop_probability(0.5, 1.0, 40) < 1e-12
+
+
+def test_mg1_class_responses_closed_form():
+    # rho = 0.3 / 1 + 0.1 / 0.25 = 0.7, lam E[S^2] = 0.3 * 2 + 0.1 * 32 = 3.8,
+    # so every class waits 3.8 / 0.6 = 6.333 ms before its own service
+    t_a, t_b = mg1_class_responses((0.3, 0.1), (1.0, 0.25))
+    assert t_a == pytest.approx(1.0 + 19.0 / 3.0, rel=1e-15)
+    assert t_b == pytest.approx(4.0 + 19.0 / 3.0, rel=1e-15)
+    # one class is the M/M/1 queue
+    assert mg1_class_responses((0.8,), (1.0,)) == pytest.approx((mm1_response(0.8, 1.0),), rel=1e-15)
 
 
 # X(n) for demands (1.0, 0.6), n = 1..10, from the MVA recursion done by hand

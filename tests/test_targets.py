@@ -6,11 +6,13 @@ other targets' code never runs in the other tests. Here _loop.c is built
 once for each target this CPU can run, with -DLANE_TARGETS pinning
 log_lanes to it (an empty pin: no target attribute, the generic vectors
 of the default clone), every gcc warning of -Wall -Wextra an error as in
-test_loop.py. Each build must give tests/_reference.py's bits: its log
-on every lane of a vector and of a tail, on the mpmath arguments of
-test_log.py and on a million more against the product build, and its
-fills of every distribution kind, across chunks of the Erlang fill and
-with more phases than a chunk has words. The product binary is checked
+test_loop.py, and kept by kernel._built in a subdirectory of the
+product's cache, so a build runs once per source. Each build must give
+tests/_reference.py's bits: its log on every lane of a vector and of a
+tail, on the mpmath arguments of test_log.py and on a million more
+against the product build, and its fills of every distribution kind,
+across chunks of the Erlang fill and with more phases than a chunk has
+words. The product binary is checked
 for fused multiply-add instructions, which would round differently, and
 for its clones.
 """
@@ -21,7 +23,6 @@ import re
 import shutil
 import subprocess
 from functools import cache
-from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +51,13 @@ def runnable_targets() -> list[str]:
 
 
 @pytest.fixture(scope="module", params=runnable_targets())
-def target_loop(request, tmp_path_factory):
-    """The extension with log_lanes built for the target alone."""
+def target_loop(request):
+    """The extension with log_lanes built for the target alone, cached
+    in a subdirectory of the product's cache as the product's binary is."""
     target = request.param
     pin = "" if target == "default" else f'__attribute__((target("{target}")))'
-    path = tmp_path_factory.mktemp(target) / f"_loop{EXTENSION_SUFFIXES[0]}"
-    done = kernel._compile("gcc", path, "-Wall", "-Wextra", "-Werror", f"-DLANE_TARGETS={pin}", timeout=120)
-    assert done.returncode == 0 and done.stderr == "", done.stderr
-    return kernel._load(path)
+    flags = ("-Wall", "-Wextra", "-Werror", f"-DLANE_TARGETS={pin}")
+    return kernel._load(kernel._built("gcc", kernel._CACHE / f"target-{target}", *flags))
 
 
 def hexes(values) -> list[str]:

@@ -5,12 +5,13 @@ sampling timer.
 
 CONFIG is a shipped config's name (src/qnaps/configs/CONFIG.yaml) or the
 path of a config file. Builds src/qnaps/_loop.c with kernel._CFLAGS plus
--g into a temporary directory and loads that build as qnaps.kernel._loop,
-so the product's source and its cached binary stay as they are (importing
+-g through kernel._built into src/qnaps/__pycache__/profile, unless that
+build of the source is there, and loads it as qnaps.kernel._loop, so the
+product's source and its cached binary stay as they are (importing
 qnaps.kernel builds the cached binary only when it is missing, as any run
-does). Builds a small C sampler there too and loads it with ctypes: a
-SIGPROF handler that records the interrupted instruction pointer, REG_RIP
-of its ucontext, under an ITIMER_PROF timer. Then runs every replication
+does). Builds a small C sampler into a temporary directory and loads it
+with ctypes: a SIGPROF handler that records the interrupted instruction
+pointer, REG_RIP of its ucontext, under an ITIMER_PROF timer. Then runs every replication
 of the config's points N times (default 10), one after another on this
 thread, finds the loop build's load address in /proc/self/maps and maps
 each sample that fell inside it to its function and its _loop.c line with
@@ -37,7 +38,6 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -179,9 +179,11 @@ def main(argv=None) -> int:
         path = ROOT / "src" / "qnaps" / "configs" / f"{args.config}.yaml"
     cfg = load_config(path)
 
+    try:
+        build = kernel._built("gcc", kernel._CACHE / "profile", "-g")
+    except ImportError as exc:
+        sys.exit(f"profile_loop: {exc}")
     with tempfile.TemporaryDirectory() as tmp:
-        build = Path(tmp) / f"_loop{EXTENSION_SUFFIXES[0]}"
-        built(kernel._compile("gcc", build, "-g"))
         (Path(tmp) / "sampler.c").write_text(SAMPLER)
         built(subprocess.run(["gcc", "-O2", "-fPIC", "-shared", str(Path(tmp) / "sampler.c"),
                               "-o", str(Path(tmp) / "sampler.so")], capture_output=True, text=True))

@@ -3,10 +3,12 @@ and UndefinedBehaviorSanitizer.
 
     python tools/sanitize.py
 
-Builds src/qnaps/_loop.c with kernel._CFLAGS plus SANITIZE_FLAGS into a
-temporary directory, so the product's cached binary is untouched. Then a
-child interpreter, with gcc's libasan and libubsan preloaded (LD_PRELOAD)
-and ASAN_OPTIONS=detect_leaks=0:allocator_may_return_null=1, loads that
+Builds src/qnaps/_loop.c with kernel._CFLAGS plus SANITIZE_FLAGS through
+kernel._built into src/qnaps/__pycache__/sanitize, so the product's cached
+binary is untouched and a later call with the same source compiles
+nothing; the tests run on every call. Then a child interpreter, with
+gcc's libasan and libubsan preloaded (LD_PRELOAD) and
+ASAN_OPTIONS=detect_leaks=0:allocator_may_return_null=1, loads that
 build as qnaps.kernel._loop and runs pytest on TESTS: the log on every
 lane and tail, the engine pins, the compiled fills against the
 reference's, mixtures at the edges of the fill among them, the compiled
@@ -31,8 +33,6 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
-from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,17 +82,16 @@ def main() -> int:
     if libs is None:
         print("sanitize: gcc finds no libasan.so or libubsan.so", file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        build = Path(tmp) / f"_loop{EXTENSION_SUFFIXES[0]}"
-        done = kernel._compile("gcc", build, *SANITIZE_FLAGS)
-        if done.returncode:
-            print(f"sanitize: gcc exited {done.returncode}: {done.stderr}", file=sys.stderr)
-            return 2
-        env = {**os.environ, "LD_PRELOAD": " ".join(libs),
-               "ASAN_OPTIONS": "detect_leaks=0:allocator_may_return_null=1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", CHILD, str(build), *TESTS], cwd=ROOT, env=env,
-                             capture_output=True, text=True)
+    try:
+        build = kernel._built("gcc", kernel._CACHE / "sanitize", *SANITIZE_FLAGS)
+    except ImportError as exc:
+        print(f"sanitize: {exc}", file=sys.stderr)
+        return 2
+    env = {**os.environ, "LD_PRELOAD": " ".join(libs),
+           "ASAN_OPTIONS": "detect_leaks=0:allocator_may_return_null=1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", CHILD, str(build), *TESTS], cwd=ROOT, env=env,
+                         capture_output=True, text=True)
     output = run.stdout + run.stderr
     if run.returncode or REPORT.search(output):
         print(output)
