@@ -79,12 +79,15 @@ loop from a buffer per sampler that it refills in C, so it calls no
 Python function. The compiled loop makes the t = 0 state with the GIL
 held, then runs without it, taking it back only for its signal check and
 its errors, so replications on threads run in parallel. The extension is
-built when this module is imported, with gcc -O2 -ffp-contract=off (no
-fused multiply-add, no -ffast-math), into src/qnaps/__pycache__ under a
-name keyed by the sha256 of _loop.c and the flags, so an edited source
-never loads an old binary; the test and tool builds (-Werror target
-pins, the sanitizers, -g) go through the same _built, each flag set in
-a subdirectory of its own. On x86-64 the samplers' log is built for
+built when this module is imported, with gcc -O2 -g -ffp-contract=off
+(no fused multiply-add, no -ffast-math; -g adds the line table that
+tools/profile_loop.py reads, in debug sections that are never loaded,
+so the loaded code is the same byte for byte), into
+src/qnaps/__pycache__ under a name keyed by the sha256 of _loop.c and
+the flags, so an edited source never loads an old binary; the test and
+tool builds (-Werror target pins, the sanitizers, the profiler's SIGPROF
+sampler) go through the same _built, each flag set in a subdirectory of
+its own. On x86-64 the samplers' log is built for
 AVX-512, AVX2 and the baseline, and the loader picks the best this CPU
 has; IEEE add, multiply and divide round the same in any register, so
 all give the same bits, and so does the generic build on other machines.
@@ -402,46 +405,48 @@ def run_replication(model: NetworkModel, seed: int, horizon: float, warmup: floa
 
 
 _LOOP_SOURCE = Path(__file__).with_name("_loop.c")
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-strict-aliasing", "-fPIC", "-shared")
+_CFLAGS = ("-O2", "-g", "-ffp-contract=off", "-fno-strict-aliasing", "-fPIC", "-shared")
 _CACHE = Path(__file__).with_name("__pycache__")
 
 
-def _loop_path(source: bytes, cache_dir: Path, *flags: str) -> Path:
-    """Cache file of the extension built from source with _CFLAGS and flags."""
-    tag = sha256(source + " ".join(_CFLAGS + flags).encode()).hexdigest()[:16]
-    return cache_dir / f"_loop_{tag}{EXTENSION_SUFFIXES[0]}"
+def _cache_path(source: Path, cache_dir: Path, *flags: str) -> Path:
+    """Cache file of source built with _CFLAGS and flags: its stem and a
+    tag hashed from its bytes and the flags."""
+    tag = sha256(source.read_bytes() + " ".join(_CFLAGS + flags).encode()).hexdigest()[:16]
+    return cache_dir / f"{source.stem}_{tag}{EXTENSION_SUFFIXES[0]}"
 
 
-def _compile(cc: str, out: Path, *flags: str, timeout: float | None = None):
-    """_loop.c built with compiler cc, _CFLAGS and flags into out: the
+def _compile(cc: str, out: Path, *flags: str, source: Path = _LOOP_SOURCE,
+             timeout: float | None = None):
+    """source built with compiler cc, _CFLAGS and flags into out: the
     compiler's CompletedProcess, its output as text. Raises OSError when
     cc cannot be run, and subprocess.TimeoutExpired past timeout."""
     import subprocess  # the compiler tools load only on a cache miss
     import sysconfig
 
     include = "-I" + sysconfig.get_paths()["include"]
-    return subprocess.run([cc, *_CFLAGS, *flags, include, str(_LOOP_SOURCE), "-o", str(out)],
+    return subprocess.run([cc, *_CFLAGS, *flags, include, str(source), "-o", str(out)],
                           capture_output=True, text=True, timeout=timeout)
 
 
-def _built(cc: str, cache_dir: Path, *flags: str) -> Path:
-    """The cache file of _loop.c built with _CFLAGS and flags in
+def _built(cc: str, cache_dir: Path, *flags: str, source: Path = _LOOP_SOURCE) -> Path:
+    """The cache file of source built with _CFLAGS and flags in
     cache_dir, compiled with compiler cc unless it is there. A build
-    removes the other binaries in cache_dir, which holds one flag set's
-    builds. When it cannot be built, ImportError naming why: the
-    compiler's exit code and the tail of its stderr, or the error that
-    stopped the build; it then leaves no file."""
+    removes the older binaries of its source's stem in cache_dir, which
+    holds one flag set's builds. When it cannot be built, ImportError
+    naming why: the compiler's exit code and the tail of its stderr, or
+    the error that stopped the build; it then leaves no file."""
     tmp = None
     try:
-        path = _loop_path(_LOOP_SOURCE.read_bytes(), cache_dir, *flags)
+        path = _cache_path(source, cache_dir, *flags)
         if path.exists():
             return path
         cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        done = _compile(cc, tmp, *flags)
+        done = _compile(cc, tmp, *flags, source=source)
         if done.returncode == 0:
             os.replace(tmp, path)
-            for old in cache_dir.glob(f"_loop_*{EXTENSION_SUFFIXES[0]}"):
+            for old in cache_dir.glob(f"{source.stem}_*{EXTENSION_SUFFIXES[0]}"):
                 if old != path:
                     old.unlink(missing_ok=True)
             return path

@@ -3,7 +3,9 @@
 Covers the analytic oracles (open queue, finite buffer, closed network),
 the frozen validation-table numerics, transform neutrality, behavior of
 the shipped experiment configs (sweet spot, monotone load, their pinned bytes,
-a Little's law audit of every station and class), graph reduction brute
+a Little's law audit of every station and class, the utilization law on
+every fcfs cell, and each ungated class's response as the visit-weighted
+sum of its station responses), graph reduction brute
 force, and two open classes at one fcfs server (Pollaczek-Khinchine
 waits for class-dependent means, drops at a capacity they share).
 """
@@ -25,6 +27,7 @@ from qnaps.config import load_config
 from qnaps.egraph import reduce as eg_reduce
 from qnaps.kernel import run_replication
 from qnaps.model import (
+    FCFS,
     BaselineParams,
     Exponential,
     SensorNetParams,
@@ -65,7 +68,7 @@ JOBS = (1, 2)
 
 @pytest.fixture(scope="module")
 def shipped_runs(tmp_path_factory):
-    """Run every shipped config at full scale at jobs 1 and 2; reused by four gates."""
+    """Run every shipped config at full scale at jobs 1 and 2; reused by six gates."""
     runs = {}
     for name in PIN:
         cfg = load_config(resources.files("qnaps") / "configs" / f"{name}.yaml")
@@ -83,6 +86,17 @@ def shipped_runs(tmp_path_factory):
 def _csv_rows(out_dir, experiment):
     with open(out_dir / f"{experiment}.csv", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _point_cells(run, experiment):
+    """Each point of the run's config with its CSV cells at jobs 1:
+    (station, class, metric) -> (mean, 99% half-width)."""
+    by_value = {}
+    for r in _csv_rows(run["dirs"][0], experiment):
+        by_value.setdefault(r["sweep_value"], {})[(r["station"], r["class"], r["metric"])] = (
+            float(r["mean"]), float(r["ci_half_width_99"]))
+    assert len(by_value) == len(run["cfg"].points), experiment
+    return list(zip(run["cfg"].points, by_value.values()))
 
 
 def _series(rows, station, job_class, metric):
@@ -311,6 +325,55 @@ def test_criterion_09_littles_law_per_station_and_class(shipped_runs):
             else:
                 assert abs(n_bar - flow) <= 0.001 * n_bar, (
                     f"{where}: N={n_bar:.5f} vs XR={flow:.5f}")
+
+
+def test_criterion_09b_utilization_law_per_fcfs_cell(shipped_runs):
+    # U = X E[S] / servers on every (fcfs station, class it serves) cell of
+    # every point, within twice U's 99% half-width: 161 cells, the worst
+    # at 0.61 half-widths (wwi_single, overhead 2.0, Controller/Status)
+    checked = 0
+    for name, run in shipped_runs.items():
+        for point, cells in _point_cells(run, name):
+            for station in point.model.stations:
+                if station.kind != FCFS:
+                    continue
+                for job_class, dist in station.service.items():
+                    u, half_width = cells[(station.name, job_class, "utilization")]
+                    x, _ = cells[(station.name, job_class, "throughput-per-msec")]
+                    law = x * dist.mean() / station.servers
+                    assert abs(u - law) <= 2 * half_width, (
+                        f"{name} [{point.value}] {station.name} class {job_class}: "
+                        f"U={u:.6f} ± {half_width:.2e} vs X E[S]/m={law:.6f}")
+                    checked += 1
+    assert checked == 161
+
+
+def test_criterion_09c_response_is_the_visit_weighted_sum_of_station_responses(shipped_runs):
+    # R_c = sum over the stations s serving c of (X_cs / X_c) R_cs, a closed
+    # class's reference station left out, at every point of every class
+    # without a detection gate (a gated class's response also holds its
+    # detection wait, which no row reports): 91 class-points, the worst
+    # 4.1e-5 relative (awty_sweep, f_poll 0.001668, Actors)
+    checked = 0
+    for name, run in shipped_runs.items():
+        for point, cells in _point_cells(run, name):
+            model = point.model
+            for jc in model.classes:
+                if jc.name in model.detection:
+                    continue
+                response, _ = cells[("system", jc.name, "response-time-msec")]
+                flow, _ = cells[("system", jc.name, "throughput-per-msec")]
+                visits = [(cells[(s.name, jc.name, "throughput-per-msec")][0] / flow,
+                           cells[(s.name, jc.name, "response-time-msec")][0])
+                          for s in model.stations
+                          if jc.name in s.service and not (jc.kind == "closed" and s.name == jc.reference)]
+                # a cell with no completion in the window has no response time
+                total = sum(v * r for v, r in visits if v > 0.0)
+                assert abs(response - total) <= 1e-3 * response, (
+                    f"{name} [{point.value}] class {jc.name}: R={response:.6f} vs "
+                    f"sum of visits x station responses={total:.6f}")
+                checked += 1
+    assert checked == 91
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_extension_words_equal_numpys_philox():
                 assert got.tolist() == want[start:start + n].tolist(), (key, start, n)
 
 
-def test_fallback_words_equal_numpys_philox():
+def test_reference_words_equal_numpys_philox():
     for key in _KEYS[::20]:
         want = _numpy_words(key, 8200)
         k0, k1 = key & ((1 << 64) - 1), key >> 64
@@ -132,7 +132,7 @@ def test_fallback_words_equal_numpys_philox():
                 assert got.tolist() == want[start:start + n].tolist(), (key, start, n)
 
 
-def test_extension_and_fallback_agree_far_into_a_stream():
+def test_extension_and_reference_agree_far_into_a_stream():
     # values past 2**32 blocks of words into a stream, in uneven pieces
     # that together are one fill, of the extension and of the reference
     far = 5 << 34

@@ -25,20 +25,20 @@ cell with no completion has no response time.
 The remaining tests cover the extension's build and its failure, which
 stops the import and so a CLI run, its cache, which names a build by
 its source and flags, compiles each once and replaces only the older
-builds of its own flag set, that each load of a build is a module of
-its own, a build of the source with every gcc warning of
--Wall -Wextra an error, a build under AddressSanitizer and
-UndefinedBehaviorSanitizer that must pass the log, pin, fill, calendar,
-table-check and thread tests without a report (tools/sanitize.py), a
-smoke run of the sampling profiler (tools/profile_loop.py), the checks
-the compiled loop makes on its table, populations among them, and on
+builds of its own source and flag set, the profiler's sampler among
+them, that each load of a build is a module of its own, a build of the
+source with every gcc warning of -Wall -Wextra an error, a build under
+AddressSanitizer and UndefinedBehaviorSanitizer that must pass the log,
+pin, fill, calendar, table-check and thread tests without a report
+(tools/sanitize.py), a smoke run of the sampling profiler on the
+product's binary (tools/profile_loop.py), the checks the compiled loop
+makes on its table, populations among them, and on
 its specs, a fixed-seed fuzz of tables changed at random, that it calls
 no Python function, that it runs without the GIL and raises its mid-run
 errors alike on any thread, signals crossing the C boundary, and the
 micro-benchmark in bench/, which must still import.
 """
 
-import importlib.util
 import json
 import math
 import os
@@ -77,7 +77,7 @@ from qnaps.model import (
 )
 from qnaps.records import replace
 
-from _helpers import closed_cycle_model, mm1_model, stopping_arrivals_model
+from _helpers import closed_cycle_model, load_script, mm1_model, stopping_arrivals_model
 from test_engine_pin import CASES, HORIZON, WARMUP, PIN, case_model, pinned_samples, tally
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -470,16 +470,18 @@ def fake_cc(path: Path, body: str) -> str:
     return str(path)
 
 
-# the product's flags, then a flag set of a test or tool build
-FLAG_SETS = ((), ("-g",))
+SAMPLER = ROOT / "tools" / "profile_sampler.c"
+# (flags, source): the product's build, a test or tool build of _loop.c,
+# and the profiler's sampler, a C file of its own through the same cache
+BUILDS = (((), kernel._LOOP_SOURCE), (("-O1",), kernel._LOOP_SOURCE), ((), SAMPLER))
 
 
 def test_build_failure_raises_and_leaves_no_file(tmp_path, capsys):
     missing = tmp_path / "no-such-cc"
-    for flags in FLAG_SETS:
-        cache = tmp_path / f"cache{len(flags)}"
+    for i, (flags, source) in enumerate(BUILDS):
+        cache = tmp_path / f"cache{i}"
         with pytest.raises(ImportError) as failed:
-            kernel._built(str(missing), cache, *flags)
+            kernel._built(str(missing), cache, *flags, source=source)
         message = str(failed.value)
         assert message.startswith("compiled event loop unavailable (FileNotFoundError: ")
         assert str(missing) in message
@@ -490,10 +492,10 @@ def test_build_failure_raises_and_leaves_no_file(tmp_path, capsys):
 def test_compiler_that_exits_1_raises_and_leaves_no_file(tmp_path, capsys):
     # the compiler starts, writes part of its output and fails
     cc = fake_cc(tmp_path / "failing-cc", 'echo partial > "$2"\necho "_loop.c:1: error: broken" >&2\nexit 1\n')
-    for flags in FLAG_SETS:
-        cache = tmp_path / f"cache{len(flags)}"
+    for i, (flags, source) in enumerate(BUILDS):
+        cache = tmp_path / f"cache{i}"
         with pytest.raises(ImportError) as failed:
-            kernel._built(cc, cache, *flags)
+            kernel._built(cc, cache, *flags, source=source)
         message = str(failed.value)
         assert message.startswith("compiled event loop unavailable (")
         assert f"{cc} exited 1" in message and "error: broken" in message
@@ -503,7 +505,7 @@ def test_compiler_that_exits_1_raises_and_leaves_no_file(tmp_path, capsys):
 
 def test_unloadable_cached_binary_raises_without_building(tmp_path, capsys):
     # a cache hit never runs the compiler, so its failure is the load's
-    cached = kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), tmp_path)
+    cached = kernel._cache_path(kernel._LOOP_SOURCE, tmp_path)
     cached.write_bytes(b"not a shared object")
     with pytest.raises(ImportError, match=r"^compiled event loop unavailable \(ImportError: "):
         kernel._load(kernel._built(str(tmp_path / "no-such-cc"), tmp_path))
@@ -514,25 +516,33 @@ def test_unloadable_cached_binary_raises_without_building(tmp_path, capsys):
 def test_second_build_with_the_same_flags_runs_no_compiler(tmp_path):
     cc = fake_cc(tmp_path / "cc", 'echo built > "$2"\n')
     failing = fake_cc(tmp_path / "failing-cc", "exit 1\n")
-    for flags in FLAG_SETS:
-        cache = tmp_path / f"cache{len(flags)}"
-        path = kernel._built(cc, cache, *flags)
-        assert path == kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), cache, *flags)
-        assert kernel._built(failing, cache, *flags) == path
+    for i, (flags, source) in enumerate(BUILDS):
+        cache = tmp_path / f"cache{i}"
+        path = kernel._built(cc, cache, *flags, source=source)
+        assert path == kernel._cache_path(source, cache, *flags)
+        assert kernel._built(failing, cache, *flags, source=source) == path
         assert path.read_text() == "built\n" and sorted(cache.iterdir()) == [path]
 
 
 def test_a_build_replaces_only_its_own_flag_sets_binaries(tmp_path):
-    # tmp_path is the product's directory, a and b two flag sets' own
-    product = tmp_path / f"_loop_0123456789abcdef{EXTENSION_SUFFIXES[0]}"
+    # tmp_path is the product's directory, a and b two flag sets' own; in
+    # a, the builds of _loop.c and of the sampler each replace only their
+    # own source's older binary
+    suffix = EXTENSION_SUFFIXES[0]
+    product = tmp_path / f"_loop_0123456789abcdef{suffix}"
     stale = tmp_path / "a" / product.name
     other = tmp_path / "b" / product.name
-    for path in (product, stale, other):
+    stale_sampler = tmp_path / "a" / f"profile_sampler_0123456789abcdef{suffix}"
+    for path in (product, stale, other, stale_sampler):
         path.parent.mkdir(exist_ok=True)
         path.write_text("built from another source")
-    built = kernel._built(fake_cc(tmp_path / "cc", 'echo built > "$2"\n'), tmp_path / "a", "-g")
-    assert sorted((tmp_path / "a").iterdir()) == [built]
+    cc = fake_cc(tmp_path / "cc", 'echo built > "$2"\n')
+    built = kernel._built(cc, tmp_path / "a", "-O1")
+    assert sorted((tmp_path / "a").iterdir()) == sorted([built, stale_sampler])
     assert product.exists() and other.exists()
+    sampler = kernel._built(cc, tmp_path / "a", "-O1", source=SAMPLER)
+    assert sampler.name.startswith("profile_sampler_")
+    assert sorted((tmp_path / "a").iterdir()) == sorted([built, sampler])
 
 
 def test_cli_without_gcc_exits_1_naming_it(tmp_path):
@@ -560,7 +570,7 @@ def test_build_from_scratch_loads_and_replaces_older_binaries(tmp_path, capsys, 
     stale.write_bytes(b"built from another source")
     module = kernel._load(kernel._built("gcc", tmp_path))
     assert capsys.readouterr().err == ""
-    built = kernel._loop_path(kernel._LOOP_SOURCE.read_bytes(), tmp_path)
+    built = kernel._cache_path(kernel._LOOP_SOURCE, tmp_path)
     assert sorted(tmp_path.iterdir()) == [built]
     monkeypatch.setattr(kernel, "_loop", module)
     assert_loops_agree(MODELS["mm1_capacity3"], 5)
@@ -573,15 +583,8 @@ def test_source_compiles_without_a_warning(tmp_path):
     assert done.stderr == ""
 
 
-def _sanitize_tool():
-    """tools/sanitize.py as a module."""
-    spec = importlib.util.spec_from_file_location("sanitize", ROOT / "tools" / "sanitize.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.skipif(shutil.which("gcc") is None or _sanitize_tool().runtimes() is None,
+@pytest.mark.skipif(shutil.which("gcc") is None
+                    or load_script(ROOT / "tools" / "sanitize.py").runtimes() is None,
                     reason="no gcc, or gcc finds no libasan.so or libubsan.so to preload")
 def test_sanitized_build_passes_the_loops_tests():
     # tools/sanitize.py builds _loop.c under ASan and UBSan and runs the log,
@@ -592,15 +595,7 @@ def test_sanitized_build_passes_the_loops_tests():
     assert " passed" in done.stdout
 
 
-def _profile_tool():
-    """tools/profile_loop.py as a module."""
-    spec = importlib.util.spec_from_file_location("profile_loop", ROOT / "tools" / "profile_loop.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.skipif(_profile_tool().refusal() is not None,
+@pytest.mark.skipif(load_script(ROOT / "tools" / "profile_loop.py").refusal() is not None,
                     reason="the profiler refuses this machine: not x86-64 Linux, or no addr2line or gcc")
 def test_profiler_attributes_samples_to_the_event_loop():
     # one round of baseline gets about 5 timer samples, and about 60% of
@@ -613,15 +608,17 @@ def test_profiler_attributes_samples_to_the_event_loop():
 
 
 def test_cache_name_follows_the_source_hash(tmp_path):
-    source = kernel._LOOP_SOURCE.read_bytes()
-    name = kernel._loop_path(source, tmp_path).name
-    assert kernel._loop_path(source, tmp_path).name == name
-    assert kernel._loop_path(source + b"\n", tmp_path).name != name
+    source = kernel._LOOP_SOURCE
+    name = kernel._cache_path(source, tmp_path).name
+    assert kernel._cache_path(source, tmp_path).name == name
+    edited = tmp_path / source.name
+    edited.write_bytes(source.read_bytes() + b"\n")
+    assert kernel._cache_path(edited, tmp_path).name != name
     assert kernel._loop.__file__.endswith(name)
     # the flags are hashed with the source, in order
-    flag_sets = [(), ("-g",), ("-g", "-O1"), ("-O1", "-g"), ("-DLANE_TARGETS=",)]
-    assert len({kernel._loop_path(source, tmp_path, *flags).name for flags in flag_sets}) == 5
-    assert kernel._loop_path(source, tmp_path, "-g").name == kernel._loop_path(source, tmp_path, "-g").name
+    flag_sets = [(), ("-O1",), ("-O1", "-DNDEBUG"), ("-DNDEBUG", "-O1"), ("-DLANE_TARGETS=",)]
+    assert len({kernel._cache_path(source, tmp_path, *flags).name for flags in flag_sets}) == 5
+    assert kernel._cache_path(source, tmp_path, "-O1").name == kernel._cache_path(source, tmp_path, "-O1").name
 
 
 def test_each_load_of_a_build_is_a_module_of_its_own(tmp_path):

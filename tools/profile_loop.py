@@ -4,22 +4,22 @@ sampling timer.
     python tools/profile_loop.py CONFIG [--rounds N]
 
 CONFIG is a shipped config's name (src/qnaps/configs/CONFIG.yaml) or the
-path of a config file. Builds src/qnaps/_loop.c with kernel._CFLAGS plus
--g through kernel._built into src/qnaps/__pycache__/profile, unless that
-build of the source is there, and loads it as qnaps.kernel._loop, so the
-product's source and its cached binary stay as they are (importing
-qnaps.kernel builds the cached binary only when it is missing, as any run
-does). Builds a small C sampler into a temporary directory and loads it
-with ctypes: a SIGPROF handler that records the interrupted instruction
-pointer, REG_RIP of its ucontext, under an ITIMER_PROF timer. Then runs every replication
-of the config's points N times (default 10), one after another on this
-thread, finds the loop build's load address in /proc/self/maps and maps
-each sample that fell inside it to its function and its _loop.c line with
-addr2line -f -i. Prints each function's share of those samples, as the
-innermost inlined function (self) and with what is inlined into it
-(total), the share of each _loop.c line with its function, and the
-instructions that drew the most samples, by offset in the build. Samples in
-the interpreter, libc or libm count only in the header line.
+path of a config file. Profiles the product's own binary, the cached
+build of src/qnaps/_loop.c that importing qnaps.kernel loads (built then
+if it is missing, as any run does), whose -g line table maps addresses to
+lines. Builds the sampler, tools/profile_sampler.c, with kernel._CFLAGS
+through kernel._built into src/qnaps/__pycache__/profile, unless that
+build of it is there, and loads it with ctypes: a SIGPROF handler that
+records the interrupted instruction pointer, REG_RIP of its ucontext,
+under an ITIMER_PROF timer. Then runs every replication of the config's
+points N times (default 10), one after another on this thread, finds the
+loop binary's load address in /proc/self/maps and maps each sample that
+fell inside it to its function and its _loop.c line with addr2line -f
+-i. Prints each function's share of those samples, as the innermost
+inlined function (self) and with what is inlined into it (total), the
+share of each _loop.c line with its function, and the instructions that
+drew the most samples, by offset in the binary. Samples in the
+interpreter, libc or libm count only in the header line.
 
 The profiling timer fires at most once a kernel tick: on a 250 Hz kernel,
 about every 4 ms of CPU time whatever interval is asked, so one round of
@@ -36,72 +36,19 @@ import platform
 import shutil
 import subprocess
 import sys
-import tempfile
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-from qnaps import kernel  # noqa: E402  (for its build of the source, and the loop)
+from qnaps import kernel  # noqa: E402  (for its builder, and the loop)
 from qnaps.config import load_config  # noqa: E402
 from qnaps.runner import replication_seed  # noqa: E402
 
 INTERVAL_US = 1000  # asked of the timer; the kernel's tick bounds it from below
 TOP_LINES = 30
 TOP_INSTRUCTIONS = 10
-
-SAMPLER = r"""
-#define _GNU_SOURCE
-#include <signal.h>
-#include <string.h>
-#include <sys/time.h>
-#include <ucontext.h>
-
-#define CAP (1 << 20)
-static unsigned long long pcs[CAP];
-static long taken;
-
-static void
-on_prof(int sig, siginfo_t *info, void *uc)
-{
-    (void)sig;
-    (void)info;
-    long i = __atomic_fetch_add(&taken, 1, __ATOMIC_RELAXED);
-    if (i < CAP)
-        pcs[i] = (unsigned long long)((ucontext_t *)uc)->uc_mcontext.gregs[REG_RIP];
-}
-
-int
-sampler_start(long usec)
-{
-    struct sigaction sa;
-    memset(&sa, 0, sizeof sa);
-    sa.sa_sigaction = on_prof;
-    sa.sa_flags = SA_SIGINFO | SA_RESTART;
-    sigemptyset(&sa.sa_mask);
-    struct itimerval every = {{0, usec}, {0, usec}};
-    return sigaction(SIGPROF, &sa, NULL) || setitimer(ITIMER_PROF, &every, NULL) ? -1 : 0;
-}
-
-int
-sampler_stop(void)
-{
-    struct itimerval never = {{0, 0}, {0, 0}};
-    return setitimer(ITIMER_PROF, &never, NULL);
-}
-
-long
-sampler_count(void)
-{
-    return taken < CAP ? taken : CAP;
-}
-
-const unsigned long long *
-sampler_pcs(void)
-{
-    return pcs;
-}
-"""
+SAMPLER = ROOT / "tools" / "profile_sampler.c"
 
 
 def refusal() -> str | None:
@@ -113,12 +60,6 @@ def refusal() -> str | None:
     if shutil.which("gcc") is None:
         return "no gcc on PATH"
     return None
-
-
-def built(done: subprocess.CompletedProcess) -> None:
-    """Exits naming the failure when done, a run of gcc, failed."""
-    if done.returncode:
-        sys.exit(f"profile_loop: gcc exited {done.returncode}: {done.stderr}")
 
 
 def mapped_range(path: Path) -> tuple[int, int, int]:
@@ -180,32 +121,27 @@ def main(argv=None) -> int:
     cfg = load_config(path)
 
     try:
-        build = kernel._built("gcc", kernel._CACHE / "profile", "-g")
+        sampler = ctypes.CDLL(str(kernel._built("gcc", kernel._CACHE / "profile", source=SAMPLER)))
     except ImportError as exc:
         sys.exit(f"profile_loop: {exc}")
-    with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "sampler.c").write_text(SAMPLER)
-        built(subprocess.run(["gcc", "-O2", "-fPIC", "-shared", str(Path(tmp) / "sampler.c"),
-                              "-o", str(Path(tmp) / "sampler.so")], capture_output=True, text=True))
-        kernel._loop = kernel._load(build)
-        sampler = ctypes.CDLL(str(Path(tmp) / "sampler.so"))
-        sampler.sampler_pcs.restype = ctypes.POINTER(ctypes.c_ulonglong)
-        sampler.sampler_count.restype = ctypes.c_long
+    sampler.sampler_pcs.restype = ctypes.POINTER(ctypes.c_ulonglong)
+    sampler.sampler_count.restype = ctypes.c_long
 
-        if sampler.sampler_start(ctypes.c_long(INTERVAL_US)) != 0:
-            sys.exit("profile_loop: cannot start the profiling timer")
-        try:
-            for _ in range(args.rounds):
-                for i, point in enumerate(cfg.points):
-                    for r in range(cfg.replications):
-                        kernel.run_replication(point.model, replication_seed(cfg.seed, i, r),
-                                               cfg.horizon, cfg.warmup)
-        finally:
-            sampler.sampler_stop()
-        pcs = sampler.sampler_pcs()[:sampler.sampler_count()]
-        base, lo, hi = mapped_range(build)
-        inside = Counter(pc - base for pc in pcs if lo <= pc < hi)
-        chains = locate(build, sorted(inside))
+    if sampler.sampler_start(ctypes.c_long(INTERVAL_US)) != 0:
+        sys.exit("profile_loop: cannot start the profiling timer")
+    try:
+        for _ in range(args.rounds):
+            for i, point in enumerate(cfg.points):
+                for r in range(cfg.replications):
+                    kernel.run_replication(point.model, replication_seed(cfg.seed, i, r),
+                                           cfg.horizon, cfg.warmup)
+    finally:
+        sampler.sampler_stop()
+    pcs = sampler.sampler_pcs()[:sampler.sampler_count()]
+    build = Path(kernel._loop.__file__).resolve()
+    base, lo, hi = mapped_range(build)
+    inside = Counter(pc - base for pc in pcs if lo <= pc < hi)
+    chains = locate(build, sorted(inside))
 
     n = sum(inside.values())
     print(f"profile_loop: {cfg.experiment}, {args.rounds} rounds: {len(pcs)} samples, {n} of them "

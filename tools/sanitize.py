@@ -3,7 +3,8 @@ and UndefinedBehaviorSanitizer.
 
     python tools/sanitize.py
 
-Builds src/qnaps/_loop.c with kernel._CFLAGS plus SANITIZE_FLAGS through
+Builds src/qnaps/_loop.c with kernel._CFLAGS (whose -g gives the
+sanitizers' reports their source lines) plus SANITIZE_FLAGS through
 kernel._built into src/qnaps/__pycache__/sanitize, so the product's cached
 binary is untouched and a later call with the same source compiles
 nothing; the tests run on every call. Then a child interpreter, with
@@ -39,7 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 from qnaps import kernel  # noqa: E402  (for its build of the source)
 
-SANITIZE_FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined")
+SANITIZE_FLAGS = ("-O1", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined")
 TESTS = ("tests/test_log.py", "tests/test_engine_pin.py",
          "tests/test_kernel.py::test_compiled_fills_equal_the_python_fills",
          *(f"tests/test_loop.py::test_compiled_loop_matches_the_python_loop[{name}]"
