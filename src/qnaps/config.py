@@ -64,10 +64,12 @@ with a later 0.01: no point may be listed twice).
 parse_config builds and validates each point's model once, and checks
 the sections that refer to it before any replication runs: every plot
 series must name an estimate the model has (the metric names per
-station kind are model.METRICS), and for a validation section every
-scenario graph must reduce, the scenarios and the model's classes must
-pair off one to one, and each class's comparison resource must carry
-demand in its scenario and be an fcfs station serving the class.
+station kind are model.METRICS), and for a validation section the
+scenarios and the model's classes must pair off one to one, and each
+class's comparison resource must carry demand in its scenario and be an
+fcfs station serving the class. An execution graph node checks itself
+when built (egraph), so an unsound branch, loop or demand is refused at
+the node's own key path, such as ``validation.scenarios[0].graph.branch``.
 
 All numbers accept plain YAML scalars; numeric strings are coerced so
 ``1e6`` works regardless of the YAML float grammar corner cases.
@@ -90,7 +92,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import antipatterns, model as qm, render, sha256, yamldoc
-from .egraph import Basic, Branch, EgError, EgNode, EgScenario, Loop, Sequence, check_scenarios, reduce
+from .egraph import Basic, Branch, EgError, EgNode, EgScenario, Loop, Sequence, check_scenarios
 from .antipatterns import Spec
 from .model import JobClass, Station
 from .records import Field, FrozenRecord, fields, replace
@@ -355,7 +357,7 @@ def _parse_eg_node(node, where: str):
     ((tag, body),) = node.items()
     try:
         return _EG_NODES[tag](body, f"{where}.{tag}")
-    except EgError as exc:  # a negative basic demand
+    except EgError as exc:  # a negative basic demand, an unsound branch
         raise ConfigError(f"{where}.{tag}: {exc}") from exc
 
 
@@ -529,15 +531,9 @@ def _metric_keys(net: qm.NetworkModel) -> set[tuple[str, str, str]]:
 
 
 def _check_validation(spec: ValidationSpec, net: qm.NetworkModel) -> None:
-    """The scenario graphs reduce, the scenarios pair off with the
-    model's classes and each class's comparison resource has a
-    utilization estimate for it, so the validation table cannot fail
-    after the replications have run."""
-    for i, scenario in enumerate(spec.scenarios):
-        try:
-            reduce(scenario.root)
-        except EgError as exc:
-            raise ConfigError(f"validation.scenarios[{i}].graph: {exc}") from exc
+    """The scenarios pair off with the model's classes and each class's
+    comparison resource has a utilization estimate for it, so the
+    validation table cannot fail after the replications have run."""
     try:
         check_scenarios(spec.scenarios, [jc.name for jc in net.classes], spec.resource_map)
     except EgError as exc:

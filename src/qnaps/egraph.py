@@ -2,18 +2,18 @@
 
 An execution graph describes one class's software behavior as nested
 basic blocks (per-resource demand), sequences, probabilistic branches and
-repetition loops. reduce() folds a graph to a total demand per resource:
-sequences add, branches take the expectation, loops multiply by the
-(possibly fractional, i.e. expected) iteration count. eg_metrics() turns a
-scenario (graph plus arrival rate) into the no-contention response time
-(total demand) and per-resource utilizations via the utilization law
-U = arrival rate x demand; utilizations above 100% are reported, not
-clamped.
+repetition loops. Each node checks itself when built (EgError), so a
+built graph always reduces. reduce() folds a graph to a total demand per
+resource: sequences add, branches take the expectation, loops multiply by
+the (possibly fractional, i.e. expected) iteration count.
 
-build_validation_table() lines these analytic values up against simulated
-estimates class by class, producing the rows the text renderer prints.
-check_scenarios() holds its pairing rules, so the config parser can apply
-them to the model's classes before any replication runs.
+check_scenarios() holds the pairing rules of scenarios (graph plus
+arrival rate) and job classes, so the config parser can apply them before
+any replication runs, and returns each scenario's demand. From it,
+build_validation_table() takes the no-contention response time (total
+demand) and utilization (U = arrival rate x demand; above 100% is
+reported, not clamped) and lines them up against simulated estimates
+class by class, producing the rows the text renderer prints.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import math
 
 from .model import PROB_TOL
 from .records import Field, FrozenRecord
-from .stats import ConfidenceInterval, response_time_error, utilization_error
+from .stats import ConfidenceInterval
 
 # reduced form: resource name -> msec of demand
 DemandVector = dict
@@ -50,11 +50,21 @@ class Sequence(FrozenRecord):
 
 
 class Branch(FrozenRecord):
-    """Probabilistic alternatives: (probability, node) pairs."""
+    """Probabilistic alternatives: (probability, node) pairs, each
+    probability in [0, 1] and their sum within PROB_TOL of 1."""
 
     arms: tuple = ()
 
     def __init__(self, *arms):
+        if not arms:
+            raise EgError("branch with no arms")
+        total = 0.0  # a running total, not sum(), which compensates from Python 3.12
+        for p, child in arms:
+            if not 0 <= p <= 1:
+                raise EgError(f"branch probability {p} outside [0, 1]")
+            total += p
+        if abs(total - 1.0) > PROB_TOL:
+            raise EgError(f"branch probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "arms", tuple(arms))
 
 
@@ -91,15 +101,6 @@ def _accumulate(node, weight: float, out: DemandVector) -> None:
         for child in node.children:
             _accumulate(child, weight, out)
     elif isinstance(node, Branch):
-        if not node.arms:
-            raise EgError("branch with no arms")
-        total = 0.0
-        for p, child in node.arms:
-            if not 0 <= p <= 1:
-                raise EgError(f"branch probability {p} outside [0, 1]")
-            total += p
-        if abs(total - 1.0) > PROB_TOL:
-            raise EgError(f"branch probabilities sum to {total!r}, not 1")
         for p, child in node.arms:
             _accumulate(child, weight * p, out)
     elif isinstance(node, Loop):
@@ -120,21 +121,6 @@ class EgScenario(FrozenRecord):
             raise EgError(f"arrival rate must be >= 0 (got {self.arrival_rate})")
 
 
-class EgMetrics(FrozenRecord):
-    """No-contention solution: utilization percent per resource and total
-    response time."""
-
-    utilization: dict
-    response_time: float
-
-
-def eg_metrics(scenario: EgScenario) -> EgMetrics:
-    demand = reduce(scenario.root)
-    response = math.fsum(demand.values())
-    util = {res: scenario.arrival_rate * d * 100.0 for res, d in demand.items()}
-    return EgMetrics(utilization=util, response_time=response)
-
-
 class ValidationRow(FrozenRecord):
     """One class's analytic-versus-simulated comparison."""
 
@@ -147,10 +133,25 @@ class ValidationRow(FrozenRecord):
     response_error: float          # percent
 
 
-def check_scenarios(scenarios, classes, resource_map) -> None:
-    """Raise EgError unless the scenarios and the job classes pair off one
-    to one and each scenario places demand on the resource its class is
-    compared on (resource_map: class -> resource)."""
+def utilization_error(eg_percent: float, qn_percent: float) -> float:
+    """Absolute distance between the two utilizations, in percentage points."""
+    return abs(eg_percent - qn_percent)
+
+
+def response_time_error(eg_msec: float, qn_mean_msec: float) -> float:
+    """Absolute percentage error of the analytic response time against the
+    simulated mean (the simulated mean is the denominator); nan against a
+    simulated mean of 0."""
+    if qn_mean_msec == 0:
+        return math.nan
+    return 100.0 * abs(eg_msec - qn_mean_msec) / qn_mean_msec
+
+
+def check_scenarios(scenarios, classes, resource_map) -> dict[str, DemandVector]:
+    """Each scenario's reduced demand, by class. Raise EgError unless the
+    scenarios and the job classes pair off one to one and each scenario
+    places demand on the resource its class is compared on (resource_map:
+    class -> resource)."""
     eg_classes = [s.class_name for s in scenarios]
     if len(set(eg_classes)) != len(eg_classes):
         raise EgError("duplicate scenario class names")
@@ -160,12 +161,15 @@ def check_scenarios(scenarios, classes, resource_map) -> None:
         raise EgError(f"class present only on the analytic side: {', '.join(missing_qn)}")
     if missing_eg:
         raise EgError(f"class present only on the simulated side: {', '.join(missing_eg)}")
+    demands = {}
     for scenario in scenarios:
         cls = scenario.class_name
         if cls not in resource_map:
             raise EgError(f"no comparison resource named for class {cls!r}")
-        if resource_map[cls] not in reduce(scenario.root):
+        demands[cls] = reduce(scenario.root)
+        if resource_map[cls] not in demands[cls]:
             raise EgError(f"scenario for {cls!r} places no demand on resource {resource_map[cls]!r}")
+    return demands
 
 
 def build_validation_table(scenarios, qn_estimates, resource_map) -> list[ValidationRow]:
@@ -176,18 +180,19 @@ def build_validation_table(scenarios, qn_estimates, resource_map) -> list[Valida
     utilization each class is compared on (their demand can concentrate on
     different resources). A class present on only one side is an error.
     """
-    check_scenarios(scenarios, {c for (s, c, m) in qn_estimates if s == "system"}, resource_map)
+    demands = check_scenarios(scenarios, {c for (s, c, m) in qn_estimates if s == "system"}, resource_map)
     rows = []
     for scenario in scenarios:
         cls = scenario.class_name
-        metrics = eg_metrics(scenario)
+        demand = demands[cls]
         resource = resource_map[cls]
         try:
             qn_util = qn_estimates[(resource, cls, "utilization")]
             qn_resp = qn_estimates[("system", cls, "response-time-msec")]
         except KeyError as k:
             raise EgError(f"simulated estimates missing {k.args[0]!r}") from None
-        eg_util = metrics.utilization[resource]
+        eg_util = scenario.arrival_rate * demand[resource] * 100.0
+        eg_resp = math.fsum(demand.values())
         # estimates carry utilization as a fraction; the table speaks percent
         qn_util_pct = ConfidenceInterval(
             qn_util.mean * 100.0, qn_util.half_width * 100.0, qn_util.level, qn_util.n
@@ -197,10 +202,8 @@ def build_validation_table(scenarios, qn_estimates, resource_map) -> list[Valida
             eg_utilization=eg_util,
             qn_utilization=qn_util_pct,
             utilization_error=utilization_error(eg_util, qn_util_pct.mean),
-            eg_response=metrics.response_time,
+            eg_response=eg_resp,
             qn_response=qn_resp,
-            # no relative error against a simulated mean of 0: the row reads nan
-            response_error=(response_time_error(metrics.response_time, qn_resp.mean)
-                            if qn_resp.mean != 0 else math.nan),
+            response_error=response_time_error(eg_resp, qn_resp.mean),
         ))
     return rows

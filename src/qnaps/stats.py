@@ -172,17 +172,3 @@ class MetricAccumulator:
 
     def estimates(self) -> dict[tuple, ConfidenceInterval]:
         return {key: _interval(cell) for key, cell in sorted(self._cells.items())}
-
-
-def utilization_error(eg_percent: float, qn_percent: float) -> float:
-    """Absolute distance between the two utilizations, in percentage points."""
-    return abs(eg_percent - qn_percent)
-
-
-def response_time_error(eg_msec: float, qn_mean_msec: float) -> float:
-    """Absolute percentage error of the analytic response time against the
-    simulated mean (the simulated mean is the denominator)."""
-    if qn_mean_msec == 0:
-        raise EstimateError("response_time_error undefined for a zero simulated mean")
-    return 100.0 * abs(eg_msec - qn_mean_msec) / qn_mean_msec
-

@@ -1,9 +1,9 @@
 """Shared test fixtures: tiny models and independent oracle implementations.
 
-The oracles here (closed forms, exact mean value analysis, brute-force
-execution graph expectation) are written from the textbook definitions,
-not from the package code, so agreement is evidence rather than
-tautology.
+The oracles here (closed forms, exact mean value analysis, visit ratios
+from the traffic equations, brute-force execution graph expectation) are
+written from the textbook definitions, not from the package code, so
+agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import importlib.util
 import math
 from pathlib import Path
+
+import numpy as np
 
 from qnaps.egraph import Basic, Branch, Loop, Sequence
 from qnaps.kernel import run_replication
@@ -220,6 +222,32 @@ def exact_mva(demands, n_max: int):
         q = [x * rr for rr in r]
         out.append((n, x, tuple(q)))
     return out
+
+
+def visit_ratios(model: NetworkModel, job_class: JobClass) -> dict[str, float]:
+    """Mean visits v_s of job_class to each station, from the routing
+    table by the traffic equations v = e + v P over the transient
+    stations. An open class counts per arrival: e is the routing out of
+    its sources, and sinks absorb. A closed class counts per cycle: its
+    reference station is both the start and the end, so it has v = 1."""
+    names = model.station_names()
+    index = {n: i for i, n in enumerate(names)}
+    p = np.zeros((len(names), len(names)))
+    for frm, targets in model.routing.rows.get(job_class.name, {}).items():
+        for to, prob in targets:
+            p[index[frm], index[to]] += prob
+    if job_class.kind == "closed":
+        starts = ends = {job_class.reference}
+    else:
+        starts = {s.name for s in model.stations if s.kind == SOURCE}
+        ends = {s.name for s in model.stations if s.kind == SINK}
+    transient = [index[n] for n in names if n not in starts | ends]
+    entry = p[[index[n] for n in starts]].sum(axis=0)[transient]
+    v = np.linalg.solve(np.eye(len(transient)) - p[np.ix_(transient, transient)].T, entry)
+    visits = {names[i]: float(x) for i, x in zip(transient, v)}
+    if job_class.kind == "closed":
+        visits[job_class.reference] = 1.0
+    return visits
 
 
 # ---------------------------------------------------------------------------

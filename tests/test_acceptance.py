@@ -4,8 +4,9 @@ Covers the analytic oracles (open queue, finite buffer, closed network),
 the frozen validation-table numerics, transform neutrality, behavior of
 the shipped experiment configs (sweet spot, monotone load, their pinned bytes,
 a Little's law audit of every station and class, the utilization law on
-every fcfs cell, and each ungated class's response as the visit-weighted
-sum of its station responses), graph reduction brute
+every fcfs cell, each ungated class's response as the visit-weighted
+sum of its station responses, forced flow on every visited cell, and
+each class's response bounded below by its demand), graph reduction brute
 force, and two open classes at one fcfs server (Pollaczek-Khinchine
 waits for class-dependent means, drops at a capacity they share).
 """
@@ -36,12 +37,8 @@ from qnaps.model import (
 )
 from qnaps.render import render_validation_table
 from qnaps.runner import replication_seed, run_experiment
-from qnaps.stats import (
-    ConfidenceInterval,
-    response_time_error,
-    utilization_error,
-)
-from qnaps.egraph import ValidationRow
+from qnaps.stats import ConfidenceInterval
+from qnaps.egraph import ValidationRow, response_time_error, utilization_error
 
 from _helpers import (
     closed_cycle_model,
@@ -57,6 +54,7 @@ from _helpers import (
     run_reps,
     table,
     two_class_queue_model,
+    visit_ratios,
 )
 
 HORIZON, WARMUP = 1.0e5, 1.0e4
@@ -68,7 +66,7 @@ JOBS = (1, 2)
 
 @pytest.fixture(scope="module")
 def shipped_runs(tmp_path_factory):
-    """Run every shipped config at full scale at jobs 1 and 2; reused by six gates."""
+    """Run every shipped config at full scale at jobs 1 and 2; reused by eight gates."""
     runs = {}
     for name in PIN:
         cfg = load_config(resources.files("qnaps") / "configs" / f"{name}.yaml")
@@ -374,6 +372,53 @@ def test_criterion_09c_response_is_the_visit_weighted_sum_of_station_responses(s
                     f"sum of visits x station responses={total:.6f}")
                 checked += 1
     assert checked == 91
+
+
+def test_criterion_09d_forced_flow_per_visited_cell(shipped_runs):
+    # X_cs = v_cs X_c on every (station, class) cell with v_cs > 0, within
+    # twice X_cs's 99% half-width, the visits solved from the routing table
+    # and X_c the class's system throughput: 237 cells, the worst at 0.17
+    # half-widths (wwi, overhead 4.0, Actor2/Actors)
+    checked = 0
+    for name, run in shipped_runs.items():
+        for point, cells in _point_cells(run, name):
+            model = point.model
+            for jc in model.classes:
+                flow, _ = cells[("system", jc.name, "throughput-per-msec")]
+                visits = visit_ratios(model, jc)
+                for s in model.stations:
+                    if jc.name not in s.service or visits.get(s.name, 0.0) == 0.0:
+                        continue
+                    x, half_width = cells[(s.name, jc.name, "throughput-per-msec")]
+                    law = visits[s.name] * flow
+                    assert abs(x - law) <= 2 * half_width, (
+                        f"{name} [{point.value}] {s.name} class {jc.name}: "
+                        f"X={x:.6f} ± {half_width:.2e} vs v X_c={law:.6f}")
+                    checked += 1
+    assert checked == 237
+
+
+def test_criterion_09e_response_at_least_the_demand(shipped_runs):
+    # R_c >= D_c - R_c's 99% half-width at every point of every class, with
+    # D_c = sum over the stations s serving c of v_cs E[S_cs], a closed
+    # class's reference station left out as its system response leaves it
+    # out: 101 class-points, every R_c >= D_c, the closest awty_sweep at
+    # f_poll 0.001, Polling (4.517 against 4.0)
+    checked = 0
+    for name, run in shipped_runs.items():
+        for point, cells in _point_cells(run, name):
+            model = point.model
+            for jc in model.classes:
+                visits = visit_ratios(model, jc)
+                demand = math.fsum(
+                    visits.get(s.name, 0.0) * s.service[jc.name].mean() for s in model.stations
+                    if jc.name in s.service and not (jc.kind == "closed" and s.name == jc.reference))
+                response, half_width = cells[("system", jc.name, "response-time-msec")]
+                assert response >= demand - half_width, (
+                    f"{name} [{point.value}] class {jc.name}: "
+                    f"R={response:.6f} ± {half_width:.2e} below D={demand:.6f}")
+                checked += 1
+    assert checked == 101
 
 
 # ---------------------------------------------------------------------------

@@ -668,11 +668,11 @@ UNSOUND_VALIDATION = {
     ),
     "branch sum below 1": (
         _validated(lambda v: v["scenarios"][0].update(graph=_branch(0.5, 0.4))),
-        "validation.scenarios[0].graph: branch probabilities sum to 0.9, not 1",
+        "validation.scenarios[0].graph.branch: branch probabilities sum to 0.9, not 1",
     ),
     "branch probability above 1": (
         _validated(lambda v: v["scenarios"][0].update(graph={"seq": [_branch(1.5, -0.5)]})),
-        "validation.scenarios[0].graph: branch probability 1.5 outside [0, 1]",
+        "validation.scenarios[0].graph.seq[0].branch: branch probability 1.5 outside [0, 1]",
     ),
     "class not in the model": (
         _validated(lambda v: v["scenarios"][0].update({"class": "Ghost"})),

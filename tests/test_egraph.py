@@ -1,9 +1,14 @@
-"""Execution graphs: reduction semantics, metrics, validation join."""
+"""Execution graphs: construction checks, reduction semantics, error
+formulas, validation join."""
 
 import math
+import sys
+from importlib import resources
 
 import pytest
 
+from qnaps import egraph
+from qnaps.config import load_config
 from qnaps.egraph import (
     Basic,
     Branch,
@@ -12,8 +17,9 @@ from qnaps.egraph import (
     Loop,
     Sequence,
     build_validation_table,
-    eg_metrics,
     reduce as eg_reduce,
+    response_time_error,
+    utilization_error,
 )
 from qnaps.stats import ConfidenceInterval
 
@@ -39,13 +45,30 @@ def test_reduce_scale_equivariance():
         assert scaled[res] == pytest.approx(2.0 * base[res], rel=1e-12)
 
 
-def test_branch_probability_validation():
-    with pytest.raises(EgError, match="sum"):
-        eg_reduce(Branch((0.5, Basic({"A": 1.0})), (0.4, Basic({"A": 2.0}))))
-    with pytest.raises(EgError, match="outside"):
-        eg_reduce(Branch((1.5, Basic({"A": 1.0})), (-0.5, Basic({"A": 2.0}))))
+@pytest.fixture
+def reduced_roots(monkeypatch):
+    """The graph roots egraph.reduce is called on, in call order, from
+    every qnaps module that binds it."""
+    roots = []
+    fold = egraph.reduce
+
+    def counting(root):
+        roots.append(root)
+        return fold(root)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qnaps") and getattr(module, "reduce", None) is fold:
+            monkeypatch.setattr(module, "reduce", counting)
+    return roots
+
+
+def test_branch_probability_validation(reduced_roots):
+    with pytest.raises(EgError, match=r"sum to 0\.9, not 1"):
+        Branch((0.5, Basic({"A": 1.0})), (0.4, Basic({"A": 2.0})))
+    with pytest.raises(EgError, match=r"probability 1\.5 outside"):
+        Branch((1.5, Basic({"A": 1.0})), (-0.5, Basic({"A": 2.0})))
     with pytest.raises(EgError, match="no arms"):
-        eg_reduce(Branch())
+        Branch()
     with pytest.raises(EgError, match="negative demand"):
         Basic({"A": -1.0})
     with pytest.raises(EgError, match="count"):
@@ -58,20 +81,59 @@ def test_branch_probability_validation():
     with pytest.raises(EgError, match="arrival rate"):
         EgScenario("A", Basic({"A": 1.0}), math.nan)
     with pytest.raises(EgError, match="outside"):
-        eg_reduce(Branch((math.nan, Basic({"A": 1.0})), (1.0, Basic({"A": 2.0}))))
+        Branch((math.nan, Basic({"A": 1.0})), (1.0, Basic({"A": 2.0})))
+    # the sum is a plain running total in arm order (a compensated sum
+    # would read 1.1), so the message shows it on every Python
+    with pytest.raises(EgError, match=r"sum to 1\.0999999999999999, not 1"):
+        Branch(*[(0.1, Basic())] * 11)
+    assert reduced_roots == []  # refused at construction, not on reduction
+    # within PROB_TOL of 1 is a distribution
+    Branch((0.5, Basic()), (0.5 - 1e-12, Basic()))
+
+
+def test_error_metrics():
+    assert utilization_error(17.4, 17.8) == pytest.approx(0.4)
+    assert utilization_error(17.8, 17.4) == pytest.approx(0.4)  # symmetric distance
+    assert response_time_error(5.53, 5.35) == pytest.approx(100 * 0.18 / 5.35, rel=1e-12)
+    # no relative error against a simulated mean of 0
+    assert math.isnan(response_time_error(1.0, 0.0))
 
 
 def test_eg_metrics_and_saturation():
-    s = EgScenario("Analysis", Sequence(Basic({"Controller": 2.0}), Basic({"Environment": 3.53})), 0.087)
-    m = eg_metrics(s)
-    assert m.response_time == pytest.approx(5.53, rel=1e-12)
-    assert m.utilization["Controller"] == pytest.approx(17.4, rel=1e-12)
-
-    hot = eg_metrics(EgScenario("Hot", Basic({"CPU": 3.0}), 0.5))
-    assert hot.utilization["CPU"] == pytest.approx(150.0)  # reported, not clamped
+    est = {
+        ("Controller", "Analysis", "utilization"): _ci(0.178),
+        ("system", "Analysis", "response-time-msec"): _ci(5.35),
+        ("CPU", "Hot", "utilization"): _ci(1.0),
+        ("system", "Hot", "response-time-msec"): _ci(3.0),
+    }
+    scenarios = [
+        EgScenario("Analysis", Sequence(Basic({"Controller": 2.0}), Basic({"Environment": 3.53})), 0.087),
+        EgScenario("Hot", Basic({"CPU": 3.0}), 0.5),
+    ]
+    rows = build_validation_table(scenarios, est, {"Analysis": "Controller", "Hot": "CPU"})
+    analysis, hot = rows
+    assert analysis.eg_response == pytest.approx(5.53, rel=1e-12)
+    assert analysis.eg_utilization == pytest.approx(17.4, rel=1e-12)
+    assert hot.eg_utilization == pytest.approx(150.0)  # reported, not clamped
 
     with pytest.raises(EgError):
         EgScenario("Neg", Basic({}), -0.1)
+
+
+def test_each_scenario_is_reduced_once_per_parse_and_once_per_table(reduced_roots):
+    cfg = load_config(resources.files("qnaps") / "configs" / "table6_validation.yaml")
+    roots = [s.root for s in cfg.validation.scenarios]
+    assert len(roots) == 4
+    assert reduced_roots == roots
+
+    reduced_roots.clear()
+    est = {}
+    for s in cfg.validation.scenarios:
+        est[(cfg.validation.resource_map[s.class_name], s.class_name, "utilization")] = _ci(0.1)
+        est[("system", s.class_name, "response-time-msec")] = _ci(1.0)
+    rows = build_validation_table(cfg.validation.scenarios, est, cfg.validation.resource_map)
+    assert [r.job_class for r in rows] == [s.class_name for s in cfg.validation.scenarios]
+    assert reduced_roots == roots
 
 
 def _ci(mean, hw=0.01):

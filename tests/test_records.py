@@ -73,7 +73,6 @@ EXAMPLES = {
     egraph.Branch: lambda: Branch((0.5, Basic()), (0.5, Basic({"cpu": 2.0}))),
     egraph.Loop: lambda: Loop(2.0, Basic({"cpu": 1.0})),
     egraph.EgScenario: lambda: EgScenario("Jobs", Loop(2.0, Basic({"cpu": 1.0})), 0.1),
-    egraph.EgMetrics: lambda: egraph.EgMetrics({"cpu": 10.0}, 1.0),
     egraph.ValidationRow: lambda: egraph.ValidationRow("Jobs", 10.0, _ci(), 0.5, 2.0, _ci(), 1.25),
     antipatterns.AreWeThereYet: lambda: antipatterns.AreWeThereYet(f_poll=0.01),
     antipatterns.IsEverythingOk: lambda: antipatterns.IsEverythingOk(devices=("Sensor1",)),
@@ -111,7 +110,7 @@ def _values(record, shown=False):
 
 def test_every_record_class_has_an_example():
     assert _record_classes() == set(EXAMPLES)
-    assert len(EXAMPLES) == 36
+    assert len(EXAMPLES) == 35
 
 
 def test_equality_is_by_type_and_field_values():

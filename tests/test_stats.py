@@ -1,4 +1,4 @@
-"""Replication statistics: intervals, order invariance, derived error metrics."""
+"""Replication statistics: intervals and order invariance."""
 
 import math
 import random
@@ -12,10 +12,8 @@ from qnaps.stats import (
     MetricAccumulator,
     MetricSample,
     ReplicationResult,
-    response_time_error,
     _t_ppf,
     _t_quantile,
-    utilization_error,
 )
 from qnaps.kernel import run_replication
 
@@ -206,14 +204,6 @@ def test_half_width_shrinks_with_more_replications():
     many = estimate(results)[("Queue", "Jobs", "utilization")]
     assert many.half_width < few.half_width
     assert covers(many, 0.5)
-
-
-def test_error_metrics():
-    assert utilization_error(17.4, 17.8) == pytest.approx(0.4)
-    assert utilization_error(17.8, 17.4) == pytest.approx(0.4)  # symmetric distance
-    assert response_time_error(5.53, 5.35) == pytest.approx(100 * 0.18 / 5.35, rel=1e-12)
-    with pytest.raises(EstimateError):
-        response_time_error(1.0, 0.0)
 
 
 def test_estimates_cover_every_sampled_key():
