@@ -26,9 +26,13 @@
    runs without the GIL, so replications on threads run in parallel: it
    takes the GIL back only for its signal check and to raise its errors
    (PyGILState, which assumes the main interpreter), and its jobs and
-   calendar grow in the raw memory domain, which needs no GIL. Reading the
-   table, set_up, the closing sweep and the tally hold the GIL. The kernel
-   module docstring has the build flags this relies on.
+   calendar grow in the raw memory domain, which needs no GIL. Every array
+   of the engine is raw, malloc's, with exactly the entries it needs (an
+   empty one is a 1-byte block of its own, so NULL means out of memory),
+   so the AddressSanitizer of tools/sanitize.py, blind to pymalloc's
+   pools, reports a read past any of them. Reading the table, set_up, the
+   closing sweep and the tally hold the GIL. The kernel module docstring
+   has the build flags this relies on.
 
    fill(spec, first, n) is fill_spec from Python: values first .. first
    + n - 1 of a sampler. Its words are a stateless Philox4x64-10, so any
@@ -148,7 +152,7 @@ typedef struct {
 /* the nodes of the specs read so far */
 typedef struct {
     Spec *v;
-    int n, cap;
+    Py_ssize_t n, cap;
 } Specs;
 
 typedef struct {
@@ -175,15 +179,32 @@ typedef struct {
     Sampler *samplers;
     double *vals;        /* the samplers' buffers, one after another */
     Job *jobs;
-    int njobs, capjobs, free;
     Event *heap;
-    Py_ssize_t hlen, hcap;
+    Py_ssize_t njobs, capjobs, hlen, hcap;
+    int free;
 } Engine;
 
 _Static_assert(offsetof(Engine, init) == offsetof(Engine, tab) + (NTABLES - 1) * sizeof(void *),
                "the named tables of Engine line up with tab");
 
 #define AT(E, s, c) ((Py_ssize_t)(s) * (E)->ncl + (c))
+
+/* the raw array at *v, of *cap entries of size bytes, doubled, or made 64
+   entries from none: -1, both left as they were, past 2**30 entries (a
+   job, an event or a spec node is an int index, and the calendar holds
+   at most one event per job) or out of memory. v is read as a void **
+   (-fno-strict-aliasing). */
+static int
+grow(void *v, Py_ssize_t *cap, size_t size)
+{
+    Py_ssize_t n = *cap ? 2 * *cap : 64;
+    void *grown = n <= 1 << 30 ? PyMem_RawRealloc(*(void **)v, (size_t)n * size) : NULL;
+    if (grown == NULL)
+        return -1;
+    *(void **)v = grown;
+    *cap = n;
+    return 0;
+}
 
 /* ------------------------------------------------------------------ */
 /* jobs and lists */
@@ -195,16 +216,9 @@ job_new(Engine *E)
     if (j >= 0) {
         E->free = E->jobs[j].next;
     } else {
-        if (E->njobs == E->capjobs) {
-            /* a job is an int index: the array stops at 2**30 entries */
-            int cap = E->capjobs > INT_MAX / 2 ? 0 : E->capjobs ? 2 * E->capjobs : 64;
-            Job *grown = cap ? PyMem_RawRealloc(E->jobs, (size_t)cap * sizeof(Job)) : NULL;
-            if (grown == NULL) {
-                WITH_GIL(PyErr_NoMemory());
-                return -1;
-            }
-            E->jobs = grown;
-            E->capjobs = cap;
+        if (E->njobs == E->capjobs && grow(&E->jobs, &E->capjobs, sizeof(Job)) < 0) {
+            WITH_GIL(PyErr_NoMemory());
+            return -1;
         }
         j = E->njobs++;
     }
@@ -312,15 +326,9 @@ sift_up(Event *h, Py_ssize_t endpos, Py_ssize_t pos, Event newitem)
 static inline int
 heap_push(Engine *E, double t, int job, int st)
 {
-    if (E->hlen == E->hcap) {
-        Py_ssize_t cap = E->hcap ? 2 * E->hcap : 64;
-        Event *grown = PyMem_RawRealloc(E->heap, (size_t)cap * sizeof(Event));
-        if (grown == NULL) {
-            WITH_GIL(PyErr_NoMemory());
-            return -1;
-        }
-        E->heap = grown;
-        E->hcap = cap;
+    if (E->hlen == E->hcap && grow(&E->heap, &E->hcap, sizeof(Event)) < 0) {
+        WITH_GIL(PyErr_NoMemory());
+        return -1;
     }
     Event ev = {t, E->seq++, job, st};
     sift_item(E->heap, 0, E->hlen++, ev);
@@ -561,15 +569,9 @@ read_spec(Specs *S, PyObject *spec, Py_ssize_t b, int depth)
         return bad_spec(b, spec, PyExc_ValueError, "has a number below 0 or NaN");
     if (depth == MAX_DEPTH)
         return bad_spec(b, spec, PyExc_ValueError, "nests too deep");
-    if (S->n == S->cap) {
-        int cap = S->cap ? 2 * S->cap : 16;
-        Spec *grown = PyMem_Realloc(S->v, (size_t)cap * sizeof(Spec));
-        if (grown == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        S->v = grown;
-        S->cap = cap;
+    if (S->n == S->cap && grow(&S->v, &S->cap, sizeof(Spec)) < 0) {
+        PyErr_NoMemory();
+        return -1;
     }
     int at = S->n++;
     if ((part[0] != NULL && (N.base = read_spec(S, part[0], b, depth + 1)) < 0)
@@ -701,7 +703,7 @@ read_table(Engine *E, int k, PyObject *obj)
         goto wrong;
     }
     E->len[k] = view.shape[0];
-    if ((E->tab[k] = PyMem_Malloc((size_t)view.len + 1)) != NULL)
+    if ((E->tab[k] = PyMem_RawMalloc((size_t)view.len)) != NULL)
         memcpy(E->tab[k], view.buf, (size_t)view.len);
     PyBuffer_Release(&view);
     if (E->tab[k] == NULL) {
@@ -734,8 +736,8 @@ read_samplers(Engine *E, PyObject *specs)
         PyErr_NoMemory();
         return -1;
     }
-    E->samplers = PyMem_Calloc((size_t)n + 1, sizeof(Sampler));
-    E->vals = PyMem_Malloc((size_t)(n * E->block) * sizeof(double) + 1);
+    E->samplers = PyMem_RawCalloc((size_t)n, sizeof(Sampler));
+    E->vals = PyMem_RawMalloc((size_t)(n * E->block) * sizeof(double));
     int rc = E->samplers == NULL || E->vals == NULL ? (PyErr_NoMemory(), -1) : 0;
     for (Py_ssize_t b = 0; rc == 0 && b < n; b++) {
         int s = read_spec(&E->specs, PyTuple_GET_ITEM(items, b), b, 0);
@@ -851,11 +853,11 @@ read_engine(Engine *E, PyObject *const *args)
     if (read_samplers(E, args[3 + NTABLES]) < 0 || check_tables(E) < 0)
         return -1;
     Py_ssize_t cells = (Py_ssize_t)E->nst * E->ncl;
-    E->busy = PyMem_Calloc((size_t)E->nst + 1, sizeof(long long));
-    E->queue = PyMem_Calloc((size_t)E->nst + 1, sizeof(List));
-    E->cells = PyMem_Calloc((size_t)cells + 1, sizeof(Cell));
-    E->cl = PyMem_Calloc((size_t)E->ncl + 1, sizeof(Class));
-    E->routes = PyMem_Calloc((size_t)cells + 1, sizeof(Route));
+    E->busy = PyMem_RawCalloc((size_t)E->nst, sizeof(long long));
+    E->queue = PyMem_RawCalloc((size_t)E->nst, sizeof(List));
+    E->cells = PyMem_RawCalloc((size_t)cells, sizeof(Cell));
+    E->cl = PyMem_RawCalloc((size_t)E->ncl, sizeof(Class));
+    E->routes = PyMem_RawCalloc((size_t)cells, sizeof(Route));
     if (!E->busy || !E->queue || !E->cells || !E->cl || !E->routes) {
         PyErr_NoMemory();
         return -1;
@@ -893,18 +895,12 @@ read_engine(Engine *E, PyObject *const *args)
 static void
 free_engine(Engine *E)
 {
+    void *arrays[] = {E->busy, E->queue, E->cells, E->cl, E->routes, E->specs.v,
+                      E->samplers, E->vals, E->jobs, E->heap};
     for (int k = 0; k < NTABLES; k++)
-        PyMem_Free(E->tab[k]);
-    PyMem_Free(E->busy);
-    PyMem_Free(E->queue);
-    PyMem_Free(E->cells);
-    PyMem_Free(E->cl);
-    PyMem_Free(E->routes);
-    PyMem_Free(E->specs.v);
-    PyMem_Free(E->samplers);
-    PyMem_Free(E->vals);
-    PyMem_RawFree(E->jobs);
-    PyMem_RawFree(E->heap);
+        PyMem_RawFree(E->tab[k]);
+    for (size_t k = 0; k < sizeof arrays / sizeof *arrays; k++)
+        PyMem_RawFree(arrays[k]);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1050,7 +1046,8 @@ static int
 run_loop(Engine *E)
 {
     const double horizon = E->horizon, warm = E->warm;
-    int ca = earliest_arrival(E);
+    /* a table without classes has no cl[0] to start from */
+    int ca = E->ncl ? earliest_arrival(E) : 0;
     double ta = E->ncl ? E->cl[ca].ta : INFINITY;
     unsigned int tick = 0;
 
@@ -1331,7 +1328,7 @@ loop_fill(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     else if ((s = read_spec(&S, args[0], -1, 0)) >= 0 && (out = new_values(n, &v)) != NULL
              && fill_spec(S.v, s, (uint64_t)first, n, v) < 0)
         Py_CLEAR(out);
-    PyMem_Free(S.v);
+    PyMem_RawFree(S.v);
     return out;
 }
 

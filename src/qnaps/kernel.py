@@ -87,9 +87,9 @@ src/qnaps/__pycache__ under a name keyed by the sha256 of _loop.c and
 the flags, so an edited source never loads an old binary; the test and
 tool builds (-Werror target pins, the sanitizers, the profiler's SIGPROF
 sampler) go through the same _built, each flag set in a subdirectory of
-its own. On x86-64 the samplers' log is built for
-AVX-512, AVX2 and the baseline, and the loader picks the best this CPU
-has; IEEE add, multiply and divide round the same in any register, so
+its own, where a build removes every other binary. On x86-64 the
+samplers' log is built for AVX-512, AVX2 and the baseline, and the
+loader picks the best this CPU has; IEEE add, multiply and divide round the same in any register, so
 all give the same bits, and so does the generic build on other machines.
 gcc runs, and subprocess and sysconfig are imported, only when no cached
 binary exists; otherwise the import just loads the cached file. If it
@@ -432,8 +432,8 @@ def _compile(cc: str, out: Path, *flags: str, source: Path = _LOOP_SOURCE,
 def _built(cc: str, cache_dir: Path, *flags: str, source: Path = _LOOP_SOURCE) -> Path:
     """The cache file of source built with _CFLAGS and flags in
     cache_dir, compiled with compiler cc unless it is there. A build
-    removes the older binaries of its source's stem in cache_dir, which
-    holds one flag set's builds. When it cannot be built, ImportError
+    removes every other binary in cache_dir, which holds one flag set's
+    build of one source. When it cannot be built, ImportError
     naming why: the compiler's exit code and the tail of its stderr, or
     the error that stopped the build; it then leaves no file."""
     tmp = None
@@ -446,7 +446,7 @@ def _built(cc: str, cache_dir: Path, *flags: str, source: Path = _LOOP_SOURCE) -
         done = _compile(cc, tmp, *flags, source=source)
         if done.returncode == 0:
             os.replace(tmp, path)
-            for old in cache_dir.glob(f"{source.stem}_*{EXTENSION_SUFFIXES[0]}"):
+            for old in cache_dir.glob(f"*{EXTENSION_SUFFIXES[0]}"):
                 if old != path:
                     old.unlink(missing_ok=True)
             return path

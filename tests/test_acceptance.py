@@ -5,8 +5,9 @@ the frozen validation-table numerics, transform neutrality, behavior of
 the shipped experiment configs (sweet spot, monotone load, their pinned bytes,
 a Little's law audit of every station and class, the utilization law on
 every fcfs cell, each ungated class's response as the visit-weighted
-sum of its station responses, forced flow on every visited cell, and
-each class's response bounded below by its demand), graph reduction brute
+sum of its station responses, forced flow on every visited cell,
+each class's response bounded below by its demand, and each open
+class's arrivals leaving as throughput or drops), graph reduction brute
 force, and two open classes at one fcfs server (Pollaczek-Khinchine
 waits for class-dependent means, drops at a capacity they share).
 """
@@ -66,7 +67,7 @@ JOBS = (1, 2)
 
 @pytest.fixture(scope="module")
 def shipped_runs(tmp_path_factory):
-    """Run every shipped config at full scale at jobs 1 and 2; reused by eight gates."""
+    """Run every shipped config at full scale at jobs 1 and 2; reused by nine gates."""
     runs = {}
     for name in PIN:
         cfg = load_config(resources.files("qnaps") / "configs" / f"{name}.yaml")
@@ -419,6 +420,32 @@ def test_criterion_09e_response_at_least_the_demand(shipped_runs):
                     f"R={response:.6f} ± {half_width:.2e} below D={demand:.6f}")
                 checked += 1
     assert checked == 101
+
+
+def test_criterion_09f_arrivals_leave_as_throughput_or_drops(shipped_runs):
+    # X_c + sum over the fcfs stations s of D_cs = lambda_c = 1 / E[A_c] at
+    # every point of every open class, with X_c its system throughput and
+    # D_cs its drop rate at s, within twice the root-sum-square of their
+    # 99% half-widths: 51 class-points, the worst at 0.52 of that
+    # (ieok_sweep, Analysis: 0.086777 against 0.087)
+    checked = 0
+    for name, run in shipped_runs.items():
+        for point, cells in _point_cells(run, name):
+            model = point.model
+            for jc in model.classes:
+                if jc.kind != "open":
+                    continue
+                parts = [cells[("system", jc.name, "throughput-per-msec")]] + [
+                    cells[(s.name, jc.name, "dropped-rate-per-msec")]
+                    for s in model.stations if s.kind == FCFS and jc.name in s.service]
+                out = math.fsum(mean for mean, _ in parts)
+                bound = 2 * math.hypot(*(half_width for _, half_width in parts))
+                rate = 1 / jc.arrival.mean()
+                assert abs(out - rate) <= bound, (
+                    f"{name} [{point.value}] class {jc.name}: X + drops={out:.6f} "
+                    f"± {bound / 2:.2e} vs lambda={rate:.6f}")
+                checked += 1
+    assert checked == 51
 
 
 # ---------------------------------------------------------------------------

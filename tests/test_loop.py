@@ -57,7 +57,7 @@ from pathlib import Path
 import pytest
 
 from qnaps import kernel
-from qnaps.kernel import _build, _finalize, _Tally, run_replication
+from qnaps.kernel import _build, _finalize, _Table, _Tally, run_replication
 from qnaps.model import (
     DELAY,
     FCFS,
@@ -429,6 +429,16 @@ def test_both_loops_return_the_fields_of_a_tally(loop):
         assert all(type(v) is number for v in values), field
 
 
+@pytest.mark.parametrize("loop", ["run", "_run_python"])
+def test_a_table_without_stations_or_classes_returns_the_empty_tally(loop):
+    # route_ptr and flush_ptr are each [0], and neither loop reads a class
+    # it does not have, the first arrival's cl[0] among them
+    none = array("i")
+    table = _Table(HORIZON, WARMUP, kernel._BLOCK, none, array("d"), array("d"), none,
+                   array("i", [0]), none, array("d"), none, array("i", [0]), none, none, none, none, [])
+    assert list(tally(table, loop)) == [[]] * len(_Tally._fields)
+
+
 def test_deep_calendar_model_keeps_hundreds_of_events():
     # the time-average number of jobs thinking plus those in service, all
     # on the calendar, and Work's 32 servers busy the whole window
@@ -526,8 +536,8 @@ def test_second_build_with_the_same_flags_runs_no_compiler(tmp_path):
 
 def test_a_build_replaces_only_its_own_flag_sets_binaries(tmp_path):
     # tmp_path is the product's directory, a and b two flag sets' own; in
-    # a, the builds of _loop.c and of the sampler each replace only their
-    # own source's older binary
+    # a, a build of either source replaces every other binary, of its own
+    # source or not, as a, like each cache directory, holds one build
     suffix = EXTENSION_SUFFIXES[0]
     product = tmp_path / f"_loop_0123456789abcdef{suffix}"
     stale = tmp_path / "a" / product.name
@@ -538,11 +548,14 @@ def test_a_build_replaces_only_its_own_flag_sets_binaries(tmp_path):
         path.write_text("built from another source")
     cc = fake_cc(tmp_path / "cc", 'echo built > "$2"\n')
     built = kernel._built(cc, tmp_path / "a", "-O1")
-    assert sorted((tmp_path / "a").iterdir()) == sorted([built, stale_sampler])
+    assert sorted((tmp_path / "a").iterdir()) == [built]
     assert product.exists() and other.exists()
+    # the profiler's former build of _loop.c beside its sampler's
+    stale.write_text("built by a flag set no tool uses")
     sampler = kernel._built(cc, tmp_path / "a", "-O1", source=SAMPLER)
     assert sampler.name.startswith("profile_sampler_")
-    assert sorted((tmp_path / "a").iterdir()) == sorted([built, sampler])
+    assert sorted((tmp_path / "a").iterdir()) == [sampler]
+    assert product.exists() and other.exists()
 
 
 def test_cli_without_gcc_exits_1_naming_it(tmp_path):

@@ -16,17 +16,20 @@ reference's, mixtures at the edges of the fill among them, the compiled
 loop against the reference loop on the models that stress the calendar
 (tied times, a closed cycle, two sources, a calendar of about 250
 events, tied arrivals, times of -0.0 and +0.0, and a closed population
-that overfills its fcfs reference at t = 0), the checks the loop
-makes on its table on entry, which keep its t = 0 set-up in bounds, the
-deadlock boundary, the loop run without the GIL on a thread and failing
-mid-run on two threads at once, and a fixed-seed fuzz of tables and
-specs changed at random. Leaks are not
-reported: the interpreter itself keeps memory to its exit. Exits 0 when the tests pass and neither
-sanitizer printed a word; 1, printing the child's output, when a test
-fails or a sanitizer reports; 2 when gcc finds no libasan.so or
-libubsan.so, or the build fails. ThreadSanitizer is out of reach:
-preloading gcc 12's libtsan crashed CPython 3.11.7 at start-up, before
-any qnaps code ran, so the loop's threads are not checked for races.
+that overfills its fcfs reference at t = 0), a table with no station
+and no class, the checks the loop makes on its table on entry, which
+keep its t = 0 set-up in bounds, the deadlock boundary, the loop run
+without the GIL on a thread and failing mid-run on two threads at once,
+and a fixed-seed fuzz of tables and specs changed at random. Every
+array of the engine is a malloc block of exactly its entries (_loop.c),
+so AddressSanitizer reports a read past the end of any of them. Leaks
+are not reported: the interpreter itself keeps memory to its exit.
+Exits 0 when the tests pass and neither sanitizer printed a word; 1,
+printing the child's output, when a test fails or a sanitizer reports;
+2 when gcc finds no libasan.so or libubsan.so, or the build fails.
+ThreadSanitizer is out of reach: preloading gcc 12's libtsan crashed
+CPython 3.11.7 at start-up, before any qnaps code ran, so the loop's
+threads are not checked for races.
 """
 from __future__ import annotations
 
@@ -46,6 +49,7 @@ TESTS = ("tests/test_log.py", "tests/test_engine_pin.py",
          *(f"tests/test_loop.py::test_compiled_loop_matches_the_python_loop[{name}]"
            for name in ("ties", "closed_cycle", "two_sources", "deep_calendar", "arrival_ties",
                         "signed_zero", "closed_over_capacity")),
+         "tests/test_loop.py::test_a_table_without_stations_or_classes_returns_the_empty_tally",
          "tests/test_loop.py::test_compiled_loop_checks_its_table_on_entry",
          "tests/test_kernel.py::test_deadlock_boundary",
          "tests/test_loop.py::test_compiled_loop_runs_without_the_gil",
