@@ -4,11 +4,11 @@
           [--horizon MS] [--warmup MS] [--jobs K] [--out DIR]
           [--format {csv,svg,table,all}]
 
-Flags override the config file. Worker count precedence: --jobs, then
-the config's run.jobs, then 1. --format all selects every format the
-config can satisfy (svg only when the config is plottable: it has a plot
-section and every sweep value is a number; asking for --format svg
-explicitly when it is not is an error).
+Flags override the config file. The worker count is --jobs, else 1.
+--format all selects every format the config can satisfy (svg only when
+the config is plottable: it has a plot section and every sweep value is
+a number; asking for --format svg explicitly when it is not is an
+error).
 
 Exit codes: 0 success, 1 the compiled event loop could not be built or
 loaded (the import of qnaps.kernel raises ImportError, which names the
@@ -21,37 +21,22 @@ line), 3 simulation deadlock, 4 internal invariant failure in the engine
 (population leak, flow imbalance). A run whose stdout reader goes
 away (qnaps ... | head -1) writes its files and exits as usual, its
 progress lines going to os.devnull from then on.
-
-Start-up: the cyclic collector is paused while the engine modules are
-imported, since every object they create lives for the whole process.
-The program entry, entry(), then freezes the heap, so neither the
-collector nor the exit walks it again. Importing this module or calling
-main() leaves the collector on and nothing frozen.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import gc
 import os
 import sys
 from pathlib import Path
 
-gc.disable()
 try:
-    from .config import ConfigError, _worker_count, load_config
+    from .config import ConfigError, load_config
     from .kernel import DeadlockError, InvalidModelError, KernelError
     from .runner import run_experiment
-    if not gc.get_freeze_count():
-        # move what the imports made to the oldest generation unwalked;
-        # re-enabling would start a young collection over all of it
-        gc.freeze()
-        gc.unfreeze()
 except ImportError as exc:  # as when the compiled event loop cannot be built or loaded
     sys.exit(f"qnaps: {exc}")
-finally:
-    gc.enable()
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, metavar="N", help="override replication count")
     p.add_argument("--horizon", type=float, metavar="MS", help="override horizon (msec)")
     p.add_argument("--warmup", type=float, metavar="MS", help="override warmup (msec)")
-    p.add_argument("--jobs", type=int, metavar="K", help="parallel replication workers")
+    p.add_argument("--jobs", type=int, default=1, metavar="K", help="parallel replication workers (default: 1)")
     p.add_argument("--out", default="qnaps-out", metavar="DIR", help="output directory (default: qnaps-out)")
     p.add_argument("--format", choices=("csv", "svg", "table", "all"), help="override configured outputs")
     return p
@@ -97,6 +82,13 @@ def _check_out(out: str) -> None:
         raise ConfigError(f"--out {out}: {nearest}: {os.strerror(errno.ENOTDIR)}")
 
 
+def _worker_count(jobs: int) -> int:
+    """ConfigError unless jobs, the --jobs value, is at least 1."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {jobs}")
+    return jobs
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -115,8 +107,7 @@ def main(argv=None) -> int:
             warmup=args.warmup,
             outputs=outputs,
         )
-        # run.jobs was checked at parse
-        jobs = (cfg.jobs or 1) if args.jobs is None else _worker_count(args.jobs, "--jobs")
+        jobs = _worker_count(args.jobs)
         _check_out(args.out)
         written = run_experiment(cfg, out_dir=args.out, jobs=jobs, echo=_echo)
         for path in written:
@@ -133,12 +124,5 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def entry() -> None:
-    """Program entry (``python -m qnaps.cli`` and the ``qnaps`` script):
-    freeze the imported heap, then run main() and exit with its code."""
-    gc.freeze()
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -32,7 +32,7 @@ Schema v1, top level::
     model: {...}                # required, see below
     antipattern: {...}          # optional
     sweep: {parameter: <dotted path>, values: [...]}   # optional
-    run: {replications, seed, horizon_msec, warmup_msec, jobs}
+    run: {replications, seed, horizon_msec, warmup_msec}
     outputs: [csv, svg, table]
     plot: {...}                 # required when svg is requested
     validation: {...}           # optional, incompatible with sweep
@@ -199,7 +199,6 @@ def parse_distribution(node, where: str) -> qm.Distribution:
 # antipatterns)
 
 Targets = tuple  # a station name, or ((station, probability), ...)
-WorkerCount = int  # a worker count, at least 1
 
 
 class _Route(FrozenRecord):
@@ -266,7 +265,6 @@ class _Run(FrozenRecord):
     seed: int
     horizon: float = Field(default=1e5, key="horizon_msec")
     warmup: float = Field(default=0.0, key="warmup_msec")
-    jobs: WorkerCount | None = None
 
 
 class _Sweep(FrozenRecord):
@@ -295,13 +293,6 @@ def _unbounded_integer(value, where: str) -> int | None:
     if value is None or value == math.inf:
         return None
     return _integer(value, where)
-
-
-def _worker_count(value, where: str) -> int:
-    jobs = _integer(value, where)
-    if jobs < 1:
-        raise ConfigError(f"{where}: must be >= 1, got {jobs}")
-    return jobs
 
 
 def _optional(parse):
@@ -413,7 +404,6 @@ _FIELD_PARSERS = {
     "bool": _boolean,
     "int": _integer,
     "int | None": _unbounded_integer,
-    "WorkerCount | None": _optional(_worker_count),
     "float": _number,
     "str": _string,
     "str | None": _optional(_string),
@@ -580,7 +570,6 @@ class ExperimentConfig(FrozenRecord):
     seed: int
     horizon: float
     warmup: float
-    jobs: int | None
     outputs: tuple[str, ...]
     plot: PlotSpec | None
     validation: ValidationSpec | None
@@ -694,7 +683,6 @@ def parse_config(doc, *, digest: str = "") -> ExperimentConfig:
         seed=top.run.seed,
         horizon=top.run.horizon,
         warmup=top.run.warmup,
-        jobs=top.run.jobs,
         outputs=top.outputs,
         plot=top.plot,
         validation=top.validation,

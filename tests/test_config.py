@@ -215,9 +215,9 @@ def test_schema_and_run_guards():
         parse_config(_minimal(outputs=["pdf"]))
     with pytest.raises(ConfigError, match="no plot section"):
         parse_config(_minimal(outputs=["svg"]))
-    assert parse_config(_minimal(run={"replications": 2, "seed": 1, "jobs": 2})).jobs == 2
-    with pytest.raises(ConfigError, match=r"^run\.jobs: must be >= 1, got 0$"):
-        parse_config(_minimal(run={"replications": 2, "seed": 1, "jobs": 0}))
+    # the worker count is the CLI's --jobs alone
+    with pytest.raises(ConfigError, match=r"^run: unknown key\(s\) 'jobs'$"):
+        parse_config(_minimal(run={"replications": 2, "seed": 1, "jobs": 2}))
     # the name is the stem of every output file, so it stays in --out
     for name in ("", "a/b", "a\\b", "a b", "a\tb"):
         with pytest.raises(ConfigError, match="must be a non-empty name without slashes or spaces"):

@@ -599,11 +599,11 @@ def test_source_compiles_without_a_warning(tmp_path):
 @pytest.mark.skipif(shutil.which("gcc") is None
                     or load_script(ROOT / "tools" / "sanitize.py").runtimes() is None,
                     reason="no gcc, or gcc finds no libasan.so or libubsan.so to preload")
-def test_sanitized_build_passes_the_loops_tests():
+def test_sanitized_build_passes_the_loops_tests(sanitize_run):
     # tools/sanitize.py builds _loop.c under ASan and UBSan and runs the log,
-    # pin and fill tests on it, failing on any sanitizer report
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / "sanitize.py")], cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
+    # pin and fill tests on it, failing on any sanitizer report; conftest.py
+    # starts it once collection has finished, so it runs beside the suite
+    done = sanitize_run
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
     assert " passed" in done.stdout
 

@@ -214,10 +214,10 @@ def test_repr_reads_fields_in_order_and_leaves_hidden_fields_out():
 
 def test_field_keys_defaults_and_required():
     by_name = {f.name: f for f in fields(config._Run)}
-    assert [f.name for f in fields(config._Run)] == ["replications", "seed", "horizon", "warmup", "jobs"]
+    assert [f.name for f in fields(config._Run)] == ["replications", "seed", "horizon", "warmup"]
     assert by_name["horizon"].key == "horizon_msec" and by_name["horizon"].default == 1e5
     assert by_name["seed"].key == "seed" and by_name["seed"].required
-    assert not by_name["jobs"].required and by_name["jobs"].type == "WorkerCount | None"
+    assert not by_name["warmup"].required and by_name["warmup"].type == "float"
     assert fields(Loop)[1].key == "body" and fields(Loop(1.0, Basic())) == fields(Loop)
     assert config._Run.horizon == 1e5 and not hasattr(config._Run, "seed")
 

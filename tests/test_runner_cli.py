@@ -755,34 +755,36 @@ def test_sha256_is_hashlibs():
         assert qnaps.sha256(data).digest() == hashlib.sha256(data).digest()
 
 
-def test_import_and_main_leave_the_collector_on_and_unfrozen(tmp_path):
-    # the collector is paused only for the engine imports, and only the
-    # program entry freezes the heap: a caller of main() keeps its own
+def test_main_is_the_one_program_entry(tmp_path):
+    # `python -m qnaps.cli` and the installed script both run main(), and
+    # neither the import nor main() touches the collector
     cfg = _write_config(tmp_path / "tiny.yaml")
     probe = (
         "import gc\n"
-        "frozen = gc.get_freeze_count()\n"
+        "before = (gc.isenabled(), gc.get_freeze_count())\n"
         "import qnaps.cli\n"
-        "imported = (gc.isenabled(), gc.get_freeze_count() - frozen)\n"
+        "imported = (gc.isenabled(), gc.get_freeze_count())\n"
         f"assert qnaps.cli.main(['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
-        "print(imported, (gc.isenabled(), gc.get_freeze_count() - frozen))"
+        "print(before == imported == (gc.isenabled(), gc.get_freeze_count()))"
     )
-    assert _child(probe) == "(True, 0) (True, 0)"
-
-
-def test_program_entry_freezes_the_heap(tmp_path):
-    # run as `python -m qnaps.cli` runs it; the installed script calls the same entry
-    cfg = _write_config(tmp_path / "tiny.yaml")
-    probe = (
-        "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
-        f"sys.argv = ['qnaps', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]\n"
-        "runpy.run_module('qnaps.cli', run_name='__main__')"
-    )
-    assert _child(probe) == "True True"
+    assert _child(probe) == "True"
     assert (tmp_path / "o" / "tiny.csv").exists()
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
-    assert '\nqnaps = "qnaps.cli:entry"\n' in pyproject
+    assert '\nqnaps = "qnaps.cli:main"\n' in pyproject
+    # a bad config exits 2 through the module's __main__ as through main()
+    bad = _write_config(tmp_path / "bad.yaml", schema="v2")
+    argv = ["--config", str(bad), "--out", str(tmp_path / "bad")]
+    probe = (
+        "import runpy, sys\n"
+        f"sys.argv = ['qnaps', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('qnaps.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)"
+    )
+    assert _child(probe) == "2"
+    assert main(argv) == 2
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_jobs_below_one_is_a_config_error(tmp_path, capsys):
@@ -791,22 +793,21 @@ def test_cli_jobs_below_one_is_a_config_error(tmp_path, capsys):
     assert "--jobs: must be >= 1, got 0" in capsys.readouterr().err
 
 
-def test_cli_takes_run_jobs_when_jobs_is_absent(tmp_path, capsys, monkeypatch):
+def test_cli_runs_one_worker_without_jobs_and_refuses_run_jobs(tmp_path, capsys, monkeypatch):
     taken = []
     monkeypatch.setattr("qnaps.cli.run_experiment",
                         lambda cfg, *, out_dir, jobs, echo: taken.append(jobs) or [])
-    run = {"replications": 2, "seed": 424242, "horizon_msec": 2000.0, "warmup_msec": 200.0}
-    cfg = _write_config(tmp_path / "tiny.yaml", run={**run, "jobs": 2})
+    cfg = _write_config(tmp_path / "tiny.yaml")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "o1"), "--jobs", "1"]) == 0
-    assert taken == [2, 1]
+    assert taken == [1]
 
-    bad = _write_config(tmp_path / "bad.yaml", run={**run, "jobs": 0})
+    run = {"replications": 2, "seed": 424242, "horizon_msec": 2000.0, "warmup_msec": 200.0}
+    bad = _write_config(tmp_path / "bad.yaml", run={**run, "jobs": 2})
     capsys.readouterr()
-    assert main(["--config", str(bad), "--out", str(tmp_path / "o0")]) == 2
-    assert "run.jobs: must be >= 1, got 0" in capsys.readouterr().err
-    assert taken == [2, 1]
-    assert not (tmp_path / "o0").exists()
+    assert main(["--config", str(bad), "--out", str(tmp_path / "o2")]) == 2
+    assert "run: unknown key(s) 'jobs'" in capsys.readouterr().err
+    assert taken == [1]
+    assert not (tmp_path / "o2").exists()
 
 
 def test_cli_format_all_and_sweep_plot(tmp_path):

@@ -33,7 +33,7 @@ RUN_KEYS = ("wall_clock_seconds",)
 # run the CLI as `python -m qnaps.cli` does, on tests/_reference.py in
 # place of the compiled extension
 _REFERENCE_LOOP = ("import sys; sys.path.insert(0, 'tests'); import _reference, qnaps.kernel as k; "
-                   "k._loop = _reference; from qnaps.cli import entry; entry()")
+                   "k._loop = _reference; from qnaps.cli import main; sys.exit(main())")
 
 
 def configs(checkout: Path) -> list[str]:
