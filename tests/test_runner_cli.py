@@ -755,8 +755,7 @@ def test_sha256_is_hashlibs():
         assert qnaps.sha256(data).digest() == hashlib.sha256(data).digest()
 
 
-def test_main_is_the_one_program_entry(tmp_path):
-    # `python -m qnaps.cli` and the installed script both run main(), and
+def test_import_and_main_leave_the_collector_on_and_unfrozen(tmp_path):
     # neither the import nor main() touches the collector
     cfg = _write_config(tmp_path / "tiny.yaml")
     probe = (
@@ -769,6 +768,10 @@ def test_main_is_the_one_program_entry(tmp_path):
     )
     assert _child(probe) == "True"
     assert (tmp_path / "o" / "tiny.csv").exists()
+
+
+def test_main_is_the_one_program_entry(tmp_path):
+    # `python -m qnaps.cli` and the installed script both run main()
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert '\nqnaps = "qnaps.cli:main"\n' in pyproject
     # a bad config exits 2 through the module's __main__ as through main()
